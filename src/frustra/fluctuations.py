@@ -514,7 +514,9 @@ def fsp_frustrated_mode_energy(g: float, jbar: float, omegabar: float,
 @dataclass(frozen=True)
 class SiteMoments:
     """Per-site Gaussian moments: cavity q/p variances, with NaN where the
-    frustrated sector is numerically unresolvable."""
+    frustrated sector is numerically unresolvable.  ``eps_even`` and
+    ``eps_odd`` are the ascending mirror-sector spectra (``eps_odd`` None
+    when unresolvable)."""
 
     var_q: np.ndarray
     var_p: np.ndarray
@@ -523,6 +525,8 @@ class SiteMoments:
     frustrated_resolved: bool = True
     eps_frustrated: float = np.nan
     eps_meanfield: float = np.nan
+    eps_even: np.ndarray | None = None
+    eps_odd: np.ndarray | None = None
 
     def photon(self, site: int) -> float:
         return float((self.var_q[site - 1] + self.var_p[site - 1] - 1.0) / 2.0)
@@ -540,6 +544,18 @@ def _expand_species(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mirror_sectors(solution: GroundStateSolution, params: ModelParams):
+    """Normal modes of the mirror-even and mirror-odd sectors of the
+    fluctuation form, built once from one 4N x 4N form."""
+    form = build_quadratic_hamiltonian(solution, params)
+    hx, hp = _split_blocks(form.matrix)
+    sectors = []
+    for sites in mirror_projectors(params.n_sites):
+        species = _expand_species(sites)
+        sectors.append(_SplitModes(species @ hx @ species.T, species @ hp @ species.T))
+    return sectors
+
+
 def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> SiteMoments:
     """Cavity moments of a frustrated ground state via the exact mirror-sector
     split.
@@ -553,13 +569,7 @@ def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> Site
     if solution.phase is not Phase.FSP:
         raise PhaseError("mirror-sector moments require the frustrated phase")
     n = params.n_sites
-    form = build_quadratic_hamiltonian(solution, params)
-    blocks = _split_blocks(form.matrix)
-    hx, hp = blocks
-    even_sites, odd_sites = mirror_projectors(n)
-    even_map, odd_map = _expand_species(even_sites), _expand_species(odd_sites)
-
-    even = _SplitModes(even_map @ hx @ even_map.T, even_map @ hp @ even_map.T)
+    even, odd = _mirror_sectors(solution, params)
     if not (even.positive and even.resolvable):
         raise InstabilityError("mirror-even sector is not resolvably positive")
     eps_even = even.eigenvalues()
@@ -569,7 +579,6 @@ def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> Site
     var_p = np.full(n, np.nan)
     var_q[0], var_p[0] = cov_x_even[0, 0], cov_p_even[0, 0]
 
-    odd = _SplitModes(odd_map @ hx @ odd_map.T, odd_map @ hp @ odd_map.T)
     resolved = odd.positive and odd.resolvable
     eps_odd = None
     if resolved:
@@ -590,18 +599,15 @@ def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> Site
     return SiteMoments(var_q, var_p,
                        eps_lowest=float(all_eps[0]), eps_second=float(all_eps[1]),
                        frustrated_resolved=bool(resolved),
-                       eps_frustrated=eps_f, eps_meanfield=eps_mf)
+                       eps_frustrated=eps_f, eps_meanfield=eps_mf,
+                       eps_even=eps_even, eps_odd=eps_odd)
 
 
 def fsp_sector_spectra(solution: GroundStateSolution, params: ModelParams):
     """(mirror-even, mirror-odd) symplectic spectra of a frustrated state;
-    the odd part is None when numerically unresolvable."""
-    form = build_quadratic_hamiltonian(solution, params)
-    hx, hp = _split_blocks(form.matrix)
-    even_sites, odd_sites = mirror_projectors(params.n_sites)
-    even_map, odd_map = _expand_species(even_sites), _expand_species(odd_sites)
-    even = _SplitModes(even_map @ hx @ even_map.T, even_map @ hp @ even_map.T)
-    odd = _SplitModes(odd_map @ hx @ odd_map.T, odd_map @ hp @ odd_map.T)
+    either part is None when numerically unresolvable.  Sweeps read both
+    from :func:`fsp_site_moments` instead."""
+    even, odd = _mirror_sectors(solution, params)
     eps_even = even.eigenvalues() if even.positive and even.resolvable else None
     eps_odd = odd.eigenvalues() if odd.positive and odd.resolvable else None
     return eps_even, eps_odd

@@ -180,6 +180,16 @@ def _pair_groups(n_sites: int) -> list[list[int]]:
     return [[0]] + [[j, n_sites - j] for j in range(1, (n_sites - 1) // 2 + 1)]
 
 
+def _pair_incidence(n_sites: int) -> np.ndarray:
+    """The n x m 0/1 matrix P mapping mirror-group values onto sites:
+    column 0 is the unpaired site, column j the pair (1+j, N+1-j)."""
+    groups = _pair_groups(n_sites)
+    incidence = np.zeros((n_sites, len(groups)))
+    for column, group in enumerate(groups):
+        incidence[group, column] = 1.0
+    return incidence
+
+
 def _mirror_symmetrize(alphas: np.ndarray) -> np.ndarray:
     out = alphas.copy()
     for group in _pair_groups(len(alphas))[1:]:
@@ -244,6 +254,27 @@ def _minimize_full(alphas0, g, jbar, opts: SolverOptions):
     return _newton_minimize(fun, jac, hess_fn, alphas0, opts.grad_tol, opts.max_iterations)
 
 
+def _mirror_reduced(n_sites: int, g: float, jbar: float):
+    """(expand, energy, gradient, Hessian) of y -> E(P y) over the
+    mirror-group values y, with P the pair incidence: the gradient is g P
+    and the Hessian P^T H P."""
+    incidence = _pair_incidence(n_sites)
+
+    def expand(y):
+        return incidence @ y
+
+    def fun(y):
+        return rescaled_energy(expand(y), g, jbar)
+
+    def jac(y):
+        return energy_gradient(expand(y), g, jbar) @ incidence
+
+    def hess_fn(y):
+        return incidence.T @ energy_hessian(expand(y), g, jbar) @ incidence
+
+    return expand, fun, jac, hess_fn
+
+
 def _minimize_mirror_reduced(alphas0, g, jbar, opts: SolverOptions):
     """Minimize within the mirror-symmetric subspace (pairs locked equal).
 
@@ -251,26 +282,8 @@ def _minimize_mirror_reduced(alphas0, g, jbar, opts: SolverOptions):
     well-conditioned arbitrarily close to the critical point.
     """
     n = len(alphas0)
-    groups = _pair_groups(n)
-
-    def expand(y):
-        full = np.empty(n)
-        for value, group in zip(y, groups):
-            full[group] = value
-        return full
-
-    def fun(y):
-        return rescaled_energy(expand(y), g, jbar)
-
-    def jac(y):
-        grad = energy_gradient(expand(y), g, jbar)
-        return np.array([grad[group].sum() for group in groups])
-
-    def hess_fn(y):
-        full = energy_hessian(expand(y), g, jbar)
-        return np.array([[full[np.ix_(ga, gb)].sum() for gb in groups] for ga in groups])
-
-    y0 = np.array([alphas0[group[0]] for group in groups])
+    expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
+    y0 = alphas0[: (n + 1) // 2]  # one value per group: sites 1..(N+1)/2
     y, _ = _newton_minimize(fun, jac, hess_fn, y0, opts.grad_tol, opts.max_iterations)
     alphas = expand(y)
     return alphas, float(np.max(np.abs(energy_gradient(alphas, g, jbar))))
@@ -281,12 +294,18 @@ def _minimize_mirror_reduced(alphas0, g, jbar, opts: SolverOptions):
 
 
 def _seed_alphas(params: ModelParams) -> list[np.ndarray]:
+    """One seed per symmetry orbit of the closed-form guesses.
+
+    The energy is invariant under lattice rotations and the global sign
+    flip, so Newton from a rotated or flipped seed repeats the same
+    minimization: the origin, the positive uniform state and the canonical
+    frustrated pattern at each of its two magnitudes cover every orbit.
+    """
     n, g, jbar = params.n_sites, params.g, params.jbar
     seeds = [np.zeros(n)]
     uniform = _uniform_magnitude(g, jbar)
     if uniform is not None:
         seeds.append(np.full(n, uniform))
-        seeds.append(np.full(n, -uniform))
     if jbar > 0:
         gc = params.critical_coupling()
         if g > gc:
@@ -300,10 +319,7 @@ def _seed_alphas(params: ModelParams) -> list[np.ndarray]:
             for mag1, mag2 in magnitudes:
                 base = pattern * mag2
                 base[0] = -mag1
-                for shift in range(n):
-                    rolled = np.roll(base, shift)
-                    seeds.append(rolled)
-                    seeds.append(-rolled)
+                seeds.append(base)
     return seeds
 
 
@@ -323,13 +339,19 @@ def _unpaired_site(alphas: np.ndarray) -> int:
     return (same[0] + (n + 1) // 2) % n
 
 
+def _canonical_frame(alphas: np.ndarray) -> tuple[int, float]:
+    """(shift, sign) taking a frustrated configuration to its canonical
+    representative ``sign * np.roll(alphas, -shift)``; the inverse map is
+    ``sign * np.roll(canonical, shift)``."""
+    shift = _unpaired_site(alphas)
+    return shift, (-1.0 if alphas[shift] > 0 else 1.0)
+
+
 def _canonicalize_fsp(alphas: np.ndarray) -> np.ndarray:
     """Rotate and sign-flip onto the representative with the unpaired site
     first and alpha_1 < 0 <= alpha_2."""
-    rolled = np.roll(alphas, -_unpaired_site(alphas))
-    if rolled[0] > 0:
-        rolled = -rolled
-    return rolled
+    shift, sign = _canonical_frame(alphas)
+    return sign * np.roll(alphas, -shift)
 
 
 def _stationary_candidates(params: ModelParams, opts: SolverOptions,
@@ -396,12 +418,13 @@ def solve_ground_state(params: ModelParams,
                        initial: np.ndarray | None = None) -> GroundStateSolution:
     """Find the canonical global mean-field minimizer.
 
-    Multi-start damped-Newton descent seeded from the origin, the uniform
-    closed form and all 2N frustrated sign patterns; the lowest-energy
-    stationary point with positive-semidefinite Hessian wins.  Frustrated
-    solutions are returned as the canonical representative (unpaired site
-    first, alpha_1 < 0 <= alpha_2, mirror pairs exactly equal).  ``initial``
-    adds one extra seed (used by sweeps to warm-start from a neighbour).
+    Multi-start damped-Newton descent with one seed per symmetry orbit: the
+    origin, the uniform closed form and the canonical frustrated pattern at
+    its two magnitudes; the lowest-energy stationary point with
+    positive-semidefinite Hessian wins.  Frustrated solutions are returned
+    as the canonical representative (unpaired site first,
+    alpha_1 < 0 <= alpha_2, mirror pairs exactly equal).  ``initial`` adds
+    one extra seed (used by sweeps to warm-start from a neighbour).
     """
     opts = opts or SolverOptions()
     gc = params.critical_coupling()
@@ -521,11 +544,24 @@ def _enumerate_exhaustive(params: ModelParams, opts: SolverOptions):
     energies = np.array([rescaled_energy(a, g, jbar) for a in found])
     global_tier = [a for a, e in zip(found, energies)
                    if e <= energies.min() + opts.energy_tol]
+    if _classify(global_tier[0], params) is Phase.FSP:
+        # Near g_c the mirror-odd direction is flat, so each member stops
+        # somewhere along it; lock its pairs the way solve_ground_state does
+        # so that copies of one minimum coincide to rounding.
+        global_tier = [_polish_member(a, params, opts) for a in global_tier]
     distinct: list[np.ndarray] = []
     for alphas in global_tier:
         if not any(np.max(np.abs(alphas - other)) < opts.match_tol for other in distinct):
             distinct.append(alphas)
     return [MeanFieldConfiguration.from_alphas(a, g, jbar) for a in distinct]
+
+
+def _polish_member(alphas: np.ndarray, params: ModelParams, opts: SolverOptions):
+    """A frustrated minimum re-converged in the mirror-symmetric subspace of
+    its own frame, by the solver's polish and its energy rule."""
+    shift, sign = _canonical_frame(alphas)
+    polished, _ = _polish(sign * np.roll(alphas, -shift), params, opts, Phase.FSP)
+    return sign * np.roll(polished, shift)
 
 
 @dataclass(frozen=True)

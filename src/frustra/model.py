@@ -130,9 +130,11 @@ def _check_alphas(alphas) -> np.ndarray:
 def rescaled_energy(alphas, g: float, jbar: float) -> float:
     """Dimensionless mean-field energy of a coherence configuration."""
     a = _check_alphas(alphas)
+    right = np.empty_like(a)
+    right[:-1], right[-1] = a[1:], a[0]
     return float(
         np.sum(a * a - 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a)
-               + 2.0 * jbar * a * np.roll(a, -1))
+               + 2.0 * jbar * a * right)
     )
 
 
@@ -144,7 +146,11 @@ def energy_gradient(alphas, g: float, jbar: float) -> np.ndarray:
     """
     a = _check_alphas(alphas)
     root = np.sqrt(1.0 + 4.0 * g * g * a * a)
-    return 2.0 * a + 2.0 * jbar * (np.roll(a, 1) + np.roll(a, -1)) - 2.0 * g * g * a / root
+    neighbours = np.empty_like(a)
+    neighbours[1:-1] = a[:-2] + a[2:]
+    neighbours[0] = a[-1] + a[1]
+    neighbours[-1] = a[-2] + a[0]
+    return 2.0 * a + 2.0 * jbar * neighbours - 2.0 * g * g * a / root
 
 
 def energy_hessian(alphas, g: float, jbar: float) -> np.ndarray:
@@ -155,12 +161,11 @@ def energy_hessian(alphas, g: float, jbar: float) -> np.ndarray:
     """
     a = _check_alphas(alphas)
     n = len(a)
+    site = np.arange(n)
+    right = (site + 1) % n
     hess = np.zeros((n, n))
-    np.fill_diagonal(hess, 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * a * a) ** 1.5)
-    for i in range(n):
-        j = (i + 1) % n
-        hess[i, j] += 2.0 * jbar
-        hess[j, i] += 2.0 * jbar
+    hess[site, site] = 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * a * a) ** 1.5
+    hess[site, right] = hess[right, site] = 2.0 * jbar
     return hess
 
 

@@ -19,12 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FitQualityError, InstabilityError, ValidationError
+from .errors import (
+    DomainError,
+    FitQualityError,
+    FrustraError,
+    InstabilityError,
+    ValidationError,
+)
 from .fluctuations import (
     CRITICAL_REGIME_FACTOR,
     build_quadratic_hamiltonian,
     fsp_site_moments,
-    fsp_sector_spectra,
     covariance,
     photon_number,
     squeezing_variance,
@@ -199,7 +204,9 @@ def _sweep_side(spec: SweepSpec, points: np.ndarray, gc: float,
         try:
             solution = _solve_warm(params, warm, opts)
             warm = solution
-        except Exception as exc:  # record and continue with the next point
+        except (FrustraError, np.linalg.LinAlgError) as exc:
+            # record and continue with the next point; programming errors
+            # propagate
             missing.append(SweepMissing(g, "all", f"solver: {exc}"))
             continue
         point_rows, point_missing, point_warns = _observe_point(
@@ -254,11 +261,10 @@ def _observe_point(spec: SweepSpec, params: ModelParams,
             missing.append(SweepMissing(g, ",".join(sorted(need_gaussian)), str(exc)))
             return rows, missing, warns
         if "gaps" in want:
-            eps_even, eps_odd = fsp_sector_spectra(solution, params)
             put("gaps", "mf", moments.eps_meanfield)
             if moments.frustrated_resolved:
                 put("gaps", "f", moments.eps_frustrated)
-                merged = np.sort(np.concatenate([eps_even, eps_odd]))
+                merged = np.sort(np.concatenate([moments.eps_even, moments.eps_odd]))
                 for rank, value in enumerate(merged, start=1):
                     put("gaps", rank, value)
             else:

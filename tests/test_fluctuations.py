@@ -13,6 +13,7 @@ from frustra.fluctuations import (
     covariance,
     dump_quadratic_form,
     fsp_frustrated_mode_energy,
+    fsp_sector_spectra,
     fsp_site_moments,
     load_quadratic_form_matrix,
     mode_weights,
@@ -388,6 +389,20 @@ class TestSectorMoments:
                 assert moments.squeezing(site) == pytest.approx(
                     squeezing_variance(cov, site), rel=1e-9)
 
+    def test_sector_spectra_carried_on_moments(self):
+        jbar = 0.01
+        for n in (3, 5):
+            gc = critical_point(jbar, n, "positive")
+            p = params(jbar, gc * (1 + 3e-3), n)
+            sol = solve_ground_state(p)
+            moments = fsp_site_moments(sol, p)
+            eps_even, eps_odd = fsp_sector_spectra(sol, p)
+            assert np.array_equal(moments.eps_even, eps_even)
+            assert np.array_equal(moments.eps_odd, eps_odd)
+            merged = np.sort(np.concatenate([moments.eps_even, moments.eps_odd]))
+            full = williamson_diagonalize(build_quadratic_hamiltonian(sol, p))
+            assert_allclose(merged, full.symplectic_eigenvalues, rtol=1e-9)
+
     def test_deep_point_keeps_unpaired_site(self):
         # far below resolution for the frustrated sector at N=7
         jbar = 0.01
@@ -398,6 +413,7 @@ class TestSectorMoments:
         assert not moments.frustrated_resolved
         assert np.isfinite(moments.photon(1))
         assert np.isnan(moments.photon(2))
+        assert moments.eps_odd is None and moments.eps_even is not None
 
 
 class TestMatrixDump:

@@ -232,6 +232,19 @@ class TestDegenerateManifold:
         assert len(found_nfsp) == 2
 
 
+    def test_exhaustive_counts_each_minimum_once_near_threshold(self):
+        # the mirror-odd direction is nearly flat here, so unpolished copies
+        # of one minimum stop more than match_tol apart
+        opts = SolverOptions(seed_mode="exhaustive")
+        assert opts.match_tol <= 1e-8 and opts.energy_tol <= 1e-10
+        gc = critical_point(0.0096, 7, "positive")
+        found = enumerate_degenerate_ground_states(
+            params(0.0096, gc * (1 + 7.8e-5), 7), opts)
+        assert len(found) == 14
+        energies = [m.energy for m in found]
+        assert np.ptp(energies) <= opts.energy_tol
+
+
 class TestHessianCriticalModes:
     def test_trimer_frustrated_eigenvector(self):
         jbar = 0.01

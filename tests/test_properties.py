@@ -1,0 +1,136 @@
+"""Property tests for the invariants the symmetry-reduced solver relies on:
+symmetry of the energy, exact derivatives, the mirror-reduced problem and
+agreement of the orbit-seeded solver with the exhaustive 2^N oracle."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frustra.meanfield import (
+    SolverOptions,
+    _mirror_reduced,
+    _pair_groups,
+    _pair_incidence,
+    enumerate_degenerate_ground_states,
+    solve_ground_state,
+)
+from frustra.model import (
+    ModelParams,
+    critical_point,
+    energy_gradient,
+    energy_hessian,
+    rescaled_energy,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+sizes = st.sampled_from([3, 5, 7, 9])
+couplings = st.floats(0.0, 2.0)
+hoppings = st.floats(-0.45, 0.5)
+
+
+@st.composite
+def landscapes(draw):
+    """(alphas, g, jbar) with alphas of odd length anywhere in [-1, 1]^N."""
+    n = draw(sizes)
+    alphas = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return alphas, draw(couplings), draw(hoppings)
+
+
+def _central_jacobian(fn, x, step):
+    columns = []
+    for i in range(len(x)):
+        shift = np.zeros(len(x))
+        shift[i] = step
+        columns.append((np.asarray(fn(x + shift)) - np.asarray(fn(x - shift))) / (2 * step))
+    return np.array(columns).T
+
+
+@PROPERTY
+@given(landscapes(), st.integers(0, 8))
+def test_energy_symmetric_under_rotation_flip_and_mirror(case, shift):
+    alphas, g, jbar = case
+    energy = rescaled_energy(alphas, g, jbar)
+    mirrored = alphas[(-np.arange(len(alphas))) % len(alphas)]  # about site 1
+    tol = 1e-12 * max(1.0, abs(energy))
+    for image in (np.roll(alphas, shift), -alphas, mirrored):
+        assert abs(rescaled_energy(image, g, jbar) - energy) <= tol
+
+
+@PROPERTY
+@given(landscapes())
+def test_sliced_neighbours_equal_rolled_reference(case):
+    # reference forms with np.roll and a per-site loop: same arithmetic in
+    # the same order, so the results must be identical
+    alphas, g, jbar = case
+    a, n = alphas, len(alphas)
+    energy = float(np.sum(a * a - 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a)
+                          + 2.0 * jbar * a * np.roll(a, -1)))
+    grad = (2.0 * a + 2.0 * jbar * (np.roll(a, 1) + np.roll(a, -1))
+            - 2.0 * g * g * a / np.sqrt(1.0 + 4.0 * g * g * a * a))
+    hess = np.diag(2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * a * a) ** 1.5)
+    for i in range(n):
+        hess[i, (i + 1) % n] += 2.0 * jbar
+        hess[(i + 1) % n, i] += 2.0 * jbar
+    assert rescaled_energy(a, g, jbar) == energy
+    assert np.array_equal(energy_gradient(a, g, jbar), grad)
+    assert np.array_equal(energy_hessian(a, g, jbar), hess)
+
+
+@PROPERTY
+@given(landscapes())
+def test_gradient_and_hessian_match_central_differences(case):
+    alphas, g, jbar = case
+    step = 1e-5
+    grad = energy_gradient(alphas, g, jbar)
+    numeric_grad = _central_jacobian(lambda a: rescaled_energy(a, g, jbar), alphas, step)
+    assert np.max(np.abs(grad - numeric_grad)) < 1e-7
+    hess = energy_hessian(alphas, g, jbar)
+    numeric_hess = _central_jacobian(lambda a: energy_gradient(a, g, jbar), alphas, step)
+    assert np.max(np.abs(hess - numeric_hess)) < 1e-7
+    assert np.array_equal(hess, hess.T)
+
+
+@PROPERTY
+@given(landscapes())
+def test_reduced_derivatives_are_projections_of_the_full_ones(case):
+    alphas, g, jbar = case
+    n = len(alphas)
+    groups = _pair_groups(n)
+    incidence = _pair_incidence(n)
+    expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
+    y = alphas[: len(groups)]
+    full = expand(y)
+    for column, group in enumerate(groups):
+        assert np.all(full[group] == y[column])
+    assert fun(y) == rescaled_energy(full, g, jbar)
+    grad = energy_gradient(full, g, jbar)
+    hess = energy_hessian(full, g, jbar)
+    assert np.allclose(jac(y), grad @ incidence, rtol=0, atol=1e-14)
+    assert np.allclose(jac(y), [grad[group].sum() for group in groups], rtol=0, atol=1e-14)
+    block_sums = [[hess[np.ix_(ga, gb)].sum() for gb in groups] for ga in groups]
+    assert np.allclose(hess_fn(y), incidence.T @ hess @ incidence, rtol=0, atol=1e-14)
+    assert np.allclose(hess_fn(y), block_sums, rtol=0, atol=1e-14)
+
+
+@st.composite
+def transition_points(draw):
+    """Points on either side of g_c with jbar = +-10^U(-3, -0.7) and reduced
+    distance 10^U(-5, -1), the range of the benchmark's cold solves."""
+    n = draw(st.sampled_from([3, 5, 7]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    jbar = sign * 10.0 ** draw(st.floats(-3.0, -0.7))
+    side = draw(st.sampled_from([-1.0, 1.0, 1.0]))  # mostly superradiant
+    reduced = 10.0 ** draw(st.floats(-5.0, -1.0))
+    gc = critical_point(jbar, n, "positive" if sign > 0 else "negative")
+    return ModelParams(1.0, 1.0, jbar, gc * (1.0 + side * reduced), n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(transition_points())
+def test_orbit_seeded_solver_matches_exhaustive_oracle(params):
+    solution = solve_ground_state(params)
+    members = enumerate_degenerate_ground_states(
+        params, SolverOptions(seed_mode="exhaustive"))
+    assert solution.config.energy <= min(m.energy for m in members) + 1e-10
+    assert len(members) == solution.degeneracy

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from frustra.errors import DomainError, FitQualityError, ValidationError
+from frustra import scaling
+from frustra.errors import ConvergenceError, DomainError, FitQualityError, ValidationError
 from frustra.fluctuations import analytic_nfsp_spectrum, analytic_np_spectrum
 from frustra.model import ModelParams, critical_point
 from frustra.scaling import (
@@ -232,6 +233,28 @@ class TestDerivativeDiagnostics:
     def test_axis_validation(self):
         with pytest.raises(ValidationError):
             energy_derivative_diagnostics(params(0.01), axis="omega")
+
+
+class TestSweepErrors:
+    def test_solver_failure_becomes_missing_row(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no seed converged")
+
+        monkeypatch.setattr(scaling, "solve_ground_state", fail)
+        spec = SweepSpec(jbar=0.01, n_sites=3, sides="above", points_per_decade=2)
+        result = run_sweep(spec)
+        assert not result.rows
+        assert len(result.missing) == len(spec.grid)
+        assert all(m.reason.startswith("solver: ") for m in result.missing)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(scaling, "solve_ground_state", broken)
+        spec = SweepSpec(jbar=0.01, n_sites=3, sides="above", points_per_decade=2)
+        with pytest.raises(TypeError):
+            run_sweep(spec)
 
 
 class TestThreadBudget:
