@@ -152,18 +152,24 @@ class ModeWeights:
 # building the quadratic Hamiltonian
 
 
-def build_quadratic_hamiltonian(solution: GroundStateSolution,
-                                params: ModelParams) -> QuadraticForm:
-    """Assemble the fluctuation Hamiltonian at a verified minimum."""
+def _require_minimum(solution: GroundStateSolution, params: ModelParams) -> None:
+    """The quadratic expansion holds only about a converged minimum of the
+    lattice ``params`` describes."""
     if not solution.converged or solution.grad_norm > 1e-10:
         raise ValidationError(
             "quadratic expansion requires a converged minimum "
             f"(gradient norm {solution.grad_norm:.2e})"
         )
+    if solution.config.n_sites != params.n_sites:
+        raise ValidationError("solution and params disagree on lattice size")
+
+
+def build_quadratic_hamiltonian(solution: GroundStateSolution,
+                                params: ModelParams) -> QuadraticForm:
+    """Assemble the fluctuation Hamiltonian at a verified minimum."""
+    _require_minimum(solution, params)
     config = solution.config
     n = config.n_sites
-    if n != params.n_sites:
-        raise ValidationError("solution and params disagree on lattice size")
     omega0, Omega, g = params.omega0, params.Omega, params.g
     hop = params.jbar * omega0
     cos_theta = np.cos(config.thetas)
@@ -409,27 +415,36 @@ def mode_weights(decomp: WilliamsonDecomposition, mode_index: int) -> ModeWeight
 # closed-form spectra
 
 
-def _two_mode_energies(freq_pos: float, freq_mom: float, coupling_sq: float):
-    """Normal-mode energies of two coupled oscillators (stable evaluation).
+def _two_mode_energies(freq_pos, freq_mom, coupling_sq):
+    """Normal-mode energies of two coupled oscillators (stable evaluation),
+    elementwise over arrays of such pairs.
 
     For H = wc/2 (q^2+p^2) + wa/2 (Q^2+P^2) + lam qQ the squared energies are
-    the roots of e^4 - (wc^2+wa^2) e^2 + wc wa (wc wa - lam^2).
+    the roots of e^4 - (wc^2+wa^2) e^2 + wc wa (wc wa - lam^2); the lower
+    energy is NaN where the pair is unstable.
     """
     total = freq_pos * freq_pos + freq_mom * freq_mom
     det = freq_pos * freq_mom * (freq_pos * freq_mom - coupling_sq)
-    if -32.0 * _EPS * total * total < det < 0.0:
-        det = 0.0  # exactly at threshold up to rounding
-    disc = total * total - 4.0 * det
-    root = np.sqrt(disc)
+    # exactly at threshold up to rounding
+    det = np.where((-32.0 * _EPS * total * total < det) & (det < 0.0), 0.0, det)
+    root = np.sqrt(total * total - 4.0 * det)
     upper = np.sqrt((total + root) / 2.0)
-    if det < 0:
-        return np.nan, float(upper)
-    lower = np.sqrt(2.0 * det / (total + root))
-    return float(lower), float(upper)
+    lower = np.sqrt(np.where(det < 0, np.nan, 2.0 * det / (total + root)))
+    return lower, upper
 
 
 def _momenta(n_sites: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_sites) / n_sites
+
+
+def _momentum_blocks(n_sites: int, jbar: float, freq_atom: float,
+                     coupling_sq: float, omega0: float):
+    """Momenta, cavity frequencies omega0 (1 + 2 jbar cos k) and branch
+    energies of the N cavity-atom blocks of a translation-invariant state."""
+    momenta = _momenta(n_sites)
+    freq_cav = omega0 * (1.0 + 2.0 * jbar * np.cos(momenta))
+    lower, upper = _two_mode_energies(freq_cav, freq_atom, coupling_sq)
+    return momenta, freq_cav, lower, upper
 
 
 def normal_phase_mode_energies(g: float, jbar: float, omegabar: float,
@@ -444,23 +459,31 @@ def normal_phase_mode_energies(g: float, jbar: float, omegabar: float,
         raise DomainError(
             f"normal phase unstable at momentum k={k:.4f} for g={g}"
         )
-    return lower, upper
+    return float(lower), float(upper)
+
+
+def _branch_spectrum(momenta, lower, upper, phase: str, g: float) -> np.ndarray:
+    unstable = np.isnan(lower)
+    if unstable.any():
+        raise DomainError(
+            f"{phase} unstable at momentum k={momenta[unstable][0]:.4f} for g={g}")
+    return np.sort(np.concatenate([lower, upper]))
 
 
 def analytic_np_spectrum(g: float, jbar: float, omegabar: float,
-                         omega0: float = 1.0) -> np.ndarray:
-    """The six normal-phase excitation energies of the three-site ring,
-    ascending: both branches of k = 0 and of the degenerate k = +-2pi/3 pair."""
-    energies = []
-    for k in _momenta(3):
-        energies.extend(normal_phase_mode_energies(g, jbar, omegabar, k, omega0))
-    return np.sort(np.array(energies))
+                         omega0: float = 1.0, n_sites: int = 3) -> np.ndarray:
+    """The 2N normal-phase excitation energies of the N-site ring, ascending:
+    both branches of every lattice momentum k = 2 pi m / N."""
+    freq_atom = omegabar * omega0
+    momenta, _, lower, upper = _momentum_blocks(
+        n_sites, jbar, freq_atom, g * g * freq_atom * omega0, omega0)
+    return _branch_spectrum(momenta, lower, upper, "normal phase", g)
 
 
 def analytic_nfsp_spectrum(g: float, jbar: float, omegabar: float,
-                           omega0: float = 1.0) -> np.ndarray:
-    """The six excitation energies of the uniform superradiant phase of the
-    three-site ring, ascending.
+                           omega0: float = 1.0, n_sites: int = 3) -> np.ndarray:
+    """The 2N excitation energies of the uniform superradiant phase of the
+    N-site ring, ascending.
 
     The uniform condensate renormalizes the atomic frequency to
     Omega (g/g_c)^2 and the effective coupling to g_c^2/g, preserving
@@ -471,17 +494,11 @@ def analytic_nfsp_spectrum(g: float, jbar: float, omegabar: float,
     gc_sq = 1.0 + 2.0 * jbar
     if g * g < gc_sq:
         raise DomainError(f"below the superradiant threshold g_c={np.sqrt(gc_sq)}")
-    freq_atom = omegabar * omega0 * g * g / gc_sq
     eff = gc_sq / g
-    energies = []
-    for k in _momenta(3):
-        freq_cav = omega0 * (1.0 + 2.0 * jbar * np.cos(k))
-        coupling_sq = eff * eff * omegabar * omega0 * omega0
-        lower, upper = _two_mode_energies(freq_cav, freq_atom, coupling_sq)
-        if np.isnan(lower):
-            raise DomainError(f"unstable momentum sector k={k:.4f}")
-        energies.extend((lower, upper))
-    return np.sort(np.array(energies))
+    momenta, _, lower, upper = _momentum_blocks(
+        n_sites, jbar, omegabar * omega0 * g * g / gc_sq,
+        eff * eff * omegabar * omega0 * omega0, omega0)
+    return _branch_spectrum(momenta, lower, upper, "uniform superradiant phase", g)
 
 
 def fsp_frustrated_mode_energy(g: float, jbar: float, omegabar: float,
@@ -504,35 +521,80 @@ def fsp_frustrated_mode_energy(g: float, jbar: float, omegabar: float,
             "negative radicand: the pair coherence is inconsistent with a "
             "stable frustrated minimum at this coupling"
         )
-    return lower
+    return float(lower)
 
 
 # ---------------------------------------------------------------------------
-# mirror-sector moments (used by sweeps deep in the critical regime)
+# per-site moments: momentum blocks for the uniform phases
 
 
 @dataclass(frozen=True)
 class SiteMoments:
     """Per-site Gaussian moments: cavity q/p variances, with NaN where the
-    frustrated sector is numerically unresolvable.  ``eps_even`` and
-    ``eps_odd`` are the ascending mirror-sector spectra (``eps_odd`` None
-    when unresolvable)."""
+    frustrated sector is numerically unresolvable.  ``eps`` is the ascending
+    excitation spectrum (None when the frustrated sector is unresolvable);
+    ``eps_even`` and ``eps_odd`` are the mirror-sector spectra of a
+    frustrated state (``eps_odd`` None when unresolvable)."""
 
     var_q: np.ndarray
     var_p: np.ndarray
     eps_lowest: float
-    eps_second: float
     frustrated_resolved: bool = True
     eps_frustrated: float = np.nan
     eps_meanfield: float = np.nan
     eps_even: np.ndarray | None = None
     eps_odd: np.ndarray | None = None
+    eps: np.ndarray | None = None
 
     def photon(self, site: int) -> float:
         return float((self.var_q[site - 1] + self.var_p[site - 1] - 1.0) / 2.0)
 
     def squeezing(self, site: int) -> float:
         return float(self.var_q[site - 1])
+
+
+def uniform_phase_moments(solution: GroundStateSolution,
+                          params: ModelParams) -> SiteMoments:
+    """Spectrum and cavity moments of a normal or uniform superradiant state
+    from its N lattice-momentum blocks, without the 4N x 4N form.
+
+    Block k pairs the cavity mode omega0 (1 + 2 jbar cos k) with the atomic
+    mode -Omega / cos theta through the position coupling
+    g cos theta cos phi sqrt(omega0 Omega), read at site 1.  Every site's
+    variances are the k-average of the blocks' ground-state covariances
+    (1/2) H_p^{1/2} G^{-1/2} H_p^{1/2} and (1/2) H_p^{-1/2} G^{1/2} H_p^{-1/2},
+    G = H_p^{1/2} H_x H_p^{1/2}.  With s = e_- e_+ and t = e_- + e_+ the 2 x 2
+    roots are G^{1/2} = (G + s) / t and G^{-1/2} = (tr G + s - G) / (t s).
+    """
+    if solution.phase is Phase.FSP:
+        raise PhaseError("momentum blocks require a translation-invariant phase")
+    _require_minimum(solution, params)
+    omega0, Omega = params.omega0, params.Omega
+    cos_theta = np.cos(solution.config.thetas[0])
+    freq_atom = -Omega / cos_theta
+    coupling = (params.g * cos_theta * np.cos(solution.config.phis[0])
+                * np.sqrt(omega0 * Omega))
+    momenta, freq_cav, lower, upper = _momentum_blocks(
+        params.n_sites, params.jbar, freq_atom, coupling * coupling, omega0)
+    # a negative cavity frequency flips the sign of both factors of the
+    # two-mode determinant, so lower > 0 alone would pass it
+    stable = (freq_cav > 0) & (lower > 0)  # False on NaN
+    if not stable.all():
+        k = int(np.argmin(stable))
+        raise InstabilityError(
+            f"momentum block k={momenta[k]:.4f} is not positive definite "
+            f"(lower energy {lower[k]:.3e})")
+    s, t = lower * upper, lower + upper
+    var_q = np.mean(freq_cav * (freq_atom * freq_atom + s) / (t * s)) / 2.0
+    var_p = np.mean((freq_cav * freq_cav + s) / (freq_cav * t)) / 2.0
+    eps = np.sort(np.concatenate([lower, upper]))
+    n = params.n_sites
+    return SiteMoments(np.full(n, var_q), np.full(n, var_p),
+                       eps_lowest=float(eps[0]), eps=eps)
+
+
+# ---------------------------------------------------------------------------
+# mirror-sector moments (used by sweeps deep in the critical regime)
 
 
 def _expand_species(rows: np.ndarray) -> np.ndarray:
@@ -594,13 +656,13 @@ def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> Site
 
     eps_mf = float(eps_even[0])
     eps_f = float(eps_odd[0]) if eps_odd is not None else np.nan
-    all_eps = np.sort(np.concatenate([eps_even, eps_odd])) if eps_odd is not None \
-        else eps_even
+    eps = np.sort(np.concatenate([eps_even, eps_odd])) if eps_odd is not None \
+        else None
     return SiteMoments(var_q, var_p,
-                       eps_lowest=float(all_eps[0]), eps_second=float(all_eps[1]),
+                       eps_lowest=float(eps_even[0] if eps is None else eps[0]),
                        frustrated_resolved=bool(resolved),
                        eps_frustrated=eps_f, eps_meanfield=eps_mf,
-                       eps_even=eps_even, eps_odd=eps_odd)
+                       eps_even=eps_even, eps_odd=eps_odd, eps=eps)
 
 
 def fsp_sector_spectra(solution: GroundStateSolution, params: ModelParams):

@@ -27,6 +27,7 @@ from .model import (
     energy_gradient,
     energy_hessian,
     rescaled_energy,
+    validate_jbar,
 )
 
 log = logging.getLogger(__name__)
@@ -90,20 +91,20 @@ def nfsp_closed_form(g: float, jbar: float) -> float:
     """
     if jbar > 0:
         raise DomainError("nfsp_closed_form requires jbar <= 0")
-    gc = critical_point(jbar, 3, "negative")
+    validate_jbar(jbar)
+    gc = float(np.sqrt(1.0 + 2.0 * jbar))
     if g < gc:
         raise DomainError(f"no superradiant solution below g_c={gc}")
-    if g == gc:
-        return 0.0
-    return float(np.sqrt((g / gc) ** 4 - 1.0) / (2.0 * g))
+    return _uniform_magnitude(g, jbar) or 0.0
 
 
 def _uniform_magnitude(g: float, jbar: float) -> float | None:
-    """Magnitude of the uniform stationary point, or None if it does not exist."""
-    c = 1.0 + 2.0 * jbar
-    if g * g <= c:
+    """Magnitude (1/2g) sqrt((g/g_c)^4 - 1), g_c = sqrt(1 + 2 jbar), of the
+    uniform stationary point; None at or below g_c, where it does not exist."""
+    gc = float(np.sqrt(1.0 + 2.0 * jbar))
+    if g <= gc:
         return None
-    return float(np.sqrt((g * g / c) ** 2 - 1.0) / (2.0 * g))
+    return float(np.sqrt((g / gc) ** 4 - 1.0) / (2.0 * g))
 
 
 def fsp_approximation(g: float, jbar: float) -> tuple[float, float]:

@@ -29,6 +29,14 @@ JBAR_MIN = -0.5
 JBAR_MAX = 1.0
 
 
+def validate_jbar(jbar: float) -> None:
+    """Reject hoppings outside the stability window (JBAR_MIN, JBAR_MAX)."""
+    if not (JBAR_MIN < jbar < JBAR_MAX):
+        raise ValidationError(
+            f"jbar={jbar} outside the stability window ({JBAR_MIN}, {JBAR_MAX})"
+        )
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the Dicke ring.
@@ -51,10 +59,7 @@ class ModelParams:
             raise ValidationError(f"Omega must be positive, got {self.Omega}")
         if not (np.isfinite(self.g) and self.g >= 0):
             raise ValidationError(f"g must be non-negative, got {self.g}")
-        if not (JBAR_MIN < self.jbar < JBAR_MAX):
-            raise ValidationError(
-                f"jbar={self.jbar} outside the stability window ({JBAR_MIN}, {JBAR_MAX})"
-            )
+        validate_jbar(self.jbar)
         if self.n_sites < 3 or self.n_sites % 2 == 0:
             raise ValidationError(f"n_sites must be odd and >= 3, got {self.n_sites}")
 
@@ -227,10 +232,7 @@ def critical_point(jbar: float, n_sites: int, hopping_sign: str) -> float:
     """
     if hopping_sign not in HOPPING_SIGNS:
         raise ValidationError(f"hopping_sign must be one of {HOPPING_SIGNS}")
-    if not (JBAR_MIN < jbar < JBAR_MAX):
-        raise ValidationError(
-            f"jbar={jbar} outside the stability window ({JBAR_MIN}, {JBAR_MAX})"
-        )
+    validate_jbar(jbar)
     if n_sites < 3 or n_sites % 2 == 0:
         raise ValidationError(f"n_sites must be odd and >= 3, got {n_sites}")
     if hopping_sign == "positive" and jbar < 0:

@@ -13,8 +13,6 @@ and additive non-critical backgrounds are negligible.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +26,8 @@ from .errors import (
 )
 from .fluctuations import (
     CRITICAL_REGIME_FACTOR,
-    build_quadratic_hamiltonian,
     fsp_site_moments,
-    covariance,
-    photon_number,
-    squeezing_variance,
-    williamson_diagonalize,
+    uniform_phase_moments,
 )
 from .meanfield import (
     GroundStateSolution,
@@ -155,21 +149,13 @@ class SweepResult:
         return reduced, values
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get("FRUSTRA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_sweep(spec: SweepSpec, opts: SolverOptions | None = None) -> SweepResult:
     """Tabulate the requested observables over the coupling grid.
 
     Each side of the critical point runs as an ordered pipeline from the
     nearest grid point outward, warm-starting every mean-field solve from
-    its neighbour; the two sides run concurrently when FRUSTRA_THREADS > 1.
-    Per-point failures are recorded as missing rows with a reason.
+    its neighbour.  Per-point failures are recorded as missing rows with a
+    reason.
     """
     opts = opts or SolverOptions()
     gc = spec.g_critical
@@ -178,13 +164,8 @@ def run_sweep(spec: SweepSpec, opts: SolverOptions | None = None) -> SweepResult
     above = np.sort(grid[grid > gc])
     result = SweepResult(spec)
 
-    sides = [side for side in (below, above) if len(side)]
-    if _thread_budget() > 1 and len(sides) > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            outputs = list(pool.map(lambda pts: _sweep_side(spec, pts, gc, opts), sides))
-    else:
-        outputs = [_sweep_side(spec, pts, gc, opts) for pts in sides]
-    for rows, missing, warns in outputs:
+    for side in (below, above):
+        rows, missing, warns = _sweep_side(spec, side, gc, opts)
         result.rows.extend(rows)
         result.missing.extend(missing)
         result.warnings.extend(warns)
@@ -254,56 +235,38 @@ def _observe_point(spec: SweepSpec, params: ModelParams,
     if not need_gaussian:
         return rows, missing, warns
 
-    if solution.phase is Phase.FSP:
-        try:
-            moments = fsp_site_moments(solution, params)
-        except InstabilityError as exc:
-            missing.append(SweepMissing(g, ",".join(sorted(need_gaussian)), str(exc)))
-            return rows, missing, warns
-        if "gaps" in want:
+    frustrated = solution.phase is Phase.FSP
+    try:
+        moments = (fsp_site_moments if frustrated else uniform_phase_moments)(
+            solution, params)
+    except InstabilityError as exc:
+        missing.append(SweepMissing(g, ",".join(sorted(need_gaussian)), str(exc)))
+        return rows, missing, warns
+    if moments.eps_lowest < CRITICAL_REGIME_FACTOR * params.omega0:
+        warns.append(f"critical-regime point at g={g!r}")
+    if "gaps" in want:
+        if frustrated:
             put("gaps", "mf", moments.eps_meanfield)
             if moments.frustrated_resolved:
                 put("gaps", "f", moments.eps_frustrated)
-                merged = np.sort(np.concatenate([moments.eps_even, moments.eps_odd]))
-                for rank, value in enumerate(merged, start=1):
-                    put("gaps", rank, value)
-            else:
-                missing.append(SweepMissing(
-                    g, "gaps",
-                    "frustrated sector below double-precision resolution"))
-            if moments.eps_lowest < CRITICAL_REGIME_FACTOR * params.omega0:
-                warns.append(f"critical-regime point at g={g!r}")
-        for name, getter in (("photon_numbers", moments.photon),
-                             ("squeezing", moments.squeezing)):
-            if name not in want:
-                continue
-            for site in range(1, params.n_sites + 1):
-                value = getter(site)
-                if np.isnan(value):
-                    missing.append(SweepMissing(
-                        g, f"{name}[{site}]",
-                        "frustrated sector below double-precision resolution"))
-                else:
-                    put(name, site, value)
-    else:
-        try:
-            form = build_quadratic_hamiltonian(solution, params)
-            decomp = williamson_diagonalize(form)
-        except InstabilityError as exc:
-            missing.append(SweepMissing(g, ",".join(sorted(need_gaussian)), str(exc)))
-            return rows, missing, warns
-        if decomp.critical_regime:
-            warns.append(f"critical-regime point at g={g!r}")
-        if "gaps" in want:
-            for rank, value in enumerate(decomp.symplectic_eigenvalues, start=1):
+        if moments.eps is not None:
+            for rank, value in enumerate(moments.eps, start=1):
                 put("gaps", rank, value)
-        if want & {"photon_numbers", "squeezing"}:
-            cov = covariance(decomp)
-            for site in range(1, params.n_sites + 1):
-                if "photon_numbers" in want:
-                    put("photon_numbers", site, photon_number(cov, site))
-                if "squeezing" in want:
-                    put("squeezing", site, squeezing_variance(cov, site))
+        else:
+            missing.append(SweepMissing(
+                g, "gaps", "frustrated sector below double-precision resolution"))
+    for name, getter in (("photon_numbers", moments.photon),
+                         ("squeezing", moments.squeezing)):
+        if name not in want:
+            continue
+        for site in range(1, params.n_sites + 1):
+            value = getter(site)
+            if np.isnan(value):
+                missing.append(SweepMissing(
+                    g, f"{name}[{site}]",
+                    "frustrated sector below double-precision resolution"))
+            else:
+                put(name, site, value)
     return rows, missing, warns
 
 

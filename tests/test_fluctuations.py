@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from frustra.errors import DomainError, InstabilityError, ValidationError
+from frustra.errors import DomainError, InstabilityError, PhaseError, ValidationError
 from frustra.fluctuations import (
     QuadraticForm,
     analytic_nfsp_spectrum,
@@ -23,6 +23,7 @@ from frustra.fluctuations import (
     squeezing_variance,
     symplectic_form,
     symplectic_spectrum_modulus,
+    uniform_phase_moments,
     williamson_diagonalize,
 )
 from frustra.meanfield import GroundStateSolution, Phase, solve_ground_state
@@ -400,6 +401,7 @@ class TestSectorMoments:
             assert np.array_equal(moments.eps_even, eps_even)
             assert np.array_equal(moments.eps_odd, eps_odd)
             merged = np.sort(np.concatenate([moments.eps_even, moments.eps_odd]))
+            assert np.array_equal(moments.eps, merged)
             full = williamson_diagonalize(build_quadratic_hamiltonian(sol, p))
             assert_allclose(merged, full.symplectic_eigenvalues, rtol=1e-9)
 
@@ -414,6 +416,42 @@ class TestSectorMoments:
         assert np.isfinite(moments.photon(1))
         assert np.isnan(moments.photon(2))
         assert moments.eps_odd is None and moments.eps_even is not None
+        assert moments.eps is None
+
+
+class TestUniformPhaseMoments:
+    def test_vacuum_without_coupling(self):
+        sol, p, _ = solved_form(0.05, 0.0, n=5)
+        moments = uniform_phase_moments(sol, p)
+        assert_allclose(moments.var_q, 0.5, rtol=1e-14)
+        assert_allclose(moments.var_p, 0.5, rtol=1e-14)
+        assert moments.photon(3) == pytest.approx(0.0, abs=1e-15)
+
+    def test_rejects_frustrated_phase(self):
+        sol, p, _ = solved_form(0.01, 1.01)
+        with pytest.raises(PhaseError):
+            uniform_phase_moments(sol, p)
+
+    def test_rejects_unconverged_solution(self):
+        sol, p, _ = solved_form(-0.01, 0.9)
+        bad = GroundStateSolution(sol.config, sol.phase, sol.degeneracy,
+                                  sol.canonical, grad_norm=1e-3)
+        with pytest.raises(ValidationError):
+            uniform_phase_moments(bad, p)
+        with pytest.raises(ValidationError):
+            uniform_phase_moments(sol, params(-0.01, 0.9, n=5))
+
+    @pytest.mark.parametrize("jbar, g", [(0.01, 1.2), (0.7, 0.1)])
+    def test_stale_normal_state_is_unstable(self, jbar, g):
+        # past g_c, and past the five-site hopping window where the cavity
+        # frequency of the k = +-4pi/5 blocks turns negative
+        p = params(jbar, g, n=5)
+        config = MeanFieldConfiguration.from_alphas(np.zeros(5), p.g, p.jbar)
+        stale = GroundStateSolution(config, Phase.NORMAL, 1, True, 0.0)
+        with pytest.raises(InstabilityError):
+            williamson_diagonalize(build_quadratic_hamiltonian(stale, p))
+        with pytest.raises(InstabilityError):
+            uniform_phase_moments(stale, p)
 
 
 class TestMatrixDump:

@@ -1,12 +1,28 @@
-"""Property tests for the invariants the symmetry-reduced solver relies on:
-symmetry of the energy, exact derivatives, the mirror-reduced problem and
-agreement of the orbit-seeded solver with the exhaustive 2^N oracle."""
+"""Property tests for the invariants the solvers rely on: symmetry of the
+energy, exact derivatives, the mirror-reduced problem, agreement of the
+orbit-seeded solver with the exhaustive 2^N oracle, the Williamson
+identities, the momentum-block path of the uniform phases against the
+Williamson reference, and the CSV wire format."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
+from frustra.cli import csv_to_rows, rows_to_csv
+from frustra.fluctuations import (
+    analytic_nfsp_spectrum,
+    analytic_np_spectrum,
+    build_quadratic_hamiltonian,
+    covariance,
+    photon_number,
+    squeezing_variance,
+    symplectic_spectrum_modulus,
+    uniform_phase_moments,
+    williamson_diagonalize,
+)
 from frustra.meanfield import (
+    Phase,
     SolverOptions,
     _mirror_reduced,
     _pair_groups,
@@ -134,3 +150,85 @@ def test_orbit_seeded_solver_matches_exhaustive_oracle(params):
         params, SolverOptions(seed_mode="exhaustive"))
     assert solution.config.energy <= min(m.energy for m in members) + 1e-10
     assert len(members) == solution.degeneracy
+
+
+@st.composite
+def uniform_points(draw):
+    """Translation-invariant points: the normal side for jbar of either sign
+    and the uniform superradiant side for jbar < 0, at reduced distance
+    10^U(-5, -1) and atomic frequency Omega in [0.5, 2]."""
+    n = draw(st.sampled_from([3, 5, 7, 9, 21]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    jbar = sign * 10.0 ** draw(st.floats(-3.0, -0.7))
+    side = draw(st.sampled_from([-1.0, 1.0])) if sign < 0 else -1.0
+    reduced = 10.0 ** draw(st.floats(-5.0, -1.0))
+    gc = critical_point(jbar, n, "positive" if sign > 0 else "negative")
+    Omega = draw(st.floats(0.5, 2.0))
+    return ModelParams(1.0, Omega, jbar, gc * (1.0 + side * reduced), n)
+
+
+@PROPERTY
+@given(uniform_points())
+def test_momentum_blocks_match_williamson(params):
+    solution = solve_ground_state(params)
+    assert solution.phase in (Phase.NORMAL, Phase.NFSP)
+    moments = uniform_phase_moments(solution, params)
+    form = build_quadratic_hamiltonian(solution, params)
+    decomp = williamson_diagonalize(form)
+    reference = decomp.symplectic_eigenvalues
+    assert_allclose(moments.eps, reference, rtol=1e-10, atol=0)
+    assert_allclose(moments.eps, symplectic_spectrum_modulus(form), rtol=1e-10, atol=0)
+    assert moments.eps_lowest == moments.eps[0]
+    cov = covariance(decomp)
+    for site in range(1, params.n_sites + 1):
+        assert_allclose(moments.photon(site), photon_number(cov, site), rtol=1e-9, atol=0)
+        assert_allclose(moments.squeezing(site), squeezing_variance(cov, site),
+                        rtol=1e-9, atol=0)
+    analytic = analytic_np_spectrum if solution.phase is Phase.NORMAL \
+        else analytic_nfsp_spectrum
+    assert_allclose(analytic(params.g, params.jbar, params.omegabar, params.omega0,
+                             n_sites=params.n_sites),
+                    reference, rtol=1e-10, atol=0)
+
+
+@st.composite
+def solved_forms(draw):
+    """Fluctuation forms about solved ground states of every phase, at
+    reduced distance 10^U(-3, 0) from g_c on either side."""
+    n = draw(st.sampled_from([3, 5, 7]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    jbar = sign * 10.0 ** draw(st.floats(-2.0, -0.7))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    reduced = 10.0 ** draw(st.floats(-3.0, -0.5))
+    gc = critical_point(jbar, n, "positive" if sign > 0 else "negative")
+    params = ModelParams(1.0, 1.0, jbar, gc * (1.0 + side * reduced), n)
+    return build_quadratic_hamiltonian(solve_ground_state(params), params)
+
+
+@PROPERTY
+@given(solved_forms())
+def test_williamson_identities_and_physical_state(form):
+    decomp = williamson_diagonalize(form)
+    scale = np.linalg.norm(form.matrix, 2)
+    assert decomp.symplectic_residual < 1e-9 * scale
+    assert decomp.diagonalization_residual < 1e-9 * scale
+    assert covariance(decomp).physicality_defect() >= -1e-10
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+sweep_rows = st.lists(st.fixed_dictionaries({
+    "g": finite, "reduced_coupling": finite,
+    "observable": st.sampled_from(["gaps", "photon_numbers", "squeezing",
+                                   "hessian_eigenvalues", "energy", "g_c"]),
+    "index": st.sampled_from(["", "1", "2", "21", "mf", "f"]),
+    "value": finite,
+}), max_size=20)
+
+
+@PROPERTY
+@given(sweep_rows)
+def test_csv_round_trip_reproduces_bytes(rows):
+    text = rows_to_csv(rows)
+    parsed = csv_to_rows(text)
+    assert parsed == rows
+    assert rows_to_csv(parsed) == text

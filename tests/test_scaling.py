@@ -4,7 +4,8 @@ import pytest
 from frustra import scaling
 from frustra.errors import ConvergenceError, DomainError, FitQualityError, ValidationError
 from frustra.fluctuations import analytic_nfsp_spectrum, analytic_np_spectrum
-from frustra.model import ModelParams, critical_point
+from frustra.meanfield import GroundStateSolution, Phase
+from frustra.model import MeanFieldConfiguration, ModelParams, critical_point
 from frustra.scaling import (
     SweepSpec,
     default_grid,
@@ -256,20 +257,31 @@ class TestSweepErrors:
         with pytest.raises(TypeError):
             run_sweep(spec)
 
+    def test_unstable_uniform_point_becomes_missing_row(self, monkeypatch):
+        # a normal-phase state handed over past the threshold: its k = 0
+        # momentum block is not positive definite
+        def stale(params, opts=None, initial=None):
+            config = MeanFieldConfiguration.from_alphas(
+                np.zeros(params.n_sites), params.g, params.jbar)
+            return GroundStateSolution(config, Phase.NORMAL, 1, True, 0.0)
 
-class TestThreadBudget:
-    def test_threaded_sweep_matches_serial(self, monkeypatch):
-        spec = SweepSpec(jbar=0.01, n_sites=3, reduced_min=1e-3,
-                         reduced_max=1e-2, points_per_decade=4,
+        monkeypatch.setattr(scaling, "solve_ground_state", stale)
+        spec = SweepSpec(jbar=-0.01, n_sites=5, sides="above",
+                         reduced_min=1e-3, reduced_max=1e-2, points_per_decade=2,
                          observables=("gaps", "energy"))
-        serial = run_sweep(spec)
-        monkeypatch.setenv("FRUSTRA_THREADS", "2")
-        threaded = run_sweep(spec)
-        assert serial.rows == threaded.rows
+        result = run_sweep(spec)
+        assert [r.observable for r in result.rows] == ["energy"] * len(spec.grid)
+        assert len(result.missing) == len(spec.grid)
+        assert all(m.observable == "gaps" and "not positive definite" in m.reason
+                   for m in result.missing)
 
-    def test_garbage_env_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv("FRUSTRA_THREADS", "lots")
-        spec = SweepSpec(jbar=0.01, n_sites=3, reduced_min=1e-3,
-                         reduced_max=1e-2, points_per_decade=3,
-                         observables=("energy",))
-        assert run_sweep(spec).rows
+    def test_normal_side_point_at_reduced_1e_13_is_resolved(self):
+        jbar, n = -0.01, 7
+        gc = critical_point(jbar, n, "negative")
+        spec = SweepSpec(jbar=jbar, n_sites=n, grid=(gc * (1 - 1e-13),))
+        result = run_sweep(spec)
+        assert not result.missing
+        gaps = sorted(r.value for r in result.rows if r.observable == "gaps")
+        assert len(gaps) == 2 * n and 0 < gaps[0] < 1e-6
+        photons = {r.value for r in result.rows if r.observable == "photon_numbers"}
+        assert len(photons) == 1
