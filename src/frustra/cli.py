@@ -62,9 +62,7 @@ class RunConfig:
 
     @property
     def hopping_sign(self) -> str:
-        if self.sign is not None:
-            return self.sign
-        return "negative" if self.jbar < 0 else "positive"
+        return self.sign if self.sign is not None else model.default_hopping_sign(self.jbar)
 
     @property
     def solver_options(self) -> meanfield.SolverOptions:

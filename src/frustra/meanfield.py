@@ -48,15 +48,16 @@ class Phase(Enum):
 class SolverOptions:
     """Knobs for the multi-start Newton solver.
 
+    ``max_iterations`` caps the damped descent of each Newton run.
     ``seed_mode`` selects how the degenerate manifold is enumerated:
     ``symmetry-orbit`` (default) constructs it from the canonical solution's
     symmetry orbit, ``exhaustive`` re-minimizes from all 2^N sign patterns.
+    ``match_tol`` (coherence distance) and ``energy_tol`` (energy above the
+    lowest) decide which exhaustive minima form the distinct global tier.
     """
 
-    grad_tol: float = 1e-12
     max_iterations: int = 500
     seed_mode: str = "symmetry-orbit"
-    near_critical_window: float = 1e-6
     match_tol: float = 1e-8
     energy_tol: float = 1e-10
 
@@ -67,7 +68,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class GroundStateSolution:
-    """A verified global minimizer with its phase and manifold size."""
+    """A verified global minimizer with its phase and manifold size.
+
+    The solver only returns converged solutions (``converged`` is always
+    True); the flag lets hand-built solutions mark themselves unusable for
+    the quadratic expansion.
+    """
 
     config: MeanFieldConfiguration
     phase: Phase
@@ -202,7 +208,7 @@ def _mirror_symmetrize(alphas: np.ndarray) -> np.ndarray:
 # Newton minimization
 
 
-def _newton_minimize(fun, jac, hess_fn, x0, grad_tol, max_iterations):
+def _newton_minimize(fun, jac, hess_fn, x0, max_iterations):
     """Damped modified-Newton descent followed by a pure-Newton endgame.
 
     The descent phase insists on energy decrease; once the energy changes
@@ -211,8 +217,8 @@ def _newton_minimize(fun, jac, hess_fn, x0, grad_tol, max_iterations):
     """
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
+    grad = jac(x)
     for _ in range(max_iterations):
-        grad = jac(x)
         if np.max(np.abs(grad)) < 1e-6:
             break
         w, vecs = np.linalg.eigh(hess_fn(x))
@@ -228,23 +234,25 @@ def _newton_minimize(fun, jac, hess_fn, x0, grad_tol, max_iterations):
             t /= 4.0
         if not moved:
             break
+        grad = jac(x)
     # The endgame squeezes the residual to the floating-point floor (well
-    # below grad_tol): soft-direction curvatures amplify any leftover
-    # gradient into parameter error, so stopping exactly at grad_tol would
-    # contaminate near-critical Hessian eigenvalues.
-    grad_norm = np.max(np.abs(jac(x)))
+    # below SOLUTION_GRAD_TOL): soft-direction curvatures amplify any
+    # leftover gradient into parameter error, so stopping exactly at
+    # SOLUTION_GRAD_TOL would contaminate near-critical Hessian eigenvalues.
+    grad_norm = np.max(np.abs(grad))
     for _ in range(60):
         if grad_norm < 1e-15:
             break
         try:
-            step = np.linalg.solve(hess_fn(x), jac(x))
+            step = np.linalg.solve(hess_fn(x), grad)
         except np.linalg.LinAlgError:
             break
         x_new = x - step
-        new_norm = np.max(np.abs(jac(x_new)))
+        grad_new = jac(x_new)
+        new_norm = np.max(np.abs(grad_new))
         if new_norm >= grad_norm:
             break
-        x, grad_norm = x_new, new_norm
+        x, grad, grad_norm = x_new, grad_new, new_norm
     return x, float(grad_norm)
 
 
@@ -252,7 +260,7 @@ def _minimize_full(alphas0, g, jbar, opts: SolverOptions):
     fun = lambda a: rescaled_energy(a, g, jbar)
     jac = lambda a: energy_gradient(a, g, jbar)
     hess_fn = lambda a: energy_hessian(a, g, jbar)
-    return _newton_minimize(fun, jac, hess_fn, alphas0, opts.grad_tol, opts.max_iterations)
+    return _newton_minimize(fun, jac, hess_fn, alphas0, opts.max_iterations)
 
 
 def _mirror_reduced(n_sites: int, g: float, jbar: float):
@@ -277,15 +285,20 @@ def _mirror_reduced(n_sites: int, g: float, jbar: float):
 
 
 def _minimize_mirror_reduced(alphas0, g, jbar, opts: SolverOptions):
-    """Minimize within the mirror-symmetric subspace (pairs locked equal).
+    """Minimize within the mirror-symmetric subspace about site 1 (pairs
+    locked equal), seeded from sites 1..(N+1)/2 of ``alphas0``.
 
     Eliminates the numerically flat frustrated direction, so Newton stays
-    well-conditioned arbitrarily close to the critical point.
+    well-conditioned arbitrarily close to the critical point.  The energy is
+    mirror-invariant, so its gradient at a mirror-symmetric point is
+    mirror-symmetric too: a stationary point of the reduced energy is one of
+    the full energy.  Returns the expanded coherences and their full
+    gradient infinity-norm.
     """
     n = len(alphas0)
     expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
     y0 = alphas0[: (n + 1) // 2]  # one value per group: sites 1..(N+1)/2
-    y, _ = _newton_minimize(fun, jac, hess_fn, y0, opts.grad_tol, opts.max_iterations)
+    y, _ = _newton_minimize(fun, jac, hess_fn, y0, opts.max_iterations)
     alphas = expand(y)
     return alphas, float(np.max(np.abs(energy_gradient(alphas, g, jbar))))
 
@@ -301,6 +314,7 @@ def _seed_alphas(params: ModelParams) -> list[np.ndarray]:
     flip, so Newton from a rotated or flipped seed repeats the same
     minimization: the origin, the positive uniform state and the canonical
     frustrated pattern at each of its two magnitudes cover every orbit.
+    Every seed is mirror-symmetric about site 1.
     """
     n, g, jbar = params.n_sites, params.g, params.jbar
     seeds = [np.zeros(n)]
@@ -359,7 +373,7 @@ def _stationary_candidates(params: ModelParams, opts: SolverOptions,
                            seeds: list[np.ndarray]):
     candidates, best_residual = [], np.inf
     for seed in seeds:
-        alphas, grad_norm = _minimize_full(seed, params.g, params.jbar, opts)
+        alphas, grad_norm = _minimize_mirror_reduced(seed, params.g, params.jbar, opts)
         best_residual = min(best_residual, grad_norm)
         if grad_norm > 1e-6:
             continue
@@ -368,33 +382,6 @@ def _stationary_candidates(params: ModelParams, opts: SolverOptions,
             continue
         candidates.append((rescaled_energy(alphas, params.g, params.jbar), alphas, grad_norm))
     return candidates, best_residual
-
-
-def _polish(alphas: np.ndarray, params: ModelParams, opts: SolverOptions, phase: Phase):
-    """Snap to the exact structure of the phase and re-converge.
-
-    The mirror-paired (FSP) and uniform (NFSP) structures are verified
-    against the unconstrained minimizer rather than assumed: if restoring
-    the symmetry raised the energy beyond rounding the unconstrained result
-    is kept and the discrepancy logged.
-    """
-    g, jbar = params.g, params.jbar
-    e_free = rescaled_energy(alphas, g, jbar)
-    if phase is Phase.NORMAL:
-        return np.zeros(params.n_sites), 0.0
-    if phase is Phase.NFSP:
-        mag = nfsp_closed_form(g, jbar)
-        snapped = np.sign(alphas.sum()) * np.full(params.n_sites, mag)
-    else:
-        snapped, _ = _minimize_mirror_reduced(_mirror_symmetrize(alphas), g, jbar, opts)
-    e_snapped = rescaled_energy(snapped, g, jbar)
-    if e_snapped > e_free + 1e-12 * max(1.0, abs(e_free)):
-        log.warning(
-            "symmetric polish raised the energy (%.3e -> %.3e); keeping the "
-            "unconstrained minimizer", e_free, e_snapped,
-        )
-        return alphas, float(np.max(np.abs(energy_gradient(alphas, g, jbar))))
-    return snapped, float(np.max(np.abs(energy_gradient(snapped, g, jbar))))
 
 
 def _classify(alphas: np.ndarray, params: ModelParams) -> Phase:
@@ -421,25 +408,18 @@ def solve_ground_state(params: ModelParams,
 
     Multi-start damped-Newton descent with one seed per symmetry orbit: the
     origin, the uniform closed form and the canonical frustrated pattern at
-    its two magnitudes; the lowest-energy stationary point with
-    positive-semidefinite Hessian wins.  Frustrated solutions are returned
-    as the canonical representative (unpaired site first,
-    alpha_1 < 0 <= alpha_2, mirror pairs exactly equal).  ``initial`` adds
-    one extra seed (used by sweeps to warm-start from a neighbour).
+    its two magnitudes.  Every seed is mirror-symmetric about site 1, and
+    so is every ground state up to a rotation, so each Newton run stays in
+    the mirror-symmetric subspace ((N+1)/2 values); the full N x N Hessian
+    then confirms each stationary point is a minimum, and the lowest-energy
+    one wins.  Frustrated solutions are returned as the canonical
+    representative (unpaired site first, alpha_1 < 0 <= alpha_2, mirror
+    pairs exactly equal).  ``initial`` adds one extra seed, read from its
+    sites 1..(N+1)/2 (used by sweeps to warm-start from a neighbour).
     """
     opts = opts or SolverOptions()
-    gc = params.critical_coupling()
     g, jbar = params.g, params.jbar
-
-    if abs(g - gc) < opts.near_critical_window:
-        # The landscape curvature is below double-precision resolution here;
-        # report the origin or the perturbative branch point directly.
-        if g <= gc:
-            config = MeanFieldConfiguration.from_alphas(np.zeros(params.n_sites), g, jbar)
-            return GroundStateSolution(config, Phase.NORMAL, 1, True, 0.0)
-        return _near_critical_superradiant(params, opts)
-
-    if g <= gc:
+    if g <= params.critical_coupling():
         config = MeanFieldConfiguration.from_alphas(np.zeros(params.n_sites), g, jbar)
         return GroundStateSolution(config, Phase.NORMAL, 1, True, 0.0)
 
@@ -452,12 +432,11 @@ def solve_ground_state(params: ModelParams,
             f"no seed converged to a stable stationary point at g={g}, jbar={jbar}",
             best_residual=best_residual,
         )
-    _, alphas, _ = min(candidates, key=lambda c: c[0])
+    _, alphas, grad_norm = min(candidates, key=lambda c: c[0])
 
     phase = _classify(alphas, params)
     if phase is Phase.FSP:
         alphas = _canonicalize_fsp(alphas)
-    alphas, grad_norm = _polish(alphas, params, opts, phase)
     if grad_norm > SOLUTION_GRAD_TOL:
         raise ConvergenceError(
             f"stationarity residual {grad_norm:.2e} above {SOLUTION_GRAD_TOL}",
@@ -466,30 +445,6 @@ def solve_ground_state(params: ModelParams,
     config = MeanFieldConfiguration.from_alphas(alphas, g, jbar)
     return GroundStateSolution(config, phase, _degeneracy(phase, params.n_sites),
                                True, grad_norm)
-
-
-def _near_critical_superradiant(params: ModelParams, opts: SolverOptions):
-    g, jbar, n = params.g, params.jbar, params.n_sites
-    if jbar < 0:
-        alphas = np.full(n, nfsp_closed_form(g, jbar))
-        phase = Phase.NFSP
-        grad_norm = float(np.max(np.abs(energy_gradient(alphas, g, jbar))))
-    elif jbar > 0:
-        gc = params.critical_coupling()
-        mag_pair = np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5)
-        seed = fsp_sign_pattern(n) * mag_pair
-        seed[0] = -2.0 * mag_pair
-        alphas, grad_norm = _minimize_mirror_reduced(seed, g, jbar, opts)
-        if rescaled_energy(alphas, g, jbar) > rescaled_energy(np.zeros(n), g, jbar):
-            alphas, grad_norm = np.zeros(n), 0.0
-        phase = _classify(alphas, params)
-        if phase is Phase.FSP:
-            alphas = _canonicalize_fsp(alphas)
-    else:
-        raise ValidationError("jbar = 0 at g > 1 is a degenerate first-order line")
-    config = MeanFieldConfiguration.from_alphas(alphas, g, jbar)
-    return GroundStateSolution(config, phase, _degeneracy(phase, n), True,
-                               grad_norm, converged=grad_norm < SOLUTION_GRAD_TOL)
 
 
 def enumerate_degenerate_ground_states(
@@ -547,8 +502,9 @@ def _enumerate_exhaustive(params: ModelParams, opts: SolverOptions):
                    if e <= energies.min() + opts.energy_tol]
     if _classify(global_tier[0], params) is Phase.FSP:
         # Near g_c the mirror-odd direction is flat, so each member stops
-        # somewhere along it; lock its pairs the way solve_ground_state does
-        # so that copies of one minimum coincide to rounding.
+        # somewhere along it; lock its pairs, as solve_ground_state's mirror-
+        # reduced Newton does, so that copies of one minimum coincide to
+        # rounding.
         global_tier = [_polish_member(a, params, opts) for a in global_tier]
     distinct: list[np.ndarray] = []
     for alphas in global_tier:
@@ -559,10 +515,25 @@ def _enumerate_exhaustive(params: ModelParams, opts: SolverOptions):
 
 def _polish_member(alphas: np.ndarray, params: ModelParams, opts: SolverOptions):
     """A frustrated minimum re-converged in the mirror-symmetric subspace of
-    its own frame, by the solver's polish and its energy rule."""
+    its own frame.
+
+    The pair structure is verified rather than assumed: if locking the
+    pairs raised the energy beyond rounding, the member is kept as found
+    and the discrepancy logged.
+    """
+    g, jbar = params.g, params.jbar
     shift, sign = _canonical_frame(alphas)
-    polished, _ = _polish(sign * np.roll(alphas, -shift), params, opts, Phase.FSP)
-    return sign * np.roll(polished, shift)
+    canonical = sign * np.roll(alphas, -shift)
+    snapped, _ = _minimize_mirror_reduced(_mirror_symmetrize(canonical), g, jbar, opts)
+    e_free = rescaled_energy(canonical, g, jbar)
+    e_snapped = rescaled_energy(snapped, g, jbar)
+    if e_snapped > e_free + 1e-12 * max(1.0, abs(e_free)):
+        log.warning(
+            "symmetric polish raised the energy (%.3e -> %.3e); keeping the "
+            "unconstrained minimizer", e_free, e_snapped,
+        )
+        return alphas
+    return sign * np.roll(snapped, shift)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,17 @@ def validate_jbar(jbar: float) -> None:
         )
 
 
+def validate_n_sites(n_sites: int) -> None:
+    """Reject lattice sizes that are even or below 3."""
+    if n_sites < 3 or n_sites % 2 == 0:
+        raise ValidationError(f"n_sites must be odd and >= 3, got {n_sites}")
+
+
+def default_hopping_sign(jbar: float) -> str:
+    """The hopping sign implied by jbar: "negative" below 0, else "positive"."""
+    return "negative" if jbar < 0 else "positive"
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the Dicke ring.
@@ -60,8 +71,7 @@ class ModelParams:
         if not (np.isfinite(self.g) and self.g >= 0):
             raise ValidationError(f"g must be non-negative, got {self.g}")
         validate_jbar(self.jbar)
-        if self.n_sites < 3 or self.n_sites % 2 == 0:
-            raise ValidationError(f"n_sites must be odd and >= 3, got {self.n_sites}")
+        validate_n_sites(self.n_sites)
 
     @property
     def omegabar(self) -> float:
@@ -69,7 +79,7 @@ class ModelParams:
 
     @property
     def hopping_sign(self) -> str:
-        return "negative" if self.jbar < 0 else "positive"
+        return default_hopping_sign(self.jbar)
 
     def critical_coupling(self) -> float:
         """Critical coupling for this parameter set's own hopping sign."""
@@ -233,8 +243,7 @@ def critical_point(jbar: float, n_sites: int, hopping_sign: str) -> float:
     if hopping_sign not in HOPPING_SIGNS:
         raise ValidationError(f"hopping_sign must be one of {HOPPING_SIGNS}")
     validate_jbar(jbar)
-    if n_sites < 3 or n_sites % 2 == 0:
-        raise ValidationError(f"n_sites must be odd and >= 3, got {n_sites}")
+    validate_n_sites(n_sites)
     if hopping_sign == "positive" and jbar < 0:
         raise ValidationError("hopping_sign 'positive' requires jbar >= 0")
     if hopping_sign == "negative" and jbar > 0:

@@ -36,7 +36,7 @@ from .meanfield import (
     mirror_projectors,
     solve_ground_state,
 )
-from .model import ModelParams, critical_point, energy_hessian
+from .model import ModelParams, critical_point, default_hopping_sign, energy_hessian
 
 OBSERVABLES = ("gaps", "photon_numbers", "squeezing", "hessian_eigenvalues", "energy")
 
@@ -83,10 +83,8 @@ class SweepSpec:
     sides: str = "both"
 
     def __post_init__(self):
-        sign = self.hopping_sign
-        if sign is None:
-            sign = "negative" if self.jbar < 0 else "positive"
-            object.__setattr__(self, "hopping_sign", sign)
+        if self.hopping_sign is None:
+            object.__setattr__(self, "hopping_sign", default_hopping_sign(self.jbar))
         unknown = set(self.observables) - set(OBSERVABLES)
         if unknown:
             raise ValidationError(f"unknown observables: {sorted(unknown)}")
@@ -105,8 +103,7 @@ class SweepSpec:
 
     @property
     def g_critical(self) -> float:
-        return critical_point(self.jbar, self.n_sites, self.hopping_sign
-                              or ("negative" if self.jbar < 0 else "positive"))
+        return critical_point(self.jbar, self.n_sites, self.hopping_sign)
 
     def params_at(self, g: float) -> ModelParams:
         return ModelParams(self.omega0, self.Omega, self.jbar, g, self.n_sites)

@@ -8,10 +8,12 @@ from frustra.model import (
     ModelParams,
     atomic_angles_from_alpha,
     critical_point,
+    default_hopping_sign,
     energy_gradient,
     energy_hessian,
     origin_hessian_eigenvalues,
     rescaled_energy,
+    validate_n_sites,
 )
 
 
@@ -222,6 +224,26 @@ class TestCriticalPoint:
             critical_point(-0.1, 3, "positive")
         with pytest.raises(ValidationError):
             critical_point(0.1, 3, "sideways")
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_lattice_size_checked_alike_everywhere(self, n):
+        message = f"n_sites must be odd and >= 3, got {n}"
+        for check in (lambda: validate_n_sites(n),
+                      lambda: critical_point(0.01, n, "positive"),
+                      lambda: ModelParams(1.0, 1.0, 0.01, 0.5, n)):
+            with pytest.raises(ValidationError, match=message):
+                check()
+
+
+def test_default_hopping_sign_follows_jbar_everywhere():
+    from frustra.cli import RunConfig
+    from frustra.scaling import SweepSpec
+
+    for jbar, sign in ((-0.01, "negative"), (0.0, "positive"), (0.01, "positive")):
+        assert default_hopping_sign(jbar) == sign
+        assert ModelParams(1.0, 1.0, jbar, 0.5, 3).hopping_sign == sign
+        assert SweepSpec(jbar=jbar, n_sites=3).hopping_sign == sign
+        assert RunConfig("sweep", jbar=jbar).hopping_sign == sign
 
 
 def test_physical_energy_helper():
