@@ -10,11 +10,12 @@ Q_N, P_N)
                 + J (q_n q_{n+1} + p_n p_{n+1}) ]
 
 evaluated at a mean-field minimum.  Position and momentum quadratures never
-couple, which the normal-mode construction exploits: with H_x and H_p the
-position/momentum blocks, the matrix G = H_p^{1/2} H_x H_p^{1/2} is
-symmetric positive definite and its eigenvalues are the squared symplectic
-eigenvalues.  This keeps every mode's position row exactly free of momentum
-components, so local field weights are well defined.
+couple, which the normal-mode construction exploits: with H_x = L_x L_x^T
+and H_p = L_p L_p^T the Cholesky factors of the position/momentum blocks,
+one SVD L_x^T L_p = U diag(e) V^T gives the symplectic eigenvalues e, the
+covariance blocks and a symplectic matrix whose position rows act on
+positions only and momentum rows on momenta only, so local field weights
+are well defined.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import schur, solve_triangular
 
 from .errors import DomainError, InstabilityError, PhaseError, ValidationError
 from .meanfield import GroundStateSolution, Phase, mirror_projectors
@@ -30,8 +31,8 @@ from .model import ModelParams
 
 _EPS = float(np.finfo(float).eps)
 
-#: Symplectic eigenvalues below RESOLUTION_FACTOR * eps * ||G||^(1/2) cannot be
-#: certified in double precision (the squared eigenvalue drowns in rounding).
+#: A split form is resolvable when e_min^2 > RESOLUTION_FACTOR * eps * e_max^2;
+#: below that the squared eigenvalue drowns in rounding.
 RESOLUTION_FACTOR = 1e3
 
 #: Flag threshold: decompositions whose smallest eigenvalue is below
@@ -91,7 +92,11 @@ class WilliamsonDecomposition:
     ``symplectic_matrix`` S satisfies S H S^T = diag(e_1, e_1, ..., e_2N, e_2N)
     and S Omega S^T = Omega; the stored residuals are the max-norm defects of
     those two identities.  ``critical_regime`` marks a smallest eigenvalue
-    under 1e-8 of the cavity frequency scale.
+    under 1e-8 of the cavity frequency scale.  For split forms S is block
+    diagonal over positions and momenta (rows e^(-1/2) V^T L_p^T and
+    e^(-1/2) U^T L_x^T of the Cholesky-SVD construction), and
+    ``_position_rows`` keeps its momentum rows, which are the position rows
+    of (S^{-1})^T read by :func:`mode_weights`; generic forms leave it None.
     """
 
     symplectic_eigenvalues: np.ndarray
@@ -100,7 +105,6 @@ class WilliamsonDecomposition:
     diagonalization_residual: float
     critical_regime: bool
     _position_rows: np.ndarray | None = None
-    _momentum_rows: np.ndarray | None = None
 
     @property
     def n_modes(self) -> int:
@@ -194,26 +198,6 @@ def build_quadratic_hamiltonian(solution: GroundStateSolution,
 # normal-mode machinery
 
 
-def _interleave(hx: np.ndarray, hp: np.ndarray) -> np.ndarray:
-    n = hx.shape[0]
-    full = np.zeros((2 * n, 2 * n))
-    full[0::2, 0::2] = hx
-    full[1::2, 1::2] = hp
-    return full
-
-
-def _schur_spectrum(matrix: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues via Cholesky and a real Schur decomposition of
-    the antisymmetric L^T Omega L; ascending.  Raises LinAlgError when the
-    form is numerically semidefinite."""
-    chol = np.linalg.cholesky(matrix)
-    anti = chol.T @ omega @ chol
-    t_mat, _ = schur(anti, output="real")
-    n_modes = matrix.shape[0] // 2
-    eps = np.abs(np.array([t_mat[2 * k, 2 * k + 1] for k in range(n_modes)]))
-    return np.sort(eps)
-
-
 def _split_blocks(matrix: np.ndarray):
     size = matrix.shape[0]
     pos = np.arange(0, size, 2)
@@ -225,43 +209,37 @@ def _split_blocks(matrix: np.ndarray):
 
 
 class _SplitModes:
-    """Normal modes of a position/momentum-split form: eigenbasis of
-    G = H_p^{1/2} H_x H_p^{1/2} plus the operator square roots."""
+    """Normal modes of a position/momentum-split form from the Cholesky
+    factors H_x = L_x L_x^T, H_p = L_p L_p^T and one SVD
+    L_x^T L_p = U diag(eps) V^T, read in ascending order.
+
+    ``eps`` are the symplectic eigenvalues; the columns of ``x_modes`` =
+    L_p V and ``p_modes`` = L_x U, scaled by eps^(-1/2), are the position
+    and momentum rows of S.  A failed Cholesky factor leaves ``positive``
+    False and nothing else set.
+    """
 
     def __init__(self, hx: np.ndarray, hp: np.ndarray):
-        wp, vp = np.linalg.eigh(hp)
-        if wp.min() <= 0:
-            raise InstabilityError("momentum block is not positive definite")
-        self.hp_sqrt = (vp * np.sqrt(wp)) @ vp.T
-        self.hp_isqrt = (vp / np.sqrt(wp)) @ vp.T
-        gram = self.hp_sqrt @ hx @ self.hp_sqrt
-        self.lam, self.basis = np.linalg.eigh(gram)
-        self.gram_scale = float(np.abs(self.lam).max())
-        self.hx, self.hp = hx, hp
-
-    @property
-    def positive(self) -> bool:
-        return self.lam.min() > 0
+        try:
+            lx, lp = np.linalg.cholesky(hx), np.linalg.cholesky(hp)
+        except np.linalg.LinAlgError:
+            self.positive = False
+            return
+        u, eps, vt = np.linalg.svd(lx.T @ lp)
+        self.eps = eps[::-1]
+        self.x_modes = lp @ vt[::-1].T
+        self.p_modes = lx @ u[:, ::-1]
+        self.positive = bool(self.eps[0] > 0)
 
     @property
     def resolvable(self) -> bool:
-        return self.lam.min() > RESOLUTION_FACTOR * _EPS * self.gram_scale
+        return self.positive and bool(
+            self.eps[0] ** 2 > RESOLUTION_FACTOR * _EPS * self.eps[-1] ** 2)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending symplectic eigenvalues, refined through the Cholesky
-        route when the form admits it."""
-        try:
-            return _schur_spectrum(_interleave(self.hx, self.hp),
-                                   symplectic_form(self.hx.shape[0]))
-        except np.linalg.LinAlgError:
-            return np.sqrt(self.lam)
-
-    def covariance_blocks(self, eps: np.ndarray | None = None):
+    def covariance_blocks(self):
         """Position and momentum covariance blocks of the ground state."""
-        if eps is None:
-            eps = self.eigenvalues()
-        cov_x = 0.5 * self.hp_sqrt @ ((self.basis / eps) @ self.basis.T) @ self.hp_sqrt
-        cov_p = 0.5 * self.hp_isqrt @ ((self.basis * eps) @ self.basis.T) @ self.hp_isqrt
+        cov_x = 0.5 * (self.x_modes / self.eps) @ self.x_modes.T
+        cov_p = 0.5 * (self.p_modes / self.eps) @ self.p_modes.T
         return cov_x, cov_p
 
 
@@ -276,39 +254,25 @@ def _offending_direction(matrix: np.ndarray) -> str:
 def williamson_diagonalize(form: QuadraticForm) -> WilliamsonDecomposition:
     """Symplectic normal-mode decomposition of a positive-definite form.
 
-    For the position/momentum-split forms built here the symplectic matrix
-    is assembled from the eigenbasis of H_p^{1/2} H_x H_p^{1/2}; eigenvalues
-    are refined through a Cholesky / real-Schur pass on L^T Omega L.  Forms
-    with position-momentum coupling fall back to the Schur route alone.
+    For the position/momentum-split forms built here one Cholesky pair and
+    one SVD give everything: the position rows of S are eps^(-1/2) V^T L_p^T
+    and the momentum rows eps^(-1/2) U^T L_x^T (see :class:`_SplitModes`).
+    Forms with position-momentum coupling take the generic Cholesky /
+    real-Schur route.
     """
     matrix = form.matrix
     blocks = _split_blocks(matrix)
     if blocks is None:
         return _williamson_generic(form)
-    hx, hp = blocks
-    try:
-        modes = _SplitModes(hx, hp)
-    except InstabilityError:
-        raise InstabilityError(
-            f"quadratic form is not positive definite: {_offending_direction(matrix)}")
+    modes = _SplitModes(*blocks)
     if not modes.positive:
         raise InstabilityError(
             f"quadratic form is not positive definite: {_offending_direction(matrix)}")
-
-    eps = modes.eigenvalues()
-    pos_rows = np.sqrt(eps)[:, None] * (modes.basis.T @ modes.hp_isqrt)
-    mom_rows = (1.0 / np.sqrt(eps))[:, None] * (modes.basis.T @ modes.hp_sqrt)
-
-    size = matrix.shape[0]
-    n_modes = size // 2
-    pos = np.arange(0, size, 2)
-    mom = pos + 1
-    s_matrix = np.zeros((size, size))
-    for k in range(n_modes):
-        s_matrix[2 * k, pos] = mom_rows[k]
-        s_matrix[2 * k + 1, mom] = pos_rows[k]
-
-    return _finalize(form, eps, s_matrix, pos_rows, mom_rows)
+    root = np.sqrt(modes.eps)[:, None]
+    s_matrix = np.zeros_like(matrix)
+    s_matrix[0::2, 0::2] = modes.x_modes.T / root
+    s_matrix[1::2, 1::2] = modes.p_modes.T / root
+    return _finalize(form, modes.eps, s_matrix, s_matrix[1::2, 1::2])
 
 
 def _williamson_generic(form: QuadraticForm) -> WilliamsonDecomposition:
@@ -337,13 +301,11 @@ def _williamson_generic(form: QuadraticForm) -> WilliamsonDecomposition:
     for new, old in enumerate(order):
         orth[:, 2 * new], orth[:, 2 * new + 1] = columns[old]
     scale = np.repeat(np.sqrt(eps), 2)
-    from scipy.linalg import solve_triangular
-
     s_matrix = scale[:, None] * solve_triangular(chol, orth, lower=True, trans="T").T
-    return _finalize(form, eps, s_matrix, None, None)
+    return _finalize(form, eps, s_matrix, None)
 
 
-def _finalize(form, eps, s_matrix, pos_rows, mom_rows) -> WilliamsonDecomposition:
+def _finalize(form, eps, s_matrix, position_rows) -> WilliamsonDecomposition:
     omega = form.symplectic_form
     sym_res = float(np.max(np.abs(s_matrix @ omega @ s_matrix.T - omega)))
     diag = s_matrix @ form.matrix @ s_matrix.T
@@ -351,7 +313,7 @@ def _finalize(form, eps, s_matrix, pos_rows, mom_rows) -> WilliamsonDecompositio
     diag_res = float(np.max(np.abs(diag - diag_target)))
     critical = bool(eps.min() < CRITICAL_REGIME_FACTOR * form.omega0)
     return WilliamsonDecomposition(np.asarray(eps), s_matrix, sym_res, diag_res,
-                                   critical, pos_rows, mom_rows)
+                                   critical, position_rows)
 
 
 def symplectic_spectrum_modulus(form: QuadraticForm) -> np.ndarray:
@@ -534,17 +496,31 @@ class SiteMoments:
     frustrated sector is numerically unresolvable.  ``eps`` is the ascending
     excitation spectrum (None when the frustrated sector is unresolvable);
     ``eps_even`` and ``eps_odd`` are the mirror-sector spectra of a
-    frustrated state (``eps_odd`` None when unresolvable)."""
+    frustrated state (``eps_odd`` None when unresolvable).  The lowest,
+    mean-field and frustrated gaps and the resolution flag are read from
+    these three."""
 
     var_q: np.ndarray
     var_p: np.ndarray
-    eps_lowest: float
-    frustrated_resolved: bool = True
-    eps_frustrated: float = np.nan
-    eps_meanfield: float = np.nan
+    eps: np.ndarray | None = None
     eps_even: np.ndarray | None = None
     eps_odd: np.ndarray | None = None
-    eps: np.ndarray | None = None
+
+    @property
+    def eps_lowest(self) -> float:
+        return float((self.eps_even if self.eps is None else self.eps)[0])
+
+    @property
+    def frustrated_resolved(self) -> bool:
+        return self.eps is not None
+
+    @property
+    def eps_meanfield(self) -> float:
+        return np.nan if self.eps_even is None else float(self.eps_even[0])
+
+    @property
+    def eps_frustrated(self) -> float:
+        return np.nan if self.eps_odd is None else float(self.eps_odd[0])
 
     def photon(self, site: int) -> float:
         return float((self.var_q[site - 1] + self.var_p[site - 1] - 1.0) / 2.0)
@@ -589,8 +565,7 @@ def uniform_phase_moments(solution: GroundStateSolution,
     var_p = np.mean((freq_cav * freq_cav + s) / (freq_cav * t)) / 2.0
     eps = np.sort(np.concatenate([lower, upper]))
     n = params.n_sites
-    return SiteMoments(np.full(n, var_q), np.full(n, var_p),
-                       eps_lowest=float(eps[0]), eps=eps)
+    return SiteMoments(np.full(n, var_q), np.full(n, var_p), eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -632,47 +607,32 @@ def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> Site
         raise PhaseError("mirror-sector moments require the frustrated phase")
     n = params.n_sites
     even, odd = _mirror_sectors(solution, params)
-    if not (even.positive and even.resolvable):
+    if not even.resolvable:
         raise InstabilityError("mirror-even sector is not resolvably positive")
-    eps_even = even.eigenvalues()
-    cov_x_even, cov_p_even = even.covariance_blocks(eps_even)
+    cov_x_even, cov_p_even = even.covariance_blocks()
 
     var_q = np.full(n, np.nan)
     var_p = np.full(n, np.nan)
     var_q[0], var_p[0] = cov_x_even[0, 0], cov_p_even[0, 0]
+    if not odd.resolvable:
+        return SiteMoments(var_q, var_p, eps_even=even.eps)
 
-    resolved = odd.positive and odd.resolvable
-    eps_odd = None
-    if resolved:
-        eps_odd = odd.eigenvalues()
-        cov_x_odd, cov_p_odd = odd.covariance_blocks(eps_odd)
-        # q_{1+j} = (even_j + odd_j)/sqrt(2); even/odd cross-covariances vanish
-        for j in range(1, (n - 1) // 2 + 1):
-            ei, oi = 2 * j, 2 * (j - 1)
-            vq = 0.5 * (cov_x_even[ei, ei] + cov_x_odd[oi, oi])
-            vp = 0.5 * (cov_p_even[ei, ei] + cov_p_odd[oi, oi])
-            var_q[j] = var_q[n - j] = vq
-            var_p[j] = var_p[n - j] = vp
-
-    eps_mf = float(eps_even[0])
-    eps_f = float(eps_odd[0]) if eps_odd is not None else np.nan
-    eps = np.sort(np.concatenate([eps_even, eps_odd])) if eps_odd is not None \
-        else None
-    return SiteMoments(var_q, var_p,
-                       eps_lowest=float(eps_even[0] if eps is None else eps[0]),
-                       frustrated_resolved=bool(resolved),
-                       eps_frustrated=eps_f, eps_meanfield=eps_mf,
-                       eps_even=eps_even, eps_odd=eps_odd, eps=eps)
+    cov_x_odd, cov_p_odd = odd.covariance_blocks()
+    # q_{1+j} = (even_j + odd_j)/sqrt(2); even/odd cross-covariances vanish
+    for j in range(1, (n - 1) // 2 + 1):
+        ei, oi = 2 * j, 2 * (j - 1)
+        var_q[j] = var_q[n - j] = 0.5 * (cov_x_even[ei, ei] + cov_x_odd[oi, oi])
+        var_p[j] = var_p[n - j] = 0.5 * (cov_p_even[ei, ei] + cov_p_odd[oi, oi])
+    return SiteMoments(var_q, var_p, eps=np.sort(np.concatenate([even.eps, odd.eps])),
+                       eps_even=even.eps, eps_odd=odd.eps)
 
 
 def fsp_sector_spectra(solution: GroundStateSolution, params: ModelParams):
     """(mirror-even, mirror-odd) symplectic spectra of a frustrated state;
     either part is None when numerically unresolvable.  Sweeps read both
     from :func:`fsp_site_moments` instead."""
-    even, odd = _mirror_sectors(solution, params)
-    eps_even = even.eigenvalues() if even.positive and even.resolvable else None
-    eps_odd = odd.eigenvalues() if odd.positive and odd.resolvable else None
-    return eps_even, eps_odd
+    return tuple(modes.eps if modes.resolvable else None
+                 for modes in _mirror_sectors(solution, params))
 
 
 # ---------------------------------------------------------------------------

@@ -459,9 +459,9 @@ def enumerate_degenerate_ground_states(
     the orbit construction for small lattices.
     """
     opts = opts or SolverOptions()
-    solution = solve_ground_state(params, opts)
     if opts.seed_mode == "exhaustive":
         return _enumerate_exhaustive(params, opts)
+    solution = solve_ground_state(params, opts)
     alphas = solution.config.alphas
     g, jbar = params.g, params.jbar
     if solution.phase is Phase.NORMAL:

@@ -324,6 +324,24 @@ class TestModeWeights:
         for j in range(1, (n - 1) // 2 + 1):
             assert frustrated.cavity[j] == pytest.approx(-frustrated.cavity[n - j], abs=1e-9)
 
+    @pytest.mark.parametrize("jbar, g, n", [(0.01, 0.9, 3), (0.01, 0.9, 5),
+                                            (-0.01, 1.1, 5), (-0.01, 1.1, 7)])
+    def test_degenerate_pair_weights_are_uniform_over_sites(self, jbar, g, n):
+        # within a +-k pair the basis is arbitrary, so only the pair's
+        # summed squared weights are pinned: cos^2 + sin^2 on every site
+        sol, p, form = solved_form(jbar, g, n)
+        assert sol.phase in (Phase.NORMAL, Phase.NFSP)
+        decomp = williamson_diagonalize(form)
+        eps = decomp.symplectic_eigenvalues
+        pairs = [m for m in range(1, len(eps)) if eps[m] - eps[m - 1] < 1e-9 * eps[m]]
+        assert len(pairs) == n - 1  # (N-1)/2 pairs on each branch
+        for mode in pairs:
+            first, second = mode_weights(decomp, mode), mode_weights(decomp, mode + 1)
+            cavity = first.cavity ** 2 + second.cavity ** 2
+            atom = first.atom ** 2 + second.atom ** 2
+            assert_allclose(cavity, cavity.mean(), rtol=1e-9)
+            assert_allclose(atom, atom.mean(), rtol=1e-9)
+
     def test_sign_convention_deterministic(self):
         sol, p, form = solved_form(0.01, 0.9)
         decomp = williamson_diagonalize(form)
@@ -390,20 +408,32 @@ class TestSectorMoments:
                 assert moments.squeezing(site) == pytest.approx(
                     squeezing_variance(cov, site), rel=1e-9)
 
-    def test_sector_spectra_carried_on_moments(self):
+    @pytest.mark.parametrize("n, reduced", [(3, 3e-3), (5, 3e-3), (7, 3e-3), (7, 1e-5)])
+    def test_sector_spectra_carried_on_moments(self, n, reduced):
         jbar = 0.01
-        for n in (3, 5):
-            gc = critical_point(jbar, n, "positive")
-            p = params(jbar, gc * (1 + 3e-3), n)
-            sol = solve_ground_state(p)
-            moments = fsp_site_moments(sol, p)
-            eps_even, eps_odd = fsp_sector_spectra(sol, p)
-            assert np.array_equal(moments.eps_even, eps_even)
-            assert np.array_equal(moments.eps_odd, eps_odd)
-            merged = np.sort(np.concatenate([moments.eps_even, moments.eps_odd]))
-            assert np.array_equal(moments.eps, merged)
-            full = williamson_diagonalize(build_quadratic_hamiltonian(sol, p))
-            assert_allclose(merged, full.symplectic_eigenvalues, rtol=1e-9)
+        gc = critical_point(jbar, n, "positive")
+        p = params(jbar, gc * (1 + reduced), n)
+        sol = solve_ground_state(p)
+        moments = fsp_site_moments(sol, p)
+        eps_even, eps_odd = fsp_sector_spectra(sol, p)
+        assert np.array_equal(moments.eps_even, eps_even)
+        assert moments.eps_meanfield == eps_even[0]
+        # the N=7 frustrated gap ~ reduced^3 is below resolution at 1e-5
+        assert (eps_odd is None) == (reduced < 1e-4)
+        if eps_odd is None:
+            assert moments.eps_odd is None and moments.eps is None
+            assert not moments.frustrated_resolved
+            assert np.isnan(moments.eps_frustrated)
+            assert moments.eps_lowest == eps_even[0]
+            return
+        assert np.array_equal(moments.eps_odd, eps_odd)
+        assert moments.frustrated_resolved
+        assert moments.eps_frustrated == eps_odd[0]
+        merged = np.sort(np.concatenate([moments.eps_even, moments.eps_odd]))
+        assert np.array_equal(moments.eps, merged)
+        assert moments.eps_lowest == merged[0]
+        full = williamson_diagonalize(build_quadratic_hamiltonian(sol, p))
+        assert_allclose(merged, full.symplectic_eigenvalues, rtol=1e-9)
 
     def test_deep_point_keeps_unpaired_site(self):
         # far below resolution for the frustrated sector at N=7

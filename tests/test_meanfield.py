@@ -252,6 +252,16 @@ class TestDegenerateManifold:
         found_nfsp = enumerate_degenerate_ground_states(params(-0.01, 1.05), opts)
         assert len(found_nfsp) == 2
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_exhaustive_mode_runs_no_orbit_solve(self, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exhaustive mode must not call solve_ground_state")
+
+        monkeypatch.setattr("frustra.meanfield.solve_ground_state", refuse)
+        gc = critical_point(0.01, n, "positive")
+        found = enumerate_degenerate_ground_states(
+            params(0.01, 1.01 * gc, n), SolverOptions(seed_mode="exhaustive"))
+        assert len(found) == 2 * n
 
     def test_exhaustive_counts_each_minimum_once_near_threshold(self):
         # the mirror-odd direction is nearly flat here, so unpolished copies

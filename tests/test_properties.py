@@ -1,8 +1,9 @@
 """Property tests for the invariants the solvers rely on: symmetry of the
 energy, exact derivatives, the mirror-reduced problem, agreement of the
 orbit-seeded solver with the exhaustive 2^N oracle, the Williamson
-identities, the momentum-block path of the uniform phases against the
-Williamson reference, and the CSV wire format."""
+identities, the split-form Cholesky-SVD route against the generic
+Cholesky/real-Schur route, the momentum-block path of the uniform phases
+against the Williamson reference, and the CSV wire format."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from frustra.cli import csv_to_rows, rows_to_csv
 from frustra.fluctuations import (
+    _williamson_generic,
     analytic_nfsp_spectrum,
     analytic_np_spectrum,
     build_quadratic_hamiltonian,
@@ -213,6 +215,22 @@ def test_williamson_identities_and_physical_state(form):
     assert decomp.symplectic_residual < 1e-9 * scale
     assert decomp.diagonalization_residual < 1e-9 * scale
     assert covariance(decomp).physicality_defect() >= -1e-10
+
+
+@PROPERTY
+@given(solved_forms())
+def test_split_route_matches_generic_schur_route(form):
+    # at reduced distance >= 1e-3 every sector of N <= 7 is resolvable
+    split = williamson_diagonalize(form)
+    generic = _williamson_generic(form)
+    assert_allclose(split.symplectic_eigenvalues, generic.symplectic_eigenvalues,
+                    rtol=1e-10, atol=0)
+    assert_allclose(split.symplectic_eigenvalues, symplectic_spectrum_modulus(form),
+                    rtol=0, atol=1e-10)
+    scale = np.linalg.norm(form.matrix, 2)
+    for decomp in (split, generic):
+        assert decomp.symplectic_residual < 1e-9 * scale
+        assert decomp.diagonalization_residual < 1e-9 * scale
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
