@@ -634,27 +634,3 @@ def fsp_sector_spectra(solution: GroundStateSolution, params: ModelParams):
     return tuple(modes.eps if modes.resolvable else None
                  for modes in _mirror_sectors(solution, params))
 
-
-# ---------------------------------------------------------------------------
-# matrix dump wire format
-
-
-def dump_quadratic_form(form: QuadraticForm, stream) -> None:
-    """Write the matrix as row-major CSV with a header naming the quadrature
-    ordering."""
-    labels = quadrature_labels(form.n_sites)
-    stream.write("# quadrature ordering: " + ",".join(labels) + "\n")
-    for row in form.matrix:
-        stream.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_quadratic_form_matrix(stream) -> np.ndarray:
-    """Read back a matrix written by :func:`dump_quadratic_form`."""
-    rows = []
-    for line in stream:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    return np.array(rows)
-

@@ -36,6 +36,12 @@ log = logging.getLogger(__name__)
 PSD_TOLERANCE = -1e-9
 #: Gradient infinity-norm required of any returned solution.
 SOLUTION_GRAD_TOL = 1e-10
+#: Cap on the damped descent of each Newton run.
+MAX_ITERATIONS = 500
+#: Coherence distance within which two exhaustive minima are one member.
+MATCH_TOL = 1e-8
+#: Energy above the lowest within which an exhaustive minimum is global.
+ENERGY_TOL = 1e-10
 
 
 class Phase(Enum):
@@ -46,20 +52,14 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the multi-start Newton solver.
+    """Solver settings.
 
-    ``max_iterations`` caps the damped descent of each Newton run.
     ``seed_mode`` selects how the degenerate manifold is enumerated:
     ``symmetry-orbit`` (default) constructs it from the canonical solution's
     symmetry orbit, ``exhaustive`` re-minimizes from all 2^N sign patterns.
-    ``match_tol`` (coherence distance) and ``energy_tol`` (energy above the
-    lowest) decide which exhaustive minima form the distinct global tier.
     """
 
-    max_iterations: int = 500
     seed_mode: str = "symmetry-orbit"
-    match_tol: float = 1e-8
-    energy_tol: float = 1e-10
 
     def __post_init__(self):
         if self.seed_mode not in ("symmetry-orbit", "exhaustive"):
@@ -208,7 +208,7 @@ def _mirror_symmetrize(alphas: np.ndarray) -> np.ndarray:
 # Newton minimization
 
 
-def _newton_minimize(fun, jac, hess_fn, x0, max_iterations):
+def _newton_minimize(fun, jac, hess_fn, x0):
     """Damped modified-Newton descent followed by a pure-Newton endgame.
 
     The descent phase insists on energy decrease; once the energy changes
@@ -218,7 +218,7 @@ def _newton_minimize(fun, jac, hess_fn, x0, max_iterations):
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
     grad = jac(x)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if np.max(np.abs(grad)) < 1e-6:
             break
         w, vecs = np.linalg.eigh(hess_fn(x))
@@ -256,11 +256,11 @@ def _newton_minimize(fun, jac, hess_fn, x0, max_iterations):
     return x, float(grad_norm)
 
 
-def _minimize_full(alphas0, g, jbar, opts: SolverOptions):
+def _minimize_full(alphas0, g, jbar):
     fun = lambda a: rescaled_energy(a, g, jbar)
     jac = lambda a: energy_gradient(a, g, jbar)
     hess_fn = lambda a: energy_hessian(a, g, jbar)
-    return _newton_minimize(fun, jac, hess_fn, alphas0, opts.max_iterations)
+    return _newton_minimize(fun, jac, hess_fn, alphas0)
 
 
 def _mirror_reduced(n_sites: int, g: float, jbar: float):
@@ -284,7 +284,7 @@ def _mirror_reduced(n_sites: int, g: float, jbar: float):
     return expand, fun, jac, hess_fn
 
 
-def _minimize_mirror_reduced(alphas0, g, jbar, opts: SolverOptions):
+def _minimize_mirror_reduced(alphas0, g, jbar):
     """Minimize within the mirror-symmetric subspace about site 1 (pairs
     locked equal), seeded from sites 1..(N+1)/2 of ``alphas0``.
 
@@ -298,7 +298,7 @@ def _minimize_mirror_reduced(alphas0, g, jbar, opts: SolverOptions):
     n = len(alphas0)
     expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
     y0 = alphas0[: (n + 1) // 2]  # one value per group: sites 1..(N+1)/2
-    y, _ = _newton_minimize(fun, jac, hess_fn, y0, opts.max_iterations)
+    y, _ = _newton_minimize(fun, jac, hess_fn, y0)
     alphas = expand(y)
     return alphas, float(np.max(np.abs(energy_gradient(alphas, g, jbar))))
 
@@ -369,11 +369,10 @@ def _canonicalize_fsp(alphas: np.ndarray) -> np.ndarray:
     return sign * np.roll(alphas, -shift)
 
 
-def _stationary_candidates(params: ModelParams, opts: SolverOptions,
-                           seeds: list[np.ndarray]):
+def _stationary_candidates(params: ModelParams, seeds: list[np.ndarray]):
     candidates, best_residual = [], np.inf
     for seed in seeds:
-        alphas, grad_norm = _minimize_mirror_reduced(seed, params.g, params.jbar, opts)
+        alphas, grad_norm = _minimize_mirror_reduced(seed, params.g, params.jbar)
         best_residual = min(best_residual, grad_norm)
         if grad_norm > 1e-6:
             continue
@@ -402,8 +401,7 @@ def _degeneracy(phase: Phase, n_sites: int) -> int:
 
 
 def solve_ground_state(params: ModelParams,
-                       opts: SolverOptions | None = None,
-                       initial: np.ndarray | None = None) -> GroundStateSolution:
+                       opts: SolverOptions | None = None) -> GroundStateSolution:
     """Find the canonical global mean-field minimizer.
 
     Multi-start damped-Newton descent with one seed per symmetry orbit: the
@@ -414,19 +412,18 @@ def solve_ground_state(params: ModelParams,
     then confirms each stationary point is a minimum, and the lowest-energy
     one wins.  Frustrated solutions are returned as the canonical
     representative (unpaired site first, alpha_1 < 0 <= alpha_2, mirror
-    pairs exactly equal).  ``initial`` adds one extra seed, read from its
-    sites 1..(N+1)/2 (used by sweeps to warm-start from a neighbour).
+    pairs exactly equal).  The seeds depend on ``params`` alone, so the
+    result is a pure function of ``params``: a sweep point comes out the
+    same whatever else the sweep solves, and in whichever order.
+    ``opts`` is accepted for a uniform signature; ``seed_mode`` only
+    affects :func:`enumerate_degenerate_ground_states`.
     """
-    opts = opts or SolverOptions()
     g, jbar = params.g, params.jbar
     if g <= params.critical_coupling():
         config = MeanFieldConfiguration.from_alphas(np.zeros(params.n_sites), g, jbar)
         return GroundStateSolution(config, Phase.NORMAL, 1, True, 0.0)
 
-    seeds = _seed_alphas(params)
-    if initial is not None and len(initial) == params.n_sites:
-        seeds.insert(0, np.asarray(initial, dtype=float))
-    candidates, best_residual = _stationary_candidates(params, opts, seeds)
+    candidates, best_residual = _stationary_candidates(params, _seed_alphas(params))
     if not candidates:
         raise ConvergenceError(
             f"no seed converged to a stable stationary point at g={g}, jbar={jbar}",
@@ -460,7 +457,7 @@ def enumerate_degenerate_ground_states(
     """
     opts = opts or SolverOptions()
     if opts.seed_mode == "exhaustive":
-        return _enumerate_exhaustive(params, opts)
+        return _enumerate_exhaustive(params)
     solution = solve_ground_state(params, opts)
     alphas = solution.config.alphas
     g, jbar = params.g, params.jbar
@@ -477,7 +474,7 @@ def enumerate_degenerate_ground_states(
     return members
 
 
-def _enumerate_exhaustive(params: ModelParams, opts: SolverOptions):
+def _enumerate_exhaustive(params: ModelParams):
     n, g, jbar = params.n_sites, params.g, params.jbar
     gc = params.critical_coupling()
     scale = np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5) if g > gc else 0.1
@@ -487,8 +484,8 @@ def _enumerate_exhaustive(params: ModelParams, opts: SolverOptions):
 
     found: list[np.ndarray] = []
     for signs in itertools.product((-1.0, 1.0), repeat=n):
-        alphas, grad_norm = _minimize_full(np.array(signs) * scale, g, jbar, opts)
-        if grad_norm > 1e-8:
+        alphas, grad_norm = _minimize_full(np.array(signs) * scale, g, jbar)
+        if grad_norm > SOLUTION_GRAD_TOL:
             continue
         eigvals = np.linalg.eigvalsh(energy_hessian(alphas, g, jbar))
         if eigvals.min() < PSD_TOLERANCE:
@@ -499,21 +496,21 @@ def _enumerate_exhaustive(params: ModelParams, opts: SolverOptions):
 
     energies = np.array([rescaled_energy(a, g, jbar) for a in found])
     global_tier = [a for a, e in zip(found, energies)
-                   if e <= energies.min() + opts.energy_tol]
+                   if e <= energies.min() + ENERGY_TOL]
     if _classify(global_tier[0], params) is Phase.FSP:
         # Near g_c the mirror-odd direction is flat, so each member stops
         # somewhere along it; lock its pairs, as solve_ground_state's mirror-
         # reduced Newton does, so that copies of one minimum coincide to
         # rounding.
-        global_tier = [_polish_member(a, params, opts) for a in global_tier]
+        global_tier = [_polish_member(a, params) for a in global_tier]
     distinct: list[np.ndarray] = []
     for alphas in global_tier:
-        if not any(np.max(np.abs(alphas - other)) < opts.match_tol for other in distinct):
+        if not any(np.max(np.abs(alphas - other)) < MATCH_TOL for other in distinct):
             distinct.append(alphas)
     return [MeanFieldConfiguration.from_alphas(a, g, jbar) for a in distinct]
 
 
-def _polish_member(alphas: np.ndarray, params: ModelParams, opts: SolverOptions):
+def _polish_member(alphas: np.ndarray, params: ModelParams):
     """A frustrated minimum re-converged in the mirror-symmetric subspace of
     its own frame.
 
@@ -524,7 +521,7 @@ def _polish_member(alphas: np.ndarray, params: ModelParams, opts: SolverOptions)
     g, jbar = params.g, params.jbar
     shift, sign = _canonical_frame(alphas)
     canonical = sign * np.roll(alphas, -shift)
-    snapped, _ = _minimize_mirror_reduced(_mirror_symmetrize(canonical), g, jbar, opts)
+    snapped, _ = _minimize_mirror_reduced(_mirror_symmetrize(canonical), g, jbar)
     e_free = rescaled_energy(canonical, g, jbar)
     e_snapped = rescaled_energy(snapped, g, jbar)
     if e_snapped > e_free + 1e-12 * max(1.0, abs(e_free)):

@@ -127,11 +127,6 @@ class MeanFieldConfiguration:
         """Normalized atomic coherence <J^x_n>/j = sin(theta_n) cos(phi_n)."""
         return np.sin(self.thetas) * np.cos(self.phis)
 
-    def physical_energy(self, Omega: float, n_atoms: float) -> float:
-        """Convert the rescaled energy to physical units for a finite
-        ensemble size (the rescaled theory itself never needs one)."""
-        return self.energy * n_atoms * Omega
-
 
 def _check_alphas(alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float)

@@ -33,7 +33,7 @@ from .meanfield import (
     GroundStateSolution,
     Phase,
     SolverOptions,
-    mirror_projectors,
+    hessian_critical_modes,
     solve_ground_state,
 )
 from .model import ModelParams, critical_point, default_hopping_sign, energy_hessian
@@ -149,98 +149,64 @@ class SweepResult:
 def run_sweep(spec: SweepSpec, opts: SolverOptions | None = None) -> SweepResult:
     """Tabulate the requested observables over the coupling grid.
 
-    Each side of the critical point runs as an ordered pipeline from the
-    nearest grid point outward, warm-starting every mean-field solve from
-    its neighbour.  Per-point failures are recorded as missing rows with a
-    reason.
+    Every grid point is solved cold, from its own parameters alone, so its
+    rows do not depend on the rest of the grid or on the order it is
+    visited in.  Per-point failures are recorded as missing rows with a
+    reason; rows come out sorted by coupling, observable and index.
     """
-    opts = opts or SolverOptions()
     gc = spec.g_critical
-    grid = np.asarray(spec.grid)
-    below = np.sort(grid[grid < gc])[::-1]  # nearest to gc first
-    above = np.sort(grid[grid > gc])
     result = SweepResult(spec)
-
-    for side in (below, above):
-        rows, missing, warns = _sweep_side(spec, side, gc, opts)
-        result.rows.extend(rows)
-        result.missing.extend(missing)
-        result.warnings.extend(warns)
+    for g in spec.grid:
+        params = spec.params_at(g)
+        try:
+            solution = solve_ground_state(params, opts)
+        except (FrustraError, np.linalg.LinAlgError) as exc:
+            # record and continue with the next point; programming errors
+            # propagate
+            result.missing.append(SweepMissing(g, "all", f"solver: {exc}"))
+            continue
+        _observe_point(result, params, solution, abs(g - gc) / gc)
     result.rows.sort(key=lambda r: (r.g, r.observable, r.index))
     return result
 
 
-def _sweep_side(spec: SweepSpec, points: np.ndarray, gc: float,
-                opts: SolverOptions):
-    rows: list[SweepRow] = []
-    missing: list[SweepMissing] = []
-    warns: list[str] = []
-    warm: GroundStateSolution | None = None
-    for g in points:
-        params = spec.params_at(g)
-        reduced = abs(g - gc) / gc
-        try:
-            solution = _solve_warm(params, warm, opts)
-            warm = solution
-        except (FrustraError, np.linalg.LinAlgError) as exc:
-            # record and continue with the next point; programming errors
-            # propagate
-            missing.append(SweepMissing(g, "all", f"solver: {exc}"))
-            continue
-        point_rows, point_missing, point_warns = _observe_point(
-            spec, params, solution, reduced)
-        rows.extend(point_rows)
-        missing.extend(point_missing)
-        warns.extend(point_warns)
-    return rows, missing, warns
-
-
-def _solve_warm(params: ModelParams, warm: GroundStateSolution | None,
-                opts: SolverOptions) -> GroundStateSolution:
-    # The neighbouring minimizer joins the seed set; the closed-form seeds
-    # stay in play, so a stale warm start cannot hide the true minimum.
-    initial = warm.config.alphas if warm is not None else None
-    return solve_ground_state(params, opts, initial=initial)
-
-
-def _observe_point(spec: SweepSpec, params: ModelParams,
-                   solution: GroundStateSolution, reduced: float):
-    rows: list[SweepRow] = []
-    missing: list[SweepMissing] = []
-    warns: list[str] = []
+def _observe_point(result: SweepResult, params: ModelParams,
+                   solution: GroundStateSolution, reduced: float) -> None:
     g = params.g
-    want = set(spec.observables)
+    want = set(result.spec.observables)
 
     def put(observable, index, value):
-        rows.append(SweepRow(g, reduced, observable, str(index), float(value)))
+        result.rows.append(SweepRow(g, reduced, observable, str(index), float(value)))
+
+    def lost(observable, reason):
+        result.missing.append(SweepMissing(g, observable, reason))
 
     if "energy" in want:
         put("energy", "", solution.config.energy)
 
+    frustrated = solution.phase is Phase.FSP
     if "hessian_eigenvalues" in want:
         hess = energy_hessian(solution.config.alphas, g, params.jbar)
         for rank, value in enumerate(np.linalg.eigvalsh(hess), start=1):
             put("hessian_eigenvalues", rank, value)
-        if solution.phase is Phase.FSP:
-            even, odd = mirror_projectors(params.n_sites)
-            put("hessian_eigenvalues", "mf",
-                np.linalg.eigvalsh(even @ hess @ even.T)[0])
-            put("hessian_eigenvalues", "f",
-                np.linalg.eigvalsh(odd @ hess @ odd.T)[0])
+        if frustrated:
+            modes = hessian_critical_modes(params, solution)
+            put("hessian_eigenvalues", "mf", modes.lambda_mf)
+            put("hessian_eigenvalues", "f", modes.lambda_f)
 
     need_gaussian = want & {"gaps", "photon_numbers", "squeezing"}
     if not need_gaussian:
-        return rows, missing, warns
+        return
 
-    frustrated = solution.phase is Phase.FSP
     try:
         moments = (fsp_site_moments if frustrated else uniform_phase_moments)(
             solution, params)
     except InstabilityError as exc:
-        missing.append(SweepMissing(g, ",".join(sorted(need_gaussian)), str(exc)))
-        return rows, missing, warns
+        lost(",".join(sorted(need_gaussian)), str(exc))
+        return
     if moments.eps_lowest < CRITICAL_REGIME_FACTOR * params.omega0:
-        warns.append(f"critical-regime point at g={g!r}")
+        result.warnings.append(f"critical-regime point at g={g!r}")
+    unresolved = "frustrated sector below double-precision resolution"
     if "gaps" in want:
         if frustrated:
             put("gaps", "mf", moments.eps_meanfield)
@@ -250,8 +216,7 @@ def _observe_point(spec: SweepSpec, params: ModelParams,
             for rank, value in enumerate(moments.eps, start=1):
                 put("gaps", rank, value)
         else:
-            missing.append(SweepMissing(
-                g, "gaps", "frustrated sector below double-precision resolution"))
+            lost("gaps", unresolved)
     for name, getter in (("photon_numbers", moments.photon),
                          ("squeezing", moments.squeezing)):
         if name not in want:
@@ -259,12 +224,9 @@ def _observe_point(spec: SweepSpec, params: ModelParams,
         for site in range(1, params.n_sites + 1):
             value = getter(site)
             if np.isnan(value):
-                missing.append(SweepMissing(
-                    g, f"{name}[{site}]",
-                    "frustrated sector below double-precision resolution"))
+                lost(f"{name}[{site}]", unresolved)
             else:
                 put(name, site, value)
-    return rows, missing, warns
 
 
 # ---------------------------------------------------------------------------

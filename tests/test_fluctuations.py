@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,11 +9,9 @@ from frustra.fluctuations import (
     analytic_np_spectrum,
     build_quadratic_hamiltonian,
     covariance,
-    dump_quadratic_form,
     fsp_frustrated_mode_energy,
     fsp_sector_spectra,
     fsp_site_moments,
-    load_quadratic_form_matrix,
     mode_weights,
     normal_phase_mode_energies,
     photon_number,
@@ -68,6 +64,9 @@ class TestBuild:
     def test_hopping_appears_on_q_and_p(self):
         sol, p, form = solved_form(-0.03, 0.5)
         hop = p.jbar * p.omega0
+        # the indices follow the quadrature ordering q1, p1, Q1, P1, q2, ...
+        assert quadrature_labels(3)[:5] == ["q1", "p1", "Q1", "P1", "q2"]
+        assert quadrature_labels(3)[-1] == "P3"
         assert form.matrix[0, 4] == pytest.approx(hop)
         assert form.matrix[1, 5] == pytest.approx(hop)
         assert form.matrix[2, 6] == 0.0  # no atomic hopping
@@ -482,25 +481,6 @@ class TestUniformPhaseMoments:
             williamson_diagonalize(build_quadratic_hamiltonian(stale, p))
         with pytest.raises(InstabilityError):
             uniform_phase_moments(stale, p)
-
-
-class TestMatrixDump:
-    def test_round_trip(self):
-        sol, p, form = solved_form(0.01, 1.01)
-        buffer = io.StringIO()
-        dump_quadratic_form(form, buffer)
-        buffer.seek(0)
-        loaded = load_quadratic_form_matrix(buffer)
-        assert np.array_equal(loaded, form.matrix)
-
-    def test_header_names_ordering(self):
-        sol, p, form = solved_form(0.01, 0.9)
-        buffer = io.StringIO()
-        dump_quadratic_form(form, buffer)
-        header = buffer.getvalue().splitlines()[0]
-        assert header.startswith("# quadrature ordering: ")
-        assert "q1,p1,Q1,P1,q2" in header
-        assert quadrature_labels(3)[-1] == "P3"
 
 
 class TestGenericRoute:

@@ -246,12 +246,6 @@ def test_default_hopping_sign_follows_jbar_everywhere():
         assert RunConfig("sweep", jbar=jbar).hopping_sign == sign
 
 
-def test_physical_energy_helper():
-    config = MeanFieldConfiguration.from_alphas(np.zeros(3), g=0.5, jbar=0.01)
-    # -3/2 per lattice in rescaled units, times ensemble size and frequency
-    assert config.physical_energy(Omega=2.0, n_atoms=100) == pytest.approx(-300.0)
-
-
 def test_stability_window_matches_three_site_bounds():
     from frustra.model import stability_window
 

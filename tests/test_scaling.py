@@ -99,6 +99,17 @@ class TestRunSweep:
         second = run_sweep(spec)
         assert first.rows == second.rows
 
+    @pytest.mark.parametrize("n, jbar", [(3, 0.01), (5, 0.01), (7, 0.01), (9, -0.01)])
+    def test_rows_do_not_depend_on_grid_neighbours(self, n, jbar):
+        # every 7th point of a two-sided sweep, re-solved as a one-point
+        # sweep, must give the same rows and missing rows bit for bit
+        spec = SweepSpec(jbar=jbar, n_sites=n, reduced_min=1e-6)
+        full = run_sweep(spec)
+        for g in spec.grid[::7]:
+            alone = run_sweep(SweepSpec(jbar=jbar, n_sites=n, grid=(g,)))
+            assert [r for r in full.rows if r.g == g] == alone.rows
+            assert [m for m in full.missing if m.g == g] == alone.missing
+
     def test_deep_points_recorded_missing_for_paired_sites(self):
         spec = SweepSpec(jbar=0.01, n_sites=7, sides="above",
                          reduced_min=1e-6, reduced_max=1e-5, points_per_decade=4,
@@ -260,7 +271,7 @@ class TestSweepErrors:
     def test_unstable_uniform_point_becomes_missing_row(self, monkeypatch):
         # a normal-phase state handed over past the threshold: its k = 0
         # momentum block is not positive definite
-        def stale(params, opts=None, initial=None):
+        def stale(params, opts=None):
             config = MeanFieldConfiguration.from_alphas(
                 np.zeros(params.n_sites), params.g, params.jbar)
             return GroundStateSolution(config, Phase.NORMAL, 1, True, 0.0)
