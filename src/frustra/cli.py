@@ -64,10 +64,6 @@ class RunConfig:
     def hopping_sign(self) -> str:
         return self.sign if self.sign is not None else model.default_hopping_sign(self.jbar)
 
-    @property
-    def solver_options(self) -> meanfield.SolverOptions:
-        return meanfield.SolverOptions(seed_mode=self.seed_mode)
-
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 
@@ -89,6 +85,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(merged, key, value)
     if merged.format not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {merged.format}")
+    meanfield.SolverOptions(seed_mode=merged.seed_mode)  # rejects unknown modes
     return merged
 
 
@@ -161,7 +158,7 @@ def cmd_ground_state(config: RunConfig):
     params = config.params()
     gc = params.critical_coupling()
     reduced = _reduced(params.g, gc)
-    solution = meanfield.solve_ground_state(params, config.solver_options)
+    solution = meanfield.solve_ground_state(params)
     rows = [
         _row(params.g, reduced, "energy", "", solution.config.energy),
         _row(params.g, reduced, "phase", solution.phase.value, 1.0),
@@ -183,7 +180,7 @@ def cmd_ground_state(config: RunConfig):
     warnings = []
     if config.manifold:
         members = meanfield.enumerate_degenerate_ground_states(
-            params, config.solver_options)
+            params, meanfield.SolverOptions(seed_mode=config.seed_mode))
         for m, member in enumerate(members, start=1):
             rows.append(_row(params.g, reduced, "manifold_energy", m, member.energy))
             rows += member_rows(member, tag=f"{m}/")
@@ -198,7 +195,7 @@ def cmd_spectrum(config: RunConfig):
     params = config.params()
     gc = params.critical_coupling()
     reduced = _reduced(params.g, gc)
-    solution = meanfield.solve_ground_state(params, config.solver_options)
+    solution = meanfield.solve_ground_state(params)
     form = fluctuations.build_quadratic_hamiltonian(solution, params)
     decomp = fluctuations.williamson_diagonalize(form)
     rows, warnings = [], []
@@ -228,7 +225,7 @@ def _sweep_spec(config: RunConfig) -> scaling.SweepSpec:
 
 
 def cmd_sweep(config: RunConfig):
-    result = scaling.run_sweep(_sweep_spec(config), config.solver_options)
+    result = scaling.run_sweep(_sweep_spec(config))
     rows = [_row(r.g, r.reduced_coupling, r.observable, r.index, r.value)
             for r in result.rows]
     warnings = list(dict.fromkeys(result.warnings))
@@ -242,8 +239,7 @@ def cmd_exponents(config: RunConfig):
                                1.0, config.sites)
     report = scaling.extract_exponents(
         params, window=(config.reduced_min, config.reduced_max),
-        points_per_decade=config.points_per_decade,
-        opts=config.solver_options)
+        points_per_decade=config.points_per_decade)
     gc = model.critical_point(config.jbar, config.sites, config.hopping_sign)
     rows = []
 
@@ -297,9 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="atomic frequency (default 1.0)")
         cmd.add_argument("--output", default=None, help="output path (default stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default=None)
-        cmd.add_argument("--seed-mode", dest="seed_mode",
-                         choices=("symmetry-orbit", "exhaustive"), default=None)
         if name == "ground-state":
+            cmd.add_argument("--seed-mode", dest="seed_mode",
+                             choices=("symmetry-orbit", "exhaustive"), default=None,
+                             help="how --manifold enumerates the degenerate "
+                                  "minima (default symmetry-orbit)")
             cmd.add_argument("--manifold", action="store_true", default=None,
                              help="emit the full degenerate manifold")
         if name in ("sweep", "exponents"):

@@ -10,12 +10,14 @@ Q_N, P_N)
                 + J (q_n q_{n+1} + p_n p_{n+1}) ]
 
 evaluated at a mean-field minimum.  Position and momentum quadratures never
-couple, which the normal-mode construction exploits: with H_x = L_x L_x^T
-and H_p = L_p L_p^T the Cholesky factors of the position/momentum blocks,
-one SVD L_x^T L_p = U diag(e) V^T gives the symplectic eigenvalues e, the
-covariance blocks and a symplectic matrix whose position rows act on
-positions only and momentum rows on momenta only, so local field weights
-are well defined.
+couple, so the form is assembled once as its position block H_x over
+(q_n, Q_n) and momentum block H_p over (p_n, P_n), and every normal-mode
+construction works on that split: with H_x = L_x L_x^T and H_p = L_p L_p^T
+the Cholesky factors, one SVD L_x^T L_p = U diag(e) V^T gives the
+symplectic eigenvalues e, the covariance blocks and a symplectic matrix
+whose position rows act on positions only and momentum rows on momenta
+only, so local field weights are well defined.  Forms that couple
+positions to momenta are rejected.
 """
 
 from __future__ import annotations
@@ -23,10 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular
 
 from .errors import DomainError, InstabilityError, PhaseError, ValidationError
-from .meanfield import GroundStateSolution, Phase, mirror_projectors
+from .meanfield import (
+    SOLUTION_GRAD_TOL,
+    GroundStateSolution,
+    Phase,
+    _fix_sign,
+    mirror_projectors,
+)
 from .model import ModelParams
 
 _EPS = float(np.finfo(float).eps)
@@ -92,11 +99,10 @@ class WilliamsonDecomposition:
     ``symplectic_matrix`` S satisfies S H S^T = diag(e_1, e_1, ..., e_2N, e_2N)
     and S Omega S^T = Omega; the stored residuals are the max-norm defects of
     those two identities.  ``critical_regime`` marks a smallest eigenvalue
-    under 1e-8 of the cavity frequency scale.  For split forms S is block
-    diagonal over positions and momenta (rows e^(-1/2) V^T L_p^T and
-    e^(-1/2) U^T L_x^T of the Cholesky-SVD construction), and
-    ``_position_rows`` keeps its momentum rows, which are the position rows
-    of (S^{-1})^T read by :func:`mode_weights`; generic forms leave it None.
+    under 1e-8 of the cavity frequency scale.  S is block diagonal over
+    positions and momenta (rows e^(-1/2) V^T L_p^T and e^(-1/2) U^T L_x^T of
+    the Cholesky-SVD construction); its momentum rows are the position rows
+    of (S^{-1})^T read by :func:`mode_weights`.
     """
 
     symplectic_eigenvalues: np.ndarray
@@ -104,7 +110,6 @@ class WilliamsonDecomposition:
     symplectic_residual: float
     diagonalization_residual: float
     critical_regime: bool
-    _position_rows: np.ndarray | None = None
 
     @property
     def n_modes(self) -> int:
@@ -159,7 +164,7 @@ class ModeWeights:
 def _require_minimum(solution: GroundStateSolution, params: ModelParams) -> None:
     """The quadratic expansion holds only about a converged minimum of the
     lattice ``params`` describes."""
-    if not solution.converged or solution.grad_norm > 1e-10:
+    if not solution.converged or solution.grad_norm > SOLUTION_GRAD_TOL:
         raise ValidationError(
             "quadratic expansion requires a converged minimum "
             f"(gradient norm {solution.grad_norm:.2e})"
@@ -168,30 +173,35 @@ def _require_minimum(solution: GroundStateSolution, params: ModelParams) -> None
         raise ValidationError("solution and params disagree on lattice size")
 
 
-def build_quadratic_hamiltonian(solution: GroundStateSolution,
-                                params: ModelParams) -> QuadraticForm:
-    """Assemble the fluctuation Hamiltonian at a verified minimum."""
+def _split_hamiltonian(solution: GroundStateSolution, params: ModelParams):
+    """Position and momentum blocks (H_x, H_p) of the fluctuation form at a
+    verified minimum, over (q_1, Q_1, ..., q_N, Q_N) and
+    (p_1, P_1, ..., p_N, P_N)."""
     _require_minimum(solution, params)
     config = solution.config
     n = config.n_sites
-    omega0, Omega, g = params.omega0, params.Omega, params.g
-    hop = params.jbar * omega0
+    omega0, Omega = params.omega0, params.Omega
     cos_theta = np.cos(config.thetas)
-    cos_phi = np.cos(config.phis)
+    cavity = np.arange(0, 2 * n, 2)
+    right = (cavity + 2) % (2 * n)  # the next site's cavity around the ring
+    hp = np.zeros((2 * n, 2 * n))
+    hp[cavity, cavity] = omega0
+    hp[cavity + 1, cavity + 1] = -Omega / cos_theta
+    hp[cavity, right] = hp[right, cavity] = params.jbar * omega0
+    hx = hp.copy()
+    hx[cavity, cavity + 1] = hx[cavity + 1, cavity] = (
+        params.g * cos_theta * np.cos(config.phis) * np.sqrt(omega0 * Omega))
+    return hx, hp
 
-    matrix = np.zeros((4 * n, 4 * n))
-    for i in range(n):
-        qi, pi, Qi, Pi = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-        matrix[qi, qi] = matrix[pi, pi] = omega0
-        matrix[Qi, Qi] = matrix[Pi, Pi] = -Omega / cos_theta[i]
-        coupling = g * cos_theta[i] * cos_phi[i] * np.sqrt(omega0 * Omega)
-        matrix[qi, Qi] = matrix[Qi, qi] = coupling
-        j = (i + 1) % n
-        matrix[qi, 4 * j] += hop
-        matrix[4 * j, qi] += hop
-        matrix[pi, 4 * j + 1] += hop
-        matrix[4 * j + 1, pi] += hop
-    return QuadraticForm(matrix, symplectic_form(2 * n), omega0=omega0)
+
+def build_quadratic_hamiltonian(solution: GroundStateSolution,
+                                params: ModelParams) -> QuadraticForm:
+    """Assemble the fluctuation Hamiltonian at a verified minimum."""
+    hx, hp = _split_hamiltonian(solution, params)
+    matrix = np.zeros((2 * len(hx), 2 * len(hx)))
+    matrix[0::2, 0::2] = hx
+    matrix[1::2, 1::2] = hp
+    return QuadraticForm(matrix, symplectic_form(len(hx)), omega0=params.omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +209,16 @@ def build_quadratic_hamiltonian(solution: GroundStateSolution,
 
 
 def _split_blocks(matrix: np.ndarray):
+    """Position and momentum blocks of a form; a form that couples
+    positions to momenta is rejected."""
     size = matrix.shape[0]
     pos = np.arange(0, size, 2)
     mom = pos + 1
-    cross = matrix[np.ix_(pos, mom)]
-    if np.max(np.abs(cross)) > 1e-12 * max(1.0, np.max(np.abs(matrix))):
-        return None
+    cross = np.max(np.abs(matrix[np.ix_(pos, mom)]))
+    if cross > 1e-12 * max(1.0, np.max(np.abs(matrix))):
+        raise ValidationError(
+            "Williamson decomposition requires a form without position-momentum "
+            f"coupling (largest coupling {cross:.3e})")
     return matrix[np.ix_(pos, pos)], matrix[np.ix_(mom, mom)]
 
 
@@ -252,68 +266,29 @@ def _offending_direction(matrix: np.ndarray) -> str:
 
 
 def williamson_diagonalize(form: QuadraticForm) -> WilliamsonDecomposition:
-    """Symplectic normal-mode decomposition of a positive-definite form.
+    """Symplectic normal-mode decomposition of a positive-definite form
+    without position-momentum coupling.
 
-    For the position/momentum-split forms built here one Cholesky pair and
-    one SVD give everything: the position rows of S are eps^(-1/2) V^T L_p^T
-    and the momentum rows eps^(-1/2) U^T L_x^T (see :class:`_SplitModes`).
-    Forms with position-momentum coupling take the generic Cholesky /
-    real-Schur route.
+    One Cholesky pair and one SVD give everything: the position rows of S
+    are eps^(-1/2) V^T L_p^T and the momentum rows eps^(-1/2) U^T L_x^T (see
+    :class:`_SplitModes`).  A form that couples positions to momenta raises
+    :class:`ValidationError`.
     """
-    matrix = form.matrix
-    blocks = _split_blocks(matrix)
-    if blocks is None:
-        return _williamson_generic(form)
-    modes = _SplitModes(*blocks)
+    matrix, omega = form.matrix, form.symplectic_form
+    modes = _SplitModes(*_split_blocks(matrix))
     if not modes.positive:
         raise InstabilityError(
             f"quadratic form is not positive definite: {_offending_direction(matrix)}")
-    root = np.sqrt(modes.eps)[:, None]
+    eps = modes.eps
+    root = np.sqrt(eps)[:, None]
     s_matrix = np.zeros_like(matrix)
     s_matrix[0::2, 0::2] = modes.x_modes.T / root
     s_matrix[1::2, 1::2] = modes.p_modes.T / root
-    return _finalize(form, modes.eps, s_matrix, s_matrix[1::2, 1::2])
-
-
-def _williamson_generic(form: QuadraticForm) -> WilliamsonDecomposition:
-    """Cholesky + real-Schur Williamson construction (no split structure)."""
-    matrix, omega = form.matrix, form.symplectic_form
-    try:
-        chol = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise InstabilityError(
-            f"quadratic form is not positive definite: {_offending_direction(matrix)}")
-    anti = chol.T @ omega @ chol
-    t_mat, z_mat = schur(anti, output="real")
-    n_modes = matrix.shape[0] // 2
-    eps = np.empty(n_modes)
-    columns = []
-    for k in range(n_modes):
-        value = t_mat[2 * k, 2 * k + 1]
-        first, second = z_mat[:, 2 * k], z_mat[:, 2 * k + 1]
-        if value < 0:
-            value, first, second = -value, second, first
-        eps[k] = value
-        columns.append((first, second))
-    order = np.argsort(eps)
-    eps = eps[order]
-    orth = np.empty_like(z_mat)
-    for new, old in enumerate(order):
-        orth[:, 2 * new], orth[:, 2 * new + 1] = columns[old]
-    scale = np.repeat(np.sqrt(eps), 2)
-    s_matrix = scale[:, None] * solve_triangular(chol, orth, lower=True, trans="T").T
-    return _finalize(form, eps, s_matrix, None)
-
-
-def _finalize(form, eps, s_matrix, position_rows) -> WilliamsonDecomposition:
-    omega = form.symplectic_form
     sym_res = float(np.max(np.abs(s_matrix @ omega @ s_matrix.T - omega)))
-    diag = s_matrix @ form.matrix @ s_matrix.T
-    diag_target = np.diag(np.repeat(eps, 2))
-    diag_res = float(np.max(np.abs(diag - diag_target)))
+    diag = s_matrix @ matrix @ s_matrix.T
+    diag_res = float(np.max(np.abs(diag - np.diag(np.repeat(eps, 2)))))
     critical = bool(eps.min() < CRITICAL_REGIME_FACTOR * form.omega0)
-    return WilliamsonDecomposition(np.asarray(eps), s_matrix, sym_res, diag_res,
-                                   critical, position_rows)
+    return WilliamsonDecomposition(eps, s_matrix, sym_res, diag_res, critical)
 
 
 def symplectic_spectrum_modulus(form: QuadraticForm) -> np.ndarray:
@@ -356,21 +331,13 @@ def squeezing_variance(cov: CovarianceMatrix, site: int) -> float:
 def mode_weights(decomp: WilliamsonDecomposition, mode_index: int) -> ModeWeights:
     """Local-field weights of a normal mode (1-based, ascending energy).
 
-    Extracts the position-quadrature row of (S^{-1})^T for the mode; exact
-    for split-structured forms.
+    Reads the mode's momentum row of S, which is its position-quadrature
+    row of (S^{-1})^T since S is block diagonal over positions and momenta.
     """
-    if decomp._position_rows is None:
-        raise ValidationError("mode weights require a position/momentum-split form")
     if not 1 <= mode_index <= decomp.n_modes:
         raise DomainError(f"mode_index must be in 1..{decomp.n_modes}, got {mode_index}")
-    row = decomp._position_rows[mode_index - 1]
-    weights = row / np.linalg.norm(row)
-    for component in weights:
-        if abs(component) > 1e-7:
-            if component < 0:
-                weights = -weights
-            break
-    return ModeWeights(weights, mode_index)
+    return ModeWeights(_fix_sign(decomp.symplectic_matrix[1::2, 1::2][mode_index - 1]),
+                       mode_index)
 
 
 # ---------------------------------------------------------------------------
@@ -572,23 +539,15 @@ def uniform_phase_moments(solution: GroundStateSolution,
 # mirror-sector moments (used by sweeps deep in the critical regime)
 
 
-def _expand_species(rows: np.ndarray) -> np.ndarray:
-    """Lift a site-space map to the (cavity, atom) interleaved position space."""
-    r, c = rows.shape
-    out = np.zeros((2 * r, 2 * c))
-    out[0::2, 0::2] = rows
-    out[1::2, 1::2] = rows
-    return out
-
-
 def _mirror_sectors(solution: GroundStateSolution, params: ModelParams):
     """Normal modes of the mirror-even and mirror-odd sectors of the
-    fluctuation form, built once from one 4N x 4N form."""
-    form = build_quadratic_hamiltonian(solution, params)
-    hx, hp = _split_blocks(form.matrix)
+    fluctuation form, projected from its position and momentum blocks."""
+    hx, hp = _split_hamiltonian(solution, params)
     sectors = []
     for sites in mirror_projectors(params.n_sites):
-        species = _expand_species(sites)
+        # lift the site-space projector to the (cavity, atom) interleaving
+        species = np.zeros((2 * len(sites), 2 * params.n_sites))
+        species[0::2, 0::2] = species[1::2, 1::2] = sites
         sectors.append(_SplitModes(species @ hx @ species.T, species @ hp @ species.T))
     return sectors
 

@@ -78,7 +78,6 @@ class GroundStateSolution:
     config: MeanFieldConfiguration
     phase: Phase
     degeneracy: int
-    canonical: bool
     grad_norm: float
     converged: bool = True
 
@@ -400,8 +399,7 @@ def _degeneracy(phase: Phase, n_sites: int) -> int:
     return {Phase.NORMAL: 1, Phase.NFSP: 2, Phase.FSP: 2 * n_sites}[phase]
 
 
-def solve_ground_state(params: ModelParams,
-                       opts: SolverOptions | None = None) -> GroundStateSolution:
+def solve_ground_state(params: ModelParams) -> GroundStateSolution:
     """Find the canonical global mean-field minimizer.
 
     Multi-start damped-Newton descent with one seed per symmetry orbit: the
@@ -415,13 +413,11 @@ def solve_ground_state(params: ModelParams,
     pairs exactly equal).  The seeds depend on ``params`` alone, so the
     result is a pure function of ``params``: a sweep point comes out the
     same whatever else the sweep solves, and in whichever order.
-    ``opts`` is accepted for a uniform signature; ``seed_mode`` only
-    affects :func:`enumerate_degenerate_ground_states`.
     """
     g, jbar = params.g, params.jbar
     if g <= params.critical_coupling():
         config = MeanFieldConfiguration.from_alphas(np.zeros(params.n_sites), g, jbar)
-        return GroundStateSolution(config, Phase.NORMAL, 1, True, 0.0)
+        return GroundStateSolution(config, Phase.NORMAL, 1, 0.0)
 
     candidates, best_residual = _stationary_candidates(params, _seed_alphas(params))
     if not candidates:
@@ -441,7 +437,7 @@ def solve_ground_state(params: ModelParams,
         )
     config = MeanFieldConfiguration.from_alphas(alphas, g, jbar)
     return GroundStateSolution(config, phase, _degeneracy(phase, params.n_sites),
-                               True, grad_norm)
+                               grad_norm)
 
 
 def enumerate_degenerate_ground_states(
@@ -458,7 +454,7 @@ def enumerate_degenerate_ground_states(
     opts = opts or SolverOptions()
     if opts.seed_mode == "exhaustive":
         return _enumerate_exhaustive(params)
-    solution = solve_ground_state(params, opts)
+    solution = solve_ground_state(params)
     alphas = solution.config.alphas
     g, jbar = params.g, params.jbar
     if solution.phase is Phase.NORMAL:

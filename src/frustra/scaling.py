@@ -32,7 +32,6 @@ from .fluctuations import (
 from .meanfield import (
     GroundStateSolution,
     Phase,
-    SolverOptions,
     hessian_critical_modes,
     solve_ground_state,
 )
@@ -146,7 +145,7 @@ class SweepResult:
         return reduced, values
 
 
-def run_sweep(spec: SweepSpec, opts: SolverOptions | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Tabulate the requested observables over the coupling grid.
 
     Every grid point is solved cold, from its own parameters alone, so its
@@ -159,7 +158,7 @@ def run_sweep(spec: SweepSpec, opts: SolverOptions | None = None) -> SweepResult
     for g in spec.grid:
         params = spec.params_at(g)
         try:
-            solution = solve_ground_state(params, opts)
+            solution = solve_ground_state(params)
         except (FrustraError, np.linalg.LinAlgError) as exc:
             # record and continue with the next point; programming errors
             # propagate
@@ -352,8 +351,7 @@ class ExponentReport:
 
 def extract_exponents(params: ModelParams,
                       window: tuple[float, float] = (1e-7, 1e-2),
-                      points_per_decade: int = 25,
-                      opts: SolverOptions | None = None) -> ExponentReport:
+                      points_per_decade: int = 25) -> ExponentReport:
     """Sweep the superradiant side of the transition and fit every critical
     exponent.
 
@@ -368,7 +366,7 @@ def extract_exponents(params: ModelParams,
                      omega0=params.omega0, Omega=params.Omega,
                      reduced_min=window[0], reduced_max=window[1],
                      points_per_decade=points_per_decade, sides="above")
-    result = run_sweep(spec, opts)
+    result = run_sweep(spec)
     warnings = list(dict.fromkeys(result.warnings))
     if params.n_sites > 7:
         warnings.append(
@@ -529,9 +527,7 @@ def _one_sided_d2(f, center, h, sign):
 
 def energy_derivative_diagnostics(params: ModelParams, axis: str,
                                   half_width: float = 4e-3,
-                                  step: float = 1e-4,
-                                  opts: SolverOptions | None = None
-                                  ) -> DerivativeDiagnostics:
+                                  step: float = 1e-4) -> DerivativeDiagnostics:
     """Scan the ground-state energy along ``axis`` ('g' or 'jbar') across its
     transition and report first/second derivative limits and the jump.
 
@@ -541,19 +537,18 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     the critical coupling of ``params``'s hopping sign; for axis 'jbar' it
     is the decoupling point jbar = 0 at fixed g.
     """
-    opts = opts or SolverOptions()
     if axis == "g":
         center = params.critical_coupling()
 
         def energy_at(x):
-            return solve_ground_state(params.replace_g(float(x)), opts).config.energy
+            return solve_ground_state(params.replace_g(float(x))).config.energy
     elif axis == "jbar":
         center = 0.0
 
         def energy_at(x):
             moved = ModelParams(params.omega0, params.Omega, float(x), params.g,
                                 params.n_sites)
-            return solve_ground_state(moved, opts).config.energy
+            return solve_ground_state(moved).config.energy
     else:
         raise ValidationError("axis must be 'g' or 'jbar'")
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import frustra
 from frustra.cli import csv_to_rows, main, rows_to_csv
 
 
@@ -63,6 +67,13 @@ class TestGroundState:
         assert len(manifold) == 6
         energies = [r["value"] for r in manifold]
         assert max(energies) - min(energies) < 1e-10
+
+    def test_exhaustive_seed_mode_manifold(self, capsys):
+        code, out, _ = run_cli(capsys, "ground-state", "--jbar", "0.01",
+                               "--sites", "3", "--g", "1.01", "--manifold",
+                               "--seed-mode", "exhaustive")
+        assert code == 0
+        assert len(rows_by(csv_to_rows(out), "manifold_energy")) == 6
 
     def test_jx_matches_angles(self, capsys):
         code, out, _ = run_cli(capsys, "ground-state", "--jbar", "0.01",
@@ -178,6 +189,35 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "critical-point", "--config", str(config))
         assert code == 2
         assert "coupling" in err
+
+    def test_unknown_seed_mode_rejected(self, capsys, tmp_path):
+        # the key is accepted for every command, so every command checks it
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"seed_mode": "random"}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert "seed_mode" in err
+
+
+class TestSeedModeScope:
+    @pytest.mark.parametrize("command", ["critical-point", "spectrum", "sweep",
+                                         "exponents"])
+    def test_rejected_where_unread(self, capsys, command):
+        # only ground-state --manifold reads the seed mode
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--seed-mode", "exhaustive"])
+        assert exit_info.value.code == 2
+        assert "--seed-mode" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: the package itself runs on numpy
+    source_root = os.path.dirname(os.path.dirname(frustra.__file__))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    probe = "import sys, frustra; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestExitCodes:

@@ -105,7 +105,6 @@ class TestSolveGroundState:
         sol = solve_ground_state(params(0.05, 1.05))
         a = sol.config.alphas
         assert a[0] < 0 <= a[1]
-        assert sol.canonical
 
     def test_solution_is_verified_stationary_minimum(self):
         for jbar, g, n in ((0.01, 1.01, 3), (0.02, 1.03, 5), (-0.05, 1.1, 3),

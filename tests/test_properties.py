@@ -1,9 +1,10 @@
 """Property tests for the invariants the solvers rely on: symmetry of the
 energy, exact derivatives, the mirror-reduced problem, agreement of the
 orbit-seeded solver with the exhaustive 2^N oracle, the Williamson
-identities, the split-form Cholesky-SVD route against the generic
-Cholesky/real-Schur route, the momentum-block path of the uniform phases
-against the Williamson reference, and the CSV wire format."""
+identities, the package's split-form Cholesky-SVD route against the
+test-side generic Cholesky/real-Schur reference, the momentum-block path
+of the uniform phases against the Williamson reference, and the CSV wire
+format."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from frustra.cli import csv_to_rows, rows_to_csv
 from frustra.fluctuations import (
-    _williamson_generic,
     analytic_nfsp_spectrum,
     analytic_np_spectrum,
     build_quadratic_hamiltonian,
@@ -39,6 +39,7 @@ from frustra.model import (
     energy_hessian,
     rescaled_energy,
 )
+from williamson_reference import _williamson_generic
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 

@@ -271,10 +271,10 @@ class TestSweepErrors:
     def test_unstable_uniform_point_becomes_missing_row(self, monkeypatch):
         # a normal-phase state handed over past the threshold: its k = 0
         # momentum block is not positive definite
-        def stale(params, opts=None):
+        def stale(params):
             config = MeanFieldConfiguration.from_alphas(
                 np.zeros(params.n_sites), params.g, params.jbar)
-            return GroundStateSolution(config, Phase.NORMAL, 1, True, 0.0)
+            return GroundStateSolution(config, Phase.NORMAL, 1, 0.0)
 
         monkeypatch.setattr(scaling, "solve_ground_state", stale)
         spec = SweepSpec(jbar=-0.01, n_sites=5, sides="above",
