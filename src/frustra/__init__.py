@@ -39,6 +39,7 @@ from .meanfield import (
     nfsp_closed_form,
     saddle_configuration,
     solve_ground_state,
+    solve_ground_states,
 )
 from .model import (
     MeanFieldConfiguration,

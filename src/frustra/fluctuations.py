@@ -32,6 +32,7 @@ from .meanfield import (
     GroundStateSolution,
     Phase,
     _fix_sign,
+    _isolated,
     mirror_projectors,
 )
 from .model import ModelParams
@@ -173,31 +174,39 @@ def _require_minimum(solution: GroundStateSolution, params: ModelParams) -> None
         raise ValidationError("solution and params disagree on lattice size")
 
 
-def _split_hamiltonian(solution: GroundStateSolution, params: ModelParams):
-    """Position and momentum blocks (H_x, H_p) of the fluctuation form at a
-    verified minimum, over (q_1, Q_1, ..., q_N, Q_N) and
-    (p_1, P_1, ..., p_N, P_N)."""
-    _require_minimum(solution, params)
-    config = solution.config
-    n = config.n_sites
-    omega0, Omega = params.omega0, params.Omega
-    cos_theta = np.cos(config.thetas)
+def _split_hamiltonian(solutions, params_seq) -> np.ndarray:
+    """Position and momentum blocks H_x, H_p of the fluctuation forms at
+    verified minima of one lattice size, over (q_1, Q_1, ..., q_N, Q_N) and
+    (p_1, P_1, ..., p_N, P_N), as one array of shape (points, 2, 2N, 2N):
+    ``[:, 0]`` holds H_x and ``[:, 1]`` H_p."""
+    for solution, params in zip(solutions, params_seq):
+        _require_minimum(solution, params)
+
+    def per_point(name):
+        return np.array([getattr(params, name) for params in params_seq])[:, None]
+
+    omega0, Omega = per_point("omega0"), per_point("Omega")
+    thetas = np.array([solution.config.thetas for solution in solutions])
+    phis = np.array([solution.config.phis for solution in solutions])
+    n = thetas.shape[-1]
+    cos_theta = np.cos(thetas)
     cavity = np.arange(0, 2 * n, 2)
     right = (cavity + 2) % (2 * n)  # the next site's cavity around the ring
-    hp = np.zeros((2 * n, 2 * n))
-    hp[cavity, cavity] = omega0
-    hp[cavity + 1, cavity + 1] = -Omega / cos_theta
-    hp[cavity, right] = hp[right, cavity] = params.jbar * omega0
-    hx = hp.copy()
-    hx[cavity, cavity + 1] = hx[cavity + 1, cavity] = (
-        params.g * cos_theta * np.cos(config.phis) * np.sqrt(omega0 * Omega))
-    return hx, hp
+    blocks = np.zeros((len(thetas), 2, 2 * n, 2 * n))
+    hx, hp = blocks[:, 0], blocks[:, 1]
+    hp[:, cavity, cavity] = omega0
+    hp[:, cavity + 1, cavity + 1] = -Omega / cos_theta
+    hp[:, cavity, right] = hp[:, right, cavity] = per_point("jbar") * omega0
+    hx[...] = hp
+    hx[:, cavity, cavity + 1] = hx[:, cavity + 1, cavity] = (
+        per_point("g") * cos_theta * np.cos(phis) * np.sqrt(omega0 * Omega))
+    return blocks
 
 
 def build_quadratic_hamiltonian(solution: GroundStateSolution,
                                 params: ModelParams) -> QuadraticForm:
     """Assemble the fluctuation Hamiltonian at a verified minimum."""
-    hx, hp = _split_hamiltonian(solution, params)
+    hx, hp = _split_hamiltonian([solution], [params])[0]
     matrix = np.zeros((2 * len(hx), 2 * len(hx)))
     matrix[0::2, 0::2] = hx
     matrix[1::2, 1::2] = hp
@@ -223,37 +232,43 @@ def _split_blocks(matrix: np.ndarray):
 
 
 class _SplitModes:
-    """Normal modes of a position/momentum-split form from the Cholesky
-    factors H_x = L_x L_x^T, H_p = L_p L_p^T and one SVD
-    L_x^T L_p = U diag(eps) V^T, read in ascending order.
+    """Normal modes of a stack of position/momentum-split forms from the
+    Cholesky factors H_x = L_x L_x^T, H_p = L_p L_p^T and one SVD
+    L_x^T L_p = U diag(eps) V^T per form, read in ascending order.
 
-    ``eps`` are the symplectic eigenvalues; the columns of ``x_modes`` =
-    L_p V and ``p_modes`` = L_x U, scaled by eps^(-1/2), are the position
-    and momentum rows of S.  A failed Cholesky factor leaves ``positive``
-    False and nothing else set.
+    ``blocks`` has shape (forms, 2, s, s), H_x then H_p; every attribute is
+    stacked over the forms.  ``eps`` are the symplectic eigenvalues; the
+    columns of ``x_modes`` = L_p V and ``p_modes`` = L_x U, scaled by
+    eps^(-1/2), are the position and momentum rows of S.  A form whose
+    Cholesky factor fails has ``positive`` False and NaN everywhere else;
+    the other forms are untouched by it.
     """
 
-    def __init__(self, hx: np.ndarray, hp: np.ndarray):
-        try:
-            lx, lp = np.linalg.cholesky(hx), np.linalg.cholesky(hp)
-        except np.linalg.LinAlgError:
-            self.positive = False
-            return
-        u, eps, vt = np.linalg.svd(lx.T @ lp)
-        self.eps = eps[::-1]
-        self.x_modes = lp @ vt[::-1].T
-        self.p_modes = lx @ u[:, ::-1]
-        self.positive = bool(self.eps[0] > 0)
+    def __init__(self, blocks: np.ndarray):
+        factored, (lx, lp) = _isolated(
+            lambda forms, _: (np.linalg.cholesky(forms[:, 0]), np.linalg.cholesky(forms[:, 1])),
+            blocks, np.arange(len(blocks)), {}, np.linalg.LinAlgError)
+        shape = blocks[:, 0].shape
+        self.eps = np.full(shape[:-1], np.nan)
+        self.x_modes, self.p_modes = np.full(shape, np.nan), np.full(shape, np.nan)
+        u, eps, vt = np.linalg.svd(np.swapaxes(lx, -1, -2) @ lp)
+        self.eps[factored] = eps[:, ::-1]
+        self.x_modes[factored] = lp @ np.swapaxes(vt[:, ::-1], -1, -2)
+        self.p_modes[factored] = lx @ u[..., ::-1]
+        self.positive = factored & (self.eps[:, 0] > 0)
 
     @property
-    def resolvable(self) -> bool:
-        return self.positive and bool(
-            self.eps[0] ** 2 > RESOLUTION_FACTOR * _EPS * self.eps[-1] ** 2)
+    def resolvable(self) -> np.ndarray:
+        return self.positive & (
+            self.eps[:, 0] ** 2 > RESOLUTION_FACTOR * _EPS * self.eps[:, -1] ** 2)
 
-    def covariance_blocks(self):
-        """Position and momentum covariance blocks of the ground state."""
-        cov_x = 0.5 * (self.x_modes / self.eps) @ self.x_modes.T
-        cov_p = 0.5 * (self.p_modes / self.eps) @ self.p_modes.T
+    def covariance_blocks(self, rows):
+        """Position and momentum covariance blocks of the ground states of
+        the forms ``rows``."""
+        eps = self.eps[rows][:, None, :]
+        x_modes, p_modes = self.x_modes[rows], self.p_modes[rows]
+        cov_x = 0.5 * (x_modes / eps) @ np.swapaxes(x_modes, -1, -2)
+        cov_p = 0.5 * (p_modes / eps) @ np.swapaxes(p_modes, -1, -2)
         return cov_x, cov_p
 
 
@@ -275,15 +290,15 @@ def williamson_diagonalize(form: QuadraticForm) -> WilliamsonDecomposition:
     :class:`ValidationError`.
     """
     matrix, omega = form.matrix, form.symplectic_form
-    modes = _SplitModes(*_split_blocks(matrix))
-    if not modes.positive:
+    modes = _SplitModes(np.array([_split_blocks(matrix)]))
+    if not modes.positive[0]:
         raise InstabilityError(
             f"quadratic form is not positive definite: {_offending_direction(matrix)}")
-    eps = modes.eps
+    eps = modes.eps[0]
     root = np.sqrt(eps)[:, None]
     s_matrix = np.zeros_like(matrix)
-    s_matrix[0::2, 0::2] = modes.x_modes.T / root
-    s_matrix[1::2, 1::2] = modes.p_modes.T / root
+    s_matrix[0::2, 0::2] = modes.x_modes[0].T / root
+    s_matrix[1::2, 1::2] = modes.p_modes[0].T / root
     sym_res = float(np.max(np.abs(s_matrix @ omega @ s_matrix.T - omega)))
     diag = s_matrix @ matrix @ s_matrix.T
     diag_res = float(np.max(np.abs(diag - np.diag(np.repeat(eps, 2)))))
@@ -539,17 +554,65 @@ def uniform_phase_moments(solution: GroundStateSolution,
 # mirror-sector moments (used by sweeps deep in the critical regime)
 
 
-def _mirror_sectors(solution: GroundStateSolution, params: ModelParams):
+def _mirror_sectors(solutions, params_seq):
     """Normal modes of the mirror-even and mirror-odd sectors of the
-    fluctuation form, projected from its position and momentum blocks."""
-    hx, hp = _split_hamiltonian(solution, params)
+    fluctuation forms of frustrated points of one lattice size; each
+    sector is one :class:`_SplitModes` stack over the points."""
+    return [_SplitModes(sector) for sector in _sector_blocks(solutions, params_seq)]
+
+
+def _sector_blocks(solutions, params_seq):
+    """The position and momentum blocks of the forms projected onto the
+    mirror-even and mirror-odd sectors."""
+    blocks = _split_hamiltonian(solutions, params_seq)
     sectors = []
-    for sites in mirror_projectors(params.n_sites):
+    for sites in mirror_projectors(blocks.shape[-1] // 2):
         # lift the site-space projector to the (cavity, atom) interleaving
-        species = np.zeros((2 * len(sites), 2 * params.n_sites))
+        species = np.zeros((2 * len(sites), blocks.shape[-1]))
         species[0::2, 0::2] = species[1::2, 1::2] = sites
-        sectors.append(_SplitModes(species @ hx @ species.T, species @ hp @ species.T))
+        sectors.append(species @ blocks @ species.T)
     return sectors
+
+
+def fsp_site_moments_stacked(solutions, params_seq) -> list:
+    """Cavity moments of frustrated ground states of one lattice size, as
+    one stack: :func:`fsp_site_moments` for each point, in order, with the
+    :class:`InstabilityError` of a point whose mirror-even sector is not
+    resolvably positive in its place."""
+    for solution in solutions:
+        if solution.phase is not Phase.FSP:
+            raise PhaseError("mirror-sector moments require the frustrated phase")
+    if not solutions:
+        return []
+    even, odd = _mirror_sectors(solutions, params_seq)
+    n = solutions[0].config.n_sites
+    var_q = np.full((len(solutions), n), np.nan)
+    var_p = np.full((len(solutions), n), np.nan)
+    stable = np.flatnonzero(even.resolvable)
+    cov_x_even, cov_p_even = even.covariance_blocks(stable)
+    var_q[stable, 0], var_p[stable, 0] = cov_x_even[:, 0, 0], cov_p_even[:, 0, 0]
+    # q_{1+j} = (even_j + odd_j)/sqrt(2); even/odd cross-covariances vanish
+    resolved = odd.resolvable[stable]
+    cov_x_odd, cov_p_odd = odd.covariance_blocks(stable[resolved])
+    pairs = (n - 1) // 2
+    for var, cov_even, cov_odd in ((var_q, cov_x_even, cov_x_odd),
+                                   (var_p, cov_p_even, cov_p_odd)):
+        value = 0.5 * (np.diagonal(cov_even[resolved], axis1=1, axis2=2)[:, 2::2]
+                       + np.diagonal(cov_odd, axis1=1, axis2=2)[:, 0::2])
+        var[stable[resolved], 1:pairs + 1] = value
+        var[stable[resolved], n - 1:pairs:-1] = value
+    moments = []
+    for point in range(len(solutions)):
+        eps_even, eps_odd = even.eps[point], odd.eps[point]
+        if not even.resolvable[point]:
+            moments.append(InstabilityError("mirror-even sector is not resolvably positive"))
+        elif not odd.resolvable[point]:
+            moments.append(SiteMoments(var_q[point], var_p[point], eps_even=eps_even))
+        else:
+            moments.append(SiteMoments(
+                var_q[point], var_p[point], eps=np.sort(np.concatenate([eps_even, eps_odd])),
+                eps_even=eps_even, eps_odd=eps_odd))
+    return moments
 
 
 def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> SiteMoments:
@@ -561,35 +624,19 @@ def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> Site
     the even sector, which stays well conditioned arbitrarily close to the
     critical point; when the odd (frustrated) sector falls below
     double-precision resolution its sites' moments are reported as NaN.
+    This is :func:`fsp_site_moments_stacked` on a stack of one point.
     """
     if solution.phase is not Phase.FSP:
         raise PhaseError("mirror-sector moments require the frustrated phase")
-    n = params.n_sites
-    even, odd = _mirror_sectors(solution, params)
-    if not even.resolvable:
-        raise InstabilityError("mirror-even sector is not resolvably positive")
-    cov_x_even, cov_p_even = even.covariance_blocks()
-
-    var_q = np.full(n, np.nan)
-    var_p = np.full(n, np.nan)
-    var_q[0], var_p[0] = cov_x_even[0, 0], cov_p_even[0, 0]
-    if not odd.resolvable:
-        return SiteMoments(var_q, var_p, eps_even=even.eps)
-
-    cov_x_odd, cov_p_odd = odd.covariance_blocks()
-    # q_{1+j} = (even_j + odd_j)/sqrt(2); even/odd cross-covariances vanish
-    for j in range(1, (n - 1) // 2 + 1):
-        ei, oi = 2 * j, 2 * (j - 1)
-        var_q[j] = var_q[n - j] = 0.5 * (cov_x_even[ei, ei] + cov_x_odd[oi, oi])
-        var_p[j] = var_p[n - j] = 0.5 * (cov_p_even[ei, ei] + cov_p_odd[oi, oi])
-    return SiteMoments(var_q, var_p, eps=np.sort(np.concatenate([even.eps, odd.eps])),
-                       eps_even=even.eps, eps_odd=odd.eps)
+    (moments,) = fsp_site_moments_stacked([solution], [params])
+    if isinstance(moments, InstabilityError):
+        raise moments
+    return moments
 
 
 def fsp_sector_spectra(solution: GroundStateSolution, params: ModelParams):
     """(mirror-even, mirror-odd) symplectic spectra of a frustrated state;
     either part is None when numerically unresolvable.  Sweeps read both
-    from :func:`fsp_site_moments` instead."""
-    return tuple(modes.eps if modes.resolvable else None
-                 for modes in _mirror_sectors(solution, params))
-
+    from :func:`fsp_site_moments_stacked` instead."""
+    return tuple(modes.eps[0] if modes.resolvable[0] else None
+                 for modes in _mirror_sectors([solution], [params]))

@@ -19,7 +19,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PhaseError, ValidationError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    FrustraError,
+    PhaseError,
+    ValidationError,
+)
 from .model import (
     MeanFieldConfiguration,
     ModelParams,
@@ -105,11 +111,18 @@ def nfsp_closed_form(g: float, jbar: float) -> float:
 
 def _uniform_magnitude(g: float, jbar: float) -> float | None:
     """Magnitude (1/2g) sqrt((g/g_c)^4 - 1), g_c = sqrt(1 + 2 jbar), of the
-    uniform stationary point; None at or below g_c, where it does not exist."""
+    uniform stationary point; None at or below g_c, where it does not exist.
+    A coupling whose (g/g_c)^4 overflows double precision raises
+    :class:`DomainError`: the landscape is not representable there."""
     gc = float(np.sqrt(1.0 + 2.0 * jbar))
     if g <= gc:
         return None
-    return float(np.sqrt((g / gc) ** 4 - 1.0) / (2.0 * g))
+    try:
+        quartic = (g / gc) ** 4
+    except OverflowError:
+        raise DomainError(
+            f"coupling g={g} too large: (g/g_c)^4 overflows double precision") from None
+    return float(np.sqrt(quartic - 1.0) / (2.0 * g))
 
 
 def fsp_approximation(g: float, jbar: float) -> tuple[float, float]:
@@ -196,110 +209,134 @@ def _pair_incidence(n_sites: int) -> np.ndarray:
     return incidence
 
 
-def _mirror_symmetrize(alphas: np.ndarray) -> np.ndarray:
-    out = alphas.copy()
-    for group in _pair_groups(len(alphas))[1:]:
-        out[group] = out[group].mean()
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Newton minimization
+# stacked Newton minimization
+
+
+def _isolated(fn, stack, rows, failures, catch=(FrustraError, np.linalg.LinAlgError)):
+    """``fn(stack, rows)`` on a stack and the ids of its rows, with failing
+    rows isolated: when ``fn`` raises one of ``catch``, the stack is halved
+    and retried until each failing row stands alone, and its exception is
+    stored in ``failures[row]``.  Returns the mask of the rows that
+    succeeded and ``fn``'s output (an array or a tuple of arrays) on them.
+    ``fn`` must accept an empty stack and treat rows independently, as
+    numpy's stacked linear algebra does, so that a row's output does not
+    depend on its stack.
+    """
+    try:
+        return np.ones(len(rows), dtype=bool), fn(stack, rows)
+    except catch as exc:
+        if len(rows) == 1:
+            # without its traceback the kept error holds no frame, and so
+            # no stack, alive
+            failures[int(rows[0])] = exc.with_traceback(None)
+            return np.zeros(1, dtype=bool), fn(stack[:0], rows[:0])
+    half = len(rows) // 2
+    (ok_a, out_a), (ok_b, out_b) = (_isolated(fn, stack[part], rows[part], failures, catch)
+                                    for part in (slice(None, half), slice(half, None)))
+    if isinstance(out_a, tuple):
+        return np.concatenate((ok_a, ok_b)), tuple(map(np.concatenate, zip(out_a, out_b)))
+    return np.concatenate((ok_a, ok_b)), np.concatenate((out_a, out_b))
 
 
 def _newton_minimize(fun, jac, hess_fn, x0):
-    """Damped modified-Newton descent followed by a pure-Newton endgame.
+    """Damped modified-Newton descent followed by a pure-Newton endgame, on
+    every row of the stack ``x0`` (rows, m) at once.
 
-    The descent phase insists on energy decrease; once the energy changes
-    fall below floating-point resolution the endgame accepts steps on
-    gradient decrease instead.  Returns (x, grad_inf_norm).
+    ``fun``, ``jac`` and ``hess_fn`` take a stack and the ids of its rows,
+    so rows may carry their own couplings.  Each row runs exactly the
+    iteration, and the arithmetic, it would run alone: row masks replace
+    the per-row control flow, and a row that raises (a non-finite trial
+    point, a failed eigensolve) leaves the stack without touching the
+    others.  The descent phase insists on energy decrease; once the energy
+    changes fall below floating-point resolution the endgame accepts steps
+    on gradient decrease instead.  Returns ``(x, grad_norm, steps,
+    failures)``: the minimizers, their gradient infinity-norms, each row's
+    accepted (descent, endgame) step counts, and each failed row's
+    exception by row id.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    f = fun(x)
-    grad = jac(x)
+    x = np.array(x0, dtype=float)
+    failures: dict[int, Exception] = {}
+    steps = np.zeros((len(x), 2), dtype=int)
+    live = np.arange(len(x))
+    f, grad = fun(x, live), jac(x, live)
     for _ in range(MAX_ITERATIONS):
-        if np.max(np.abs(grad)) < 1e-6:
+        live = live[~(np.max(np.abs(grad[live]), axis=-1) < 1e-6)]
+        if not len(live):
             break
-        w, vecs = np.linalg.eigh(hess_fn(x))
-        shift = max(0.0, -w.min()) + 1e-9
-        step = vecs @ ((vecs.T @ grad) / (w + shift))
-        t, moved = 1.0, False
-        while t > 1e-12:
-            x_new = x - t * step
-            f_new = fun(x_new)
-            if f_new <= f + 1e-14 * abs(f):
-                x, f, moved = x_new, f_new, True
-                break
-            t /= 4.0
-        if not moved:
-            break
-        grad = jac(x)
+        ok, (w, vecs) = _isolated(lambda xs, rows: np.linalg.eigh(hess_fn(xs, rows)),
+                                  x[live], live, failures)
+        live = live[ok]
+        shift = np.fmax(0.0, -w.min(axis=-1)) + 1e-9
+        coeffs = (np.swapaxes(vecs, -1, -2) @ grad[live][..., None])[..., 0]
+        step = (vecs @ (coeffs / (w + shift[:, None]))[..., None])[..., 0]
+        t, moved = np.ones(len(live)), np.zeros(len(live), dtype=bool)
+        search = np.arange(len(live))
+        while len(search):
+            trial = x[live[search]] - t[search, None] * step[search]
+            ok, f_new = _isolated(fun, trial, live[search], failures)
+            search, trial = search[ok], trial[ok]
+            f_old = f[live[search]]
+            accept = f_new <= f_old + 1e-14 * np.abs(f_old)
+            done = search[accept]
+            x[live[done]], f[live[done]], moved[done] = trial[accept], f_new[accept], True
+            search = search[~accept]
+            t[search] /= 4.0
+            search = search[t[search] > 1e-12]
+        live = live[moved]
+        steps[live, 0] += 1
+        grad[live] = jac(x[live], live)
     # The endgame squeezes the residual to the floating-point floor (well
     # below SOLUTION_GRAD_TOL): soft-direction curvatures amplify any
     # leftover gradient into parameter error, so stopping exactly at
     # SOLUTION_GRAD_TOL would contaminate near-critical Hessian eigenvalues.
-    grad_norm = np.max(np.abs(grad))
+    live = np.flatnonzero([row not in failures for row in range(len(x))])
+    norm = np.max(np.abs(grad), axis=-1)
     for _ in range(60):
-        if grad_norm < 1e-15:
+        live = live[~(norm[live] < 1e-15)]
+        if not len(live):
             break
-        try:
-            step = np.linalg.solve(hess_fn(x), grad)
-        except np.linalg.LinAlgError:
-            break
-        x_new = x - step
-        grad_new = jac(x_new)
-        new_norm = np.max(np.abs(grad_new))
-        if new_norm >= grad_norm:
-            break
-        x, grad, grad_norm = x_new, grad_new, new_norm
-    return x, float(grad_norm)
+        # a singular Hessian ends that row's endgame, as a failed step does
+        ok, step = _isolated(
+            lambda xs, rows: np.linalg.solve(hess_fn(xs, rows), grad[rows][..., None])[..., 0],
+            x[live], live, {}, np.linalg.LinAlgError)
+        live = live[ok]
+        trial = x[live] - step
+        ok, grad_new = _isolated(jac, trial, live, failures)
+        live, trial = live[ok], trial[ok]
+        new_norm = np.max(np.abs(grad_new), axis=-1)
+        better = ~(new_norm >= norm[live])
+        live = live[better]
+        x[live], grad[live], norm[live] = trial[better], grad_new[better], new_norm[better]
+        steps[live, 1] += 1
+    return x, norm, steps, failures
 
 
-def _minimize_full(alphas0, g, jbar):
-    fun = lambda a: rescaled_energy(a, g, jbar)
-    jac = lambda a: energy_gradient(a, g, jbar)
-    hess_fn = lambda a: energy_hessian(a, g, jbar)
-    return _newton_minimize(fun, jac, hess_fn, alphas0)
-
-
-def _mirror_reduced(n_sites: int, g: float, jbar: float):
+def _mirror_reduced(n_sites: int, g, jbar):
     """(expand, energy, gradient, Hessian) of y -> E(P y) over the
     mirror-group values y, with P the pair incidence: the gradient is g P
-    and the Hessian P^T H P."""
+    and the Hessian P^T H P.
+
+    They act on the last axis of a stack of y; ``g`` and ``jbar`` are
+    scalars or hold one value per row, and the derivative functions take
+    the ids of the rows they are given (all rows by default).
+    """
     incidence = _pair_incidence(n_sites)
+    g, jbar = np.asarray(g, dtype=float), np.asarray(jbar, dtype=float)
 
     def expand(y):
-        return incidence @ y
+        return y @ incidence.T
 
-    def fun(y):
-        return rescaled_energy(expand(y), g, jbar)
+    def fun(y, rows=...):
+        return rescaled_energy(expand(y), g[rows], jbar[rows])
 
-    def jac(y):
-        return energy_gradient(expand(y), g, jbar) @ incidence
+    def jac(y, rows=...):
+        return energy_gradient(expand(y), g[rows], jbar[rows]) @ incidence
 
-    def hess_fn(y):
-        return incidence.T @ energy_hessian(expand(y), g, jbar) @ incidence
+    def hess_fn(y, rows=...):
+        return incidence.T @ energy_hessian(expand(y), g[rows], jbar[rows]) @ incidence
 
     return expand, fun, jac, hess_fn
-
-
-def _minimize_mirror_reduced(alphas0, g, jbar):
-    """Minimize within the mirror-symmetric subspace about site 1 (pairs
-    locked equal), seeded from sites 1..(N+1)/2 of ``alphas0``.
-
-    Eliminates the numerically flat frustrated direction, so Newton stays
-    well-conditioned arbitrarily close to the critical point.  The energy is
-    mirror-invariant, so its gradient at a mirror-symmetric point is
-    mirror-symmetric too: a stationary point of the reduced energy is one of
-    the full energy.  Returns the expanded coherences and their full
-    gradient infinity-norm.
-    """
-    n = len(alphas0)
-    expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
-    y0 = alphas0[: (n + 1) // 2]  # one value per group: sites 1..(N+1)/2
-    y, _ = _newton_minimize(fun, jac, hess_fn, y0)
-    alphas = expand(y)
-    return alphas, float(np.max(np.abs(energy_gradient(alphas, g, jbar))))
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +405,6 @@ def _canonicalize_fsp(alphas: np.ndarray) -> np.ndarray:
     return sign * np.roll(alphas, -shift)
 
 
-def _stationary_candidates(params: ModelParams, seeds: list[np.ndarray]):
-    candidates, best_residual = [], np.inf
-    for seed in seeds:
-        alphas, grad_norm = _minimize_mirror_reduced(seed, params.g, params.jbar)
-        best_residual = min(best_residual, grad_norm)
-        if grad_norm > 1e-6:
-            continue
-        eigvals = np.linalg.eigvalsh(energy_hessian(alphas, params.g, params.jbar))
-        if eigvals.min() < PSD_TOLERANCE:
-            continue
-        candidates.append((rescaled_energy(alphas, params.g, params.jbar), alphas, grad_norm))
-    return candidates, best_residual
-
-
 def _classify(alphas: np.ndarray, params: ModelParams) -> Phase:
     if np.max(np.abs(alphas)) < 1e-9:
         return Phase.NORMAL
@@ -399,34 +422,98 @@ def _degeneracy(phase: Phase, n_sites: int) -> int:
     return {Phase.NORMAL: 1, Phase.NFSP: 2, Phase.FSP: 2 * n_sites}[phase]
 
 
-def solve_ground_state(params: ModelParams) -> GroundStateSolution:
-    """Find the canonical global mean-field minimizer.
+def solve_ground_states(params_seq) -> list:
+    """Canonical global mean-field minimizers of points of one lattice
+    size, solved as one stack.
 
-    Multi-start damped-Newton descent with one seed per symmetry orbit: the
-    origin, the uniform closed form and the canonical frustrated pattern at
-    its two magnitudes.  Every seed is mirror-symmetric about site 1, and
-    so is every ground state up to a rotation, so each Newton run stays in
-    the mirror-symmetric subspace ((N+1)/2 values); the full N x N Hessian
-    then confirms each stationary point is a minimum, and the lowest-energy
-    one wins.  Frustrated solutions are returned as the canonical
+    Each superradiant point gets one seed per symmetry orbit
+    (:func:`_seed_alphas`).  Every seed is mirror-symmetric about site 1,
+    and so is every ground state up to a rotation, so the seeds of all
+    points run as one mirror-reduced Newton stack ((N+1)/2 values a row).
+    The full N x N Hessian then confirms each stationary point is a
+    minimum, and the lowest-energy one wins (the first in seed order on a
+    tie).  Frustrated solutions are returned as the canonical
     representative (unpaired site first, alpha_1 < 0 <= alpha_2, mirror
-    pairs exactly equal).  The seeds depend on ``params`` alone, so the
-    result is a pure function of ``params``: a sweep point comes out the
-    same whatever else the sweep solves, and in whichever order.
+    pairs exactly equal).  Returns, per point and in order, its
+    :class:`GroundStateSolution` or the exception its solve raised (a
+    :class:`FrustraError`, or ``numpy.linalg.LinAlgError``).  Rows never
+    mix, so a point's result is a pure function of its parameters,
+    whatever else the stack holds.  At ``logging.DEBUG`` the
+    ``frustra.meanfield`` logger gets one record per solved point.
     """
-    g, jbar = params.g, params.jbar
-    if g <= params.critical_coupling():
-        config = MeanFieldConfiguration.from_alphas(np.zeros(params.n_sites), g, jbar)
-        return GroundStateSolution(config, Phase.NORMAL, 1, 0.0)
+    points = list(params_seq)
+    if len({params.n_sites for params in points}) > 1:
+        raise ValidationError("a stacked solve needs points of one lattice size")
+    outcomes: list = [None] * len(points)
+    seeds, spans = [], {}
+    for index, params in enumerate(points):
+        try:
+            if params.g <= params.critical_coupling():
+                config = MeanFieldConfiguration.from_alphas(
+                    np.zeros(params.n_sites), params.g, params.jbar)
+                outcomes[index] = GroundStateSolution(config, Phase.NORMAL, 1, 0.0)
+                if log.isEnabledFor(logging.DEBUG):
+                    log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
+                              params.g, params.jbar, params.n_sites)
+                continue
+            point_seeds = _seed_alphas(params)
+        except FrustraError as exc:
+            outcomes[index] = exc
+            continue
+        spans[index] = range(len(seeds), len(seeds) + len(point_seeds))
+        seeds += point_seeds
+    if not seeds:
+        return outcomes
 
-    candidates, best_residual = _stationary_candidates(params, _seed_alphas(params))
-    if not candidates:
-        raise ConvergenceError(
-            f"no seed converged to a stable stationary point at g={g}, jbar={jbar}",
-            best_residual=best_residual,
-        )
-    _, alphas, grad_norm = min(candidates, key=lambda c: c[0])
+    owner = [points[index] for index, rows in spans.items() for _ in rows]
+    g = np.array([params.g for params in owner])
+    jbar = np.array([params.jbar for params in owner])
+    n = points[0].n_sites
+    expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
+    y, _, steps, failures = _newton_minimize(fun, jac, hess_fn,
+                                             np.array(seeds)[:, : (n + 1) // 2])
+    alphas = expand(y)
+    settled = np.flatnonzero([row not in failures for row in range(len(y))])
+    grad_norm = np.full(len(y), np.nan)
+    grad_norm[settled] = np.max(np.abs(
+        energy_gradient(alphas[settled], g[settled], jbar[settled])), axis=-1)
+    stationary = settled[~(grad_norm[settled] > 1e-6)]
+    ok, lowest = _isolated(
+        lambda a, rows: np.linalg.eigvalsh(energy_hessian(a, g[rows], jbar[rows])).min(axis=-1),
+        alphas[stationary], stationary, failures)
+    minima = stationary[ok][~(lowest < PSD_TOLERANCE)]
+    energy = dict(zip(minima.tolist(), rescaled_energy(alphas[minima], g[minima], jbar[minima])))
+    for index, rows in spans.items():
+        params, candidates, best_residual = points[index], [], np.inf
+        try:
+            for row in rows:
+                if row in failures:  # the first failing seed fails the point
+                    raise failures[row]
+                best_residual = min(best_residual, float(grad_norm[row]))
+                if row in energy:
+                    candidates.append((energy[row], row))
+            if not candidates:
+                raise ConvergenceError(
+                    f"no seed converged to a stable stationary point at g={params.g}, "
+                    f"jbar={params.jbar}", best_residual=best_residual)
+            _, row = min(candidates, key=lambda c: c[0])
+            outcomes[index] = _canonical_solution(alphas[row], float(grad_norm[row]), params)
+        except (FrustraError, np.linalg.LinAlgError) as exc:
+            outcomes[index] = exc
+            continue
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("solved g=%r jbar=%r N=%d: %d seeds tried, %d passed the gradient "
+                      "and PSD filters, seed %d won after %d descent and %d endgame "
+                      "steps, grad_norm %.3e", params.g, params.jbar, params.n_sites,
+                      len(rows), len(candidates), row - rows.start + 1, *steps[row],
+                      grad_norm[row])
+    return outcomes
 
+
+def _canonical_solution(alphas: np.ndarray, grad_norm: float,
+                        params: ModelParams) -> GroundStateSolution:
+    """The winning minimizer classified, canonicalized and checked against
+    SOLUTION_GRAD_TOL."""
     phase = _classify(alphas, params)
     if phase is Phase.FSP:
         alphas = _canonicalize_fsp(alphas)
@@ -435,9 +522,22 @@ def solve_ground_state(params: ModelParams) -> GroundStateSolution:
             f"stationarity residual {grad_norm:.2e} above {SOLUTION_GRAD_TOL}",
             best_residual=grad_norm,
         )
-    config = MeanFieldConfiguration.from_alphas(alphas, g, jbar)
-    return GroundStateSolution(config, phase, _degeneracy(phase, params.n_sites),
-                               grad_norm)
+    config = MeanFieldConfiguration.from_alphas(alphas, params.g, params.jbar)
+    return GroundStateSolution(config, phase, _degeneracy(phase, params.n_sites), grad_norm)
+
+
+def solve_ground_state(params: ModelParams) -> GroundStateSolution:
+    """Find the canonical global mean-field minimizer of one point.
+
+    This is :func:`solve_ground_states` on a stack of one, so it runs the
+    same Newton iteration and returns the same bits as any stacked solve
+    containing the point; it raises the point's error instead of
+    returning it.
+    """
+    (outcome,) = solve_ground_states([params])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def enumerate_degenerate_ground_states(
@@ -478,27 +578,31 @@ def _enumerate_exhaustive(params: ModelParams):
     if uniform is not None:
         scale = max(scale, uniform)
 
-    found: list[np.ndarray] = []
-    for signs in itertools.product((-1.0, 1.0), repeat=n):
-        alphas, grad_norm = _minimize_full(np.array(signs) * scale, g, jbar)
-        if grad_norm > SOLUTION_GRAD_TOL:
-            continue
-        eigvals = np.linalg.eigvalsh(energy_hessian(alphas, g, jbar))
-        if eigvals.min() < PSD_TOLERANCE:
-            continue
-        found.append(alphas)
-    if not found:
+    # every sign pattern is one row of a single full-space Newton stack
+    seeds = np.array(list(itertools.product((-1.0, 1.0), repeat=n))) * scale
+    alphas, grad_norm, _, failures = _newton_minimize(
+        lambda a, rows: rescaled_energy(a, g, jbar),
+        lambda a, rows: energy_gradient(a, g, jbar),
+        lambda a, rows: energy_hessian(a, g, jbar), seeds)
+    settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
+    stationary = settled[~(grad_norm[settled] > SOLUTION_GRAD_TOL)]
+    ok, lowest = _isolated(
+        lambda a, rows: np.linalg.eigvalsh(energy_hessian(a, g, jbar)).min(axis=-1),
+        alphas[stationary], stationary, failures)
+    if failures:
+        raise failures[min(failures)]
+    found = alphas[stationary[~(lowest < PSD_TOLERANCE)]]
+    if not len(found):
         raise ConvergenceError("exhaustive enumeration found no stable minima")
 
-    energies = np.array([rescaled_energy(a, g, jbar) for a in found])
-    global_tier = [a for a, e in zip(found, energies)
-                   if e <= energies.min() + ENERGY_TOL]
+    energies = rescaled_energy(found, g, jbar)
+    global_tier = found[energies <= energies.min() + ENERGY_TOL]
     if _classify(global_tier[0], params) is Phase.FSP:
         # Near g_c the mirror-odd direction is flat, so each member stops
         # somewhere along it; lock its pairs, as solve_ground_state's mirror-
         # reduced Newton does, so that copies of one minimum coincide to
         # rounding.
-        global_tier = [_polish_member(a, params) for a in global_tier]
+        global_tier = _polish_members(global_tier, params)
     distinct: list[np.ndarray] = []
     for alphas in global_tier:
         if not any(np.max(np.abs(alphas - other)) < MATCH_TOL for other in distinct):
@@ -506,27 +610,41 @@ def _enumerate_exhaustive(params: ModelParams):
     return [MeanFieldConfiguration.from_alphas(a, g, jbar) for a in distinct]
 
 
-def _polish_member(alphas: np.ndarray, params: ModelParams):
-    """A frustrated minimum re-converged in the mirror-symmetric subspace of
-    its own frame.
+def _polish_members(members: np.ndarray, params: ModelParams) -> list[np.ndarray]:
+    """Frustrated minima re-converged, as one stack, each in the
+    mirror-symmetric subspace of its own frame.
 
     The pair structure is verified rather than assumed: if locking the
-    pairs raised the energy beyond rounding, the member is kept as found
+    pairs raised a member's energy beyond rounding, it is kept as found
     and the discrepancy logged.
     """
     g, jbar = params.g, params.jbar
-    shift, sign = _canonical_frame(alphas)
-    canonical = sign * np.roll(alphas, -shift)
-    snapped, _ = _minimize_mirror_reduced(_mirror_symmetrize(canonical), g, jbar)
+    frames = [_canonical_frame(alphas) for alphas in members]
+    canonical = np.array([sign * np.roll(alphas, -shift)
+                          for alphas, (shift, sign) in zip(members, frames)])
+    incidence = _pair_incidence(params.n_sites)
+    expand, fun, jac, hess_fn = _mirror_reduced(
+        params.n_sites, np.full(len(members), g), np.full(len(members), jbar))
+    # seeded from the mean of each mirror pair
+    y, _, _, failures = _newton_minimize(fun, jac, hess_fn,
+                                         canonical @ incidence / incidence.sum(axis=0))
+    if failures:
+        raise failures[min(failures)]
+    snapped = expand(y)
     e_free = rescaled_energy(canonical, g, jbar)
     e_snapped = rescaled_energy(snapped, g, jbar)
-    if e_snapped > e_free + 1e-12 * max(1.0, abs(e_free)):
-        log.warning(
-            "symmetric polish raised the energy (%.3e -> %.3e); keeping the "
-            "unconstrained minimizer", e_free, e_snapped,
-        )
-        return alphas
-    return sign * np.roll(snapped, shift)
+    polished = []
+    for alphas, (shift, sign), free, locked, snap in zip(members, frames, e_free,
+                                                         e_snapped, snapped):
+        if locked > free + 1e-12 * max(1.0, abs(free)):
+            log.warning(
+                "symmetric polish raised the energy (%.3e -> %.3e); keeping the "
+                "unconstrained minimizer", free, locked,
+            )
+            polished.append(alphas)
+        else:
+            polished.append(sign * np.roll(snap, shift))
+    return polished
 
 
 @dataclass(frozen=True)
@@ -555,13 +673,20 @@ def hessian_critical_modes(params: ModelParams,
                          f"got {solution.phase.value}")
     hess = energy_hessian(solution.config.alphas, params.g, params.jbar)
     even, odd = mirror_projectors(params.n_sites)
-
-    w_even, v_even = np.linalg.eigh(even @ hess @ even.T)
-    w_odd, v_odd = np.linalg.eigh(odd @ hess @ odd.T)
-    y_mf = even.T @ v_even[:, 0]
-    y_f = odd.T @ v_odd[:, 0]
-    return CriticalModes(float(w_even[0]), float(w_odd[0]),
+    (w_even, v_even), (w_odd, v_odd) = mirror_sector_eigh(hess[None])
+    y_mf = even.T @ v_even[0][:, 0]
+    y_f = odd.T @ v_odd[0][:, 0]
+    return CriticalModes(float(w_even[0, 0]), float(w_odd[0, 0]),
                          _fix_sign(y_mf), _fix_sign(y_f))
+
+
+def mirror_sector_eigh(hess: np.ndarray):
+    """``numpy.linalg.eigh`` of the mirror-even and mirror-odd blocks of a
+    stack of N x N Hessians (points, N, N): ((w_even, v_even), (w_odd,
+    v_odd)), stacked over the points.  :func:`hessian_critical_modes` reads
+    the softest mode of each."""
+    return tuple(np.linalg.eigh(sector @ hess @ sector.T)
+                 for sector in mirror_projectors(hess.shape[-1]))
 
 
 def _fix_sign(vec: np.ndarray, tol: float = 1e-7) -> np.ndarray:

@@ -130,52 +130,68 @@ class MeanFieldConfiguration:
 
 def _check_alphas(alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or len(alphas) < 3:
-        raise DomainError("alphas must be a vector of length >= 3")
+    if alphas.ndim < 1 or alphas.shape[-1] < 3:
+        raise DomainError("alphas must have length >= 3 along the last axis")
     if not np.all(np.isfinite(alphas)):
         raise DomainError("alphas must be finite")
     return alphas
 
 
-def rescaled_energy(alphas, g: float, jbar: float) -> float:
-    """Dimensionless mean-field energy of a coherence configuration."""
+def _per_row(value) -> np.ndarray:
+    """A scalar, or one value per row of a stack, shaped to broadcast
+    against the stack's last axis."""
+    return np.asarray(value, dtype=float)[..., None]
+
+
+def rescaled_energy(alphas, g, jbar):
+    """Dimensionless mean-field energy of a coherence configuration.
+
+    Acts on the last axis: a stack of configurations (rows, N) takes ``g``
+    and ``jbar`` as scalars or one value per row and returns one energy per
+    row; a single configuration returns a float.
+    """
     a = _check_alphas(alphas)
+    g, jbar = _per_row(g), _per_row(jbar)
     right = np.empty_like(a)
-    right[:-1], right[-1] = a[1:], a[0]
-    return float(
-        np.sum(a * a - 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a)
-               + 2.0 * jbar * a * right)
-    )
+    right[..., :-1], right[..., -1] = a[..., 1:], a[..., 0]
+    energy = np.sum(a * a - 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a)
+                    + 2.0 * jbar * a * right, axis=-1)
+    return float(energy) if a.ndim == 1 else energy
 
 
-def energy_gradient(alphas, g: float, jbar: float) -> np.ndarray:
-    """Gradient of :func:`rescaled_energy` with respect to each coherence.
+def energy_gradient(alphas, g, jbar) -> np.ndarray:
+    """Gradient of :func:`rescaled_energy` with respect to each coherence,
+    along the last axis (stacks as in :func:`rescaled_energy`).
 
     Component n is  2 jbar a_{n-1} + 2 a_n + 2 jbar a_{n+1}
     - 2 g^2 a_n / sqrt(1 + 4 g^2 a_n^2), cyclic in n.
     """
     a = _check_alphas(alphas)
+    g, jbar = _per_row(g), _per_row(jbar)
     root = np.sqrt(1.0 + 4.0 * g * g * a * a)
     neighbours = np.empty_like(a)
-    neighbours[1:-1] = a[:-2] + a[2:]
-    neighbours[0] = a[-1] + a[1]
-    neighbours[-1] = a[-2] + a[0]
+    neighbours[..., 1:-1] = a[..., :-2] + a[..., 2:]
+    neighbours[..., 0] = a[..., -1] + a[..., 1]
+    neighbours[..., -1] = a[..., -2] + a[..., 0]
     return 2.0 * a + 2.0 * jbar * neighbours - 2.0 * g * g * a / root
 
 
-def energy_hessian(alphas, g: float, jbar: float) -> np.ndarray:
-    """Hessian of :func:`rescaled_energy`: cyclic tridiagonal with corners.
+def energy_hessian(alphas, g, jbar) -> np.ndarray:
+    """Hessian of :func:`rescaled_energy`: cyclic tridiagonal with corners,
+    one N x N matrix per row of a stack (stacks as in
+    :func:`rescaled_energy`).
 
     Diagonal entries are 2 - 2 g^2 / (1 + 4 g^2 a_n^2)^{3/2}; the cyclic
     first off-diagonals carry 2 jbar.
     """
     a = _check_alphas(alphas)
-    n = len(a)
+    g, jbar = _per_row(g), _per_row(jbar)
+    n = a.shape[-1]
     site = np.arange(n)
     right = (site + 1) % n
-    hess = np.zeros((n, n))
-    hess[site, site] = 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * a * a) ** 1.5
-    hess[site, right] = hess[right, site] = 2.0 * jbar
+    hess = np.zeros(a.shape + (n,))
+    hess[..., site, site] = 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * a * a) ** 1.5
+    hess[..., site, right] = hess[..., right, site] = 2.0 * jbar
     return hess
 
 

@@ -26,14 +26,14 @@ from .errors import (
 )
 from .fluctuations import (
     CRITICAL_REGIME_FACTOR,
-    fsp_site_moments,
+    fsp_site_moments_stacked,
     uniform_phase_moments,
 )
 from .meanfield import (
     GroundStateSolution,
     Phase,
-    hessian_critical_modes,
-    solve_ground_state,
+    mirror_sector_eigh,
+    solve_ground_states,
 )
 from .model import ModelParams, critical_point, default_hopping_sign, energy_hessian
 
@@ -148,29 +148,57 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Tabulate the requested observables over the coupling grid.
 
-    Every grid point is solved cold, from its own parameters alone, so its
-    rows do not depend on the rest of the grid or on the order it is
-    visited in.  Per-point failures are recorded as missing rows with a
-    reason; rows come out sorted by coupling, observable and index.
+    The whole grid is solved as one stack (:func:`solve_ground_states`),
+    and the Hessian spectra and the frustrated points' mirror sectors are
+    computed as stacks too.  Every point is solved cold, from its own
+    parameters alone, and stack rows never mix, so a point's rows do not
+    depend on the rest of the grid or on the order it is visited in.
+    Per-point failures are recorded as missing rows with a reason; rows
+    come out sorted by coupling, observable and index.
     """
-    gc = spec.g_critical
     result = SweepResult(spec)
-    for g in spec.grid:
-        params = spec.params_at(g)
-        try:
-            solution = solve_ground_state(params)
-        except (FrustraError, np.linalg.LinAlgError) as exc:
-            # record and continue with the next point; programming errors
-            # propagate
-            result.missing.append(SweepMissing(g, "all", f"solver: {exc}"))
-            continue
-        _observe_point(result, params, solution, abs(g - gc) / gc)
+    points = [spec.params_at(g) for g in spec.grid]
+    _observe_grid(result, points, solve_ground_states(points))
     result.rows.sort(key=lambda r: (r.g, r.observable, r.index))
     return result
 
 
+def _observe_grid(result: SweepResult, points, outcomes) -> None:
+    """Record every grid point's rows, missing rows and warnings, in grid
+    order, from its solver outcome; the Hessian spectra and the frustrated
+    points' moments are computed as stacks first."""
+    gc = result.spec.g_critical
+    want = set(result.spec.observables)
+    solved = [i for i, outcome in enumerate(outcomes)
+              if isinstance(outcome, GroundStateSolution)]
+    frustrated = [i for i in solved if outcomes[i].phase is Phase.FSP]
+    eigenvalues, soft_modes, moments = {}, {}, {}
+    if "hessian_eigenvalues" in want and solved:
+        hess = energy_hessian(np.array([outcomes[i].config.alphas for i in solved]),
+                              np.array([points[i].g for i in solved]), result.spec.jbar)
+        eigenvalues = dict(zip(solved, np.linalg.eigvalsh(hess)))
+        (w_even, _), (w_odd, _) = mirror_sector_eigh(
+            hess[[outcomes[i].phase is Phase.FSP for i in solved]])
+        soft_modes = dict(zip(frustrated, zip(w_even[:, 0], w_odd[:, 0])))
+    if want & {"gaps", "photon_numbers", "squeezing"}:
+        moments = dict(zip(frustrated, fsp_site_moments_stacked(
+            [outcomes[i] for i in frustrated], [points[i] for i in frustrated])))
+    for i, (params, outcome) in enumerate(zip(points, outcomes)):
+        if not isinstance(outcome, GroundStateSolution):
+            # the solver's error for this point (programming errors propagate)
+            result.missing.append(SweepMissing(params.g, "all", f"solver: {outcome}"))
+            continue
+        _observe_point(result, params, outcome, abs(params.g - gc) / gc,
+                       eigenvalues.get(i), soft_modes.get(i), moments.get(i))
+
+
 def _observe_point(result: SweepResult, params: ModelParams,
-                   solution: GroundStateSolution, reduced: float) -> None:
+                   solution: GroundStateSolution, reduced: float, eigenvalues,
+                   soft_modes, moments) -> None:
+    """Record one solved point's rows, missing rows and warnings from its
+    Hessian ``eigenvalues``, its (lambda_mf, lambda_f) ``soft_modes`` and
+    the ``moments`` (or error) of a frustrated point; a uniform point's
+    moments are computed here."""
     g = params.g
     want = set(result.spec.observables)
 
@@ -185,23 +213,23 @@ def _observe_point(result: SweepResult, params: ModelParams,
 
     frustrated = solution.phase is Phase.FSP
     if "hessian_eigenvalues" in want:
-        hess = energy_hessian(solution.config.alphas, g, params.jbar)
-        for rank, value in enumerate(np.linalg.eigvalsh(hess), start=1):
+        for rank, value in enumerate(eigenvalues, start=1):
             put("hessian_eigenvalues", rank, value)
         if frustrated:
-            modes = hessian_critical_modes(params, solution)
-            put("hessian_eigenvalues", "mf", modes.lambda_mf)
-            put("hessian_eigenvalues", "f", modes.lambda_f)
+            put("hessian_eigenvalues", "mf", soft_modes[0])
+            put("hessian_eigenvalues", "f", soft_modes[1])
 
     need_gaussian = want & {"gaps", "photon_numbers", "squeezing"}
     if not need_gaussian:
         return
 
-    try:
-        moments = (fsp_site_moments if frustrated else uniform_phase_moments)(
-            solution, params)
-    except InstabilityError as exc:
-        lost(",".join(sorted(need_gaussian)), str(exc))
+    if not frustrated:
+        try:
+            moments = uniform_phase_moments(solution, params)
+        except InstabilityError as exc:
+            moments = exc
+    if isinstance(moments, InstabilityError):
+        lost(",".join(sorted(need_gaussian)), str(moments))
         return
     if moments.eps_lowest < CRITICAL_REGIME_FACTOR * params.omega0:
         result.warnings.append(f"critical-regime point at g={g!r}")
@@ -535,33 +563,53 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     that excludes the transition point itself; the one-sided limits at the
     transition are Richardson-extrapolated.  For axis 'g' the transition is
     the critical coupling of ``params``'s hopping sign; for axis 'jbar' it
-    is the decoupling point jbar = 0 at fixed g.
+    is the decoupling point jbar = 0 at fixed g.  Every distinct point the
+    scan reads is solved in one stacked call; if any fails, the error of
+    the first in scan order (grid, then Richardson points) is raised.
     """
     if axis == "g":
         center = params.critical_coupling()
 
-        def energy_at(x):
-            return solve_ground_state(params.replace_g(float(x))).config.energy
+        def point_at(x):
+            return params.replace_g(x)
     elif axis == "jbar":
         center = 0.0
 
-        def energy_at(x):
-            moved = ModelParams(params.omega0, params.Omega, float(x), params.g,
-                                params.n_sites)
-            return solve_ground_state(moved).config.energy
+        def point_at(x):
+            return ModelParams(params.omega0, params.Omega, x, params.g, params.n_sites)
     else:
         raise ValidationError("axis must be 'g' or 'jbar'")
 
     steps = int(round(half_width / step))
     offsets = np.concatenate([np.arange(-steps, 0), np.arange(1, steps + 1)])
     xs = center + offsets * step
-    cache: dict[float, float] = {}
+
+    # every x the scan reads, in the order a point-by-point scan reads it:
+    # the grid, then the Richardson points of each limit
+    wanted = [float(x) for x in xs]
+
+    def record(x):
+        wanted.append(float(x))
+        return 0.0
+
+    for limit in (_one_sided_d1, _one_sided_d2):
+        for sign in (-1.0, +1.0):
+            limit(record, center, step, sign)
+    outcomes: dict[float, object] = {}
+    for x in dict.fromkeys(wanted):
+        try:
+            outcomes[x] = point_at(x)
+        except FrustraError as exc:
+            outcomes[x] = exc
+    solvable = [x for x, point in outcomes.items() if isinstance(point, ModelParams)]
+    outcomes.update(zip(solvable, solve_ground_states([outcomes[x] for x in solvable])))
+    failed = [outcome for outcome in outcomes.values() if isinstance(outcome, Exception)]
+    if failed:
+        raise failed[0]  # the first in scan order
+    energy = {x: solution.config.energy for x, solution in outcomes.items()}
 
     def cached(x):
-        key = float(x)
-        if key not in cache:
-            cache[key] = energy_at(key)
-        return cache[key]
+        return energy[float(x)]
 
     energies = np.array([cached(x) for x in xs])
     table = []

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -210,6 +211,16 @@ class TestSeedModeScope:
         assert "--seed-mode" in capsys.readouterr().err
 
 
+def test_debug_trace_leaves_output_bytes_unchanged(capsys, caplog):
+    argv = ("sweep", "--jbar", "0.01", "--sites", "5", "--points-per-decade", "3")
+    _, quiet, _ = run_cli(capsys, *argv)
+    with caplog.at_level(logging.DEBUG, logger="frustra.meanfield"):
+        _, traced, _ = run_cli(capsys, *argv)
+    assert traced == quiet
+    assert sum(r.name == "frustra.meanfield" for r in caplog.records) == quiet.count(
+        ",energy,")
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency: the package itself runs on numpy
     source_root = os.path.dirname(os.path.dirname(frustra.__file__))
@@ -221,6 +232,19 @@ def test_import_leaves_scipy_unloaded():
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, g", [("ground-state", "1e200"), ("spectrum", "1e160")])
+    def test_overflowing_coupling_is_typed(self, capsys, command, g):
+        code, out, err = run_cli(capsys, command, "--g", g)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: ") and "overflows" in err
+        assert "Traceback" not in err
+
+    def test_large_coupling_still_solves(self, capsys):
+        code, out, _ = run_cli(capsys, "ground-state", "--g", "1e7")
+        assert code == 0
+        assert rows_by(csv_to_rows(out), "phase")[0]["index"] == "FrustratedSuperradiant"
+
     def test_instability_exit_code(self, capsys):
         # inside the three-site hopping window but past the five-site
         # stability edge: the critical point has no real solution

@@ -12,6 +12,7 @@ from frustra.fluctuations import (
     fsp_frustrated_mode_energy,
     fsp_sector_spectra,
     fsp_site_moments,
+    fsp_site_moments_stacked,
     mode_weights,
     normal_phase_mode_energies,
     photon_number,
@@ -288,6 +289,29 @@ class TestCovariance:
         n2 = photon_number(cov, 2)
         assert photon_number(cov, 3) == pytest.approx(n2, rel=1e-9)
         assert n1 < n2 / 3
+
+
+class TestStackedSectors:
+    def test_non_positive_point_leaves_the_others_bitwise(self):
+        # a frustrated label on the origin past g_c: both mirror sectors of
+        # its form are indefinite, so its Cholesky factor fails in the stack
+        jbar, n = 0.01, 5
+        gc = critical_point(jbar, n, "positive")
+        points = [params(jbar, gc * (1 + r), n) for r in (1e-7, 1e-4, 1e-2, 1e-1)]
+        solutions = [solve_ground_state(p) for p in points]
+        stale = GroundStateSolution(MeanFieldConfiguration.from_alphas(
+            np.zeros(n), points[2].g, jbar), Phase.FSP, 2 * n, 0.0)
+        solutions[2] = stale
+        stacked = fsp_site_moments_stacked(solutions, points)
+        assert isinstance(stacked[2], InstabilityError)
+        with pytest.raises(InstabilityError):
+            fsp_site_moments(stale, points[2])
+        for i in (0, 1, 3):
+            alone = fsp_site_moments(solutions[i], points[i])
+            for field in ("var_q", "var_p", "eps", "eps_even", "eps_odd"):
+                a, b = getattr(stacked[i], field), getattr(alone, field)
+                assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+        assert stacked[0].eps is None and stacked[3].eps is not None
 
 
 class TestModeWeights:

@@ -1,14 +1,25 @@
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from frustra.errors import DomainError, PhaseError, ValidationError
+from frustra import meanfield
+from frustra.errors import (
+    ConvergenceError,
+    DomainError,
+    PhaseError,
+    ValidationError,
+)
 from frustra.meanfield import (
     ENERGY_TOL,
     MATCH_TOL,
     SOLUTION_GRAD_TOL,
     Phase,
     SolverOptions,
+    _mirror_reduced,
+    _newton_minimize,
+    _seed_alphas,
     enumerate_degenerate_ground_states,
     fsp_approximation,
     fsp_sign_pattern,
@@ -16,6 +27,7 @@ from frustra.meanfield import (
     nfsp_closed_form,
     saddle_configuration,
     solve_ground_state,
+    solve_ground_states,
 )
 from frustra.model import (
     ModelParams,
@@ -255,7 +267,10 @@ class TestDegenerateManifold:
         def refuse(*args, **kwargs):
             raise AssertionError("exhaustive mode must not call solve_ground_state")
 
+        # the one-point solve is the stacked entry on a stack of one, so
+        # both entries are refused
         monkeypatch.setattr("frustra.meanfield.solve_ground_state", refuse)
+        monkeypatch.setattr("frustra.meanfield.solve_ground_states", refuse)
         gc = critical_point(0.01, n, "positive")
         found = enumerate_degenerate_ground_states(
             params(0.01, 1.01 * gc, n), SolverOptions(seed_mode="exhaustive"))
@@ -282,6 +297,108 @@ class TestDegenerateManifold:
         assert len(found) == 2
         for member in found:
             assert np.max(np.abs(energy_gradient(member.alphas, g, jbar))) <= SOLUTION_GRAD_TOL
+
+
+def _origin_only_at(g_bad):
+    """_seed_alphas with the one point at g_bad seeded from the origin
+    alone: a saddle there, so no seed passes the PSD filter."""
+    def seeds(params):
+        return [np.zeros(params.n_sites)] if params.g == g_bad else _seed_alphas(params)
+    return seeds
+
+
+class TestStackedSolve:
+    def test_stack_matches_one_point_solves(self):
+        n = 5
+        points = [params(jbar, critical_point(jbar, n, sign) * (1 + side * reduced), n)
+                  for jbar, sign in ((0.01, "positive"), (-0.01, "negative"), (0.3, "positive"))
+                  for side in (-1, 1) for reduced in (1e-7, 1e-4, 1e-1)]
+        for point, stacked in zip(points, solve_ground_states(points[::-1])[::-1]):
+            alone = solve_ground_state(point)
+            assert stacked.phase is alone.phase
+            assert np.array_equal(stacked.config.alphas, alone.config.alphas)
+            assert stacked.grad_norm == alone.grad_norm
+            assert stacked.config.energy == alone.config.energy
+
+    def test_failing_point_leaves_the_others_bitwise(self, monkeypatch):
+        n = 5
+        gc = critical_point(0.01, n, "positive")
+        grid = [gc * (1 + reduced) for reduced in (1e-6, 1e-4, 1e-3, 1e-2)]
+        points = [params(0.01, g, n) for g in grid]
+        alone = [solve_ground_state(point) for point in points]
+        monkeypatch.setattr(meanfield, "_seed_alphas", _origin_only_at(grid[1]))
+        outcomes = solve_ground_states(points)
+        assert isinstance(outcomes[1], ConvergenceError)
+        with pytest.raises(ConvergenceError):
+            solve_ground_state(points[1])
+        for i in (0, 2, 3):
+            assert np.array_equal(outcomes[i].config.alphas, alone[i].config.alphas)
+            assert outcomes[i].grad_norm == alone[i].grad_norm
+
+    def test_points_must_share_lattice_size(self):
+        with pytest.raises(ValidationError):
+            solve_ground_states([params(0.01, 1.1, 3), params(0.01, 1.1, 5)])
+
+    def test_newton_isolates_failing_rows(self):
+        # good rows on the mirror-reduced landscape, plus rows whose Hessian
+        # is replaced: zero (singular endgame solve, which ends that row's
+        # endgame), 1e-320 times the identity (a non-finite endgame step,
+        # DomainError) and NaN (a failing eigensolve, LinAlgError)
+        n, jbar = 5, 0.01
+        gc = critical_point(jbar, n, "positive")
+        rows = [(gc * (1 + r), None) for r in (1e-6, 1e-3, 1e-1)]
+        rows += [(gc * 1.01, 0.0), (gc * 1.02, 1e-320), (gc * 1.03, np.nan)]
+        m = (n + 1) // 2
+        seeds = [_seed_alphas(params(jbar, g, n))[-1][:m] for g, _ in rows[:3]]
+        seeds += [solve_ground_state(params(jbar, g, n)).config.alphas[:m] + 1e-9
+                  for g, _ in rows[3:5]]
+        seeds.append(_seed_alphas(params(jbar, rows[5][0], n))[-1][:m])
+
+        def run(picked):
+            _, fun, jac, hess = _mirror_reduced(n, [rows[i][0] for i in picked],
+                                                [jbar] * len(picked))
+
+            def hess_fn(y, ids):
+                out = hess(y, ids)
+                for k, row in enumerate(ids):
+                    scale = rows[picked[row]][1]
+                    if scale is not None:
+                        out[k] = scale * np.eye(m)
+                return out
+            return _newton_minimize(fun, jac, hess_fn, np.array([seeds[i] for i in picked]))
+
+        x, norm, steps, failures = run(list(range(len(rows))))
+        assert {row: type(exc) for row, exc in failures.items()} == {
+            4: DomainError, 5: np.linalg.LinAlgError}
+        assert steps[3, 1] == 0 and np.array_equal(x[3], seeds[3])
+        for i in range(len(rows)):
+            x1, norm1, steps1, failures1 = run([i])
+            assert type(failures1.get(0)) is type(failures.get(i))
+            if i not in failures:
+                assert np.array_equal(x1[0], x[i])
+                assert norm1[0] == norm[i] and np.array_equal(steps1[0], steps[i])
+
+    def test_debug_record_per_solved_point(self, caplog):
+        gc = critical_point(0.01, 5, "positive")
+        points = [params(0.01, g, 5) for g in (0.5, gc * 1.01, gc * 1.1)]
+        with caplog.at_level(logging.DEBUG, logger="frustra.meanfield"):
+            solve_ground_states(points)
+        records = [r.getMessage() for r in caplog.records if r.name == "frustra.meanfield"]
+        assert len(records) == 3
+        assert "normal phase" in records[0]
+        for point, message in zip(points[1:], records[1:]):
+            assert f"g={point.g!r}" in message
+            assert f"{len(_seed_alphas(point))} seeds tried" in message
+            for field in ("passed", "won after", "descent", "endgame", "grad_norm"):
+                assert field in message
+
+    def test_overflowing_coupling_is_a_domain_error(self):
+        point = params(0.01, 1e200, 3)
+        (outcome,) = solve_ground_states([point])
+        assert isinstance(outcome, DomainError)
+        with pytest.raises(DomainError):
+            solve_ground_state(point)
+        assert solve_ground_state(params(0.01, 1e7, 3)).phase is Phase.FSP
 
 
 class TestHessianCriticalModes:

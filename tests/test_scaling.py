@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frustra import scaling
+from frustra import meanfield, scaling
 from frustra.errors import ConvergenceError, DomainError, FitQualityError, ValidationError
 from frustra.fluctuations import analytic_nfsp_spectrum, analytic_np_spectrum
 from frustra.meanfield import GroundStateSolution, Phase
@@ -246,13 +246,27 @@ class TestDerivativeDiagnostics:
         with pytest.raises(ValidationError):
             energy_derivative_diagnostics(params(0.01), axis="omega")
 
+    def test_first_failing_point_in_scan_order_is_raised(self, monkeypatch):
+        # the scan solves all its points in one stack, but reports the
+        # failure a point-by-point scan would meet first
+        center = params(0.01).critical_coupling()
+        grid = center + np.array([-2, -1, 1, 2]) * 1e-4
+        bad = {float(grid[3]), float(grid[2])}  # both superradiant
+        real_seeds = meanfield._seed_alphas
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p: (
+            [np.zeros(p.n_sites)] if p.g in bad else real_seeds(p)))
+        with pytest.raises(ConvergenceError, match=f"g={float(grid[2])}"):
+            energy_derivative_diagnostics(params(0.01), axis="g", half_width=2e-4)
+
 
 class TestSweepErrors:
+    # run_sweep solves its grid through the stacked entry point, so the
+    # seam stubs replace solve_ground_states and answer for every point
     def test_solver_failure_becomes_missing_row(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise ConvergenceError("no seed converged")
+        def fail(params_seq):
+            return [ConvergenceError("no seed converged") for _ in params_seq]
 
-        monkeypatch.setattr(scaling, "solve_ground_state", fail)
+        monkeypatch.setattr(scaling, "solve_ground_states", fail)
         spec = SweepSpec(jbar=0.01, n_sites=3, sides="above", points_per_decade=2)
         result = run_sweep(spec)
         assert not result.rows
@@ -263,7 +277,7 @@ class TestSweepErrors:
         def broken(*args, **kwargs):
             raise TypeError("unexpected argument")
 
-        monkeypatch.setattr(scaling, "solve_ground_state", broken)
+        monkeypatch.setattr(scaling, "solve_ground_states", broken)
         spec = SweepSpec(jbar=0.01, n_sites=3, sides="above", points_per_decade=2)
         with pytest.raises(TypeError):
             run_sweep(spec)
@@ -271,12 +285,12 @@ class TestSweepErrors:
     def test_unstable_uniform_point_becomes_missing_row(self, monkeypatch):
         # a normal-phase state handed over past the threshold: its k = 0
         # momentum block is not positive definite
-        def stale(params):
-            config = MeanFieldConfiguration.from_alphas(
-                np.zeros(params.n_sites), params.g, params.jbar)
-            return GroundStateSolution(config, Phase.NORMAL, 1, 0.0)
+        def stale(params_seq):
+            return [GroundStateSolution(MeanFieldConfiguration.from_alphas(
+                np.zeros(params.n_sites), params.g, params.jbar), Phase.NORMAL, 1, 0.0)
+                for params in params_seq]
 
-        monkeypatch.setattr(scaling, "solve_ground_state", stale)
+        monkeypatch.setattr(scaling, "solve_ground_states", stale)
         spec = SweepSpec(jbar=-0.01, n_sites=5, sides="above",
                          reduced_min=1e-3, reduced_max=1e-2, points_per_decade=2,
                          observables=("gaps", "energy"))
@@ -285,6 +299,22 @@ class TestSweepErrors:
         assert len(result.missing) == len(spec.grid)
         assert all(m.observable == "gaps" and "not positive definite" in m.reason
                    for m in result.missing)
+
+    def test_failing_point_keeps_its_neighbours_rows(self, monkeypatch):
+        spec = SweepSpec(jbar=0.01, n_sites=5, sides="both", reduced_min=1e-6,
+                         points_per_decade=4)
+        clean = run_sweep(spec)
+        bad = spec.grid[len(spec.grid) // 2 + 3]
+        real_seeds = meanfield._seed_alphas
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p: (
+            [np.zeros(p.n_sites)] if p.g == bad else real_seeds(p)))
+        result = run_sweep(spec)
+        assert result.rows == [r for r in clean.rows if r.g != bad]
+        assert [m for m in result.missing if m.g != bad] == [
+            m for m in clean.missing if m.g != bad]
+        lost = [m for m in result.missing if m.g == bad]
+        assert [m.observable for m in lost] == ["all"]
+        assert lost[0].reason.startswith("solver: no seed converged")
 
     def test_normal_side_point_at_reduced_1e_13_is_resolved(self):
         jbar, n = -0.01, 7
