@@ -62,12 +62,11 @@ def quadrature_labels(n_sites: int) -> list[str]:
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """A positive quadratic form over the 4N quadratures with its symplectic
-    form; ``omega0`` is kept as the frequency scale for critical-regime
-    flagging."""
+    """A positive quadratic form over the 4N quadratures; its symplectic
+    form follows from the size, and ``omega0`` is kept as the frequency
+    scale for critical-regime flagging."""
 
     matrix: np.ndarray
-    symplectic_form: np.ndarray
     omega0: float = 1.0
 
     def __post_init__(self):
@@ -80,9 +79,6 @@ class QuadraticForm:
             raise ValidationError("quadratic form must be symmetric to 1e-12")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        omega = np.array(self.symplectic_form, dtype=float)
-        omega.setflags(write=False)
-        object.__setattr__(self, "symplectic_form", omega)
 
     @property
     def n_sites(self) -> int:
@@ -91,6 +87,10 @@ class QuadraticForm:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
+
+    @property
+    def symplectic_form(self) -> np.ndarray:
+        return symplectic_form(self.n_modes)
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def build_quadratic_hamiltonian(solution: GroundStateSolution,
     matrix = np.zeros((2 * len(hx), 2 * len(hx)))
     matrix[0::2, 0::2] = hx
     matrix[1::2, 1::2] = hp
-    return QuadraticForm(matrix, symplectic_form(len(hx)), omega0=params.omega0)
+    return QuadraticForm(matrix, omega0=params.omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +469,8 @@ def fsp_frustrated_mode_energy(g: float, jbar: float, omegabar: float,
 
 
 # ---------------------------------------------------------------------------
-# per-site moments: momentum blocks for the uniform phases
+# per-site moments: momentum blocks for the uniform phases, mirror sectors
+# for the frustrated one
 
 
 @dataclass(frozen=True)
@@ -478,31 +479,14 @@ class SiteMoments:
     frustrated sector is numerically unresolvable.  ``eps`` is the ascending
     excitation spectrum (None when the frustrated sector is unresolvable);
     ``eps_even`` and ``eps_odd`` are the mirror-sector spectra of a
-    frustrated state (``eps_odd`` None when unresolvable).  The lowest,
-    mean-field and frustrated gaps and the resolution flag are read from
-    these three."""
+    frustrated state (both None for a uniform one, ``eps_odd`` None when
+    unresolvable)."""
 
     var_q: np.ndarray
     var_p: np.ndarray
     eps: np.ndarray | None = None
     eps_even: np.ndarray | None = None
     eps_odd: np.ndarray | None = None
-
-    @property
-    def eps_lowest(self) -> float:
-        return float((self.eps_even if self.eps is None else self.eps)[0])
-
-    @property
-    def frustrated_resolved(self) -> bool:
-        return self.eps is not None
-
-    @property
-    def eps_meanfield(self) -> float:
-        return np.nan if self.eps_even is None else float(self.eps_even[0])
-
-    @property
-    def eps_frustrated(self) -> float:
-        return np.nan if self.eps_odd is None else float(self.eps_odd[0])
 
     def photon(self, site: int) -> float:
         return float((self.var_q[site - 1] + self.var_p[site - 1] - 1.0) / 2.0)
@@ -550,17 +534,6 @@ def uniform_phase_moments(solution: GroundStateSolution,
     return SiteMoments(np.full(n, var_q), np.full(n, var_p), eps=eps)
 
 
-# ---------------------------------------------------------------------------
-# mirror-sector moments (used by sweeps deep in the critical regime)
-
-
-def _mirror_sectors(solutions, params_seq):
-    """Normal modes of the mirror-even and mirror-odd sectors of the
-    fluctuation forms of frustrated points of one lattice size; each
-    sector is one :class:`_SplitModes` stack over the points."""
-    return [_SplitModes(sector) for sector in _sector_blocks(solutions, params_seq)]
-
-
 def _sector_blocks(solutions, params_seq):
     """The position and momentum blocks of the forms projected onto the
     mirror-even and mirror-odd sectors."""
@@ -574,20 +547,36 @@ def _sector_blocks(solutions, params_seq):
     return sectors
 
 
-def fsp_site_moments_stacked(solutions, params_seq) -> list:
-    """Cavity moments of frustrated ground states of one lattice size, as
-    one stack: :func:`fsp_site_moments` for each point, in order, with the
-    :class:`InstabilityError` of a point whose mirror-even sector is not
-    resolvably positive in its place."""
-    for solution in solutions:
-        if solution.phase is not Phase.FSP:
-            raise PhaseError("mirror-sector moments require the frustrated phase")
-    if not solutions:
-        return []
-    even, odd = _mirror_sectors(solutions, params_seq)
-    n = solutions[0].config.n_sites
-    var_q = np.full((len(solutions), n), np.nan)
-    var_p = np.full((len(solutions), n), np.nan)
+def site_moments(solutions, params_seq) -> list:
+    """Cavity moments of ground states of one lattice size, in any phase:
+    each point's :class:`SiteMoments`, in order, or in its place the
+    :class:`InstabilityError` of a point that is not resolvably stable.
+
+    Normal and uniform points go through their momentum blocks
+    (:func:`uniform_phase_moments`).  Frustrated points go through the
+    exact mirror-sector split as one stack: the unpaired site lives
+    entirely in the mirror-even sector, which stays well conditioned
+    arbitrarily close to the critical point, and when the mirror-odd
+    (frustrated) sector falls below double-precision resolution its sites'
+    moments are NaN and ``eps`` is None.
+    """
+    moments: list = [None] * len(solutions)
+    frustrated = []
+    for point, (solution, params) in enumerate(zip(solutions, params_seq)):
+        if solution.phase is Phase.FSP:
+            frustrated.append(point)
+            continue
+        try:
+            moments[point] = uniform_phase_moments(solution, params)
+        except InstabilityError as exc:
+            moments[point] = exc.with_traceback(None)
+    if not frustrated:
+        return moments
+    even, odd = (_SplitModes(sector) for sector in _sector_blocks(
+        [solutions[i] for i in frustrated], [params_seq[i] for i in frustrated]))
+    n = solutions[frustrated[0]].config.n_sites
+    var_q = np.full((len(frustrated), n), np.nan)
+    var_p = np.full((len(frustrated), n), np.nan)
     stable = np.flatnonzero(even.resolvable)
     cov_x_even, cov_p_even = even.covariance_blocks(stable)
     var_q[stable, 0], var_p[stable, 0] = cov_x_even[:, 0, 0], cov_p_even[:, 0, 0]
@@ -601,34 +590,26 @@ def fsp_site_moments_stacked(solutions, params_seq) -> list:
                        + np.diagonal(cov_odd, axis1=1, axis2=2)[:, 0::2])
         var[stable[resolved], 1:pairs + 1] = value
         var[stable[resolved], n - 1:pairs:-1] = value
-    moments = []
-    for point in range(len(solutions)):
-        eps_even, eps_odd = even.eps[point], odd.eps[point]
-        if not even.resolvable[point]:
-            moments.append(InstabilityError("mirror-even sector is not resolvably positive"))
-        elif not odd.resolvable[point]:
-            moments.append(SiteMoments(var_q[point], var_p[point], eps_even=eps_even))
+    for row, point in enumerate(frustrated):
+        eps_even, eps_odd = even.eps[row], odd.eps[row]
+        if not even.resolvable[row]:
+            moments[point] = InstabilityError("mirror-even sector is not resolvably positive")
+        elif not odd.resolvable[row]:
+            moments[point] = SiteMoments(var_q[row], var_p[row], eps_even=eps_even)
         else:
-            moments.append(SiteMoments(
-                var_q[point], var_p[point], eps=np.sort(np.concatenate([eps_even, eps_odd])),
-                eps_even=eps_even, eps_odd=eps_odd))
+            moments[point] = SiteMoments(
+                var_q[row], var_p[row], eps=np.sort(np.concatenate([eps_even, eps_odd])),
+                eps_even=eps_even, eps_odd=eps_odd)
     return moments
 
 
 def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> SiteMoments:
     """Cavity moments of a frustrated ground state via the exact mirror-sector
-    split.
-
-    The quadratic form block-diagonalizes over mirror-even and mirror-odd
-    combinations of the paired sites.  The unpaired site lives entirely in
-    the even sector, which stays well conditioned arbitrarily close to the
-    critical point; when the odd (frustrated) sector falls below
-    double-precision resolution its sites' moments are reported as NaN.
-    This is :func:`fsp_site_moments_stacked` on a stack of one point.
-    """
+    split: :func:`site_moments` on a stack of one point, raising its
+    :class:`InstabilityError` instead of returning it."""
     if solution.phase is not Phase.FSP:
         raise PhaseError("mirror-sector moments require the frustrated phase")
-    (moments,) = fsp_site_moments_stacked([solution], [params])
+    (moments,) = site_moments([solution], [params])
     if isinstance(moments, InstabilityError):
         raise moments
     return moments
@@ -637,6 +618,6 @@ def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> Site
 def fsp_sector_spectra(solution: GroundStateSolution, params: ModelParams):
     """(mirror-even, mirror-odd) symplectic spectra of a frustrated state;
     either part is None when numerically unresolvable.  Sweeps read both
-    from :func:`fsp_site_moments_stacked` instead."""
+    from :func:`site_moments` instead."""
     return tuple(modes.eps[0] if modes.resolvable[0] else None
-                 for modes in _mirror_sectors([solution], [params]))
+                 for modes in map(_SplitModes, _sector_blocks([solution], [params])))

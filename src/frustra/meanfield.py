@@ -680,6 +680,23 @@ def hessian_critical_modes(params: ModelParams,
                          _fix_sign(y_mf), _fix_sign(y_f))
 
 
+def hessian_spectra(solutions, params_seq) -> list:
+    """Hessian spectra of ground states of one lattice size, as one stack:
+    per point, in order, the ascending eigenvalues of its Hessian and the
+    (lambda_mf, lambda_f) soft modes of :func:`hessian_critical_modes` for
+    a frustrated point, None for the other phases."""
+    if not solutions:
+        return []
+    hess = energy_hessian(np.array([solution.config.alphas for solution in solutions]),
+                          np.array([params.g for params in params_seq]),
+                          np.array([params.jbar for params in params_seq]))
+    frustrated = [solution.phase is Phase.FSP for solution in solutions]
+    (w_even, _), (w_odd, _) = mirror_sector_eigh(hess[frustrated])
+    soft_modes = zip(w_even[:, 0], w_odd[:, 0])
+    return [(eigenvalues, next(soft_modes) if soft else None)
+            for eigenvalues, soft in zip(np.linalg.eigvalsh(hess), frustrated)]
+
+
 def mirror_sector_eigh(hess: np.ndarray):
     """``numpy.linalg.eigh`` of the mirror-even and mirror-odd blocks of a
     stack of N x N Hessians (points, N, N): ((w_even, v_even), (w_odd,

@@ -190,7 +190,10 @@ def energy_hessian(alphas, g, jbar) -> np.ndarray:
     site = np.arange(n)
     right = (site + 1) % n
     hess = np.zeros(a.shape + (n,))
-    hess[..., site, site] = 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * a * a) ** 1.5
+    # at huge couplings the power overflows to inf and the term to its
+    # exact limit 0
+    with np.errstate(over="ignore"):
+        hess[..., site, site] = 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * a * a) ** 1.5
     hess[..., site, right] = hess[..., right, site] = 2.0 * jbar
     return hess
 

@@ -24,23 +24,19 @@ from .errors import (
     InstabilityError,
     ValidationError,
 )
-from .fluctuations import (
-    CRITICAL_REGIME_FACTOR,
-    fsp_site_moments_stacked,
-    uniform_phase_moments,
-)
-from .meanfield import (
-    GroundStateSolution,
-    Phase,
-    mirror_sector_eigh,
-    solve_ground_states,
-)
-from .model import ModelParams, critical_point, default_hopping_sign, energy_hessian
+from .fluctuations import CRITICAL_REGIME_FACTOR, site_moments
+from .meanfield import GroundStateSolution, Phase, hessian_spectra, solve_ground_states
+from .model import ModelParams, critical_point, default_hopping_sign
 
 OBSERVABLES = ("gaps", "photon_numbers", "squeezing", "hessian_eigenvalues", "energy")
 
 #: Mean-field Hessian eigenvalues below this are double-precision noise.
 HESSIAN_FLOOR = 1e-12
+#: A power-law fit needs FIT_MIN_POINTS points and an r^2 of FIT_R2_THRESHOLD;
+#: its lowest-decade window spans FIT_DECADE in reduced coupling.
+FIT_R2_THRESHOLD = 0.995
+FIT_MIN_POINTS = 6
+FIT_DECADE = 10.0
 
 
 def default_grid(g_critical: float, reduced_min: float = 1e-4,
@@ -149,10 +145,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Tabulate the requested observables over the coupling grid.
 
     The whole grid is solved as one stack (:func:`solve_ground_states`),
-    and the Hessian spectra and the frustrated points' mirror sectors are
-    computed as stacks too.  Every point is solved cold, from its own
-    parameters alone, and stack rows never mix, so a point's rows do not
-    depend on the rest of the grid or on the order it is visited in.
+    and observed as one stack too: every solved point's Hessian spectra
+    come from :func:`hessian_spectra` and its gaps and cavity moments from
+    :func:`site_moments`, which choose the route for each point's phase.
+    Every point is solved cold, from its own parameters alone, and stack
+    rows never mix, so a point's rows do not depend on the rest of the
+    grid or on the order it is visited in.
     Per-point failures are recorded as missing rows with a reason; rows
     come out sorted by coupling, observable and index.
     """
@@ -165,95 +163,67 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def _observe_grid(result: SweepResult, points, outcomes) -> None:
     """Record every grid point's rows, missing rows and warnings, in grid
-    order, from its solver outcome; the Hessian spectra and the frustrated
-    points' moments are computed as stacks first."""
+    order, from its solver outcome, Hessian spectra and moments."""
     gc = result.spec.g_critical
     want = set(result.spec.observables)
+    gaussian = want & {"gaps", "photon_numbers", "squeezing"}
     solved = [i for i, outcome in enumerate(outcomes)
               if isinstance(outcome, GroundStateSolution)]
-    frustrated = [i for i in solved if outcomes[i].phase is Phase.FSP]
-    eigenvalues, soft_modes, moments = {}, {}, {}
-    if "hessian_eigenvalues" in want and solved:
-        hess = energy_hessian(np.array([outcomes[i].config.alphas for i in solved]),
-                              np.array([points[i].g for i in solved]), result.spec.jbar)
-        eigenvalues = dict(zip(solved, np.linalg.eigvalsh(hess)))
-        (w_even, _), (w_odd, _) = mirror_sector_eigh(
-            hess[[outcomes[i].phase is Phase.FSP for i in solved]])
-        soft_modes = dict(zip(frustrated, zip(w_even[:, 0], w_odd[:, 0])))
-    if want & {"gaps", "photon_numbers", "squeezing"}:
-        moments = dict(zip(frustrated, fsp_site_moments_stacked(
-            [outcomes[i] for i in frustrated], [points[i] for i in frustrated])))
+    stack = [outcomes[i] for i in solved], [points[i] for i in solved]
+    spectra = dict(zip(solved, hessian_spectra(*stack))) if "hessian_eigenvalues" in want else {}
+    moments_of = dict(zip(solved, site_moments(*stack))) if gaussian else {}
+    unresolved = "frustrated sector below double-precision resolution"
     for i, (params, outcome) in enumerate(zip(points, outcomes)):
+        g, reduced = params.g, abs(params.g - gc) / gc
+
+        def put(observable, index, value):
+            result.rows.append(SweepRow(g, reduced, observable, str(index), float(value)))
+
+        def lost(observable, reason):
+            result.missing.append(SweepMissing(g, observable, reason))
+
         if not isinstance(outcome, GroundStateSolution):
             # the solver's error for this point (programming errors propagate)
-            result.missing.append(SweepMissing(params.g, "all", f"solver: {outcome}"))
+            lost("all", f"solver: {outcome}")
             continue
-        _observe_point(result, params, outcome, abs(params.g - gc) / gc,
-                       eigenvalues.get(i), soft_modes.get(i), moments.get(i))
-
-
-def _observe_point(result: SweepResult, params: ModelParams,
-                   solution: GroundStateSolution, reduced: float, eigenvalues,
-                   soft_modes, moments) -> None:
-    """Record one solved point's rows, missing rows and warnings from its
-    Hessian ``eigenvalues``, its (lambda_mf, lambda_f) ``soft_modes`` and
-    the ``moments`` (or error) of a frustrated point; a uniform point's
-    moments are computed here."""
-    g = params.g
-    want = set(result.spec.observables)
-
-    def put(observable, index, value):
-        result.rows.append(SweepRow(g, reduced, observable, str(index), float(value)))
-
-    def lost(observable, reason):
-        result.missing.append(SweepMissing(g, observable, reason))
-
-    if "energy" in want:
-        put("energy", "", solution.config.energy)
-
-    frustrated = solution.phase is Phase.FSP
-    if "hessian_eigenvalues" in want:
-        for rank, value in enumerate(eigenvalues, start=1):
-            put("hessian_eigenvalues", rank, value)
-        if frustrated:
-            put("hessian_eigenvalues", "mf", soft_modes[0])
-            put("hessian_eigenvalues", "f", soft_modes[1])
-
-    need_gaussian = want & {"gaps", "photon_numbers", "squeezing"}
-    if not need_gaussian:
-        return
-
-    if not frustrated:
-        try:
-            moments = uniform_phase_moments(solution, params)
-        except InstabilityError as exc:
-            moments = exc
-    if isinstance(moments, InstabilityError):
-        lost(",".join(sorted(need_gaussian)), str(moments))
-        return
-    if moments.eps_lowest < CRITICAL_REGIME_FACTOR * params.omega0:
-        result.warnings.append(f"critical-regime point at g={g!r}")
-    unresolved = "frustrated sector below double-precision resolution"
-    if "gaps" in want:
-        if frustrated:
-            put("gaps", "mf", moments.eps_meanfield)
-            if moments.frustrated_resolved:
-                put("gaps", "f", moments.eps_frustrated)
-        if moments.eps is not None:
-            for rank, value in enumerate(moments.eps, start=1):
-                put("gaps", rank, value)
-        else:
-            lost("gaps", unresolved)
-    for name, getter in (("photon_numbers", moments.photon),
-                         ("squeezing", moments.squeezing)):
-        if name not in want:
+        if "energy" in want:
+            put("energy", "", outcome.config.energy)
+        if i in spectra:
+            eigenvalues, soft_modes = spectra[i]
+            for rank, value in enumerate(eigenvalues, start=1):
+                put("hessian_eigenvalues", rank, value)
+            if soft_modes is not None:
+                put("hessian_eigenvalues", "mf", soft_modes[0])
+                put("hessian_eigenvalues", "f", soft_modes[1])
+        if not gaussian:
             continue
-        for site in range(1, params.n_sites + 1):
-            value = getter(site)
-            if np.isnan(value):
-                lost(f"{name}[{site}]", unresolved)
+        moments = moments_of[i]
+        if isinstance(moments, InstabilityError):
+            lost(",".join(sorted(gaussian)), str(moments))
+            continue
+        lowest = (moments.eps_even if moments.eps is None else moments.eps)[0]
+        if lowest < CRITICAL_REGIME_FACTOR * params.omega0:
+            result.warnings.append(f"critical-regime point at g={g!r}")
+        if "gaps" in want:
+            # the mean-field and frustrated gaps of a frustrated point
+            for index, sector in (("mf", moments.eps_even), ("f", moments.eps_odd)):
+                if sector is not None:
+                    put("gaps", index, sector[0])
+            if moments.eps is None:
+                lost("gaps", unresolved)
             else:
-                put(name, site, value)
+                for rank, value in enumerate(moments.eps, start=1):
+                    put("gaps", rank, value)
+        for name, getter in (("photon_numbers", moments.photon),
+                             ("squeezing", moments.squeezing)):
+            if name not in want:
+                continue
+            for site in range(1, params.n_sites + 1):
+                value = getter(site)
+                if np.isnan(value):
+                    lost(f"{name}[{site}]", unresolved)
+                else:
+                    put(name, site, value)
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +241,16 @@ class PowerLawFit:
     n_points: int
 
 
-def fit_power_law(points, r2_threshold: float = 0.995,
-                  min_points: int = 6) -> PowerLawFit:
+def fit_power_law(points) -> PowerLawFit:
     """Fit a power law to (reduced_coupling, value) pairs.
 
-    Requires at least ``min_points`` strictly positive values; raises
+    Requires at least FIT_MIN_POINTS strictly positive values; raises
     :class:`FitQualityError` when the log-log line explains less than
-    ``r2_threshold`` of the variance.
+    FIT_R2_THRESHOLD of the variance.
     """
     pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < min_points:
-        raise DomainError(f"need at least {min_points} points, got {len(pts)}")
+    if pts.ndim != 2 or pts.shape[0] < FIT_MIN_POINTS:
+        raise DomainError(f"need at least {FIT_MIN_POINTS} points, got {len(pts)}")
     x, y = pts[:, 0], pts[:, 1]
     if np.any(x <= 0) or np.any(y <= 0) or not np.all(np.isfinite(pts)):
         raise DomainError("power-law fitting needs positive finite data")
@@ -290,9 +259,9 @@ def fit_power_law(points, r2_threshold: float = 0.995,
     residual = ly - (slope * lx + intercept)
     total = np.sum((ly - ly.mean()) ** 2)
     r_squared = 1.0 - float(np.sum(residual ** 2) / total) if total > 0 else 1.0
-    if r_squared < r2_threshold:
+    if r_squared < FIT_R2_THRESHOLD:
         raise FitQualityError(
-            f"power-law fit quality r^2={r_squared:.6f} below {r2_threshold}",
+            f"power-law fit quality r^2={r_squared:.6f} below {FIT_R2_THRESHOLD}",
             r_squared=r_squared)
     return PowerLawFit(float(slope), float(np.exp(intercept)), r_squared,
                        (float(x.min()), float(x.max())), len(pts))
@@ -336,19 +305,19 @@ def asymptotic_mask(reduced: np.ndarray, values: np.ndarray,
 
 
 def lowest_decade_fit(reduced, values, floor: float = 0.0,
-                      diverging: bool = False, decade: float = 10.0,
-                      min_points: int = 6) -> PowerLawFit:
-    """Power-law fit over the lowest usable decade of reduced couplings."""
+                      diverging: bool = False) -> PowerLawFit:
+    """Power-law fit over the lowest usable decade (FIT_DECADE) of reduced
+    couplings, widened by quarter decades until it holds FIT_MIN_POINTS."""
     reduced = np.asarray(reduced, dtype=float)
     values = np.asarray(values, dtype=float)
     mask = asymptotic_mask(reduced, values, floor, diverging)
-    if mask.sum() < min_points:
+    if mask.sum() < FIT_MIN_POINTS:
         raise DomainError(
             f"only {int(mask.sum())} usable points after noise trimming")
     x, y = reduced[mask], values[mask]
-    top = x.min() * decade
-    while np.sum(x <= top * (1 + 1e-9)) < min_points:
-        top *= decade ** 0.25
+    top = x.min() * FIT_DECADE
+    while np.sum(x <= top * (1 + 1e-9)) < FIT_MIN_POINTS:
+        top *= FIT_DECADE ** 0.25
     window = x <= top * (1 + 1e-9)
     return fit_power_law(np.column_stack([x[window], np.abs(y[window])]))
 
@@ -371,10 +340,6 @@ class ExponentReport:
     site_labels: dict[int, str]
     checks: dict[str, bool]
     warnings: tuple[str, ...]
-
-    @property
-    def expected_gamma_f(self) -> float:
-        return (self.n_sites - 1) / 2.0
 
 
 def extract_exponents(params: ModelParams,
@@ -406,7 +371,7 @@ def extract_exponents(params: ModelParams,
 
     def fit(observable, index, floor=0.0, diverging=False):
         reduced, values = result.series(observable, str(index))
-        if len(reduced) < 6:
+        if len(reduced) < FIT_MIN_POINTS:
             return None
         try:
             return lowest_decade_fit(reduced, values, floor, diverging)
@@ -584,19 +549,12 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     offsets = np.concatenate([np.arange(-steps, 0), np.arange(1, steps + 1)])
     xs = center + offsets * step
 
-    # every x the scan reads, in the order a point-by-point scan reads it:
-    # the grid, then the Richardson points of each limit
-    wanted = [float(x) for x in xs]
-
-    def record(x):
-        wanted.append(float(x))
-        return 0.0
-
-    for limit in (_one_sided_d1, _one_sided_d2):
-        for sign in (-1.0, +1.0):
-            limit(record, center, step, sign)
+    # every x the scan reads: the grid, then the Richardson points
+    # center + sign * k * h of the one-sided limits
+    richardson = [center + sign * k * h for k in range(1, 5)
+                  for sign in (-1.0, +1.0) for h in (step, step / 2.0)]
     outcomes: dict[float, object] = {}
-    for x in dict.fromkeys(wanted):
+    for x in dict.fromkeys(float(x) for x in [*xs, *richardson]):
         try:
             outcomes[x] = point_at(x)
         except FrustraError as exc:

@@ -240,6 +240,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and "overflows" in err
         assert "Traceback" not in err
 
+    def test_huge_coupling_prints_no_warning(self):
+        # the Hessian's (1 + 4 g^2 a^2)^(3/2) overflows at this coupling;
+        # the term it divides goes to its exact limit 0, silently
+        source_root = os.path.dirname(os.path.dirname(frustra.__file__))
+        env = dict(os.environ, PYTHONPATH=source_root)
+        program = "import sys; from frustra.cli import main; sys.exit(main(sys.argv[1:]))"
+        result = subprocess.run([sys.executable, "-c", program, "ground-state", "--g", "1e76"],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stderr == ""
+
     def test_large_coupling_still_solves(self, capsys):
         code, out, _ = run_cli(capsys, "ground-state", "--g", "1e7")
         assert code == 0

@@ -12,13 +12,12 @@ from frustra.fluctuations import (
     fsp_frustrated_mode_energy,
     fsp_sector_spectra,
     fsp_site_moments,
-    fsp_site_moments_stacked,
     mode_weights,
     normal_phase_mode_energies,
     photon_number,
     quadrature_labels,
+    site_moments,
     squeezing_variance,
-    symplectic_form,
     symplectic_spectrum_modulus,
     uniform_phase_moments,
     williamson_diagonalize,
@@ -82,12 +81,12 @@ class TestBuild:
 
     def test_symmetry_validation(self):
         with pytest.raises(ValidationError):
-            QuadraticForm(np.arange(16.0).reshape(4, 4), symplectic_form(2))
+            QuadraticForm(np.arange(16.0).reshape(4, 4))
 
 
 class TestWilliamson:
     def test_two_uncoupled_oscillators(self):
-        form = QuadraticForm(np.diag([1.0, 1.0, 2.0, 2.0]), symplectic_form(2))
+        form = QuadraticForm(np.diag([1.0, 1.0, 2.0, 2.0]))
         decomp = williamson_diagonalize(form)
         assert_allclose(decomp.symplectic_eigenvalues, [1.0, 2.0], atol=1e-14)
         assert decomp.symplectic_residual < 1e-12
@@ -147,8 +146,7 @@ class TestWilliamson:
     def test_critical_regime_flag(self):
         # synthetic nearly-soft oscillator next to a hard one
         soft = 3e-9
-        form = QuadraticForm(np.diag([soft, soft, 1.0, 1.0]), symplectic_form(2),
-                             omega0=1.0)
+        form = QuadraticForm(np.diag([soft, soft, 1.0, 1.0]), omega0=1.0)
         decomp = williamson_diagonalize(form)
         assert decomp.critical_regime
         assert decomp.symplectic_eigenvalues[0] == pytest.approx(soft, rel=1e-10)
@@ -302,7 +300,7 @@ class TestStackedSectors:
         stale = GroundStateSolution(MeanFieldConfiguration.from_alphas(
             np.zeros(n), points[2].g, jbar), Phase.FSP, 2 * n, 0.0)
         solutions[2] = stale
-        stacked = fsp_site_moments_stacked(solutions, points)
+        stacked = site_moments(solutions, points)
         assert isinstance(stacked[2], InstabilityError)
         with pytest.raises(InstabilityError):
             fsp_site_moments(stale, points[2])
@@ -312,6 +310,34 @@ class TestStackedSectors:
                 a, b = getattr(stacked[i], field), getattr(alone, field)
                 assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
         assert stacked[0].eps is None and stacked[3].eps is not None
+
+    def test_mixed_stack_matches_one_point_routes(self):
+        # one lattice size, every phase: normal, uniform, a resolved and an
+        # unresolved frustrated point, and stale non-positive labels of both
+        # routes on the origin past g_c
+        n = 7
+        gc_f, gc_u = critical_point(0.01, n, "positive"), critical_point(-0.01, n, "negative")
+        points = [params(0.01, 0.5, n), params(-0.01, gc_u * (1 + 1e-3), n),
+                  params(0.01, gc_f * (1 + 3e-3), n), params(0.01, gc_f * (1 + 1e-5), n),
+                  params(0.01, gc_f * 1.1, n), params(-0.01, gc_u * 1.1, n)]
+        solutions = [solve_ground_state(p) for p in points[:4]]
+        solutions += [GroundStateSolution(MeanFieldConfiguration.from_alphas(
+            np.zeros(n), p.g, p.jbar), phase, 2 * n, 0.0)
+            for p, phase in zip(points[4:], (Phase.FSP, Phase.NFSP))]
+        stacked = site_moments(solutions, points)
+        assert stacked[2].eps is not None and stacked[3].eps is None
+        for i, (sol, p) in enumerate(zip(solutions, points)):
+            one_point = fsp_site_moments if sol.phase is Phase.FSP else uniform_phase_moments
+            if i >= 4:
+                assert isinstance(stacked[i], InstabilityError)
+                with pytest.raises(InstabilityError) as alone:
+                    one_point(sol, p)
+                assert str(alone.value) == str(stacked[i])
+                continue
+            alone = one_point(sol, p)
+            for field in ("var_q", "var_p", "eps", "eps_even", "eps_odd"):
+                a, b = getattr(stacked[i], field), getattr(alone, field)
+                assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
 
 
 class TestModeWeights:
@@ -441,21 +467,14 @@ class TestSectorMoments:
         moments = fsp_site_moments(sol, p)
         eps_even, eps_odd = fsp_sector_spectra(sol, p)
         assert np.array_equal(moments.eps_even, eps_even)
-        assert moments.eps_meanfield == eps_even[0]
         # the N=7 frustrated gap ~ reduced^3 is below resolution at 1e-5
         assert (eps_odd is None) == (reduced < 1e-4)
         if eps_odd is None:
             assert moments.eps_odd is None and moments.eps is None
-            assert not moments.frustrated_resolved
-            assert np.isnan(moments.eps_frustrated)
-            assert moments.eps_lowest == eps_even[0]
             return
         assert np.array_equal(moments.eps_odd, eps_odd)
-        assert moments.frustrated_resolved
-        assert moments.eps_frustrated == eps_odd[0]
         merged = np.sort(np.concatenate([moments.eps_even, moments.eps_odd]))
         assert np.array_equal(moments.eps, merged)
-        assert moments.eps_lowest == merged[0]
         full = williamson_diagonalize(build_quadratic_hamiltonian(sol, p))
         assert_allclose(merged, full.symplectic_eigenvalues, rtol=1e-9)
 
@@ -466,7 +485,6 @@ class TestSectorMoments:
         p = params(jbar, gc * (1 + 1e-6), 7)
         sol = solve_ground_state(p)
         moments = fsp_site_moments(sol, p)
-        assert not moments.frustrated_resolved
         assert np.isfinite(moments.photon(1))
         assert np.isnan(moments.photon(2))
         assert moments.eps_odd is None and moments.eps_even is not None
@@ -521,7 +539,7 @@ class TestGenericRoute:
         rot[1, 0] = -theta_s
         matrix = rot.T @ base @ rot
         assert abs(matrix[0, 1]) > 0.1  # split structure really is broken
-        form = QuadraticForm(matrix, symplectic_form(4), omega0=1.0)
+        form = QuadraticForm(matrix, omega0=1.0)
         with pytest.raises(ValidationError):
             williamson_diagonalize(form)
         decomp = _williamson_generic(form)

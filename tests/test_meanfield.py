@@ -24,6 +24,7 @@ from frustra.meanfield import (
     fsp_approximation,
     fsp_sign_pattern,
     hessian_critical_modes,
+    hessian_spectra,
     nfsp_closed_form,
     saddle_configuration,
     solve_ground_state,
@@ -443,6 +444,25 @@ class TestHessianCriticalModes:
         assert abs(modes.y_f[0]) < 1e-14
         for j in range(1, (n - 1) // 2 + 1):
             assert modes.y_f[j] == pytest.approx(-modes.y_f[n - j], abs=1e-12)
+
+    def test_stacked_spectra_match_one_point_routes(self):
+        # normal, uniform and frustrated points of one size in one stack
+        n = 5
+        gc_f, gc_u = critical_point(0.01, n, "positive"), critical_point(-0.01, n, "negative")
+        points = [params(0.01, 0.5, n), params(-0.01, gc_u * (1 + 1e-3), n),
+                  params(0.01, gc_f * (1 + 1e-3), n), params(0.01, gc_f * (1 + 1e-6), n)]
+        solutions = [solve_ground_state(p) for p in points]
+        assert [s.phase for s in solutions] == [Phase.NORMAL, Phase.NFSP, Phase.FSP, Phase.FSP]
+        for p, sol, (eigenvalues, soft) in zip(points, solutions,
+                                                hessian_spectra(solutions, points)):
+            alone = np.linalg.eigvalsh(energy_hessian(sol.config.alphas, p.g, p.jbar))
+            assert np.array_equal(eigenvalues, alone)
+            if sol.phase is Phase.FSP:
+                modes = hessian_critical_modes(p, sol)
+                assert (soft[0], soft[1]) == (modes.lambda_mf, modes.lambda_f)
+            else:
+                assert soft is None
+        assert hessian_spectra([], []) == []
 
     def test_requires_frustrated_phase(self):
         with pytest.raises(PhaseError):
