@@ -35,7 +35,7 @@ from .meanfield import (
     _isolated,
     mirror_projectors,
 )
-from .model import ModelParams
+from .model import ModelParams, atomic_cosines
 
 _EPS = float(np.finfo(float).eps)
 
@@ -186,20 +186,19 @@ def _split_hamiltonian(solutions, params_seq) -> np.ndarray:
         return np.array([getattr(params, name) for params in params_seq])[:, None]
 
     omega0, Omega = per_point("omega0"), per_point("Omega")
-    thetas = np.array([solution.config.thetas for solution in solutions])
-    phis = np.array([solution.config.phis for solution in solutions])
-    n = thetas.shape[-1]
-    cos_theta = np.cos(thetas)
+    alphas = np.array([solution.config.alphas for solution in solutions])
+    n = alphas.shape[-1]
+    cos_theta, cos_phi = atomic_cosines(alphas, per_point("g"))
     cavity = np.arange(0, 2 * n, 2)
     right = (cavity + 2) % (2 * n)  # the next site's cavity around the ring
-    blocks = np.zeros((len(thetas), 2, 2 * n, 2 * n))
+    blocks = np.zeros((len(alphas), 2, 2 * n, 2 * n))
     hx, hp = blocks[:, 0], blocks[:, 1]
     hp[:, cavity, cavity] = omega0
     hp[:, cavity + 1, cavity + 1] = -Omega / cos_theta
     hp[:, cavity, right] = hp[:, right, cavity] = per_point("jbar") * omega0
     hx[...] = hp
     hx[:, cavity, cavity + 1] = hx[:, cavity + 1, cavity] = (
-        per_point("g") * cos_theta * np.cos(phis) * np.sqrt(omega0 * Omega))
+        per_point("g") * cos_theta * cos_phi * np.sqrt(omega0 * Omega))
     return blocks
 
 
@@ -512,10 +511,9 @@ def uniform_phase_moments(solution: GroundStateSolution,
         raise PhaseError("momentum blocks require a translation-invariant phase")
     _require_minimum(solution, params)
     omega0, Omega = params.omega0, params.Omega
-    cos_theta = np.cos(solution.config.thetas[0])
+    cos_theta, cos_phi = atomic_cosines(solution.config.alphas[0], params.g)
     freq_atom = -Omega / cos_theta
-    coupling = (params.g * cos_theta * np.cos(solution.config.phis[0])
-                * np.sqrt(omega0 * Omega))
+    coupling = params.g * cos_theta * cos_phi * np.sqrt(omega0 * Omega)
     momenta, freq_cav, lower, upper = _momentum_blocks(
         params.n_sites, params.jbar, freq_atom, coupling * coupling, omega0)
     # a negative cavity frequency flips the sign of both factors of the

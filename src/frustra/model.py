@@ -198,14 +198,20 @@ def energy_hessian(alphas, g, jbar) -> np.ndarray:
     return hess
 
 
+def atomic_cosines(alphas, g):
+    """(cos theta, cos phi) of the atomic angles fixed by the coherences,
+    elementwise, with ``g`` broadcast against them: -1/sqrt(1 + 4 g^2
+    alpha^2) keeps its relative precision as it nears 0 at large couplings,
+    which the cosine of the stored theta does not."""
+    a = np.asarray(alphas, dtype=float)
+    # cos(phi) = -sign(alpha); phi = 0 by convention at alpha = 0
+    return -1.0 / np.sqrt(1.0 + 4.0 * g * g * a * a), np.where(a > 0, -1.0, 1.0)
+
+
 def atomic_angles(alphas, g: float):
     """Vectorized form of :func:`atomic_angles_from_alpha`."""
     a = np.asarray(alphas, dtype=float)
-    cos_theta = -1.0 / np.sqrt(1.0 + 4.0 * g * g * a * a)
-    thetas = np.arccos(cos_theta)
-    # cos(phi) = -sign(alpha); phi = 0 by convention at alpha = 0
-    phis = np.where(a > 0, np.pi, 0.0)
-    return thetas, phis
+    return np.arccos(atomic_cosines(a, g)[0]), np.where(a > 0, np.pi, 0.0)
 
 
 def atomic_angles_from_alpha(alpha: float, g: float):

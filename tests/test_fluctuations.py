@@ -72,6 +72,19 @@ class TestBuild:
         assert form.matrix[1, 5] == pytest.approx(hop)
         assert form.matrix[2, 6] == 0.0  # no atomic hopping
 
+    @pytest.mark.parametrize("jbar", [0.01, -0.01])
+    def test_large_coupling_keeps_atomic_precision(self, jbar):
+        # cos theta = -1/sqrt(1 + 4 g^2 alpha^2) is about -1e-16 at g = 1e8;
+        # the cosine of the stored theta carries almost none of its digits
+        sol, p, form = solved_form(jbar, 1e8)
+        stretch = np.sqrt(1.0 + 4.0 * p.g ** 2 * sol.config.alphas ** 2)
+        assert_allclose(np.diag(form.matrix)[2::4], stretch, rtol=1e-15)
+        if jbar < 0:
+            assert_allclose(uniform_phase_moments(sol, p).eps,
+                            analytic_nfsp_spectrum(p.g, jbar, 1.0), rtol=1e-12)
+        # at g = 1e10 it used to flip the form indefinite
+        williamson_diagonalize(solved_form(jbar, 1e10)[2])
+
     def test_rejects_unconverged_solution(self):
         sol, p, _ = solved_form(0.01, 1.01)
         bad = GroundStateSolution(sol.config, sol.phase, sol.degeneracy,
