@@ -40,7 +40,6 @@ class RunConfig:
     jbar: float = 0.01
     sites: int = 3
     g: float | None = None
-    sign: str | None = None
     omega0: float = 1.0
     omega_atom: float = 1.0
     output: str | None = None
@@ -53,16 +52,10 @@ class RunConfig:
     side: str = "both"
     observables: str = ",".join(scaling.OBSERVABLES)
 
-    def params(self, g: float | None = None) -> model.ModelParams:
-        coupling = self.g if g is None else g
-        if coupling is None:
+    def params(self) -> model.ModelParams:
+        if self.g is None:
             raise ValidationError("this command requires --g")
-        return model.ModelParams(self.omega0, self.omega_atom, self.jbar,
-                                 coupling, self.sites)
-
-    @property
-    def hopping_sign(self) -> str:
-        return self.sign if self.sign is not None else model.default_hopping_sign(self.jbar)
+        return model.ModelParams(self.omega0, self.omega_atom, self.jbar, self.g, self.sites)
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
@@ -144,7 +137,8 @@ def _reduced(g: float, gc: float) -> float:
 
 
 def cmd_critical_point(config: RunConfig):
-    gc = model.critical_point(config.jbar, config.sites, config.hopping_sign)
+    gc = model.critical_point(config.jbar, config.sites,
+                              model.default_hopping_sign(config.jbar))
     g_eval = config.g if config.g is not None else gc
     rows = [_row(g_eval, _reduced(g_eval, gc), "g_c", "", gc)]
     for t, lam in enumerate(model.origin_hessian_eigenvalues(
@@ -217,8 +211,7 @@ def cmd_spectrum(config: RunConfig):
 def _sweep_spec(config: RunConfig) -> scaling.SweepSpec:
     observables = tuple(name for name in config.observables.split(",") if name)
     return scaling.SweepSpec(
-        jbar=config.jbar, n_sites=config.sites, hopping_sign=config.hopping_sign,
-        omega0=config.omega0, Omega=config.omega_atom,
+        jbar=config.jbar, n_sites=config.sites, omega0=config.omega0, Omega=config.omega_atom,
         reduced_min=config.reduced_min, reduced_max=config.reduced_max,
         points_per_decade=config.points_per_decade, sides=config.side,
         observables=observables)
@@ -240,7 +233,7 @@ def cmd_exponents(config: RunConfig):
     report = scaling.extract_exponents(
         params, window=(config.reduced_min, config.reduced_max),
         points_per_decade=config.points_per_decade)
-    gc = model.critical_point(config.jbar, config.sites, config.hopping_sign)
+    gc = params.critical_coupling()
     rows = []
 
     def fit_rows(name, index, fit):
@@ -285,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--sites", type=int, default=None,
                          help="lattice size N, odd and >= 3 (default 3)")
         cmd.add_argument("--g", type=float, default=None, help="coupling strength")
-        cmd.add_argument("--sign", choices=model.HOPPING_SIGNS, default=None,
-                         help="hopping sign (default: inferred from --jbar)")
         cmd.add_argument("--omega0", type=float, default=None,
                          help="cavity frequency (default 1.0)")
         cmd.add_argument("--omega-atom", dest="omega_atom", type=float, default=None,

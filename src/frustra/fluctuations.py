@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import DomainError, InstabilityError, PhaseError, ValidationError
 from .meanfield import (
-    SOLUTION_GRAD_TOL,
     GroundStateSolution,
     Phase,
     _fix_sign,
@@ -165,7 +164,7 @@ class ModeWeights:
 def _require_minimum(solution: GroundStateSolution, params: ModelParams) -> None:
     """The quadratic expansion holds only about a converged minimum of the
     lattice ``params`` describes."""
-    if not solution.converged or solution.grad_norm > SOLUTION_GRAD_TOL:
+    if not solution.converged:
         raise ValidationError(
             "quadratic expansion requires a converged minimum "
             f"(gradient norm {solution.grad_norm:.2e})"

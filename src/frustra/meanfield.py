@@ -74,18 +74,25 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class GroundStateSolution:
-    """A verified global minimizer with its phase and manifold size.
+    """A verified global minimizer with its phase and gradient residual.
 
-    The solver only returns converged solutions (``converged`` is always
-    True); the flag lets hand-built solutions mark themselves unusable for
-    the quadratic expansion.
+    The manifold size ``degeneracy`` follows from the phase and the lattice
+    size, and ``converged`` from the residual: the solver only returns
+    converged solutions, and a hand-built one whose residual exceeds
+    SOLUTION_GRAD_TOL is unusable for the quadratic expansion.
     """
 
     config: MeanFieldConfiguration
     phase: Phase
-    degeneracy: int
     grad_norm: float
-    converged: bool = True
+
+    @property
+    def degeneracy(self) -> int:
+        return {Phase.NORMAL: 1, Phase.NFSP: 2, Phase.FSP: 2 * self.config.n_sites}[self.phase]
+
+    @property
+    def converged(self) -> bool:
+        return self.grad_norm <= SOLUTION_GRAD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +169,7 @@ def saddle_configuration(g: float, jbar: float) -> MeanFieldConfiguration:
     if g <= gc:
         raise DomainError(f"saddle_configuration requires g > g_c = {gc}")
     a = float(np.sqrt((g / gc) ** 4 - 1.0) / (2.0 * g))
-    return MeanFieldConfiguration.from_alphas(np.array([-a, a, 0.0]), g, jbar)
+    return MeanFieldConfiguration(np.array([-a, a, 0.0]), g, jbar)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +405,6 @@ def _canonical_frame(alphas: np.ndarray) -> tuple[int, float]:
     return shift, (-1.0 if alphas[shift] > 0 else 1.0)
 
 
-def _canonicalize_fsp(alphas: np.ndarray) -> np.ndarray:
-    """Rotate and sign-flip onto the representative with the unpaired site
-    first and alpha_1 < 0 <= alpha_2."""
-    shift, sign = _canonical_frame(alphas)
-    return sign * np.roll(alphas, -shift)
-
-
 def _classify(alphas: np.ndarray, params: ModelParams) -> Phase:
     if np.max(np.abs(alphas)) < 1e-9:
         return Phase.NORMAL
@@ -416,10 +416,6 @@ def _classify(alphas: np.ndarray, params: ModelParams) -> Phase:
         "jbar = 0 with g > 1 sits on the first-order line of decoupled sites; "
         "the 2^N-fold degenerate manifold has no single-phase classification"
     )
-
-
-def _degeneracy(phase: Phase, n_sites: int) -> int:
-    return {Phase.NORMAL: 1, Phase.NFSP: 2, Phase.FSP: 2 * n_sites}[phase]
 
 
 def solve_ground_states(params_seq) -> list:
@@ -449,9 +445,8 @@ def solve_ground_states(params_seq) -> list:
     for index, params in enumerate(points):
         try:
             if params.g <= params.critical_coupling():
-                config = MeanFieldConfiguration.from_alphas(
-                    np.zeros(params.n_sites), params.g, params.jbar)
-                outcomes[index] = GroundStateSolution(config, Phase.NORMAL, 1, 0.0)
+                config = MeanFieldConfiguration(np.zeros(params.n_sites), params.g, params.jbar)
+                outcomes[index] = GroundStateSolution(config, Phase.NORMAL, 0.0)
                 if log.isEnabledFor(logging.DEBUG):
                     log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
                               params.g, params.jbar, params.n_sites)
@@ -512,18 +507,28 @@ def solve_ground_states(params_seq) -> list:
 
 def _canonical_solution(alphas: np.ndarray, grad_norm: float,
                         params: ModelParams) -> GroundStateSolution:
-    """The winning minimizer classified, canonicalized and checked against
-    SOLUTION_GRAD_TOL."""
+    """The winning minimizer classified, put in its canonical frame and
+    checked against SOLUTION_GRAD_TOL.
+
+    Every seed is mirror-symmetric about site 1, so the winner of the
+    mirror-reduced stack is too, and a frustrated winner is canonical up to
+    its global sign.  The mirror maps the aligned neighbour pair (i, i+1)
+    (0-based, cyclic) to (-i-1, -i); a unique aligned pair is its own image,
+    so i = -i-1 (mod N), i = (N-1)/2, and the unpaired site opposite it is
+    site 1.  :func:`_canonical_frame` still checks that there is exactly one
+    aligned pair, and its shift is 0.
+    """
     phase = _classify(alphas, params)
     if phase is Phase.FSP:
-        alphas = _canonicalize_fsp(alphas)
+        _, sign = _canonical_frame(alphas)
+        alphas = sign * alphas
     if grad_norm > SOLUTION_GRAD_TOL:
         raise ConvergenceError(
             f"stationarity residual {grad_norm:.2e} above {SOLUTION_GRAD_TOL}",
             best_residual=grad_norm,
         )
-    config = MeanFieldConfiguration.from_alphas(alphas, params.g, params.jbar)
-    return GroundStateSolution(config, phase, _degeneracy(phase, params.n_sites), grad_norm)
+    return GroundStateSolution(MeanFieldConfiguration(alphas, params.g, params.jbar),
+                               phase, grad_norm)
 
 
 def solve_ground_state(params: ModelParams) -> GroundStateSolution:
@@ -560,14 +565,9 @@ def enumerate_degenerate_ground_states(
     if solution.phase is Phase.NORMAL:
         return [solution.config]
     if solution.phase is Phase.NFSP:
-        return [solution.config,
-                MeanFieldConfiguration.from_alphas(-alphas, g, jbar)]
-    members = []
-    for flip in (1.0, -1.0):
-        for shift in range(params.n_sites):
-            members.append(MeanFieldConfiguration.from_alphas(
-                flip * np.roll(alphas, shift), g, jbar))
-    return members
+        return [solution.config, MeanFieldConfiguration(-alphas, g, jbar)]
+    return [MeanFieldConfiguration(flip * np.roll(alphas, shift), g, jbar)
+            for flip in (1.0, -1.0) for shift in range(params.n_sites)]
 
 
 def _enumerate_exhaustive(params: ModelParams):
@@ -607,7 +607,7 @@ def _enumerate_exhaustive(params: ModelParams):
     for alphas in global_tier:
         if not any(np.max(np.abs(alphas - other)) < MATCH_TOL for other in distinct):
             distinct.append(alphas)
-    return [MeanFieldConfiguration.from_alphas(a, g, jbar) for a in distinct]
+    return [MeanFieldConfiguration(a, g, jbar) for a in distinct]
 
 
 def _polish_members(members: np.ndarray, params: ModelParams) -> list[np.ndarray]:
@@ -680,16 +680,15 @@ def hessian_critical_modes(params: ModelParams,
                          _fix_sign(y_mf), _fix_sign(y_f))
 
 
-def hessian_spectra(solutions, params_seq) -> list:
+def hessian_spectra(solutions) -> list:
     """Hessian spectra of ground states of one lattice size, as one stack:
     per point, in order, the ascending eigenvalues of its Hessian and the
     (lambda_mf, lambda_f) soft modes of :func:`hessian_critical_modes` for
     a frustrated point, None for the other phases."""
     if not solutions:
         return []
-    hess = energy_hessian(np.array([solution.config.alphas for solution in solutions]),
-                          np.array([params.g for params in params_seq]),
-                          np.array([params.jbar for params in params_seq]))
+    hess = energy_hessian(*(np.array([getattr(solution.config, name) for solution in solutions])
+                            for name in ("alphas", "g", "jbar")))
     frustrated = [solution.phase is Phase.FSP for solution in solutions]
     (w_even, _), (w_odd, _) = mirror_sector_eigh(hess[frustrated])
     soft_modes = zip(w_even[:, 0], w_odd[:, 0])

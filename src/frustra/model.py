@@ -91,33 +91,34 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class MeanFieldConfiguration:
-    """A mean-field configuration: coherences, atomic angles and energy.
+    """A mean-field configuration: the rescaled real cavity coherences
+    ``alphas`` at coupling ``g`` and hopping ``jbar``.
 
-    ``alphas`` are the rescaled real cavity coherences; ``thetas`` and
-    ``phis`` the atomic Bloch angles fixed by the coherences (phi is 0 by
-    convention where alpha vanishes).  ``energy`` is the rescaled
-    dimensionless ground-state energy of the configuration.
+    The atomic Bloch angles ``thetas`` and ``phis`` (phi is 0 by convention
+    where alpha vanishes) and the rescaled dimensionless ``energy`` follow
+    from these and are computed when read.
     """
 
     alphas: np.ndarray
-    thetas: np.ndarray
-    phis: np.ndarray
-    energy: float
+    g: float
+    jbar: float
 
     def __post_init__(self):
-        for name in ("alphas", "thetas", "phis"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not (len(self.alphas) == len(self.thetas) == len(self.phis)):
-            raise ValidationError("alphas, thetas, phis must have equal length")
+        alphas = np.array(self.alphas, dtype=float)
+        alphas.setflags(write=False)
+        object.__setattr__(self, "alphas", alphas)
 
-    @classmethod
-    def from_alphas(cls, alphas, g: float, jbar: float) -> "MeanFieldConfiguration":
-        """Build the configuration determined by the coherences alone."""
-        alphas = np.asarray(alphas, dtype=float)
-        thetas, phis = atomic_angles(alphas, g)
-        return cls(alphas, thetas, phis, rescaled_energy(alphas, g, jbar))
+    @property
+    def thetas(self) -> np.ndarray:
+        return atomic_angles(self.alphas, self.g)[0]
+
+    @property
+    def phis(self) -> np.ndarray:
+        return atomic_angles(self.alphas, self.g)[1]
+
+    @property
+    def energy(self) -> float:
+        return rescaled_energy(self.alphas, self.g, self.jbar)
 
     @property
     def n_sites(self) -> int:
@@ -125,7 +126,8 @@ class MeanFieldConfiguration:
 
     def jx_expectation(self) -> np.ndarray:
         """Normalized atomic coherence <J^x_n>/j = sin(theta_n) cos(phi_n)."""
-        return np.sin(self.thetas) * np.cos(self.phis)
+        thetas, phis = atomic_angles(self.alphas, self.g)
+        return np.sin(thetas) * np.cos(phis)
 
 
 def _check_alphas(alphas) -> np.ndarray:

@@ -67,7 +67,6 @@ class SweepSpec:
 
     jbar: float
     n_sites: int
-    hopping_sign: str | None = None
     omega0: float = 1.0
     Omega: float = 1.0
     grid: tuple[float, ...] | None = None
@@ -78,12 +77,10 @@ class SweepSpec:
     sides: str = "both"
 
     def __post_init__(self):
-        if self.hopping_sign is None:
-            object.__setattr__(self, "hopping_sign", default_hopping_sign(self.jbar))
         unknown = set(self.observables) - set(OBSERVABLES)
         if unknown:
             raise ValidationError(f"unknown observables: {sorted(unknown)}")
-        gc = self.g_critical  # validates jbar/sign consistency
+        gc = self.g_critical  # validates jbar and n_sites
         if self.grid is None:
             grid = default_grid(gc, self.reduced_min, self.reduced_max,
                                 self.points_per_decade, self.sides)
@@ -98,7 +95,7 @@ class SweepSpec:
 
     @property
     def g_critical(self) -> float:
-        return critical_point(self.jbar, self.n_sites, self.hopping_sign)
+        return critical_point(self.jbar, self.n_sites, default_hopping_sign(self.jbar))
 
     def params_at(self, g: float) -> ModelParams:
         return ModelParams(self.omega0, self.Omega, self.jbar, g, self.n_sites)
@@ -169,9 +166,10 @@ def _observe_grid(result: SweepResult, points, outcomes) -> None:
     gaussian = want & {"gaps", "photon_numbers", "squeezing"}
     solved = [i for i, outcome in enumerate(outcomes)
               if isinstance(outcome, GroundStateSolution)]
-    stack = [outcomes[i] for i in solved], [points[i] for i in solved]
-    spectra = dict(zip(solved, hessian_spectra(*stack))) if "hessian_eigenvalues" in want else {}
-    moments_of = dict(zip(solved, site_moments(*stack))) if gaussian else {}
+    solutions = [outcomes[i] for i in solved]
+    spectra = dict(zip(solved, hessian_spectra(solutions))) if "hessian_eigenvalues" in want else {}
+    moments_of = (dict(zip(solved, site_moments(solutions, [points[i] for i in solved])))
+                  if gaussian else {})
     unresolved = "frustrated sector below double-precision resolution"
     for i, (params, outcome) in enumerate(zip(points, outcomes)):
         g, reduced = params.g, abs(params.g - gc) / gc
@@ -349,11 +347,11 @@ def extract_exponents(params: ModelParams,
     exponent.
 
     ``params.g`` is ignored; the sweep surrounds the critical point of
-    ``params``'s hopping sign.  Sites are labelled unpaired/paired in the
-    frustrated phase and the structural expectations (unpaired-site photon
-    exponent matching the mean-field gap exponent, paired sites matching the
-    frustrated one, Hessian exponents twice the gap exponents) are reported
-    as boolean checks.
+    ``params.jbar``, whose sign decides the phase.  Sites are labelled
+    unpaired/paired in the frustrated phase and the structural expectations
+    (unpaired-site photon exponent matching the mean-field gap exponent,
+    paired sites matching the frustrated one, Hessian exponents twice the
+    gap exponents) are reported as boolean checks.
     """
     spec = SweepSpec(jbar=params.jbar, n_sites=params.n_sites,
                      omega0=params.omega0, Omega=params.Omega,
@@ -463,16 +461,11 @@ class DerivativeDiagnostics:
     d2_left: float
     d2_right: float
     discontinuity_order: int
-    jump: float
     detected_location: float = np.nan
 
     @property
     def d1_jump(self) -> float:
         return self.d1_right - self.d1_left
-
-    @property
-    def d2_jump(self) -> float:
-        return self.d2_right - self.d2_left
 
 
 def _locate_jump(table, column):
@@ -490,7 +483,7 @@ def _locate_jump(table, column):
             if abs(value - v0) > best:
                 best, location = abs(value - v0), 0.5 * (x0 + x)
         previous = (x, value)
-    return location, best
+    return location
 
 
 def _one_sided_d1(f, center, h, sign):
@@ -584,17 +577,12 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     d2_left = _one_sided_d2(cached, center, step, -1.0)
     d2_right = _one_sided_d2(cached, center, step, +1.0)
 
-    d1_jump = d1_right - d1_left
-    d2_jump = d2_right - d2_left
     scale = max(1.0, abs(d1_left), abs(d1_right))
     table = tuple(table)
-    if abs(d1_jump) > 1e-3 * scale:
-        order, jump = 1, d1_jump
-        location, _ = _locate_jump(table, 2)
-    else:
-        order, jump = 2, d2_jump
-        location, _ = _locate_jump(table, 3)
+    # the order of the first derivative that jumps; its table column is order + 1
+    order = 1 if abs(d1_right - d1_left) > 1e-3 * scale else 2
+    location = _locate_jump(table, order + 1)
     return DerivativeDiagnostics(axis, float(center), table,
                                  float(d1_left), float(d1_right),
                                  float(d2_left), float(d2_right),
-                                 order, float(jump), float(location))
+                                 order, float(location))

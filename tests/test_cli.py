@@ -40,11 +40,16 @@ class TestCriticalPoint:
         assert code == 0
         assert rows_by(csv_to_rows(out), "g_c")[0]["value"] == 1.0
 
-    def test_sign_mismatch_is_validation_error(self, capsys):
-        code, _, err = run_cli(capsys, "critical-point", "--jbar", "0.6",
-                               "--sites", "3", "--sign", "negative")
+    def test_sign_is_not_an_option(self, capsys, tmp_path):
+        # the hopping sign follows from jbar: neither a flag nor a config
+        # key sets it
+        with pytest.raises(SystemExit):
+            main(["critical-point", "--jbar", "0.6", "--sign", "negative"])
+        config = tmp_path / "signed.json"
+        config.write_text(json.dumps({"jbar": 0.6, "sign": "negative"}))
+        code, _, err = run_cli(capsys, "critical-point", "--config", str(config))
         assert code == 2
-        assert "error" in err
+        assert "unknown config keys: ['sign']" in err
 
 
 class TestGroundState:

@@ -87,8 +87,7 @@ class TestBuild:
 
     def test_rejects_unconverged_solution(self):
         sol, p, _ = solved_form(0.01, 1.01)
-        bad = GroundStateSolution(sol.config, sol.phase, sol.degeneracy,
-                                  grad_norm=1e-3)
+        bad = GroundStateSolution(sol.config, sol.phase, grad_norm=1e-3)
         with pytest.raises(ValidationError):
             build_quadratic_hamiltonian(bad, p)
 
@@ -150,8 +149,8 @@ class TestWilliamson:
     def test_unstable_form_raises_with_direction(self):
         # a stale normal-phase mean field past the critical point
         p = params(0.01, 1.2)
-        config = MeanFieldConfiguration.from_alphas(np.zeros(3), p.g, p.jbar)
-        stale = GroundStateSolution(config, Phase.NORMAL, 1, 0.0)
+        config = MeanFieldConfiguration(np.zeros(3), p.g, p.jbar)
+        stale = GroundStateSolution(config, Phase.NORMAL, 0.0)
         form = build_quadratic_hamiltonian(stale, p)
         with pytest.raises(InstabilityError):
             williamson_diagonalize(form)
@@ -310,8 +309,8 @@ class TestStackedSectors:
         gc = critical_point(jbar, n, "positive")
         points = [params(jbar, gc * (1 + r), n) for r in (1e-7, 1e-4, 1e-2, 1e-1)]
         solutions = [solve_ground_state(p) for p in points]
-        stale = GroundStateSolution(MeanFieldConfiguration.from_alphas(
-            np.zeros(n), points[2].g, jbar), Phase.FSP, 2 * n, 0.0)
+        stale = GroundStateSolution(MeanFieldConfiguration(
+            np.zeros(n), points[2].g, jbar), Phase.FSP, 0.0)
         solutions[2] = stale
         stacked = site_moments(solutions, points)
         assert isinstance(stacked[2], InstabilityError)
@@ -334,8 +333,8 @@ class TestStackedSectors:
                   params(0.01, gc_f * (1 + 3e-3), n), params(0.01, gc_f * (1 + 1e-5), n),
                   params(0.01, gc_f * 1.1, n), params(-0.01, gc_u * 1.1, n)]
         solutions = [solve_ground_state(p) for p in points[:4]]
-        solutions += [GroundStateSolution(MeanFieldConfiguration.from_alphas(
-            np.zeros(n), p.g, p.jbar), phase, 2 * n, 0.0)
+        solutions += [GroundStateSolution(MeanFieldConfiguration(
+            np.zeros(n), p.g, p.jbar), phase, 0.0)
             for p, phase in zip(points[4:], (Phase.FSP, Phase.NFSP))]
         stacked = site_moments(solutions, points)
         assert stacked[2].eps is not None and stacked[3].eps is None
@@ -428,10 +427,8 @@ class TestSymmetryInvariance:
         jbar, g = -0.02, 1.06
         sol, p, form = solved_form(jbar, g)
         base = williamson_diagonalize(form).symplectic_eigenvalues
-        rolled = MeanFieldConfiguration.from_alphas(
-            np.roll(sol.config.alphas, 1), g, jbar)
-        rolled_sol = GroundStateSolution(rolled, sol.phase, sol.degeneracy,
-                                         sol.grad_norm)
+        rolled = MeanFieldConfiguration(np.roll(sol.config.alphas, 1), g, jbar)
+        rolled_sol = GroundStateSolution(rolled, sol.phase, sol.grad_norm)
         rolled_form = build_quadratic_hamiltonian(rolled_sol, p)
         rolled_eps = williamson_diagonalize(rolled_form).symplectic_eigenvalues
         assert_allclose(base, rolled_eps, rtol=1e-12)
@@ -445,7 +442,7 @@ class TestSymmetryInvariance:
         members = enumerate_degenerate_ground_states(p)
         spectra, photon_sets = [], []
         for member in members:
-            sol = GroundStateSolution(member, Phase.FSP, 6, 0.0)
+            sol = GroundStateSolution(member, Phase.FSP, 0.0)
             decomp = williamson_diagonalize(build_quadratic_hamiltonian(sol, p))
             spectra.append(decomp.symplectic_eigenvalues)
             cov = covariance(decomp)
@@ -519,8 +516,7 @@ class TestUniformPhaseMoments:
 
     def test_rejects_unconverged_solution(self):
         sol, p, _ = solved_form(-0.01, 0.9)
-        bad = GroundStateSolution(sol.config, sol.phase, sol.degeneracy,
-                                  grad_norm=1e-3)
+        bad = GroundStateSolution(sol.config, sol.phase, grad_norm=1e-3)
         with pytest.raises(ValidationError):
             uniform_phase_moments(bad, p)
         with pytest.raises(ValidationError):
@@ -531,8 +527,8 @@ class TestUniformPhaseMoments:
         # past g_c, and past the five-site hopping window where the cavity
         # frequency of the k = +-4pi/5 blocks turns negative
         p = params(jbar, g, n=5)
-        config = MeanFieldConfiguration.from_alphas(np.zeros(5), p.g, p.jbar)
-        stale = GroundStateSolution(config, Phase.NORMAL, 1, 0.0)
+        config = MeanFieldConfiguration(np.zeros(5), p.g, p.jbar)
+        stale = GroundStateSolution(config, Phase.NORMAL, 0.0)
         with pytest.raises(InstabilityError):
             williamson_diagonalize(build_quadratic_hamiltonian(stale, p))
         with pytest.raises(InstabilityError):

@@ -454,7 +454,7 @@ class TestHessianCriticalModes:
         solutions = [solve_ground_state(p) for p in points]
         assert [s.phase for s in solutions] == [Phase.NORMAL, Phase.NFSP, Phase.FSP, Phase.FSP]
         for p, sol, (eigenvalues, soft) in zip(points, solutions,
-                                                hessian_spectra(solutions, points)):
+                                                hessian_spectra(solutions)):
             alone = np.linalg.eigvalsh(energy_hessian(sol.config.alphas, p.g, p.jbar))
             assert np.array_equal(eigenvalues, alone)
             if sol.phase is Phase.FSP:
@@ -462,7 +462,7 @@ class TestHessianCriticalModes:
                 assert (soft[0], soft[1]) == (modes.lambda_mf, modes.lambda_f)
             else:
                 assert soft is None
-        assert hessian_spectra([], []) == []
+        assert hessian_spectra([]) == []
 
     def test_requires_frustrated_phase(self):
         with pytest.raises(PhaseError):

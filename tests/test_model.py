@@ -64,7 +64,7 @@ class TestModelParams:
     def test_configuration_energy_consistency(self):
         rng = np.random.default_rng(7)
         alphas = rng.normal(scale=0.3, size=5)
-        config = MeanFieldConfiguration.from_alphas(alphas, g=1.1, jbar=0.05)
+        config = MeanFieldConfiguration(alphas, g=1.1, jbar=0.05)
         assert abs(config.energy - rescaled_energy(alphas, 1.1, 0.05)) < 1e-12
         with pytest.raises(ValueError):
             config.alphas[0] = 1.0  # stored arrays are read-only
@@ -236,14 +236,12 @@ class TestCriticalPoint:
 
 
 def test_default_hopping_sign_follows_jbar_everywhere():
-    from frustra.cli import RunConfig
     from frustra.scaling import SweepSpec
 
     for jbar, sign in ((-0.01, "negative"), (0.0, "positive"), (0.01, "positive")):
         assert default_hopping_sign(jbar) == sign
         assert ModelParams(1.0, 1.0, jbar, 0.5, 3).hopping_sign == sign
-        assert SweepSpec(jbar=jbar, n_sites=3).hopping_sign == sign
-        assert RunConfig("sweep", jbar=jbar).hopping_sign == sign
+        assert SweepSpec(jbar=jbar, n_sites=3).g_critical == critical_point(jbar, 3, sign)
 
 
 def test_stability_window_matches_three_site_bounds():

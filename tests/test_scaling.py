@@ -41,8 +41,6 @@ class TestSweepSpec:
             SweepSpec(jbar=0.01, n_sites=3, observables=("bogus",))
         with pytest.raises(ValidationError):
             SweepSpec(jbar=0.01, n_sites=3, grid=(1.2, 1.1))
-        with pytest.raises(ValidationError):
-            SweepSpec(jbar=0.01, n_sites=3, hopping_sign="negative")
 
 
 class TestRunSweep:
@@ -286,8 +284,8 @@ class TestSweepErrors:
         # a normal-phase state handed over past the threshold: its k = 0
         # momentum block is not positive definite
         def stale(params_seq):
-            return [GroundStateSolution(MeanFieldConfiguration.from_alphas(
-                np.zeros(params.n_sites), params.g, params.jbar), Phase.NORMAL, 1, 0.0)
+            return [GroundStateSolution(MeanFieldConfiguration(
+                np.zeros(params.n_sites), params.g, params.jbar), Phase.NORMAL, 0.0)
                 for params in params_seq]
 
         monkeypatch.setattr(scaling, "solve_ground_states", stale)
