@@ -203,7 +203,8 @@ def cmd_spectrum(config: RunConfig):
             rows.append(_row(params.g, reduced, "weight_atom", f"{mode}/{site}",
                              weights.atom[site - 1]))
     if decomp.critical_regime:
-        warnings.append("critical-regime: smallest excitation below 1e-8 omega0; "
+        warnings.append("critical-regime: smallest excitation below 1e-8 omega0 or not "
+                        "resolved in double precision; excitation energies and "
                         "covariance-derived values carry enlarged error bounds")
     return rows, warnings
 

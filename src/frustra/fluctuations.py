@@ -99,7 +99,8 @@ class WilliamsonDecomposition:
     ``symplectic_matrix`` S satisfies S H S^T = diag(e_1, e_1, ..., e_2N, e_2N)
     and S Omega S^T = Omega; the stored residuals are the max-norm defects of
     those two identities.  ``critical_regime`` marks a smallest eigenvalue
-    under 1e-8 of the cavity frequency scale.  S is block diagonal over
+    under 1e-8 of the cavity frequency scale, or one the form does not
+    resolve (:attr:`_SplitModes.resolvable`).  S is block diagonal over
     positions and momenta (rows e^(-1/2) V^T L_p^T and e^(-1/2) U^T L_x^T of
     the Cholesky-SVD construction); its momentum rows are the position rows
     of (S^{-1})^T read by :func:`mode_weights`.
@@ -163,14 +164,17 @@ class ModeWeights:
 
 def _require_minimum(solution: GroundStateSolution, params: ModelParams) -> None:
     """The quadratic expansion holds only about a converged minimum of the
-    lattice ``params`` describes."""
+    lattice point ``params`` describes."""
     if not solution.converged:
         raise ValidationError(
             "quadratic expansion requires a converged minimum "
             f"(gradient norm {solution.grad_norm:.2e})"
         )
-    if solution.config.n_sites != params.n_sites:
-        raise ValidationError("solution and params disagree on lattice size")
+    config = solution.config
+    point = (config.n_sites, config.g, config.jbar)
+    if point != (params.n_sites, params.g, params.jbar):
+        raise ValidationError(f"solution (N, g, jbar) = {point} was solved at another "
+                              "lattice point than params")
 
 
 def _split_hamiltonian(solutions, params_seq) -> np.ndarray:
@@ -300,7 +304,8 @@ def williamson_diagonalize(form: QuadraticForm) -> WilliamsonDecomposition:
     sym_res = float(np.max(np.abs(s_matrix @ omega @ s_matrix.T - omega)))
     diag = s_matrix @ matrix @ s_matrix.T
     diag_res = float(np.max(np.abs(diag - np.diag(np.repeat(eps, 2)))))
-    critical = bool(eps.min() < CRITICAL_REGIME_FACTOR * form.omega0)
+    critical = bool(eps.min() < CRITICAL_REGIME_FACTOR * form.omega0
+                    or not modes.resolvable[0])
     return WilliamsonDecomposition(eps, s_matrix, sym_res, diag_res, critical)
 
 

@@ -92,7 +92,7 @@ class GroundStateSolution:
 
     @property
     def converged(self) -> bool:
-        return self.grad_norm <= SOLUTION_GRAD_TOL
+        return bool(self.grad_norm <= SOLUTION_GRAD_TOL)
 
 
 # ---------------------------------------------------------------------------

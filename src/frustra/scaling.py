@@ -356,7 +356,9 @@ def extract_exponents(params: ModelParams,
     spec = SweepSpec(jbar=params.jbar, n_sites=params.n_sites,
                      omega0=params.omega0, Omega=params.Omega,
                      reduced_min=window[0], reduced_max=window[1],
-                     points_per_decade=points_per_decade, sides="above")
+                     points_per_decade=points_per_decade, sides="above",
+                     observables=("gaps", "photon_numbers", "squeezing",
+                                  "hessian_eigenvalues"))
     result = run_sweep(spec)
     warnings = list(dict.fromkeys(result.warnings))
     if params.n_sites > 7:

@@ -110,6 +110,16 @@ class TestSpectrum:
         assert len(rows_by(rows, "weight_cavity")) == 18
         assert len(rows_by(rows, "weight_atom")) == 18
 
+    @pytest.mark.parametrize("g, flagged", [("1e10", True), ("1.05", False)])
+    def test_unresolvable_form_is_flagged(self, capsys, g, flagged):
+        # at g = 1e10 no excitation is below 1e-8 omega0, but the form's
+        # softest modes are below its double-precision resolution
+        code, out, _ = run_cli(capsys, "spectrum", "--sites", "3", "--g", g,
+                               "--format", "json")
+        assert code == 0
+        warnings = json.loads(out)["warnings"]
+        assert [w.startswith("critical-regime") for w in warnings] == ([True] if flagged else [])
+
     def test_unstable_point_exit_code(self, capsys, tmp_path):
         # diverging hopping magnitude outside the stability window
         code, _, err = run_cli(capsys, "spectrum", "--jbar", "-0.7",

@@ -91,6 +91,23 @@ class TestBuild:
         with pytest.raises(ValidationError):
             build_quadratic_hamiltonian(bad, p)
 
+    def test_rejects_solution_of_another_lattice_point(self):
+        sol, p, _ = solved_form(0.01, 1.1)
+        for other in (params(0.01, 1.2), params(0.02, 1.1)):
+            with pytest.raises(ValidationError, match="another lattice point"):
+                build_quadratic_hamiltonian(sol, other)
+        sol, _, _ = solved_form(-0.01, 1.1)
+        with pytest.raises(ValidationError, match="another lattice point"):
+            uniform_phase_moments(sol, params(-0.01, 1.2))
+
+    @pytest.mark.parametrize("g, critical", [(1e3, False), (1e4, True)])
+    def test_unresolvable_form_is_critical_regime(self, g, critical):
+        # the soft modes stay near omega0, but from g = 1e4 their squares
+        # fall below RESOLUTION_FACTOR eps e_max^2
+        decomp = williamson_diagonalize(solved_form(0.01, g)[2])
+        assert decomp.symplectic_eigenvalues.min() > 0.5
+        assert decomp.critical_regime is critical
+
     def test_symmetry_validation(self):
         with pytest.raises(ValidationError):
             QuadraticForm(np.arange(16.0).reshape(4, 4))

@@ -15,8 +15,10 @@ from frustra.meanfield import (
     ENERGY_TOL,
     MATCH_TOL,
     SOLUTION_GRAD_TOL,
+    GroundStateSolution,
     Phase,
     SolverOptions,
+    _canonical_frame,
     _mirror_reduced,
     _newton_minimize,
     _seed_alphas,
@@ -31,6 +33,7 @@ from frustra.meanfield import (
     solve_ground_states,
 )
 from frustra.model import (
+    MeanFieldConfiguration,
     ModelParams,
     critical_point,
     energy_gradient,
@@ -306,6 +309,42 @@ def _origin_only_at(g_bad):
     def seeds(params):
         return [np.zeros(params.n_sites)] if params.g == g_bad else _seed_alphas(params)
     return seeds
+
+
+class TestDerivedSolutionFields:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_degeneracy_follows_phase_and_size(self, n):
+        config = MeanFieldConfiguration(np.zeros(n), 1.0, 0.01)
+        assert [GroundStateSolution(config, phase, 0.0).degeneracy
+                for phase in (Phase.NORMAL, Phase.NFSP, Phase.FSP)] == [1, 2, 2 * n]
+
+    def test_converged_is_the_residual_within_tolerance(self):
+        config = MeanFieldConfiguration(np.zeros(3), 0.5, 0.01)
+        for grad_norm, converged in ((0.0, True), (SOLUTION_GRAD_TOL, True),
+                                     (np.nextafter(SOLUTION_GRAD_TOL, 1.0), False),
+                                     (1e-3, False), (np.nan, False)):
+            assert GroundStateSolution(config, Phase.NORMAL, grad_norm).converged is converged
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_frustrated_winners_need_only_a_sign_flip(self, n, monkeypatch):
+        # every winner of the mirror-reduced stack has its unpaired site at
+        # site 1 already, so the canonical frame of the raw winner has shift
+        # 0, and the returned solution is canonical
+        frames = []
+
+        def spy(alphas):
+            frames.append(_canonical_frame(alphas))
+            return frames[-1]
+
+        monkeypatch.setattr(meanfield, "_canonical_frame", spy)
+        points = [ModelParams(1.0, 1.0, jbar, critical_point(jbar, n, "positive") * (1 + r), n)
+                  for jbar in (0.01, 0.3) for r in np.logspace(-7, np.log10(0.3), 14)]
+        outcomes = solve_ground_states(points)
+        assert all(solution.phase is Phase.FSP for solution in outcomes)
+        assert len(frames) == len(points)
+        assert {shift for shift, _ in frames} == {0}
+        for solution in outcomes:
+            assert _canonical_frame(solution.config.alphas) == (0, 1.0)
 
 
 class TestStackedSolve:

@@ -6,6 +6,7 @@ from frustra.errors import DomainError, ValidationError
 from frustra.model import (
     MeanFieldConfiguration,
     ModelParams,
+    atomic_angles,
     atomic_angles_from_alpha,
     critical_point,
     default_hopping_sign,
@@ -68,6 +69,17 @@ class TestModelParams:
         assert abs(config.energy - rescaled_energy(alphas, 1.1, 0.05)) < 1e-12
         with pytest.raises(ValueError):
             config.alphas[0] = 1.0  # stored arrays are read-only
+
+    def test_configuration_derives_angles_and_energy_bitwise(self):
+        rng = np.random.default_rng(11)
+        alphas = rng.normal(scale=0.3, size=7)
+        alphas[2] = 0.0
+        config = MeanFieldConfiguration(list(alphas), g=1.3, jbar=0.02)
+        thetas, phis = atomic_angles(alphas, 1.3)
+        assert np.array_equal(config.thetas, thetas)
+        assert np.array_equal(config.phis, phis)
+        assert config.energy == rescaled_energy(alphas, 1.3, 0.02)
+        assert np.array_equal(config.jx_expectation(), np.sin(thetas) * np.cos(phis))
 
 
 class TestRescaledEnergy:

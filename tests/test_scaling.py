@@ -200,6 +200,17 @@ class TestExponentReports:
                                    points_per_decade=12)
         assert abs(dense.gamma_f.exponent - sparse.gamma_f.exponent) < 0.05
 
+    def test_sweeps_only_the_observables_it_fits(self, monkeypatch):
+        specs = []
+
+        def recording(spec):
+            specs.append(spec)
+            return run_sweep(spec)
+
+        monkeypatch.setattr(scaling, "run_sweep", recording)
+        extract_exponents(params(0.01), window=(1e-3, 1e-2), points_per_decade=6)
+        assert set(specs[0].observables) == set(scaling.OBSERVABLES) - {"energy"}
+
     def test_large_lattice_flagged_unvalidated(self):
         report = extract_exponents(params(0.01, n=9), window=(3e-4, 1e-2),
                                    points_per_decade=6)
