@@ -522,10 +522,11 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     The scan uses central differences on a uniform grid of spacing ``step``
     that excludes the transition point itself; the one-sided limits at the
     transition are Richardson-extrapolated.  For axis 'g' the transition is
-    the critical coupling of ``params``'s hopping sign; for axis 'jbar' it
-    is the decoupling point jbar = 0 at fixed g.  Every distinct point the
-    scan reads is solved in one stacked call; if any fails, the error of
-    the first in scan order (grid, then Richardson points) is raised.
+    the critical coupling of ``params`` (the sign of its jbar picks the
+    branch); for axis 'jbar' it is the decoupling point jbar = 0 at fixed g.
+    Every distinct point the scan reads is solved in one stacked call; if
+    any fails, the error of the first in scan order (grid, then Richardson
+    points) is raised.
     """
     if axis == "g":
         center = params.critical_coupling()
