@@ -4,7 +4,8 @@ Subcommands: critical-point, ground-state, spectrum, sweep, exponents.
 Results are emitted as CSV (columns g, reduced_coupling, observable, index,
 value) or as a JSON document {"config": ..., "results": [...],
 "warnings": [...]}.  Floats are written as shortest round-trip decimals, so
-identical configurations produce identical bytes.
+identical configurations produce identical bytes.  In either format each
+warning is also written to stderr as a ``warning: ...`` line.
 
 Exit codes: 0 success, 2 validation error, 3 convergence/instability error,
 4 fit-quality error.
@@ -314,6 +315,8 @@ def main(argv=None) -> int:
         config = _merge_config(args)
         rows, warnings = _COMMANDS[args.command](config)
         _write(config, _emit(config, rows, warnings))
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -12,6 +12,7 @@ mirror pairs satisfying alpha_{1+j} = alpha_{N+1-j}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -62,7 +63,8 @@ class SolverOptions:
 
     ``seed_mode`` selects how the degenerate manifold is enumerated:
     ``symmetry-orbit`` (default) constructs it from the canonical solution's
-    symmetry orbit, ``exhaustive`` re-minimizes from all 2^N sign patterns.
+    symmetry orbit, ``exhaustive`` re-minimizes from one sign pattern per
+    rotation/flip orbit and generates the members by that group.
     """
 
     seed_mode: str = "symmetry-orbit"
@@ -552,9 +554,10 @@ def enumerate_degenerate_ground_states(
 
     In the default symmetry-orbit mode the manifold is generated from the
     canonical solution by lattice rotations and the global sign flip.  In
-    exhaustive mode every one of the 2^N sign patterns is minimized
-    independently and the global-energy tier is collected; this validates
-    the orbit construction for small lattices.
+    exhaustive mode one sign pattern per orbit of that group is minimized
+    independently and the group generates the members from the
+    global-energy tier; this validates the orbit construction for small
+    lattices.
     """
     opts = opts or SolverOptions()
     if opts.seed_mode == "exhaustive":
@@ -566,8 +569,21 @@ def enumerate_degenerate_ground_states(
         return [solution.config]
     if solution.phase is Phase.NFSP:
         return [solution.config, MeanFieldConfiguration(-alphas, g, jbar)]
-    return [MeanFieldConfiguration(flip * np.roll(alphas, shift), g, jbar)
-            for flip in (1.0, -1.0) for shift in range(params.n_sites)]
+    return [MeanFieldConfiguration(image, g, jbar) for image in _group_images(alphas)]
+
+
+def _group_images(alphas: np.ndarray) -> np.ndarray:
+    """The 2N images ``flip * np.roll(alphas, shift)``, flip +1 then -1."""
+    n = len(alphas)
+    rolled = alphas[(np.arange(n) - np.arange(n)[:, None]) % n]
+    return np.concatenate((rolled, -rolled))
+
+
+@functools.cache
+def _orbit_patterns(n_sites: int) -> tuple:
+    """The lexicographically first sign pattern of each rotation/flip orbit, sorted."""
+    return tuple(sorted({min(map(tuple, _group_images(np.array(signs))))
+                         for signs in itertools.product((-1.0, 1.0), repeat=n_sites)}))
 
 
 def _enumerate_exhaustive(params: ModelParams):
@@ -578,8 +594,8 @@ def _enumerate_exhaustive(params: ModelParams):
     if uniform is not None:
         scale = max(scale, uniform)
 
-    # every sign pattern is one row of a single full-space Newton stack
-    seeds = np.array(list(itertools.product((-1.0, 1.0), repeat=n))) * scale
+    # one sign pattern per rotation/flip orbit, all rows of one full-space Newton stack
+    seeds = np.array(_orbit_patterns(n)) * scale
     alphas, grad_norm, _, failures = _newton_minimize(
         lambda a, rows: rescaled_energy(a, g, jbar),
         lambda a, rows: energy_gradient(a, g, jbar),
@@ -603,11 +619,18 @@ def _enumerate_exhaustive(params: ModelParams):
         # reduced Newton does, so that copies of one minimum coincide to
         # rounding.
         global_tier = _polish_members(global_tier, params)
-    distinct: list[np.ndarray] = []
+    # a tier member near a kept one lies in a kept orbit; else its distinct images join
+    members = np.empty((0, n))
     for alphas in global_tier:
-        if not any(np.max(np.abs(alphas - other)) < MATCH_TOL for other in distinct):
-            distinct.append(alphas)
-    return [MeanFieldConfiguration(a, g, jbar) for a in distinct]
+        if _unmatched(members, alphas):
+            for image in _group_images(alphas):
+                if _unmatched(members, image):
+                    members = np.vstack((members, image))
+    return [MeanFieldConfiguration(a, g, jbar) for a in members]
+
+
+def _unmatched(members: np.ndarray, alphas: np.ndarray) -> bool:
+    return not np.any(np.max(np.abs(members - alphas), axis=-1) < MATCH_TOL)
 
 
 def _polish_members(members: np.ndarray, params: ModelParams) -> list[np.ndarray]:

@@ -361,12 +361,11 @@ def extract_exponents(params: ModelParams,
                                   "hessian_eigenvalues"))
     result = run_sweep(spec)
     warnings = list(dict.fromkeys(result.warnings))
-    if params.n_sites > 7:
+    frustrated = params.jbar > 0
+    if frustrated and params.n_sites > 7:
         warnings.append(
             "frustration exponents for more than 7 sites extrapolate the "
             "(N-1)/2 law beyond its validated range")
-
-    frustrated = params.jbar > 0
     eps_floor = CRITICAL_REGIME_FACTOR * params.omega0
 
     def fit(observable, index, floor=0.0, diverging=False):

@@ -1,0 +1,66 @@
+"""All-sign-pattern reference for the exhaustive ground-state oracle: every
+one of the 2^N sign patterns is a row of one full-space Newton stack, and
+the distinct members of the global-energy tier are collected pairwise.  The
+package runs one pattern per rotation/flip orbit and generates the members
+by the group; the tests compare the two."""
+
+import itertools
+
+import numpy as np
+
+from frustra.errors import ConvergenceError
+from frustra.meanfield import (
+    ENERGY_TOL,
+    MATCH_TOL,
+    PSD_TOLERANCE,
+    SOLUTION_GRAD_TOL,
+    Phase,
+    _classify,
+    _isolated,
+    _newton_minimize,
+    _polish_members,
+    _uniform_magnitude,
+)
+from frustra.model import (
+    MeanFieldConfiguration,
+    energy_gradient,
+    energy_hessian,
+    rescaled_energy,
+)
+
+
+def enumerate_all_sign_patterns(params):
+    """The global minimizers found from all 2^N sign patterns, each distinct
+    member (at MATCH_TOL) once, in sign-pattern order."""
+    n, g, jbar = params.n_sites, params.g, params.jbar
+    gc = params.critical_coupling()
+    scale = np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5) if g > gc else 0.1
+    uniform = _uniform_magnitude(g, jbar)
+    if uniform is not None:
+        scale = max(scale, uniform)
+
+    seeds = np.array(list(itertools.product((-1.0, 1.0), repeat=n))) * scale
+    alphas, grad_norm, _, failures = _newton_minimize(
+        lambda a, rows: rescaled_energy(a, g, jbar),
+        lambda a, rows: energy_gradient(a, g, jbar),
+        lambda a, rows: energy_hessian(a, g, jbar), seeds)
+    settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
+    stationary = settled[~(grad_norm[settled] > SOLUTION_GRAD_TOL)]
+    ok, lowest = _isolated(
+        lambda a, rows: np.linalg.eigvalsh(energy_hessian(a, g, jbar)).min(axis=-1),
+        alphas[stationary], stationary, failures)
+    if failures:
+        raise failures[min(failures)]
+    found = alphas[stationary[~(lowest < PSD_TOLERANCE)]]
+    if not len(found):
+        raise ConvergenceError("exhaustive enumeration found no stable minima")
+
+    energies = rescaled_energy(found, g, jbar)
+    global_tier = found[energies <= energies.min() + ENERGY_TOL]
+    if _classify(global_tier[0], params) is Phase.FSP:
+        global_tier = _polish_members(global_tier, params)
+    distinct = []
+    for alphas in global_tier:
+        if not any(np.max(np.abs(alphas - other)) < MATCH_TOL for other in distinct):
+            distinct.append(alphas)
+    return [MeanFieldConfiguration(a, g, jbar) for a in distinct]

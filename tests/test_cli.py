@@ -120,6 +120,24 @@ class TestSpectrum:
         warnings = json.loads(out)["warnings"]
         assert [w.startswith("critical-regime") for w in warnings] == ([True] if flagged else [])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_warnings_go_to_stderr_in_every_format(self, capsys, tmp_path, fmt):
+        args = ("spectrum", "--sites", "3", "--g", "1e10", "--format", fmt)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert err.startswith("warning: critical-regime: ") and err.count("\n") == 1
+        assert "critical-regime" not in out if fmt == "csv" else "warning:" not in out
+        target = tmp_path / "out"
+        code, to_file, err_file = run_cli(capsys, *args, "--output", str(target))
+        assert (code, to_file, err_file) == (0, "", err)
+        written = target.read_text(encoding="utf-8")
+        if fmt == "json":  # the config echo names the output path
+            written, out = (json.loads(text) for text in (written, out))
+            written["config"]["output"] = None
+        assert written == out
+        assert run_cli(capsys, "spectrum", "--sites", "3", "--g", "1.05",
+                       "--format", fmt)[2] == ""
+
     def test_unstable_point_exit_code(self, capsys, tmp_path):
         # diverging hopping magnitude outside the stability window
         code, _, err = run_cli(capsys, "spectrum", "--jbar", "-0.7",

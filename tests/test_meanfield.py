@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -19,8 +20,11 @@ from frustra.meanfield import (
     Phase,
     SolverOptions,
     _canonical_frame,
+    _canonical_solution,
+    _group_images,
     _mirror_reduced,
     _newton_minimize,
+    _orbit_patterns,
     _seed_alphas,
     enumerate_degenerate_ground_states,
     fsp_approximation,
@@ -303,6 +307,26 @@ class TestDegenerateManifold:
             assert np.max(np.abs(energy_gradient(member.alphas, g, jbar))) <= SOLUTION_GRAD_TOL
 
 
+class TestOrbitPatterns:
+    @pytest.mark.parametrize("n, orbits", [(3, 2), (5, 4), (7, 10), (9, 30)])
+    def test_one_pattern_per_rotation_flip_orbit(self, n, orbits):
+        assert np.shape(_orbit_patterns(n)) == (orbits, n)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_every_pattern_lies_in_exactly_one_orbit(self, n):
+        orbits = [set(map(tuple, _group_images(np.array(pattern))))
+                  for pattern in _orbit_patterns(n)]
+        for pattern, orbit in zip(_orbit_patterns(n), orbits):
+            assert tuple(pattern) == min(orbit)  # the lexicographically first
+        for signs in itertools.product((-1.0, 1.0), repeat=n):
+            assert sum(signs in orbit for orbit in orbits) == 1
+
+    def test_group_images_are_the_rotations_and_flips(self):
+        alphas = np.array([-0.3, 0.1, 0.2, 0.1, 0.4])
+        expected = [flip * np.roll(alphas, shift) for flip in (1.0, -1.0) for shift in range(5)]
+        assert np.array_equal(_group_images(alphas), expected)
+
+
 def _origin_only_at(g_bad):
     """_seed_alphas with the one point at g_bad seeded from the origin
     alone: a saddle there, so no seed passes the PSD filter."""
@@ -345,6 +369,20 @@ class TestDerivedSolutionFields:
         assert {shift for shift, _ in frames} == {0}
         for solution in outcomes:
             assert _canonical_frame(solution.config.alphas) == (0, 1.0)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_canonical_solution_flips_a_positive_unpaired_site(self, n):
+        # the raw winners never have alpha_1 > 0, so hand it the mirror-
+        # symmetric frustrated minimizer with its sign flipped
+        p = params(0.01, 1.01 * critical_point(0.01, n, "positive"), n)
+        solution = solve_ground_state(p)
+        flipped = -solution.config.alphas
+        assert flipped[0] > 0
+        canonical = _canonical_solution(flipped, solution.grad_norm, p)
+        assert canonical.phase is Phase.FSP
+        a = canonical.config.alphas
+        assert a[0] < 0 <= a[1]
+        assert np.array_equal(a, solution.config.alphas)
 
 
 class TestStackedSolve:

@@ -1,6 +1,7 @@
 """Property tests for the invariants the solvers rely on: symmetry of the
 energy, exact derivatives, the mirror-reduced problem, agreement of the
-orbit-seeded solver with the exhaustive 2^N oracle, the Williamson
+orbit-seeded solver with the exhaustive oracle, the orbit oracle with the
+test-side all-2^N-pattern reference, the Williamson
 identities, the package's split-form Cholesky-SVD route against the
 test-side generic Cholesky/real-Schur reference, the momentum-block path
 of the uniform phases against the Williamson reference, and the CSV wire
@@ -23,7 +24,9 @@ from frustra.fluctuations import (
     uniform_phase_moments,
     williamson_diagonalize,
 )
+from frustra.errors import FrustraError
 from frustra.meanfield import (
+    MATCH_TOL,
     Phase,
     SolverOptions,
     _mirror_reduced,
@@ -39,6 +42,7 @@ from frustra.model import (
     energy_hessian,
     rescaled_energy,
 )
+from exhaustive_reference import enumerate_all_sign_patterns
 from williamson_reference import _williamson_generic
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -153,6 +157,29 @@ def test_orbit_seeded_solver_matches_exhaustive_oracle(params):
         params, SolverOptions(seed_mode="exhaustive"))
     assert solution.config.energy <= min(m.energy for m in members) + 1e-10
     assert len(members) == solution.degeneracy
+
+
+def _members_or_error(enumerate_fn, params):
+    try:
+        return np.array([member.alphas for member in enumerate_fn(params)])
+    except FrustraError as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(transition_points())
+def test_orbit_oracle_matches_all_sign_patterns(params):
+    orbit = _members_or_error(lambda p: enumerate_degenerate_ground_states(
+        p, SolverOptions(seed_mode="exhaustive")), params)
+    reference = _members_or_error(enumerate_all_sign_patterns, params)
+    if not isinstance(reference, np.ndarray):
+        assert orbit is reference
+        return
+    assert orbit.shape == reference.shape
+    # as sets: every member of either list has a partner in the other
+    distance = np.max(np.abs(orbit[:, None] - reference[None]), axis=-1)
+    assert np.all(distance.min(axis=0) < MATCH_TOL)
+    assert np.all(distance.min(axis=1) < MATCH_TOL)
 
 
 @st.composite

@@ -216,6 +216,12 @@ class TestExponentReports:
                                    points_per_decade=6)
         assert any("extrapolate" in w for w in report.warnings)
 
+    def test_large_uniform_lattice_not_flagged(self):
+        # no frustration exponent is fitted for negative hopping
+        report = extract_exponents(params(-0.01, n=9), window=(3e-4, 1e-2),
+                                   points_per_decade=6)
+        assert not any("extrapolate" in w for w in report.warnings)
+
 
 class TestDerivativeDiagnostics:
     def test_second_order_jump_positive_hopping(self):
