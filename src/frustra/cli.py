@@ -71,6 +71,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     merged = RunConfig(command=args.command)
+    if args.command == "exponents":  # extract_exponents' window, not the sweep's
+        merged.reduced_min, merged.reduced_max = scaling.EXPONENT_WINDOW
     for key, value in file_values.items():
         setattr(merged, key, value)
     for key in _CONFIG_KEYS:
@@ -87,35 +89,52 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 # result assembly
 
 
-def _row(g, reduced, observable, index, value):
-    return {"g": float(g), "reduced_coupling": float(reduced),
-            "observable": observable, "index": str(index), "value": float(value)}
+def _point(g, reduced, rows):
+    """A table point: (observable, index, value) rows at one coupling."""
+    return float(g), float(reduced), [(name, [str(index)], [float(value)])
+                                      for name, index, value in rows]
 
 
-def rows_to_csv(rows) -> str:
+def _table_rows(table) -> list[dict]:
+    """A table's rows as dicts, the JSON ``results``."""
+    return [{"g": g, "reduced_coupling": reduced, "observable": observable,
+             "index": index, "value": value}
+            for g, reduced, columns in table for observable, indices, values in columns
+            for index, value in zip(indices, values)]
+
+
+def _table_csv(table) -> str:
+    """The CSV writer of every command.  A table is a sequence of points
+    (g, reduced_coupling, [(observable, indices, values), ...]); a point's
+    g and reduced coupling are formatted once, and each value once."""
     lines = ["g,reduced_coupling,observable,index,value"]
-    for row in rows:
-        lines.append(",".join([
-            repr(row["g"]), repr(row["reduced_coupling"]), row["observable"],
-            row["index"], repr(row["value"])]))
+    for g, reduced, columns in table:
+        head = f"{g!r},{reduced!r},"
+        for observable, indices, values in columns:
+            lead = f"{head}{observable},"
+            lines += [f"{lead}{index},{value!r}" for index, value in zip(indices, values)]
     return "\n".join(lines) + "\n"
 
 
+def rows_to_csv(rows) -> str:
+    """CSV text of row dicts (as :func:`csv_to_rows` returns them), each
+    row a table point of its own, so -0.0 and 0.0 keep their signs."""
+    return _table_csv(_point(row["g"], row["reduced_coupling"], [
+        (row["observable"], row["index"], row["value"])]) for row in rows)
+
+
 def csv_to_rows(text: str):
-    lines = [line for line in text.splitlines() if line.strip()]
-    rows = []
-    for line in lines[1:]:
-        g, reduced, observable, index, value = line.split(",")
-        rows.append(_row(float(g), float(reduced), observable, index, float(value)))
-    return rows
+    lines = [line.split(",") for line in text.splitlines() if line.strip()][1:]
+    return _table_rows(_point(g, reduced, [(observable, index, value)])
+                       for g, reduced, observable, index, value in lines)
 
 
-def _emit(config: RunConfig, rows, warnings) -> str:
+def _emit(config: RunConfig, table, warnings) -> str:
     if config.format == "csv":
-        return rows_to_csv(rows)
+        return _table_csv(table)
     payload = {
         "config": {key: getattr(config, key) for key in sorted(_CONFIG_KEYS | {"command"})},
-        "results": rows,
+        "results": _table_rows(table),
         "warnings": list(warnings),
     }
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
@@ -129,10 +148,6 @@ def _write(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _reduced(g: float, gc: float) -> float:
-    return abs(g - gc) / gc
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -141,92 +156,67 @@ def cmd_critical_point(config: RunConfig):
     gc = model.critical_point(config.jbar, config.sites,
                               model.default_hopping_sign(config.jbar))
     g_eval = config.g if config.g is not None else gc
-    rows = [_row(g_eval, _reduced(g_eval, gc), "g_c", "", gc)]
-    for t, lam in enumerate(model.origin_hessian_eigenvalues(
-            g_eval, config.jbar, config.sites)):
-        rows.append(_row(g_eval, _reduced(g_eval, gc), "origin_hessian_eigenvalue",
-                         t + 1, lam))
-    return rows, []
+    rows = [("g_c", "", gc)] + [("origin_hessian_eigenvalue", t, lam) for t, lam in enumerate(
+        model.origin_hessian_eigenvalues(g_eval, config.jbar, config.sites), start=1)]
+    return [_point(g_eval, abs(g_eval - gc) / gc, rows)], []
 
 
 def cmd_ground_state(config: RunConfig):
     params = config.params()
     gc = params.critical_coupling()
-    reduced = _reduced(params.g, gc)
     solution = meanfield.solve_ground_state(params)
-    rows = [
-        _row(params.g, reduced, "energy", "", solution.config.energy),
-        _row(params.g, reduced, "phase", solution.phase.value, 1.0),
-        _row(params.g, reduced, "degeneracy", "", float(solution.degeneracy)),
-    ]
 
-    def member_rows(config_mf, tag=""):
-        out = []
-        jx = config_mf.jx_expectation()
-        for site in range(1, params.n_sites + 1):
-            label = f"{tag}{site}"
-            out.append(_row(params.g, reduced, "alpha", label, config_mf.alphas[site - 1]))
-            out.append(_row(params.g, reduced, "theta", label, config_mf.thetas[site - 1]))
-            out.append(_row(params.g, reduced, "phi", label, config_mf.phis[site - 1]))
-            out.append(_row(params.g, reduced, "jx", label, jx[site - 1]))
-        return out
+    def member_rows(member, tag=""):
+        jx = member.jx_expectation()
+        return [(name, f"{tag}{site}", values[site - 1]) for site in range(1, len(jx) + 1)
+                for name, values in (("alpha", member.alphas), ("theta", member.thetas),
+                                     ("phi", member.phis), ("jx", jx))]
 
-    rows += member_rows(solution.config)
+    rows = [("energy", "", solution.config.energy), ("phase", solution.phase.value, 1.0),
+            ("degeneracy", "", solution.degeneracy), *member_rows(solution.config)]
     warnings = []
     if config.manifold:
         members = meanfield.enumerate_degenerate_ground_states(
             params, meanfield.SolverOptions(seed_mode=config.seed_mode))
         for m, member in enumerate(members, start=1):
-            rows.append(_row(params.g, reduced, "manifold_energy", m, member.energy))
-            rows += member_rows(member, tag=f"{m}/")
+            rows += [("manifold_energy", m, member.energy), *member_rows(member, tag=f"{m}/")]
         if len(members) != solution.degeneracy:
             warnings.append(
                 f"manifold size {len(members)} differs from expected "
                 f"degeneracy {solution.degeneracy}")
-    return rows, warnings
+    return [_point(params.g, abs(params.g - gc) / gc, rows)], warnings
 
 
 def cmd_spectrum(config: RunConfig):
     params = config.params()
     gc = params.critical_coupling()
-    reduced = _reduced(params.g, gc)
     solution = meanfield.solve_ground_state(params)
     form = fluctuations.build_quadratic_hamiltonian(solution, params)
     decomp = fluctuations.williamson_diagonalize(form)
-    rows, warnings = [], []
-    for mode, eps in enumerate(decomp.symplectic_eigenvalues, start=1):
-        rows.append(_row(params.g, reduced, "excitation_energy", mode, eps))
+    rows = [("excitation_energy", mode, eps)
+            for mode, eps in enumerate(decomp.symplectic_eigenvalues, start=1)]
     for mode in range(1, decomp.n_modes + 1):
         weights = fluctuations.mode_weights(decomp, mode)
-        for site in range(1, params.n_sites + 1):
-            rows.append(_row(params.g, reduced, "weight_cavity", f"{mode}/{site}",
-                             weights.cavity[site - 1]))
-            rows.append(_row(params.g, reduced, "weight_atom", f"{mode}/{site}",
-                             weights.atom[site - 1]))
+        rows += [(name, f"{mode}/{site}", values[site - 1])
+                 for site in range(1, params.n_sites + 1)
+                 for name, values in (("weight_cavity", weights.cavity),
+                                      ("weight_atom", weights.atom))]
+    warnings = []
     if decomp.critical_regime:
         warnings.append("critical-regime: smallest excitation below 1e-8 omega0 or not "
                         "resolved in double precision; excitation energies and "
                         "covariance-derived values carry enlarged error bounds")
-    return rows, warnings
-
-
-def _sweep_spec(config: RunConfig) -> scaling.SweepSpec:
-    observables = tuple(name for name in config.observables.split(",") if name)
-    return scaling.SweepSpec(
-        jbar=config.jbar, n_sites=config.sites, omega0=config.omega0, Omega=config.omega_atom,
-        reduced_min=config.reduced_min, reduced_max=config.reduced_max,
-        points_per_decade=config.points_per_decade, sides=config.side,
-        observables=observables)
+    return [_point(params.g, abs(params.g - gc) / gc, rows)], warnings
 
 
 def cmd_sweep(config: RunConfig):
-    result = scaling.run_sweep(_sweep_spec(config))
-    rows = [_row(r.g, r.reduced_coupling, r.observable, r.index, r.value)
-            for r in result.rows]
-    warnings = list(dict.fromkeys(result.warnings))
-    warnings += [f"missing g={m.g!r} {m.observable}: {m.reason}"
-                 for m in result.missing]
-    return rows, warnings
+    result = scaling.run_sweep(scaling.SweepSpec(
+        jbar=config.jbar, n_sites=config.sites, omega0=config.omega0, Omega=config.omega_atom,
+        reduced_min=config.reduced_min, reduced_max=config.reduced_max,
+        points_per_decade=config.points_per_decade, sides=config.side,
+        observables=tuple(name for name in config.observables.split(",") if name)))
+    return result.points(), result.warnings + [
+        f"missing g={m.g!r} {m.observable}: {m.reason}" for m in result.missing]
 
 
 def cmd_exponents(config: RunConfig):
@@ -235,26 +225,16 @@ def cmd_exponents(config: RunConfig):
     report = scaling.extract_exponents(
         params, window=(config.reduced_min, config.reduced_max),
         points_per_decade=config.points_per_decade)
-    gc = params.critical_coupling()
-    rows = []
-
-    def fit_rows(name, index, fit):
-        if fit is None:
-            return
-        rows.append(_row(gc, 0.0, name, index, abs(fit.exponent)))
-        rows.append(_row(gc, 0.0, name + "_r_squared", index, fit.r_squared))
-
-    fit_rows("gamma", "mf", report.gamma_mf)
-    fit_rows("gamma", "f", report.gamma_f)
-    for site in sorted(report.photon_exponents):
-        fit_rows("photon_exponent", site, report.photon_exponents[site])
-    for site in sorted(report.squeezing_exponents):
-        fit_rows("squeezing_exponent", site, report.squeezing_exponents[site])
-    for key in sorted(report.hessian_exponents):
-        fit_rows("hessian_exponent", key, report.hessian_exponents[key])
-    for name, passed in sorted(report.checks.items()):
-        rows.append(_row(gc, 0.0, "check", name, 1.0 if passed else 0.0))
-    return rows, list(report.warnings)
+    fits = [("gamma", "mf", report.gamma_mf), ("gamma", "f", report.gamma_f)]
+    for name, by_key in (("photon_exponent", report.photon_exponents),
+                         ("squeezing_exponent", report.squeezing_exponents),
+                         ("hessian_exponent", report.hessian_exponents)):
+        fits += [(name, key, by_key[key]) for key in sorted(by_key)]
+    rows = [row for name, index, fit in fits if fit is not None for row in (
+        (name, index, abs(fit.exponent)), (name + "_r_squared", index, fit.r_squared))]
+    rows += [("check", name, 1.0 if passed else 0.0)
+             for name, passed in sorted(report.checks.items())]
+    return [_point(params.critical_coupling(), 0.0, rows)], list(report.warnings)
 
 
 _COMMANDS = {
@@ -294,14 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--manifold", action="store_true", default=None,
                              help="emit the full degenerate manifold")
         if name in ("sweep", "exponents"):
-            cmd.add_argument("--reduced-min", dest="reduced_min", type=float,
-                             default=None)
-            cmd.add_argument("--reduced-max", dest="reduced_max", type=float,
-                             default=None)
-            cmd.add_argument("--points-per-decade", dest="points_per_decade",
-                             type=int, default=None)
-            cmd.add_argument("--side", choices=("both", "above", "below"),
-                             default=None)
+            cmd.add_argument("--reduced-min", dest="reduced_min", type=float)
+            cmd.add_argument("--reduced-max", dest="reduced_max", type=float)
+            cmd.add_argument("--points-per-decade", dest="points_per_decade", type=int)
+            cmd.add_argument("--side", choices=("both", "above", "below"))
             cmd.add_argument("--observables", default=None,
                              help="comma-separated subset of "
                                   + ",".join(scaling.OBSERVABLES))
@@ -313,8 +289,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)
-        rows, warnings = _COMMANDS[args.command](config)
-        _write(config, _emit(config, rows, warnings))
+        table, warnings = _COMMANDS[args.command](config)
+        _write(config, _emit(config, table, warnings))
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
     except (ValidationError, DomainError) as exc:

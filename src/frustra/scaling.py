@@ -37,6 +37,8 @@ HESSIAN_FLOOR = 1e-12
 FIT_R2_THRESHOLD = 0.995
 FIT_MIN_POINTS = 6
 FIT_DECADE = 10.0
+#: The reduced-coupling window of an exponent extraction.
+EXPONENT_WINDOW = (1e-7, 1e-2)
 
 
 def default_grid(g_critical: float, reduced_min: float = 1e-4,
@@ -84,14 +86,13 @@ class SweepSpec:
         if self.grid is None:
             grid = default_grid(gc, self.reduced_min, self.reduced_max,
                                 self.points_per_decade, self.sides)
-            object.__setattr__(self, "grid", tuple(float(g) for g in grid))
         else:
             grid = np.asarray(self.grid, dtype=float)
             if np.any(np.diff(grid) <= 0):
                 raise ValidationError("grid must be strictly increasing")
             if np.any(np.isclose(grid, gc, rtol=0, atol=1e-15)):
                 raise ValidationError("grid must exclude the critical point itself")
-            object.__setattr__(self, "grid", tuple(float(g) for g in grid))
+        object.__setattr__(self, "grid", tuple(float(g) for g in grid))
 
     @property
     def g_critical(self) -> float:
@@ -119,23 +120,47 @@ class SweepMissing:
 
 @dataclass
 class SweepResult:
+    """A sweep as a table over its grid points ``g`` and their ``reduced``
+    couplings: per observable, in name order, its index labels sorted as
+    strings, a (points, labels) array of values and a mask of the values
+    present.  ``missing`` and ``warnings`` are in grid order."""
+
     spec: SweepSpec
-    rows: list[SweepRow] = field(default_factory=list)
+    g: np.ndarray
+    reduced: np.ndarray
+    table: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     missing: list[SweepMissing] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    _rows: tuple[SweepRow, ...] | None = field(default=None, init=False, repr=False)
+
+    def points(self):
+        """Each grid point's rows as (g, reduced_coupling, [(observable,
+        indices, values), ...]), in row order, absent values left out."""
+        for i, (g, reduced) in enumerate(zip(self.g.tolist(), self.reduced.tolist())):
+            yield g, reduced, [(name, labels[mask[i]].tolist(), values[i, mask[i]].tolist())
+                               for name, (labels, values, mask) in self.table.items()]
+
+    @property
+    def rows(self) -> list[SweepRow]:
+        """The table's rows in row order (built once, a new list each time)."""
+        if self._rows is None:
+            self._rows = tuple(SweepRow(g, reduced, name, index, value)
+                               for g, reduced, columns in self.points()
+                               for name, indices, values in columns
+                               for index, value in zip(indices, values))
+        return list(self._rows)
 
     def series(self, observable: str, index: str, side: str = "above"):
         """(reduced_coupling, value) arrays for one observable/index, one side
         of the critical point, ordered by reduced coupling."""
-        gc = self.spec.g_critical
-        pairs = [(row.reduced_coupling, row.value) for row in self.rows
-                 if row.observable == observable and row.index == index
-                 and ((row.g > gc) == (side == "above"))]
-        pairs.sort()
-        if not pairs:
+        labels, values, present = self.table.get(observable, ((), None, None))
+        if index not in labels:
             return np.array([]), np.array([])
-        reduced, values = map(np.array, zip(*pairs))
-        return reduced, values
+        column = list(labels).index(index)
+        keep = present[:, column] & ((self.g > self.spec.g_critical) == (side == "above"))
+        reduced, values = self.reduced[keep], values[keep, column]
+        order = np.lexsort((values, reduced))
+        return reduced[order], values[order]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -148,51 +173,53 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Every point is solved cold, from its own parameters alone, and stack
     rows never mix, so a point's rows do not depend on the rest of the
     grid or on the order it is visited in.
-    Per-point failures are recorded as missing rows with a reason; rows
-    come out sorted by coupling, observable and index.
+    Each point's values fill its row of the :class:`SweepResult` table;
+    per-point failures are recorded as missing rows with a reason.
     """
-    result = SweepResult(spec)
     points = [spec.params_at(g) for g in spec.grid]
-    _observe_grid(result, points, solve_ground_states(points))
-    result.rows.sort(key=lambda r: (r.g, r.observable, r.index))
-    return result
+    return _observe_grid(spec, points, solve_ground_states(points))
 
 
-def _observe_grid(result: SweepResult, points, outcomes) -> None:
-    """Record every grid point's rows, missing rows and warnings, in grid
-    order, from its solver outcome, Hessian spectra and moments."""
-    gc = result.spec.g_critical
-    want = set(result.spec.observables)
+def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
+    """The table of the grid's values, from each point's solver outcome,
+    Hessian spectra and moments, with missing rows and warnings in grid
+    order.  Its labels are ranks, then a frustrated point's soft modes."""
+    g, gc, n = np.array(spec.grid), spec.g_critical, spec.n_sites
+    result = SweepResult(spec, g, np.abs(g - gc) / gc, {})
+    for name in sorted(spec.observables):
+        ranks = range(1, {"energy": 0, "gaps": 2 * n}.get(name, n) + 1)
+        soft = {"energy": [""], "gaps": ["mf", "f"], "hessian_eigenvalues": ["mf", "f"]}
+        labels = np.array([*map(str, ranks), *soft.get(name, [])])
+        result.table[name] = (labels, np.full((len(g), len(labels)), np.nan),
+                              np.zeros((len(g), len(labels)), dtype=bool))
+
+    def put(observable, i, columns, values, present=True):
+        _, table, mask = result.table[observable]
+        table[i, columns], mask[i, columns] = values, present
+
+    want = set(spec.observables)
     gaussian = want & {"gaps", "photon_numbers", "squeezing"}
     solved = [i for i, outcome in enumerate(outcomes)
               if isinstance(outcome, GroundStateSolution)]
     solutions = [outcomes[i] for i in solved]
-    spectra = dict(zip(solved, hessian_spectra(solutions))) if "hessian_eigenvalues" in want else {}
+    if "hessian_eigenvalues" in want:
+        for i, (eigenvalues, soft_modes) in zip(solved, hessian_spectra(solutions)):
+            values = [*eigenvalues, *(soft_modes or ())]
+            put("hessian_eigenvalues", i, slice(len(values)), values)
     moments_of = (dict(zip(solved, site_moments(solutions, [points[i] for i in solved])))
                   if gaussian else {})
     unresolved = "frustrated sector below double-precision resolution"
     for i, (params, outcome) in enumerate(zip(points, outcomes)):
-        g, reduced = params.g, abs(params.g - gc) / gc
-
-        def put(observable, index, value):
-            result.rows.append(SweepRow(g, reduced, observable, str(index), float(value)))
 
         def lost(observable, reason):
-            result.missing.append(SweepMissing(g, observable, reason))
+            result.missing.append(SweepMissing(params.g, observable, reason))
 
         if not isinstance(outcome, GroundStateSolution):
             # the solver's error for this point (programming errors propagate)
             lost("all", f"solver: {outcome}")
             continue
         if "energy" in want:
-            put("energy", "", outcome.config.energy)
-        if i in spectra:
-            eigenvalues, soft_modes = spectra[i]
-            for rank, value in enumerate(eigenvalues, start=1):
-                put("hessian_eigenvalues", rank, value)
-            if soft_modes is not None:
-                put("hessian_eigenvalues", "mf", soft_modes[0])
-                put("hessian_eigenvalues", "f", soft_modes[1])
+            put("energy", i, 0, outcome.config.energy)
         if not gaussian:
             continue
         moments = moments_of[i]
@@ -201,27 +228,29 @@ def _observe_grid(result: SweepResult, points, outcomes) -> None:
             continue
         lowest = (moments.eps_even if moments.eps is None else moments.eps)[0]
         if lowest < CRITICAL_REGIME_FACTOR * params.omega0:
-            result.warnings.append(f"critical-regime point at g={g!r}")
+            result.warnings.append(f"critical-regime point at g={params.g!r}")
         if "gaps" in want:
             # the mean-field and frustrated gaps of a frustrated point
-            for index, sector in (("mf", moments.eps_even), ("f", moments.eps_odd)):
+            for column, sector in ((2 * n, moments.eps_even), (2 * n + 1, moments.eps_odd)):
                 if sector is not None:
-                    put("gaps", index, sector[0])
+                    put("gaps", i, column, sector[0])
             if moments.eps is None:
                 lost("gaps", unresolved)
             else:
-                for rank, value in enumerate(moments.eps, start=1):
-                    put("gaps", rank, value)
-        for name, getter in (("photon_numbers", moments.photon),
-                             ("squeezing", moments.squeezing)):
-            if name not in want:
-                continue
-            for site in range(1, params.n_sites + 1):
-                value = getter(site)
-                if np.isnan(value):
+                put("gaps", i, slice(2 * n), moments.eps)
+        for name, values in (("photon_numbers", (moments.var_q + moments.var_p - 1.0) / 2.0),
+                             ("squeezing", moments.var_q)):
+            if name in want:
+                resolved = ~np.isnan(values)
+                put(name, i, slice(None), values, resolved)
+                for site in np.flatnonzero(~resolved) + 1:
                     lost(f"{name}[{site}]", unresolved)
-                else:
-                    put(name, site, value)
+    for name, (labels, values, present) in result.table.items():
+        order = np.argsort(labels)  # row order: "10" before "2", "f" and "mf" after the digits
+        result.table[name] = (labels[order], values[:, order], present[:, order])
+        for array in result.table[name]:
+            array.flags.writeable = False  # the rows are built once
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +370,7 @@ class ExponentReport:
 
 
 def extract_exponents(params: ModelParams,
-                      window: tuple[float, float] = (1e-7, 1e-2),
+                      window: tuple[float, float] = EXPONENT_WINDOW,
                       points_per_decade: int = 25) -> ExponentReport:
     """Sweep the superradiant side of the transition and fit every critical
     exponent.
@@ -360,7 +389,7 @@ def extract_exponents(params: ModelParams,
                      observables=("gaps", "photon_numbers", "squeezing",
                                   "hessian_eigenvalues"))
     result = run_sweep(spec)
-    warnings = list(dict.fromkeys(result.warnings))
+    warnings = list(result.warnings)
     frustrated = params.jbar > 0
     if frustrated and params.n_sites > 7:
         warnings.append(
@@ -470,21 +499,15 @@ class DerivativeDiagnostics:
 
 
 def _locate_jump(table, column):
-    """Midpoint of the consecutive valid table entries with the largest
-    derivative change."""
-    xs = [row[0] for row in table]
-    values = [row[column] for row in table]
-    best, location = 0.0, np.nan
-    previous = None
-    for x, value in zip(xs, values):
-        if np.isnan(value):
-            continue
-        if previous is not None:
-            x0, v0 = previous
-            if abs(value - v0) > best:
-                best, location = abs(value - v0), 0.5 * (x0 + x)
-        previous = (x, value)
-    return location
+    """Midpoint of the first pair of consecutive valid table entries with
+    the largest derivative change; NaN when nothing changes."""
+    xs, values = np.array(table)[:, [0, column]].T
+    xs, values = xs[~np.isnan(values)], values[~np.isnan(values)]
+    steps = np.abs(np.diff(values))
+    if not np.any(steps > 0):
+        return np.nan
+    k = int(np.argmax(steps))
+    return 0.5 * (xs[k] + xs[k + 1])
 
 
 def _one_sided_d1(f, center, h, sign):

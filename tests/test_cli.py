@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import frustra
+from frustra import scaling
 from frustra.cli import csv_to_rows, main, rows_to_csv
 
 
@@ -170,6 +171,24 @@ class TestSweepCommand:
         reparsed = json.dumps(payload, sort_keys=True, indent=1) + "\n"
         assert reparsed == out
 
+    def test_csv_and_json_carry_the_same_rows(self, capsys):
+        args = ("sweep", "--jbar", "0.01", "--sites", "5", "--reduced-min", "1e-7",
+                "--points-per-decade", "4")
+        code, csv_out, csv_err = run_cli(capsys, *args)
+        assert code == 0
+        code, json_out, json_err = run_cli(capsys, *args, "--format", "json")
+        payload = json.loads(json_out)
+        assert csv_to_rows(csv_out) == payload["results"]
+        assert csv_err == json_err and payload["warnings"]  # the missing rows
+        assert payload["config"]["reduced_min"] == 1e-7
+
+    def test_signed_zero_prefixes_stay_distinct(self):
+        rows = [{"g": g, "reduced_coupling": g, "observable": "energy", "index": "",
+                 "value": 1.0} for g in (0.0, -0.0, -0.0, 0.0)]
+        assert rows_to_csv(rows).splitlines()[1:] == [
+            "0.0,0.0,energy,,1.0", "-0.0,-0.0,energy,,1.0",
+            "-0.0,-0.0,energy,,1.0", "0.0,0.0,energy,,1.0"]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--jbar", "0.01", "--sites", "3",
@@ -204,6 +223,19 @@ class TestExponentsCommand:
         rows = csv_to_rows(out)
         assert rows_by(rows, "gamma", "mf")[0]["value"] == pytest.approx(0.5, abs=0.03)
         assert not rows_by(rows, "gamma", "f")
+
+    def test_readme_example_passes_every_check(self, capsys):
+        # exponents fits over extract_exponents' window; sweep keeps its own
+        code, out, _ = run_cli(capsys, "exponents", "--jbar", "0.01", "--sites", "5",
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["reduced_min"] == scaling.EXPONENT_WINDOW[0] == 1e-7
+        checks = rows_by(payload["results"], "check")
+        assert len(checks) == 7 and all(r["value"] == 1.0 for r in checks), checks
+        code, out, _ = run_cli(capsys, "sweep", "--sites", "3", "--format", "json",
+                               "--observables", "energy")
+        assert json.loads(out)["config"]["reduced_min"] == 1e-4
 
 
 class TestConfigFile:

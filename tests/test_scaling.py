@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from frustra import meanfield, scaling
-from frustra.errors import ConvergenceError, DomainError, FitQualityError, ValidationError
+from frustra import cli, fluctuations, meanfield, scaling
+from frustra.errors import (
+    ConvergenceError,
+    DomainError,
+    FitQualityError,
+    InstabilityError,
+    ValidationError,
+)
 from frustra.fluctuations import analytic_nfsp_spectrum, analytic_np_spectrum
 from frustra.meanfield import GroundStateSolution, Phase
 from frustra.model import MeanFieldConfiguration, ModelParams, critical_point
 from frustra.scaling import (
+    SweepMissing,
+    SweepRow,
     SweepSpec,
     default_grid,
     energy_derivative_diagnostics,
@@ -341,3 +349,125 @@ class TestSweepErrors:
         assert len(gaps) == 2 * n and 0 < gaps[0] < 1e-6
         photons = {r.value for r in result.rows if r.observable == "photon_numbers"}
         assert len(photons) == 1
+
+
+def reference_sweep(spec):
+    """A sweep's rows, missing rows and warnings built one row at a time
+    from the stacked solve and observation stage, then sorted by coupling,
+    observable and index string."""
+    gc, want = spec.g_critical, set(spec.observables)
+    gaussian = ",".join(sorted(want & {"gaps", "photon_numbers", "squeezing"}))
+    points = [spec.params_at(g) for g in spec.grid]
+    outcomes = meanfield.solve_ground_states(points)
+    solved = [i for i, outcome in enumerate(outcomes)
+              if isinstance(outcome, GroundStateSolution)]
+    solutions = [outcomes[i] for i in solved]
+    spectra = dict(zip(solved, meanfield.hessian_spectra(solutions)))
+    moments_of = dict(zip(solved, fluctuations.site_moments(
+        solutions, [points[i] for i in solved])))
+    rows, missing, warnings = [], [], []
+    unresolved = "frustrated sector below double-precision resolution"
+    for i, (params, outcome) in enumerate(zip(points, outcomes)):
+        g = params.g
+
+        def put(observable, index, value):
+            if observable in want:
+                rows.append(SweepRow(g, abs(g - gc) / gc, observable, str(index),
+                                     float(value)))
+
+        if not isinstance(outcome, GroundStateSolution):
+            missing.append(SweepMissing(g, "all", f"solver: {outcome}"))
+            continue
+        put("energy", "", outcome.config.energy)
+        eigenvalues, soft_modes = spectra[i]
+        for rank, value in enumerate(eigenvalues, start=1):
+            put("hessian_eigenvalues", rank, value)
+        if soft_modes is not None:
+            put("hessian_eigenvalues", "mf", soft_modes[0])
+            put("hessian_eigenvalues", "f", soft_modes[1])
+        moments = moments_of[i]
+        if not gaussian:
+            continue
+        if isinstance(moments, InstabilityError):
+            missing.append(SweepMissing(g, gaussian, str(moments)))
+            continue
+        lowest = (moments.eps_even if moments.eps is None else moments.eps)[0]
+        if lowest < fluctuations.CRITICAL_REGIME_FACTOR * params.omega0:
+            warnings.append(f"critical-regime point at g={g!r}")
+        for index, sector in (("mf", moments.eps_even), ("f", moments.eps_odd)):
+            if sector is not None:
+                put("gaps", index, sector[0])
+        if moments.eps is None and "gaps" in want:
+            missing.append(SweepMissing(g, "gaps", unresolved))
+        for rank, value in enumerate(() if moments.eps is None else moments.eps, start=1):
+            put("gaps", rank, value)
+        for name, getter in (("photon_numbers", moments.photon),
+                             ("squeezing", moments.squeezing)):
+            for site in range(1, params.n_sites + 1):
+                if not np.isnan(getter(site)):
+                    put(name, site, getter(site))
+                elif name in want:
+                    missing.append(SweepMissing(g, f"{name}[{site}]", unresolved))
+    rows.sort(key=lambda row: (row.g, row.observable, row.index))
+    return rows, missing, warnings
+
+
+SWEEP_CASES = {
+    "uniform N=21": ("--jbar -0.01 --sites 21", dict(jbar=-0.01, n_sites=21)),
+    "deep N=5": ("--jbar 0.01 --sites 5 --reduced-min 1e-7",
+                 dict(jbar=0.01, n_sites=5, reduced_min=1e-7)),
+    "strong hopping N=7": ("--jbar 0.3 --sites 7", dict(jbar=0.3, n_sites=7)),
+    "gaps and energy": ("--jbar 0.01 --sites 5 --observables gaps,energy",
+                        dict(jbar=0.01, n_sites=5, observables=("gaps", "energy"))),
+    "below only": ("--jbar 0.01 --sites 5 --side below",
+                   dict(jbar=0.01, n_sites=5, sides="below")),
+    "unstable points": ("--jbar -0.01 --sites 3 --reduced-min 1e-12 --points-per-decade 2",
+                        dict(jbar=-0.01, n_sites=3, reduced_min=1e-12,
+                             points_per_decade=2)),
+    "solver failure": ("--jbar 0.01 --sites 5 --reduced-min 1e-6 --points-per-decade 4",
+                       dict(jbar=0.01, n_sites=5, reduced_min=1e-6, points_per_decade=4)),
+}
+# what each case is there to exercise, as missing-row observables
+CASE_MISSING = {"deep N=5": {"gaps", "photon_numbers[2]", "squeezing[5]"},
+                "strong hopping N=7": {"gaps", "photon_numbers[4]"},
+                "unstable points": {"gaps,photon_numbers,squeezing"},
+                "solver failure": {"all"}}
+
+
+class TestSweepTable:
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_table_matches_row_by_row_reference(self, case, capsys, monkeypatch):
+        flags, kwargs = SWEEP_CASES[case]
+        spec = SweepSpec(**kwargs)
+        if case == "solver failure":
+            bad = spec.grid[len(spec.grid) // 2 + 3]
+            real_seeds = meanfield._seed_alphas
+            monkeypatch.setattr(meanfield, "_seed_alphas", lambda p: (
+                [np.zeros(p.n_sites)] if p.g == bad else real_seeds(p)))
+        result = run_sweep(spec)
+        rows, missing, warnings = reference_sweep(spec)
+        assert result.rows == rows
+        assert (result.missing, result.warnings) == (missing, warnings)
+        assert CASE_MISSING.get(case, set()) <= {m.observable for m in missing}
+
+        # the CLI writes the table's rows, unique and in row order
+        assert cli.main(["sweep", *flags.split()]) == 0
+        written = cli.csv_to_rows(capsys.readouterr().out)
+        keys = [(row["g"], row["observable"], row["index"]) for row in written]
+        assert keys == sorted(set(keys))
+        assert written == [{"g": r.g, "reduced_coupling": r.reduced_coupling,
+                            "observable": r.observable, "index": r.index,
+                            "value": r.value} for r in rows]
+
+        # every series, requested or not, is the sorted rows of one side
+        gc, by_series = spec.g_critical, {}
+        for r in rows:
+            by_series.setdefault((r.observable, r.index, r.g > gc), []).append(
+                (r.reduced_coupling, r.value))
+        indices = ["", "mf", "f", *map(str, range(1, 2 * spec.n_sites + 2))]
+        for observable in scaling.OBSERVABLES:
+            for index in indices:
+                for side in ("above", "below"):
+                    reduced, values = result.series(observable, index, side)
+                    assert list(zip(reduced.tolist(), values.tolist())) == sorted(
+                        by_series.get((observable, index, side == "above"), []))
