@@ -32,6 +32,7 @@ from .meanfield import (
     Phase,
     _fix_sign,
     _isolated,
+    _require_lattice_point,
     mirror_projectors,
 )
 from .model import ModelParams, atomic_cosines
@@ -170,44 +171,41 @@ def _require_minimum(solution: GroundStateSolution, params: ModelParams) -> None
             "quadratic expansion requires a converged minimum "
             f"(gradient norm {solution.grad_norm:.2e})"
         )
-    config = solution.config
-    point = (config.n_sites, config.g, config.jbar)
-    if point != (params.n_sites, params.g, params.jbar):
-        raise ValidationError(f"solution (N, g, jbar) = {point} was solved at another "
-                              "lattice point than params")
+    _require_lattice_point(solution, params)
+
+
+def _per_point(params_seq):
+    """omega0, Omega, g and jbar of the points, each as a column."""
+    return (np.array([getattr(params, name) for params in params_seq])[:, None]
+            for name in ("omega0", "Omega", "g", "jbar"))
 
 
 def _split_hamiltonian(solutions, params_seq) -> np.ndarray:
     """Position and momentum blocks H_x, H_p of the fluctuation forms at
-    verified minima of one lattice size, over (q_1, Q_1, ..., q_N, Q_N) and
+    minima of one lattice size, over (q_1, Q_1, ..., q_N, Q_N) and
     (p_1, P_1, ..., p_N, P_N), as one array of shape (points, 2, 2N, 2N):
     ``[:, 0]`` holds H_x and ``[:, 1]`` H_p."""
-    for solution, params in zip(solutions, params_seq):
-        _require_minimum(solution, params)
-
-    def per_point(name):
-        return np.array([getattr(params, name) for params in params_seq])[:, None]
-
-    omega0, Omega = per_point("omega0"), per_point("Omega")
+    omega0, Omega, g, jbar = _per_point(params_seq)
     alphas = np.array([solution.config.alphas for solution in solutions])
     n = alphas.shape[-1]
-    cos_theta, cos_phi = atomic_cosines(alphas, per_point("g"))
+    cos_theta, cos_phi = atomic_cosines(alphas, g)
     cavity = np.arange(0, 2 * n, 2)
     right = (cavity + 2) % (2 * n)  # the next site's cavity around the ring
     blocks = np.zeros((len(alphas), 2, 2 * n, 2 * n))
     hx, hp = blocks[:, 0], blocks[:, 1]
     hp[:, cavity, cavity] = omega0
     hp[:, cavity + 1, cavity + 1] = -Omega / cos_theta
-    hp[:, cavity, right] = hp[:, right, cavity] = per_point("jbar") * omega0
+    hp[:, cavity, right] = hp[:, right, cavity] = jbar * omega0
     hx[...] = hp
     hx[:, cavity, cavity + 1] = hx[:, cavity + 1, cavity] = (
-        per_point("g") * cos_theta * cos_phi * np.sqrt(omega0 * Omega))
+        g * cos_theta * cos_phi * np.sqrt(omega0 * Omega))
     return blocks
 
 
 def build_quadratic_hamiltonian(solution: GroundStateSolution,
                                 params: ModelParams) -> QuadraticForm:
     """Assemble the fluctuation Hamiltonian at a verified minimum."""
+    _require_minimum(solution, params)
     hx, hp = _split_hamiltonian([solution], [params])[0]
     matrix = np.zeros((2 * len(hx), 2 * len(hx)))
     matrix[0::2, 0::2] = hx
@@ -380,15 +378,11 @@ def _two_mode_energies(freq_pos, freq_mom, coupling_sq):
     return lower, upper
 
 
-def _momenta(n_sites: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(n_sites) / n_sites
-
-
 def _momentum_blocks(n_sites: int, jbar: float, freq_atom: float,
                      coupling_sq: float, omega0: float):
     """Momenta, cavity frequencies omega0 (1 + 2 jbar cos k) and branch
     energies of the N cavity-atom blocks of a translation-invariant state."""
-    momenta = _momenta(n_sites)
+    momenta = 2.0 * np.pi * np.arange(n_sites) / n_sites
     freq_cav = omega0 * (1.0 + 2.0 * jbar * np.cos(momenta))
     lower, upper = _two_mode_energies(freq_cav, freq_atom, coupling_sq)
     return momenta, freq_cav, lower, upper
@@ -478,30 +472,31 @@ def fsp_frustrated_mode_energy(g: float, jbar: float, omegabar: float,
 
 @dataclass(frozen=True)
 class SiteMoments:
-    """Per-site Gaussian moments: cavity q/p variances, with NaN where the
-    frustrated sector is numerically unresolvable.  ``eps`` is the ascending
-    excitation spectrum (None when the frustrated sector is unresolvable);
-    ``eps_even`` and ``eps_odd`` are the mirror-sector spectra of a
-    frustrated state (both None for a uniform one, ``eps_odd`` None when
-    unresolvable)."""
+    """Gaussian moments of a stack of ground states, one row per point: cavity
+    q/p variances (points, N), the ascending spectrum ``eps`` (points, 2N)
+    and a frustrated point's mirror-sector spectra ``eps_even`` (points,
+    N+1) and ``eps_odd`` (points, N-1).  NaN marks an absent value, such as
+    a uniform point's sectors or what an unresolvable mirror-odd sector
+    leaves out.  ``errors`` holds per point None or the
+    :class:`InstabilityError` of a point whose row is NaN throughout."""
 
     var_q: np.ndarray
     var_p: np.ndarray
-    eps: np.ndarray | None = None
-    eps_even: np.ndarray | None = None
-    eps_odd: np.ndarray | None = None
+    eps: np.ndarray
+    eps_even: np.ndarray
+    eps_odd: np.ndarray
+    errors: tuple
 
-    def photon(self, site: int) -> float:
-        return float((self.var_q[site - 1] + self.var_p[site - 1] - 1.0) / 2.0)
+    @property
+    def photon_numbers(self) -> np.ndarray:
+        """Fluctuation occupation (<q^2> + <p^2> - 1)/2 of every cavity."""
+        return (self.var_q + self.var_p - 1.0) / 2.0
 
-    def squeezing(self, site: int) -> float:
-        return float(self.var_q[site - 1])
 
-
-def uniform_phase_moments(solution: GroundStateSolution,
-                          params: ModelParams) -> SiteMoments:
-    """Spectrum and cavity moments of a normal or uniform superradiant state
-    from its N lattice-momentum blocks, without the 4N x 4N form.
+def _momentum_moments(solutions, params_seq):
+    """Spectra and cavity moments of normal or uniform superradiant states,
+    stacked over the points, from their N lattice-momentum blocks, without
+    the 4N x 4N form.
 
     Block k pairs the cavity mode omega0 (1 + 2 jbar cos k) with the atomic
     mode -Omega / cos theta through the position coupling
@@ -511,29 +506,28 @@ def uniform_phase_moments(solution: GroundStateSolution,
     G = H_p^{1/2} H_x H_p^{1/2}.  With s = e_- e_+ and t = e_- + e_+ the 2 x 2
     roots are G^{1/2} = (G + s) / t and G^{-1/2} = (tr G + s - G) / (t s).
     """
-    if solution.phase is Phase.FSP:
-        raise PhaseError("momentum blocks require a translation-invariant phase")
-    _require_minimum(solution, params)
-    omega0, Omega = params.omega0, params.Omega
-    cos_theta, cos_phi = atomic_cosines(solution.config.alphas[0], params.g)
+    omega0, Omega, g, jbar = _per_point(params_seq)
+    alpha = np.array([solution.config.alphas[0] for solution in solutions])[:, None]
+    cos_theta, cos_phi = atomic_cosines(alpha, g)
     freq_atom = -Omega / cos_theta
-    coupling = params.g * cos_theta * cos_phi * np.sqrt(omega0 * Omega)
+    coupling = g * cos_theta * cos_phi * np.sqrt(omega0 * Omega)
     momenta, freq_cav, lower, upper = _momentum_blocks(
-        params.n_sites, params.jbar, freq_atom, coupling * coupling, omega0)
+        solutions[0].config.n_sites, jbar, freq_atom, coupling * coupling, omega0)
     # a negative cavity frequency flips the sign of both factors of the
     # two-mode determinant, so lower > 0 alone would pass it
     stable = (freq_cav > 0) & (lower > 0)  # False on NaN
-    if not stable.all():
-        k = int(np.argmin(stable))
-        raise InstabilityError(
-            f"momentum block k={momenta[k]:.4f} is not positive definite "
-            f"(lower energy {lower[k]:.3e})")
+    errors = [None if row.all() else InstabilityError(
+        f"momentum block k={momenta[k]:.4f} is not positive definite "
+        f"(lower energy {energies[k]:.3e})")
+        for row, energies, k in zip(stable, lower, np.argmin(stable, axis=-1))]
     s, t = lower * upper, lower + upper
-    var_q = np.mean(freq_cav * (freq_atom * freq_atom + s) / (t * s)) / 2.0
-    var_p = np.mean((freq_cav * freq_cav + s) / (freq_cav * t)) / 2.0
-    eps = np.sort(np.concatenate([lower, upper]))
-    n = params.n_sites
-    return SiteMoments(np.full(n, var_q), np.full(n, var_p), eps=eps)
+    with np.errstate(divide="ignore", invalid="ignore"):  # unstable rows, dropped below
+        var_q = np.mean(freq_cav * (freq_atom * freq_atom + s) / (t * s), -1, keepdims=True) / 2.0
+        var_p = np.mean((freq_cav * freq_cav + s) / (freq_cav * t), -1, keepdims=True) / 2.0
+    eps = np.sort(np.concatenate([lower, upper], axis=-1), axis=-1)
+    unstable = ~stable.all(axis=-1)
+    var_q[unstable] = var_p[unstable] = eps[unstable] = np.nan
+    return {"var_q": var_q, "var_p": var_p, "eps": eps}, errors
 
 
 def _sector_blocks(solutions, params_seq):
@@ -549,77 +543,80 @@ def _sector_blocks(solutions, params_seq):
     return sectors
 
 
-def site_moments(solutions, params_seq) -> list:
-    """Cavity moments of ground states of one lattice size, in any phase:
-    each point's :class:`SiteMoments`, in order, or in its place the
-    :class:`InstabilityError` of a point that is not resolvably stable.
-
-    Normal and uniform points go through their momentum blocks
-    (:func:`uniform_phase_moments`).  Frustrated points go through the
-    exact mirror-sector split as one stack: the unpaired site lives
+def _sector_moments(solutions, params_seq):
+    """Spectra and cavity moments of frustrated states, stacked over the
+    points, through the exact mirror-sector split: the unpaired site lives
     entirely in the mirror-even sector, which stays well conditioned
-    arbitrarily close to the critical point, and when the mirror-odd
-    (frustrated) sector falls below double-precision resolution its sites'
-    moments are NaN and ``eps`` is None.
-    """
-    moments: list = [None] * len(solutions)
-    frustrated = []
-    for point, (solution, params) in enumerate(zip(solutions, params_seq)):
-        if solution.phase is Phase.FSP:
-            frustrated.append(point)
-            continue
-        try:
-            moments[point] = uniform_phase_moments(solution, params)
-        except InstabilityError as exc:
-            moments[point] = exc.with_traceback(None)
-    if not frustrated:
-        return moments
-    even, odd = (_SplitModes(sector) for sector in _sector_blocks(
-        [solutions[i] for i in frustrated], [params_seq[i] for i in frustrated]))
-    n = solutions[frustrated[0]].config.n_sites
-    var_q = np.full((len(frustrated), n), np.nan)
-    var_p = np.full((len(frustrated), n), np.nan)
-    stable = np.flatnonzero(even.resolvable)
+    arbitrarily close to the critical point; the paired sites need the
+    mirror-odd (frustrated) sector too."""
+    even, odd = (_SplitModes(sector) for sector in _sector_blocks(solutions, params_seq))
+    stable, resolved = even.resolvable, even.resolvable & odd.resolvable
+    n = solutions[0].config.n_sites
+    var_q, var_p = np.full((2, len(solutions), n), np.nan)
     cov_x_even, cov_p_even = even.covariance_blocks(stable)
     var_q[stable, 0], var_p[stable, 0] = cov_x_even[:, 0, 0], cov_p_even[:, 0, 0]
     # q_{1+j} = (even_j + odd_j)/sqrt(2); even/odd cross-covariances vanish
-    resolved = odd.resolvable[stable]
-    cov_x_odd, cov_p_odd = odd.covariance_blocks(stable[resolved])
+    cov_x_odd, cov_p_odd = odd.covariance_blocks(resolved)
     pairs = (n - 1) // 2
     for var, cov_even, cov_odd in ((var_q, cov_x_even, cov_x_odd),
                                    (var_p, cov_p_even, cov_p_odd)):
-        value = 0.5 * (np.diagonal(cov_even[resolved], axis1=1, axis2=2)[:, 2::2]
+        value = 0.5 * (np.diagonal(cov_even[resolved[stable]], axis1=1, axis2=2)[:, 2::2]
                        + np.diagonal(cov_odd, axis1=1, axis2=2)[:, 0::2])
-        var[stable[resolved], 1:pairs + 1] = value
-        var[stable[resolved], n - 1:pairs:-1] = value
-    for row, point in enumerate(frustrated):
-        eps_even, eps_odd = even.eps[row], odd.eps[row]
-        if not even.resolvable[row]:
-            moments[point] = InstabilityError("mirror-even sector is not resolvably positive")
-        elif not odd.resolvable[row]:
-            moments[point] = SiteMoments(var_q[row], var_p[row], eps_even=eps_even)
-        else:
-            moments[point] = SiteMoments(
-                var_q[row], var_p[row], eps=np.sort(np.concatenate([eps_even, eps_odd])),
-                eps_even=eps_even, eps_odd=eps_odd)
-    return moments
+        var[resolved, 1:pairs + 1] = value
+        var[resolved, n - 1:pairs:-1] = value
+    eps = np.sort(np.concatenate([even.eps, odd.eps], axis=-1), axis=-1)
+    eps[~resolved] = np.nan
+    errors = [None if ok else InstabilityError("mirror-even sector is not resolvably positive")
+              for ok in stable]
+    return {"var_q": var_q, "var_p": var_p, "eps": eps,
+            "eps_even": np.where(stable[:, None], even.eps, np.nan),
+            "eps_odd": np.where(resolved[:, None], odd.eps, np.nan)}, errors
+
+
+def site_moments(solutions, params_seq) -> SiteMoments:
+    """Cavity moments of a non-empty stack of ground states of one lattice
+    size, in any phase, as one :class:`SiteMoments` stack over the points.
+
+    Each point's route follows from its phase, and each route runs once,
+    stacked over its points: normal and uniform points go through their
+    momentum blocks, frustrated points through the mirror-sector split,
+    whose mirror-odd sector can fall below double-precision resolution.
+    """
+    if not solutions:
+        raise ValidationError("site moments need at least one point")
+    for solution, params in zip(solutions, params_seq):
+        _require_minimum(solution, params)
+    n = solutions[0].config.n_sites
+    stack = {name: np.full((len(solutions), width), np.nan) for name, width in (
+        ("var_q", n), ("var_p", n), ("eps", 2 * n), ("eps_even", n + 1), ("eps_odd", n - 1))}
+    errors = np.full(len(solutions), None)
+    frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
+    for route, rows in ((_momentum_moments, ~frustrated), (_sector_moments, frustrated)):
+        points = np.flatnonzero(rows)
+        if len(points):
+            values, errors[points] = route([solutions[i] for i in points],
+                                           [params_seq[i] for i in points])
+            for name, block in values.items():
+                stack[name][points] = block
+    return SiteMoments(**stack, errors=tuple(errors))
 
 
 def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> SiteMoments:
     """Cavity moments of a frustrated ground state via the exact mirror-sector
     split: :func:`site_moments` on a stack of one point, raising its
-    :class:`InstabilityError` instead of returning it."""
+    :class:`InstabilityError` instead of recording it."""
     if solution.phase is not Phase.FSP:
         raise PhaseError("mirror-sector moments require the frustrated phase")
-    (moments,) = site_moments([solution], [params])
-    if isinstance(moments, InstabilityError):
-        raise moments
+    moments = site_moments([solution], [params])
+    if moments.errors[0] is not None:
+        raise moments.errors[0]
     return moments
 
 
 def fsp_sector_spectra(solution: GroundStateSolution, params: ModelParams):
-    """(mirror-even, mirror-odd) symplectic spectra of a frustrated state;
-    either part is None when numerically unresolvable.  Sweeps read both
-    from :func:`site_moments` instead."""
-    return tuple(modes.eps[0] if modes.resolvable[0] else None
-                 for modes in map(_SplitModes, _sector_blocks([solution], [params])))
+    """(mirror-even, mirror-odd) symplectic spectra of a frustrated state,
+    read from :func:`site_moments` on a stack of one point; either part is
+    None when numerically unresolvable."""
+    moments = site_moments([solution], [params])
+    return tuple(None if np.isnan(eps[0, 0]) else eps[0]
+                 for eps in (moments.eps_even, moments.eps_odd))

@@ -680,6 +680,14 @@ class CriticalModes:
     y_f: np.ndarray
 
 
+def _require_lattice_point(solution: GroundStateSolution, params: ModelParams) -> None:
+    """Reject a solution solved at another lattice point than ``params``."""
+    point = (solution.config.n_sites, solution.config.g, solution.config.jbar)
+    if point != (params.n_sites, params.g, params.jbar):
+        raise ValidationError(f"solution (N, g, jbar) = {point} was solved at another "
+                              "lattice point than params")
+
+
 def hessian_critical_modes(params: ModelParams,
                            solution: GroundStateSolution | None = None) -> CriticalModes:
     """Identify the mean-field and frustrated soft modes of the Hessian.
@@ -688,35 +696,34 @@ def hessian_critical_modes(params: ModelParams,
     weight on the unpaired site and is antisymmetric across every
     ferromagnetic pair; the mean-field mode is the softest mirror-even
     direction.  Identification by sector projection is exact and remains
-    robust when lambda_f sits below floating-point resolution.
+    robust when lambda_f sits below floating-point resolution.  A given
+    ``solution`` must have been solved at the lattice point of ``params``.
     """
     solution = solution or solve_ground_state(params)
+    _require_lattice_point(solution, params)
     if solution.phase is not Phase.FSP:
         raise PhaseError(f"hessian critical modes require the frustrated phase, "
                          f"got {solution.phase.value}")
-    hess = energy_hessian(solution.config.alphas, params.g, params.jbar)
-    even, odd = mirror_projectors(params.n_sites)
+    hess = energy_hessian(solution.config.alphas, solution.config.g, solution.config.jbar)
+    even, odd = mirror_projectors(solution.config.n_sites)
     (w_even, v_even), (w_odd, v_odd) = mirror_sector_eigh(hess[None])
-    y_mf = even.T @ v_even[0][:, 0]
-    y_f = odd.T @ v_odd[0][:, 0]
     return CriticalModes(float(w_even[0, 0]), float(w_odd[0, 0]),
-                         _fix_sign(y_mf), _fix_sign(y_f))
+                         _fix_sign(even.T @ v_even[0, :, 0]), _fix_sign(odd.T @ v_odd[0, :, 0]))
 
 
-def hessian_spectra(solutions) -> list:
-    """Hessian spectra of ground states of one lattice size, as one stack:
-    per point, in order, the ascending eigenvalues of its Hessian and the
-    (lambda_mf, lambda_f) soft modes of :func:`hessian_critical_modes` for
-    a frustrated point, None for the other phases."""
-    if not solutions:
-        return []
+def hessian_spectra(solutions):
+    """Hessian spectra of a non-empty stack of ground states of one lattice
+    size: ``(eigenvalues, soft)``, the ascending eigenvalues of each
+    point's Hessian, shape (points, N), and the (lambda_mf, lambda_f) soft
+    modes of :func:`hessian_critical_modes`, shape (points, 2), NaN for a
+    point that is not frustrated."""
     hess = energy_hessian(*(np.array([getattr(solution.config, name) for solution in solutions])
                             for name in ("alphas", "g", "jbar")))
-    frustrated = [solution.phase is Phase.FSP for solution in solutions]
+    frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
+    soft = np.full((len(solutions), 2), np.nan)
     (w_even, _), (w_odd, _) = mirror_sector_eigh(hess[frustrated])
-    soft_modes = zip(w_even[:, 0], w_odd[:, 0])
-    return [(eigenvalues, next(soft_modes) if soft else None)
-            for eigenvalues, soft in zip(np.linalg.eigvalsh(hess), frustrated)]
+    soft[frustrated] = np.column_stack([w_even[:, 0], w_odd[:, 0]])
+    return np.linalg.eigvalsh(hess), soft
 
 
 def mirror_sector_eigh(hess: np.ndarray):

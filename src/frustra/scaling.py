@@ -21,7 +21,6 @@ from .errors import (
     DomainError,
     FitQualityError,
     FrustraError,
-    InstabilityError,
     ValidationError,
 )
 from .fluctuations import CRITICAL_REGIME_FACTOR, site_moments
@@ -167,89 +166,82 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Tabulate the requested observables over the coupling grid.
 
     The whole grid is solved as one stack (:func:`solve_ground_states`),
-    and observed as one stack too: every solved point's Hessian spectra
-    come from :func:`hessian_spectra` and its gaps and cavity moments from
-    :func:`site_moments`, which choose the route for each point's phase.
+    and observed as one stack too: :func:`hessian_spectra` and
+    :func:`site_moments` choose the route for each point's phase and return
+    the Hessian spectra, gaps and cavity moments as arrays over the points.
     Every point is solved cold, from its own parameters alone, and stack
-    rows never mix, so a point's rows do not depend on the rest of the
-    grid or on the order it is visited in.
-    Each point's values fill its row of the :class:`SweepResult` table;
-    per-point failures are recorded as missing rows with a reason.
+    rows never mix, so a point's rows do not depend on the rest of the grid
+    or on the order it is visited in.  Each observable's array fills the
+    :class:`SweepResult` table at once; per-point failures are recorded as
+    missing rows with a reason.
     """
     points = [spec.params_at(g) for g in spec.grid]
     return _observe_grid(spec, points, solve_ground_states(points))
 
 
 def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
-    """The table of the grid's values, from each point's solver outcome,
-    Hessian spectra and moments, with missing rows and warnings in grid
-    order.  Its labels are ranks, then a frustrated point's soft modes."""
+    """The table of the grid's values, from each point's solver outcome:
+    the solved points are observed as one stack, and each observable's
+    block over them fills the table in one assignment, a value present
+    where it is not NaN.  One pass over the grid then records the missing
+    rows and warnings in grid order.  Labels are ranks, then a frustrated
+    point's soft modes, in row order."""
     g, gc, n = np.array(spec.grid), spec.g_critical, spec.n_sites
+    want = set(spec.observables)
+    gaussian = want & {"gaps", "photon_numbers", "squeezing"}
+    solved = np.array([isinstance(outcome, GroundStateSolution) for outcome in outcomes])
+    solutions = [outcome for outcome, ok in zip(outcomes, solved) if ok]
+    blocks = {}  # per observable, its values over the solved points, in rank order
+    if solutions:
+        blocks["energy"] = np.array([[solution.config.energy] for solution in solutions])
+        if "hessian_eigenvalues" in want:
+            blocks["hessian_eigenvalues"] = np.hstack(hessian_spectra(solutions))
+        if gaussian:
+            moments = site_moments(solutions, [p for p, ok in zip(points, solved) if ok])
+            # a frustrated point's mean-field and frustrated gaps follow its ranks
+            blocks["gaps"] = np.hstack([moments.eps, moments.eps_even[:, :1],
+                                        moments.eps_odd[:, :1]])
+            blocks["photon_numbers"], blocks["squeezing"] = moments.photon_numbers, moments.var_q
+            critical = np.fmin(moments.eps[:, 0], moments.eps_even[:, 0]) < (
+                CRITICAL_REGIME_FACTOR * spec.omega0)
     result = SweepResult(spec, g, np.abs(g - gc) / gc, {})
     for name in sorted(spec.observables):
         ranks = range(1, {"energy": 0, "gaps": 2 * n}.get(name, n) + 1)
         soft = {"energy": [""], "gaps": ["mf", "f"], "hessian_eigenvalues": ["mf", "f"]}
         labels = np.array([*map(str, ranks), *soft.get(name, [])])
-        result.table[name] = (labels, np.full((len(g), len(labels)), np.nan),
-                              np.zeros((len(g), len(labels)), dtype=bool))
+        order = np.argsort(labels)  # row order: "10" before "2", "f" and "mf" after the digits
+        values = np.full((len(g), len(labels)), np.nan)
+        if solutions:
+            values[solved] = blocks[name][:, order]
+        result.table[name] = (labels[order], values, ~np.isnan(values))
+        for array in result.table[name]:
+            array.flags.writeable = False  # the rows are built once
 
-    def put(observable, i, columns, values, present=True):
-        _, table, mask = result.table[observable]
-        table[i, columns], mask[i, columns] = values, present
-
-    want = set(spec.observables)
-    gaussian = want & {"gaps", "photon_numbers", "squeezing"}
-    solved = [i for i, outcome in enumerate(outcomes)
-              if isinstance(outcome, GroundStateSolution)]
-    solutions = [outcomes[i] for i in solved]
-    if "hessian_eigenvalues" in want:
-        for i, (eigenvalues, soft_modes) in zip(solved, hessian_spectra(solutions)):
-            values = [*eigenvalues, *(soft_modes or ())]
-            put("hessian_eigenvalues", i, slice(len(values)), values)
-    moments_of = (dict(zip(solved, site_moments(solutions, [points[i] for i in solved])))
-                  if gaussian else {})
     unresolved = "frustrated sector below double-precision resolution"
+    stack_row = np.cumsum(solved) - 1  # a solved point's row in the observed stack
     for i, (params, outcome) in enumerate(zip(points, outcomes)):
 
         def lost(observable, reason):
             result.missing.append(SweepMissing(params.g, observable, reason))
 
-        if not isinstance(outcome, GroundStateSolution):
+        if not solved[i]:
             # the solver's error for this point (programming errors propagate)
             lost("all", f"solver: {outcome}")
             continue
-        if "energy" in want:
-            put("energy", i, 0, outcome.config.energy)
         if not gaussian:
             continue
-        moments = moments_of[i]
-        if isinstance(moments, InstabilityError):
-            lost(",".join(sorted(gaussian)), str(moments))
+        row = stack_row[i]
+        if moments.errors[row] is not None:
+            lost(",".join(sorted(gaussian)), str(moments.errors[row]))
             continue
-        lowest = (moments.eps_even if moments.eps is None else moments.eps)[0]
-        if lowest < CRITICAL_REGIME_FACTOR * params.omega0:
+        if critical[row]:
             result.warnings.append(f"critical-regime point at g={params.g!r}")
-        if "gaps" in want:
-            # the mean-field and frustrated gaps of a frustrated point
-            for column, sector in ((2 * n, moments.eps_even), (2 * n + 1, moments.eps_odd)):
-                if sector is not None:
-                    put("gaps", i, column, sector[0])
-            if moments.eps is None:
-                lost("gaps", unresolved)
-            else:
-                put("gaps", i, slice(2 * n), moments.eps)
-        for name, values in (("photon_numbers", (moments.var_q + moments.var_p - 1.0) / 2.0),
-                             ("squeezing", moments.var_q)):
+        if "gaps" in want and np.isnan(moments.eps[row, 0]):
+            lost("gaps", unresolved)
+        for name in ("photon_numbers", "squeezing"):
             if name in want:
-                resolved = ~np.isnan(values)
-                put(name, i, slice(None), values, resolved)
-                for site in np.flatnonzero(~resolved) + 1:
+                for site in np.flatnonzero(np.isnan(blocks[name][row])) + 1:
                     lost(f"{name}[{site}]", unresolved)
-    for name, (labels, values, present) in result.table.items():
-        order = np.argsort(labels)  # row order: "10" before "2", "f" and "mf" after the digits
-        result.table[name] = (labels[order], values[:, order], present[:, order])
-        for array in result.table[name]:
-            array.flags.writeable = False  # the rows are built once
     return result
 
 
@@ -380,7 +372,8 @@ def extract_exponents(params: ModelParams,
     unpaired/paired in the frustrated phase and the structural expectations
     (unpaired-site photon exponent matching the mean-field gap exponent,
     paired sites matching the frustrated one, Hessian exponents twice the
-    gap exponents) are reported as boolean checks.
+    gap exponents) are reported as boolean checks; each failed check also
+    adds a ``check <name> failed`` warning.
     """
     spec = SweepSpec(jbar=params.jbar, n_sites=params.n_sites,
                      omega0=params.omega0, Omega=params.Omega,
@@ -427,6 +420,8 @@ def extract_exponents(params: ModelParams,
 
     checks = _structural_checks(params.n_sites, frustrated, gamma_mf, gamma_f,
                                 photon, squeeze, hessian)
+    warnings += [f"check {name} failed" for name, passed in sorted(checks.items())
+                 if not passed]
     return ExponentReport(
         phase=Phase.FSP if frustrated else Phase.NFSP,
         n_sites=params.n_sites, jbar=params.jbar, window=window,

@@ -224,6 +224,16 @@ class TestExponentsCommand:
         assert rows_by(rows, "gamma", "mf")[0]["value"] == pytest.approx(0.5, abs=0.03)
         assert not rows_by(rows, "gamma", "f")
 
+    def test_failed_checks_are_warnings_not_exit_codes(self, capsys):
+        # the checks are results: the run exits 0, and each failed check is
+        # a warning on stderr (and in the JSON warnings)
+        code, out, err = run_cli(capsys, "exponents", "--jbar", "0.01", "--sites", "9")
+        assert code == 0
+        failed = [r["index"] for r in rows_by(csv_to_rows(out), "check") if r["value"] == 0.0]
+        assert len(failed) == 4
+        assert [line for line in err.splitlines() if line.startswith("warning: check ")] == [
+            f"warning: check {name} failed" for name in failed]
+
     def test_readme_example_passes_every_check(self, capsys):
         # exponents fits over extract_exponents' window; sweep keeps its own
         code, out, _ = run_cli(capsys, "exponents", "--jbar", "0.01", "--sites", "5",
@@ -233,6 +243,7 @@ class TestExponentsCommand:
         assert payload["config"]["reduced_min"] == scaling.EXPONENT_WINDOW[0] == 1e-7
         checks = rows_by(payload["results"], "check")
         assert len(checks) == 7 and all(r["value"] == 1.0 for r in checks), checks
+        assert not [w for w in payload["warnings"] if w.startswith("check ")]
         code, out, _ = run_cli(capsys, "sweep", "--sites", "3", "--format", "json",
                                "--observables", "energy")
         assert json.loads(out)["config"]["reduced_min"] == 1e-4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from frustra.errors import DomainError, InstabilityError, PhaseError, ValidationError
+from frustra.errors import DomainError, InstabilityError, ValidationError
 from frustra.fluctuations import (
     QuadraticForm,
     analytic_nfsp_spectrum,
@@ -19,12 +19,14 @@ from frustra.fluctuations import (
     site_moments,
     squeezing_variance,
     symplectic_spectrum_modulus,
-    uniform_phase_moments,
     williamson_diagonalize,
 )
 from frustra.meanfield import GroundStateSolution, Phase, solve_ground_state
 from frustra.model import MeanFieldConfiguration, ModelParams, critical_point
 from williamson_reference import _williamson_generic
+
+
+MOMENT_FIELDS = ("var_q", "var_p", "eps", "eps_even", "eps_odd")
 
 
 def params(jbar, g, n=3, omega0=1.0, Omega=1.0):
@@ -80,7 +82,7 @@ class TestBuild:
         stretch = np.sqrt(1.0 + 4.0 * p.g ** 2 * sol.config.alphas ** 2)
         assert_allclose(np.diag(form.matrix)[2::4], stretch, rtol=1e-15)
         if jbar < 0:
-            assert_allclose(uniform_phase_moments(sol, p).eps,
+            assert_allclose(site_moments([sol], [p]).eps[0],
                             analytic_nfsp_spectrum(p.g, jbar, 1.0), rtol=1e-12)
         # at g = 1e10 it used to flip the form indefinite
         williamson_diagonalize(solved_form(jbar, 1e10)[2])
@@ -98,7 +100,7 @@ class TestBuild:
                 build_quadratic_hamiltonian(sol, other)
         sol, _, _ = solved_form(-0.01, 1.1)
         with pytest.raises(ValidationError, match="another lattice point"):
-            uniform_phase_moments(sol, params(-0.01, 1.2))
+            site_moments([sol], [params(-0.01, 1.2)])
 
     @pytest.mark.parametrize("g, critical", [(1e3, False), (1e4, True)])
     def test_unresolvable_form_is_critical_regime(self, g, critical):
@@ -330,15 +332,17 @@ class TestStackedSectors:
             np.zeros(n), points[2].g, jbar), Phase.FSP, 0.0)
         solutions[2] = stale
         stacked = site_moments(solutions, points)
-        assert isinstance(stacked[2], InstabilityError)
+        assert isinstance(stacked.errors[2], InstabilityError)
+        assert all(np.isnan(getattr(stacked, field)[2]).all() for field in MOMENT_FIELDS)
         with pytest.raises(InstabilityError):
             fsp_site_moments(stale, points[2])
         for i in (0, 1, 3):
             alone = fsp_site_moments(solutions[i], points[i])
-            for field in ("var_q", "var_p", "eps", "eps_even", "eps_odd"):
-                a, b = getattr(stacked[i], field), getattr(alone, field)
-                assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
-        assert stacked[0].eps is None and stacked[3].eps is not None
+            assert stacked.errors[i] is None and alone.errors == (None,)
+            for field in MOMENT_FIELDS:
+                assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)[0],
+                                      equal_nan=True)
+        assert np.isnan(stacked.eps[0]).all() and not np.isnan(stacked.eps[3]).any()
 
     def test_mixed_stack_matches_one_point_routes(self):
         # one lattice size, every phase: normal, uniform, a resolved and an
@@ -354,19 +358,17 @@ class TestStackedSectors:
             np.zeros(n), p.g, p.jbar), phase, 0.0)
             for p, phase in zip(points[4:], (Phase.FSP, Phase.NFSP))]
         stacked = site_moments(solutions, points)
-        assert stacked[2].eps is not None and stacked[3].eps is None
+        assert not np.isnan(stacked.eps[2]).any() and np.isnan(stacked.eps[3]).all()
+        # uniform points have no mirror sectors
+        assert np.isnan(stacked.eps_even[[0, 1]]).all() and np.isnan(stacked.eps_odd[[0, 1]]).all()
         for i, (sol, p) in enumerate(zip(solutions, points)):
-            one_point = fsp_site_moments if sol.phase is Phase.FSP else uniform_phase_moments
-            if i >= 4:
-                assert isinstance(stacked[i], InstabilityError)
-                with pytest.raises(InstabilityError) as alone:
-                    one_point(sol, p)
-                assert str(alone.value) == str(stacked[i])
-                continue
-            alone = one_point(sol, p)
-            for field in ("var_q", "var_p", "eps", "eps_even", "eps_odd"):
-                a, b = getattr(stacked[i], field), getattr(alone, field)
-                assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+            alone = site_moments([sol], [p])
+            error = stacked.errors[i]
+            assert isinstance(error, InstabilityError) if i >= 4 else error is None
+            assert str(error) == str(alone.errors[0])
+            for field in MOMENT_FIELDS:
+                assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)[0],
+                                      equal_nan=True)
 
 
 class TestModeWeights:
@@ -480,9 +482,9 @@ class TestSectorMoments:
             moments = fsp_site_moments(sol, p)
             cov = covariance(williamson_diagonalize(build_quadratic_hamiltonian(sol, p)))
             for site in range(1, n + 1):
-                assert moments.photon(site) == pytest.approx(
+                assert moments.photon_numbers[0, site - 1] == pytest.approx(
                     photon_number(cov, site), rel=1e-9)
-                assert moments.squeezing(site) == pytest.approx(
+                assert moments.var_q[0, site - 1] == pytest.approx(
                     squeezing_variance(cov, site), rel=1e-9)
 
     @pytest.mark.parametrize("n, reduced", [(3, 3e-3), (5, 3e-3), (7, 3e-3), (7, 1e-5)])
@@ -493,15 +495,15 @@ class TestSectorMoments:
         sol = solve_ground_state(p)
         moments = fsp_site_moments(sol, p)
         eps_even, eps_odd = fsp_sector_spectra(sol, p)
-        assert np.array_equal(moments.eps_even, eps_even)
+        assert np.array_equal(moments.eps_even[0], eps_even)
         # the N=7 frustrated gap ~ reduced^3 is below resolution at 1e-5
         assert (eps_odd is None) == (reduced < 1e-4)
         if eps_odd is None:
-            assert moments.eps_odd is None and moments.eps is None
+            assert np.isnan(moments.eps_odd).all() and np.isnan(moments.eps).all()
             return
-        assert np.array_equal(moments.eps_odd, eps_odd)
-        merged = np.sort(np.concatenate([moments.eps_even, moments.eps_odd]))
-        assert np.array_equal(moments.eps, merged)
+        assert np.array_equal(moments.eps_odd[0], eps_odd)
+        merged = np.sort(np.concatenate([eps_even, eps_odd]))
+        assert np.array_equal(moments.eps[0], merged)
         full = williamson_diagonalize(build_quadratic_hamiltonian(sol, p))
         assert_allclose(merged, full.symplectic_eigenvalues, rtol=1e-9)
 
@@ -512,32 +514,29 @@ class TestSectorMoments:
         p = params(jbar, gc * (1 + 1e-6), 7)
         sol = solve_ground_state(p)
         moments = fsp_site_moments(sol, p)
-        assert np.isfinite(moments.photon(1))
-        assert np.isnan(moments.photon(2))
-        assert moments.eps_odd is None and moments.eps_even is not None
-        assert moments.eps is None
+        assert np.isfinite(moments.photon_numbers[0, 0])
+        assert np.isnan(moments.photon_numbers[0, 1])
+        assert np.isnan(moments.eps_odd).all() and np.isfinite(moments.eps_even).all()
+        assert np.isnan(moments.eps).all()
 
 
 class TestUniformPhaseMoments:
     def test_vacuum_without_coupling(self):
         sol, p, _ = solved_form(0.05, 0.0, n=5)
-        moments = uniform_phase_moments(sol, p)
+        moments = site_moments([sol], [p])
         assert_allclose(moments.var_q, 0.5, rtol=1e-14)
         assert_allclose(moments.var_p, 0.5, rtol=1e-14)
-        assert moments.photon(3) == pytest.approx(0.0, abs=1e-15)
-
-    def test_rejects_frustrated_phase(self):
-        sol, p, _ = solved_form(0.01, 1.01)
-        with pytest.raises(PhaseError):
-            uniform_phase_moments(sol, p)
+        assert moments.photon_numbers[0, 2] == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_unconverged_solution(self):
         sol, p, _ = solved_form(-0.01, 0.9)
         bad = GroundStateSolution(sol.config, sol.phase, grad_norm=1e-3)
         with pytest.raises(ValidationError):
-            uniform_phase_moments(bad, p)
+            site_moments([bad], [p])
         with pytest.raises(ValidationError):
-            uniform_phase_moments(sol, params(-0.01, 0.9, n=5))
+            site_moments([sol], [params(-0.01, 0.9, n=5)])
+        with pytest.raises(ValidationError):
+            site_moments([], [])
 
     @pytest.mark.parametrize("jbar, g", [(0.01, 1.2), (0.7, 0.1)])
     def test_stale_normal_state_is_unstable(self, jbar, g):
@@ -548,8 +547,9 @@ class TestUniformPhaseMoments:
         stale = GroundStateSolution(config, Phase.NORMAL, 0.0)
         with pytest.raises(InstabilityError):
             williamson_diagonalize(build_quadratic_hamiltonian(stale, p))
-        with pytest.raises(InstabilityError):
-            uniform_phase_moments(stale, p)
+        moments = site_moments([stale], [p])
+        assert isinstance(moments.errors[0], InstabilityError)
+        assert np.isnan(moments.var_q).all() and np.isnan(moments.eps).all()
 
 
 class TestGenericRoute:

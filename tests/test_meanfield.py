@@ -530,16 +530,24 @@ class TestHessianCriticalModes:
                   params(0.01, gc_f * (1 + 1e-3), n), params(0.01, gc_f * (1 + 1e-6), n)]
         solutions = [solve_ground_state(p) for p in points]
         assert [s.phase for s in solutions] == [Phase.NORMAL, Phase.NFSP, Phase.FSP, Phase.FSP]
-        for p, sol, (eigenvalues, soft) in zip(points, solutions,
-                                                hessian_spectra(solutions)):
+        eigenvalues, soft = hessian_spectra(solutions)
+        assert eigenvalues.shape == (len(points), n) and soft.shape == (len(points), 2)
+        for p, sol, point_eigenvalues, point_soft in zip(points, solutions, eigenvalues, soft):
             alone = np.linalg.eigvalsh(energy_hessian(sol.config.alphas, p.g, p.jbar))
-            assert np.array_equal(eigenvalues, alone)
+            assert np.array_equal(point_eigenvalues, alone)
             if sol.phase is Phase.FSP:
                 modes = hessian_critical_modes(p, sol)
-                assert (soft[0], soft[1]) == (modes.lambda_mf, modes.lambda_f)
+                assert tuple(point_soft) == (modes.lambda_mf, modes.lambda_f)
             else:
-                assert soft is None
-        assert hessian_spectra([]) == []
+                assert np.isnan(point_soft).all()
+
+    def test_rejects_solution_of_another_lattice_point(self):
+        # the modes are read at the solution's own point: a solution of
+        # another coupling, hopping or size is refused, not re-evaluated
+        sol = solve_ground_state(params(0.01, 1.1, 5))
+        for other in (params(0.01, 1.2, 5), params(0.02, 1.1, 5), params(0.01, 1.1, 7)):
+            with pytest.raises(ValidationError, match="another lattice point"):
+                hessian_critical_modes(other, sol)
 
     def test_requires_frustrated_phase(self):
         with pytest.raises(PhaseError):

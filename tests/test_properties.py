@@ -19,9 +19,9 @@ from frustra.fluctuations import (
     build_quadratic_hamiltonian,
     covariance,
     photon_number,
+    site_moments,
     squeezing_variance,
     symplectic_spectrum_modulus,
-    uniform_phase_moments,
     williamson_diagonalize,
 )
 from frustra.errors import FrustraError
@@ -202,16 +202,17 @@ def uniform_points(draw):
 def test_momentum_blocks_match_williamson(params):
     solution = solve_ground_state(params)
     assert solution.phase in (Phase.NORMAL, Phase.NFSP)
-    moments = uniform_phase_moments(solution, params)
+    moments = site_moments([solution], [params])
     form = build_quadratic_hamiltonian(solution, params)
     decomp = williamson_diagonalize(form)
     reference = decomp.symplectic_eigenvalues
-    assert_allclose(moments.eps, reference, rtol=1e-10, atol=0)
-    assert_allclose(moments.eps, symplectic_spectrum_modulus(form), rtol=1e-10, atol=0)
+    assert_allclose(moments.eps[0], reference, rtol=1e-10, atol=0)
+    assert_allclose(moments.eps[0], symplectic_spectrum_modulus(form), rtol=1e-10, atol=0)
     cov = covariance(decomp)
     for site in range(1, params.n_sites + 1):
-        assert_allclose(moments.photon(site), photon_number(cov, site), rtol=1e-9, atol=0)
-        assert_allclose(moments.squeezing(site), squeezing_variance(cov, site),
+        assert_allclose(moments.photon_numbers[0, site - 1], photon_number(cov, site),
+                        rtol=1e-9, atol=0)
+        assert_allclose(moments.var_q[0, site - 1], squeezing_variance(cov, site),
                         rtol=1e-9, atol=0)
     analytic = analytic_np_spectrum if solution.phase is Phase.NORMAL \
         else analytic_nfsp_spectrum

@@ -1,13 +1,17 @@
-"""Source hygiene checks on the package modules."""
+"""Source hygiene checks on the package and test modules."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frustra"
-# __init__.py imports names to re-export them
-MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+# the package modules by file name (__init__.py imports names to re-export
+# them), the test modules by their path in the repository
+MODULES = {path.name: path for path in sorted((ROOT / "src" / "frustra").glob("*.py"))
+           if path.name != "__init__.py"}
+MODULES.update({path.relative_to(ROOT).as_posix(): path
+                for path in sorted((ROOT / "tests").glob("*.py"))})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,4 +34,4 @@ def test_guard_finds_unused_names():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
