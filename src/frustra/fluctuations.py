@@ -81,10 +81,6 @@ class QuadraticForm:
         object.__setattr__(self, "matrix", matrix)
 
     @property
-    def n_sites(self) -> int:
-        return self.matrix.shape[0] // 4
-
-    @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
 

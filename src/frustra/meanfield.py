@@ -353,34 +353,30 @@ def _mirror_reduced(n_sites: int, g, jbar):
 
 
 def _seed_alphas(params: ModelParams) -> list[np.ndarray]:
-    """One seed per symmetry orbit of the closed-form guesses.
+    """One seed per symmetry orbit (rotations and the global sign flip)
+    that can hold the global minimum of a point above g_c:
 
-    The energy is invariant under lattice rotations and the global sign
-    flip, so Newton from a rotated or flipped seed repeats the same
-    minimization: the origin, the positive uniform state and the canonical
-    frustrated pattern at each of its two magnitudes cover every orbit.
+    - the origin is stationary there but never a minimum, so never seeded;
+    - for jbar <= 0 the hopping term is at least 2 jbar sum alpha_n^2, equal
+      only for a uniform state, so the uniform closed form is global and
+      the one seed;
+    - for jbar > 0 a uniform state of magnitude a lies exactly
+      4 jbar a^2 (N - 1) above the frustrated pattern of magnitude a, so
+      only the canonical frustrated pattern is seeded: at its near-critical
+      magnitude and, above sqrt(1 + 2 jbar), at the uniform one.
+
     Every seed is mirror-symmetric about site 1.
     """
     n, g, jbar = params.n_sites, params.g, params.jbar
-    seeds = [np.zeros(n)]
     uniform = _uniform_magnitude(g, jbar)
-    if uniform is not None:
-        seeds.append(np.full(n, uniform))
-    if jbar > 0:
-        gc = params.critical_coupling()
-        if g > gc:
-            x = abs(g - gc)
-            mag_pair = np.sqrt(x) / (np.sqrt(3.0) * gc ** 1.5)
-            mag_unpaired = 2.0 * mag_pair
-            magnitudes = [(mag_unpaired, mag_pair)]
-            if uniform is not None:
-                magnitudes.append((uniform, uniform))
-            pattern = fsp_sign_pattern(n)
-            for mag1, mag2 in magnitudes:
-                base = pattern * mag2
-                base[0] = -mag1
-                seeds.append(base)
-    return seeds
+    if jbar <= 0:
+        return [np.full(n, uniform)]
+    gc = params.critical_coupling()
+    near_critical = fsp_sign_pattern(n) * (np.sqrt(g - gc) / (np.sqrt(3.0) * gc ** 1.5))
+    near_critical[0] *= 2.0  # the unpaired site at twice the pairs' magnitude
+    if uniform is None:
+        return [near_critical]
+    return [near_critical, fsp_sign_pattern(n) * uniform]
 
 
 def _unpaired_site(alphas: np.ndarray) -> int:
@@ -424,13 +420,16 @@ def solve_ground_states(params_seq) -> list:
     """Canonical global mean-field minimizers of points of one lattice
     size, solved as one stack.
 
-    Each superradiant point gets one seed per symmetry orbit
-    (:func:`_seed_alphas`).  Every seed is mirror-symmetric about site 1,
-    and so is every ground state up to a rotation, so the seeds of all
-    points run as one mirror-reduced Newton stack ((N+1)/2 values a row).
-    The full N x N Hessian then confirms each stationary point is a
-    minimum, and the lowest-energy one wins (the first in seed order on a
-    tie).  Frustrated solutions are returned as the canonical
+    A point at g <= g_c is the normal phase without a solve: sqrt(1 + x)
+    <= 1 + x/2 gives E(alpha) >= E(0) + alpha^T H_0 alpha / 2, and the
+    origin Hessian H_0 is positive semidefinite up to g_c.  Each
+    superradiant point gets one seed per symmetry orbit that can hold the
+    global minimum (:func:`_seed_alphas`).  Every seed is mirror-symmetric
+    about site 1, and so is every ground state up to a rotation, so the
+    seeds of all points run as one mirror-reduced Newton stack ((N+1)/2
+    values a row).  The full N x N Hessian then confirms each stationary
+    point is a minimum, and the lowest-energy one wins (the first in seed
+    order on a tie).  Frustrated solutions are returned as the canonical
     representative (unpaired site first, alpha_1 < 0 <= alpha_2, mirror
     pairs exactly equal).  Returns, per point and in order, its
     :class:`GroundStateSolution` or the exception its solve raised (a

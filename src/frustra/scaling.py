@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fluctuations import CRITICAL_REGIME_FACTOR, site_moments
 from .meanfield import GroundStateSolution, Phase, hessian_spectra, solve_ground_states
-from .model import ModelParams, critical_point, default_hopping_sign
+from .model import ModelParams, critical_point, default_hopping_sign, rescaled_energy
 
 OBSERVABLES = ("gaps", "photon_numbers", "squeezing", "hessian_eigenvalues", "energy")
 
@@ -193,7 +193,9 @@ def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
     solutions = [outcome for outcome, ok in zip(outcomes, solved) if ok]
     blocks = {}  # per observable, its values over the solved points, in rank order
     if solutions:
-        blocks["energy"] = np.array([[solution.config.energy] for solution in solutions])
+        if "energy" in want:
+            alphas = np.array([solution.config.alphas for solution in solutions])
+            blocks["energy"] = rescaled_energy(alphas, g[solved], spec.jbar)[:, None]
         if "hessian_eigenvalues" in want:
             blocks["hessian_eigenvalues"] = np.hstack(hessian_spectra(solutions))
         if gaussian:

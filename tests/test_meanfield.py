@@ -180,6 +180,36 @@ class TestSolveGroundState:
             p, SolverOptions(seed_mode="exhaustive"))
         assert sol.config.energy <= min(m.energy for m in members) + 1e-10
 
+    @pytest.mark.parametrize("n, jbar, reduced, phase", [
+        (3, -0.01, 1e-12, Phase.NFSP), (3, -0.01, 1e-11, Phase.NFSP),
+        (3, -0.01, 1e-10, Phase.NFSP), (9, 0.4, 1e-9, Phase.FSP)])
+    def test_superradiant_within_1e_9_of_threshold(self, n, jbar, reduced, phase):
+        # the origin is stationary here and passes the PSD tolerance, so
+        # only an unseeded origin keeps these points superradiant
+        gc = critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+        assert solve_ground_state(params(jbar, gc * (1 + reduced), n)).phase is phase
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("jbar", [-0.3, -0.01, 0.0, 0.01, 0.3])
+    def test_seeds_only_the_orbits_that_can_hold_the_minimum(self, n, jbar):
+        gc = critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+        uniform_from = np.sqrt(1 + 2 * jbar)  # the uniform state exists above it
+        for g in (gc * (1 + 1e-6), gc * 1.1, uniform_from * 1.1):
+            seeds = _seed_alphas(params(jbar, g, n))
+            assert all(np.all(seed != 0) for seed in seeds)
+            if jbar <= 0:
+                assert len(seeds) == 1 and np.array_equal(
+                    seeds[0], np.full(n, nfsp_closed_form(g, jbar)))
+                continue
+            assert len(seeds) == (2 if g > uniform_from else 1)
+            for seed in seeds:  # the canonical frustrated pattern
+                assert np.array_equal(np.sign(seed), fsp_sign_pattern(n))
+            near_critical = np.abs(seeds[0])
+            assert np.all(near_critical[1:] == near_critical[1])
+            assert near_critical[0] == 2 * near_critical[1]
+            if len(seeds) == 2:  # then at the uniform magnitude
+                assert np.ptp(np.abs(seeds[1])) == 0
+
     def test_uniformity_property_negative_hopping(self):
         # energy lower bound argument: the minimizer is uniform for jbar < 0
         rng = np.random.default_rng(2)

@@ -1,7 +1,8 @@
 """Property tests for the invariants the solvers rely on: symmetry of the
-energy, exact derivatives, the mirror-reduced problem, agreement of the
-orbit-seeded solver with the exhaustive oracle, the orbit oracle with the
-test-side all-2^N-pattern reference, the Williamson
+energy, the energy bounds that decide which orbits the solver seeds, exact
+derivatives, the mirror-reduced problem, agreement of the orbit-seeded
+solver with the exhaustive oracle near g_c and at strong coupling, the
+orbit oracle with the test-side all-2^N-pattern reference, the Williamson
 identities, the package's split-form Cholesky-SVD route against the
 test-side generic Cholesky/real-Schur reference, the momentum-block path
 of the uniform phases against the Williamson reference, and the CSV wire
@@ -33,6 +34,8 @@ from frustra.meanfield import (
     _pair_groups,
     _pair_incidence,
     enumerate_degenerate_ground_states,
+    fsp_sign_pattern,
+    nfsp_closed_form,
     solve_ground_state,
 )
 from frustra.model import (
@@ -78,6 +81,51 @@ def test_energy_symmetric_under_rotation_flip_and_mirror(case, shift):
     tol = 1e-12 * max(1.0, abs(energy))
     for image in (np.roll(alphas, shift), -alphas, mirrored):
         assert abs(rescaled_energy(image, g, jbar) - energy) <= tol
+
+
+@st.composite
+def seeding_cases(draw, hopping):
+    """(alphas, jbar, g_c) with alphas of odd length and any scale
+    10^U(-6, 1), jbar drawn from ``hopping``, and g_c for jbar's sign."""
+    n = draw(sizes)
+    scale = 10.0 ** draw(st.floats(-6.0, 1.0))
+    alphas = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    jbar = draw(hopping)
+    return alphas, jbar, critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+
+
+@PROPERTY
+@given(seeding_cases(hoppings), st.floats(0.0, 1.0))
+def test_origin_is_the_minimum_up_to_the_critical_point(case, fraction):
+    # sqrt(1 + x) <= 1 + x/2 bounds E(alpha) - E(0) below by the origin
+    # Hessian's form, which is positive semidefinite for g <= g_c
+    alphas, jbar, gc = case
+    g = fraction * gc
+    origin = rescaled_energy(np.zeros(len(alphas)), g, jbar)
+    assert rescaled_energy(alphas, g, jbar) >= origin - 1e-13 * abs(origin)
+
+
+@PROPERTY
+@given(seeding_cases(st.floats(-0.45, 0.0)), st.floats(-9.0, 1.0))
+def test_uniform_closed_form_is_global_for_nonpositive_hopping(case, log_reduced):
+    # the hopping term is at least 2 jbar sum alpha_n^2, equal only for a
+    # uniform state, so no state lies below the uniform minimum
+    alphas, jbar, gc = case
+    g = gc * (1.0 + 10.0 ** log_reduced)
+    uniform = rescaled_energy(np.full(len(alphas), nfsp_closed_form(g, jbar)), g, jbar)
+    assert rescaled_energy(alphas, g, jbar) >= uniform - 1e-13 * max(1.0, abs(uniform))
+
+
+@PROPERTY
+@given(sizes, st.floats(1e-4, 0.5), st.floats(-6.0, 1.0), st.floats(0.0, 10.0))
+def test_uniform_state_lies_above_the_frustrated_pattern(n, jbar, log_a, g):
+    # |alpha_n| is the same in both, so only the hopping term differs: 2 jbar
+    # a^2 N for the uniform state and -2 jbar a^2 (N - 2) for the pattern
+    a = 10.0 ** log_a
+    uniform = rescaled_energy(np.full(n, a), g, jbar)
+    frustrated = rescaled_energy(a * fsp_sign_pattern(n), g, jbar)
+    summands = n * (a * a + 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a) + 2.0 * jbar * a * a)
+    assert abs(uniform - frustrated - 4.0 * jbar * a * a * (n - 1)) <= 1e-14 * summands
 
 
 @PROPERTY
@@ -149,8 +197,21 @@ def transition_points(draw):
     return ModelParams(1.0, 1.0, jbar, gc * (1.0 + side * reduced), n)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(transition_points())
+@st.composite
+def strong_coupling_points(draw):
+    """Superradiant points with jbar = +-10^U(-3, -0.7) and reduced distance
+    10^U(-1, 2), where the uniform state exists and, for positive hopping,
+    is a local minimum that the solver does not seed."""
+    n = draw(st.sampled_from([3, 5, 7]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    jbar = sign * 10.0 ** draw(st.floats(-3.0, -0.7))
+    reduced = 10.0 ** draw(st.floats(-1.0, 2.0))
+    gc = critical_point(jbar, n, "positive" if sign > 0 else "negative")
+    return ModelParams(1.0, 1.0, jbar, gc * (1.0 + reduced), n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.one_of(transition_points(), strong_coupling_points()))
 def test_orbit_seeded_solver_matches_exhaustive_oracle(params):
     solution = solve_ground_state(params)
     members = enumerate_degenerate_ground_states(

@@ -218,6 +218,16 @@ class TestExponentReports:
         extract_exponents(params(0.01), window=(1e-3, 1e-2), points_per_decade=6)
         assert set(specs[0].observables) == set(scaling.OBSERVABLES) - {"energy"}
 
+    def test_energy_is_computed_only_when_requested(self, monkeypatch):
+        def unrequested(config):
+            raise AssertionError("energy read for a sweep that does not tabulate it")
+
+        monkeypatch.setattr(MeanFieldConfiguration, "energy", property(unrequested))
+        spec = SweepSpec(jbar=0.01, n_sites=5, points_per_decade=2,
+                         observables=("gaps", "hessian_eigenvalues"))
+        result = run_sweep(spec)
+        assert {r.observable for r in result.rows} == {"gaps", "hessian_eigenvalues"}
+
     def test_large_lattice_flagged_unvalidated(self):
         report = extract_exponents(params(0.01, n=9), window=(3e-4, 1e-2),
                                    points_per_decade=6)
@@ -349,6 +359,15 @@ class TestSweepErrors:
         photons = {r.value for r in result.rows if r.observable == "photon_numbers"}
         assert len(photons) == 1
 
+    def test_superradiant_points_within_1e_10_of_threshold_are_resolved(self):
+        # the uniform state, not the origin, is the minimum just above g_c
+        spec = SweepSpec(jbar=-0.01, n_sites=3, sides="above", reduced_min=1e-12,
+                         reduced_max=1e-10, points_per_decade=2)
+        result = run_sweep(spec)
+        assert not result.missing
+        gaps = result.series("gaps", "1")[1]
+        assert len(gaps) == len(spec.grid) and np.all(gaps > 0)
+
 
 def reference_sweep(spec):
     """A sweep's rows, missing rows and warnings built one row at a time,
@@ -424,6 +443,13 @@ CASE_MISSING = {"deep N=5": {"gaps", "photon_numbers[2]", "squeezing[5]"},
                 "strong hopping N=7": {"gaps", "photon_numbers[4]"},
                 "unstable points": {"gaps,photon_numbers,squeezing"},
                 "solver failure": {"all"}}
+# the grid points a case seeds from the origin alone: a saddle, which fails
+# the point, and points within 1e-10 of g_c, where the origin passes the
+# PSD tolerance and wins as a normal state that is not stable there
+ORIGIN_SEEDED = {
+    "solver failure": lambda spec, g: g == spec.grid[len(spec.grid) // 2 + 3],
+    "unstable points": lambda spec, g: (g - spec.g_critical) / spec.g_critical < 1e-10,
+}
 
 
 class TestSweepTable:
@@ -431,11 +457,10 @@ class TestSweepTable:
     def test_table_matches_row_by_row_reference(self, case, capsys, monkeypatch):
         flags, kwargs = SWEEP_CASES[case]
         spec = SweepSpec(**kwargs)
-        if case == "solver failure":
-            bad = spec.grid[len(spec.grid) // 2 + 3]
-            real_seeds = meanfield._seed_alphas
+        if case in ORIGIN_SEEDED:
+            origin_only, real_seeds = ORIGIN_SEEDED[case], meanfield._seed_alphas
             monkeypatch.setattr(meanfield, "_seed_alphas", lambda p: (
-                [np.zeros(p.n_sites)] if p.g == bad else real_seeds(p)))
+                [np.zeros(p.n_sites)] if origin_only(spec, p.g) else real_seeds(p)))
         result = run_sweep(spec)
         rows, missing, warnings = reference_sweep(spec)
         assert result.rows == rows
