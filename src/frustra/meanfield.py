@@ -249,8 +249,17 @@ def _isolated(fn, stack, rows, failures, catch=(FrustraError, np.linalg.LinAlgEr
 
 
 def _newton_minimize(fun, jac, hess_fn, x0):
-    """Damped modified-Newton descent followed by a pure-Newton endgame, on
-    every row of the stack ``x0`` (rows, m) at once.
+    """Damped saddle-free Newton descent followed by a pure-Newton endgame,
+    on every row of the stack ``x0`` (rows, m) at once.
+
+    A descent step divides the gradient's part along each Hessian
+    eigenvector by the eigenvalue's absolute value plus 1e-9.  Where the
+    Hessian is positive semidefinite, as it is for nearly every solver
+    seed, that is the plain damped-Newton step, bit for bit.  Where it is
+    indefinite the step keeps the curvature's length scale; the smallest
+    shift that makes the Hessian positive would leave one eigenvalue at
+    1e-9, and a step up to 1e9 times the gradient for the line search to
+    shrink.
 
     ``fun``, ``jac`` and ``hess_fn`` take a stack and the ids of its rows,
     so rows may carry their own couplings.  Each row runs exactly the
@@ -276,9 +285,8 @@ def _newton_minimize(fun, jac, hess_fn, x0):
         ok, (w, vecs) = _isolated(lambda xs, rows: np.linalg.eigh(hess_fn(xs, rows)),
                                   x[live], live, failures)
         live = live[ok]
-        shift = np.fmax(0.0, -w.min(axis=-1)) + 1e-9
         coeffs = (np.swapaxes(vecs, -1, -2) @ grad[live][..., None])[..., 0]
-        step = (vecs @ (coeffs / (w + shift[:, None]))[..., None])[..., 0]
+        step = (vecs @ (coeffs / (np.abs(w) + 1e-9))[..., None])[..., 0]
         t, moved = np.ones(len(live)), np.zeros(len(live), dtype=bool)
         search = np.arange(len(live))
         while len(search):

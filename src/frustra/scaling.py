@@ -579,7 +579,10 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     failed = [outcome for outcome in outcomes.values() if isinstance(outcome, Exception)]
     if failed:
         raise failed[0]  # the first in scan order
-    energy = {x: solution.config.energy for x, solution in outcomes.items()}
+    scanned = np.array(list(outcomes))
+    alphas = np.array([solution.config.alphas for solution in outcomes.values()])
+    g, jbar = (scanned, params.jbar) if axis == "g" else (params.g, scanned)
+    energy = dict(zip(outcomes, rescaled_energy(alphas, g, jbar)))
 
     def cached(x):
         return energy[float(x)]

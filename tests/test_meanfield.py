@@ -15,6 +15,7 @@ from frustra.errors import (
 from frustra.meanfield import (
     ENERGY_TOL,
     MATCH_TOL,
+    PSD_TOLERANCE,
     SOLUTION_GRAD_TOL,
     GroundStateSolution,
     Phase,
@@ -42,6 +43,7 @@ from frustra.model import (
     critical_point,
     energy_gradient,
     energy_hessian,
+    rescaled_energy,
 )
 
 
@@ -336,6 +338,29 @@ class TestDegenerateManifold:
         for member in found:
             assert np.max(np.abs(energy_gradient(member.alphas, g, jbar))) <= SOLUTION_GRAD_TOL
 
+    def test_saddle_free_steps_bound_the_oracle_line_search(self, monkeypatch):
+        # N = 7 cold points: the oracle's rows pass through the indefinite
+        # region near the origin.  Stepping with |w| there takes 719 energy
+        # evaluations in all; the minimal shift w + |w_min| took 1167.
+        points = [(0.001, 1e-3), (0.003, 5e-2), (0.01, 2e-3), (0.02, 2e-2),
+                  (0.05, 5e-3), (0.08, 3e-2), (0.12, 1e-3), (0.2, 1e-2)]
+        evaluations = []
+        newton = meanfield._newton_minimize
+
+        def counted(fun, jac, hess_fn, x0):
+            def fun_counted(a, rows):
+                evaluations.append(len(rows))
+                return fun(a, rows)
+            return newton(fun_counted, jac, hess_fn, x0)
+
+        monkeypatch.setattr(meanfield, "_newton_minimize", counted)
+        for jbar, reduced in points:
+            gc = critical_point(jbar, 7, "positive")
+            found = enumerate_degenerate_ground_states(
+                params(jbar, gc * (1 + reduced), 7), SolverOptions(seed_mode="exhaustive"))
+            assert len(found) == 14
+        assert sum(evaluations) <= 900
+
 
 class TestOrbitPatterns:
     @pytest.mark.parametrize("n, orbits", [(3, 2), (5, 4), (7, 10), (9, 30)])
@@ -485,6 +510,44 @@ class TestStackedSolve:
             if i not in failures:
                 assert np.array_equal(x1[0], x[i])
                 assert norm1[0] == norm[i] and np.array_equal(steps1[0], steps[i])
+
+    def test_indefinite_rows_step_with_absolute_curvature(self):
+        # near the origin the landscape is indefinite, so the (-, -, +)
+        # pattern at about half the oracle's seed magnitude (0.084) starts
+        # with a negative Hessian eigenvalue; the solver's frustrated seed
+        # starts positive definite
+        point = params(0.05, critical_point(0.05, 3, "positive") * 1.02)
+        g, jbar = point.g, point.jbar
+        seeds = np.array([[-0.04, -0.04, 0.04], _seed_alphas(point)[0]])
+        trials = []
+
+        def run(x0):
+            def fun(a, rows):
+                trials.append((rows.copy(), a.copy()))
+                return rescaled_energy(a, g, jbar)
+            return _newton_minimize(fun, lambda a, rows: energy_gradient(a, g, jbar),
+                                    lambda a, rows: energy_hessian(a, g, jbar), x0)
+
+        x, norm, steps, failures = run(seeds)
+        assert not failures
+        # the second evaluation is each row's first trial point, a full step
+        first_ids, first_trial = trials[1]
+        assert np.array_equal(first_ids, [0, 1])
+        w, vecs = np.linalg.eigh(energy_hessian(seeds, g, jbar))
+        assert w[0, 0] < 0 < w[1, 0]
+        coeffs = np.einsum("rji,rj->ri", vecs, energy_gradient(seeds, g, jbar))
+        assert_allclose(first_trial - seeds,
+                        -np.einsum("rij,rj->ri", vecs, coeffs / (np.abs(w) + 1e-9)),
+                        rtol=1e-12, atol=1e-15)
+        # the indefinite row ends at a stable minimum with the ground-state energy
+        assert norm[0] <= SOLUTION_GRAD_TOL
+        assert np.linalg.eigvalsh(energy_hessian(x[0], g, jbar)).min() >= PSD_TOLERANCE
+        assert abs(rescaled_energy(x[0], g, jbar)
+                   - solve_ground_state(point).config.energy) <= ENERGY_TOL
+        for i in (0, 1):
+            x1, norm1, steps1, _ = run(seeds[i:i + 1])
+            assert np.array_equal(x1[0], x[i]) and norm1[0] == norm[i]
+            assert np.array_equal(steps1[0], steps[i])
 
     def test_debug_record_per_solved_point(self, caplog):
         gc = critical_point(0.01, 5, "positive")

@@ -274,6 +274,20 @@ class TestDerivativeDiagnostics:
         interior = [row for row in diag.table if not np.isnan(row[2])]
         assert len(interior) > 10
 
+    @pytest.mark.parametrize("axis, jbar, g", [("g", 0.01, 1.0), ("jbar", 0.01, 1.2)])
+    def test_energies_are_read_in_one_stacked_call(self, monkeypatch, axis, jbar, g):
+        # one rescaled_energy call over every solved point, bit for bit the
+        # energies of one-point solves
+        calls = []
+        stacked = scaling.rescaled_energy
+        monkeypatch.setattr(scaling, "rescaled_energy",
+                            lambda *args: calls.append(args) or stacked(*args))
+        diag = energy_derivative_diagnostics(params(jbar, g=g), axis=axis)
+        assert len(calls) == 1
+        for x, energy, _, _ in diag.table:
+            point = params(jbar, g=x) if axis == "g" else params(x, g=g)
+            assert energy == meanfield.solve_ground_state(point).config.energy
+
     def test_axis_validation(self):
         with pytest.raises(ValidationError):
             energy_derivative_diagnostics(params(0.01), axis="omega")
