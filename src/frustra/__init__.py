@@ -44,7 +44,6 @@ from .meanfield import (
 from .model import (
     MeanFieldConfiguration,
     ModelParams,
-    atomic_angles_from_alpha,
     critical_point,
     energy_gradient,
     energy_hessian,

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
+from itertools import chain
 
 from . import fluctuations, meanfield, model, scaling
 from .errors import (
@@ -106,14 +107,19 @@ def _table_rows(table) -> list[dict]:
 def _table_csv(table) -> str:
     """The CSV writer of every command.  A table is a sequence of points
     (g, reduced_coupling, [(observable, indices, values), ...]); a point's
-    g and reduced coupling are formatted once, and each value once."""
-    lines = ["g,reduced_coupling,observable,index,value"]
+    g and reduced coupling are formatted once, and each of its distinct
+    values once (a uniform point repeats most of its values)."""
+    points = ["g,reduced_coupling,observable,index,value\n"]
     for g, reduced, columns in table:
         head = f"{g!r},{reduced!r},"
-        for observable, indices, values in columns:
-            lead = f"{head}{observable},"
-            lines += [f"{lead}{index},{value!r}" for index, value in zip(indices, values)]
-    return "\n".join(lines) + "\n"
+        distinct = set(chain.from_iterable(values for _, _, values in columns))
+        text = dict(zip(distinct, map(repr, distinct)))
+        text[0.0] = None  # 0.0 and -0.0 are one key: a zero is formatted where it stands
+        # joined per point, so that a table's lines are never all alive at once
+        points.append("".join([f"{head}{observable},{index},{text[value] or repr(value)}\n"
+                               for observable, indices, values in columns
+                               for index, value in zip(indices, values)]))
+    return "".join(points)
 
 
 def rows_to_csv(rows) -> str:

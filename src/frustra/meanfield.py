@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,7 +124,7 @@ def _uniform_magnitude(g: float, jbar: float) -> float | None:
     uniform stationary point; None at or below g_c, where it does not exist.
     A coupling whose (g/g_c)^4 overflows double precision raises
     :class:`DomainError`: the landscape is not representable there."""
-    gc = float(np.sqrt(1.0 + 2.0 * jbar))
+    gc = math.sqrt(1.0 + 2.0 * jbar)
     if g <= gc:
         return None
     try:
@@ -131,7 +132,7 @@ def _uniform_magnitude(g: float, jbar: float) -> float | None:
     except OverflowError:
         raise DomainError(
             f"coupling g={g} too large: (g/g_c)^4 overflows double precision") from None
-    return float(np.sqrt(quartic - 1.0) / (2.0 * g))
+    return math.sqrt(quartic - 1.0) / (2.0 * g)
 
 
 def fsp_approximation(g: float, jbar: float) -> tuple[float, float]:
@@ -279,7 +280,7 @@ def _newton_minimize(fun, jac, hess_fn, x0):
     live = np.arange(len(x))
     f, grad = fun(x, live), jac(x, live)
     for _ in range(MAX_ITERATIONS):
-        live = live[~(np.max(np.abs(grad[live]), axis=-1) < 1e-6)]
+        live = live[~(np.abs(grad[live]).max(axis=-1) < 1e-6)]
         if not len(live):
             break
         ok, (w, vecs) = _isolated(lambda xs, rows: np.linalg.eigh(hess_fn(xs, rows)),
@@ -308,7 +309,7 @@ def _newton_minimize(fun, jac, hess_fn, x0):
     # leftover gradient into parameter error, so stopping exactly at
     # SOLUTION_GRAD_TOL would contaminate near-critical Hessian eigenvalues.
     live = np.flatnonzero([row not in failures for row in range(len(x))])
-    norm = np.max(np.abs(grad), axis=-1)
+    norm = np.abs(grad).max(axis=-1)
     for _ in range(60):
         live = live[~(norm[live] < 1e-15)]
         if not len(live):
@@ -321,7 +322,7 @@ def _newton_minimize(fun, jac, hess_fn, x0):
         trial = x[live] - step
         ok, grad_new = _isolated(jac, trial, live, failures)
         live, trial = live[ok], trial[ok]
-        new_norm = np.max(np.abs(grad_new), axis=-1)
+        new_norm = np.abs(grad_new).max(axis=-1)
         better = ~(new_norm >= norm[live])
         live = live[better]
         x[live], grad[live], norm[live] = trial[better], grad_new[better], new_norm[better]
@@ -338,7 +339,7 @@ def _mirror_reduced(n_sites: int, g, jbar):
     scalars or hold one value per row, and the derivative functions take
     the ids of the rows they are given (all rows by default).
     """
-    incidence = _pair_incidence(n_sites)
+    incidence = _ring_tables(n_sites)[1]
     g, jbar = np.asarray(g, dtype=float), np.asarray(jbar, dtype=float)
 
     def expand(y):
@@ -359,10 +360,32 @@ def _mirror_reduced(n_sites: int, g, jbar):
 # ---------------------------------------------------------------------------
 # seeds, canonicalization, phase logic
 
+#: The seed templates of :func:`_ring_tables`, by row.
+UNIFORM, NEAR_CRITICAL, FRUSTRATED = range(3)
 
-def _seed_alphas(params: ModelParams) -> list[np.ndarray]:
+
+@functools.cache
+def _ring_tables(n_sites: int):
+    """Read-only ``(templates, incidence, right)`` of one lattice size: the
+    seed templates over the mirror-group values (UNIFORM all ones,
+    FRUSTRATED the canonical frustrated pattern, NEAR_CRITICAL that pattern
+    with the unpaired site doubled), :func:`_pair_incidence` and each
+    site's right neighbour."""
+    pattern = fsp_sign_pattern(n_sites)[: (n_sites + 1) // 2]
+    near_critical = pattern.copy()
+    near_critical[0] *= 2.0
+    tables = (np.array([np.ones_like(pattern), near_critical, pattern]),
+              _pair_incidence(n_sites), (np.arange(n_sites) + 1) % n_sites)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _seed_alphas(params: ModelParams, gc: float) -> list[tuple[int, float]]:
     """One seed per symmetry orbit (rotations and the global sign flip)
-    that can hold the global minimum of a point above g_c:
+    that can hold the global minimum of a point above its critical coupling
+    ``gc``, as (template, magnitude) pairs: the seed is the magnitude times
+    that row of the :func:`_ring_tables` templates.
 
     - the origin is stationary there but never a minimum, so never seeded;
     - for jbar <= 0 the hopping term is at least 2 jbar sum alpha_n^2, equal
@@ -375,48 +398,48 @@ def _seed_alphas(params: ModelParams) -> list[np.ndarray]:
 
     Every seed is mirror-symmetric about site 1.
     """
-    n, g, jbar = params.n_sites, params.g, params.jbar
+    g, jbar = params.g, params.jbar
     uniform = _uniform_magnitude(g, jbar)
     if jbar <= 0:
-        return [np.full(n, uniform)]
-    gc = params.critical_coupling()
-    near_critical = fsp_sign_pattern(n) * (np.sqrt(g - gc) / (np.sqrt(3.0) * gc ** 1.5))
-    near_critical[0] *= 2.0  # the unpaired site at twice the pairs' magnitude
-    if uniform is None:
-        return [near_critical]
-    return [near_critical, fsp_sign_pattern(n) * uniform]
+        return [(UNIFORM, uniform)]
+    near_critical = [(NEAR_CRITICAL, math.sqrt(g - gc) / (math.sqrt(3.0) * gc ** 1.5))]
+    return near_critical if uniform is None else near_critical + [(FRUSTRATED, uniform)]
 
 
-def _unpaired_site(alphas: np.ndarray) -> int:
-    """Index of the unpaired site of a frustrated configuration.
+def _canonical_frames(alphas: np.ndarray):
+    """``(shifts, signs, errors)`` of a stack of frustrated configurations
+    (rows, N): ``sign * np.roll(row, -shift)`` is a row's canonical
+    representative, and ``sign * np.roll(canonical, shift)`` maps it back.
 
     All neighbouring coherences are anti-aligned except the one
-    ferromagnetic pair diametrically opposite the unpaired site.
+    ferromagnetic pair diametrically opposite the unpaired site.  A row
+    with a vanishing coherence, or without exactly one such pair, is not
+    frustrated: ``errors`` holds its :class:`PhaseError` by row.  The
+    frames are float arithmetic over the stack: ``aligned`` is 1 at each
+    aligned pair (i, i+1), so its index sum is a valid row's pair, and
+    moved by half the ring it picks out the unpaired site's sign.
     """
-    n = len(alphas)
+    n = alphas.shape[-1]
+    right, half, sites = _ring_tables(n)[2], (n + 1) // 2, np.arange(n)
     signs = np.sign(alphas)
-    if np.any(signs == 0):
-        raise PhaseError("configuration has a vanishing coherence; not frustrated")
-    same = [i for i in range(n) if signs[i] == signs[(i + 1) % n]]
-    if len(same) != 1:
-        raise PhaseError(f"expected exactly one aligned neighbour pair, found {len(same)}")
-    return (same[0] + (n + 1) // 2) % n
+    aligned = np.fmax(signs * signs[:, right], 0.0)
+    shifts = [int(shift) for shift in (((aligned * sites).sum(axis=1) + half) % n).tolist()]
+    errors = {}
+    for row in ((aligned.sum(axis=1) != 1) | (signs == 0).any(axis=1)).nonzero()[0].tolist():
+        pairs = int((signs[row] == signs[row, right]).sum())
+        errors[row] = PhaseError(
+            "configuration has a vanishing coherence; not frustrated" if (signs[row] == 0).any()
+            else f"expected exactly one aligned neighbour pair, found {pairs}")
+    return shifts, -(signs * aligned[:, (sites - half) % n]).sum(axis=1), errors
 
 
-def _canonical_frame(alphas: np.ndarray) -> tuple[int, float]:
-    """(shift, sign) taking a frustrated configuration to its canonical
-    representative ``sign * np.roll(alphas, -shift)``; the inverse map is
-    ``sign * np.roll(canonical, shift)``."""
-    shift = _unpaired_site(alphas)
-    return shift, (-1.0 if alphas[shift] > 0 else 1.0)
-
-
-def _classify(alphas: np.ndarray, params: ModelParams) -> Phase:
-    if np.max(np.abs(alphas)) < 1e-9:
+def _classify(peak: float, jbar: float) -> Phase:
+    """The phase of a minimizer whose largest coherence magnitude is ``peak``."""
+    if peak < 1e-9:
         return Phase.NORMAL
-    if params.jbar < 0:
+    if jbar < 0:
         return Phase.NFSP
-    if params.jbar > 0:
+    if jbar > 0:
         return Phase.FSP
     raise ValidationError(
         "jbar = 0 with g > 1 sits on the first-order line of decoupled sites; "
@@ -437,107 +460,137 @@ def solve_ground_states(params_seq) -> list:
     seeds of all points run as one mirror-reduced Newton stack ((N+1)/2
     values a row).  The full N x N Hessian then confirms each stationary
     point is a minimum, and the lowest-energy one wins (the first in seed
-    order on a tie).  Frustrated solutions are returned as the canonical
+    order on a tie); a point whose seed failed takes its first failing
+    seed's error.  Frustrated solutions are returned as the canonical
     representative (unpaired site first, alpha_1 < 0 <= alpha_2, mirror
     pairs exactly equal).  Returns, per point and in order, its
     :class:`GroundStateSolution` or the exception its solve raised (a
     :class:`FrustraError`, or ``numpy.linalg.LinAlgError``).  Rows never
     mix, so a point's result is a pure function of its parameters,
-    whatever else the stack holds.  At ``logging.DEBUG`` the
-    ``frustra.meanfield`` logger gets one record per solved point.
+    whatever else the stack holds; seeds, winners and frames are array
+    operations over it.  At ``logging.DEBUG`` the ``frustra.meanfield``
+    logger gets one record per solved point.
     """
     points = list(params_seq)
     if len({params.n_sites for params in points}) > 1:
         raise ValidationError("a stacked solve needs points of one lattice size")
+    debug = log.isEnabledFor(logging.DEBUG)
     outcomes: list = [None] * len(points)
-    seeds, spans = [], {}
+    hopping = gc = None  # g_c is computed again only where the hopping changes
+    # per seeded point its index and first seed row; per seed row its
+    # seeded point and (template, magnitude)
+    solving, starts, group, seeds = [], [], [], []
     for index, params in enumerate(points):
         try:
-            if params.g <= params.critical_coupling():
+            if params.jbar != hopping:
+                gc, hopping = params.critical_coupling(), params.jbar
+            if params.g <= gc:
                 config = MeanFieldConfiguration(np.zeros(params.n_sites), params.g, params.jbar)
                 outcomes[index] = GroundStateSolution(config, Phase.NORMAL, 0.0)
-                if log.isEnabledFor(logging.DEBUG):
+                if debug:
                     log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
                               params.g, params.jbar, params.n_sites)
                 continue
-            point_seeds = _seed_alphas(params)
+            point_seeds = _seed_alphas(params, gc)
         except FrustraError as exc:
             outcomes[index] = exc
             continue
-        spans[index] = range(len(seeds), len(seeds) + len(point_seeds))
+        group += [len(solving)] * len(point_seeds)
+        solving.append(index)
+        starts.append(len(seeds))
         seeds += point_seeds
     if not seeds:
         return outcomes
 
-    owner = [points[index] for index, rows in spans.items() for _ in rows]
-    g = np.array([params.g for params in owner])
-    jbar = np.array([params.jbar for params in owner])
     n = points[0].n_sites
+    templates, magnitudes = zip(*seeds)
+    owners = [points[solving[k]] for k in group]
+    g, jbar = np.array([p.g for p in owners]), np.array([p.jbar for p in owners])
     expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
-    y, _, steps, failures = _newton_minimize(fun, jac, hess_fn,
-                                             np.array(seeds)[:, : (n + 1) // 2])
+    y, _, steps, failures = _newton_minimize(
+        fun, jac, hess_fn, _ring_tables(n)[0][list(templates)] * np.array(magnitudes)[:, None])
     alphas = expand(y)
     settled = np.flatnonzero([row not in failures for row in range(len(y))])
     grad_norm = np.full(len(y), np.nan)
-    grad_norm[settled] = np.max(np.abs(
-        energy_gradient(alphas[settled], g[settled], jbar[settled])), axis=-1)
+    grad_norm[settled] = np.abs(
+        energy_gradient(alphas[settled], g[settled], jbar[settled])).max(axis=-1)
     stationary = settled[~(grad_norm[settled] > 1e-6)]
-    ok, lowest = _isolated(
+    ok, curvature = _isolated(
         lambda a, rows: np.linalg.eigvalsh(energy_hessian(a, g[rows], jbar[rows])).min(axis=-1),
         alphas[stationary], stationary, failures)
-    minima = stationary[ok][~(lowest < PSD_TOLERANCE)]
-    energy = dict(zip(minima.tolist(), rescaled_energy(alphas[minima], g[minima], jbar[minima])))
-    for index, rows in spans.items():
-        params, candidates, best_residual = points[index], [], np.inf
-        try:
-            for row in rows:
-                if row in failures:  # the first failing seed fails the point
-                    raise failures[row]
-                best_residual = min(best_residual, float(grad_norm[row]))
-                if row in energy:
-                    candidates.append((energy[row], row))
-            if not candidates:
-                raise ConvergenceError(
-                    f"no seed converged to a stable stationary point at g={params.g}, "
-                    f"jbar={params.jbar}", best_residual=best_residual)
-            _, row = min(candidates, key=lambda c: c[0])
-            outcomes[index] = _canonical_solution(alphas[row], float(grad_norm[row]), params)
-        except (FrustraError, np.linalg.LinAlgError) as exc:
-            outcomes[index] = exc
-            continue
-        if log.isEnabledFor(logging.DEBUG):
+    minima = stationary[ok][~(curvature < PSD_TOLERANCE)]
+    energy = np.full(len(y), np.inf)  # of the minima
+    energy[minima] = rescaled_energy(alphas[minima], g[minima], jbar[minima])
+    # per seeded point, over its consecutive seed rows: the lowest energy of
+    # a minimum and the first row at it (without a minimum, the first row)
+    lowest = np.minimum.reduceat(energy, starts)
+    winners = np.minimum.reduceat(
+        np.where(energy == lowest[np.array(group)], np.arange(len(y)), len(y)), starts)
+    failing = {}  # per seeded point with a failed row, its first
+    for row in sorted(failures):
+        failing.setdefault(group[row], row)
+    solved = _canonical_solutions(alphas[winners], grad_norm[winners],
+                                  [points[index] for index in solving])
+    for k, (index, low, start, stop, row, outcome) in enumerate(zip(
+            solving, lowest.tolist(), starts, [*starts[1:], len(y)], winners.tolist(), solved)):
+        params = points[index]
+        if k in failing:
+            outcome = failures[failing[k]]
+        elif low == math.inf:
+            outcome = ConvergenceError(
+                f"no seed converged to a stable stationary point at g={params.g}, "
+                f"jbar={params.jbar}", best_residual=min(math.inf, *grad_norm[start:stop].tolist()))
+        elif debug and not isinstance(outcome, Exception):
             log.debug("solved g=%r jbar=%r N=%d: %d seeds tried, %d passed the gradient "
                       "and PSD filters, seed %d won after %d descent and %d endgame "
                       "steps, grad_norm %.3e", params.g, params.jbar, params.n_sites,
-                      len(rows), len(candidates), row - rows.start + 1, *steps[row],
-                      grad_norm[row])
+                      stop - start, np.count_nonzero(energy[start:stop] < math.inf),
+                      row - start + 1, *steps[row], grad_norm[row])
+        outcomes[index] = outcome
     return outcomes
 
 
-def _canonical_solution(alphas: np.ndarray, grad_norm: float,
-                        params: ModelParams) -> GroundStateSolution:
-    """The winning minimizer classified, put in its canonical frame and
-    checked against SOLUTION_GRAD_TOL.
+def _canonical_solutions(alphas: np.ndarray, grad_norm: np.ndarray, points) -> list:
+    """Winning minimizers (rows, N) classified, put in their canonical
+    frame and checked against SOLUTION_GRAD_TOL, as one stack: per row its
+    :class:`GroundStateSolution`, or the error of the first check it fails
+    (the classification, the frame, the residual).
 
     Every seed is mirror-symmetric about site 1, so the winner of the
     mirror-reduced stack is too, and a frustrated winner is canonical up to
     its global sign.  The mirror maps the aligned neighbour pair (i, i+1)
     (0-based, cyclic) to (-i-1, -i); a unique aligned pair is its own image,
     so i = -i-1 (mod N), i = (N-1)/2, and the unpaired site opposite it is
-    site 1.  :func:`_canonical_frame` still checks that there is exactly one
-    aligned pair, and its shift is 0.
+    site 1.  :func:`_canonical_frames` still checks that there is exactly
+    one aligned pair, and its shift is 0.  Only frustrated rows are checked.
     """
-    phase = _classify(alphas, params)
-    if phase is Phase.FSP:
-        _, sign = _canonical_frame(alphas)
-        alphas = sign * alphas
-    if grad_norm > SOLUTION_GRAD_TOL:
-        raise ConvergenceError(
-            f"stationarity residual {grad_norm:.2e} above {SOLUTION_GRAD_TOL}",
-            best_residual=grad_norm,
-        )
-    return GroundStateSolution(MeanFieldConfiguration(alphas, params.g, params.jbar),
-                               phase, grad_norm)
+    peaks = np.abs(alphas).max(axis=-1)
+    frustrated = ~(peaks < 1e-9) & (np.array([params.jbar for params in points]) > 0)
+    errors = {}
+    if frustrated.any():
+        rows = frustrated.nonzero()[0]
+        signs = np.ones(len(alphas))
+        _, frame_signs, frame_errors = _canonical_frames(alphas[rows])
+        signs[rows] = frame_signs
+        alphas = alphas * signs[:, None]
+        errors = {int(rows[row]): error for row, error in frame_errors.items()}
+    outcomes = []
+    for row, (params, peak, residual, config) in enumerate(zip(
+            points, peaks.tolist(), grad_norm.tolist(), alphas)):
+        try:
+            phase = _classify(peak, params.jbar)
+            if row in errors:
+                raise errors[row]
+            if residual > SOLUTION_GRAD_TOL:
+                raise ConvergenceError(
+                    f"stationarity residual {residual:.2e} above {SOLUTION_GRAD_TOL}",
+                    best_residual=residual)
+        except FrustraError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append(GroundStateSolution(
+            MeanFieldConfiguration(config, params.g, params.jbar), phase, residual))
+    return outcomes
 
 
 def solve_ground_state(params: ModelParams) -> GroundStateSolution:
@@ -620,24 +673,34 @@ def _enumerate_exhaustive(params: ModelParams):
 
     energies = rescaled_energy(found, g, jbar)
     global_tier = found[energies <= energies.min() + ENERGY_TOL]
-    if _classify(global_tier[0], params) is Phase.FSP:
+    if _classify(np.abs(global_tier[0]).max(), jbar) is Phase.FSP:
         # Near g_c the mirror-odd direction is flat, so each member stops
         # somewhere along it; lock its pairs, as solve_ground_state's mirror-
         # reduced Newton does, so that copies of one minimum coincide to
         # rounding.
         global_tier = _polish_members(global_tier, params)
-    # a tier member near a kept one lies in a kept orbit; else its distinct images join
-    members = np.empty((0, n))
+    return [MeanFieldConfiguration(a, g, jbar) for a in _distinct_images(global_tier)]
+
+
+def _distinct_images(global_tier) -> np.ndarray:
+    """The manifold generated from a global tier (members, N): a member
+    within MATCH_TOL of a kept one lies in a kept orbit; else each of its
+    2N images joins unless it matches a kept member or an earlier joining
+    image, found with one 2N x 2N distance matrix and a pass in image
+    order."""
+    members = np.empty((0, np.shape(global_tier)[-1]))
     for alphas in global_tier:
-        if _unmatched(members, alphas):
-            for image in _group_images(alphas):
-                if _unmatched(members, image):
-                    members = np.vstack((members, image))
-    return [MeanFieldConfiguration(a, g, jbar) for a in members]
-
-
-def _unmatched(members: np.ndarray, alphas: np.ndarray) -> bool:
-    return not np.any(np.max(np.abs(members - alphas), axis=-1) < MATCH_TOL)
+        if (np.abs(members - alphas).max(axis=-1) < MATCH_TOL).any():
+            continue
+        images = _group_images(alphas)
+        near = np.abs(images[:, None] - images[None]).max(axis=-1) < MATCH_TOL
+        new = ~(np.abs(images[:, None] - members[None]).max(axis=-1)
+                < MATCH_TOL).any(axis=1)
+        joining = np.zeros(len(images), dtype=bool)
+        for i in new.nonzero()[0].tolist():
+            joining[i] = not (near[i] & joining).any()
+        members = np.concatenate((members, images[joining]))
+    return members
 
 
 def _polish_members(members: np.ndarray, params: ModelParams) -> list[np.ndarray]:
@@ -649,10 +712,12 @@ def _polish_members(members: np.ndarray, params: ModelParams) -> list[np.ndarray
     and the discrepancy logged.
     """
     g, jbar = params.g, params.jbar
-    frames = [_canonical_frame(alphas) for alphas in members]
+    shifts, signs, errors = _canonical_frames(members)
+    if errors:
+        raise errors[min(errors)]
     canonical = np.array([sign * np.roll(alphas, -shift)
-                          for alphas, (shift, sign) in zip(members, frames)])
-    incidence = _pair_incidence(params.n_sites)
+                          for alphas, shift, sign in zip(members, shifts, signs)])
+    incidence = _ring_tables(params.n_sites)[1]
     expand, fun, jac, hess_fn = _mirror_reduced(
         params.n_sites, np.full(len(members), g), np.full(len(members), jbar))
     # seeded from the mean of each mirror pair
@@ -664,8 +729,8 @@ def _polish_members(members: np.ndarray, params: ModelParams) -> list[np.ndarray
     e_free = rescaled_energy(canonical, g, jbar)
     e_snapped = rescaled_energy(snapped, g, jbar)
     polished = []
-    for alphas, (shift, sign), free, locked, snap in zip(members, frames, e_free,
-                                                         e_snapped, snapped):
+    for alphas, shift, sign, free, locked, snap in zip(members, shifts, signs, e_free,
+                                                       e_snapped, snapped):
         if locked > free + 1e-12 * max(1.0, abs(free)):
             log.warning(
                 "symmetric polish raised the energy (%.3e -> %.3e); keeping the "

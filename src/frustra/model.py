@@ -15,6 +15,7 @@ the atomic energy scale); sites are numbered 1..N in the public interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,7 @@ def _check_alphas(alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim < 1 or alphas.shape[-1] < 3:
         raise DomainError("alphas must have length >= 3 along the last axis")
-    if not np.all(np.isfinite(alphas)):
+    if not np.isfinite(alphas).all():
         raise DomainError("alphas must be finite")
     return alphas
 
@@ -211,22 +212,17 @@ def atomic_cosines(alphas, g):
 
 
 def atomic_angles(alphas, g: float):
-    """Vectorized form of :func:`atomic_angles_from_alpha`."""
-    a = np.asarray(alphas, dtype=float)
-    return np.arccos(atomic_cosines(a, g)[0]), np.where(a > 0, np.pi, 0.0)
-
-
-def atomic_angles_from_alpha(alpha: float, g: float):
-    """Atomic Bloch angles (theta, phi) fixed by a single coherence.
+    """Atomic Bloch angles (theta, phi) fixed by the coherences, elementwise.
 
     theta = arccos(-1/sqrt(1 + 4 g^2 alpha^2)) lies in [pi/2, pi]; phi is
     pi for alpha > 0, otherwise 0 (the value at alpha = 0 is a convention
-    and does not affect the energy).
+    and does not affect the energy).  A negative coupling raises
+    :class:`DomainError`.
     """
     if g < 0:
         raise DomainError(f"g must be non-negative, got {g}")
-    thetas, phis = atomic_angles(np.array([alpha]), g)
-    return float(thetas[0]), float(phis[0])
+    a = np.asarray(alphas, dtype=float)
+    return np.arccos(atomic_cosines(a, g)[0]), np.where(a > 0, np.pi, 0.0)
 
 
 def origin_hessian_eigenvalues(g: float, jbar: float, n_sites: int) -> np.ndarray:
@@ -279,4 +275,4 @@ def critical_point(jbar: float, n_sites: int, hopping_sign: str) -> float:
         raise InstabilityError(
             f"no stable critical point: 1 + 2 jbar cos(k) = {radicand} <= 0"
         )
-    return float(np.sqrt(radicand))
+    return math.sqrt(radicand)

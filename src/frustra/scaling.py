@@ -135,9 +135,13 @@ class SweepResult:
     def points(self):
         """Each grid point's rows as (g, reduced_coupling, [(observable,
         indices, values), ...]), in row order, absent values left out."""
+        columns = [(name, tuple(labels.tolist()), labels, values, mask, mask.all(axis=1))
+                   for name, (labels, values, mask) in self.table.items()]
         for i, (g, reduced) in enumerate(zip(self.g.tolist(), self.reduced.tolist())):
-            yield g, reduced, [(name, labels[mask[i]].tolist(), values[i, mask[i]].tolist())
-                               for name, (labels, values, mask) in self.table.items()]
+            yield g, reduced, [
+                (name, every, values[i].tolist()) if full[i] else
+                (name, labels[mask[i]].tolist(), values[i, mask[i]].tolist())
+                for name, every, labels, values, mask, full in columns]
 
     @property
     def rows(self) -> list[SweepRow]:
@@ -183,9 +187,9 @@ def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
     """The table of the grid's values, from each point's solver outcome:
     the solved points are observed as one stack, and each observable's
     block over them fills the table in one assignment, a value present
-    where it is not NaN.  One pass over the grid then records the missing
-    rows and warnings in grid order.  Labels are ranks, then a frustrated
-    point's soft modes, in row order."""
+    where it is not NaN.  The points flagged by a failure or a mask then
+    record the missing rows and warnings, in grid order.  Labels are ranks,
+    then a frustrated point's soft modes, in row order."""
     g, gc, n = np.array(spec.grid), spec.g_critical, spec.n_sites
     want = set(spec.observables)
     gaussian = want & {"gaps", "photon_numbers", "squeezing"}
@@ -219,31 +223,34 @@ def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
         for array in result.table[name]:
             array.flags.writeable = False  # the rows are built once
 
+    # only the points that leave a missing row or a warning are visited;
+    # unresolved values are masks per missing-row label ("gaps" one column)
+    flagged, lost = ~solved, {}
+    if solutions and gaussian:
+        failed = np.array([error is not None for error in moments.errors])
+        columns = {"gaps": moments.eps[:, :1], "photon_numbers[{}]": blocks["photon_numbers"],
+                   "squeezing[{}]": blocks["squeezing"]}
+        lost = {label: np.isnan(values) & ~failed[:, None]
+                for label, values in columns.items() if label.split("[")[0] in want}
+        flagged[solved] = failed | critical
+        for mask in lost.values():
+            flagged[solved] |= mask.any(axis=1)
     unresolved = "frustrated sector below double-precision resolution"
     stack_row = np.cumsum(solved) - 1  # a solved point's row in the observed stack
-    for i, (params, outcome) in enumerate(zip(points, outcomes)):
-
-        def lost(observable, reason):
-            result.missing.append(SweepMissing(params.g, observable, reason))
-
+    for i in np.flatnonzero(flagged).tolist():
+        g_i, row = points[i].g, stack_row[i]
         if not solved[i]:
             # the solver's error for this point (programming errors propagate)
-            lost("all", f"solver: {outcome}")
-            continue
-        if not gaussian:
-            continue
-        row = stack_row[i]
-        if moments.errors[row] is not None:
-            lost(",".join(sorted(gaussian)), str(moments.errors[row]))
-            continue
-        if critical[row]:
-            result.warnings.append(f"critical-regime point at g={params.g!r}")
-        if "gaps" in want and np.isnan(moments.eps[row, 0]):
-            lost("gaps", unresolved)
-        for name in ("photon_numbers", "squeezing"):
-            if name in want:
-                for site in np.flatnonzero(np.isnan(blocks[name][row])) + 1:
-                    lost(f"{name}[{site}]", unresolved)
+            result.missing.append(SweepMissing(g_i, "all", f"solver: {outcomes[i]}"))
+        elif failed[row]:
+            result.missing.append(SweepMissing(g_i, ",".join(sorted(gaussian)),
+                                               str(moments.errors[row])))
+        else:
+            if critical[row]:
+                result.warnings.append(f"critical-regime point at g={g_i!r}")
+            result.missing += [SweepMissing(g_i, label.format(site), unresolved)
+                               for label, mask in lost.items()
+                               for site in np.flatnonzero(mask[row]) + 1]
     return result
 
 

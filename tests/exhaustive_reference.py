@@ -2,7 +2,9 @@
 one of the 2^N sign patterns is a row of one full-space Newton stack, and
 the distinct members of the global-energy tier are collected pairwise.  The
 package runs one pattern per rotation/flip orbit and generates the members
-by the group; the tests compare the two."""
+by the group; the tests compare the two.  It also keeps the image-by-image
+dedupe of a tier's group images, the reference for the package's
+distance-matrix dedupe."""
 
 import itertools
 
@@ -57,10 +59,26 @@ def enumerate_all_sign_patterns(params):
 
     energies = rescaled_energy(found, g, jbar)
     global_tier = found[energies <= energies.min() + ENERGY_TOL]
-    if _classify(global_tier[0], params) is Phase.FSP:
+    if _classify(np.abs(global_tier[0]).max(), jbar) is Phase.FSP:
         global_tier = _polish_members(global_tier, params)
     distinct = []
     for alphas in global_tier:
         if not any(np.max(np.abs(alphas - other)) < MATCH_TOL for other in distinct):
             distinct.append(alphas)
     return [MeanFieldConfiguration(a, g, jbar) for a in distinct]
+
+
+def images_one_at_a_time(global_tier):
+    """The manifold generated from a global tier by comparing every image
+    with the members kept so far, one image at a time; the package compares
+    each tier member's 2N images in one distance matrix."""
+    members = np.empty((0, np.shape(global_tier)[-1]))
+    for alphas in global_tier:
+        if not np.any(np.max(np.abs(members - alphas), axis=-1) < MATCH_TOL):
+            n = len(alphas)
+            for flip in (1.0, -1.0):
+                for shift in range(n):
+                    image = flip * np.roll(alphas, shift)
+                    if not np.any(np.max(np.abs(members - image), axis=-1) < MATCH_TOL):
+                        members = np.vstack((members, image))
+    return members

@@ -22,7 +22,7 @@ from frustra.meanfield import (
     fsp_approximation,
     solve_ground_state,
 )
-from frustra.meanfield import _unpaired_site  # test-side canonical rolling
+from frustra.meanfield import _canonical_frames  # test-side canonical rolling
 from frustra.model import (
     ModelParams,
     critical_point,
@@ -99,8 +99,10 @@ def test_criterion_02_exhaustive_degeneracy(n, expected):
     assert len(members) == expected
     energies = np.array([m.energy for m in members])
     assert np.ptp(energies) < 1e-10
-    for member in members:
-        rolled = np.roll(member.alphas, -_unpaired_site(member.alphas))
+    shifts, _, errors = _canonical_frames(np.array([m.alphas for m in members]))
+    assert not errors
+    for member, shift in zip(members, shifts):
+        rolled = np.roll(member.alphas, -shift)
         for j in range(1, (n - 1) // 2 + 1):
             assert abs(rolled[j] - rolled[n - j]) < 1e-10
     report_pass(2, f"N={n}: {len(members)} global minima, "

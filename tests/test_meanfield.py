@@ -20,8 +20,8 @@ from frustra.meanfield import (
     GroundStateSolution,
     Phase,
     SolverOptions,
-    _canonical_frame,
-    _canonical_solution,
+    _canonical_frames,
+    _canonical_solutions,
     _group_images,
     _mirror_reduced,
     _newton_minimize,
@@ -49,6 +49,13 @@ from frustra.model import (
 
 def params(jbar, g, n=3):
     return ModelParams(1.0, 1.0, jbar, g, n)
+
+
+def seed_alphas(point):
+    """The solver's seeds of a superradiant point as full configurations."""
+    templates, incidence, _ = meanfield._ring_tables(point.n_sites)
+    return [magnitude * templates[template] @ incidence.T
+            for template, magnitude in _seed_alphas(point, point.critical_coupling())]
 
 
 class TestClosedForms:
@@ -197,7 +204,7 @@ class TestSolveGroundState:
         gc = critical_point(jbar, n, "negative" if jbar < 0 else "positive")
         uniform_from = np.sqrt(1 + 2 * jbar)  # the uniform state exists above it
         for g in (gc * (1 + 1e-6), gc * 1.1, uniform_from * 1.1):
-            seeds = _seed_alphas(params(jbar, g, n))
+            seeds = seed_alphas(params(jbar, g, n))
             assert all(np.all(seed != 0) for seed in seeds)
             if jbar <= 0:
                 assert len(seeds) == 1 and np.array_equal(
@@ -385,8 +392,8 @@ class TestOrbitPatterns:
 def _origin_only_at(g_bad):
     """_seed_alphas with the one point at g_bad seeded from the origin
     alone: a saddle there, so no seed passes the PSD filter."""
-    def seeds(params):
-        return [np.zeros(params.n_sites)] if params.g == g_bad else _seed_alphas(params)
+    def seeds(params, gc):
+        return [(meanfield.UNIFORM, 0.0)] if params.g == g_bad else _seed_alphas(params, gc)
     return seeds
 
 
@@ -408,22 +415,25 @@ class TestDerivedSolutionFields:
     def test_frustrated_winners_need_only_a_sign_flip(self, n, monkeypatch):
         # every winner of the mirror-reduced stack has its unpaired site at
         # site 1 already, so the canonical frame of the raw winner has shift
-        # 0, and the returned solution is canonical
+        # 0, and the returned solution is canonical; the frames of the whole
+        # stack are checked in one call
         frames = []
 
         def spy(alphas):
-            frames.append(_canonical_frame(alphas))
+            frames.append(_canonical_frames(alphas))
             return frames[-1]
 
-        monkeypatch.setattr(meanfield, "_canonical_frame", spy)
+        monkeypatch.setattr(meanfield, "_canonical_frames", spy)
         points = [ModelParams(1.0, 1.0, jbar, critical_point(jbar, n, "positive") * (1 + r), n)
                   for jbar in (0.01, 0.3) for r in np.logspace(-7, np.log10(0.3), 14)]
         outcomes = solve_ground_states(points)
         assert all(solution.phase is Phase.FSP for solution in outcomes)
-        assert len(frames) == len(points)
-        assert {shift for shift, _ in frames} == {0}
-        for solution in outcomes:
-            assert _canonical_frame(solution.config.alphas) == (0, 1.0)
+        ((shifts, _, errors),) = frames
+        assert len(shifts) == len(points) and not errors
+        assert set(shifts) == {0}
+        shifts, signs, errors = _canonical_frames(
+            np.array([solution.config.alphas for solution in outcomes]))
+        assert set(shifts) == {0} and set(signs.tolist()) == {1.0} and not errors
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_canonical_solution_flips_a_positive_unpaired_site(self, n):
@@ -433,7 +443,7 @@ class TestDerivedSolutionFields:
         solution = solve_ground_state(p)
         flipped = -solution.config.alphas
         assert flipped[0] > 0
-        canonical = _canonical_solution(flipped, solution.grad_norm, p)
+        (canonical,) = _canonical_solutions(flipped[None], np.array([solution.grad_norm]), [p])
         assert canonical.phase is Phase.FSP
         a = canonical.config.alphas
         assert a[0] < 0 <= a[1]
@@ -482,10 +492,10 @@ class TestStackedSolve:
         rows = [(gc * (1 + r), None) for r in (1e-6, 1e-3, 1e-1)]
         rows += [(gc * 1.01, 0.0), (gc * 1.02, 1e-320), (gc * 1.03, np.nan)]
         m = (n + 1) // 2
-        seeds = [_seed_alphas(params(jbar, g, n))[-1][:m] for g, _ in rows[:3]]
+        seeds = [seed_alphas(params(jbar, g, n))[-1][:m] for g, _ in rows[:3]]
         seeds += [solve_ground_state(params(jbar, g, n)).config.alphas[:m] + 1e-9
                   for g, _ in rows[3:5]]
-        seeds.append(_seed_alphas(params(jbar, rows[5][0], n))[-1][:m])
+        seeds.append(seed_alphas(params(jbar, rows[5][0], n))[-1][:m])
 
         def run(picked):
             _, fun, jac, hess = _mirror_reduced(n, [rows[i][0] for i in picked],
@@ -518,7 +528,7 @@ class TestStackedSolve:
         # starts positive definite
         point = params(0.05, critical_point(0.05, 3, "positive") * 1.02)
         g, jbar = point.g, point.jbar
-        seeds = np.array([[-0.04, -0.04, 0.04], _seed_alphas(point)[0]])
+        seeds = np.array([[-0.04, -0.04, 0.04], seed_alphas(point)[0]])
         trials = []
 
         def run(x0):
@@ -559,7 +569,7 @@ class TestStackedSolve:
         assert "normal phase" in records[0]
         for point, message in zip(points[1:], records[1:]):
             assert f"g={point.g!r}" in message
-            assert f"{len(_seed_alphas(point))} seeds tried" in message
+            assert f"{len(_seed_alphas(point, point.critical_coupling()))} seeds tried" in message
             for field in ("passed", "won after", "descent", "endgame", "grad_norm"):
                 assert field in message
 
@@ -570,6 +580,73 @@ class TestStackedSolve:
         with pytest.raises(DomainError):
             solve_ground_state(point)
         assert solve_ground_state(params(0.01, 1e7, 3)).phase is Phase.FSP
+
+    def test_mixed_stack_gives_each_point_its_one_point_outcome(self, monkeypatch):
+        # every outcome the stacked bookkeeping can hand out, in one stack:
+        # the three phases, jbar = 0 (classification), an overflowing
+        # coupling (seeding), no stable seed at g = 1e10, a residual above
+        # SOLUTION_GRAD_TOL at g = 1e9, and a frustrated point seeded with
+        # its uniform state, a stable minimum that fails the frame check
+        n, uniform_seeded = 5, params(0.3, 1.7, 5)
+        real_seeds = meanfield._seed_alphas
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: (
+            [(meanfield.UNIFORM, meanfield._uniform_magnitude(p.g, p.jbar))]
+            if p == uniform_seeded else real_seeds(p, gc)))
+        points = [params(0.01, 0.5, n), params(-0.01, 1.2, n), params(0.01, 1.2, n),
+                  params(0.0, 1.2, n), params(0.01, 1e200, n), params(0.01, 1e10, n),
+                  params(0.01, 1e9, n), uniform_seeded]
+        expected = [Phase.NORMAL, Phase.NFSP, Phase.FSP, ValidationError, DomainError,
+                    "no seed converged", "stationarity residual",
+                    "expected exactly one aligned neighbour pair, found 5"]
+        alone = [solve_ground_states([point])[0] for point in points]
+        for point, outcome, want in zip(points, alone, expected):
+            if isinstance(want, Phase):
+                assert outcome.phase is want
+            elif isinstance(want, str):
+                assert isinstance(outcome, PhaseError if "pair" in want else ConvergenceError)
+                assert str(outcome).startswith(want)
+            else:
+                assert isinstance(outcome, want)
+        for order in (slice(None), slice(None, None, -1)):
+            for stacked, one in zip(solve_ground_states(points[order]), alone[order]):
+                assert type(stacked) is type(one)
+                if isinstance(one, Exception):
+                    assert str(stacked) == str(one)
+                    assert getattr(stacked, "best_residual", None) == getattr(
+                        one, "best_residual", None)
+                else:
+                    assert np.array_equal(stacked.config.alphas, one.config.alphas)
+                    assert stacked.grad_norm == one.grad_norm
+
+
+    def test_first_failing_seed_fails_the_point(self, monkeypatch):
+        # a uniform point (one seed) and a frustrated point with two seeds,
+        # both of whose rows fail; the failures are stored last row first
+        points = [params(-0.01, 1.2, 5), params(0.01, 1.2, 5)]
+        real_newton = meanfield._newton_minimize
+
+        def newton(*args):
+            x, norm, steps, failures = real_newton(*args)
+            assert len(x) == 3
+            failures.update({2: ConvergenceError("second seed"), 1: DomainError("first seed")})
+            return x, norm, steps, failures
+
+        monkeypatch.setattr(meanfield, "_newton_minimize", newton)
+        uniform, frustrated = solve_ground_states(points)
+        assert uniform.phase is Phase.NFSP
+        assert isinstance(frustrated, DomainError) and str(frustrated) == "first seed"
+
+
+    def test_energy_tie_goes_to_the_first_seed(self, monkeypatch, caplog):
+        # two copies of one seed reach bitwise the same minimum
+        point = params(0.01, 1.2, 5)
+        real_seeds = meanfield._seed_alphas
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: real_seeds(p, gc)[:1] * 2)
+        with caplog.at_level(logging.DEBUG, logger="frustra.meanfield"):
+            solution = solve_ground_state(point)
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "frustra.meanfield"]
+        assert "2 seeds tried, 2 passed" in record and "seed 1 won" in record
+        assert solution.phase is Phase.FSP
 
 
 class TestHessianCriticalModes:

@@ -7,7 +7,6 @@ from frustra.model import (
     MeanFieldConfiguration,
     ModelParams,
     atomic_angles,
-    atomic_angles_from_alpha,
     critical_point,
     default_hopping_sign,
     energy_gradient,
@@ -170,24 +169,24 @@ class TestHessian:
 
 class TestAtomicAngles:
     def test_normal_phase_angles(self):
-        theta, phi = atomic_angles_from_alpha(0.0, 1.3)
+        theta, phi = atomic_angles(0.0, 1.3)
         assert theta == pytest.approx(np.pi)
         assert phi == 0.0
 
     def test_negative_coherence(self):
-        theta, phi = atomic_angles_from_alpha(-0.3, 1.0)
+        theta, phi = atomic_angles(-0.3, 1.0)
         assert phi == 0.0
         assert np.cos(theta) == pytest.approx(-1.0 / np.sqrt(1.36), rel=1e-14)
 
     def test_mirror_symmetry(self):
-        theta_m, phi_m = atomic_angles_from_alpha(-0.3, 1.0)
-        theta_p, phi_p = atomic_angles_from_alpha(+0.3, 1.0)
+        theta_m, phi_m = atomic_angles(-0.3, 1.0)
+        theta_p, phi_p = atomic_angles(+0.3, 1.0)
         assert theta_p == pytest.approx(theta_m)
         assert phi_p == pytest.approx(np.pi)
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(DomainError):
-            atomic_angles_from_alpha(0.1, -1.0)
+            atomic_angles(0.1, -1.0)
 
 
 def bisect_origin_instability(jbar, n_sites, lo=0.01, hi=2.0, tol=1e-12):

@@ -5,15 +5,16 @@ solver with the exhaustive oracle near g_c and at strong coupling, the
 orbit oracle with the test-side all-2^N-pattern reference, the Williamson
 identities, the package's split-form Cholesky-SVD route against the
 test-side generic Cholesky/real-Schur reference, the momentum-block path
-of the uniform phases against the Williamson reference, and the CSV wire
-format."""
+of the uniform phases against the Williamson reference, the oracle's image
+dedupe against the image-by-image reference, and the CSV wire format and
+writer against the one-``repr``-per-value reference."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from frustra.cli import csv_to_rows, rows_to_csv
+from frustra.cli import _table_csv, csv_to_rows, rows_to_csv
 from frustra.fluctuations import (
     analytic_nfsp_spectrum,
     analytic_np_spectrum,
@@ -30,6 +31,7 @@ from frustra.meanfield import (
     MATCH_TOL,
     Phase,
     SolverOptions,
+    _distinct_images,
     _mirror_reduced,
     _pair_groups,
     _pair_incidence,
@@ -45,7 +47,9 @@ from frustra.model import (
     energy_hessian,
     rescaled_energy,
 )
-from exhaustive_reference import enumerate_all_sign_patterns
+from frustra.scaling import SweepResult, SweepSpec, run_sweep
+from csv_reference import table_csv, table_points
+from exhaustive_reference import enumerate_all_sign_patterns, images_one_at_a_time
 from williamson_reference import _williamson_generic
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -244,6 +248,31 @@ def test_orbit_oracle_matches_all_sign_patterns(params):
 
 
 @st.composite
+def global_tiers(draw):
+    """Tiers of minimizers with coinciding images: members drawn from a few
+    configurations, some with a rotational period, each copy rotated,
+    flipped and moved by far less or slightly more than MATCH_TOL."""
+    n = draw(sizes)
+    bases = [np.tile(draw(st.lists(st.sampled_from([-0.5, -0.2, 0.2, 0.5]), min_size=1,
+                                   max_size=1)), n),
+             np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))]
+    tier = []
+    for _ in range(draw(st.integers(1, 5))):
+        base = bases[draw(st.integers(0, 1))]
+        noise = draw(st.sampled_from([0.0, 1e-12, 0.4 * MATCH_TOL, 3 * MATCH_TOL]))
+        flip = draw(st.sampled_from([-1.0, 1.0]))
+        tier.append(flip * np.roll(base, draw(st.integers(0, n - 1))) + noise)
+    return np.array(tier)
+
+
+@PROPERTY
+@given(global_tiers())
+def test_image_dedupe_matches_one_image_at_a_time(tier):
+    members = _distinct_images(tier)
+    assert np.array_equal(members, images_one_at_a_time(tier))
+
+
+@st.composite
 def uniform_points(draw):
     """Translation-invariant points: the normal side for jbar of either sign
     and the uniform superradiant side for jbar < 0, at reduced distance
@@ -339,3 +368,40 @@ def test_csv_round_trip_reproduces_bytes(rows):
     parsed = csv_to_rows(text)
     assert parsed == rows
     assert rows_to_csv(parsed) == text
+
+
+@st.composite
+def sweep_tables(draw):
+    """Sweep tables whose values repeat within a point: each point draws
+    its values from a small pool that holds 0.0 and -0.0, and NaN marks an
+    absent value."""
+    points = draw(st.integers(0, 4))
+    g = np.array(draw(st.lists(finite, min_size=points, max_size=points)))
+    table = {}
+    for name, width in (("energy", 1), ("gaps", 3), ("photon_numbers", 5)):
+        rows = []
+        for _ in range(points):
+            pool = [0.0, -0.0, np.nan, *draw(st.lists(finite, min_size=1, max_size=3))]
+            rows.append(draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width)))
+        values = np.array(rows, dtype=float).reshape(points, width)
+        table[name] = (np.array([str(i) for i in range(width)]), values, ~np.isnan(values))
+    return SweepResult(None, g, np.abs(g), table)
+
+
+@PROPERTY
+@given(sweep_tables())
+def test_csv_writer_matches_one_repr_per_value(result):
+    assert _table_csv(result.points()) == table_csv(table_points(result))
+
+
+def test_csv_writer_matches_one_repr_per_value_on_fixed_tables():
+    # both zeros and a repeated value in one point, then the table of
+    # `frustra sweep --jbar -0.01 --sites 21`: 102 points of N = 21 whose
+    # values mostly repeat within their point
+    table = [(1.5, 0.5, [("a", ["1", "2", "3"], [0.0, -0.0, 0.25]),
+                         ("b", ["1", "2"], [-0.0, 0.25])])]
+    assert _table_csv(table) == table_csv(table)
+    assert _table_csv(table).splitlines()[1:4] == [
+        "1.5,0.5,a,1,0.0", "1.5,0.5,a,2,-0.0", "1.5,0.5,a,3,0.25"]
+    result = run_sweep(SweepSpec(jbar=-0.01, n_sites=21))
+    assert _table_csv(result.points()) == table_csv(table_points(result))

@@ -299,8 +299,8 @@ class TestDerivativeDiagnostics:
         grid = center + np.array([-2, -1, 1, 2]) * 1e-4
         bad = {float(grid[3]), float(grid[2])}  # both superradiant
         real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p: (
-            [np.zeros(p.n_sites)] if p.g in bad else real_seeds(p)))
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: (
+            [(meanfield.UNIFORM, 0.0)] if p.g in bad else real_seeds(p, gc)))
         with pytest.raises(ConvergenceError, match=f"g={float(grid[2])}"):
             energy_derivative_diagnostics(params(0.01), axis="g", half_width=2e-4)
 
@@ -352,8 +352,8 @@ class TestSweepErrors:
         clean = run_sweep(spec)
         bad = spec.grid[len(spec.grid) // 2 + 3]
         real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p: (
-            [np.zeros(p.n_sites)] if p.g == bad else real_seeds(p)))
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: (
+            [(meanfield.UNIFORM, 0.0)] if p.g == bad else real_seeds(p, gc)))
         result = run_sweep(spec)
         assert result.rows == [r for r in clean.rows if r.g != bad]
         assert [m for m in result.missing if m.g != bad] == [
@@ -473,8 +473,8 @@ class TestSweepTable:
         spec = SweepSpec(**kwargs)
         if case in ORIGIN_SEEDED:
             origin_only, real_seeds = ORIGIN_SEEDED[case], meanfield._seed_alphas
-            monkeypatch.setattr(meanfield, "_seed_alphas", lambda p: (
-                [np.zeros(p.n_sites)] if origin_only(spec, p.g) else real_seeds(p)))
+            monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: (
+                [(meanfield.UNIFORM, 0.0)] if origin_only(spec, p.g) else real_seeds(p, gc)))
         result = run_sweep(spec)
         rows, missing, warnings = reference_sweep(spec)
         assert result.rows == rows
@@ -504,3 +504,72 @@ class TestSweepTable:
                     reduced, values = result.series(observable, index, side)
                     assert list(zip(reduced.tolist(), values.tolist())) == sorted(
                         by_series.get((observable, index, side == "above"), []))
+
+
+def every_point_flags(spec, points, outcomes):
+    """A sweep's missing rows and warnings from a loop over every grid
+    point, as the sweep recorded them before it visited only the flagged
+    points."""
+    want = set(spec.observables)
+    gaussian = want & {"gaps", "photon_numbers", "squeezing"}
+    solved = np.array([isinstance(outcome, GroundStateSolution) for outcome in outcomes])
+    missing, warnings = [], []
+    if solved.any() and gaussian:
+        moments = fluctuations.site_moments(
+            [o for o, ok in zip(outcomes, solved) if ok], [p for p, ok in zip(points, solved) if ok])
+        critical = np.fmin(moments.eps[:, 0], moments.eps_even[:, 0]) < (
+            fluctuations.CRITICAL_REGIME_FACTOR * spec.omega0)
+        blocks = {"photon_numbers": moments.photon_numbers, "squeezing": moments.var_q}
+    unresolved = "frustrated sector below double-precision resolution"
+    stack_row = np.cumsum(solved) - 1
+    for i, (params, outcome) in enumerate(zip(points, outcomes)):
+
+        def lost(observable, reason):
+            missing.append(SweepMissing(params.g, observable, reason))
+
+        if not solved[i]:
+            lost("all", f"solver: {outcome}")
+            continue
+        if not gaussian:
+            continue
+        row = stack_row[i]
+        if moments.errors[row] is not None:
+            lost(",".join(sorted(gaussian)), str(moments.errors[row]))
+            continue
+        if critical[row]:
+            warnings.append(f"critical-regime point at g={params.g!r}")
+        if "gaps" in want and np.isnan(moments.eps[row, 0]):
+            lost("gaps", unresolved)
+        for name in ("photon_numbers", "squeezing"):
+            if name in want:
+                for site in np.flatnonzero(np.isnan(blocks[name][row])) + 1:
+                    lost(f"{name}[{site}]", unresolved)
+    return missing, warnings
+
+
+FLAG_CASES = {
+    "deep frustrated": dict(jbar=0.01, n_sites=5, reduced_min=1e-9),
+    "one failing point": dict(jbar=0.01, n_sites=5, reduced_min=1e-6, points_per_decade=4),
+    "critical regime": dict(jbar=0.01, n_sites=5, Omega=1e-7, points_per_decade=4),
+    "gaps only": dict(jbar=0.01, n_sites=5, reduced_min=1e-7, observables=("gaps", "energy")),
+}
+
+
+class TestFlaggedPoints:
+    @pytest.mark.parametrize("case", FLAG_CASES)
+    def test_missing_rows_and_warnings_match_the_every_point_loop(self, case, monkeypatch):
+        spec = SweepSpec(**FLAG_CASES[case])
+        if case == "one failing point":
+            bad, real_seeds = spec.grid[len(spec.grid) // 2 + 3], meanfield._seed_alphas
+            monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: (
+                [(meanfield.UNIFORM, 0.0)] if p.g == bad else real_seeds(p, gc)))
+        result = run_sweep(spec)
+        points = [spec.params_at(g) for g in spec.grid]
+        missing, warnings = every_point_flags(spec, points, meanfield.solve_ground_states(points))
+        assert (result.missing, result.warnings) == (missing, warnings)
+        if case == "deep frustrated":  # the stderr lines of `frustra sweep`
+            assert len(missing) + len(warnings) == 864
+        if case == "one failing point":
+            assert [m.observable for m in missing if m.g == bad] == ["all"]
+        if case == "critical regime":
+            assert 0 < len(warnings) < len(spec.grid)
