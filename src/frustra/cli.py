@@ -61,13 +61,21 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+#: The JSON types each flag type accepts: an int stands for a float, a bool for no number.
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (bool,),
+               "None": (type(None),)}
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            file_values = json.load(handle)
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                file_values = json.load(handle)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise ValidationError(f"cannot read config file {args.config}: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise ValidationError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_values) - _CONFIG_KEYS
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -75,6 +83,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "exponents":  # extract_exponents' window, not the sweep's
         merged.reduced_min, merged.reduced_max = scaling.EXPONENT_WINDOW
     for key, value in file_values.items():
+        flag_type = RunConfig.__annotations__[key]  # such as "float | None"
+        if not any(type(value) in _JSON_TYPES[kind] for kind in flag_type.split(" | ")):
+            raise ValidationError(f"config key {key} must be {flag_type}, got {json.dumps(value)}")
         setattr(merged, key, value)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)

@@ -33,9 +33,8 @@ from .meanfield import (
     _fix_sign,
     _isolated,
     _require_lattice_point,
-    mirror_projectors,
 )
-from .model import ModelParams, atomic_cosines
+from .model import ModelParams, atomic_cosines, ring
 
 _EPS = float(np.finfo(float).eps)
 
@@ -186,7 +185,7 @@ def _split_hamiltonian(solutions, params_seq) -> np.ndarray:
     n = alphas.shape[-1]
     cos_theta, cos_phi = atomic_cosines(alphas, g)
     cavity = np.arange(0, 2 * n, 2)
-    right = (cavity + 2) % (2 * n)  # the next site's cavity around the ring
+    right = 2 * ring(n).right  # the next site's cavity around the ring
     blocks = np.zeros((len(alphas), 2, 2 * n, 2 * n))
     hx, hp = blocks[:, 0], blocks[:, 1]
     hp[:, cavity, cavity] = omega0
@@ -378,10 +377,9 @@ def _momentum_blocks(n_sites: int, jbar: float, freq_atom: float,
                      coupling_sq: float, omega0: float):
     """Momenta, cavity frequencies omega0 (1 + 2 jbar cos k) and branch
     energies of the N cavity-atom blocks of a translation-invariant state."""
-    momenta = 2.0 * np.pi * np.arange(n_sites) / n_sites
-    freq_cav = omega0 * (1.0 + 2.0 * jbar * np.cos(momenta))
+    freq_cav = omega0 * (1.0 + 2.0 * jbar * ring(n_sites).cosines)
     lower, upper = _two_mode_energies(freq_cav, freq_atom, coupling_sq)
-    return momenta, freq_cav, lower, upper
+    return ring(n_sites).momenta, freq_cav, lower, upper
 
 
 def normal_phase_mode_energies(g: float, jbar: float, omegabar: float,
@@ -528,15 +526,12 @@ def _momentum_moments(solutions, params_seq):
 
 def _sector_blocks(solutions, params_seq):
     """The position and momentum blocks of the forms projected onto the
-    mirror-even and mirror-odd sectors."""
+    mirror-even and mirror-odd sectors, whose site-space bases of the ring
+    table are lifted to the (cavity, atom) interleaving."""
     blocks = _split_hamiltonian(solutions, params_seq)
-    sectors = []
-    for sites in mirror_projectors(blocks.shape[-1] // 2):
-        # lift the site-space projector to the (cavity, atom) interleaving
-        species = np.zeros((2 * len(sites), blocks.shape[-1]))
-        species[0::2, 0::2] = species[1::2, 1::2] = sites
-        sectors.append(species @ blocks @ species.T)
-    return sectors
+    tables = ring(blocks.shape[-1] // 2)
+    return [lift @ blocks @ lift.T
+            for lift in (np.kron(basis, np.eye(2)) for basis in (tables.even, tables.odd))]
 
 
 def _sector_moments(solutions, params_seq):

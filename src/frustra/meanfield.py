@@ -13,7 +13,6 @@ mirror pairs satisfying alpha_{1+j} = alpha_{N+1-j}.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -34,8 +33,10 @@ from .model import (
     critical_point,
     energy_gradient,
     energy_hessian,
+    group_images,
+    orbit_patterns,
     rescaled_energy,
-    validate_jbar,
+    ring,
 )
 
 log = logging.getLogger(__name__)
@@ -112,8 +113,7 @@ def nfsp_closed_form(g: float, jbar: float) -> float:
     """
     if jbar > 0:
         raise DomainError("nfsp_closed_form requires jbar <= 0")
-    validate_jbar(jbar)
-    gc = float(np.sqrt(1.0 + 2.0 * jbar))
+    gc = critical_point(jbar, 3, "negative")  # the same at every N
     if g < gc:
         raise DomainError(f"no superradiant solution below g_c={gc}")
     return _uniform_magnitude(g, jbar) or 0.0
@@ -173,50 +173,6 @@ def saddle_configuration(g: float, jbar: float) -> MeanFieldConfiguration:
         raise DomainError(f"saddle_configuration requires g > g_c = {gc}")
     a = float(np.sqrt((g / gc) ** 4 - 1.0) / (2.0 * g))
     return MeanFieldConfiguration(np.array([-a, a, 0.0]), g, jbar)
-
-
-# ---------------------------------------------------------------------------
-# mirror-symmetry machinery
-
-
-def fsp_sign_pattern(n_sites: int) -> np.ndarray:
-    """Canonical frustrated sign pattern: site 1 negative, neighbours
-    anti-aligned except for the ferromagnetic pair opposite site 1."""
-    d = np.minimum(np.arange(n_sites), n_sites - np.arange(n_sites))
-    return -((-1.0) ** d)
-
-
-def mirror_projectors(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal row bases of the mirror-even / mirror-odd site sectors.
-
-    The mirror is the reflection about site 1; even combinations are site 1
-    itself and (e_{1+j} + e_{N+1-j})/sqrt(2), odd ones
-    (e_{1+j} - e_{N+1-j})/sqrt(2), j = 1..(N-1)/2.
-    """
-    npairs = (n_sites - 1) // 2
-    even = np.zeros((npairs + 1, n_sites))
-    odd = np.zeros((npairs, n_sites))
-    even[0, 0] = 1.0
-    inv = 1.0 / np.sqrt(2.0)
-    for j in range(1, npairs + 1):
-        even[j, j] = even[j, n_sites - j] = inv
-        odd[j - 1, j] = inv
-        odd[j - 1, n_sites - j] = -inv
-    return even, odd
-
-
-def _pair_groups(n_sites: int) -> list[list[int]]:
-    return [[0]] + [[j, n_sites - j] for j in range(1, (n_sites - 1) // 2 + 1)]
-
-
-def _pair_incidence(n_sites: int) -> np.ndarray:
-    """The n x m 0/1 matrix P mapping mirror-group values onto sites:
-    column 0 is the unpaired site, column j the pair (1+j, N+1-j)."""
-    groups = _pair_groups(n_sites)
-    incidence = np.zeros((n_sites, len(groups)))
-    for column, group in enumerate(groups):
-        incidence[group, column] = 1.0
-    return incidence
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +295,7 @@ def _mirror_reduced(n_sites: int, g, jbar):
     scalars or hold one value per row, and the derivative functions take
     the ids of the rows they are given (all rows by default).
     """
-    incidence = _ring_tables(n_sites)[1]
+    incidence = ring(n_sites).incidence
     g, jbar = np.asarray(g, dtype=float), np.asarray(jbar, dtype=float)
 
     def expand(y):
@@ -360,32 +316,29 @@ def _mirror_reduced(n_sites: int, g, jbar):
 # ---------------------------------------------------------------------------
 # seeds, canonicalization, phase logic
 
-#: The seed templates of :func:`_ring_tables`, by row.
+#: The rows of :func:`_seed_templates`.
 UNIFORM, NEAR_CRITICAL, FRUSTRATED = range(3)
 
 
 @functools.cache
-def _ring_tables(n_sites: int):
-    """Read-only ``(templates, incidence, right)`` of one lattice size: the
-    seed templates over the mirror-group values (UNIFORM all ones,
-    FRUSTRATED the canonical frustrated pattern, NEAR_CRITICAL that pattern
-    with the unpaired site doubled), :func:`_pair_incidence` and each
-    site's right neighbour."""
-    pattern = fsp_sign_pattern(n_sites)[: (n_sites + 1) // 2]
+def _seed_templates(n_sites: int) -> np.ndarray:
+    """The read-only seed templates of one lattice size over the
+    mirror-group values: UNIFORM all ones, FRUSTRATED the canonical
+    frustrated pattern of the :func:`~frustra.model.ring` table,
+    NEAR_CRITICAL that pattern with the unpaired site doubled."""
+    pattern = ring(n_sites).pattern[: (n_sites + 1) // 2]
     near_critical = pattern.copy()
     near_critical[0] *= 2.0
-    tables = (np.array([np.ones_like(pattern), near_critical, pattern]),
-              _pair_incidence(n_sites), (np.arange(n_sites) + 1) % n_sites)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    templates = np.array([np.ones_like(pattern), near_critical, pattern])
+    templates.flags.writeable = False
+    return templates
 
 
 def _seed_alphas(params: ModelParams, gc: float) -> list[tuple[int, float]]:
     """One seed per symmetry orbit (rotations and the global sign flip)
     that can hold the global minimum of a point above its critical coupling
     ``gc``, as (template, magnitude) pairs: the seed is the magnitude times
-    that row of the :func:`_ring_tables` templates.
+    that row of the :func:`_seed_templates`.
 
     - the origin is stationary there but never a minimum, so never seeded;
     - for jbar <= 0 the hopping term is at least 2 jbar sum alpha_n^2, equal
@@ -420,7 +373,7 @@ def _canonical_frames(alphas: np.ndarray):
     moved by half the ring it picks out the unpaired site's sign.
     """
     n = alphas.shape[-1]
-    right, half, sites = _ring_tables(n)[2], (n + 1) // 2, np.arange(n)
+    right, half, sites = ring(n).right, (n + 1) // 2, np.arange(n)
     signs = np.sign(alphas)
     aligned = np.fmax(signs * signs[:, right], 0.0)
     shifts = [int(shift) for shift in (((aligned * sites).sum(axis=1) + half) % n).tolist()]
@@ -508,7 +461,7 @@ def solve_ground_states(params_seq) -> list:
     g, jbar = np.array([p.g for p in owners]), np.array([p.jbar for p in owners])
     expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
     y, _, steps, failures = _newton_minimize(
-        fun, jac, hess_fn, _ring_tables(n)[0][list(templates)] * np.array(magnitudes)[:, None])
+        fun, jac, hess_fn, _seed_templates(n)[list(templates)] * np.array(magnitudes)[:, None])
     alphas = expand(y)
     settled = np.flatnonzero([row not in failures for row in range(len(y))])
     grad_norm = np.full(len(y), np.nan)
@@ -629,21 +582,7 @@ def enumerate_degenerate_ground_states(
         return [solution.config]
     if solution.phase is Phase.NFSP:
         return [solution.config, MeanFieldConfiguration(-alphas, g, jbar)]
-    return [MeanFieldConfiguration(image, g, jbar) for image in _group_images(alphas)]
-
-
-def _group_images(alphas: np.ndarray) -> np.ndarray:
-    """The 2N images ``flip * np.roll(alphas, shift)``, flip +1 then -1."""
-    n = len(alphas)
-    rolled = alphas[(np.arange(n) - np.arange(n)[:, None]) % n]
-    return np.concatenate((rolled, -rolled))
-
-
-@functools.cache
-def _orbit_patterns(n_sites: int) -> tuple:
-    """The lexicographically first sign pattern of each rotation/flip orbit, sorted."""
-    return tuple(sorted({min(map(tuple, _group_images(np.array(signs))))
-                         for signs in itertools.product((-1.0, 1.0), repeat=n_sites)}))
+    return [MeanFieldConfiguration(image, g, jbar) for image in group_images(alphas)]
 
 
 def _enumerate_exhaustive(params: ModelParams):
@@ -655,7 +594,7 @@ def _enumerate_exhaustive(params: ModelParams):
         scale = max(scale, uniform)
 
     # one sign pattern per rotation/flip orbit, all rows of one full-space Newton stack
-    seeds = np.array(_orbit_patterns(n)) * scale
+    seeds = np.array(orbit_patterns(n)) * scale
     alphas, grad_norm, _, failures = _newton_minimize(
         lambda a, rows: rescaled_energy(a, g, jbar),
         lambda a, rows: energy_gradient(a, g, jbar),
@@ -692,7 +631,7 @@ def _distinct_images(global_tier) -> np.ndarray:
     for alphas in global_tier:
         if (np.abs(members - alphas).max(axis=-1) < MATCH_TOL).any():
             continue
-        images = _group_images(alphas)
+        images = group_images(alphas)
         near = np.abs(images[:, None] - images[None]).max(axis=-1) < MATCH_TOL
         new = ~(np.abs(images[:, None] - members[None]).max(axis=-1)
                 < MATCH_TOL).any(axis=1)
@@ -717,7 +656,7 @@ def _polish_members(members: np.ndarray, params: ModelParams) -> list[np.ndarray
         raise errors[min(errors)]
     canonical = np.array([sign * np.roll(alphas, -shift)
                           for alphas, shift, sign in zip(members, shifts, signs)])
-    incidence = _ring_tables(params.n_sites)[1]
+    incidence = ring(params.n_sites).incidence
     expand, fun, jac, hess_fn = _mirror_reduced(
         params.n_sites, np.full(len(members), g), np.full(len(members), jbar))
     # seeded from the mean of each mirror pair
@@ -777,10 +716,11 @@ def hessian_critical_modes(params: ModelParams,
         raise PhaseError(f"hessian critical modes require the frustrated phase, "
                          f"got {solution.phase.value}")
     hess = energy_hessian(solution.config.alphas, solution.config.g, solution.config.jbar)
-    even, odd = mirror_projectors(solution.config.n_sites)
-    (w_even, v_even), (w_odd, v_odd) = mirror_sector_eigh(hess[None])
+    tables = ring(solution.config.n_sites)
+    (w_even, v_even), (w_odd, v_odd) = _mirror_eigh(hess[None])
     return CriticalModes(float(w_even[0, 0]), float(w_odd[0, 0]),
-                         _fix_sign(even.T @ v_even[0, :, 0]), _fix_sign(odd.T @ v_odd[0, :, 0]))
+                         _fix_sign(tables.even.T @ v_even[0, :, 0]),
+                         _fix_sign(tables.odd.T @ v_odd[0, :, 0]))
 
 
 def hessian_spectra(solutions):
@@ -793,18 +733,17 @@ def hessian_spectra(solutions):
                             for name in ("alphas", "g", "jbar")))
     frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
     soft = np.full((len(solutions), 2), np.nan)
-    (w_even, _), (w_odd, _) = mirror_sector_eigh(hess[frustrated])
+    (w_even, _), (w_odd, _) = _mirror_eigh(hess[frustrated])
     soft[frustrated] = np.column_stack([w_even[:, 0], w_odd[:, 0]])
     return np.linalg.eigvalsh(hess), soft
 
 
-def mirror_sector_eigh(hess: np.ndarray):
+def _mirror_eigh(hess: np.ndarray):
     """``numpy.linalg.eigh`` of the mirror-even and mirror-odd blocks of a
     stack of N x N Hessians (points, N, N): ((w_even, v_even), (w_odd,
-    v_odd)), stacked over the points.  :func:`hessian_critical_modes` reads
-    the softest mode of each."""
-    return tuple(np.linalg.eigh(sector @ hess @ sector.T)
-                 for sector in mirror_projectors(hess.shape[-1]))
+    v_odd)), stacked over the points, in the bases of the ring table."""
+    tables = ring(hess.shape[-1])
+    return tuple(np.linalg.eigh(basis @ hess @ basis.T) for basis in (tables.even, tables.odd))
 
 
 def _fix_sign(vec: np.ndarray, tol: float = 1e-7) -> np.ndarray:

@@ -15,7 +15,10 @@ the atomic energy scale); sites are numbered 1..N in the public interface.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +42,8 @@ def validate_jbar(jbar: float) -> None:
 
 
 def validate_n_sites(n_sites: int) -> None:
-    """Reject lattice sizes that are even or below 3."""
-    if n_sites < 3 or n_sites % 2 == 0:
+    """Reject lattice sizes that are not integers, even or below 3."""
+    if not isinstance(n_sites, (int, np.integer)) or n_sites < 3 or n_sites % 2 == 0:
         raise ValidationError(f"n_sites must be odd and >= 3, got {n_sites}")
 
 
@@ -155,8 +158,7 @@ def rescaled_energy(alphas, g, jbar):
     """
     a = _check_alphas(alphas)
     g, jbar = _per_row(g), _per_row(jbar)
-    right = np.empty_like(a)
-    right[..., :-1], right[..., -1] = a[..., 1:], a[..., 0]
+    right = a[..., ring(a.shape[-1]).right]
     energy = np.sum(a * a - 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a)
                     + 2.0 * jbar * a * right, axis=-1)
     return float(energy) if a.ndim == 1 else energy
@@ -172,10 +174,8 @@ def energy_gradient(alphas, g, jbar) -> np.ndarray:
     a = _check_alphas(alphas)
     g, jbar = _per_row(g), _per_row(jbar)
     root = np.sqrt(1.0 + 4.0 * g * g * a * a)
-    neighbours = np.empty_like(a)
-    neighbours[..., 1:-1] = a[..., :-2] + a[..., 2:]
-    neighbours[..., 0] = a[..., -1] + a[..., 1]
-    neighbours[..., -1] = a[..., -2] + a[..., 0]
+    tables = ring(a.shape[-1])
+    neighbours = a[..., tables.left] + a[..., tables.right]
     return 2.0 * a + 2.0 * jbar * neighbours - 2.0 * g * g * a / root
 
 
@@ -190,8 +190,7 @@ def energy_hessian(alphas, g, jbar) -> np.ndarray:
     a = _check_alphas(alphas)
     g, jbar = _per_row(g), _per_row(jbar)
     n = a.shape[-1]
-    site = np.arange(n)
-    right = (site + 1) % n
+    site, right = np.arange(n), ring(n).right
     hess = np.zeros(a.shape + (n,))
     # at huge couplings the power overflows to inf and the term to its
     # exact limit 0
@@ -225,14 +224,64 @@ def atomic_angles(alphas, g: float):
     return np.arccos(atomic_cosines(a, g)[0]), np.where(a > 0, np.pi, 0.0)
 
 
+#: The read-only tables of one ring size; see :func:`ring`.
+Ring = namedtuple("Ring", "momenta cosines left right pattern incidence even odd")
+
+
+@functools.cache
+def ring(n_sites: int) -> Ring:
+    """The read-only :class:`Ring` tables of an odd lattice size, built once
+    (sites 0-based): the ``momenta`` k = 2 pi t / N and their ``cosines``,
+    which give the hopping eigenvalues 1 + 2 jbar cos k; each site's
+    ``left`` and ``right`` neighbour; the canonical frustrated sign
+    ``pattern`` (site 1 negative, neighbours anti-aligned except for the
+    ferromagnetic pair opposite site 1); and the mirror about site 1, as
+    the 0/1 ``incidence`` of sites (rows) on mirror groups (column 0 the
+    unpaired site, column j the pair (1+j, N+1-j)) and the orthonormal row
+    bases ``even`` of the mirror-even sector (the incidence columns,
+    normalised) and ``odd`` of the mirror-odd one,
+    (e_{1+j} - e_{N+1-j})/sqrt(2), j = 1..(N-1)/2."""
+    validate_n_sites(n_sites)
+    sites = np.arange(n_sites)
+    momenta = 2.0 * np.pi * sites / n_sites
+    group = np.minimum(sites, n_sites - sites)  # each site's mirror group
+    incidence = np.zeros((n_sites, (n_sites + 1) // 2))
+    incidence[sites, group] = 1.0
+    # 1 on the unpaired site, 1/sqrt(2) on each site of a pair
+    weight = 1.0 / np.sqrt(incidence.sum(axis=0))[group]
+    even, pairs = np.zeros(incidence.T.shape), np.arange(1, (n_sites + 1) // 2)
+    even[group, sites] = weight  # row-major, unlike the view incidence.T
+    odd = np.zeros((len(pairs), n_sites))
+    odd[pairs - 1, pairs], odd[pairs - 1, n_sites - pairs] = weight[pairs], -weight[pairs]
+    tables = Ring(momenta, np.cos(momenta), (sites - 1) % n_sites, (sites + 1) % n_sites,
+                  -((-1.0) ** group), incidence, even, odd)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def group_images(alphas: np.ndarray) -> np.ndarray:
+    """The 2N images ``flip * np.roll(alphas, shift)`` under the ring's
+    rotations and global sign flip, flip +1 then -1."""
+    n = len(alphas)
+    rolled = alphas[(np.arange(n) - np.arange(n)[:, None]) % n]
+    return np.concatenate((rolled, -rolled))
+
+
+@functools.cache
+def orbit_patterns(n_sites: int) -> tuple:
+    """The lexicographically first sign pattern of each rotation/flip orbit, sorted."""
+    return tuple(sorted({min(map(tuple, group_images(np.array(signs))))
+                         for signs in itertools.product((-1.0, 1.0), repeat=n_sites)}))
+
+
 def origin_hessian_eigenvalues(g: float, jbar: float, n_sites: int) -> np.ndarray:
     """Eigenvalues of the Hessian at the origin, in ascending order.
 
     The origin Hessian is circulant; its spectrum is
     2*(1 - g^2 + 2 jbar cos(2 pi t / N)) for t = 0..N-1.
     """
-    t = np.arange(n_sites)
-    lam = 2.0 * (1.0 - g * g + 2.0 * jbar * np.cos(2.0 * np.pi * t / n_sites))
+    lam = 2.0 * (1.0 - g * g + 2.0 * jbar * ring(n_sites).cosines)
     return np.sort(lam)
 
 
@@ -267,8 +316,8 @@ def critical_point(jbar: float, n_sites: int, hopping_sign: str) -> float:
     if hopping_sign == "negative" and jbar > 0:
         raise ValidationError("hopping_sign 'negative' requires jbar <= 0")
 
-    if hopping_sign == "positive":
-        radicand = 1.0 + 2.0 * jbar * np.cos((n_sites - 1) * np.pi / n_sites)
+    if hopping_sign == "positive":  # t = (N-1)/2, the cosine of k = (N-1) pi / N
+        radicand = 1.0 + 2.0 * jbar * ring(n_sites).cosines[(n_sites - 1) // 2]
     else:
         radicand = 1.0 + 2.0 * jbar
     if radicand <= 0:

@@ -46,6 +46,8 @@ def default_grid(g_critical: float, reduced_min: float = 1e-4,
     """Log-spaced coupling grid in reduced distance from g_c, excluding g_c."""
     if not 0 < reduced_min < reduced_max:
         raise ValidationError("need 0 < reduced_min < reduced_max")
+    if points_per_decade < 1:
+        raise ValidationError(f"points_per_decade must be at least 1, got {points_per_decade}")
     decades = np.log10(reduced_max / reduced_min)
     count = max(2, int(round(decades * points_per_decade)) + 1)
     reduced = np.logspace(np.log10(reduced_min), np.log10(reduced_max), count)
@@ -87,10 +89,11 @@ class SweepSpec:
                                 self.points_per_decade, self.sides)
         else:
             grid = np.asarray(self.grid, dtype=float)
-            if np.any(np.diff(grid) <= 0):
-                raise ValidationError("grid must be strictly increasing")
-            if np.any(np.isclose(grid, gc, rtol=0, atol=1e-15)):
-                raise ValidationError("grid must exclude the critical point itself")
+        # a default grid too: reduced couplings below resolution collapse onto g_c
+        if np.any(np.diff(grid) <= 0):
+            raise ValidationError("grid must be strictly increasing")
+        if np.any(np.abs(grid - gc) <= 1e-15):
+            raise ValidationError("grid must exclude the critical point itself")
         object.__setattr__(self, "grid", tuple(float(g) for g in grid))
 
     @property

@@ -182,6 +182,32 @@ class TestSweepCommand:
         assert csv_err == json_err and payload["warnings"]  # the missing rows
         assert payload["config"]["reduced_min"] == 1e-7
 
+    @pytest.mark.parametrize("side", ["above", "below", "both"])
+    def test_default_grid_below_resolution_is_rejected(self, capsys, side):
+        # at reduced couplings of 1e-18 to 1e-14, g_c (1 +- r) collapses
+        # onto a few doubles and onto g_c itself
+        code, out, err = run_cli(capsys, "sweep", "--jbar", "0.01", "--sites", "5",
+                                 "--reduced-min", "1e-18", "--reduced-max", "1e-14",
+                                 "--side", side)
+        assert (code, out) == (2, "")
+        assert err == "error: grid must be strictly increasing\n"
+
+    def test_default_grid_excludes_the_critical_point(self, capsys):
+        # one point per decade from 1e-16 keeps the grid increasing, but
+        # 1 + 1e-16 rounds to 1, so its lowest coupling is g_c
+        code, out, err = run_cli(capsys, "sweep", "--jbar", "0.01", "--sites", "5",
+                                 "--reduced-min", "1e-16", "--reduced-max", "1e-2",
+                                 "--points-per-decade", "1", "--side", "above")
+        assert (code, out) == (2, "")
+        assert err == "error: grid must exclude the critical point itself\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "exponents"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_points_per_decade_below_one_is_rejected(self, capsys, command, count):
+        code, out, err = run_cli(capsys, command, "--points-per-decade", count)
+        assert (code, out) == (2, "")
+        assert err == f"error: points_per_decade must be at least 1, got {count}\n"
+
     def test_signed_zero_prefixes_stay_distinct(self):
         rows = [{"g": g, "reduced_coupling": g, "observable": "energy", "index": "",
                  "value": 1.0} for g in (0.0, -0.0, -0.0, 0.0)]
@@ -274,6 +300,67 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "sweep", "--config", str(config))
         assert code == 2
         assert "seed_mode" in err
+
+    def test_missing_file_is_a_validation_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "critical-point", "--config",
+                                 str(tmp_path / "absent.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config file") and "absent.json" in err
+
+    @pytest.mark.parametrize("text", ["{bad", "", "\xff"])
+    def test_invalid_json_is_a_validation_error(self, capsys, tmp_path, text):
+        config = tmp_path / "bad.json"
+        config.write_bytes(text.encode("latin-1"))
+        code, out, err = run_cli(capsys, "critical-point", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config file")
+
+    @pytest.mark.parametrize("payload", [[1, 2], "sites", 3, None])
+    def test_json_that_is_not_an_object_is_rejected(self, capsys, tmp_path, payload):
+        config = tmp_path / "list.json"
+        config.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "critical-point", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert "must hold a JSON object" in err
+
+    @pytest.mark.parametrize("values, message", [
+        ({"sites": "5"}, 'sites must be int, got "5"'),
+        ({"jbar": "0.01"}, 'jbar must be float, got "0.01"'),
+        ({"observables": 3}, "observables must be str, got 3"),
+        ({"manifold": "yes"}, 'manifold must be bool, got "yes"'),
+        ({"sites": 5.0}, "sites must be int, got 5.0"),
+        ({"sites": True}, "sites must be int, got true"),
+        ({"jbar": False}, "jbar must be float, got false"),
+        ({"jbar": None}, "jbar must be float, got null"),
+    ])
+    def test_value_of_the_wrong_type_is_rejected(self, capsys, tmp_path, values, message):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps(values))
+        for command in ("critical-point", "sweep"):
+            code, out, err = run_cli(capsys, command, "--config", str(config))
+            assert (code, out) == (2, "")
+            assert err == f"error: config key {message}\n"
+
+    def test_valid_config_gives_the_bytes_of_its_flags(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"jbar": 0.2, "sites": 3, "g": 1.3, "output": None,
+                                      "manifold": True, "seed_mode": "exhaustive"}))
+        by_file = run_cli(capsys, "ground-state", "--config", str(config))
+        by_flags = run_cli(capsys, "ground-state", "--jbar", "0.2", "--sites", "3", "--g",
+                           "1.3", "--manifold", "--seed-mode", "exhaustive")
+        assert by_file == by_flags and by_file[0] == 0
+
+    def test_int_for_a_float_stays_as_written(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"jbar": 0, "sites": 5, "g": 2, "format": "json"}))
+        code, out, _ = run_cli(capsys, "critical-point", "--config", str(config))
+        assert code == 0
+        echoed = json.loads(out)["config"]
+        assert (echoed["jbar"], echoed["g"], echoed["sites"]) == (0, 2, 5)
+        assert isinstance(echoed["jbar"], int) and isinstance(echoed["g"], int)
+        code, by_flags, _ = run_cli(capsys, "critical-point", "--jbar", "0", "--sites", "5",
+                                    "--g", "2", "--format", "json")
+        assert json.loads(by_flags)["results"] == json.loads(out)["results"]
 
 
 class TestSeedModeScope:

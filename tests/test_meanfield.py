@@ -22,14 +22,11 @@ from frustra.meanfield import (
     SolverOptions,
     _canonical_frames,
     _canonical_solutions,
-    _group_images,
     _mirror_reduced,
     _newton_minimize,
-    _orbit_patterns,
     _seed_alphas,
     enumerate_degenerate_ground_states,
     fsp_approximation,
-    fsp_sign_pattern,
     hessian_critical_modes,
     hessian_spectra,
     nfsp_closed_form,
@@ -43,7 +40,10 @@ from frustra.model import (
     critical_point,
     energy_gradient,
     energy_hessian,
+    group_images,
+    orbit_patterns,
     rescaled_energy,
+    ring,
 )
 
 
@@ -53,7 +53,7 @@ def params(jbar, g, n=3):
 
 def seed_alphas(point):
     """The solver's seeds of a superradiant point as full configurations."""
-    templates, incidence, _ = meanfield._ring_tables(point.n_sites)
+    templates, incidence = meanfield._seed_templates(point.n_sites), ring(point.n_sites).incidence
     return [magnitude * templates[template] @ incidence.T
             for template, magnitude in _seed_alphas(point, point.critical_coupling())]
 
@@ -212,7 +212,7 @@ class TestSolveGroundState:
                 continue
             assert len(seeds) == (2 if g > uniform_from else 1)
             for seed in seeds:  # the canonical frustrated pattern
-                assert np.array_equal(np.sign(seed), fsp_sign_pattern(n))
+                assert np.array_equal(np.sign(seed), ring(n).pattern)
             near_critical = np.abs(seeds[0])
             assert np.all(near_critical[1:] == near_critical[1])
             assert near_critical[0] == 2 * near_critical[1]
@@ -372,13 +372,13 @@ class TestDegenerateManifold:
 class TestOrbitPatterns:
     @pytest.mark.parametrize("n, orbits", [(3, 2), (5, 4), (7, 10), (9, 30)])
     def test_one_pattern_per_rotation_flip_orbit(self, n, orbits):
-        assert np.shape(_orbit_patterns(n)) == (orbits, n)
+        assert np.shape(orbit_patterns(n)) == (orbits, n)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_every_pattern_lies_in_exactly_one_orbit(self, n):
-        orbits = [set(map(tuple, _group_images(np.array(pattern))))
-                  for pattern in _orbit_patterns(n)]
-        for pattern, orbit in zip(_orbit_patterns(n), orbits):
+        orbits = [set(map(tuple, group_images(np.array(pattern))))
+                  for pattern in orbit_patterns(n)]
+        for pattern, orbit in zip(orbit_patterns(n), orbits):
             assert tuple(pattern) == min(orbit)  # the lexicographically first
         for signs in itertools.product((-1.0, 1.0), repeat=n):
             assert sum(signs in orbit for orbit in orbits) == 1
@@ -386,7 +386,7 @@ class TestOrbitPatterns:
     def test_group_images_are_the_rotations_and_flips(self):
         alphas = np.array([-0.3, 0.1, 0.2, 0.1, 0.4])
         expected = [flip * np.roll(alphas, shift) for flip in (1.0, -1.0) for shift in range(5)]
-        assert np.array_equal(_group_images(alphas), expected)
+        assert np.array_equal(group_images(alphas), expected)
 
 
 def _origin_only_at(g_bad):
@@ -729,7 +729,7 @@ class TestHessianCriticalModes:
 class TestSignPattern:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_one_aligned_pair(self, n):
-        s = fsp_sign_pattern(n)
+        s = ring(n).pattern
         aligned = sum(1 for i in range(n) if s[i] == s[(i + 1) % n])
         assert aligned == 1
         assert s[0] == -1

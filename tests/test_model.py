@@ -11,8 +11,10 @@ from frustra.model import (
     default_hopping_sign,
     energy_gradient,
     energy_hessian,
+    group_images,
     origin_hessian_eigenvalues,
     rescaled_energy,
+    ring,
     validate_n_sites,
 )
 
@@ -263,3 +265,64 @@ def test_stability_window_matches_three_site_bounds():
     assert hi == pytest.approx(1.0)
     _, hi5 = stability_window(5)
     assert hi5 < 1.0  # larger rings destabilize earlier on the positive side
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+class TestRingTable:
+    def test_hopping_eigenvalues_match_the_dense_circulant(self, n):
+        tables = ring(n)
+        assert_allclose(tables.momenta, 2 * np.pi * np.arange(n) / n, rtol=0, atol=1e-15)
+        assert_allclose(tables.cosines, np.cos(tables.momenta), rtol=0, atol=1e-15)
+        assert np.array_equal(tables.left, [(i - 1) % n for i in range(n)])
+        assert np.array_equal(tables.right, [(i + 1) % n for i in range(n)])
+        for jbar in (-0.45, -0.01, 0.3, 0.9):
+            hopping = np.eye(n)
+            for i in range(n):
+                hopping[i, (i + 1) % n] = hopping[(i + 1) % n, i] = jbar
+            assert_allclose(np.sort(1 + 2 * jbar * tables.cosines),
+                            np.linalg.eigvalsh(hopping), rtol=0, atol=1e-13)
+
+    def test_incidence_maps_the_pair_groups_onto_sites(self, n):
+        groups = [[0]] + [[j, n - j] for j in range(1, (n - 1) // 2 + 1)]
+        expected = np.zeros((n, len(groups)))
+        for column, group in enumerate(groups):
+            expected[group, column] = 1.0
+        assert np.array_equal(ring(n).incidence, expected)
+
+    def test_mirror_bases_are_orthonormal_and_complete(self, n):
+        tables = ring(n)
+        even, odd = tables.even, tables.odd
+        assert even.shape == ((n + 1) // 2, n) and odd.shape == ((n - 1) // 2, n)
+        norms = np.sqrt(tables.incidence.sum(axis=0))[:, None]
+        assert np.array_equal(even, tables.incidence.T / norms)  # the columns, normalised
+        assert_allclose(even @ even.T, np.eye(len(even)), rtol=0, atol=1e-15)
+        assert_allclose(odd @ odd.T, np.eye(len(odd)), rtol=0, atol=1e-15)
+        assert_allclose(even @ odd.T, 0.0, rtol=0, atol=1e-15)
+        assert_allclose(even.T @ even + odd.T @ odd, np.eye(n), rtol=0, atol=1e-15)
+        mirror = (-np.arange(n)) % n  # site 1+j <-> site N+1-j
+        assert np.array_equal(even[:, mirror], even)
+        assert np.array_equal(odd[:, mirror], -odd)
+        assert not np.signbit(odd[odd == 0]).any()  # no -0.0 entries
+
+    def test_pattern_has_one_aligned_pair_opposite_site_one(self, n):
+        pattern = ring(n).pattern
+        aligned = [i for i in range(n) if pattern[i] == pattern[(i + 1) % n]]
+        assert aligned == [(n - 1) // 2]  # sites (N+1)/2 and (N+3)/2, 1-based
+        assert pattern[0] == -1 and set(np.abs(pattern)) == {1.0}
+        assert np.array_equal(pattern[(-np.arange(n)) % n], pattern)
+        assert len(set(map(tuple, group_images(pattern)))) == 2 * n
+
+    def test_tables_are_read_only_and_built_once(self, n):
+        tables = ring(n)
+        assert ring(n) is tables
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 7
+        with pytest.raises(AttributeError):
+            tables.right = None
+
+
+@pytest.mark.parametrize("n", [1, 4, 5.0, 7.0, "5"])
+def test_ring_rejects_sizes_that_are_not_odd_integers_from_three(n):
+    with pytest.raises(ValidationError, match="n_sites must be odd and >= 3"):
+        ring(n)

@@ -33,10 +33,7 @@ from frustra.meanfield import (
     SolverOptions,
     _distinct_images,
     _mirror_reduced,
-    _pair_groups,
-    _pair_incidence,
     enumerate_degenerate_ground_states,
-    fsp_sign_pattern,
     nfsp_closed_form,
     solve_ground_state,
 )
@@ -46,6 +43,7 @@ from frustra.model import (
     energy_gradient,
     energy_hessian,
     rescaled_energy,
+    ring,
 )
 from frustra.scaling import SweepResult, SweepSpec, run_sweep
 from csv_reference import table_csv, table_points
@@ -127,7 +125,7 @@ def test_uniform_state_lies_above_the_frustrated_pattern(n, jbar, log_a, g):
     # a^2 N for the uniform state and -2 jbar a^2 (N - 2) for the pattern
     a = 10.0 ** log_a
     uniform = rescaled_energy(np.full(n, a), g, jbar)
-    frustrated = rescaled_energy(a * fsp_sign_pattern(n), g, jbar)
+    frustrated = rescaled_energy(a * ring(n).pattern, g, jbar)
     summands = n * (a * a + 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a) + 2.0 * jbar * a * a)
     assert abs(uniform - frustrated - 4.0 * jbar * a * a * (n - 1)) <= 1e-14 * summands
 
@@ -171,8 +169,8 @@ def test_gradient_and_hessian_match_central_differences(case):
 def test_reduced_derivatives_are_projections_of_the_full_ones(case):
     alphas, g, jbar = case
     n = len(alphas)
-    groups = _pair_groups(n)
-    incidence = _pair_incidence(n)
+    groups = [[0]] + [[j, n - j] for j in range(1, (n - 1) // 2 + 1)]
+    incidence = ring(n).incidence
     expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
     y = alphas[: len(groups)]
     full = expand(y)
