@@ -14,10 +14,14 @@ Exit codes: 0 success, 2 validation error, 3 convergence/instability error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import compress, groupby
+from operator import add, itemgetter
+
+import numpy as np
 
 from . import fluctuations, meanfield, model, scaling
 from .errors import (
@@ -101,49 +105,83 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 # result assembly
 
 
-def _point(g, reduced, rows):
-    """A table point: (observable, index, value) rows at one coupling."""
-    return float(g), float(reduced), [(name, [str(index)], [float(value)])
-                                      for name, index, value in rows]
+def _one_point(g, reduced, rows):
+    """A one-point table of (observable, index, value) rows, one column per
+    run of consecutive rows of one observable, so that the rows keep their
+    order."""
+    columns = []
+    for observable, run in groupby(rows, key=itemgetter(0)):
+        _, labels, values = zip(*run)
+        values = np.array([values], dtype=float)
+        columns.append((observable, np.array([str(label) for label in labels]), values,
+                        np.ones(values.shape, dtype=bool)))
+    return np.array([float(g)]), np.array([float(reduced)]), columns
 
 
 def _table_rows(table) -> list[dict]:
     """A table's rows as dicts, the JSON ``results``."""
-    return [{"g": g, "reduced_coupling": reduced, "observable": observable,
-             "index": index, "value": value}
-            for g, reduced, columns in table for observable, indices, values in columns
-            for index, value in zip(indices, values)]
+    g, reduced, columns = table
+    return [{"g": g_i, "reduced_coupling": reduced_i, "observable": observable,
+             "index": label, "value": value}
+            for i, (g_i, reduced_i) in enumerate(zip(g.tolist(), reduced.tolist()))
+            for observable, labels, values, mask in columns
+            for label, value, present in zip(labels.tolist(), values[i].tolist(),
+                                             mask[i].tolist()) if present]
 
 
 def _table_csv(table) -> str:
-    """The CSV writer of every command.  A table is a sequence of points
-    (g, reduced_coupling, [(observable, indices, values), ...]); a point's
-    g and reduced coupling are formatted once, and each of its distinct
-    values once (a uniform point repeats most of its values)."""
-    points = ["g,reduced_coupling,observable,index,value\n"]
-    for g, reduced, columns in table:
-        head = f"{g!r},{reduced!r},"
-        distinct = set(chain.from_iterable(values for _, _, values in columns))
-        text = dict(zip(distinct, map(repr, distinct)))
-        text[0.0] = None  # 0.0 and -0.0 are one key: a zero is formatted where it stands
-        # joined per point, so that a table's lines are never all alive at once
-        points.append("".join([f"{head}{observable},{index},{text[value] or repr(value)}\n"
-                               for observable, indices, values in columns
-                               for index, value in zip(indices, values)]))
-    return "".join(points)
+    """The CSV writer of every command.  A table is (g, reduced_coupling,
+    columns): arrays over its points, and per column (observable, labels,
+    values, mask), with values and mask of shape (points, labels).  A
+    point's lines are its columns' present values in label order."""
+    # the generator's formatting tables are freed before the join allocates
+    # the text
+    return "".join(_csv_chunks(table))
+
+
+def _csv_chunks(table):
+    """The CSV header, then each point's lines as one string.  Each distinct
+    value is formatted once per table, keyed by its bit pattern so that 0.0
+    and -0.0 stay apart, and each point's g and reduced coupling and each
+    column's ``observable,label,`` prefixes once."""
+    g, reduced, columns = table
+    prefixes = [f"{observable},{label}," for observable, labels, _, _ in columns
+                for label in labels.tolist()]
+    none = np.empty((len(g), 0))  # a table may have no columns
+    bits = np.hstack([none, *(values for _, _, values, _ in columns)]).view(np.int64)
+    mask = np.hstack([none.astype(bool), *(mask for _, _, _, mask in columns)])
+    keys = list(dict.fromkeys(bits[mask].tolist()))
+    text = dict(zip(keys, map(float.__repr__,
+                              np.array(keys, dtype=np.int64).view(float).tolist())))
+    yield "g,reduced_coupling,observable,index,value\n"
+    for i, (g_i, reduced_i) in enumerate(zip(g.tolist(), reduced.tolist())):
+        present = mask[i].tolist()
+        if any(present):
+            head = f"{g_i!r},{reduced_i!r},"
+            yield head + f"\n{head}".join(map(
+                add, compress(prefixes, present),
+                map(text.__getitem__, compress(bits[i].tolist(), present)))) + "\n"
 
 
 def rows_to_csv(rows) -> str:
-    """CSV text of row dicts (as :func:`csv_to_rows` returns them), each
-    row a table point of its own, so -0.0 and 0.0 keep their signs."""
-    return _table_csv(_point(row["g"], row["reduced_coupling"], [
-        (row["observable"], row["index"], row["value"])]) for row in rows)
+    """CSV text of row dicts (as :func:`csv_to_rows` returns them): a table
+    with one point per row and one column per (observable, index) pair."""
+    keys: dict = {}
+    column = [keys.setdefault((row["observable"], row["index"]), len(keys)) for row in rows]
+    points, shape = np.arange(len(rows)), (len(rows), len(keys))
+    values, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
+    values[points, column], mask[points, column] = [row["value"] for row in rows], True
+    return _table_csv((np.array([row["g"] for row in rows], dtype=float),
+                       np.array([row["reduced_coupling"] for row in rows], dtype=float),
+                       [(observable, np.array([index]), values[:, [k]], mask[:, [k]])
+                        for k, (observable, index) in enumerate(keys)]))
 
 
 def csv_to_rows(text: str):
     lines = [line.split(",") for line in text.splitlines() if line.strip()][1:]
-    return _table_rows(_point(g, reduced, [(observable, index, value)])
-                       for g, reduced, observable, index, value in lines)
+    return [{"g": float(g), "reduced_coupling": float(reduced), "observable": observable,
+             "index": index, "value": float(value)}
+            for g, reduced, observable, index, value in lines]
 
 
 def _emit(config: RunConfig, table, warnings) -> str:
@@ -175,7 +213,7 @@ def cmd_critical_point(config: RunConfig):
     g_eval = config.g if config.g is not None else gc
     rows = [("g_c", "", gc)] + [("origin_hessian_eigenvalue", t, lam) for t, lam in enumerate(
         model.origin_hessian_eigenvalues(g_eval, config.jbar, config.sites), start=1)]
-    return [_point(g_eval, abs(g_eval - gc) / gc, rows)], []
+    return _one_point(g_eval, abs(g_eval - gc) / gc, rows), []
 
 
 def cmd_ground_state(config: RunConfig):
@@ -201,7 +239,7 @@ def cmd_ground_state(config: RunConfig):
             warnings.append(
                 f"manifold size {len(members)} differs from expected "
                 f"degeneracy {solution.degeneracy}")
-    return [_point(params.g, abs(params.g - gc) / gc, rows)], warnings
+    return _one_point(params.g, abs(params.g - gc) / gc, rows), warnings
 
 
 def cmd_spectrum(config: RunConfig):
@@ -223,7 +261,7 @@ def cmd_spectrum(config: RunConfig):
         warnings.append("critical-regime: smallest excitation below 1e-8 omega0 or not "
                         "resolved in double precision; excitation energies and "
                         "covariance-derived values carry enlarged error bounds")
-    return [_point(params.g, abs(params.g - gc) / gc, rows)], warnings
+    return _one_point(params.g, abs(params.g - gc) / gc, rows), warnings
 
 
 def cmd_sweep(config: RunConfig):
@@ -232,7 +270,8 @@ def cmd_sweep(config: RunConfig):
         reduced_min=config.reduced_min, reduced_max=config.reduced_max,
         points_per_decade=config.points_per_decade, sides=config.side,
         observables=tuple(name for name in config.observables.split(",") if name)))
-    return result.points(), result.warnings + [
+    table = (result.g, result.reduced, [(name, *column) for name, column in result.table.items()])
+    return table, result.warnings + [
         f"missing g={m.g!r} {m.observable}: {m.reason}" for m in result.missing]
 
 
@@ -251,7 +290,7 @@ def cmd_exponents(config: RunConfig):
         (name, index, abs(fit.exponent)), (name + "_r_squared", index, fit.r_squared))]
     rows += [("check", name, 1.0 if passed else 0.0)
              for name, passed in sorted(report.checks.items())]
-    return [_point(params.critical_coupling(), 0.0, rows)], list(report.warnings)
+    return _one_point(params.critical_coupling(), 0.0, rows), list(report.warnings)
 
 
 _COMMANDS = {
@@ -301,9 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _merge_config(args)
         table, warnings = _COMMANDS[args.command](config)

@@ -33,6 +33,7 @@ from .meanfield import (
     _fix_sign,
     _isolated,
     _require_lattice_point,
+    _uniform_rows,
 )
 from .model import ModelParams, atomic_cosines, ring
 
@@ -494,7 +495,8 @@ def _momentum_moments(solutions, params_seq):
 
     Block k pairs the cavity mode omega0 (1 + 2 jbar cos k) with the atomic
     mode -Omega / cos theta through the position coupling
-    g cos theta cos phi sqrt(omega0 Omega), read at site 1.  Every site's
+    g cos theta cos phi sqrt(omega0 Omega), read at site 1 of a state whose
+    coherences :func:`site_moments` has checked to be equal.  Every site's
     variances are the k-average of the blocks' ground-state covariances
     (1/2) H_p^{1/2} G^{-1/2} H_p^{1/2} and (1/2) H_p^{-1/2} G^{1/2} H_p^{-1/2},
     G = H_p^{1/2} H_x H_p^{1/2}.  With s = e_- e_+ and t = e_- + e_+ the 2 x 2
@@ -572,6 +574,8 @@ def site_moments(solutions, params_seq) -> SiteMoments:
     stacked over its points: normal and uniform points go through their
     momentum blocks, frustrated points through the mirror-sector split,
     whose mirror-odd sector can fall below double-precision resolution.
+    A normal or uniform solution whose coherences are not all equal has no
+    momentum blocks and raises :class:`ValidationError`.
     """
     if not solutions:
         raise ValidationError("site moments need at least one point")
@@ -582,6 +586,10 @@ def site_moments(solutions, params_seq) -> SiteMoments:
         ("var_q", n), ("var_p", n), ("eps", 2 * n), ("eps_even", n + 1), ("eps_odd", n - 1))}
     errors = np.full(len(solutions), None)
     frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
+    uniform = _uniform_rows(np.array([solution.config.alphas for solution in solutions]))
+    if (~frustrated & ~uniform).any():
+        raise ValidationError("a normal or uniform superradiant solution needs equal "
+                              "coherences on every site")
     for route, rows in ((_momentum_moments, ~frustrated), (_sector_moments, frustrated)):
         points = np.flatnonzero(rows)
         if len(points):

@@ -30,6 +30,7 @@ from .errors import (
 from .model import (
     MeanFieldConfiguration,
     ModelParams,
+    _hessian_diagonal,
     critical_point,
     energy_gradient,
     energy_hessian,
@@ -411,8 +412,9 @@ def solve_ground_states(params_seq) -> list:
     global minimum (:func:`_seed_alphas`).  Every seed is mirror-symmetric
     about site 1, and so is every ground state up to a rotation, so the
     seeds of all points run as one mirror-reduced Newton stack ((N+1)/2
-    values a row).  The full N x N Hessian then confirms each stationary
-    point is a minimum, and the lowest-energy one wins (the first in seed
+    values a row).  The lowest eigenvalue of the full N x N Hessian
+    (:func:`_hessian_eigenvalues`) then confirms each stationary point is
+    a minimum, and the lowest-energy one wins (the first in seed
     order on a tie); a point whose seed failed takes its first failing
     seed's error.  Frustrated solutions are returned as the canonical
     representative (unpaired site first, alpha_1 < 0 <= alpha_2, mirror
@@ -469,7 +471,7 @@ def solve_ground_states(params_seq) -> list:
         energy_gradient(alphas[settled], g[settled], jbar[settled])).max(axis=-1)
     stationary = settled[~(grad_norm[settled] > 1e-6)]
     ok, curvature = _isolated(
-        lambda a, rows: np.linalg.eigvalsh(energy_hessian(a, g[rows], jbar[rows])).min(axis=-1),
+        lambda a, rows: _hessian_eigenvalues(a, g[rows], jbar[rows])[0][:, 0],
         alphas[stationary], stationary, failures)
     minima = stationary[ok][~(curvature < PSD_TOLERANCE)]
     energy = np.full(len(y), np.inf)  # of the minima
@@ -728,14 +730,60 @@ def hessian_spectra(solutions):
     size: ``(eigenvalues, soft)``, the ascending eigenvalues of each
     point's Hessian, shape (points, N), and the (lambda_mf, lambda_f) soft
     modes of :func:`hessian_critical_modes`, shape (points, 2), NaN for a
-    point that is not frustrated."""
-    hess = energy_hessian(*(np.array([getattr(solution.config, name) for solution in solutions])
-                            for name in ("alphas", "g", "jbar")))
+    point that is not frustrated.  The route follows each point's
+    configuration (:func:`_hessian_eigenvalues`): the closed form for equal
+    coherences, which a frustrated solution never has, and dense
+    eigensolves otherwise."""
+    eigenvalues, dense, hess = _hessian_eigenvalues(*(
+        np.array([getattr(solution.config, name) for solution in solutions])
+        for name in ("alphas", "g", "jbar")))
     frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
+    if (frustrated & ~dense).any():
+        raise ValidationError("a frustrated solution with equal coherences on every site")
     soft = np.full((len(solutions), 2), np.nan)
-    (w_even, _), (w_odd, _) = _mirror_eigh(hess[frustrated])
+    (w_even, _), (w_odd, _) = _mirror_eigh(hess[frustrated[dense]])
     soft[frustrated] = np.column_stack([w_even[:, 0], w_odd[:, 0]])
-    return np.linalg.eigvalsh(hess), soft
+    return eigenvalues, soft
+
+
+def _uniform_rows(alphas: np.ndarray) -> np.ndarray:
+    """The rows of a stack of configurations (rows, N) whose coherences are
+    all equal, 0.0 and -0.0 alike: a translation-invariant state, whose
+    Hessian and fluctuation form are diagonal in lattice momentum."""
+    return (alphas == alphas[:, :1]).all(axis=-1)
+
+
+def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray):
+    """Ascending Hessian eigenvalues of a stack of configurations (rows,
+    N), with ``g`` and ``jbar`` one value per row: ``(eigenvalues, dense,
+    hess)``, with ``dense`` the mask of the rows solved densely and
+    ``hess`` their Hessians.
+
+    A row of equal coherences a has the circulant Hessian of diagonal d,
+    computed as :func:`~frustra.model.energy_hessian` computes it, and
+    hopping 2 jbar, so its eigenvalues are d + 4 jbar cos k over the
+    ring's momenta, in ascending order; at a = 0 these are the bits of
+    :func:`~frustra.model.origin_hessian_eigenvalues`.  Every other row
+    takes ``numpy.linalg.eigvalsh`` of its Hessian.
+    """
+    n = alphas.shape[-1]
+    uniform = _uniform_rows(alphas)
+    dense = ~uniform
+    if not uniform.any():  # a frustrated stack, solved without masks
+        hess = energy_hessian(alphas, g, jbar)
+        return np.linalg.eigvalsh(hess), dense, hess
+    tables = ring(n)
+    eigenvalues, hess = np.empty(alphas.shape), np.empty((0, n, n))
+    hopping = jbar[uniform, None]
+    # rounding is monotone, so d + 4 jbar cos k follows cos k: the
+    # ascending cosines, reversed for jbar < 0, give the sorted spectrum
+    cosines = tables.cosines[tables.ascending]
+    eigenvalues[uniform] = (_hessian_diagonal(alphas[uniform, :1], g[uniform, None])
+                            + 4.0 * hopping * np.where(hopping < 0, cosines[::-1], cosines))
+    if dense.any():
+        hess = energy_hessian(alphas[dense], g[dense], jbar[dense])
+        eigenvalues[dense] = np.linalg.eigvalsh(hess)
+    return eigenvalues, dense, hess
 
 
 def _mirror_eigh(hess: np.ndarray):

@@ -192,12 +192,19 @@ def energy_hessian(alphas, g, jbar) -> np.ndarray:
     n = a.shape[-1]
     site, right = np.arange(n), ring(n).right
     hess = np.zeros(a.shape + (n,))
+    hess[..., site, site] = _hessian_diagonal(a, g)
+    hess[..., site, right] = hess[..., right, site] = 2.0 * jbar
+    return hess
+
+
+def _hessian_diagonal(alphas, g):
+    """The diagonal entries 2 - 2 g^2 / (1 + 4 g^2 a^2)^{3/2} of
+    :func:`energy_hessian`, elementwise, with ``g`` broadcast against the
+    coherences."""
     # at huge couplings the power overflows to inf and the term to its
     # exact limit 0
     with np.errstate(over="ignore"):
-        hess[..., site, site] = 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * a * a) ** 1.5
-    hess[..., site, right] = hess[..., right, site] = 2.0 * jbar
-    return hess
+        return 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * alphas * alphas) ** 1.5
 
 
 def atomic_cosines(alphas, g):
@@ -225,14 +232,15 @@ def atomic_angles(alphas, g: float):
 
 
 #: The read-only tables of one ring size; see :func:`ring`.
-Ring = namedtuple("Ring", "momenta cosines left right pattern incidence even odd")
+Ring = namedtuple("Ring", "momenta cosines ascending left right pattern incidence even odd")
 
 
 @functools.cache
 def ring(n_sites: int) -> Ring:
     """The read-only :class:`Ring` tables of an odd lattice size, built once
     (sites 0-based): the ``momenta`` k = 2 pi t / N and their ``cosines``,
-    which give the hopping eigenvalues 1 + 2 jbar cos k; each site's
+    which give the hopping eigenvalues 1 + 2 jbar cos k, and the t in the
+    ``ascending`` order of their cosines (ties by t); each site's
     ``left`` and ``right`` neighbour; the canonical frustrated sign
     ``pattern`` (site 1 negative, neighbours anti-aligned except for the
     ferromagnetic pair opposite site 1); and the mirror about site 1, as
@@ -253,7 +261,9 @@ def ring(n_sites: int) -> Ring:
     even[group, sites] = weight  # row-major, unlike the view incidence.T
     odd = np.zeros((len(pairs), n_sites))
     odd[pairs - 1, pairs], odd[pairs - 1, n_sites - pairs] = weight[pairs], -weight[pairs]
-    tables = Ring(momenta, np.cos(momenta), (sites - 1) % n_sites, (sites + 1) % n_sites,
+    cosines = np.cos(momenta)
+    ascending = np.array(sorted(range(n_sites), key=cosines.tolist().__getitem__))
+    tables = Ring(momenta, cosines, ascending, (sites - 1) % n_sites, (sites + 1) % n_sites,
                   -((-1.0) ** group), incidence, even, odd)
     for table in tables:
         table.flags.writeable = False

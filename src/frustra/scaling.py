@@ -135,25 +135,17 @@ class SweepResult:
     warnings: list[str] = field(default_factory=list)
     _rows: tuple[SweepRow, ...] | None = field(default=None, init=False, repr=False)
 
-    def points(self):
-        """Each grid point's rows as (g, reduced_coupling, [(observable,
-        indices, values), ...]), in row order, absent values left out."""
-        columns = [(name, tuple(labels.tolist()), labels, values, mask, mask.all(axis=1))
-                   for name, (labels, values, mask) in self.table.items()]
-        for i, (g, reduced) in enumerate(zip(self.g.tolist(), self.reduced.tolist())):
-            yield g, reduced, [
-                (name, every, values[i].tolist()) if full[i] else
-                (name, labels[mask[i]].tolist(), values[i, mask[i]].tolist())
-                for name, every, labels, values, mask, full in columns]
-
     @property
     def rows(self) -> list[SweepRow]:
-        """The table's rows in row order (built once, a new list each time)."""
+        """The table's rows in row order, absent values left out (built
+        once, a new list each time)."""
         if self._rows is None:
-            self._rows = tuple(SweepRow(g, reduced, name, index, value)
-                               for g, reduced, columns in self.points()
-                               for name, indices, values in columns
-                               for index, value in zip(indices, values))
+            self._rows = tuple(
+                SweepRow(g, reduced, name, label, value)
+                for i, (g, reduced) in enumerate(zip(self.g.tolist(), self.reduced.tolist()))
+                for name, (labels, values, mask) in self.table.items()
+                for label, value, present in zip(labels.tolist(), values[i].tolist(),
+                                                 mask[i].tolist()) if present)
         return list(self._rows)
 
     def series(self, observable: str, index: str, side: str = "above"):
@@ -174,8 +166,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     The whole grid is solved as one stack (:func:`solve_ground_states`),
     and observed as one stack too: :func:`hessian_spectra` and
-    :func:`site_moments` choose the route for each point's phase and return
-    the Hessian spectra, gaps and cavity moments as arrays over the points.
+    :func:`site_moments` choose each point's route from its configuration
+    and return the Hessian spectra, gaps and cavity moments as arrays over
+    the points.
     Every point is solved cold, from its own parameters alone, and stack
     rows never mix, so a point's rows do not depend on the rest of the grid
     or on the order it is visited in.  Each observable's array fills the

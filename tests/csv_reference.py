@@ -1,6 +1,6 @@
 """Reference CSV writer that formats every value with its own ``repr``.
 The tests require ``frustra.cli._table_csv``, which formats each distinct
-value of a point once, to produce the same bytes."""
+value of a table once, to produce the same bytes."""
 
 
 def table_csv(table) -> str:
@@ -15,9 +15,16 @@ def table_csv(table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_points(result):
-    """A sweep table's points with every observable's present values picked
-    out by its mask, one point at a time."""
-    for i, (g, reduced) in enumerate(zip(result.g.tolist(), result.reduced.tolist())):
-        yield g, reduced, [(name, labels[mask[i]].tolist(), values[i, mask[i]].tolist())
-                           for name, (labels, values, mask) in result.table.items()]
+def sweep_table(result):
+    """A sweep result's table in the writer's form (g, reduced_coupling,
+    [(observable, labels, values, mask), ...])."""
+    return result.g, result.reduced, [(name, *column) for name, column in result.table.items()]
+
+
+def table_points(table):
+    """The points of a table in the writer's form, every column's present
+    values picked out by its mask, one point at a time."""
+    g, reduced, columns = table
+    for i, (g_i, reduced_i) in enumerate(zip(g.tolist(), reduced.tolist())):
+        yield g_i, reduced_i, [(name, labels[mask[i]].tolist(), values[i, mask[i]].tolist())
+                               for name, labels, values, mask in columns]

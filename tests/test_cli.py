@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import frustra
-from frustra import scaling
+from frustra import cli, scaling
 from frustra.cli import csv_to_rows, main, rows_to_csv
+from csv_reference import table_csv, table_points
 
 
 def run_cli(capsys, *argv):
@@ -372,6 +373,53 @@ class TestSeedModeScope:
             main([command, "--seed-mode", "exhaustive"])
         assert exit_info.value.code == 2
         assert "--seed-mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, head", [
+    (("critical-point", "--jbar", "-0.01", "--sites", "21", "--g", "0.9800499987245549"),
+     ["g_c"] + ["origin_hessian_eigenvalue"] * 21),
+    (("ground-state", "--jbar", "0.2", "--sites", "3", "--g", "1.3", "--manifold"),
+     ["energy", "phase", "degeneracy", "alpha", "theta", "phi", "jx", "alpha"]),
+    (("spectrum", "--jbar", "0.01", "--sites", "3", "--g", "1.005"),
+     ["excitation_energy"] * 6 + ["weight_cavity", "weight_atom", "weight_cavity"]),
+    (("exponents", "--jbar", "0.01", "--sites", "3", "--reduced-min", "1e-4"),
+     ["gamma", "gamma_r_squared", "gamma", "gamma_r_squared", "photon_exponent"]),
+])
+def test_single_point_commands_write_one_point_tables(capsys, argv, head):
+    # the rows keep the order the command lists them in: a run of one
+    # observable is one column
+    config = cli._merge_config(cli.build_parser().parse_args(argv))
+    table, _ = cli._COMMANDS[config.command](config)
+    (g,), (reduced,), columns = table
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == cli._table_csv(table) == table_csv(table_points(table))
+    assert all(mask.all() and values.shape == (1, len(labels))
+               for _, labels, values, mask in columns)
+    assert [row["observable"] for row in csv_to_rows(out)][:len(head)] == head
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert run_cli(capsys, "critical-point", "--jbar", "0.01")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_bad_flag_leaves_the_next_call_unchanged(self, capsys):
+        args = ("sweep", "--jbar", "-0.01", "--sites", "5", "--points-per-decade", "2")
+        before = run_cli(capsys, *args)
+        for bad in (["sweep", "--bogus"], ["sweep", "--sites", "five"], ["sweep", "--side", "up"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            capsys.readouterr()
+            assert run_cli(capsys, *args) == before
 
 
 def test_debug_trace_leaves_output_bytes_unchanged(capsys, caplog):

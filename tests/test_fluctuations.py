@@ -538,6 +538,23 @@ class TestUniformPhaseMoments:
         with pytest.raises(ValidationError):
             site_moments([], [])
 
+    @pytest.mark.parametrize("phase, jbar, g", [(Phase.NORMAL, -0.01, 0.9),
+                                                (Phase.NFSP, -0.01, 1.2),
+                                                (Phase.NORMAL, 0.01, 0.9)])
+    def test_unequal_coherences_have_no_momentum_blocks(self, phase, jbar, g):
+        # the momentum route reads site 1 only, so a normal or uniform label
+        # on a state that is not translation invariant is refused, also
+        # beside a valid point
+        p = params(jbar, g, n=5)
+        good = solve_ground_state(p)
+        alphas = np.array(good.config.alphas)
+        alphas[2] += 1e-3
+        stale = GroundStateSolution(MeanFieldConfiguration(alphas, g, jbar), phase, 0.0)
+        for stack in ([stale], [good, stale]):
+            with pytest.raises(ValidationError, match="equal coherences"):
+                site_moments(stack, [p] * len(stack))
+        assert site_moments([good], [p]).errors == (None,)
+
     @pytest.mark.parametrize("jbar, g", [(0.01, 1.2), (0.7, 0.1)])
     def test_stale_normal_state_is_unstable(self, jbar, g):
         # past g_c, and past the five-site hopping window where the cavity

@@ -22,6 +22,7 @@ from frustra.meanfield import (
     SolverOptions,
     _canonical_frames,
     _canonical_solutions,
+    _hessian_eigenvalues,
     _mirror_reduced,
     _newton_minimize,
     _seed_alphas,
@@ -42,9 +43,13 @@ from frustra.model import (
     energy_hessian,
     group_images,
     orbit_patterns,
+    origin_hessian_eigenvalues,
     rescaled_energy,
     ring,
 )
+from frustra.scaling import SweepSpec, run_sweep
+
+EPS = np.finfo(float).eps
 
 
 def params(jbar, g, n=3):
@@ -703,13 +708,28 @@ class TestHessianCriticalModes:
         eigenvalues, soft = hessian_spectra(solutions)
         assert eigenvalues.shape == (len(points), n) and soft.shape == (len(points), 2)
         for p, sol, point_eigenvalues, point_soft in zip(points, solutions, eigenvalues, soft):
-            alone = np.linalg.eigvalsh(energy_hessian(sol.config.alphas, p.g, p.jbar))
-            assert np.array_equal(point_eigenvalues, alone)
+            hess = energy_hessian(sol.config.alphas, p.g, p.jbar)
+            alone = np.linalg.eigvalsh(hess)
             if sol.phase is Phase.FSP:
+                assert np.array_equal(point_eigenvalues, alone)
                 modes = hessian_critical_modes(p, sol)
                 assert tuple(point_soft) == (modes.lambda_mf, modes.lambda_f)
             else:
+                # the circulant closed form, within rounding of the dense solve
+                closed = np.sort(hess[0, 0] + 4.0 * p.jbar * ring(n).cosines)
+                assert np.array_equal(point_eigenvalues, closed)
+                assert_allclose(point_eigenvalues, alone, rtol=0,
+                                atol=2 * n * EPS * np.abs(hess).max())
                 assert np.isnan(point_soft).all()
+
+    def test_frustrated_solution_with_equal_coherences_is_rejected(self):
+        # a frustrated label on a translation-invariant state has no mirror
+        # sectors of its own; the uniformity rule refuses it
+        point = params(0.01, 1.1, 5)
+        stale = GroundStateSolution(MeanFieldConfiguration(
+            np.full(5, 0.2), point.g, point.jbar), Phase.FSP, 0.0)
+        with pytest.raises(ValidationError, match="equal coherences"):
+            hessian_spectra([solve_ground_state(point), stale])
 
     def test_rejects_solution_of_another_lattice_point(self):
         # the modes are read at the solution's own point: a solution of
@@ -724,6 +744,74 @@ class TestHessianCriticalModes:
             hessian_critical_modes(params(-0.01, 1.05))
         with pytest.raises(PhaseError):
             hessian_critical_modes(params(0.01, 0.5))
+
+
+class TestMomentumSpectra:
+    """The closed-form spectrum d + 4 jbar cos k of a row of equal
+    coherences, against the origin formula and the dense eigensolver."""
+
+    SIZES = range(3, 42, 2)
+    HOPPINGS = (-0.45, -0.2, -0.01, 0.0, 0.01, 0.3)
+    COUPLINGS = np.logspace(-3, 6, 28)
+
+    @staticmethod
+    def spectra(alphas, g, jbar):
+        """The helper's eigenvalues, with jbar broadcast to one per row."""
+        return _hessian_eigenvalues(alphas, g, np.full(len(alphas), jbar))[0]
+
+    def test_origin_spectrum_is_the_origin_formula_bit_for_bit(self):
+        for n, jbar in itertools.product(self.SIZES, self.HOPPINGS):
+            closed = self.spectra(np.zeros((len(self.COUPLINGS), n)), self.COUPLINGS, jbar)
+            expected = [origin_hessian_eigenvalues(g, jbar, n) for g in self.COUPLINGS]
+            assert np.array_equal(closed, expected)
+
+    def uniform_rows(self, n, jbar):
+        """Rows of equal coherences (alphas, g): zero, small, order-one and
+        large coherences over the couplings, and for jbar <= 0 the uniform
+        minimizer from 1e-12 above its threshold to twice it."""
+        g = np.repeat(self.COUPLINGS, 4)
+        a = np.tile([0.0, 1e-4, 0.3, 10.0], len(self.COUPLINGS))
+        if jbar <= 0:
+            g_above = np.sqrt(1.0 + 2.0 * jbar) * (1.0 + np.logspace(-12, 0, 25))
+            g = np.concatenate([g, g_above])
+            a = np.concatenate([a, [meanfield._uniform_magnitude(x, jbar) for x in g_above]])
+        return np.repeat(a[:, None], n, axis=1), g
+
+    def test_uniform_spectrum_is_within_rounding_of_the_dense_solve(self):
+        for n, jbar in itertools.product(self.SIZES, self.HOPPINGS):
+            alphas, g = self.uniform_rows(n, jbar)
+            hess = energy_hessian(alphas, g, jbar)
+            bound = 2 * n * EPS * np.abs(hess).max(axis=(1, 2))
+            defect = np.abs(self.spectra(alphas, g, jbar) - np.linalg.eigvalsh(hess)).max(axis=1)
+            assert (defect <= bound).all()
+
+    def test_minimum_check_decides_as_the_dense_check(self):
+        # the uniform rows, and origin rows whose lowest eigenvalue
+        # 2 (g_c^2 - g^2) straddles PSD_TOLERANCE
+        for n, jbar in itertools.product(self.SIZES, self.HOPPINGS):
+            gc_sq = origin_hessian_eigenvalues(0.0, jbar, n)[0] / 2.0
+            g = np.sqrt(gc_sq + np.linspace(-3e-9, 3e-9, 61))
+            origin = np.zeros((len(g), n))
+            for alphas, couplings in ((origin, g), self.uniform_rows(n, jbar)):
+                closed = self.spectra(alphas, couplings, jbar)[:, 0]
+                dense = np.linalg.eigvalsh(energy_hessian(alphas, couplings, jbar))[:, 0]
+                clear = np.abs(dense - PSD_TOLERANCE) > 1e-12
+                assert ((closed < PSD_TOLERANCE) == (dense < PSD_TOLERANCE))[clear].all()
+            dense = np.linalg.eigvalsh(energy_hessian(origin, g, jbar))[:, 0]
+            assert (dense < PSD_TOLERANCE).any() and (dense >= PSD_TOLERANCE).any()
+
+    def test_uniform_sweep_runs_no_dense_eigensolver(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        result = run_sweep(SweepSpec(jbar=-0.01, n_sites=21, points_per_decade=5))
+        assert not result.missing and len(result.table["hessian_eigenvalues"][1]) == 22
+        assert calls == []
 
 
 class TestSignPattern:

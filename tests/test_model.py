@@ -275,6 +275,8 @@ class TestRingTable:
         assert_allclose(tables.cosines, np.cos(tables.momenta), rtol=0, atol=1e-15)
         assert np.array_equal(tables.left, [(i - 1) % n for i in range(n)])
         assert np.array_equal(tables.right, [(i + 1) % n for i in range(n)])
+        assert sorted(tables.ascending.tolist()) == list(range(n))
+        assert np.array_equal(tables.cosines[tables.ascending], np.sort(tables.cosines))
         for jbar in (-0.45, -0.01, 0.3, 0.9):
             hopping = np.eye(n)
             for i in range(n):

@@ -45,8 +45,8 @@ from frustra.model import (
     rescaled_energy,
     ring,
 )
-from frustra.scaling import SweepResult, SweepSpec, run_sweep
-from csv_reference import table_csv, table_points
+from frustra.scaling import SweepSpec, run_sweep
+from csv_reference import sweep_table, table_csv, table_points
 from exhaustive_reference import enumerate_all_sign_patterns, images_one_at_a_time
 from williamson_reference import _williamson_generic
 
@@ -370,36 +370,51 @@ def test_csv_round_trip_reproduces_bytes(rows):
 
 @st.composite
 def sweep_tables(draw):
-    """Sweep tables whose values repeat within a point: each point draws
-    its values from a small pool that holds 0.0 and -0.0, and NaN marks an
-    absent value."""
+    """Tables in the writer's form whose values repeat within a point and
+    across points: each point draws its values from a small pool that
+    holds 0.0 and -0.0, and NaN marks an absent value, so a column can be
+    absent at a point and a point can hold no value."""
     points = draw(st.integers(0, 4))
     g = np.array(draw(st.lists(finite, min_size=points, max_size=points)))
-    table = {}
+    shared = draw(st.lists(finite, min_size=1, max_size=3))
+    columns = []
     for name, width in (("energy", 1), ("gaps", 3), ("photon_numbers", 5)):
         rows = []
         for _ in range(points):
-            pool = [0.0, -0.0, np.nan, *draw(st.lists(finite, min_size=1, max_size=3))]
+            pool = [0.0, -0.0, np.nan, *shared, *draw(st.lists(finite, max_size=2))]
             rows.append(draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width)))
         values = np.array(rows, dtype=float).reshape(points, width)
-        table[name] = (np.array([str(i) for i in range(width)]), values, ~np.isnan(values))
-    return SweepResult(None, g, np.abs(g), table)
+        columns.append((name, np.array([str(i) for i in range(width)]), values,
+                        ~np.isnan(values)))
+    return g, np.abs(g), columns
 
 
 @PROPERTY
 @given(sweep_tables())
-def test_csv_writer_matches_one_repr_per_value(result):
-    assert _table_csv(result.points()) == table_csv(table_points(result))
+def test_csv_writer_matches_one_repr_per_value(table):
+    text = _table_csv(table)
+    assert text == table_csv(table_points(table))
+    assert "nan" not in text
 
 
 def test_csv_writer_matches_one_repr_per_value_on_fixed_tables():
-    # both zeros and a repeated value in one point, then the table of
-    # `frustra sweep --jbar -0.01 --sites 21`: 102 points of N = 21 whose
-    # values mostly repeat within their point
-    table = [(1.5, 0.5, [("a", ["1", "2", "3"], [0.0, -0.0, 0.25]),
-                         ("b", ["1", "2"], [-0.0, 0.25])])]
-    assert _table_csv(table) == table_csv(table)
-    assert _table_csv(table).splitlines()[1:4] == [
-        "1.5,0.5,a,1,0.0", "1.5,0.5,a,2,-0.0", "1.5,0.5,a,3,0.25"]
-    result = run_sweep(SweepSpec(jbar=-0.01, n_sites=21))
-    assert _table_csv(result.points()) == table_csv(table_points(result))
+    # both zeros in one column and within one point, a repeated value, a
+    # column absent at a point and a point with no value present; then the
+    # table of `frustra sweep --jbar -0.01 --sites 21`: 102 points of
+    # N = 21 whose values mostly repeat within their point
+    nan = np.nan
+    a = np.array([[0.0, -0.0, 0.25], [nan, nan, nan], [-0.0, 0.25, 0.0]])
+    b = np.array([[-0.0, 0.25], [nan, nan], [nan, nan]])
+    table = (np.array([1.5, 2.5, -0.0]), np.array([0.5, 1.5, 0.0]),
+             [("a", np.array(["1", "2", "3"]), a, ~np.isnan(a)),
+              ("b", np.array(["1", "2"]), b, ~np.isnan(b))])
+    text = _table_csv(table)
+    assert text == table_csv(table_points(table))
+    assert text.splitlines()[1:] == [
+        "1.5,0.5,a,1,0.0", "1.5,0.5,a,2,-0.0", "1.5,0.5,a,3,0.25",
+        "1.5,0.5,b,1,-0.0", "1.5,0.5,b,2,0.25",
+        "-0.0,0.0,a,1,-0.0", "-0.0,0.0,a,2,0.25", "-0.0,0.0,a,3,0.0"]
+    table = sweep_table(run_sweep(SweepSpec(jbar=-0.01, n_sites=21)))
+    text = _table_csv(table)
+    assert text == table_csv(table_points(table))
+    assert "nan" not in text
