@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, InstabilityError, PhaseError, ValidationError
 from .meanfield import (
     GroundStateSolution,
     Phase,
     _fix_sign,
-    _isolated,
     _require_lattice_point,
     _uniform_rows,
 )
@@ -238,12 +238,18 @@ class _SplitModes:
     eps^(-1/2), are the position and momentum rows of S.  A form whose
     Cholesky factor fails has ``positive`` False and NaN everywhere else;
     the other forms are untouched by it.
+
+    All the factors come from one call of the gufunc that
+    ``np.linalg.cholesky`` wraps: it returns a factor that fails as NaN,
+    where ``np.linalg.cholesky`` raises for the whole stack, and gives
+    every other factor the same bits.
     """
 
     def __init__(self, blocks: np.ndarray):
-        factored, (lx, lp) = _isolated(
-            lambda forms, _: (np.linalg.cholesky(forms[:, 0]), np.linalg.cholesky(forms[:, 1])),
-            blocks, np.arange(len(blocks)), {}, np.linalg.LinAlgError)
+        with np.errstate(invalid="ignore"):  # the flag of a factor that fails
+            factors = _umath_linalg.cholesky_lo(blocks, signature="d->d")
+        factored = ~np.isnan(factors).any(axis=(1, 2, 3))
+        lx, lp = factors[factored, 0], factors[factored, 1]
         shape = blocks[:, 0].shape
         self.eps = np.full(shape[:-1], np.nan)
         self.x_modes, self.p_modes = np.full(shape, np.nan), np.full(shape, np.nan)

@@ -48,6 +48,11 @@ def default_grid(g_critical: float, reduced_min: float = 1e-4,
         raise ValidationError("need 0 < reduced_min < reduced_max")
     if points_per_decade < 1:
         raise ValidationError(f"points_per_decade must be at least 1, got {points_per_decade}")
+    if sides in ("below", "both") and reduced_max > 1:
+        # reduced_max = 1 is the decoupled point g = 0, which is kept
+        raise ValidationError(
+            f"reduced window [{reduced_min!r}, {reduced_max!r}] puts g = g_c (1 - reduced) "
+            "below 0 on the below side; need reduced_max <= 1")
     decades = np.log10(reduced_max / reduced_min)
     count = max(2, int(round(decades * points_per_decade)) + 1)
     reduced = np.logspace(np.log10(reduced_min), np.log10(reduced_max), count)
@@ -125,15 +130,42 @@ class SweepResult:
     """A sweep as a table over its grid points ``g`` and their ``reduced``
     couplings: per observable, in name order, its index labels sorted as
     strings, a (points, labels) array of values and a mask of the values
-    present.  ``missing`` and ``warnings`` are in grid order."""
+    present.  ``missing`` and ``warnings`` are in grid order.
+
+    ``_flags`` holds what ``missing`` is built from: per failed point, by
+    its grid index, its (observable, reason), and per unresolved label
+    ("gaps" or an observable with a ``{}`` for the site), a (points,
+    columns) mask of the values lost."""
 
     spec: SweepSpec
     g: np.ndarray
     reduced: np.ndarray
     table: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    missing: list[SweepMissing] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    _flags: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), repr=False)
     _rows: tuple[SweepRow, ...] | None = field(default=None, init=False, repr=False)
+    _missing: list[SweepMissing] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def missing(self) -> list[SweepMissing]:
+        """The missing rows, built on the first read: a failed point's one
+        row, then an unresolved point's rows label by label, site by site."""
+        if self._missing is None:
+            failures, lost = self._flags
+            flagged = np.zeros(len(self.g), dtype=bool)
+            flagged[list(failures)] = True
+            for mask in lost.values():
+                flagged |= mask.any(axis=1)
+            unresolved = "frustrated sector below double-precision resolution"
+            g, self._missing = self.g.tolist(), []
+            for i in np.flatnonzero(flagged).tolist():
+                if i in failures:
+                    self._missing.append(SweepMissing(g[i], *failures[i]))
+                else:
+                    self._missing += [SweepMissing(g[i], label.format(site), unresolved)
+                                      for label, mask in lost.items()
+                                      for site in np.flatnonzero(mask[i]) + 1]
+        return self._missing
 
     @property
     def rows(self) -> list[SweepRow]:
@@ -183,14 +215,18 @@ def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
     """The table of the grid's values, from each point's solver outcome:
     the solved points are observed as one stack, and each observable's
     block over them fills the table in one assignment, a value present
-    where it is not NaN.  The points flagged by a failure or a mask then
-    record the missing rows and warnings, in grid order.  Labels are ranks,
-    then a frustrated point's soft modes, in row order."""
+    where it is not NaN.  Each failed point's reason and the masks of the
+    unresolved values are kept for :attr:`SweepResult.missing` to build
+    its rows from; the critical-regime warnings are written at once.
+    Labels are ranks, then a frustrated point's soft modes, in row order."""
     g, gc, n = np.array(spec.grid), spec.g_critical, spec.n_sites
     want = set(spec.observables)
     gaussian = want & {"gaps", "photon_numbers", "squeezing"}
     solved = np.array([isinstance(outcome, GroundStateSolution) for outcome in outcomes])
     solutions = [outcome for outcome, ok in zip(outcomes, solved) if ok]
+    # the solver's error of a failed point (programming errors propagate)
+    failures = {i: ("all", f"solver: {outcomes[i]}") for i in np.flatnonzero(~solved).tolist()}
+    lost, warnings = {}, []  # per missing-row label ("gaps" one column), its mask
     blocks = {}  # per observable, its values over the solved points, in rank order
     if solutions:
         if "energy" in want:
@@ -204,9 +240,21 @@ def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
             blocks["gaps"] = np.hstack([moments.eps, moments.eps_even[:, :1],
                                         moments.eps_odd[:, :1]])
             blocks["photon_numbers"], blocks["squeezing"] = moments.photon_numbers, moments.var_q
+            stack_index = np.flatnonzero(solved)  # a solved point's grid index
+            failed = np.array([error is not None for error in moments.errors])
+            failures.update((stack_index[row].item(), (",".join(sorted(gaussian)), str(error)))
+                            for row, error in enumerate(moments.errors) if error is not None)
+            columns = {"gaps": moments.eps[:, :1], "photon_numbers[{}]": moments.photon_numbers,
+                       "squeezing[{}]": moments.var_q}
+            for label, values in columns.items():
+                if label.split("[")[0] in want:
+                    lost[label] = np.zeros((len(g), values.shape[1]), dtype=bool)
+                    lost[label][solved] = np.isnan(values) & ~failed[:, None]
             critical = np.fmin(moments.eps[:, 0], moments.eps_even[:, 0]) < (
                 CRITICAL_REGIME_FACTOR * spec.omega0)
-    result = SweepResult(spec, g, np.abs(g - gc) / gc, {})
+            warnings = [f"critical-regime point at g={points[i].g!r}"
+                        for i in stack_index[critical & ~failed].tolist()]
+    result = SweepResult(spec, g, np.abs(g - gc) / gc, {}, warnings, (failures, lost))
     for name in sorted(spec.observables):
         ranks = range(1, {"energy": 0, "gaps": 2 * n}.get(name, n) + 1)
         soft = {"energy": [""], "gaps": ["mf", "f"], "hessian_eigenvalues": ["mf", "f"]}
@@ -218,35 +266,6 @@ def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
         result.table[name] = (labels[order], values, ~np.isnan(values))
         for array in result.table[name]:
             array.flags.writeable = False  # the rows are built once
-
-    # only the points that leave a missing row or a warning are visited;
-    # unresolved values are masks per missing-row label ("gaps" one column)
-    flagged, lost = ~solved, {}
-    if solutions and gaussian:
-        failed = np.array([error is not None for error in moments.errors])
-        columns = {"gaps": moments.eps[:, :1], "photon_numbers[{}]": blocks["photon_numbers"],
-                   "squeezing[{}]": blocks["squeezing"]}
-        lost = {label: np.isnan(values) & ~failed[:, None]
-                for label, values in columns.items() if label.split("[")[0] in want}
-        flagged[solved] = failed | critical
-        for mask in lost.values():
-            flagged[solved] |= mask.any(axis=1)
-    unresolved = "frustrated sector below double-precision resolution"
-    stack_row = np.cumsum(solved) - 1  # a solved point's row in the observed stack
-    for i in np.flatnonzero(flagged).tolist():
-        g_i, row = points[i].g, stack_row[i]
-        if not solved[i]:
-            # the solver's error for this point (programming errors propagate)
-            result.missing.append(SweepMissing(g_i, "all", f"solver: {outcomes[i]}"))
-        elif failed[row]:
-            result.missing.append(SweepMissing(g_i, ",".join(sorted(gaussian)),
-                                               str(moments.errors[row])))
-        else:
-            if critical[row]:
-                result.warnings.append(f"critical-regime point at g={g_i!r}")
-            result.missing += [SweepMissing(g_i, label.format(site), unresolved)
-                               for label, mask in lost.items()
-                               for site in np.flatnonzero(mask[row]) + 1]
     return result
 
 
@@ -272,7 +291,7 @@ def fit_power_law(points) -> PowerLawFit:
     :class:`FitQualityError` when the log-log line explains less than
     FIT_R2_THRESHOLD of the variance.
     """
-    pts = np.asarray(list(points), dtype=float)
+    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[0] < FIT_MIN_POINTS:
         raise DomainError(f"need at least {FIT_MIN_POINTS} points, got {len(pts)}")
     x, y = pts[:, 0], pts[:, 1]
@@ -297,34 +316,23 @@ def asymptotic_mask(reduced: np.ndarray, values: np.ndarray,
 
     Keeps finite positive values above ``floor`` and trims the
     noise plateau: walking from the largest reduced coupling towards the
-    critical point, a vanishing (diverging) observable must keep strictly
-    decreasing (increasing); the walk stops at the first violation.
+    critical point, past the leading unusable values, a vanishing
+    (diverging) observable must keep strictly decreasing (increasing); the
+    walk stops at the first violation or unusable value, and then drops the
+    innermost kept point too, as it borders the detected plateau.
     """
     reduced = np.asarray(reduced, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = np.zeros(len(values), dtype=bool)
-    usable = np.isfinite(values) & (values > floor)
     order = np.argsort(reduced)[::-1]
-    previous = None
-    last_kept = None
-    stopped_early = False
-    for i in order:
-        if not usable[i]:
-            if previous is not None:
-                stopped_early = True
-                break
-            continue
-        if previous is not None:
-            monotone = values[i] > previous if diverging else values[i] < previous
-            if not monotone:
-                stopped_early = True
-                break
-        keep[i] = True
-        previous = values[i]
-        last_kept = i
-    if stopped_early and last_kept is not None:
-        # the innermost point borders the detected plateau and is suspect
-        keep[last_kept] = False
+    walk, usable = values[order], (np.isfinite(values) & (values > floor))[order]
+    if not usable.any():
+        return keep
+    start = int(np.argmax(usable))
+    inner, outer = walk[start + 1:], walk[start:-1]
+    stops = np.flatnonzero(~(usable[start + 1:] & (inner > outer if diverging else inner < outer)))
+    # a stop at step j keeps start .. start + j - 1: the innermost point goes
+    keep[order[start:start + stops[0] if len(stops) else len(walk)]] = True
     return keep
 
 

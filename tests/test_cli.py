@@ -193,6 +193,24 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err == "error: grid must be strictly increasing\n"
 
+    @pytest.mark.parametrize("side", ["both", "below", "above"])
+    def test_window_reaching_past_zero_coupling(self, capsys, side):
+        # g_c (1 - reduced) < 0 on the below side for reduced > 1
+        argv = ("sweep", "--jbar", "-0.01", "--sites", "3", "--points-per-decade", "2",
+                "--observables", "energy", "--side", side)
+        code, out, err = run_cli(capsys, *argv, "--reduced-max", "10")
+        if side == "above":
+            assert (code, err) == (0, "") and len(csv_to_rows(out)) == 11
+        else:
+            assert (code, out) == (2, "")
+            assert err == ("error: reduced window [0.0001, 10.0] puts g = g_c (1 - reduced) "
+                           "below 0 on the below side; need reduced_max <= 1\n")
+        # reduced_max = 1 reaches the decoupled point g = 0 and no further
+        code, out, err = run_cli(capsys, *argv, "--reduced-max", "1")
+        rows = csv_to_rows(out)
+        assert (code, err) == (0, "") and len(rows) == {"both": 18}.get(side, 9)
+        assert (rows[0]["g"] == 0.0) == (side != "above")
+
     def test_default_grid_excludes_the_critical_point(self, capsys):
         # one point per decade from 1e-16 keeps the grid increasing, but
         # 1 + 1e-16 rounds to 1, so its lowest coupling is g_c

@@ -1,6 +1,12 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from numpy.testing import assert_allclose
+
+from frustra import fluctuations
 
 from frustra.errors import DomainError, InstabilityError, ValidationError
 from frustra.fluctuations import (
@@ -21,7 +27,7 @@ from frustra.fluctuations import (
     symplectic_spectrum_modulus,
     williamson_diagonalize,
 )
-from frustra.meanfield import GroundStateSolution, Phase, solve_ground_state
+from frustra.meanfield import GroundStateSolution, Phase, solve_ground_state, solve_ground_states
 from frustra.model import MeanFieldConfiguration, ModelParams, critical_point
 from williamson_reference import _williamson_generic
 
@@ -369,6 +375,80 @@ class TestStackedSectors:
             for field in MOMENT_FIELDS:
                 assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)[0],
                                       equal_nan=True)
+
+
+def deep_frustrated_points(n):
+    """The solved points of a frustrated sweep down to reduced coupling
+    1e-9, whose deep mirror-odd sectors cannot be factored."""
+    gc = critical_point(0.01, n, "positive")
+    points = [params(0.01, gc * (1 + r), n) for r in np.logspace(-9, -2, 36)]
+    solutions = solve_ground_states(points)
+    return ([s for s in solutions if isinstance(s, GroundStateSolution)],
+            [p for p, s in zip(points, solutions) if isinstance(s, GroundStateSolution)])
+
+
+def split_modes_alone(form):
+    """eps, x_modes, p_modes and positive of one split form on its own,
+    through ``np.linalg.cholesky``, which raises for a form that fails."""
+    try:
+        lx, lp = np.linalg.cholesky(form[None, 0]), np.linalg.cholesky(form[None, 1])
+    except np.linalg.LinAlgError:
+        size = form.shape[-1]
+        return np.full(size, np.nan), np.full((size, size), np.nan), np.full(
+            (size, size), np.nan), False
+    u, eps, vt = np.linalg.svd(np.swapaxes(lx, -1, -2) @ lp)
+    return (eps[0, ::-1], (lp @ np.swapaxes(vt[:, ::-1], -1, -2))[0],
+            (lx @ u[..., ::-1])[0], bool(eps[0, -1] > 0))
+
+
+class TestSplitModesFactorisation:
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_stack_matches_each_form_alone(self, n):
+        solutions, points = deep_frustrated_points(n)
+        even, odd = fluctuations._sector_blocks(solutions, points)
+        for sector in (even, odd):
+            modes = fluctuations._SplitModes(sector)
+            for i, form in enumerate(sector):
+                eps, x_modes, p_modes, positive = split_modes_alone(form)
+                assert modes.eps[i].tobytes() == eps.tobytes()
+                assert modes.x_modes[i].tobytes() == x_modes.tobytes()
+                assert modes.p_modes[i].tobytes() == p_modes.tobytes()
+                assert modes.positive[i] == positive
+        # every even sector factors, and the deepest odd sectors do not
+        assert fluctuations._SplitModes(even).positive.all()
+        assert not fluctuations._SplitModes(odd).positive.all()
+
+    def test_failing_form_is_nan_without_exception_or_warning(self):
+        # pins the gufunc behind np.linalg.cholesky: a form that cannot be
+        # factored comes back NaN with the invalid flag raised, and every
+        # other form gets the bits of np.linalg.cholesky
+        good = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        bad = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                factors = _umath_linalg.cholesky_lo(np.array([good, bad]), signature="d->d")
+            with np.errstate(all="raise"):
+                modes = fluctuations._SplitModes(np.array([[good, good], [good, bad]]))
+        assert np.isnan(factors[1]).all()
+        assert factors[0].tobytes() == np.linalg.cholesky(good).tobytes()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _umath_linalg.cholesky_lo(bad, signature="d->d")
+        assert modes.positive.tolist() == [True, False] and np.isnan(modes.eps[1]).all()
+
+    def test_one_factorisation_call_per_block(self, monkeypatch):
+        solutions, points = deep_frustrated_points(7)
+        calls = []
+
+        def cholesky_lo(blocks, signature):
+            calls.append(blocks.shape)
+            return _umath_linalg.cholesky_lo(blocks, signature=signature)
+
+        monkeypatch.setattr(fluctuations, "_umath_linalg", SimpleNamespace(cholesky_lo=cholesky_lo))
+        monkeypatch.setattr(np.linalg, "cholesky", None)  # no per-sector retries
+        moments = site_moments(solutions, points)
+        assert calls == [(len(points), 2, 8, 8), (len(points), 2, 6, 6)]
+        assert np.isnan(moments.eps_odd).any()  # some odd forms did fail
 
 
 class TestModeWeights:

@@ -6,10 +6,12 @@ orbit oracle with the test-side all-2^N-pattern reference, the Williamson
 identities, the package's split-form Cholesky-SVD route against the
 test-side generic Cholesky/real-Schur reference, the momentum-block path
 of the uniform phases against the Williamson reference, the oracle's image
-dedupe against the image-by-image reference, and the CSV wire format and
-writer against the one-``repr``-per-value reference."""
+dedupe against the image-by-image reference, the CSV wire format and
+writer against the one-``repr``-per-value reference, and the array noise
+trim against the point-by-point walk."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -45,9 +47,10 @@ from frustra.model import (
     rescaled_energy,
     ring,
 )
-from frustra.scaling import SweepSpec, run_sweep
+from frustra.scaling import SweepSpec, asymptotic_mask, run_sweep
 from csv_reference import sweep_table, table_csv, table_points
 from exhaustive_reference import enumerate_all_sign_patterns, images_one_at_a_time
+from mask_reference import asymptotic_mask_walk
 from williamson_reference import _williamson_generic
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -418,3 +421,54 @@ def test_csv_writer_matches_one_repr_per_value_on_fixed_tables():
     text = _table_csv(table)
     assert text == table_csv(table_points(table))
     assert "nan" not in text
+
+
+@st.composite
+def trim_cases(draw):
+    """(reduced, values, floor, diverging) for the noise trim: reduced
+    couplings from a small pool, so that they tie, and values that are
+    monotone along the walk from the largest coupling, then overwritten
+    in a few places by NaN, +-inf, values at or below the floor and
+    repeats of their neighbours."""
+    n = draw(st.integers(0, 40))
+    floor = draw(st.sampled_from([0.0, 1e-12, 1.0]))
+    diverging = draw(st.booleans())
+    reduced = 10.0 ** -np.array(draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)),
+                                dtype=float)
+    walk = np.sort(draw(st.lists(st.floats(1.5, 1e6), min_size=n, max_size=n)))
+    if draw(st.sampled_from([False, False, True])):
+        walk = walk[::-1]  # monotone the wrong way
+    values = np.empty(n)
+    values[np.argsort(reduced)[::-1]] = walk if diverging else walk[::-1]
+    specials = [np.nan, np.inf, -np.inf, floor, 0.5 * floor, 0.0, -1.0]
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=6 if n else 0)):
+        values[i] = draw(st.sampled_from([*specials, values[max(i - 1, 0)]]))
+    return reduced, values, floor, diverging
+
+
+@PROPERTY
+@given(trim_cases())
+def test_noise_trim_matches_the_point_by_point_walk(case):
+    mask = asymptotic_mask(*case)
+    assert mask.dtype == bool and np.array_equal(mask, asymptotic_mask_walk(*case))
+
+
+@pytest.mark.parametrize("diverging", [False, True])
+@pytest.mark.parametrize("reduced, values, kept", [
+    ([], [], []),
+    ([1e-3, 1e-2], [np.nan, -np.inf], [False, False]),
+    # leading unusable points are skipped, a later one stops the walk
+    ([1e-4, 1e-3, 1e-2, 1e-1, 1.0], [2.0, np.inf, 1.0, 0.5, 0.0],
+     [False, False, False, True, False]),
+    ([1e-4, 1e-3, 1e-2, 1e-1], [np.nan, 2.0, 1.5, 1.0], [False, False, True, True]),
+    # a tie in value stops the walk; the innermost kept point goes with it
+    ([1e-4, 1e-3, 1e-2, 1e-1], [3.0, 3.0, 2.0, 1.0], [False, False, True, True]),
+])
+def test_noise_trim_on_fixed_cases(reduced, values, kept, diverging):
+    values = np.array(values, dtype=float)
+    if not diverging:  # the same walk, mirrored in value
+        values = np.divide(1.0, values, out=values.copy(),
+                           where=np.isfinite(values) & (values > 0))
+    case = (np.array(reduced, dtype=float), values, 0.0, diverging)
+    assert np.array_equal(asymptotic_mask(*case), asymptotic_mask_walk(*case))
+    assert asymptotic_mask(*case).tolist() == kept

@@ -43,6 +43,14 @@ class TestSweepSpec:
         grid = default_grid(1.0, 1e-4, 1e-2, 25, sides="above")
         assert len(grid) == 51  # 25 per decade over two decades
 
+    @pytest.mark.parametrize("sides", ["below", "both"])
+    def test_below_side_stops_at_zero_coupling(self, sides):
+        with pytest.raises(ValidationError, match=r"reduced window \[0.0001, 1.5\]"):
+            SweepSpec(jbar=-0.01, n_sites=3, reduced_max=1.5, sides=sides)
+        # reduced_max = 1 is the decoupled point g = 0, which is kept
+        grid = SweepSpec(jbar=-0.01, n_sites=3, reduced_max=1.0, sides=sides).grid
+        assert grid[0] == 0.0 and min(grid) >= 0.0
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             SweepSpec(jbar=0.01, n_sites=3, observables=("bogus",))
@@ -149,6 +157,16 @@ class TestFitPowerLaw:
             fit_power_law(np.column_stack([x, y]))
         assert info.value.r_squared is not None
 
+    def test_array_list_and_generator_fit_alike(self):
+        rng = np.random.default_rng(3)
+        x = np.logspace(-6, -2, 17)
+        y = 2.5 * x ** 1.5 * np.exp(rng.normal(scale=1e-3, size=x.size))
+        points = np.column_stack([x, y])
+        fit = fit_power_law(points)
+        assert fit_power_law(points.tolist()) == fit
+        assert fit_power_law(zip(x.tolist(), y.tolist())) == fit
+        assert fit_power_law((row for row in points)) == fit
+
     def test_lowest_decade_trims_noise_plateau(self):
         x = np.logspace(-6, -2, 40)
         y = x ** 2.0
@@ -227,6 +245,25 @@ class TestExponentReports:
                          observables=("gaps", "hessian_eigenvalues"))
         result = run_sweep(spec)
         assert {r.observable for r in result.rows} == {"gaps", "hessian_eigenvalues"}
+
+    def test_exponents_build_no_missing_rows(self, monkeypatch):
+        # the fits never read the sweep's missing rows, so none is built;
+        # the same sweep builds them when `missing` is read
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return SweepMissing(*args)
+
+        monkeypatch.setattr(scaling, "SweepMissing", spy)
+        extract_exponents(params(0.01, n=7), window=(1e-7, 1e-2))
+        assert built == []
+        spec = SweepSpec(jbar=0.01, n_sites=7, reduced_min=1e-7, sides="above",
+                         observables=("gaps", "photon_numbers", "squeezing",
+                                      "hessian_eigenvalues"))
+        result = run_sweep(spec)
+        assert built == [] and result.missing is result.missing
+        assert len(built) == len(result.missing) > 0
 
     def test_large_lattice_flagged_unvalidated(self):
         report = extract_exponents(params(0.01, n=9), window=(3e-4, 1e-2),
