@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     ConvergenceError,
@@ -31,6 +32,7 @@ from .model import (
     MeanFieldConfiguration,
     ModelParams,
     _hessian_diagonal,
+    _landscape,
     critical_point,
     energy_gradient,
     energy_hessian,
@@ -206,6 +208,34 @@ def _isolated(fn, stack, rows, failures, catch=(FrustraError, np.linalg.LinAlgEr
     return np.concatenate((ok_a, ok_b)), np.concatenate((out_a, out_b))
 
 
+def _raw_linalg(gufunc, signature, message):
+    """The ``numpy.linalg`` function of ``gufunc`` on float stacks without
+    its per-call dispatch: the gufunc under the error state that function
+    sets, so that a failure still raises ``LinAlgError(message)``."""
+    def call(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")(functools.partial(gufunc, signature=signature))
+
+
+#: numpy.linalg.eigh (lower triangle) and numpy.linalg.solve, bit for bit
+_eigh = _raw_linalg(_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge")
+_solve = _raw_linalg(_umath_linalg.solve, "dd->d", "Singular matrix")
+
+
+def _finite(points, rows, failures, *companions):
+    """``(points, rows, *companions)`` of a stack of points, the ids of its
+    rows and arrays aligned with them, without the rows whose point is not
+    finite; each such row's :class:`DomainError` goes to ``failures``."""
+    finite = np.isfinite(points)
+    if finite.all():
+        return (points, rows, *companions)
+    finite = finite.all(axis=-1)
+    for row in rows[~finite].tolist():
+        failures[row] = DomainError("alphas must be finite")
+    return tuple(array[finite] for array in (points, rows, *companions))
+
+
 def _newton_minimize(fun, jac, hess_fn, x0):
     """Damped saddle-free Newton descent followed by a pure-Newton endgame,
     on every row of the stack ``x0`` (rows, m) at once.
@@ -220,18 +250,25 @@ def _newton_minimize(fun, jac, hess_fn, x0):
     shrink.
 
     ``fun``, ``jac`` and ``hess_fn`` take a stack and the ids of its rows,
-    so rows may carry their own couplings.  Each row runs exactly the
-    iteration, and the arithmetic, it would run alone: row masks replace
-    the per-row control flow, and a row that raises (a non-finite trial
-    point, a failed eigensolve) leaves the stack without touching the
-    others.  The descent phase insists on energy decrease; once the energy
-    changes fall below floating-point resolution the endgame accepts steps
-    on gradient decrease instead.  Returns ``(x, grad_norm, steps,
-    failures)``: the minimizers, their gradient infinity-norms, each row's
-    accepted (descent, endgame) step counts, and each failed row's
-    exception by row id.
+    so rows may carry their own couplings; they take their points as given
+    (the functions of :func:`~frustra.model._landscape`).  The seeds must be
+    finite, and a line-search or endgame trial point that is not fails its
+    row with :class:`DomainError`; every point the derivatives see is a
+    seed or an accepted trial.  Each row runs exactly the iteration, and
+    the arithmetic, it would run alone: row masks replace the per-row
+    control flow, and a row that fails (a non-finite trial point, a failed
+    eigensolve) leaves the stack without touching the others.  A line
+    search that every row passes at the full step, the common case, needs
+    no masks.  The descent phase insists on energy decrease; once the
+    energy changes fall below floating-point resolution the endgame
+    accepts steps on gradient decrease instead.  Returns ``(x, grad_norm,
+    steps, failures)``: the minimizers, their gradient infinity-norms,
+    each row's accepted (descent, endgame) step counts, and each failed
+    row's exception by row id.
     """
     x = np.array(x0, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("alphas must be finite")
     failures: dict[int, Exception] = {}
     steps = np.zeros((len(x), 2), dtype=int)
     live = np.arange(len(x))
@@ -240,25 +277,29 @@ def _newton_minimize(fun, jac, hess_fn, x0):
         live = live[~(np.abs(grad[live]).max(axis=-1) < 1e-6)]
         if not len(live):
             break
-        ok, (w, vecs) = _isolated(lambda xs, rows: np.linalg.eigh(hess_fn(xs, rows)),
-                                  x[live], live, failures)
+        ok, (w, vecs) = _isolated(lambda hess, rows: _eigh(hess), hess_fn(x[live], live),
+                                  live, failures)
         live = live[ok]
         coeffs = (np.swapaxes(vecs, -1, -2) @ grad[live][..., None])[..., 0]
         step = (vecs @ (coeffs / (np.abs(w) + 1e-9))[..., None])[..., 0]
-        t, moved = np.ones(len(live)), np.zeros(len(live), dtype=bool)
-        search = np.arange(len(live))
-        while len(search):
-            trial = x[live[search]] - t[search, None] * step[search]
-            ok, f_new = _isolated(fun, trial, live[search], failures)
-            search, trial = search[ok], trial[ok]
-            f_old = f[live[search]]
+        # the line search: the rows still searching share the step length
+        # t, which shrinks by quarters from 1 down to 1e-12
+        t, search, trial = 1.0, live, x[live] - step
+        moved = np.zeros(len(x), dtype=bool)
+        while True:
+            trial, search, step = _finite(trial, search, failures, step)
+            f_new, f_old = fun(trial, search), f[search]
             accept = f_new <= f_old + 1e-14 * np.abs(f_old)
+            if accept.all():
+                x[search], f[search], moved[search] = trial, f_new, True
+                break
             done = search[accept]
-            x[live[done]], f[live[done]], moved[done] = trial[accept], f_new[accept], True
-            search = search[~accept]
-            t[search] /= 4.0
-            search = search[t[search] > 1e-12]
-        live = live[moved]
+            x[done], f[done], moved[done] = trial[accept], f_new[accept], True
+            search, step, t = search[~accept], step[~accept], t / 4.0
+            if not t > 1e-12:
+                break
+            trial = x[search] - t * step
+        live = np.flatnonzero(moved)
         steps[live, 0] += 1
         grad[live] = jac(x[live], live)
     # The endgame squeezes the residual to the floating-point floor (well
@@ -272,13 +313,12 @@ def _newton_minimize(fun, jac, hess_fn, x0):
         if not len(live):
             break
         # a singular Hessian ends that row's endgame, as a failed step does
-        ok, step = _isolated(
-            lambda xs, rows: np.linalg.solve(hess_fn(xs, rows), grad[rows][..., None])[..., 0],
-            x[live], live, {}, np.linalg.LinAlgError)
+        ok, step = _isolated(lambda hess, rows: _solve(hess, grad[rows][..., None])[..., 0],
+                             hess_fn(x[live], live), live, {}, np.linalg.LinAlgError)
         live = live[ok]
         trial = x[live] - step
-        ok, grad_new = _isolated(jac, trial, live, failures)
-        live, trial = live[ok], trial[ok]
+        trial, live = _finite(trial, live, failures)
+        grad_new = jac(trial, live)
         new_norm = np.abs(grad_new).max(axis=-1)
         better = ~(new_norm >= norm[live])
         live = live[better]
@@ -294,22 +334,24 @@ def _mirror_reduced(n_sites: int, g, jbar):
 
     They act on the last axis of a stack of y; ``g`` and ``jbar`` are
     scalars or hold one value per row, and the derivative functions take
-    the ids of the rows they are given (all rows by default).
+    the ids of the rows they are given (all rows by default).  They are
+    the functions of one :func:`~frustra.model._landscape`, and take their
+    points as given.
     """
     incidence = ring(n_sites).incidence
-    g, jbar = np.asarray(g, dtype=float), np.asarray(jbar, dtype=float)
+    energy, gradient, hessian = _landscape(n_sites, g, jbar)
 
     def expand(y):
         return y @ incidence.T
 
     def fun(y, rows=...):
-        return rescaled_energy(expand(y), g[rows], jbar[rows])
+        return energy(expand(y), rows)
 
     def jac(y, rows=...):
-        return energy_gradient(expand(y), g[rows], jbar[rows]) @ incidence
+        return gradient(expand(y), rows) @ incidence
 
     def hess_fn(y, rows=...):
-        return incidence.T @ energy_hessian(expand(y), g[rows], jbar[rows]) @ incidence
+        return incidence.T @ hessian(expand(y), rows) @ incidence
 
     return expand, fun, jac, hess_fn
 
@@ -362,8 +404,9 @@ def _seed_alphas(params: ModelParams, gc: float) -> list[tuple[int, float]]:
 
 def _canonical_frames(alphas: np.ndarray):
     """``(shifts, signs, errors)`` of a stack of frustrated configurations
-    (rows, N): ``sign * np.roll(row, -shift)`` is a row's canonical
-    representative, and ``sign * np.roll(canonical, shift)`` maps it back.
+    (rows, N): ``sign * row[(sites + shift) % N]`` is a row's canonical
+    representative, and ``sign * canonical[(sites - shift) % N]`` maps it
+    back.
 
     All neighbouring coherences are anti-aligned except the one
     ferromagnetic pair diametrically opposite the unpaired site.  A row
@@ -572,7 +615,9 @@ def enumerate_degenerate_ground_states(
     exhaustive mode one sign pattern per orbit of that group is minimized
     independently and the group generates the members from the
     global-energy tier; this validates the orbit construction for small
-    lattices.
+    lattices.  At ``logging.DEBUG`` the ``frustra.meanfield`` logger gets
+    one record per exhaustive call: the orbit rows, the Newton steps, the
+    stationary rows, the global tier and the members.
     """
     opts = opts or SolverOptions()
     if opts.seed_mode == "exhaustive":
@@ -597,14 +642,12 @@ def _enumerate_exhaustive(params: ModelParams):
 
     # one sign pattern per rotation/flip orbit, all rows of one full-space Newton stack
     seeds = np.array(orbit_patterns(n)) * scale
-    alphas, grad_norm, _, failures = _newton_minimize(
-        lambda a, rows: rescaled_energy(a, g, jbar),
-        lambda a, rows: energy_gradient(a, g, jbar),
-        lambda a, rows: energy_hessian(a, g, jbar), seeds)
+    energy, gradient, hessian = _landscape(n, g, jbar)
+    alphas, grad_norm, steps, failures = _newton_minimize(energy, gradient, hessian, seeds)
     settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
     stationary = settled[~(grad_norm[settled] > SOLUTION_GRAD_TOL)]
     ok, lowest = _isolated(
-        lambda a, rows: np.linalg.eigvalsh(energy_hessian(a, g, jbar)).min(axis=-1),
+        lambda a, rows: np.linalg.eigvalsh(hessian(a)).min(axis=-1),
         alphas[stationary], stationary, failures)
     if failures:
         raise failures[min(failures)]
@@ -612,7 +655,7 @@ def _enumerate_exhaustive(params: ModelParams):
     if not len(found):
         raise ConvergenceError("exhaustive enumeration found no stable minima")
 
-    energies = rescaled_energy(found, g, jbar)
+    energies = energy(found)
     global_tier = found[energies <= energies.min() + ENERGY_TOL]
     if _classify(np.abs(global_tier[0]).max(), jbar) is Phase.FSP:
         # Near g_c the mirror-odd direction is flat, so each member stops
@@ -620,7 +663,15 @@ def _enumerate_exhaustive(params: ModelParams):
         # reduced Newton does, so that copies of one minimum coincide to
         # rounding.
         global_tier = _polish_members(global_tier, params)
-    return [MeanFieldConfiguration(a, g, jbar) for a in _distinct_images(global_tier)]
+    members = _distinct_images(global_tier)
+    if log.isEnabledFor(logging.DEBUG):
+        (descent, endgame), (descent_total, endgame_total) = steps.max(axis=0), steps.sum(axis=0)
+        log.debug("exhaustive g=%r jbar=%r N=%d: %d orbit rows, descent steps %d max and "
+                  "%d total, endgame steps %d max and %d total, %d stationary rows, "
+                  "global tier of %d, %d members", g, jbar, n, len(seeds), descent,
+                  descent_total, endgame, endgame_total, len(stationary), len(global_tier),
+                  len(members))
+    return [MeanFieldConfiguration(a, g, jbar) for a in members]
 
 
 def _distinct_images(global_tier) -> np.ndarray:
@@ -644,7 +695,7 @@ def _distinct_images(global_tier) -> np.ndarray:
     return members
 
 
-def _polish_members(members: np.ndarray, params: ModelParams) -> list[np.ndarray]:
+def _polish_members(members: np.ndarray, params: ModelParams) -> np.ndarray:
     """Frustrated minima re-converged, as one stack, each in the
     mirror-symmetric subspace of its own frame.
 
@@ -652,35 +703,31 @@ def _polish_members(members: np.ndarray, params: ModelParams) -> list[np.ndarray
     pairs raised a member's energy beyond rounding, it is kept as found
     and the discrepancy logged.
     """
-    g, jbar = params.g, params.jbar
+    n, g, jbar = params.n_sites, params.g, params.jbar
     shifts, signs, errors = _canonical_frames(members)
     if errors:
         raise errors[min(errors)]
-    canonical = np.array([sign * np.roll(alphas, -shift)
-                          for alphas, shift, sign in zip(members, shifts, signs)])
-    incidence = ring(params.n_sites).incidence
-    expand, fun, jac, hess_fn = _mirror_reduced(
-        params.n_sites, np.full(len(members), g), np.full(len(members), jbar))
+    # every member into its canonical frame, and back, by one gather each
+    rows, sites, shifts = np.arange(len(members))[:, None], np.arange(n), np.array(shifts)[:, None]
+    canonical = signs[:, None] * members[rows, (sites + shifts) % n]
+    incidence = ring(n).incidence
+    expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
     # seeded from the mean of each mirror pair
     y, _, _, failures = _newton_minimize(fun, jac, hess_fn,
                                          canonical @ incidence / incidence.sum(axis=0))
     if failures:
         raise failures[min(failures)]
     snapped = expand(y)
-    e_free = rescaled_energy(canonical, g, jbar)
-    e_snapped = rescaled_energy(snapped, g, jbar)
-    polished = []
-    for alphas, shift, sign, free, locked, snap in zip(members, shifts, signs, e_free,
-                                                       e_snapped, snapped):
-        if locked > free + 1e-12 * max(1.0, abs(free)):
-            log.warning(
-                "symmetric polish raised the energy (%.3e -> %.3e); keeping the "
-                "unconstrained minimizer", free, locked,
-            )
-            polished.append(alphas)
-        else:
-            polished.append(sign * np.roll(snap, shift))
-    return polished
+    energy = _landscape(n, g, jbar)[0]
+    free, locked = energy(canonical), energy(snapped)
+    raised = locked > free + 1e-12 * np.fmax(1.0, np.abs(free))
+    for before, after in zip(free[raised].tolist(), locked[raised].tolist()):
+        log.warning(
+            "symmetric polish raised the energy (%.3e -> %.3e); keeping the "
+            "unconstrained minimizer", before, after,
+        )
+    polished = signs[:, None] * snapped[rows, (sites - shifts) % n]
+    return np.where(raised[:, None], members, polished)
 
 
 @dataclass(frozen=True)

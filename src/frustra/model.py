@@ -157,10 +157,7 @@ def rescaled_energy(alphas, g, jbar):
     row; a single configuration returns a float.
     """
     a = _check_alphas(alphas)
-    g, jbar = _per_row(g), _per_row(jbar)
-    right = a[..., ring(a.shape[-1]).right]
-    energy = np.sum(a * a - 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a)
-                    + 2.0 * jbar * a * right, axis=-1)
+    energy = _landscape(a.shape[-1], g, jbar)[0](a)
     return float(energy) if a.ndim == 1 else energy
 
 
@@ -172,11 +169,7 @@ def energy_gradient(alphas, g, jbar) -> np.ndarray:
     - 2 g^2 a_n / sqrt(1 + 4 g^2 a_n^2), cyclic in n.
     """
     a = _check_alphas(alphas)
-    g, jbar = _per_row(g), _per_row(jbar)
-    root = np.sqrt(1.0 + 4.0 * g * g * a * a)
-    tables = ring(a.shape[-1])
-    neighbours = a[..., tables.left] + a[..., tables.right]
-    return 2.0 * a + 2.0 * jbar * neighbours - 2.0 * g * g * a / root
+    return _landscape(a.shape[-1], g, jbar)[1](a)
 
 
 def energy_hessian(alphas, g, jbar) -> np.ndarray:
@@ -188,23 +181,72 @@ def energy_hessian(alphas, g, jbar) -> np.ndarray:
     first off-diagonals carry 2 jbar.
     """
     a = _check_alphas(alphas)
+    return _landscape(a.shape[-1], g, jbar)[2](a)
+
+
+def _landscape(n_sites: int, g, jbar):
+    """``(energy, gradient, hessian)`` of :func:`rescaled_energy` as
+    functions of a stack of configurations (rows, n_sites) and the ids of
+    its rows, with the per-row constants 4 g^2, 2 g^2 and 2 jbar computed
+    and the ring's neighbours looked up once.
+
+    ``g`` and ``jbar`` are scalars or hold one value per row; the ids
+    (all rows by default) pick a stack's values, and scalars need none.
+    The functions take the coherences as given, without a conversion or a
+    finiteness check: the public functions validate, and the Newton solver
+    checks the points it makes.  The arithmetic is the public functions'
+    own, operation for operation: 4.0 * g * g * a * a is evaluated left to
+    right, so it is (4.0 * g * g) * a * a, bit for bit.
+    """
     g, jbar = _per_row(g), _per_row(jbar)
-    n = a.shape[-1]
-    site, right = np.arange(n), ring(n).right
-    hess = np.zeros(a.shape + (n,))
-    hess[..., site, site] = _hessian_diagonal(a, g)
-    hess[..., site, right] = hess[..., right, site] = 2.0 * jbar
-    return hess
+    shared = g.ndim == jbar.ndim == 1  # two scalars: every row alike
+    if g.shape != jbar.shape and not shared:
+        g, jbar = np.broadcast_arrays(g, jbar)
+    with np.errstate(over="ignore"):  # see _diagonal
+        quad, curve, hop = 4.0 * g * g, 2.0 * g * g, 2.0 * jbar
+    tables = ring(n_sites)
+    left, right, site = tables.left, tables.right, np.arange(n_sites)
+
+    def at(rows):
+        if shared or rows is ...:
+            return quad, curve, hop
+        return quad[rows], curve[rows], hop[rows]
+
+    def energy(a, rows=...):
+        quad, _, hop = at(rows)
+        return np.add.reduce(a * a - 0.5 * np.sqrt(1.0 + quad * a * a)
+                             + hop * a * a[..., right], axis=-1)
+
+    def gradient(a, rows=...):
+        quad, curve, hop = at(rows)
+        root = np.sqrt(1.0 + quad * a * a)
+        return 2.0 * a + hop * (a[..., left] + a[..., right]) - curve * a / root
+
+    def hessian(a, rows=...):
+        quad, curve, hop = at(rows)
+        hess = np.zeros(a.shape + (n_sites,))
+        hess[..., site, site] = _diagonal(quad, curve, a)
+        hess[..., site, right] = hess[..., right, site] = hop
+        return hess
+
+    return energy, gradient, hessian
 
 
+# at huge couplings 4 g^2 or the power overflows to inf, and the term they
+# divide to its exact limit 0
+@np.errstate(over="ignore")
+def _diagonal(quad, curve, a):
+    """The Hessian diagonal 2 - 2 g^2 / (1 + 4 g^2 a^2)^{3/2} from the
+    constants ``quad`` = 4 g^2 and ``curve`` = 2 g^2, elementwise."""
+    return 2.0 - curve / (1.0 + quad * a * a) ** 1.5
+
+
+@np.errstate(over="ignore")
 def _hessian_diagonal(alphas, g):
     """The diagonal entries 2 - 2 g^2 / (1 + 4 g^2 a^2)^{3/2} of
     :func:`energy_hessian`, elementwise, with ``g`` broadcast against the
     coherences."""
-    # at huge couplings the power overflows to inf and the term to its
-    # exact limit 0
-    with np.errstate(over="ignore"):
-        return 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * alphas * alphas) ** 1.5
+    return _diagonal(4.0 * g * g, 2.0 * g * g, alphas)
 
 
 def atomic_cosines(alphas, g):

@@ -38,6 +38,7 @@ from frustra.meanfield import (
 from frustra.model import (
     MeanFieldConfiguration,
     ModelParams,
+    _landscape,
     critical_point,
     energy_gradient,
     energy_hessian,
@@ -491,20 +492,33 @@ class TestStackedSolve:
         # good rows on the mirror-reduced landscape, plus rows whose Hessian
         # is replaced: zero (singular endgame solve, which ends that row's
         # endgame), 1e-320 times the identity (a non-finite endgame step,
-        # DomainError) and NaN (a failing eigensolve, LinAlgError)
+        # DomainError), NaN (a failing eigensolve, LinAlgError) and, with a
+        # gradient of 1e300, 1e-320 times the identity again (a non-finite
+        # first line-search trial, DomainError)
         n, jbar = 5, 0.01
         gc = critical_point(jbar, n, "positive")
         rows = [(gc * (1 + r), None) for r in (1e-6, 1e-3, 1e-1)]
-        rows += [(gc * 1.01, 0.0), (gc * 1.02, 1e-320), (gc * 1.03, np.nan)]
+        rows += [(gc * 1.01, 0.0), (gc * 1.02, 1e-320), (gc * 1.03, np.nan),
+                 (gc * 1.04, 1e-320)]
+        huge_gradient = 6
         m = (n + 1) // 2
         seeds = [seed_alphas(params(jbar, g, n))[-1][:m] for g, _ in rows[:3]]
         seeds += [solve_ground_state(params(jbar, g, n)).config.alphas[:m] + 1e-9
                   for g, _ in rows[3:5]]
-        seeds.append(seed_alphas(params(jbar, rows[5][0], n))[-1][:m])
+        seeds += [seed_alphas(params(jbar, g, n))[-1][:m] for g, _ in rows[5:]]
 
         def run(picked):
-            _, fun, jac, hess = _mirror_reduced(n, [rows[i][0] for i in picked],
-                                                [jbar] * len(picked))
+            _, energy, grad, hess = _mirror_reduced(n, [rows[i][0] for i in picked],
+                                                    [jbar] * len(picked))
+
+            def fun(y, ids):
+                assert np.isfinite(y).all()  # a non-finite trial fails before it is read
+                return energy(y, ids)
+
+            def jac(y, ids):
+                out = grad(y, ids)
+                out[[picked[row] == huge_gradient for row in ids]] = 1e300
+                return out
 
             def hess_fn(y, ids):
                 out = hess(y, ids)
@@ -513,12 +527,15 @@ class TestStackedSolve:
                     if scale is not None:
                         out[k] = scale * np.eye(m)
                 return out
-            return _newton_minimize(fun, jac, hess_fn, np.array([seeds[i] for i in picked]))
+            with np.errstate(over="ignore", invalid="ignore"):  # the 1e309 step
+                return _newton_minimize(fun, jac, hess_fn, np.array([seeds[i] for i in picked]))
 
         x, norm, steps, failures = run(list(range(len(rows))))
         assert {row: type(exc) for row, exc in failures.items()} == {
-            4: DomainError, 5: np.linalg.LinAlgError}
+            4: DomainError, 5: np.linalg.LinAlgError, huge_gradient: DomainError}
         assert steps[3, 1] == 0 and np.array_equal(x[3], seeds[3])
+        assert not steps[huge_gradient].any()
+        assert np.array_equal(x[huge_gradient], seeds[huge_gradient])
         for i in range(len(rows)):
             x1, norm1, steps1, failures1 = run([i])
             assert type(failures1.get(0)) is type(failures.get(i))
@@ -563,6 +580,74 @@ class TestStackedSolve:
             x1, norm1, steps1, _ = run(seeds[i:i + 1])
             assert np.array_equal(x1[0], x[i]) and norm1[0] == norm[i]
             assert np.array_equal(steps1[0], steps[i])
+
+    def test_mixed_line_search_gives_each_row_its_one_row_iteration(self):
+        # the indefinite (-, -, +) seed backtracks once; the solver's
+        # frustrated seed and a third pattern take every full step
+        point = params(0.05, critical_point(0.05, 3, "positive") * 1.02)
+        energy, gradient, hessian = _landscape(3, point.g, point.jbar)
+        seeds = np.array([[-0.04, -0.04, 0.04], seed_alphas(point)[0], [0.3, -0.2, -0.25]])
+
+        def run(x0):
+            trials = [[] for _ in x0]  # per row, every point its energy was read at
+
+            def fun(a, rows):
+                for row, point in zip(rows.tolist(), a):
+                    trials[row].append(point.tobytes())
+                return energy(a, rows)
+            return (*_newton_minimize(fun, gradient, hessian, x0), trials)
+
+        x, norm, steps, failures, trials = run(seeds)
+        assert not failures
+        assert len(trials[0]) > 1 + steps[0, 0]  # a backtracking trial
+        assert [len(trials[i]) for i in (1, 2)] == [1 + steps[i, 0] for i in (1, 2)]
+        for i in range(len(seeds)):
+            x1, norm1, steps1, _, trials1 = run(seeds[i:i + 1])
+            assert np.array_equal(x1[0], x[i]) and norm1[0] == norm[i]
+            assert np.array_equal(steps1[0], steps[i]) and trials1[0] == trials[i]
+
+    def test_full_step_iteration_reads_the_energy_once(self):
+        point = params(0.05, critical_point(0.05, 3, "positive") * 1.02)
+        energy, gradient, hessian = _landscape(3, point.g, point.jbar)
+        reads = []
+
+        def fun(a, rows):
+            reads.append(rows.tolist())
+            return energy(a, rows)
+
+        _, _, steps, failures = _newton_minimize(
+            fun, gradient, hessian, np.array([seed_alphas(point)[0], [0.3, -0.2, -0.25]]))
+        assert not failures and steps[:, 0].min() >= 3
+        # the seeds' energies, then one read per descent iteration
+        assert len(reads) == 1 + steps[:, 0].max()
+        assert reads[:1 + steps[:, 0].min()] == [[0, 1]] * (1 + steps[:, 0].min())
+
+    def test_debug_record_per_oracle_call(self, caplog, monkeypatch):
+        point = params(0.01, critical_point(0.01, 5, "positive") * 1.05, 5)
+        newton, runs = meanfield._newton_minimize, []
+
+        def spy(*args):
+            runs.append(newton(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(meanfield, "_newton_minimize", spy)
+        exhaustive = SolverOptions(seed_mode="exhaustive")
+        enumerate_degenerate_ground_states(point, exhaustive)
+        assert not [r for r in caplog.records if r.name == "frustra.meanfield"]
+        runs.clear()
+        with caplog.at_level(logging.DEBUG, logger="frustra.meanfield"):
+            members = enumerate_degenerate_ground_states(point, exhaustive)
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "frustra.meanfield"]
+        # the oracle's full-space stack; the polish runs after it
+        _, grad_norm, steps, _ = runs[0]
+        (descent, endgame), (descent_total, endgame_total) = steps.max(axis=0), steps.sum(axis=0)
+        assert record.startswith(f"exhaustive g={point.g!r} jbar=0.01 N=5: "
+                                 f"{len(orbit_patterns(5))} orbit rows, ")
+        assert (f"descent steps {descent} max and {descent_total} total, endgame steps "
+                f"{endgame} max and {endgame_total} total") in record
+        stationary = np.count_nonzero(grad_norm <= SOLUTION_GRAD_TOL)
+        assert record.endswith(f", {stationary} stationary rows, global tier of 1, 10 members")
+        assert len(members) == 10
 
     def test_debug_record_per_solved_point(self, caplog):
         gc = critical_point(0.01, 5, "positive")
@@ -652,6 +737,30 @@ class TestStackedSolve:
         (record,) = [r.getMessage() for r in caplog.records if r.name == "frustra.meanfield"]
         assert "2 seeds tried, 2 passed" in record and "seed 1 won" in record
         assert solution.phase is Phase.FSP
+
+
+class TestRawGufuncs:
+    """The Newton solver calls the gufuncs behind numpy.linalg.eigh and
+    numpy.linalg.solve directly; a numpy upgrade that changes them fails
+    here first."""
+
+    def test_bitwise_equal_to_numpy_linalg(self):
+        rng = np.random.default_rng(20)
+        for m in (2, 3, 4, 8):
+            a = rng.normal(size=(6, m, m))
+            sym, b = a + np.swapaxes(a, -1, -2), rng.normal(size=(6, m, 1))
+            (w, v), (w_np, v_np) = meanfield._eigh(sym), np.linalg.eigh(sym)
+            assert np.array_equal(w, w_np) and np.array_equal(v, v_np)
+            assert np.array_equal(meanfield._solve(a, b), np.linalg.solve(a, b))
+
+    def test_failures_raise_linalg_error(self):
+        nan, singular = np.full((2, 3, 3), np.nan), np.zeros((1, 3, 3))
+        for eigh in (meanfield._eigh, np.linalg.eigh):
+            with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+                eigh(nan)
+        for solve in (meanfield._solve, np.linalg.solve):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                solve(singular, np.ones((1, 3, 1)))
 
 
 class TestHessianCriticalModes:

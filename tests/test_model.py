@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -167,6 +169,23 @@ class TestHessian:
                 jbar = rng.uniform(-0.4, 0.9)
                 assert_allclose(energy_hessian(a, g, jbar), fd_hessian(a, g, jbar),
                                 atol=1e-5)
+
+    @pytest.mark.parametrize("g", [1e120, 1e150, 9e153])
+    def test_diagonal_reaches_its_limit_silently_at_huge_couplings(self, g):
+        # (1 + 4 g^2 a^2)^(3/2) overflows to inf (at 9e153 already 4 g^2
+        # does), and the diagonal takes its exact limit 2
+        a = np.array([0.3, -1.0, 1e-10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hess = energy_hessian(a, g, 0.01)
+        assert np.array_equal(np.diag(hess), np.full(3, 2.0))
+
+
+@pytest.mark.parametrize("function", [rescaled_energy, energy_gradient, energy_hessian])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_landscape_rejects_nonfinite_coherences(function, bad):
+    with pytest.raises(DomainError, match="finite"):
+        function(np.array([[0.1, 0.2, 0.3], [0.1, bad, 0.3]]), 1.2, 0.01)
 
 
 class TestAtomicAngles:

@@ -7,8 +7,9 @@ identities, the package's split-form Cholesky-SVD route against the
 test-side generic Cholesky/real-Schur reference, the momentum-block path
 of the uniform phases against the Williamson reference, the oracle's image
 dedupe against the image-by-image reference, the CSV wire format and
-writer against the one-``repr``-per-value reference, and the array noise
-trim against the point-by-point walk."""
+writer against the one-``repr``-per-value reference, the array noise
+trim against the point-by-point walk, and the landscape kernel and the
+public energy functions against the per-call reference."""
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ from frustra.meanfield import (
 )
 from frustra.model import (
     ModelParams,
+    _hessian_diagonal,
+    _landscape,
     critical_point,
     energy_gradient,
     energy_hessian,
@@ -50,6 +53,7 @@ from frustra.model import (
 from frustra.scaling import SweepSpec, asymptotic_mask, run_sweep
 from csv_reference import sweep_table, table_csv, table_points
 from exhaustive_reference import enumerate_all_sign_patterns, images_one_at_a_time
+import landscape_reference
 from mask_reference import asymptotic_mask_walk
 from williamson_reference import _williamson_generic
 
@@ -472,3 +476,55 @@ def test_noise_trim_on_fixed_cases(reduced, values, kept, diverging):
     case = (np.array(reduced, dtype=float), values, 0.0, diverging)
     assert np.array_equal(asymptotic_mask(*case), asymptotic_mask_walk(*case))
     assert asymptotic_mask(*case).tolist() == kept
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+#: couplings up to 1e154, where 4 g^2 and the Hessian's power overflow
+kernel_couplings = st.one_of(signed_zeros, st.floats(0.0, 10.0), st.floats(0.0, 1e154))
+kernel_hoppings = st.one_of(signed_zeros, st.floats(-0.5, 1.0))
+coherences = st.one_of(signed_zeros, st.floats(-10.0, 10.0), st.floats(-1e-30, 1e-30))
+
+
+@st.composite
+def landscape_stacks(draw):
+    """(alphas, g, jbar): one configuration, or a stack of them whose g and
+    jbar are each a scalar or one value per row, at any odd N from 3 to 15."""
+    n = draw(st.sampled_from(range(3, 16, 2)))
+    rows = draw(st.sampled_from([None, 1, 2, 5]))
+    shape = (n,) if rows is None else (rows, n)
+    size = n if rows is None else rows * n
+    alphas = np.array(draw(st.lists(coherences, min_size=size, max_size=size))).reshape(shape)
+
+    def value(values):
+        if rows is None or draw(st.booleans()):
+            return draw(values)
+        return np.array(draw(st.lists(values, min_size=rows, max_size=rows)))
+    return alphas, value(kernel_couplings), value(kernel_hoppings)
+
+
+def _bits(value):
+    return np.asarray(value).shape, np.asarray(value).tobytes()
+
+
+@PROPERTY
+@given(landscape_stacks())
+def test_landscape_kernel_returns_the_reference_bits(case):
+    alphas, g, jbar = case
+    public = (rescaled_energy, energy_gradient, energy_hessian)
+    reference = (landscape_reference.rescaled_energy, landscape_reference.energy_gradient,
+                 landscape_reference.energy_hessian)
+    with np.errstate(all="ignore"):  # the overflows and inf/inf of huge couplings
+        kernel = _landscape(alphas.shape[-1], g, jbar)
+        for public_fn, reference_fn, kernel_fn in zip(public, reference, kernel):
+            expected = reference_fn(alphas, g, jbar)
+            got = public_fn(alphas, g, jbar)
+            assert type(got) is type(expected) and _bits(got) == _bits(expected)
+            assert _bits(kernel_fn(alphas)) == _bits(expected)
+            if alphas.ndim == 2:  # a subset of the rows, picked by their ids
+                ids = np.arange(len(alphas))[::2]
+                picked = [value[ids] if np.ndim(value) else value for value in (g, jbar)]
+                assert _bits(kernel_fn(alphas[ids], ids)) == _bits(
+                    reference_fn(alphas[ids], *picked))
+        per_site = g[:, None] if np.ndim(g) else g
+        assert _bits(_hessian_diagonal(alphas, per_site)) == _bits(
+            landscape_reference._hessian_diagonal(alphas, per_site))
