@@ -18,8 +18,8 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, fields
-from itertools import compress, groupby
-from operator import add, itemgetter
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -129,78 +129,63 @@ def _table_rows(table) -> list[dict]:
                                              mask[i].tolist()) if present]
 
 
-def _table_csv(table) -> str:
-    """The CSV writer of every command.  A table is (g, reduced_coupling,
-    columns): arrays over its points, and per column (observable, labels,
-    values, mask), with values and mask of shape (points, labels).  A
-    point's lines are its columns' present values in label order."""
-    # the generator's formatting tables are freed before the join allocates
-    # the text
-    return "".join(_csv_chunks(table))
-
-
 def _csv_chunks(table):
-    """The CSV header, then each point's lines as one string.  Each distinct
-    value is formatted once per table, keyed by its bit pattern so that 0.0
-    and -0.0 stay apart, and each point's g and reduced coupling and each
-    column's ``observable,label,`` prefixes once."""
+    """The CSV writer of every command: the header, then each point's lines
+    as one string.  A table is (g, reduced_coupling, columns): arrays over
+    its points, and per column (observable, labels, values, mask), with
+    values and mask of shape (points, labels).  A point's lines are its
+    columns' present values in label order.  Each distinct value is
+    formatted once per table, keyed by its bit pattern so that 0.0 and -0.0
+    stay apart; a line is its column's ``observable,label,`` prefix plus its
+    value's text, both picked by index, and a point's lines are joined
+    behind its ``g,reduced_coupling,`` head in one call."""
     g, reduced, columns = table
-    prefixes = [f"{observable},{label}," for observable, labels, _, _ in columns
-                for label in labels.tolist()]
     none = np.empty((len(g), 0))  # a table may have no columns
     bits = np.hstack([none, *(values for _, _, values, _ in columns)]).view(np.int64)
     mask = np.hstack([none.astype(bool), *(mask for _, _, _, mask in columns)])
-    keys = list(dict.fromkeys(bits[mask].tolist()))
-    text = dict(zip(keys, map(float.__repr__,
-                              np.array(keys, dtype=np.int64).view(float).tolist())))
+    point_of, column_of = np.nonzero(mask)  # the present values, in row order
+    keys, value_of = np.unique(bits[point_of, column_of], return_inverse=True)
+    text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+    prefixes = np.array([f"{observable},{label}," for observable, labels, _, _ in columns
+                         for label in labels.tolist()], dtype=object)
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
     yield "g,reduced_coupling,observable,index,value\n"
-    for i, (g_i, reduced_i) in enumerate(zip(g.tolist(), reduced.tolist())):
-        present = mask[i].tolist()
-        if any(present):
+    for g_i, reduced_i, start, end in zip(g.tolist(), reduced.tolist(), [0, *ends], ends):
+        if end > start:
             head = f"{g_i!r},{reduced_i!r},"
-            yield head + f"\n{head}".join(map(
-                add, compress(prefixes, present),
-                map(text.__getitem__, compress(bits[i].tolist(), present)))) + "\n"
+            lines = prefixes[column_of[start:end]] + text[value_of[start:end]]
+            yield head + f"\n{head}".join(lines.tolist()) + "\n"
 
 
-def rows_to_csv(rows) -> str:
-    """CSV text of row dicts (as :func:`csv_to_rows` returns them): a table
-    with one point per row and one column per (observable, index) pair."""
-    keys: dict = {}
-    column = [keys.setdefault((row["observable"], row["index"]), len(keys)) for row in rows]
-    points, shape = np.arange(len(rows)), (len(rows), len(keys))
-    values, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
-    values[points, column], mask[points, column] = [row["value"] for row in rows], True
-    return _table_csv((np.array([row["g"] for row in rows], dtype=float),
-                       np.array([row["reduced_coupling"] for row in rows], dtype=float),
-                       [(observable, np.array([index]), values[:, [k]], mask[:, [k]])
-                        for k, (observable, index) in enumerate(keys)]))
+#: One results row as its fields' C-encoded lines, without the braces.
+_ROW = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
 
 
-def csv_to_rows(text: str):
-    lines = [line.split(",") for line in text.splitlines() if line.strip()][1:]
-    return [{"g": float(g), "reduced_coupling": float(reduced), "observable": observable,
-             "index": index, "value": float(value)}
-            for g, reduced, observable, index, value in lines]
-
-
-def _emit(config: RunConfig, table, warnings) -> str:
+def _emit(config: RunConfig, table, warnings):
+    """The output text in pieces: the CSV table point by point, so that only
+    one point's text is built at a time, or the JSON document.  The JSON is
+    ``json.dumps(..., sort_keys=True, indent=1)`` byte for byte, but only
+    its frame goes through that call (an indent makes ``json`` encode in
+    Python); each results row is C-encoded and set in the row's braces."""
     if config.format == "csv":
-        return _table_csv(table)
-    payload = {
+        return _csv_chunks(table)
+    frame = json.dumps({
         "config": {key: getattr(config, key) for key in sorted(_CONFIG_KEYS | {"command"})},
-        "results": _table_rows(table),
+        "results": [],
         "warnings": list(warnings),
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    }, sort_keys=True, indent=1)
+    rows = ",\n".join(f"  {{\n   {_ROW.encode(row)[1:-1]}\n  }}" for row in _table_rows(table))
+    if rows:  # JSON escapes the quotes inside strings, so only the frame holds this key
+        frame = frame.replace('"results": []', f'"results": [\n{rows}\n ]')
+    return [frame + "\n"]
 
 
-def _write(config: RunConfig, text: str) -> None:
+def _write(config: RunConfig, pieces) -> None:
     if config.output:
         with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------

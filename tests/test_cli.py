@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -9,8 +10,8 @@ import pytest
 
 import frustra
 from frustra import cli, scaling
-from frustra.cli import csv_to_rows, main, rows_to_csv
-from csv_reference import table_csv, table_points
+from frustra.cli import main
+from csv_reference import csv_to_rows, package_csv, rows_to_csv, table_csv, table_points
 
 
 def run_cli(capsys, *argv):
@@ -410,10 +411,38 @@ def test_single_point_commands_write_one_point_tables(capsys, argv, head):
     table, _ = cli._COMMANDS[config.command](config)
     (g,), (reduced,), columns = table
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and out == cli._table_csv(table) == table_csv(table_points(table))
+    assert code == 0 and out == package_csv(table) == table_csv(table_points(table))
     assert all(mask.all() and values.shape == (1, len(labels))
                for _, labels, values, mask in columns)
     assert [row["observable"] for row in csv_to_rows(out)][:len(head)] == head
+
+
+_SPECIAL = np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, 5e-324]])
+
+
+@pytest.mark.parametrize("table, warnings", [
+    ((np.array([1.5, -0.0]), np.array([0.5, np.inf]),
+      [("a", np.array(["1", "é"]), _SPECIAL[:, :2], np.ones((2, 2), dtype=bool)),
+       ("b\u00e9", np.array([""]), _SPECIAL[:, 2:], np.array([[True], [False]]))]),
+     ["naïve — ü", "a \"quoted\" \\ line\nbreak", '"results": []']),
+    ((np.array([1.5]), np.array([0.5]), [("a", np.array(["1"]), _SPECIAL[:1, :1],
+                                          np.ones((1, 1), dtype=bool))]), []),
+    ((np.array([]), np.array([]), []), ["only a warning"]),
+    ((np.array([2.0]), np.array([1.0]), []), []),
+])
+def test_json_writer_matches_indented_dumps(table, warnings):
+    # the rows are C-encoded inside their braces; the document must still be
+    # json.dumps(..., sort_keys=True, indent=1) byte for byte, with NaN,
+    # +-inf, -0.0, non-ASCII and escaped text, and empty results or warnings
+    config = cli._merge_config(cli.build_parser().parse_args(
+        ["sweep", "--format", "json", "--output", "répertoire/out.json"]))
+    results = [{"g": g, "reduced_coupling": reduced, "observable": name, "index": label,
+                "value": value}
+               for g, reduced, columns in table_points(table)
+               for name, labels, values in columns for label, value in zip(labels, values)]
+    expected = json.dumps({"config": dataclasses.asdict(config), "results": results,
+                           "warnings": warnings}, sort_keys=True, indent=1) + "\n"
+    assert "".join(cli._emit(config, table, warnings)) == expected
 
 
 class TestParser:

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from frustra.cli import _table_csv, csv_to_rows, rows_to_csv
 from frustra.fluctuations import (
     analytic_nfsp_spectrum,
     analytic_np_spectrum,
@@ -51,7 +50,14 @@ from frustra.model import (
     ring,
 )
 from frustra.scaling import SweepSpec, asymptotic_mask, run_sweep
-from csv_reference import sweep_table, table_csv, table_points
+from csv_reference import (
+    csv_to_rows,
+    package_csv,
+    rows_to_csv,
+    sweep_table,
+    table_csv,
+    table_points,
+)
 from exhaustive_reference import enumerate_all_sign_patterns, images_one_at_a_time
 import landscape_reference
 from mask_reference import asymptotic_mask_walk
@@ -399,30 +405,53 @@ def sweep_tables(draw):
 @PROPERTY
 @given(sweep_tables())
 def test_csv_writer_matches_one_repr_per_value(table):
-    text = _table_csv(table)
+    text = package_csv(table)
     assert text == table_csv(table_points(table))
     assert "nan" not in text
 
 
 def test_csv_writer_matches_one_repr_per_value_on_fixed_tables():
     # both zeros in one column and within one point, a repeated value, a
-    # column absent at a point and a point with no value present; then the
-    # table of `frustra sweep --jbar -0.01 --sites 21`: 102 points of
-    # N = 21 whose values mostly repeat within their point
+    # column absent at a point and a point with no value present; then
+    # repr's edge values, tables with no point or no column, and the table
+    # of `frustra sweep --jbar -0.01 --sites 21`: 102 points of N = 21
+    # whose values mostly repeat within their point
     nan = np.nan
     a = np.array([[0.0, -0.0, 0.25], [nan, nan, nan], [-0.0, 0.25, 0.0]])
     b = np.array([[-0.0, 0.25], [nan, nan], [nan, nan]])
     table = (np.array([1.5, 2.5, -0.0]), np.array([0.5, 1.5, 0.0]),
              [("a", np.array(["1", "2", "3"]), a, ~np.isnan(a)),
               ("b", np.array(["1", "2"]), b, ~np.isnan(b))])
-    text = _table_csv(table)
+    text = package_csv(table)
     assert text == table_csv(table_points(table))
     assert text.splitlines()[1:] == [
         "1.5,0.5,a,1,0.0", "1.5,0.5,a,2,-0.0", "1.5,0.5,a,3,0.25",
         "1.5,0.5,b,1,-0.0", "1.5,0.5,b,2,0.25",
         "-0.0,0.0,a,1,-0.0", "-0.0,0.0,a,2,0.25", "-0.0,0.0,a,3,0.0"]
+    # the values at which repr switches notation or precision, the infinities
+    # and a present NaN under two bit patterns, each printed as its repr
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+    c = np.array([[np.inf, -np.inf, 5e-324, 1e16, 9999999999999998.0, 1e-5, 1e-4, *nans],
+                  [1e-4, nans[1], 1e-5, -5e-324, 1e16, 0.0001, nans[0], -np.inf, np.inf]])
+    assert len(set(c.view(np.int64)[np.isnan(c)].tolist())) == 2
+    table = (np.array([1e16, 9999999999999998.0]), np.array([1e-5, 1e-4]),
+             [("c", np.array([str(k) for k in range(9)]), c, np.ones(c.shape, dtype=bool))])
+    text = package_csv(table)
+    assert text == table_csv(table_points(table))
+    assert text.splitlines()[1:8] == [
+        "1e+16,1e-05,c,0,inf", "1e+16,1e-05,c,1,-inf", "1e+16,1e-05,c,2,5e-324",
+        "1e+16,1e-05,c,3,1e+16", "1e+16,1e-05,c,4,9999999999999998.0",
+        "1e+16,1e-05,c,5,1e-05", "1e+16,1e-05,c,6,0.0001"]
+    assert text.count(",nan\n") == 4
+    # a table with no point, and tables whose points have no column
+    header = "g,reduced_coupling,observable,index,value\n"
+    empty = np.empty((0, 2))
+    for table in [(np.array([]), np.array([]), [("a", np.array(["1", "2"]), empty,
+                                                 empty.astype(bool))]),
+                  (np.array([]), np.array([]), []), (np.array([1.5, 2.5]), np.ones(2), [])]:
+        assert package_csv(table) == table_csv(table_points(table)) == header
     table = sweep_table(run_sweep(SweepSpec(jbar=-0.01, n_sites=21)))
-    text = _table_csv(table)
+    text = package_csv(table)
     assert text == table_csv(table_points(table))
     assert "nan" not in text
 

@@ -22,6 +22,7 @@ from frustra.scaling import (
     lowest_decade_fit,
     run_sweep,
 )
+from csv_reference import csv_to_rows
 
 
 def params(jbar, g=1.0, n=3):
@@ -522,7 +523,7 @@ class TestSweepTable:
 
         # the CLI writes the table's rows, unique and in row order
         assert cli.main(["sweep", *flags.split()]) == 0
-        written = cli.csv_to_rows(capsys.readouterr().out)
+        written = csv_to_rows(capsys.readouterr().out)
         keys = [(row["g"], row["observable"], row["index"]) for row in written]
         assert keys == sorted(set(keys))
         assert written == [{"g": r.g, "reduced_coupling": r.reduced_coupling,
