@@ -195,7 +195,7 @@ def _write(config: RunConfig, pieces) -> None:
 def cmd_critical_point(config: RunConfig):
     gc = model.critical_point(config.jbar, config.sites,
                               model.default_hopping_sign(config.jbar))
-    g_eval = config.g if config.g is not None else gc
+    g_eval = gc if config.g is None else config.params().g  # ModelParams rejects a bad --g
     rows = [("g_c", "", gc)] + [("origin_hessian_eigenvalue", t, lam) for t, lam in enumerate(
         model.origin_hessian_eigenvalues(g_eval, config.jbar, config.sites), start=1)]
     return _one_point(g_eval, abs(g_eval - gc) / gc, rows), []
@@ -231,7 +231,7 @@ def cmd_spectrum(config: RunConfig):
     params = config.params()
     gc = params.critical_coupling()
     solution = meanfield.solve_ground_state(params)
-    form = fluctuations.build_quadratic_hamiltonian(solution, params)
+    form = fluctuations.build_quadratic_hamiltonian(solution)
     decomp = fluctuations.williamson_diagonalize(form)
     rows = [("excitation_energy", mode, eps)
             for mode, eps in enumerate(decomp.symplectic_eigenvalues, start=1)]

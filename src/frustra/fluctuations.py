@@ -32,7 +32,7 @@ from .meanfield import (
     GroundStateSolution,
     Phase,
     _fix_sign,
-    _require_lattice_point,
+    _require_minimum,
     _uniform_rows,
 )
 from .model import ModelParams, atomic_cosines, ring
@@ -159,29 +159,18 @@ class ModeWeights:
 # building the quadratic Hamiltonian
 
 
-def _require_minimum(solution: GroundStateSolution, params: ModelParams) -> None:
-    """The quadratic expansion holds only about a converged minimum of the
-    lattice point ``params`` describes."""
-    if not solution.converged:
-        raise ValidationError(
-            "quadratic expansion requires a converged minimum "
-            f"(gradient norm {solution.grad_norm:.2e})"
-        )
-    _require_lattice_point(solution, params)
-
-
-def _per_point(params_seq):
-    """omega0, Omega, g and jbar of the points, each as a column."""
-    return (np.array([getattr(params, name) for params in params_seq])[:, None]
+def _per_point(solutions):
+    """omega0, Omega, g and jbar of the solutions' points, each as a column."""
+    return (np.array([getattr(solution.params, name) for solution in solutions])[:, None]
             for name in ("omega0", "Omega", "g", "jbar"))
 
 
-def _split_hamiltonian(solutions, params_seq) -> np.ndarray:
+def _split_hamiltonian(solutions) -> np.ndarray:
     """Position and momentum blocks H_x, H_p of the fluctuation forms at
     minima of one lattice size, over (q_1, Q_1, ..., q_N, Q_N) and
     (p_1, P_1, ..., p_N, P_N), as one array of shape (points, 2, 2N, 2N):
     ``[:, 0]`` holds H_x and ``[:, 1]`` H_p."""
-    omega0, Omega, g, jbar = _per_point(params_seq)
+    omega0, Omega, g, jbar = _per_point(solutions)
     alphas = np.array([solution.config.alphas for solution in solutions])
     n = alphas.shape[-1]
     cos_theta, cos_phi = atomic_cosines(alphas, g)
@@ -199,14 +188,18 @@ def _split_hamiltonian(solutions, params_seq) -> np.ndarray:
 
 
 def build_quadratic_hamiltonian(solution: GroundStateSolution,
-                                params: ModelParams) -> QuadraticForm:
-    """Assemble the fluctuation Hamiltonian at a verified minimum."""
-    _require_minimum(solution, params)
-    hx, hp = _split_hamiltonian([solution], [params])[0]
+                                params: ModelParams | None = None) -> QuadraticForm:
+    """Assemble the fluctuation Hamiltonian at a converged minimum and its
+    ``solution.params``; a given ``params`` must equal those."""
+    # params goes once the benchmark stops passing it (ROADMAP item 1)
+    if params is not None and params != solution.params:
+        raise ValidationError(f"params {params} differ from the solution's {solution.params}")
+    _require_minimum([solution])
+    hx, hp = _split_hamiltonian([solution])[0]
     matrix = np.zeros((2 * len(hx), 2 * len(hx)))
     matrix[0::2, 0::2] = hx
     matrix[1::2, 1::2] = hp
-    return QuadraticForm(matrix, omega0=params.omega0)
+    return QuadraticForm(matrix, omega0=solution.params.omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +487,7 @@ class SiteMoments:
         return (self.var_q + self.var_p - 1.0) / 2.0
 
 
-def _momentum_moments(solutions, params_seq):
+def _momentum_moments(solutions):
     """Spectra and cavity moments of normal or uniform superradiant states,
     stacked over the points, from their N lattice-momentum blocks, without
     the 4N x 4N form.
@@ -508,7 +501,7 @@ def _momentum_moments(solutions, params_seq):
     G = H_p^{1/2} H_x H_p^{1/2}.  With s = e_- e_+ and t = e_- + e_+ the 2 x 2
     roots are G^{1/2} = (G + s) / t and G^{-1/2} = (tr G + s - G) / (t s).
     """
-    omega0, Omega, g, jbar = _per_point(params_seq)
+    omega0, Omega, g, jbar = _per_point(solutions)
     alpha = np.array([solution.config.alphas[0] for solution in solutions])[:, None]
     cos_theta, cos_phi = atomic_cosines(alpha, g)
     freq_atom = -Omega / cos_theta
@@ -532,23 +525,23 @@ def _momentum_moments(solutions, params_seq):
     return {"var_q": var_q, "var_p": var_p, "eps": eps}, errors
 
 
-def _sector_blocks(solutions, params_seq):
+def _sector_blocks(solutions):
     """The position and momentum blocks of the forms projected onto the
     mirror-even and mirror-odd sectors, whose site-space bases of the ring
     table are lifted to the (cavity, atom) interleaving."""
-    blocks = _split_hamiltonian(solutions, params_seq)
+    blocks = _split_hamiltonian(solutions)
     tables = ring(blocks.shape[-1] // 2)
     return [lift @ blocks @ lift.T
             for lift in (np.kron(basis, np.eye(2)) for basis in (tables.even, tables.odd))]
 
 
-def _sector_moments(solutions, params_seq):
+def _sector_moments(solutions):
     """Spectra and cavity moments of frustrated states, stacked over the
     points, through the exact mirror-sector split: the unpaired site lives
     entirely in the mirror-even sector, which stays well conditioned
     arbitrarily close to the critical point; the paired sites need the
     mirror-odd (frustrated) sector too."""
-    even, odd = (_SplitModes(sector) for sector in _sector_blocks(solutions, params_seq))
+    even, odd = (_SplitModes(sector) for sector in _sector_blocks(solutions))
     stable, resolved = even.resolvable, even.resolvable & odd.resolvable
     n = solutions[0].config.n_sites
     var_q, var_p = np.full((2, len(solutions), n), np.nan)
@@ -572,9 +565,10 @@ def _sector_moments(solutions, params_seq):
             "eps_odd": np.where(resolved[:, None], odd.eps, np.nan)}, errors
 
 
-def site_moments(solutions, params_seq) -> SiteMoments:
-    """Cavity moments of a non-empty stack of ground states of one lattice
-    size, in any phase, as one :class:`SiteMoments` stack over the points.
+def site_moments(solutions) -> SiteMoments:
+    """Cavity moments of a non-empty stack of converged ground states of
+    one lattice size, in any phase, at each solution's own ``params``, as
+    one :class:`SiteMoments` stack over the points.
 
     Each point's route follows from its phase, and each route runs once,
     stacked over its points: normal and uniform points go through their
@@ -585,8 +579,7 @@ def site_moments(solutions, params_seq) -> SiteMoments:
     """
     if not solutions:
         raise ValidationError("site moments need at least one point")
-    for solution, params in zip(solutions, params_seq):
-        _require_minimum(solution, params)
+    _require_minimum(solutions)
     n = solutions[0].config.n_sites
     stack = {name: np.full((len(solutions), width), np.nan) for name, width in (
         ("var_q", n), ("var_p", n), ("eps", 2 * n), ("eps_even", n + 1), ("eps_odd", n - 1))}
@@ -599,29 +592,28 @@ def site_moments(solutions, params_seq) -> SiteMoments:
     for route, rows in ((_momentum_moments, ~frustrated), (_sector_moments, frustrated)):
         points = np.flatnonzero(rows)
         if len(points):
-            values, errors[points] = route([solutions[i] for i in points],
-                                           [params_seq[i] for i in points])
+            values, errors[points] = route([solutions[i] for i in points])
             for name, block in values.items():
                 stack[name][points] = block
     return SiteMoments(**stack, errors=tuple(errors))
 
 
-def fsp_site_moments(solution: GroundStateSolution, params: ModelParams) -> SiteMoments:
+def fsp_site_moments(solution: GroundStateSolution) -> SiteMoments:
     """Cavity moments of a frustrated ground state via the exact mirror-sector
     split: :func:`site_moments` on a stack of one point, raising its
     :class:`InstabilityError` instead of recording it."""
     if solution.phase is not Phase.FSP:
         raise PhaseError("mirror-sector moments require the frustrated phase")
-    moments = site_moments([solution], [params])
+    moments = site_moments([solution])
     if moments.errors[0] is not None:
         raise moments.errors[0]
     return moments
 
 
-def fsp_sector_spectra(solution: GroundStateSolution, params: ModelParams):
+def fsp_sector_spectra(solution: GroundStateSolution):
     """(mirror-even, mirror-odd) symplectic spectra of a frustrated state,
     read from :func:`site_moments` on a stack of one point; either part is
     None when numerically unresolvable."""
-    moments = site_moments([solution], [params])
+    moments = site_moments([solution])
     return tuple(None if np.isnan(eps[0, 0]) else eps[0]
                  for eps in (moments.eps_even, moments.eps_odd))

@@ -34,11 +34,9 @@ from .model import (
     _hessian_diagonal,
     _landscape,
     critical_point,
-    energy_gradient,
     energy_hessian,
     group_images,
     orbit_patterns,
-    rescaled_energy,
     ring,
 )
 
@@ -81,17 +79,25 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class GroundStateSolution:
-    """A verified global minimizer with its phase and gradient residual.
-
-    The manifold size ``degeneracy`` follows from the phase and the lattice
-    size, and ``converged`` from the residual: the solver only returns
-    converged solutions, and a hand-built one whose residual exceeds
-    SOLUTION_GRAD_TOL is unusable for the quadratic expansion.
-    """
+    """A verified global minimizer with its phase, gradient residual and
+    lattice point ``params``, which must hold the size, g and jbar of
+    ``config`` (else :class:`ValidationError`) and gives later stages the
+    point's frequencies.  The manifold size ``degeneracy`` follows from the
+    phase and the lattice size, and ``converged`` from the residual: the
+    solver only returns converged solutions, and a hand-built one whose
+    residual exceeds SOLUTION_GRAD_TOL is unusable for the Hessian and the
+    quadratic expansion."""
 
     config: MeanFieldConfiguration
     phase: Phase
     grad_norm: float
+    params: ModelParams
+
+    def __post_init__(self):
+        point = (self.config.n_sites, self.config.g, self.config.jbar)
+        if point != (self.params.n_sites, self.params.g, self.params.jbar):
+            raise ValidationError(f"configuration (N, g, jbar) = {point} lies at another "
+                                  "lattice point than params")
 
     @property
     def degeneracy(self) -> int:
@@ -327,19 +333,19 @@ def _newton_minimize(fun, jac, hess_fn, x0):
     return x, norm, steps, failures
 
 
-def _mirror_reduced(n_sites: int, g, jbar):
+def _mirror_reduced(n_sites: int, landscape):
     """(expand, energy, gradient, Hessian) of y -> E(P y) over the
     mirror-group values y, with P the pair incidence: the gradient is g P
     and the Hessian P^T H P.
 
-    They act on the last axis of a stack of y; ``g`` and ``jbar`` are
-    scalars or hold one value per row, and the derivative functions take
-    the ids of the rows they are given (all rows by default).  They are
-    the functions of one :func:`~frustra.model._landscape`, and take their
-    points as given.
+    They act on the last axis of a stack of y, and the derivative
+    functions take the ids of the rows they are given (all rows by
+    default).  They are built on ``landscape``, the full-space functions
+    of one :func:`~frustra.model._landscape`, and take their points as
+    given.
     """
     incidence = ring(n_sites).incidence
-    energy, gradient, hessian = _landscape(n_sites, g, jbar)
+    energy, gradient, hessian = landscape
 
     def expand(y):
         return y @ incidence.T
@@ -484,7 +490,7 @@ def solve_ground_states(params_seq) -> list:
                 gc, hopping = params.critical_coupling(), params.jbar
             if params.g <= gc:
                 config = MeanFieldConfiguration(np.zeros(params.n_sites), params.g, params.jbar)
-                outcomes[index] = GroundStateSolution(config, Phase.NORMAL, 0.0)
+                outcomes[index] = GroundStateSolution(config, Phase.NORMAL, 0.0, params)
                 if debug:
                     log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
                               params.g, params.jbar, params.n_sites)
@@ -504,21 +510,21 @@ def solve_ground_states(params_seq) -> list:
     templates, magnitudes = zip(*seeds)
     owners = [points[solving[k]] for k in group]
     g, jbar = np.array([p.g for p in owners]), np.array([p.jbar for p in owners])
-    expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
+    landscape = _landscape(n, g, jbar)  # read again by row ids once Newton is done
+    expand, fun, jac, hess_fn = _mirror_reduced(n, landscape)
     y, _, steps, failures = _newton_minimize(
         fun, jac, hess_fn, _seed_templates(n)[list(templates)] * np.array(magnitudes)[:, None])
     alphas = expand(y)
     settled = np.flatnonzero([row not in failures for row in range(len(y))])
     grad_norm = np.full(len(y), np.nan)
-    grad_norm[settled] = np.abs(
-        energy_gradient(alphas[settled], g[settled], jbar[settled])).max(axis=-1)
+    grad_norm[settled] = np.abs(landscape[1](alphas[settled], settled)).max(axis=-1)
     stationary = settled[~(grad_norm[settled] > 1e-6)]
     ok, curvature = _isolated(
         lambda a, rows: _hessian_eigenvalues(a, g[rows], jbar[rows])[0][:, 0],
         alphas[stationary], stationary, failures)
     minima = stationary[ok][~(curvature < PSD_TOLERANCE)]
     energy = np.full(len(y), np.inf)  # of the minima
-    energy[minima] = rescaled_energy(alphas[minima], g[minima], jbar[minima])
+    energy[minima] = landscape[0](alphas[minima], minima)
     # per seeded point, over its consecutive seed rows: the lowest energy of
     # a minimum and the first row at it (without a minimum, the first row)
     lowest = np.minimum.reduceat(energy, starts)
@@ -587,7 +593,7 @@ def _canonical_solutions(alphas: np.ndarray, grad_norm: np.ndarray, points) -> l
             outcomes.append(exc)
             continue
         outcomes.append(GroundStateSolution(
-            MeanFieldConfiguration(config, params.g, params.jbar), phase, residual))
+            MeanFieldConfiguration(config, params.g, params.jbar), phase, residual, params))
     return outcomes
 
 
@@ -711,15 +717,15 @@ def _polish_members(members: np.ndarray, params: ModelParams) -> np.ndarray:
     rows, sites, shifts = np.arange(len(members))[:, None], np.arange(n), np.array(shifts)[:, None]
     canonical = signs[:, None] * members[rows, (sites + shifts) % n]
     incidence = ring(n).incidence
-    expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
+    landscape = _landscape(n, g, jbar)
+    expand, fun, jac, hess_fn = _mirror_reduced(n, landscape)
     # seeded from the mean of each mirror pair
     y, _, _, failures = _newton_minimize(fun, jac, hess_fn,
                                          canonical @ incidence / incidence.sum(axis=0))
     if failures:
         raise failures[min(failures)]
     snapped = expand(y)
-    energy = _landscape(n, g, jbar)[0]
-    free, locked = energy(canonical), energy(snapped)
+    free, locked = landscape[0](canonical), landscape[0](snapped)
     raised = locked > free + 1e-12 * np.fmax(1.0, np.abs(free))
     for before, after in zip(free[raised].tolist(), locked[raised].tolist()):
         log.warning(
@@ -740,27 +746,28 @@ class CriticalModes:
     y_f: np.ndarray
 
 
-def _require_lattice_point(solution: GroundStateSolution, params: ModelParams) -> None:
-    """Reject a solution solved at another lattice point than ``params``."""
-    point = (solution.config.n_sites, solution.config.g, solution.config.jbar)
-    if point != (params.n_sites, params.g, params.jbar):
-        raise ValidationError(f"solution (N, g, jbar) = {point} was solved at another "
-                              "lattice point than params")
+def _require_minimum(solutions) -> None:
+    """Reject a stack holding an unconverged solution: the Hessian and the
+    quadratic expansion hold only about a minimum, and a leftover gradient
+    shifts the soft eigenvalues."""
+    for solution in solutions:
+        if not solution.converged:
+            raise ValidationError("the Hessian and the quadratic expansion require a "
+                                  f"converged minimum (gradient norm {solution.grad_norm:.2e})")
 
 
-def hessian_critical_modes(params: ModelParams,
-                           solution: GroundStateSolution | None = None) -> CriticalModes:
+def hessian_critical_modes(solution: GroundStateSolution) -> CriticalModes:
     """Identify the mean-field and frustrated soft modes of the Hessian.
 
     The frustrated mode lives in the mirror-odd sector, so it carries no
     weight on the unpaired site and is antisymmetric across every
     ferromagnetic pair; the mean-field mode is the softest mirror-even
     direction.  Identification by sector projection is exact and remains
-    robust when lambda_f sits below floating-point resolution.  A given
-    ``solution`` must have been solved at the lattice point of ``params``.
+    robust when lambda_f sits below floating-point resolution.  An
+    unconverged solution raises :class:`ValidationError`, another phase
+    :class:`PhaseError`.
     """
-    solution = solution or solve_ground_state(params)
-    _require_lattice_point(solution, params)
+    _require_minimum([solution])
     if solution.phase is not Phase.FSP:
         raise PhaseError(f"hessian critical modes require the frustrated phase, "
                          f"got {solution.phase.value}")
@@ -780,7 +787,8 @@ def hessian_spectra(solutions):
     point that is not frustrated.  The route follows each point's
     configuration (:func:`_hessian_eigenvalues`): the closed form for equal
     coherences, which a frustrated solution never has, and dense
-    eigensolves otherwise."""
+    eigensolves otherwise; an unconverged solution raises :class:`ValidationError`."""
+    _require_minimum(solutions)
     eigenvalues, dense, hess = _hessian_eigenvalues(*(
         np.array([getattr(solution.config, name) for solution in solutions])
         for name in ("alphas", "g", "jbar")))

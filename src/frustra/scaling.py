@@ -207,11 +207,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     :class:`SweepResult` table at once; per-point failures are recorded as
     missing rows with a reason.
     """
-    points = [spec.params_at(g) for g in spec.grid]
-    return _observe_grid(spec, points, solve_ground_states(points))
+    return _observe_grid(spec, solve_ground_states([spec.params_at(g) for g in spec.grid]))
 
 
-def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
+def _observe_grid(spec: SweepSpec, outcomes) -> SweepResult:
     """The table of the grid's values, from each point's solver outcome:
     the solved points are observed as one stack, and each observable's
     block over them fills the table in one assignment, a value present
@@ -235,7 +234,7 @@ def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
         if "hessian_eigenvalues" in want:
             blocks["hessian_eigenvalues"] = np.hstack(hessian_spectra(solutions))
         if gaussian:
-            moments = site_moments(solutions, [p for p, ok in zip(points, solved) if ok])
+            moments = site_moments(solutions)
             # a frustrated point's mean-field and frustrated gaps follow its ranks
             blocks["gaps"] = np.hstack([moments.eps, moments.eps_even[:, :1],
                                         moments.eps_odd[:, :1]])
@@ -252,7 +251,7 @@ def _observe_grid(spec: SweepSpec, points, outcomes) -> SweepResult:
                     lost[label][solved] = np.isnan(values) & ~failed[:, None]
             critical = np.fmin(moments.eps[:, 0], moments.eps_even[:, 0]) < (
                 CRITICAL_REGIME_FACTOR * spec.omega0)
-            warnings = [f"critical-regime point at g={points[i].g!r}"
+            warnings = [f"critical-regime point at g={spec.grid[i]!r}"
                         for i in stack_index[critical & ~failed].tolist()]
     result = SweepResult(spec, g, np.abs(g - gc) / gc, {}, warnings, (failures, lost))
     for name in sorted(spec.observables):

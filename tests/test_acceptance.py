@@ -131,7 +131,7 @@ def test_criterion_04_spectrum_oracle():
     def compare(p, analytic):
         nonlocal checked, worst
         solution = solve_ground_state(p)
-        decomp = williamson_diagonalize(build_quadratic_hamiltonian(solution, p))
+        decomp = williamson_diagonalize(build_quadratic_hamiltonian(solution))
         numeric = decomp.symplectic_eigenvalues
         assert_allclose(numeric, analytic, rtol=1e-10)
         worst = max(worst, float(np.max(np.abs(numeric / analytic - 1.0))))
@@ -170,8 +170,7 @@ def test_criterion_05_fsp_gap_exponents(stated_window_reports):
     gc = critical_point(JBAR, 3, "positive")
     g = 1.01 * gc
     solution = solve_ground_state(params(JBAR, g))
-    decomp = williamson_diagonalize(
-        build_quadratic_hamiltonian(solution, params(JBAR, g)))
+    decomp = williamson_diagonalize(build_quadratic_hamiltonian(solution))
     closed = fsp_frustrated_mode_energy(g, JBAR, 1.0, solution.config.alphas[1])
     assert abs(decomp.symplectic_eigenvalues[0] - closed) < 1e-8
     details.append(f"eps_f closed-form defect "
@@ -202,7 +201,7 @@ def test_criterion_07_frustrated_mode_structure():
         gc = critical_point(JBAR, n, "positive")
         p = params(JBAR, gc * (1 + 1e-3), n)
         solution = solve_ground_state(p)
-        decomp = williamson_diagonalize(build_quadratic_hamiltonian(solution, p))
+        decomp = williamson_diagonalize(build_quadratic_hamiltonian(solution))
         frustrated = mode_weights(decomp, 1)
         assert abs(frustrated.cavity[0]) < 1e-8
         assert abs(frustrated.atom[0]) < 1e-8
@@ -277,7 +276,7 @@ def test_criterion_10_structural_property_suite():
         assert abs(solution.config.energy - rescaled_energy(alphas, g, jbar)) < 1e-12
 
         # fluctuation sector: symplectic identity, diagonalization, physicality
-        form = build_quadratic_hamiltonian(solution, p)
+        form = build_quadratic_hamiltonian(solution)
         assert np.max(np.abs(form.matrix - form.matrix.T)) < 1e-12
         decomp = williamson_diagonalize(form)
         omega = form.symplectic_form

@@ -43,6 +43,13 @@ class TestCriticalPoint:
         assert code == 0
         assert rows_by(csv_to_rows(out), "g_c")[0]["value"] == 1.0
 
+    @pytest.mark.parametrize("g, message", [("nan", "g must be non-negative, got nan"),
+                                            ("inf", "g must be non-negative, got inf"),
+                                            ("-1", "g must be non-negative, got -1.0")])
+    def test_rejects_a_coupling_that_is_not_a_point(self, capsys, g, message):
+        code, out, err = run_cli(capsys, "critical-point", "--g", g)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_sign_is_not_an_option(self, capsys, tmp_path):
         # the hopping sign follows from jbar: neither a flag nor a config
         # key sets it

@@ -42,7 +42,7 @@ def params(jbar, g, n=3, omega0=1.0, Omega=1.0):
 def solved_form(jbar, g, n=3, omega0=1.0, Omega=1.0):
     p = params(jbar, g, n, omega0, Omega)
     sol = solve_ground_state(p)
-    return sol, p, build_quadratic_hamiltonian(sol, p)
+    return sol, p, build_quadratic_hamiltonian(sol)
 
 
 class TestBuild:
@@ -88,25 +88,24 @@ class TestBuild:
         stretch = np.sqrt(1.0 + 4.0 * p.g ** 2 * sol.config.alphas ** 2)
         assert_allclose(np.diag(form.matrix)[2::4], stretch, rtol=1e-15)
         if jbar < 0:
-            assert_allclose(site_moments([sol], [p]).eps[0],
+            assert_allclose(site_moments([sol]).eps[0],
                             analytic_nfsp_spectrum(p.g, jbar, 1.0), rtol=1e-12)
         # at g = 1e10 it used to flip the form indefinite
         williamson_diagonalize(solved_form(jbar, 1e10)[2])
 
     def test_rejects_unconverged_solution(self):
         sol, p, _ = solved_form(0.01, 1.01)
-        bad = GroundStateSolution(sol.config, sol.phase, grad_norm=1e-3)
+        bad = GroundStateSolution(sol.config, sol.phase, grad_norm=1e-3, params=p)
         with pytest.raises(ValidationError):
-            build_quadratic_hamiltonian(bad, p)
+            build_quadratic_hamiltonian(bad)
 
-    def test_rejects_solution_of_another_lattice_point(self):
-        sol, p, _ = solved_form(0.01, 1.1)
-        for other in (params(0.01, 1.2), params(0.02, 1.1)):
-            with pytest.raises(ValidationError, match="another lattice point"):
+    def test_accepts_only_the_solutions_own_params(self):
+        sol, p, form = solved_form(0.01, 1.1)
+        assert np.array_equal(build_quadratic_hamiltonian(sol, sol.params).matrix, form.matrix)
+        for other in (params(0.01, 1.2), params(0.02, 1.1), params(0.01, 1.1, n=5),
+                      params(0.01, 1.1, omega0=1.3), params(0.01, 1.1, Omega=0.8)):
+            with pytest.raises(ValidationError, match="differ from the solution's"):
                 build_quadratic_hamiltonian(sol, other)
-        sol, _, _ = solved_form(-0.01, 1.1)
-        with pytest.raises(ValidationError, match="another lattice point"):
-            site_moments([sol], [params(-0.01, 1.2)])
 
     @pytest.mark.parametrize("g, critical", [(1e3, False), (1e4, True)])
     def test_unresolvable_form_is_critical_regime(self, g, critical):
@@ -175,8 +174,8 @@ class TestWilliamson:
         # a stale normal-phase mean field past the critical point
         p = params(0.01, 1.2)
         config = MeanFieldConfiguration(np.zeros(3), p.g, p.jbar)
-        stale = GroundStateSolution(config, Phase.NORMAL, 0.0)
-        form = build_quadratic_hamiltonian(stale, p)
+        stale = GroundStateSolution(config, Phase.NORMAL, 0.0, p)
+        form = build_quadratic_hamiltonian(stale)
         with pytest.raises(InstabilityError):
             williamson_diagonalize(form)
 
@@ -327,6 +326,23 @@ class TestCovariance:
 
 
 class TestStackedSectors:
+    def test_stack_reads_each_points_frequencies(self):
+        # omega0 and Omega differ from point to point, on both routes
+        n = 5
+        gc_f, gc_u = critical_point(0.01, n, "positive"), critical_point(-0.01, n, "negative")
+        points = [params(0.01, 0.5, n, omega0=1.3, Omega=0.8),
+                  params(-0.01, gc_u * 1.05, n, omega0=0.7, Omega=1.9),
+                  params(0.01, gc_f * 1.01, n, omega0=2.1, Omega=0.6),
+                  params(0.01, gc_f * 1.02, n, omega0=0.9, Omega=1.4)]
+        solutions = [solve_ground_state(p) for p in points]
+        moments = site_moments(solutions)
+        for i, sol in enumerate(solutions):
+            decomp = williamson_diagonalize(build_quadratic_hamiltonian(sol))
+            cov = covariance(decomp)
+            assert_allclose(moments.eps[i], decomp.symplectic_eigenvalues, rtol=1e-9)
+            assert_allclose(moments.photon_numbers[i],
+                            [photon_number(cov, site) for site in range(1, n + 1)], rtol=1e-9)
+
     def test_non_positive_point_leaves_the_others_bitwise(self):
         # a frustrated label on the origin past g_c: both mirror sectors of
         # its form are indefinite, so its Cholesky factor fails in the stack
@@ -335,15 +351,15 @@ class TestStackedSectors:
         points = [params(jbar, gc * (1 + r), n) for r in (1e-7, 1e-4, 1e-2, 1e-1)]
         solutions = [solve_ground_state(p) for p in points]
         stale = GroundStateSolution(MeanFieldConfiguration(
-            np.zeros(n), points[2].g, jbar), Phase.FSP, 0.0)
+            np.zeros(n), points[2].g, jbar), Phase.FSP, 0.0, points[2])
         solutions[2] = stale
-        stacked = site_moments(solutions, points)
+        stacked = site_moments(solutions)
         assert isinstance(stacked.errors[2], InstabilityError)
         assert all(np.isnan(getattr(stacked, field)[2]).all() for field in MOMENT_FIELDS)
         with pytest.raises(InstabilityError):
-            fsp_site_moments(stale, points[2])
+            fsp_site_moments(stale)
         for i in (0, 1, 3):
-            alone = fsp_site_moments(solutions[i], points[i])
+            alone = fsp_site_moments(solutions[i])
             assert stacked.errors[i] is None and alone.errors == (None,)
             for field in MOMENT_FIELDS:
                 assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)[0],
@@ -361,14 +377,14 @@ class TestStackedSectors:
                   params(0.01, gc_f * 1.1, n), params(-0.01, gc_u * 1.1, n)]
         solutions = [solve_ground_state(p) for p in points[:4]]
         solutions += [GroundStateSolution(MeanFieldConfiguration(
-            np.zeros(n), p.g, p.jbar), phase, 0.0)
+            np.zeros(n), p.g, p.jbar), phase, 0.0, p)
             for p, phase in zip(points[4:], (Phase.FSP, Phase.NFSP))]
-        stacked = site_moments(solutions, points)
+        stacked = site_moments(solutions)
         assert not np.isnan(stacked.eps[2]).any() and np.isnan(stacked.eps[3]).all()
         # uniform points have no mirror sectors
         assert np.isnan(stacked.eps_even[[0, 1]]).all() and np.isnan(stacked.eps_odd[[0, 1]]).all()
-        for i, (sol, p) in enumerate(zip(solutions, points)):
-            alone = site_moments([sol], [p])
+        for i, sol in enumerate(solutions):
+            alone = site_moments([sol])
             error = stacked.errors[i]
             assert isinstance(error, InstabilityError) if i >= 4 else error is None
             assert str(error) == str(alone.errors[0])
@@ -382,9 +398,7 @@ def deep_frustrated_points(n):
     1e-9, whose deep mirror-odd sectors cannot be factored."""
     gc = critical_point(0.01, n, "positive")
     points = [params(0.01, gc * (1 + r), n) for r in np.logspace(-9, -2, 36)]
-    solutions = solve_ground_states(points)
-    return ([s for s in solutions if isinstance(s, GroundStateSolution)],
-            [p for p, s in zip(points, solutions) if isinstance(s, GroundStateSolution)])
+    return [s for s in solve_ground_states(points) if isinstance(s, GroundStateSolution)]
 
 
 def split_modes_alone(form):
@@ -404,8 +418,8 @@ def split_modes_alone(form):
 class TestSplitModesFactorisation:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_stack_matches_each_form_alone(self, n):
-        solutions, points = deep_frustrated_points(n)
-        even, odd = fluctuations._sector_blocks(solutions, points)
+        solutions = deep_frustrated_points(n)
+        even, odd = fluctuations._sector_blocks(solutions)
         for sector in (even, odd):
             modes = fluctuations._SplitModes(sector)
             for i, form in enumerate(sector):
@@ -437,7 +451,7 @@ class TestSplitModesFactorisation:
         assert modes.positive.tolist() == [True, False] and np.isnan(modes.eps[1]).all()
 
     def test_one_factorisation_call_per_block(self, monkeypatch):
-        solutions, points = deep_frustrated_points(7)
+        solutions = deep_frustrated_points(7)
         calls = []
 
         def cholesky_lo(blocks, signature):
@@ -446,8 +460,8 @@ class TestSplitModesFactorisation:
 
         monkeypatch.setattr(fluctuations, "_umath_linalg", SimpleNamespace(cholesky_lo=cholesky_lo))
         monkeypatch.setattr(np.linalg, "cholesky", None)  # no per-sector retries
-        moments = site_moments(solutions, points)
-        assert calls == [(len(points), 2, 8, 8), (len(points), 2, 6, 6)]
+        moments = site_moments(solutions)
+        assert calls == [(len(solutions), 2, 8, 8), (len(solutions), 2, 6, 6)]
         assert np.isnan(moments.eps_odd).any()  # some odd forms did fail
 
 
@@ -527,8 +541,8 @@ class TestSymmetryInvariance:
         sol, p, form = solved_form(jbar, g)
         base = williamson_diagonalize(form).symplectic_eigenvalues
         rolled = MeanFieldConfiguration(np.roll(sol.config.alphas, 1), g, jbar)
-        rolled_sol = GroundStateSolution(rolled, sol.phase, sol.grad_norm)
-        rolled_form = build_quadratic_hamiltonian(rolled_sol, p)
+        rolled_sol = GroundStateSolution(rolled, sol.phase, sol.grad_norm, p)
+        rolled_form = build_quadratic_hamiltonian(rolled_sol)
         rolled_eps = williamson_diagonalize(rolled_form).symplectic_eigenvalues
         assert_allclose(base, rolled_eps, rtol=1e-12)
 
@@ -541,8 +555,8 @@ class TestSymmetryInvariance:
         members = enumerate_degenerate_ground_states(p)
         spectra, photon_sets = [], []
         for member in members:
-            sol = GroundStateSolution(member, Phase.FSP, 0.0)
-            decomp = williamson_diagonalize(build_quadratic_hamiltonian(sol, p))
+            sol = GroundStateSolution(member, Phase.FSP, 0.0, p)
+            decomp = williamson_diagonalize(build_quadratic_hamiltonian(sol))
             spectra.append(decomp.symplectic_eigenvalues)
             cov = covariance(decomp)
             photon_sets.append(sorted(photon_number(cov, s) for s in (1, 2, 3)))
@@ -559,8 +573,8 @@ class TestSectorMoments:
             gc = critical_point(jbar, n, "positive")
             p = params(jbar, gc * (1 + 3e-3), n)
             sol = solve_ground_state(p)
-            moments = fsp_site_moments(sol, p)
-            cov = covariance(williamson_diagonalize(build_quadratic_hamiltonian(sol, p)))
+            moments = fsp_site_moments(sol)
+            cov = covariance(williamson_diagonalize(build_quadratic_hamiltonian(sol)))
             for site in range(1, n + 1):
                 assert moments.photon_numbers[0, site - 1] == pytest.approx(
                     photon_number(cov, site), rel=1e-9)
@@ -573,8 +587,8 @@ class TestSectorMoments:
         gc = critical_point(jbar, n, "positive")
         p = params(jbar, gc * (1 + reduced), n)
         sol = solve_ground_state(p)
-        moments = fsp_site_moments(sol, p)
-        eps_even, eps_odd = fsp_sector_spectra(sol, p)
+        moments = fsp_site_moments(sol)
+        eps_even, eps_odd = fsp_sector_spectra(sol)
         assert np.array_equal(moments.eps_even[0], eps_even)
         # the N=7 frustrated gap ~ reduced^3 is below resolution at 1e-5
         assert (eps_odd is None) == (reduced < 1e-4)
@@ -584,7 +598,7 @@ class TestSectorMoments:
         assert np.array_equal(moments.eps_odd[0], eps_odd)
         merged = np.sort(np.concatenate([eps_even, eps_odd]))
         assert np.array_equal(moments.eps[0], merged)
-        full = williamson_diagonalize(build_quadratic_hamiltonian(sol, p))
+        full = williamson_diagonalize(build_quadratic_hamiltonian(sol))
         assert_allclose(merged, full.symplectic_eigenvalues, rtol=1e-9)
 
     def test_deep_point_keeps_unpaired_site(self):
@@ -593,7 +607,7 @@ class TestSectorMoments:
         gc = critical_point(jbar, 7, "positive")
         p = params(jbar, gc * (1 + 1e-6), 7)
         sol = solve_ground_state(p)
-        moments = fsp_site_moments(sol, p)
+        moments = fsp_site_moments(sol)
         assert np.isfinite(moments.photon_numbers[0, 0])
         assert np.isnan(moments.photon_numbers[0, 1])
         assert np.isnan(moments.eps_odd).all() and np.isfinite(moments.eps_even).all()
@@ -603,20 +617,18 @@ class TestSectorMoments:
 class TestUniformPhaseMoments:
     def test_vacuum_without_coupling(self):
         sol, p, _ = solved_form(0.05, 0.0, n=5)
-        moments = site_moments([sol], [p])
+        moments = site_moments([sol])
         assert_allclose(moments.var_q, 0.5, rtol=1e-14)
         assert_allclose(moments.var_p, 0.5, rtol=1e-14)
         assert moments.photon_numbers[0, 2] == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_unconverged_solution(self):
         sol, p, _ = solved_form(-0.01, 0.9)
-        bad = GroundStateSolution(sol.config, sol.phase, grad_norm=1e-3)
+        bad = GroundStateSolution(sol.config, sol.phase, grad_norm=1e-3, params=p)
         with pytest.raises(ValidationError):
-            site_moments([bad], [p])
+            site_moments([bad])
         with pytest.raises(ValidationError):
-            site_moments([sol], [params(-0.01, 0.9, n=5)])
-        with pytest.raises(ValidationError):
-            site_moments([], [])
+            site_moments([])
 
     @pytest.mark.parametrize("phase, jbar, g", [(Phase.NORMAL, -0.01, 0.9),
                                                 (Phase.NFSP, -0.01, 1.2),
@@ -629,11 +641,11 @@ class TestUniformPhaseMoments:
         good = solve_ground_state(p)
         alphas = np.array(good.config.alphas)
         alphas[2] += 1e-3
-        stale = GroundStateSolution(MeanFieldConfiguration(alphas, g, jbar), phase, 0.0)
+        stale = GroundStateSolution(MeanFieldConfiguration(alphas, g, jbar), phase, 0.0, p)
         for stack in ([stale], [good, stale]):
             with pytest.raises(ValidationError, match="equal coherences"):
-                site_moments(stack, [p] * len(stack))
-        assert site_moments([good], [p]).errors == (None,)
+                site_moments(stack)
+        assert site_moments([good]).errors == (None,)
 
     @pytest.mark.parametrize("jbar, g", [(0.01, 1.2), (0.7, 0.1)])
     def test_stale_normal_state_is_unstable(self, jbar, g):
@@ -641,10 +653,10 @@ class TestUniformPhaseMoments:
         # frequency of the k = +-4pi/5 blocks turns negative
         p = params(jbar, g, n=5)
         config = MeanFieldConfiguration(np.zeros(5), p.g, p.jbar)
-        stale = GroundStateSolution(config, Phase.NORMAL, 0.0)
+        stale = GroundStateSolution(config, Phase.NORMAL, 0.0, p)
         with pytest.raises(InstabilityError):
-            williamson_diagonalize(build_quadratic_hamiltonian(stale, p))
-        moments = site_moments([stale], [p])
+            williamson_diagonalize(build_quadratic_hamiltonian(stale))
+        moments = site_moments([stale])
         assert isinstance(moments.errors[0], InstabilityError)
         assert np.isnan(moments.var_q).all() and np.isnan(moments.eps).all()
 

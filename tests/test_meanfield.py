@@ -407,7 +407,7 @@ class TestDerivedSolutionFields:
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_degeneracy_follows_phase_and_size(self, n):
         config = MeanFieldConfiguration(np.zeros(n), 1.0, 0.01)
-        assert [GroundStateSolution(config, phase, 0.0).degeneracy
+        assert [GroundStateSolution(config, phase, 0.0, params(0.01, 1.0, n)).degeneracy
                 for phase in (Phase.NORMAL, Phase.NFSP, Phase.FSP)] == [1, 2, 2 * n]
 
     def test_converged_is_the_residual_within_tolerance(self):
@@ -415,7 +415,16 @@ class TestDerivedSolutionFields:
         for grad_norm, converged in ((0.0, True), (SOLUTION_GRAD_TOL, True),
                                      (np.nextafter(SOLUTION_GRAD_TOL, 1.0), False),
                                      (1e-3, False), (np.nan, False)):
-            assert GroundStateSolution(config, Phase.NORMAL, grad_norm).converged is converged
+            assert GroundStateSolution(config, Phase.NORMAL, grad_norm,
+                                       params(0.01, 0.5)).converged is converged
+
+    def test_rejects_params_of_another_lattice_point(self):
+        # a solution records the point it minimizes: its configuration's
+        # coupling, hopping and size must be those of params
+        sol = solve_ground_state(params(0.01, 1.1, 5))
+        for other in (params(0.01, 1.2, 5), params(0.02, 1.1, 5), params(0.01, 1.1, 7)):
+            with pytest.raises(ValidationError, match="another lattice point"):
+                GroundStateSolution(sol.config, sol.phase, sol.grad_norm, other)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_frustrated_winners_need_only_a_sign_flip(self, n, monkeypatch):
@@ -508,8 +517,8 @@ class TestStackedSolve:
         seeds += [seed_alphas(params(jbar, g, n))[-1][:m] for g, _ in rows[5:]]
 
         def run(picked):
-            _, energy, grad, hess = _mirror_reduced(n, [rows[i][0] for i in picked],
-                                                    [jbar] * len(picked))
+            _, energy, grad, hess = _mirror_reduced(
+                n, _landscape(n, [rows[i][0] for i in picked], [jbar] * len(picked)))
 
             def fun(y, ids):
                 assert np.isfinite(y).all()  # a non-finite trial fails before it is read
@@ -767,7 +776,7 @@ class TestHessianCriticalModes:
     def test_trimer_frustrated_eigenvector(self):
         jbar = 0.01
         gc = critical_point(jbar, 3, "positive")
-        modes = hessian_critical_modes(params(jbar, gc * 1.001))
+        modes = hessian_critical_modes(solve_ground_state(params(jbar, gc * 1.001)))
         expected = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
         assert_allclose(np.abs(modes.y_f), np.abs(expected), atol=1e-12)
         assert abs(modes.y_f @ modes.y_mf) < 1e-12
@@ -780,7 +789,7 @@ class TestHessianCriticalModes:
         jbar = 0.01
         gc = critical_point(jbar, 3, "positive")
         dg = 1e-6 * gc
-        modes = hessian_critical_modes(params(jbar, gc + dg))
+        modes = hessian_critical_modes(solve_ground_state(params(jbar, gc + dg)))
         assert modes.lambda_f / dg ** 2 == pytest.approx(
             8 * (2 + jbar) / (3 * jbar), rel=2e-3)
         assert modes.lambda_mf / dg == pytest.approx(
@@ -793,15 +802,16 @@ class TestHessianCriticalModes:
         jbar = 0.01
         gc = critical_point(jbar, n, "positive")
         red = 1e-4
-        lam1 = hessian_critical_modes(params(jbar, gc * (1 + red), n)).lambda_f
-        lam2 = hessian_critical_modes(params(jbar, gc * (1 + 2 * red), n)).lambda_f
+        lam1 = hessian_critical_modes(solve_ground_state(params(jbar, gc * (1 + red), n))).lambda_f
+        lam2 = hessian_critical_modes(
+            solve_ground_state(params(jbar, gc * (1 + 2 * red), n))).lambda_f
         measured = np.log2(lam2 / lam1)
         assert measured == pytest.approx(n - 1, abs=0.35)
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_frustrated_mode_structure_general(self, n):
         sol = solve_ground_state(params(0.01, 1.004, n))
-        modes = hessian_critical_modes(params(0.01, 1.004, n), sol)
+        modes = hessian_critical_modes(sol)
         assert abs(modes.y_f[0]) < 1e-14
         for j in range(1, (n - 1) // 2 + 1):
             assert modes.y_f[j] == pytest.approx(-modes.y_f[n - j], abs=1e-12)
@@ -821,7 +831,7 @@ class TestHessianCriticalModes:
             alone = np.linalg.eigvalsh(hess)
             if sol.phase is Phase.FSP:
                 assert np.array_equal(point_eigenvalues, alone)
-                modes = hessian_critical_modes(p, sol)
+                modes = hessian_critical_modes(sol)
                 assert tuple(point_soft) == (modes.lambda_mf, modes.lambda_f)
             else:
                 # the circulant closed form, within rounding of the dense solve
@@ -836,23 +846,27 @@ class TestHessianCriticalModes:
         # sectors of its own; the uniformity rule refuses it
         point = params(0.01, 1.1, 5)
         stale = GroundStateSolution(MeanFieldConfiguration(
-            np.full(5, 0.2), point.g, point.jbar), Phase.FSP, 0.0)
+            np.full(5, 0.2), point.g, point.jbar), Phase.FSP, 0.0, point)
         with pytest.raises(ValidationError, match="equal coherences"):
             hessian_spectra([solve_ground_state(point), stale])
 
-    def test_rejects_solution_of_another_lattice_point(self):
-        # the modes are read at the solution's own point: a solution of
-        # another coupling, hopping or size is refused, not re-evaluated
+    @pytest.mark.parametrize("route", [hessian_critical_modes,
+                                       lambda sol: hessian_spectra([sol])])
+    def test_rejects_unconverged_solution(self, route):
+        # a leftover gradient shifts the soft eigenvalues, so a residual
+        # above SOLUTION_GRAD_TOL is refused, not read
         sol = solve_ground_state(params(0.01, 1.1, 5))
-        for other in (params(0.01, 1.2, 5), params(0.02, 1.1, 5), params(0.01, 1.1, 7)):
-            with pytest.raises(ValidationError, match="another lattice point"):
-                hessian_critical_modes(other, sol)
+        route(sol)
+        bad = GroundStateSolution(sol.config, sol.phase, np.nextafter(SOLUTION_GRAD_TOL, 1.0),
+                                  sol.params)
+        with pytest.raises(ValidationError, match="converged minimum"):
+            route(bad)
 
     def test_requires_frustrated_phase(self):
         with pytest.raises(PhaseError):
-            hessian_critical_modes(params(-0.01, 1.05))
+            hessian_critical_modes(solve_ground_state(params(-0.01, 1.05)))
         with pytest.raises(PhaseError):
-            hessian_critical_modes(params(0.01, 0.5))
+            hessian_critical_modes(solve_ground_state(params(0.01, 0.5)))
 
 
 class TestMomentumSpectra:

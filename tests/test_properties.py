@@ -184,7 +184,7 @@ def test_reduced_derivatives_are_projections_of_the_full_ones(case):
     n = len(alphas)
     groups = [[0]] + [[j, n - j] for j in range(1, (n - 1) // 2 + 1)]
     incidence = ring(n).incidence
-    expand, fun, jac, hess_fn = _mirror_reduced(n, g, jbar)
+    expand, fun, jac, hess_fn = _mirror_reduced(n, _landscape(n, g, jbar))
     y = alphas[: len(groups)]
     full = expand(y)
     for column, group in enumerate(groups):
@@ -303,8 +303,8 @@ def uniform_points(draw):
 def test_momentum_blocks_match_williamson(params):
     solution = solve_ground_state(params)
     assert solution.phase in (Phase.NORMAL, Phase.NFSP)
-    moments = site_moments([solution], [params])
-    form = build_quadratic_hamiltonian(solution, params)
+    moments = site_moments([solution])
+    form = build_quadratic_hamiltonian(solution)
     decomp = williamson_diagonalize(form)
     reference = decomp.symplectic_eigenvalues
     assert_allclose(moments.eps[0], reference, rtol=1e-10, atol=0)
@@ -333,7 +333,7 @@ def solved_forms(draw):
     reduced = 10.0 ** draw(st.floats(-3.0, -0.5))
     gc = critical_point(jbar, n, "positive" if sign > 0 else "negative")
     params = ModelParams(1.0, 1.0, jbar, gc * (1.0 + side * reduced), n)
-    return build_quadratic_hamiltonian(solve_ground_state(params), params)
+    return build_quadratic_hamiltonian(solve_ground_state(params))
 
 
 @PROPERTY

@@ -371,7 +371,7 @@ class TestSweepErrors:
         # momentum block is not positive definite
         def stale(params_seq):
             return [GroundStateSolution(MeanFieldConfiguration(
-                np.zeros(params.n_sites), params.g, params.jbar), Phase.NORMAL, 0.0)
+                np.zeros(params.n_sites), params.g, params.jbar), Phase.NORMAL, 0.0, params)
                 for params in params_seq]
 
         monkeypatch.setattr(scaling, "solve_ground_states", stale)
@@ -449,7 +449,7 @@ def reference_sweep(spec):
         put("hessian_eigenvalues", "f", soft_modes[1])
         if not gaussian:
             continue
-        moments = fluctuations.site_moments([outcome], [params])
+        moments = fluctuations.site_moments([outcome])
         if moments.errors[0] is not None:
             missing.append(SweepMissing(g, gaussian, str(moments.errors[0])))
             continue
@@ -553,8 +553,7 @@ def every_point_flags(spec, points, outcomes):
     solved = np.array([isinstance(outcome, GroundStateSolution) for outcome in outcomes])
     missing, warnings = [], []
     if solved.any() and gaussian:
-        moments = fluctuations.site_moments(
-            [o for o, ok in zip(outcomes, solved) if ok], [p for p, ok in zip(points, solved) if ok])
+        moments = fluctuations.site_moments([o for o, ok in zip(outcomes, solved) if ok])
         critical = np.fmin(moments.eps[:, 0], moments.eps_even[:, 0]) < (
             fluctuations.CRITICAL_REGIME_FACTOR * spec.omega0)
         blocks = {"photon_numbers": moments.photon_numbers, "squeezing": moments.var_q}
