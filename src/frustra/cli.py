@@ -195,7 +195,9 @@ def _write(config: RunConfig, pieces) -> None:
 def cmd_critical_point(config: RunConfig):
     gc = model.critical_point(config.jbar, config.sites,
                               model.default_hopping_sign(config.jbar))
-    g_eval = gc if config.g is None else config.params().g  # ModelParams rejects a bad --g
+    # ModelParams rejects a bad --g, --omega0 or --omega-atom
+    g_eval = model.ModelParams(config.omega0, config.omega_atom, config.jbar,
+                               gc if config.g is None else config.g, config.sites).g
     rows = [("g_c", "", gc)] + [("origin_hessian_eigenvalue", t, lam) for t, lam in enumerate(
         model.origin_hessian_eigenvalues(g_eval, config.jbar, config.sites), start=1)]
     return _one_point(g_eval, abs(g_eval - gc) / gc, rows), []
@@ -217,7 +219,7 @@ def cmd_ground_state(config: RunConfig):
     warnings = []
     if config.manifold:
         members = meanfield.enumerate_degenerate_ground_states(
-            params, meanfield.SolverOptions(seed_mode=config.seed_mode))
+            solution, meanfield.SolverOptions(seed_mode=config.seed_mode))
         for m, member in enumerate(members, start=1):
             rows += [("manifold_energy", m, member.energy), *member_rows(member, tag=f"{m}/")]
         if len(members) != solution.degeneracy:

@@ -86,12 +86,16 @@ class GroundStateSolution:
     phase and the lattice size, and ``converged`` from the residual: the
     solver only returns converged solutions, and a hand-built one whose
     residual exceeds SOLUTION_GRAD_TOL is unusable for the Hessian and the
-    quadratic expansion."""
+    quadratic expansion.  ``hessian_eigenvalues`` is the read-only
+    ascending Hessian spectrum the solver's minimum check computed, None
+    where it computed none (a normal-phase or hand-built solution);
+    :func:`hessian_spectra` reads it."""
 
     config: MeanFieldConfiguration
     phase: Phase
     grad_norm: float
     params: ModelParams
+    hessian_eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
         point = (self.config.n_sites, self.config.g, self.config.jbar)
@@ -462,12 +466,13 @@ def solve_ground_states(params_seq) -> list:
     about site 1, and so is every ground state up to a rotation, so the
     seeds of all points run as one mirror-reduced Newton stack ((N+1)/2
     values a row).  The lowest eigenvalue of the full N x N Hessian
-    (:func:`_hessian_eigenvalues`) then confirms each stationary point is
-    a minimum, and the lowest-energy one wins (the first in seed
-    order on a tie); a point whose seed failed takes its first failing
-    seed's error.  Frustrated solutions are returned as the canonical
-    representative (unpaired site first, alpha_1 < 0 <= alpha_2, mirror
-    pairs exactly equal).  Returns, per point and in order, its
+    (:func:`_hessian_eigenvalues`, on Hessians of the stack's own kernel)
+    then confirms each stationary point is a minimum, and the lowest-energy
+    one wins (the first in seed order on a tie) and carries that spectrum;
+    a point whose seed failed takes its first failing seed's error.
+    Frustrated solutions are returned as the canonical representative
+    (unpaired site first, alpha_1 < 0 <= alpha_2, mirror pairs exactly
+    equal).  Returns, per point and in order, its
     :class:`GroundStateSolution` or the exception its solve raised (a
     :class:`FrustraError`, or ``numpy.linalg.LinAlgError``).  Rows never
     mix, so a point's result is a pure function of its parameters,
@@ -519,10 +524,12 @@ def solve_ground_states(params_seq) -> list:
     grad_norm = np.full(len(y), np.nan)
     grad_norm[settled] = np.abs(landscape[1](alphas[settled], settled)).max(axis=-1)
     stationary = settled[~(grad_norm[settled] > 1e-6)]
-    ok, curvature = _isolated(
-        lambda a, rows: _hessian_eigenvalues(a, g[rows], jbar[rows])[0][:, 0],
+    ok, checked = _isolated(lambda a, rows: _hessian_eigenvalues(
+        a, g[rows], jbar[rows], lambda dense: landscape[2](a[dense], rows[dense])),
         alphas[stationary], stationary, failures)
-    minima = stationary[ok][~(curvature < PSD_TOLERANCE)]
+    spectra = np.full(alphas.shape, np.nan)  # per checked row its spectrum, for its solution
+    spectra[stationary[ok]] = checked
+    minima = stationary[ok][~(checked[:, 0] < PSD_TOLERANCE)]
     energy = np.full(len(y), np.inf)  # of the minima
     energy[minima] = landscape[0](alphas[minima], minima)
     # per seeded point, over its consecutive seed rows: the lowest energy of
@@ -533,7 +540,7 @@ def solve_ground_states(params_seq) -> list:
     failing = {}  # per seeded point with a failed row, its first
     for row in sorted(failures):
         failing.setdefault(group[row], row)
-    solved = _canonical_solutions(alphas[winners], grad_norm[winners],
+    solved = _canonical_solutions(alphas[winners], grad_norm[winners], spectra[winners],
                                   [points[index] for index in solving])
     for k, (index, low, start, stop, row, outcome) in enumerate(zip(
             solving, lowest.tolist(), starts, [*starts[1:], len(y)], winners.tolist(), solved)):
@@ -554,11 +561,15 @@ def solve_ground_states(params_seq) -> list:
     return outcomes
 
 
-def _canonical_solutions(alphas: np.ndarray, grad_norm: np.ndarray, points) -> list:
+def _canonical_solutions(alphas: np.ndarray, grad_norm: np.ndarray, spectra: np.ndarray,
+                         points) -> list:
     """Winning minimizers (rows, N) classified, put in their canonical
     frame and checked against SOLUTION_GRAD_TOL, as one stack: per row its
-    :class:`GroundStateSolution`, or the error of the first check it fails
-    (the classification, the frame, the residual).
+    :class:`GroundStateSolution`, carrying its row of the Hessian
+    ``spectra`` read-only, or the error of the first check it fails (the
+    classification, the frame, the residual).  The Hessian depends on the
+    coherences through their squares only, so the canonical sign flip
+    keeps the spectrum's bits.
 
     Every seed is mirror-symmetric about site 1, so the winner of the
     mirror-reduced stack is too, and a frustrated winner is canonical up to
@@ -579,8 +590,9 @@ def _canonical_solutions(alphas: np.ndarray, grad_norm: np.ndarray, points) -> l
         alphas = alphas * signs[:, None]
         errors = {int(rows[row]): error for row, error in frame_errors.items()}
     outcomes = []
-    for row, (params, peak, residual, config) in enumerate(zip(
-            points, peaks.tolist(), grad_norm.tolist(), alphas)):
+    spectra.flags.writeable = False
+    for row, (params, peak, residual, config, spectrum) in enumerate(zip(
+            points, peaks.tolist(), grad_norm.tolist(), alphas, spectra)):
         try:
             phase = _classify(peak, params.jbar)
             if row in errors:
@@ -593,7 +605,8 @@ def _canonical_solutions(alphas: np.ndarray, grad_norm: np.ndarray, points) -> l
             outcomes.append(exc)
             continue
         outcomes.append(GroundStateSolution(
-            MeanFieldConfiguration(config, params.g, params.jbar), phase, residual, params))
+            MeanFieldConfiguration(config, params.g, params.jbar), phase, residual, params,
+            spectrum))
     return outcomes
 
 
@@ -612,23 +625,27 @@ def solve_ground_state(params: ModelParams) -> GroundStateSolution:
 
 
 def enumerate_degenerate_ground_states(
-        params: ModelParams,
+        point: ModelParams | GroundStateSolution,
         opts: SolverOptions | None = None) -> list[MeanFieldConfiguration]:
-    """All distinct global minimizers at equal energy.
+    """All distinct global minimizers at equal energy of a point, given by
+    its :class:`ModelParams` or by its solved :class:`GroundStateSolution`.
 
     In the default symmetry-orbit mode the manifold is generated from the
-    canonical solution by lattice rotations and the global sign flip.  In
-    exhaustive mode one sign pattern per orbit of that group is minimized
-    independently and the group generates the members from the
-    global-energy tier; this validates the orbit construction for small
-    lattices.  At ``logging.DEBUG`` the ``frustra.meanfield`` logger gets
-    one record per exhaustive call: the orbit rows, the Newton steps, the
-    stationary rows, the global tier and the members.
+    canonical solution by lattice rotations and the global sign flip; a
+    given solution is used as it is, without a solve.  In exhaustive mode
+    one sign pattern per orbit of that group is minimized independently
+    and the group generates the members from the global-energy tier; this
+    validates the orbit construction for small lattices.  At
+    ``logging.DEBUG`` the ``frustra.meanfield`` logger gets one record per
+    exhaustive call: the orbit rows, the Newton steps, the stationary rows,
+    the global tier and the members.
     """
     opts = opts or SolverOptions()
+    solved = isinstance(point, GroundStateSolution)
+    params = point.params if solved else point
     if opts.seed_mode == "exhaustive":
         return _enumerate_exhaustive(params)
-    solution = solve_ground_state(params)
+    solution = point if solved else solve_ground_state(params)
     alphas = solution.config.alphas
     g, jbar = params.g, params.jbar
     if solution.phase is Phase.NORMAL:
@@ -784,20 +801,31 @@ def hessian_spectra(solutions):
     size: ``(eigenvalues, soft)``, the ascending eigenvalues of each
     point's Hessian, shape (points, N), and the (lambda_mf, lambda_f) soft
     modes of :func:`hessian_critical_modes`, shape (points, 2), NaN for a
-    point that is not frustrated.  The route follows each point's
-    configuration (:func:`_hessian_eigenvalues`): the closed form for equal
-    coherences, which a frustrated solution never has, and dense
-    eigensolves otherwise; an unconverged solution raises :class:`ValidationError`."""
+    point that is not frustrated.  A solution's eigenvalues are the ones it
+    carries from the solver's minimum check; the points without them are
+    computed in one :func:`_hessian_eigenvalues` call, whose route follows
+    each point's configuration: the closed form for equal coherences, which
+    a frustrated solution never has, and dense eigensolves otherwise.  Only
+    the frustrated points' Hessians are built, for their mirror sectors.  An
+    unconverged solution raises :class:`ValidationError`."""
     _require_minimum(solutions)
-    eigenvalues, dense, hess = _hessian_eigenvalues(*(
-        np.array([getattr(solution.config, name) for solution in solutions])
-        for name in ("alphas", "g", "jbar")))
+    alphas, g, jbar = (np.array([getattr(solution.config, name) for solution in solutions])
+                       for name in ("alphas", "g", "jbar"))
     frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
-    if (frustrated & ~dense).any():
+    if (frustrated & _uniform_rows(alphas)).any():
         raise ValidationError("a frustrated solution with equal coherences on every site")
+    carried = [solution.hessian_eigenvalues for solution in solutions]
+    missing = np.array([spectrum is None for spectrum in carried])
+    eigenvalues = np.empty(alphas.shape)
+    if not missing.all():
+        eigenvalues[~missing] = [spectrum for spectrum in carried if spectrum is not None]
+    if missing.any():
+        eigenvalues[missing] = _hessian_eigenvalues(alphas[missing], g[missing], jbar[missing])
     soft = np.full((len(solutions), 2), np.nan)
-    (w_even, _), (w_odd, _) = _mirror_eigh(hess[frustrated[dense]])
-    soft[frustrated] = np.column_stack([w_even[:, 0], w_odd[:, 0]])
+    if frustrated.any():
+        (w_even, _), (w_odd, _) = _mirror_eigh(energy_hessian(
+            alphas[frustrated], g[frustrated], jbar[frustrated]))
+        soft[frustrated] = np.column_stack([w_even[:, 0], w_odd[:, 0]])
     return eigenvalues, soft
 
 
@@ -808,27 +836,30 @@ def _uniform_rows(alphas: np.ndarray) -> np.ndarray:
     return (alphas == alphas[:, :1]).all(axis=-1)
 
 
-def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray):
+def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
+                         hessian=None) -> np.ndarray:
     """Ascending Hessian eigenvalues of a stack of configurations (rows,
-    N), with ``g`` and ``jbar`` one value per row: ``(eigenvalues, dense,
-    hess)``, with ``dense`` the mask of the rows solved densely and
-    ``hess`` their Hessians.
+    N), with ``g`` and ``jbar`` one value per row.
 
     A row of equal coherences a has the circulant Hessian of diagonal d,
     computed as :func:`~frustra.model.energy_hessian` computes it, and
     hopping 2 jbar, so its eigenvalues are d + 4 jbar cos k over the
     ring's momenta, in ascending order; at a = 0 these are the bits of
     :func:`~frustra.model.origin_hessian_eigenvalues`.  Every other row
-    takes ``numpy.linalg.eigvalsh`` of its Hessian.
+    takes ``numpy.linalg.eigvalsh`` of its Hessian, which ``hessian(mask)``
+    gives for the rows of a mask (by default, :func:`energy_hessian` of
+    those rows; the solver reads its Newton stack's kernel).
     """
+    if hessian is None:
+        def hessian(rows):
+            return energy_hessian(alphas[rows], g[rows], jbar[rows])
     n = alphas.shape[-1]
     uniform = _uniform_rows(alphas)
     dense = ~uniform
     if not uniform.any():  # a frustrated stack, solved without masks
-        hess = energy_hessian(alphas, g, jbar)
-        return np.linalg.eigvalsh(hess), dense, hess
+        return np.linalg.eigvalsh(hessian(dense))
     tables = ring(n)
-    eigenvalues, hess = np.empty(alphas.shape), np.empty((0, n, n))
+    eigenvalues = np.empty(alphas.shape)
     hopping = jbar[uniform, None]
     # rounding is monotone, so d + 4 jbar cos k follows cos k: the
     # ascending cosines, reversed for jbar < 0, give the sorted spectrum
@@ -836,9 +867,8 @@ def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray):
     eigenvalues[uniform] = (_hessian_diagonal(alphas[uniform, :1], g[uniform, None])
                             + 4.0 * hopping * np.where(hopping < 0, cosines[::-1], cosines))
     if dense.any():
-        hess = energy_hessian(alphas[dense], g[dense], jbar[dense])
-        eigenvalues[dense] = np.linalg.eigvalsh(hess)
-    return eigenvalues, dense, hess
+        eigenvalues[dense] = np.linalg.eigvalsh(hessian(dense))
+    return eigenvalues
 
 
 def _mirror_eigh(hess: np.ndarray):

@@ -14,8 +14,10 @@ and additive non-critical backgrounds are negligible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from warnings import warn
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DomainError,
@@ -24,7 +26,13 @@ from .errors import (
     ValidationError,
 )
 from .fluctuations import CRITICAL_REGIME_FACTOR, site_moments
-from .meanfield import GroundStateSolution, Phase, hessian_spectra, solve_ground_states
+from .meanfield import (
+    GroundStateSolution,
+    Phase,
+    _raw_linalg,
+    hessian_spectra,
+    solve_ground_states,
+)
 from .model import ModelParams, critical_point, default_hopping_sign, rescaled_energy
 
 OBSERVABLES = ("gaps", "photon_numbers", "squeezing", "hessian_eigenvalues", "energy")
@@ -294,19 +302,39 @@ def fit_power_law(points) -> PowerLawFit:
     if pts.ndim != 2 or pts.shape[0] < FIT_MIN_POINTS:
         raise DomainError(f"need at least {FIT_MIN_POINTS} points, got {len(pts)}")
     x, y = pts[:, 0], pts[:, 1]
-    if np.any(x <= 0) or np.any(y <= 0) or not np.all(np.isfinite(pts)):
+    if (x <= 0).any() or (y <= 0).any() or not np.isfinite(pts).all():
         raise DomainError("power-law fitting needs positive finite data")
     lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
+    slope, intercept = _line_fit(lx, ly)
     residual = ly - (slope * lx + intercept)
-    total = np.sum((ly - ly.mean()) ** 2)
-    r_squared = 1.0 - float(np.sum(residual ** 2) / total) if total > 0 else 1.0
+    total = ((ly - ly.sum() / len(ly)) ** 2).sum()  # ly.mean() is this sum over the count
+    r_squared = 1.0 - float((residual ** 2).sum() / total) if total > 0 else 1.0
     if r_squared < FIT_R2_THRESHOLD:
         raise FitQualityError(
             f"power-law fit quality r^2={r_squared:.6f} below {FIT_R2_THRESHOLD}",
             r_squared=r_squared)
     return PowerLawFit(float(slope), float(np.exp(intercept)), r_squared,
                        (float(x.min()), float(x.max())), len(pts))
+
+
+#: numpy.linalg.lstsq, bit for bit
+_lstsq = _raw_linalg(_umath_linalg.lstsq, "ddd->ddid",
+                     "SVD did not converge in Linear Least Squares")
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(slope, intercept) of ``np.polyfit(x, y, 1)`` on float vectors, bit
+    for bit, without its wrappers: the Vandermonde columns (x, 1) scaled
+    to unit norm, :data:`_lstsq` at polyfit's rcond, the scale divided
+    out, and polyfit's ``RankWarning`` below rank 2."""
+    lhs = np.empty((len(x), 2))
+    lhs[:, 0], lhs[:, 1] = x, 1.0
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    coefficients, _, rank, _ = _lstsq(lhs, y[:, None], len(x) * np.finfo(float).eps)
+    if rank != 2:
+        warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    return coefficients[:, 0] / scale
 
 
 def asymptotic_mask(reduced: np.ndarray, values: np.ndarray,
@@ -347,7 +375,7 @@ def lowest_decade_fit(reduced, values, floor: float = 0.0,
             f"only {int(mask.sum())} usable points after noise trimming")
     x, y = reduced[mask], values[mask]
     top = x.min() * FIT_DECADE
-    while np.sum(x <= top * (1 + 1e-9)) < FIT_MIN_POINTS:
+    while (x <= top * (1 + 1e-9)).sum() < FIT_MIN_POINTS:
         top *= FIT_DECADE ** 0.25
     window = x <= top * (1 + 1e-9)
     return fit_power_law(np.column_stack([x[window], np.abs(y[window])]))
@@ -401,16 +429,22 @@ def extract_exponents(params: ModelParams,
             "frustration exponents for more than 7 sites extrapolate the "
             "(N-1)/2 law beyond its validated range")
     eps_floor = CRITICAL_REGIME_FACTOR * params.omega0
+    fits = {}  # per distinct series and fit options, its fit or its error message
 
     def fit(observable, index, floor=0.0, diverging=False):
         reduced, values = result.series(observable, str(index))
         if len(reduced) < FIT_MIN_POINTS:
             return None
-        try:
-            return lowest_decade_fit(reduced, values, floor, diverging)
-        except (DomainError, FitQualityError) as exc:
-            warnings.append(f"{observable}[{index}]: {exc}")
+        key = (reduced.tobytes(), values.tobytes(), floor, diverging)
+        if key not in fits:
+            try:
+                fits[key] = lowest_decade_fit(reduced, values, floor, diverging)
+            except (DomainError, FitQualityError) as exc:
+                fits[key] = str(exc)
+        if isinstance(fits[key], str):
+            warnings.append(f"{observable}[{index}]: {fits[key]}")
             return None
+        return fits[key]
 
     photon, squeeze = {}, {}
     for site in range(1, params.n_sites + 1):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import frustra
-from frustra import cli, scaling
+from frustra import cli, meanfield, scaling
 from frustra.cli import main
 from csv_reference import csv_to_rows, package_csv, rows_to_csv, table_csv, table_points
 
@@ -50,6 +50,14 @@ class TestCriticalPoint:
         code, out, err = run_cli(capsys, "critical-point", "--g", g)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--omega0", "-1", "omega0 must be positive, got -1.0"),
+        ("--omega-atom", "nan", "Omega must be positive, got nan")])
+    def test_rejects_a_frequency_with_or_without_a_coupling(self, capsys, flag, value, message):
+        for coupling in ((), ("--g", "1.0")):
+            code, out, err = run_cli(capsys, "critical-point", flag, value, *coupling)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_sign_is_not_an_option(self, capsys, tmp_path):
         # the hopping sign follows from jbar: neither a flag nor a config
         # key sets it
@@ -83,6 +91,24 @@ class TestGroundState:
         assert len(manifold) == 6
         energies = [r["value"] for r in manifold]
         assert max(energies) - min(energies) < 1e-10
+
+    @pytest.mark.parametrize("seed_mode", ["symmetry-orbit", "exhaustive"])
+    def test_manifold_solves_the_point_once(self, capsys, monkeypatch, seed_mode):
+        # the orbit is built from the solution the command already holds
+        argv = ("ground-state", "--jbar", "0.01", "--sites", "5", "--g", "1.2", "--manifold",
+                "--seed-mode", seed_mode)
+        expected = run_cli(capsys, *argv)
+        stacks = []
+        solve = meanfield.solve_ground_states
+
+        def counted(points):
+            stacks.append(list(points))
+            return solve(stacks[-1])
+
+        monkeypatch.setattr(meanfield, "solve_ground_states", counted)
+        assert run_cli(capsys, *argv) == expected
+        assert expected[0] == 0 and expected[1].count("manifold_energy") == 10
+        assert [len(points) for points in stacks] == [1]
 
     def test_exhaustive_seed_mode_manifold(self, capsys):
         code, out, _ = run_cli(capsys, "ground-state", "--jbar", "0.01",

@@ -458,11 +458,13 @@ class TestDerivedSolutionFields:
         solution = solve_ground_state(p)
         flipped = -solution.config.alphas
         assert flipped[0] > 0
-        (canonical,) = _canonical_solutions(flipped[None], np.array([solution.grad_norm]), [p])
+        (canonical,) = _canonical_solutions(flipped[None], np.array([solution.grad_norm]),
+                                            solution.hessian_eigenvalues[None], [p])
         assert canonical.phase is Phase.FSP
         a = canonical.config.alphas
         assert a[0] < 0 <= a[1]
         assert np.array_equal(a, solution.config.alphas)
+        assert canonical.hessian_eigenvalues.tobytes() == solution.hessian_eigenvalues.tobytes()
 
 
 class TestStackedSolve:
@@ -869,6 +871,62 @@ class TestHessianCriticalModes:
             hessian_critical_modes(solve_ground_state(params(0.01, 0.5)))
 
 
+class TestCarriedSpectrum:
+    """A solved point carries the Hessian spectrum its minimum check
+    computed, and hessian_spectra reads it."""
+
+    @staticmethod
+    def points(n):
+        points = []
+        for jbar in (0.01, 0.3, -0.01, -0.3):
+            gc = critical_point(jbar, n, "positive" if jbar > 0 else "negative")
+            points += [params(jbar, gc * (1 + r), n) for r in (-0.5, -1e-3, 1e-7, 1e-4, 1e-2, 0.3)]
+        return points
+
+    @pytest.mark.parametrize("n", range(3, 22, 2))
+    def test_carried_spectrum_is_the_recomputed_one_bit_for_bit(self, n):
+        solutions = solve_ground_states(self.points(n))
+        assert {s.phase for s in solutions} == {Phase.NORMAL, Phase.NFSP, Phase.FSP}
+        alphas, g, jbar = (np.array([getattr(s.config, name) for s in solutions])
+                           for name in ("alphas", "g", "jbar"))
+        # the route hessian_spectra took before solutions carried spectra
+        recomputed = _hessian_eigenvalues(alphas, g, jbar)
+        dense = ~meanfield._uniform_rows(alphas)
+        assert recomputed[dense].tobytes() == np.linalg.eigvalsh(
+            energy_hessian(alphas[dense], g[dense], jbar[dense])).tobytes()
+        for solution, spectrum in zip(solutions, recomputed):
+            if solution.phase is Phase.NORMAL:
+                assert solution.hessian_eigenvalues is None
+            else:
+                assert solution.hessian_eigenvalues.tobytes() == spectrum.tobytes()
+                assert not solution.hessian_eigenvalues.flags.writeable
+        eigenvalues, soft = hessian_spectra(solutions)
+        assert eigenvalues.tobytes() == recomputed.tobytes()
+        # a hand-built solution carries none and gets the same bits
+        hand_built = [GroundStateSolution(s.config, s.phase, s.grad_norm, s.params)
+                      for s in solutions]
+        assert [a.tobytes() for a in hessian_spectra(hand_built)] == [
+            eigenvalues.tobytes(), soft.tobytes()]
+
+    def test_minimum_check_reads_the_newton_kernel(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("energy_hessian called")
+
+        points = self.points(7)
+        expected = solve_ground_states(points)
+        monkeypatch.setattr(meanfield, "energy_hessian", unused)
+        for solution, alone in zip(solve_ground_states(points), expected):
+            assert solution.config.alphas.tobytes() == alone.config.alphas.tobytes()
+
+    def test_solved_stack_runs_no_dense_eigensolver_for_its_spectra(self, monkeypatch):
+        # frustrated points carry theirs, and normal ones take the closed form
+        solutions = solve_ground_states(self.points(5))
+        expected = hessian_spectra(solutions)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert [a.tobytes() for a in hessian_spectra(solutions)] == [
+            a.tobytes() for a in expected]
+
+
 class TestMomentumSpectra:
     """The closed-form spectrum d + 4 jbar cos k of a row of equal
     coherences, against the origin formula and the dense eigensolver."""
@@ -880,7 +938,7 @@ class TestMomentumSpectra:
     @staticmethod
     def spectra(alphas, g, jbar):
         """The helper's eigenvalues, with jbar broadcast to one per row."""
-        return _hessian_eigenvalues(alphas, g, np.full(len(alphas), jbar))[0]
+        return _hessian_eigenvalues(alphas, g, np.full(len(alphas), jbar))
 
     def test_origin_spectrum_is_the_origin_formula_bit_for_bit(self):
         for n, jbar in itertools.product(self.SIZES, self.HOPPINGS):

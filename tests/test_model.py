@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -64,6 +65,29 @@ class TestModelParams:
         base.update(kwargs)
         with pytest.raises(ValidationError):
             ModelParams(**base)
+
+    @pytest.mark.parametrize("field", ["omega0", "Omega", "g"])
+    def test_finiteness_accepts_and_rejects_as_numpy_does(self, field):
+        # each value meets the check np.isfinite(value) and value > 0 (g:
+        # >= 0) of the field, or raises the exception that check raises
+        values = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, 2, True, 10 ** 400,
+                  np.float64(np.nan), np.float64(-np.inf), np.float32(np.inf), np.float16(np.nan),
+                  np.float64(0.25), np.float32(0.5), np.int64(3), np.bool_(True), None, "1.0"]
+        for value in values:
+            try:
+                positive = value >= 0 if field == "g" else value > 0
+                expected = bool(np.isfinite(value) and positive)
+            except TypeError:
+                expected = TypeError
+            base = {**dict(omega0=1.0, Omega=1.0, jbar=0.01, g=0.5, n_sites=3), field: value}
+            if expected is TypeError:
+                with pytest.raises(TypeError):
+                    ModelParams(**base)
+            elif expected:
+                assert getattr(ModelParams(**base), field) is value
+            else:
+                with pytest.raises(ValidationError, match=re.escape(f"got {value}")):
+                    ModelParams(**base)
 
     def test_configuration_energy_consistency(self):
         rng = np.random.default_rng(7)

@@ -8,8 +8,12 @@ test-side generic Cholesky/real-Schur reference, the momentum-block path
 of the uniform phases against the Williamson reference, the oracle's image
 dedupe against the image-by-image reference, the CSV wire format and
 writer against the one-``repr``-per-value reference, the array noise
-trim against the point-by-point walk, and the landscape kernel and the
-public energy functions against the per-call reference."""
+trim against the point-by-point walk, the landscape kernel and the
+public energy functions against the per-call reference, and the lean
+line fit against ``np.polyfit`` and the power-law fit against its
+``np.polyfit``/``np.mean`` reference."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from frustra.fluctuations import (
     symplectic_spectrum_modulus,
     williamson_diagonalize,
 )
-from frustra.errors import FrustraError
+from frustra.errors import FitQualityError, FrustraError
 from frustra.meanfield import (
     MATCH_TOL,
     Phase,
@@ -49,7 +53,7 @@ from frustra.model import (
     rescaled_energy,
     ring,
 )
-from frustra.scaling import SweepSpec, asymptotic_mask, run_sweep
+from frustra.scaling import SweepSpec, _line_fit, asymptotic_mask, fit_power_law, run_sweep
 from csv_reference import (
     csv_to_rows,
     package_csv,
@@ -557,3 +561,67 @@ def test_landscape_kernel_returns_the_reference_bits(case):
         per_site = g[:, None] if np.ndim(g) else g
         assert _bits(_hessian_diagonal(alphas, per_site)) == _bits(
             landscape_reference._hessian_diagonal(alphas, per_site))
+
+
+@st.composite
+def line_data(draw):
+    """(x, y) of 2 to 40 points: log-coupling-like x in [-40, 5], a few
+    repeated or all equal, and y of any scale and sign."""
+    m = draw(st.integers(2, 40))
+    x = np.array(draw(st.lists(st.floats(-40.0, 5.0), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        x = x[np.array(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))]
+    if draw(st.integers(0, 4)) == 0:
+        x[:] = x[0]  # rank 1: polyfit warns
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    y = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    return x, y
+
+
+def _fit_and_warnings(fit, x, y):
+    """The bits of ``fit(x, y)``, or the message of its LinAlgError (x all
+    0 scales a column by 0/0), and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = fit(x, y).tobytes()
+        except np.linalg.LinAlgError as exc:
+            outcome = str(exc)
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+@PROPERTY
+@given(line_data())
+def test_line_fit_returns_the_bits_and_warnings_of_polyfit(case):
+    x, y = case
+    got = _fit_and_warnings(_line_fit, x, y)
+    assert got == _fit_and_warnings(lambda x, y: np.polyfit(x, y, 1), x, y)
+    if (x == x[0]).all() and x[0] != 0:
+        assert got[1] == [(np.exceptions.RankWarning, "Polyfit may be poorly conditioned")]
+
+
+def fit_power_law_reference(pts):
+    """(slope, intercept, r_squared) of the power-law fit through
+    ``np.polyfit``, ``np.mean`` and ``np.sum``."""
+    lx, ly = np.log(pts[:, 0]), np.log(pts[:, 1])
+    slope, intercept = np.polyfit(lx, ly, 1)
+    residual = ly - (slope * lx + intercept)
+    total = np.sum((ly - ly.mean()) ** 2)
+    return slope, intercept, 1.0 - float(np.sum(residual ** 2) / total) if total > 0 else 1.0
+
+
+@PROPERTY
+@given(st.integers(6, 40), st.floats(-9.0, -1.0), st.floats(-3.0, 3.0), st.floats(0.0, 0.3),
+       st.integers(0, 2 ** 32 - 1))
+def test_power_law_fit_returns_the_reference_bits(m, low, exponent, noise, seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(10.0 ** rng.uniform(low, low + 3.0, m))
+    pts = np.column_stack([x, x ** exponent * np.exp(noise * rng.normal(size=m))])
+    slope, intercept, r_squared = fit_power_law_reference(pts)
+    try:
+        fit = fit_power_law(pts)
+    except FitQualityError as exc:
+        assert exc.r_squared == r_squared
+        return
+    assert (fit.exponent, fit.r_squared) == (slope, r_squared)
+    assert fit.prefactor == float(np.exp(intercept))

@@ -177,6 +177,36 @@ class TestFitPowerLaw:
         assert fit.window[0] > 3e-5  # plateau excluded
 
 
+class TestLineFit:
+    """The fits call the gufunc behind numpy.linalg.lstsq directly, the way
+    np.polyfit calls it; a numpy upgrade that changes it fails here first."""
+
+    def test_lstsq_is_numpy_linalg_lstsq_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for m, n in ((6, 2), (26, 2), (5, 3), (4, 4)):
+            a, b = rng.normal(size=(m, n)), rng.normal(size=(m, 1))
+            if n == 4:  # a rank-deficient system
+                a[:, -1] = a[:, 0]
+            for rcond in (m * np.finfo(float).eps, 1e-3):
+                x, _, rank, s = scaling._lstsq(a, b, rcond)
+                x_np, _, rank_np, s_np = np.linalg.lstsq(a, b, rcond)
+                assert x.tobytes() == x_np.tobytes() and s.tobytes() == s_np.tobytes()
+                assert int(rank) == rank_np
+
+    def test_lstsq_failure_raises_linalg_error(self):
+        nan = np.full((6, 2), np.nan)
+        for lstsq in (scaling._lstsq, np.linalg.lstsq):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                lstsq(nan, np.ones((6, 1)), 1e-15)
+
+    def test_constant_x_warns_as_polyfit_does(self):
+        x, y = np.full(8, -3.0), np.linspace(1.0, 2.0, 8)
+        with pytest.warns(np.exceptions.RankWarning, match="poorly conditioned"):
+            lean = scaling._line_fit(x, y)
+        with pytest.warns(np.exceptions.RankWarning, match="poorly conditioned"):
+            assert lean.tobytes() == np.polyfit(x, y, 1).tobytes()
+
+
 class TestExponentReports:
     def test_trimer_frustrated_exponents(self):
         report = extract_exponents(params(0.01), window=(1e-5, 1e-2),
@@ -276,6 +306,89 @@ class TestExponentReports:
         report = extract_exponents(params(-0.01, n=9), window=(3e-4, 1e-2),
                                    points_per_decade=6)
         assert not any("extrapolate" in w for w in report.warnings)
+
+
+def every_series_report(params, window=scaling.EXPONENT_WINDOW, points_per_decade=25):
+    """The report of :func:`extract_exponents` with one ``lowest_decade_fit``
+    per observable and index, each failure warned where it happens."""
+    n, frustrated = params.n_sites, params.jbar > 0
+    result = run_sweep(SweepSpec(
+        jbar=params.jbar, n_sites=n, omega0=params.omega0, Omega=params.Omega,
+        reduced_min=window[0], reduced_max=window[1], points_per_decade=points_per_decade,
+        sides="above", observables=("gaps", "photon_numbers", "squeezing",
+                                    "hessian_eigenvalues")))
+    warnings = list(result.warnings)
+    if frustrated and n > 7:
+        warnings.append("frustration exponents for more than 7 sites extrapolate the "
+                        "(N-1)/2 law beyond its validated range")
+
+    def fit(observable, index, floor=0.0, diverging=False):
+        reduced, values = result.series(observable, str(index))
+        if len(reduced) < scaling.FIT_MIN_POINTS:
+            return None
+        try:
+            return scaling.lowest_decade_fit(reduced, values, floor, diverging)
+        except (DomainError, FitQualityError) as exc:
+            warnings.append(f"{observable}[{index}]: {exc}")
+            return None
+
+    photon, squeeze = {}, {}
+    for site in range(1, n + 1):
+        photon[site] = fit("photon_numbers", site, diverging=True)
+        squeeze[site] = fit("squeezing", site, diverging=True)
+    gap_floor = scaling.CRITICAL_REGIME_FACTOR * params.omega0
+    if frustrated:
+        gamma_mf, gamma_f = (fit("gaps", key, floor=gap_floor) for key in ("mf", "f"))
+        hessian = {key: fit("hessian_eigenvalues", key, floor=scaling.HESSIAN_FLOOR)
+                   for key in ("mf", "f")}
+    else:
+        gamma_mf, gamma_f = fit("gaps", 1, floor=gap_floor), None
+        hessian = {"mf": fit("hessian_eigenvalues", 1, floor=scaling.HESSIAN_FLOOR)}
+    checks = scaling._structural_checks(n, frustrated, gamma_mf, gamma_f, photon, squeeze,
+                                        hessian)
+    warnings += [f"check {name} failed" for name, ok in sorted(checks.items()) if not ok]
+    labels = {site: ("unpaired" if site == 1 else "paired") if frustrated else "uniform"
+              for site in range(1, n + 1)}
+    return scaling.ExponentReport(Phase.FSP if frustrated else Phase.NFSP, n, params.jbar,
+                                  window, gamma_mf, gamma_f, photon, squeeze, hessian, labels,
+                                  checks, tuple(warnings))
+
+
+class TestFitOnce:
+    """An exponent run fits each distinct series once; mirror partners, and
+    the sites of a uniform run, share their fit."""
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_mirror_partners_hold_equal_columns(self, n):
+        result = run_sweep(SweepSpec(jbar=0.01, n_sites=n, reduced_min=1e-7, sides="above",
+                                     observables=("photon_numbers", "squeezing")))
+        for name in ("photon_numbers", "squeezing"):
+            labels, values, present = result.table[name]
+            column = {int(label): k for k, label in enumerate(labels.tolist())}
+            assert np.isnan(values).any()  # the deep paired values are unresolved
+            for site in range(2, n + 1):
+                partner = column[n + 2 - site]
+                assert values[:, column[site]].tobytes() == values[:, partner].tobytes()
+                assert np.array_equal(present[:, column[site]], present[:, partner])
+
+    @pytest.mark.parametrize("jbar, n, fits, distinct", [
+        (0.01, 7, 18, 12), (-0.01, 21, 44, 4), (0.01, 9, 22, 14)])
+    def test_one_fit_per_distinct_series(self, monkeypatch, jbar, n, fits, distinct):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return lowest_decade_fit(*args)
+
+        monkeypatch.setattr(scaling, "lowest_decade_fit", counted)
+        reference = every_series_report(params(jbar, n=n))
+        assert len(calls) == fits
+        calls.clear()
+        assert extract_exponents(params(jbar, n=n)) == reference
+        assert len(calls) == distinct
+        if n == 9:  # mirror partners whose shared fit failed are each warned
+            assert {w.split(":")[0] for w in reference.warnings} >= {
+                "photon_numbers[2]", "photon_numbers[9]", "squeezing[2]", "squeezing[9]"}
 
 
 class TestDerivativeDiagnostics:

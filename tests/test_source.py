@@ -73,3 +73,71 @@ def test_every_package_definition_has_a_reader():
     readers = [path.read_text(encoding="utf-8") for path in READERS]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert unread_definitions(package, readers, readme) == []
+
+
+#: Per numpy.linalg._umath_linalg gufunc the package may call, the public
+#: numpy.linalg function a test must pin it to; a gufunc missing here is
+#: unpinned.
+PUBLIC_LINALG = {"cholesky_lo": "cholesky", "eigh_lo": "eigh", "solve": "solve",
+                 "lstsq": "lstsq"}
+
+
+def private_gufuncs(modules: dict[str, str]) -> dict[str, set[str]]:
+    """Per ``_umath_linalg.<name>`` that ``modules`` (sources by name) call,
+    the names a test may read it by: ``<name>`` on ``_umath_linalg``, and
+    the module-level name its top-level statement assigns, if any."""
+    found: dict[str, set[str]] = {}
+    for source in modules.values():
+        for statement in ast.parse(source).body:
+            targets = {target.id for target in getattr(statement, "targets", [])
+                       if isinstance(target, ast.Name)}
+            for node in ast.walk(statement):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "_umath_linalg"):
+                    found.setdefault(node.attr, {node.attr}).update(targets)
+    return found
+
+
+def unpinned_gufuncs(modules: dict[str, str], tests: list[str]) -> list[str]:
+    """The gufuncs of :func:`private_gufuncs` that no test function reads,
+    by one of its names, together with its ``linalg.<public>`` function."""
+    gufuncs, pinned = private_gufuncs(modules), set()
+    for source in tests:
+        for test in ast.walk(ast.parse(source)):
+            if not isinstance(test, ast.FunctionDef):
+                continue
+            public, read = set(), set()
+            for node in ast.walk(test):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    on = getattr(node.value, "attr", getattr(node.value, "id", None))
+                    (public if on == "linalg" else read).add(node.attr)
+            pinned |= {name for name, names in gufuncs.items()
+                       if names & read and PUBLIC_LINALG.get(name) in public}
+    return sorted(set(gufuncs) - pinned)
+
+
+def test_guard_finds_unpinned_gufuncs():
+    modules = {"a.py": "from numpy.linalg import _umath_linalg\n"
+                       "_eigh = wrap(_umath_linalg.eigh_lo)\n\n\n"
+                       "def f(x):\n    return _umath_linalg.solve(x) + _umath_linalg.lstsq(x)"
+                       " + _umath_linalg.qr_r_raw(x)\n"}
+    tests = ["def test_a():\n    assert a._eigh(x) == np.linalg.eigh(x)\n",
+             "def test_b():\n    np.linalg.solve(x)\n",
+             "def test_c():\n    _umath_linalg.lstsq(x)\n\n\ndef test_d():\n    linalg.lstsq(x)\n"]
+    assert private_gufuncs(modules) == {"eigh_lo": {"eigh_lo", "_eigh"}, "solve": {"solve"},
+                                        "lstsq": {"lstsq"}, "qr_r_raw": {"qr_r_raw"}}
+    assert unpinned_gufuncs(modules, tests) == ["lstsq", "qr_r_raw", "solve"]
+    pins = ["def test_e():\n    _umath_linalg.lstsq(x) == linalg.lstsq(x)\n",
+            "def test_f():\n    assert _umath_linalg.solve(x) == np.linalg.solve(x)\n"]
+    assert unpinned_gufuncs(modules, tests + pins) == ["qr_r_raw"]
+
+
+def test_every_private_gufunc_is_pinned_to_its_numpy_function():
+    package = {name: path.read_text(encoding="utf-8") for name, path in MODULES.items()
+               if not name.startswith("tests/")}
+    tests = [path.read_text(encoding="utf-8") for name, path in MODULES.items()
+             if name.startswith("tests/")]
+    assert set(private_gufuncs(package)) == set(PUBLIC_LINALG)
+    assert unpinned_gufuncs(package, tests) == []
