@@ -71,6 +71,7 @@ _JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (boo
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    flags = _CONFIG_KEYS & vars(args).keys()  # the subparser sets each of its flags
     file_values = {}
     if args.config:
         try:
@@ -90,9 +91,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         flag_type = RunConfig.__annotations__[key]  # such as "float | None"
         if not any(type(value) in _JSON_TYPES[kind] for kind in flag_type.split(" | ")):
             raise ValidationError(f"config key {key} must be {flag_type}, got {json.dumps(value)}")
+        if key not in flags:
+            raise ValidationError(f"config key {key} is not a flag of {args.command}")
         setattr(merged, key, value)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+    for key in flags:
+        value = getattr(args, key)
         if value is not None:
             setattr(merged, key, value)
     if merged.format not in ("csv", "json"):
@@ -302,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dimensionless hopping J/omega0 (default 0.01)")
         cmd.add_argument("--sites", type=int, default=None,
                          help="lattice size N, odd and >= 3 (default 3)")
-        cmd.add_argument("--g", type=float, default=None, help="coupling strength")
+        if name in ("critical-point", "ground-state", "spectrum"):
+            cmd.add_argument("--g", type=float, default=None, help="coupling strength")
         cmd.add_argument("--omega0", type=float, default=None,
                          help="cavity frequency (default 1.0)")
         cmd.add_argument("--omega-atom", dest="omega_atom", type=float, default=None,
@@ -320,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--reduced-min", dest="reduced_min", type=float)
             cmd.add_argument("--reduced-max", dest="reduced_max", type=float)
             cmd.add_argument("--points-per-decade", dest="points_per_decade", type=int)
+        if name == "sweep":
             cmd.add_argument("--side", choices=("both", "above", "below"))
             cmd.add_argument("--observables", default=None,
                              help="comma-separated subset of "

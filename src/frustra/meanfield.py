@@ -12,6 +12,7 @@ mirror pairs satisfying alpha_{1+j} = alpha_{N+1-j}.
 
 from __future__ import annotations
 
+import copy
 import functools
 import logging
 import math
@@ -192,58 +193,37 @@ def saddle_configuration(g: float, jbar: float) -> MeanFieldConfiguration:
 # stacked Newton minimization
 
 
-def _isolated(fn, stack, rows, failures, catch=(FrustraError, np.linalg.LinAlgError)):
-    """``fn(stack, rows)`` on a stack and the ids of its rows, with failing
-    rows isolated: when ``fn`` raises one of ``catch``, the stack is halved
-    and retried until each failing row stands alone, and its exception is
-    stored in ``failures[row]``.  Returns the mask of the rows that
-    succeeded and ``fn``'s output (an array or a tuple of arrays) on them.
-    ``fn`` must accept an empty stack and treat rows independently, as
-    numpy's stacked linear algebra does, so that a row's output does not
-    depend on its stack.
-    """
-    try:
-        return np.ones(len(rows), dtype=bool), fn(stack, rows)
-    except catch as exc:
-        if len(rows) == 1:
-            # without its traceback the kept error holds no frame, and so
-            # no stack, alive
-            failures[int(rows[0])] = exc.with_traceback(None)
-            return np.zeros(1, dtype=bool), fn(stack[:0], rows[:0])
-    half = len(rows) // 2
-    (ok_a, out_a), (ok_b, out_b) = (_isolated(fn, stack[part], rows[part], failures, catch)
-                                    for part in (slice(None, half), slice(half, None)))
-    if isinstance(out_a, tuple):
-        return np.concatenate((ok_a, ok_b)), tuple(map(np.concatenate, zip(out_a, out_b)))
-    return np.concatenate((ok_a, ok_b)), np.concatenate((out_a, out_b))
+def _rowwise(gufunc, signature):
+    """The ``numpy.linalg`` function of ``gufunc`` on float stacks, without
+    its per-call dispatch and without raising: a row the gufunc fails comes
+    back with numpy's own failure mark, NaN in every float output, where
+    the public function raises ``LinAlgError`` for the whole stack; every
+    other row keeps the public function's bits."""
+    return np.errstate(all="ignore")(functools.partial(gufunc, signature=signature))
 
 
-def _raw_linalg(gufunc, signature, message):
-    """The ``numpy.linalg`` function of ``gufunc`` on float stacks without
-    its per-call dispatch: the gufunc under the error state that function
-    sets, so that a failure still raises ``LinAlgError(message)``."""
-    def call(err, flag):
-        raise np.linalg.LinAlgError(message)
-    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")(functools.partial(gufunc, signature=signature))
+#: numpy.linalg.eigh, eigvalsh (lower triangle) and solve, a row at a time
+_eigh = _rowwise(_umath_linalg.eigh_lo, "d->dd")
+_eigvalsh = _rowwise(_umath_linalg.eigvalsh_lo, "d->d")
+_solve = _rowwise(_umath_linalg.solve, "dd->d")
 
 
-#: numpy.linalg.eigh (lower triangle) and numpy.linalg.solve, bit for bit
-_eigh = _raw_linalg(_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge")
-_solve = _raw_linalg(_umath_linalg.solve, "dd->d", "Singular matrix")
+#: The error of a row whose eigensolve failed, as numpy.linalg raises it
+_UNCONVERGED = np.linalg.LinAlgError("Eigenvalues did not converge")
+#: The error of a row whose Newton trial point is not finite
+_NOT_FINITE = DomainError("alphas must be finite")
 
 
-def _finite(points, rows, failures, *companions):
-    """``(points, rows, *companions)`` of a stack of points, the ids of its
-    rows and arrays aligned with them, without the rows whose point is not
-    finite; each such row's :class:`DomainError` goes to ``failures``."""
-    finite = np.isfinite(points)
-    if finite.all():
-        return (points, rows, *companions)
-    finite = finite.all(axis=-1)
-    for row in rows[~finite].tolist():
-        failures[row] = DomainError("alphas must be finite")
-    return tuple(array[finite] for array in (points, rows, *companions))
+def _drop(bad, rows, failures, error, *companions):
+    """``(rows, *companions)``, the ids of a stack's rows and arrays aligned
+    with them, without the rows of the mask ``bad``; each such row gets its
+    own copy of the exception ``error`` in ``failures``."""
+    if not bad.any():
+        return (rows, *companions)
+    for row in rows[bad].tolist():
+        failures[row] = copy.copy(error)
+    keep = ~bad
+    return tuple(array[keep] for array in (rows, *companions))
 
 
 def _newton_minimize(fun, jac, hess_fn, x0):
@@ -287,9 +267,8 @@ def _newton_minimize(fun, jac, hess_fn, x0):
         live = live[~(np.abs(grad[live]).max(axis=-1) < 1e-6)]
         if not len(live):
             break
-        ok, (w, vecs) = _isolated(lambda hess, rows: _eigh(hess), hess_fn(x[live], live),
-                                  live, failures)
-        live = live[ok]
+        w, vecs = _eigh(hess_fn(x[live], live))
+        live, w, vecs = _drop(np.isnan(w[:, 0]), live, failures, _UNCONVERGED, w, vecs)
         coeffs = (np.swapaxes(vecs, -1, -2) @ grad[live][..., None])[..., 0]
         step = (vecs @ (coeffs / (np.abs(w) + 1e-9))[..., None])[..., 0]
         # the line search: the rows still searching share the step length
@@ -297,7 +276,8 @@ def _newton_minimize(fun, jac, hess_fn, x0):
         t, search, trial = 1.0, live, x[live] - step
         moved = np.zeros(len(x), dtype=bool)
         while True:
-            trial, search, step = _finite(trial, search, failures, step)
+            search, trial, step = _drop(~np.isfinite(trial).all(axis=-1), search, failures,
+                                        _NOT_FINITE, trial, step)
             f_new, f_old = fun(trial, search), f[search]
             accept = f_new <= f_old + 1e-14 * np.abs(f_old)
             if accept.all():
@@ -322,12 +302,12 @@ def _newton_minimize(fun, jac, hess_fn, x0):
         live = live[~(norm[live] < 1e-15)]
         if not len(live):
             break
-        # a singular Hessian ends that row's endgame, as a failed step does
-        ok, step = _isolated(lambda hess, rows: _solve(hess, grad[rows][..., None])[..., 0],
-                             hess_fn(x[live], live), live, {}, np.linalg.LinAlgError)
-        live = live[ok]
+        step = _solve(hess_fn(x[live], live), grad[live][..., None])[..., 0]
+        # a singular Hessian, whose step numpy fills with NaN, ends that
+        # row's endgame as a failed step does
+        live, step = _drop(np.isnan(step).all(axis=-1), live, {}, None, step)
         trial = x[live] - step
-        trial, live = _finite(trial, live, failures)
+        live, trial = _drop(~np.isfinite(trial).all(axis=-1), live, failures, _NOT_FINITE, trial)
         grad_new = jac(trial, live)
         new_norm = np.abs(grad_new).max(axis=-1)
         better = ~(new_norm >= norm[live])
@@ -524,12 +504,14 @@ def solve_ground_states(params_seq) -> list:
     grad_norm = np.full(len(y), np.nan)
     grad_norm[settled] = np.abs(landscape[1](alphas[settled], settled)).max(axis=-1)
     stationary = settled[~(grad_norm[settled] > 1e-6)]
-    ok, checked = _isolated(lambda a, rows: _hessian_eigenvalues(
-        a, g[rows], jbar[rows], lambda dense: landscape[2](a[dense], rows[dense])),
-        alphas[stationary], stationary, failures)
+    candidates = alphas[stationary]
+    checked = _hessian_eigenvalues(candidates, g[stationary], jbar[stationary],
+                                   lambda dense: landscape[2](candidates[dense], stationary[dense]))
+    stationary, checked = _drop(np.isnan(checked[:, 0]), stationary, failures, _UNCONVERGED,
+                                checked)
     spectra = np.full(alphas.shape, np.nan)  # per checked row its spectrum, for its solution
-    spectra[stationary[ok]] = checked
-    minima = stationary[ok][~(checked[:, 0] < PSD_TOLERANCE)]
+    spectra[stationary] = checked
+    minima = stationary[~(checked[:, 0] < PSD_TOLERANCE)]
     energy = np.full(len(y), np.inf)  # of the minima
     energy[minima] = landscape[0](alphas[minima], minima)
     # per seeded point, over its consecutive seed rows: the lowest energy of
@@ -669,9 +651,8 @@ def _enumerate_exhaustive(params: ModelParams):
     alphas, grad_norm, steps, failures = _newton_minimize(energy, gradient, hessian, seeds)
     settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
     stationary = settled[~(grad_norm[settled] > SOLUTION_GRAD_TOL)]
-    ok, lowest = _isolated(
-        lambda a, rows: np.linalg.eigvalsh(hessian(a)).min(axis=-1),
-        alphas[stationary], stationary, failures)
+    lowest = _eigvalsh(hessian(alphas[stationary])).min(axis=-1)
+    _drop(np.isnan(lowest), stationary, failures, _UNCONVERGED)
     if failures:
         raise failures[min(failures)]
     found = alphas[stationary[~(lowest < PSD_TOLERANCE)]]
@@ -807,7 +788,8 @@ def hessian_spectra(solutions):
     each point's configuration: the closed form for equal coherences, which
     a frustrated solution never has, and dense eigensolves otherwise.  Only
     the frustrated points' Hessians are built, for their mirror sectors.  An
-    unconverged solution raises :class:`ValidationError`."""
+    unconverged solution raises :class:`ValidationError`, and a failed
+    eigensolve ``LinAlgError``, as ``numpy.linalg.eigvalsh`` does."""
     _require_minimum(solutions)
     alphas, g, jbar = (np.array([getattr(solution.config, name) for solution in solutions])
                        for name in ("alphas", "g", "jbar"))
@@ -820,7 +802,10 @@ def hessian_spectra(solutions):
     if not missing.all():
         eigenvalues[~missing] = [spectrum for spectrum in carried if spectrum is not None]
     if missing.any():
-        eigenvalues[missing] = _hessian_eigenvalues(alphas[missing], g[missing], jbar[missing])
+        computed = _hessian_eigenvalues(alphas[missing], g[missing], jbar[missing])
+        if np.isnan(computed[:, 0]).any():
+            raise copy.copy(_UNCONVERGED)
+        eigenvalues[missing] = computed
     soft = np.full((len(solutions), 2), np.nan)
     if frustrated.any():
         (w_even, _), (w_odd, _) = _mirror_eigh(energy_hessian(
@@ -848,7 +833,8 @@ def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
     :func:`~frustra.model.origin_hessian_eigenvalues`.  Every other row
     takes ``numpy.linalg.eigvalsh`` of its Hessian, which ``hessian(mask)``
     gives for the rows of a mask (by default, :func:`energy_hessian` of
-    those rows; the solver reads its Newton stack's kernel).
+    those rows; the solver reads its Newton stack's kernel), through
+    :data:`_eigvalsh`: a row whose eigensolve fails is NaN throughout.
     """
     if hessian is None:
         def hessian(rows):
@@ -857,7 +843,7 @@ def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
     uniform = _uniform_rows(alphas)
     dense = ~uniform
     if not uniform.any():  # a frustrated stack, solved without masks
-        return np.linalg.eigvalsh(hessian(dense))
+        return _eigvalsh(hessian(dense))
     tables = ring(n)
     eigenvalues = np.empty(alphas.shape)
     hopping = jbar[uniform, None]
@@ -867,7 +853,7 @@ def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
     eigenvalues[uniform] = (_hessian_diagonal(alphas[uniform, :1], g[uniform, None])
                             + 4.0 * hopping * np.where(hopping < 0, cosines[::-1], cosines))
     if dense.any():
-        eigenvalues[dense] = np.linalg.eigvalsh(hessian(dense))
+        eigenvalues[dense] = _eigvalsh(hessian(dense))
     return eigenvalues
 
 

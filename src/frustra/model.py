@@ -27,18 +27,13 @@ from .errors import DomainError, InstabilityError, ValidationError
 
 HOPPING_SIGNS = ("positive", "negative")
 
-#: Stability window for the dimensionless hopping; outside of it one of the
-#: bare normal-mode frequencies omega0*(1 + 2 jbar cos k) turns negative.
-JBAR_MIN = -0.5
-JBAR_MAX = 1.0
 
-
-def validate_jbar(jbar: float) -> None:
-    """Reject hoppings outside the stability window (JBAR_MIN, JBAR_MAX)."""
-    if not (JBAR_MIN < jbar < JBAR_MAX):
-        raise ValidationError(
-            f"jbar={jbar} outside the stability window ({JBAR_MIN}, {JBAR_MAX})"
-        )
+def validate_jbar(jbar: float, n_sites: int) -> None:
+    """Reject hoppings outside the open :func:`stability_window` of a valid
+    lattice size."""
+    lo, hi = stability_window(n_sites)
+    if not (lo < jbar < hi):
+        raise ValidationError(f"jbar={jbar} outside the stability window ({lo}, {hi})")
 
 
 def validate_n_sites(n_sites: int) -> None:
@@ -64,7 +59,7 @@ class ModelParams:
 
     ``omegabar`` is the derived frequency ratio Omega/omega0.  The lattice
     size must be odd and at least 3; the hopping must lie in the open
-    stability window (-1/2, 1).
+    :func:`stability_window` of that size.
     """
 
     omega0: float
@@ -80,8 +75,8 @@ class ModelParams:
             raise ValidationError(f"Omega must be positive, got {self.Omega}")
         if not (_is_finite(self.g) and self.g >= 0):
             raise ValidationError(f"g must be non-negative, got {self.g}")
-        validate_jbar(self.jbar)
         validate_n_sites(self.n_sites)
+        validate_jbar(self.jbar, self.n_sites)
 
     @property
     def omegabar(self) -> float:
@@ -343,15 +338,17 @@ def origin_hessian_eigenvalues(g: float, jbar: float, n_sites: int) -> np.ndarra
     return np.sort(lam)
 
 
+@functools.cache
 def stability_window(n_sites: int) -> tuple[float, float]:
     """Hopping range where every bare normal-mode frequency stays positive.
 
     The frequencies are omega0 (1 + 2 jbar cos(2 pi t / N)); the most
     fragile modes are k = 0 (negative hopping) and k = +-(N-1) pi / N
-    (positive hopping), giving (-1/2, 1/(2 cos(pi/N))).  At three sites this
-    is the (-1/2, 1) window enforced by :class:`ModelParams`; larger rings
-    lose stability earlier on the positive side and operations raise
-    :class:`InstabilityError` there.
+    (positive hopping), giving (-1/2, 1/(2 cos(pi/N))).  Larger rings lose
+    stability earlier on the positive side.  :class:`ModelParams` and
+    :func:`critical_point` reject a hopping outside the open window of
+    their own size; at three sites its upper end rounds to
+    0.9999999999999998, one ulp below 1.
     """
     return -0.5, 1.0 / (2.0 * np.cos(np.pi / n_sites))
 
@@ -367,8 +364,8 @@ def critical_point(jbar: float, n_sites: int, hopping_sign: str) -> float:
     """
     if hopping_sign not in HOPPING_SIGNS:
         raise ValidationError(f"hopping_sign must be one of {HOPPING_SIGNS}")
-    validate_jbar(jbar)
     validate_n_sites(n_sites)
+    validate_jbar(jbar, n_sites)
     if hopping_sign == "positive" and jbar < 0:
         raise ValidationError("hopping_sign 'positive' requires jbar >= 0")
     if hopping_sign == "negative" and jbar > 0:

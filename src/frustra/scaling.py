@@ -29,7 +29,7 @@ from .fluctuations import CRITICAL_REGIME_FACTOR, site_moments
 from .meanfield import (
     GroundStateSolution,
     Phase,
-    _raw_linalg,
+    _rowwise,
     hessian_spectra,
     solve_ground_states,
 )
@@ -317,21 +317,24 @@ def fit_power_law(points) -> PowerLawFit:
                        (float(x.min()), float(x.max())), len(pts))
 
 
-#: numpy.linalg.lstsq, bit for bit
-_lstsq = _raw_linalg(_umath_linalg.lstsq, "ddd->ddid",
-                     "SVD did not converge in Linear Least Squares")
+#: numpy.linalg.lstsq, a row at a time
+_lstsq = _rowwise(_umath_linalg.lstsq, "ddd->ddid")
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(slope, intercept) of ``np.polyfit(x, y, 1)`` on float vectors, bit
     for bit, without its wrappers: the Vandermonde columns (x, 1) scaled
     to unit norm, :data:`_lstsq` at polyfit's rcond, the scale divided
-    out, and polyfit's ``RankWarning`` below rank 2."""
+    out, and polyfit's ``RankWarning`` below rank 2.  A failed SVD, which
+    numpy marks with NaN coefficients, raises the ``LinAlgError`` that
+    ``numpy.linalg.lstsq`` raises."""
     lhs = np.empty((len(x), 2))
     lhs[:, 0], lhs[:, 1] = x, 1.0
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
     coefficients, _, rank, _ = _lstsq(lhs, y[:, None], len(x) * np.finfo(float).eps)
+    if np.isnan(coefficients[0, 0]):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
     if rank != 2:
         warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     return coefficients[:, 0] / scale

@@ -18,7 +18,6 @@ from frustra.meanfield import (
     SOLUTION_GRAD_TOL,
     Phase,
     _classify,
-    _isolated,
     _newton_minimize,
     _polish_members,
     _uniform_magnitude,
@@ -48,9 +47,12 @@ def enumerate_all_sign_patterns(params):
         lambda a, rows: energy_hessian(a, g, jbar), seeds)
     settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
     stationary = settled[~(grad_norm[settled] > SOLUTION_GRAD_TOL)]
-    ok, lowest = _isolated(
-        lambda a, rows: np.linalg.eigvalsh(energy_hessian(a, g, jbar)).min(axis=-1),
-        alphas[stationary], stationary, failures)
+    lowest = np.full(len(stationary), np.nan)
+    for k, row in enumerate(stationary.tolist()):
+        try:
+            lowest[k] = np.linalg.eigvalsh(energy_hessian(alphas[row], g, jbar)).min()
+        except np.linalg.LinAlgError as exc:
+            failures[row] = exc
     if failures:
         raise failures[min(failures)]
     found = alphas[stationary[~(lowest < PSD_TOLERANCE)]]

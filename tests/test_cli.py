@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import frustra
-from frustra import cli, meanfield, scaling
+from frustra import cli, meanfield, model, scaling
 from frustra.cli import main
+from frustra.errors import ValidationError
 from csv_reference import csv_to_rows, package_csv, rows_to_csv, table_csv, table_points
 
 
@@ -347,10 +348,10 @@ class TestConfigFile:
         assert "coupling" in err
 
     def test_unknown_seed_mode_rejected(self, capsys, tmp_path):
-        # the key is accepted for every command, so every command checks it
+        # only ground-state has the key's flag, so it checks the mode
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"seed_mode": "random"}))
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+        code, _, err = run_cli(capsys, "ground-state", "--config", str(config))
         assert code == 2
         assert "seed_mode" in err
 
@@ -425,6 +426,48 @@ class TestSeedModeScope:
             main([command, "--seed-mode", "exhaustive"])
         assert exit_info.value.code == 2
         assert "--seed-mode" in capsys.readouterr().err
+
+
+class TestFlagScope:
+    """Each command has the flags it reads, and its config file only their keys."""
+
+    @pytest.mark.parametrize("argv", [("exponents", "--g", "5"), ("sweep", "--g", "5"),
+                                      ("exponents", "--side", "below"),
+                                      ("exponents", "--observables", "energy"),
+                                      ("critical-point", "--points-per-decade", "5")])
+    def test_rejected_where_unread(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("exponents", "g", 5.0), ("sweep", "g", 5), ("exponents", "side", "below"),
+        ("exponents", "observables", "energy"), ("critical-point", "manifold", True),
+        ("sweep", "seed_mode", "exhaustive"), ("spectrum", "points_per_decade", 5)])
+    def test_config_key_of_another_commands_flag_is_rejected(self, capsys, tmp_path,
+                                                             command, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: config key {key} is not a flag of {command}\n"
+
+    @pytest.mark.parametrize("command, own", [
+        ("critical-point", {"g"}), ("ground-state", {"g", "seed_mode", "manifold"}),
+        ("spectrum", {"g"}), ("exponents", {"reduced_min", "reduced_max", "points_per_decade"}),
+        ("sweep", {"reduced_min", "reduced_max", "points_per_decade", "side", "observables"})])
+    def test_config_accepts_exactly_the_keys_of_the_commands_flags(self, tmp_path, command, own):
+        config = tmp_path / "run.json"
+        defaults = cli.RunConfig(command)
+        for key in sorted(cli._CONFIG_KEYS):
+            config.write_text(json.dumps({key: getattr(defaults, key)}))
+            args = cli.build_parser().parse_args([command, "--config", str(config)])
+            if key in own | {"jbar", "sites", "omega0", "omega_atom", "output", "format"}:
+                assert getattr(cli._merge_config(args), key) == getattr(defaults, key)
+            else:
+                with pytest.raises(ValidationError, match=f"^config key {key} is not a flag"):
+                    cli._merge_config(args)
 
 
 @pytest.mark.parametrize("argv, head", [
@@ -547,13 +590,26 @@ class TestExitCodes:
         assert code == 0
         assert rows_by(csv_to_rows(out), "phase")[0]["index"] == "FrustratedSuperradiant"
 
-    def test_instability_exit_code(self, capsys):
-        # inside the three-site hopping window but past the five-site
-        # stability edge: the critical point has no real solution
+    def test_instability_exit_code(self, capsys, monkeypatch):
+        # critical_point keeps its guard for a hopping that passes the window
+        # check at rounding level; a stand-in window, the three-site one,
+        # lets 0.63 through at five sites, past the stability edge, where
+        # the critical point has no real solution
+        monkeypatch.setattr(model, "stability_window", lambda n_sites: (-0.5, 1.0))
         code, _, err = run_cli(capsys, "critical-point", "--jbar", "0.63",
                                "--sites", "5")
         assert code == 3
-        assert "error" in err
+        assert err.startswith("error: no stable critical point")
+
+    @pytest.mark.parametrize("jbar, sites", [("0.63", "5"), ("0.7", "5"), ("0.62", "5"),
+                                             ("1.2", "3"), ("1.0", "3"), ("-0.5", "7")])
+    def test_hopping_outside_the_window_of_its_size_is_a_validation_error(
+            self, capsys, jbar, sites):
+        # every command checks the window of the point's own lattice size
+        for command in ("critical-point", "exponents", "sweep"):
+            code, out, err = run_cli(capsys, command, "--jbar", jbar, "--sites", sites)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: jbar={jbar} outside the stability window (-0.5, ")
 
     def test_five_site_exponents(self, capsys):
         code, out, _ = run_cli(capsys, "exponents", "--jbar", "0.01",

@@ -650,8 +650,10 @@ class TestUniformPhaseMoments:
     @pytest.mark.parametrize("jbar, g", [(0.01, 1.2), (0.7, 0.1)])
     def test_stale_normal_state_is_unstable(self, jbar, g):
         # past g_c, and past the five-site hopping window where the cavity
-        # frequency of the k = +-4pi/5 blocks turns negative
-        p = params(jbar, g, n=5)
+        # frequency of the k = +-4pi/5 blocks turns negative; ModelParams
+        # rejects a hopping outside its size's window, so the solution
+        # carries a stand-in for its point's params
+        p = SimpleNamespace(omega0=1.0, Omega=1.0, jbar=jbar, g=g, n_sites=5)
         config = MeanFieldConfiguration(np.zeros(5), p.g, p.jbar)
         stale = GroundStateSolution(config, Phase.NORMAL, 0.0, p)
         with pytest.raises(InstabilityError):

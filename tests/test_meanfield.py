@@ -554,6 +554,52 @@ class TestStackedSolve:
                 assert np.array_equal(x1[0], x[i])
                 assert norm1[0] == norm[i] and np.array_equal(steps1[0], steps[i])
 
+    def test_failed_minimum_check_fails_only_its_point(self, monkeypatch):
+        # the solve's PSD check: a row whose eigensolve fails, as NaN input
+        # makes it, gives its point LinAlgError, and the other points of the
+        # stack keep their bits; below sqrt(1 + 2 jbar) each point has one
+        # seed, so the check's rows are the points
+        n, jbar = 5, 0.01
+        gc = critical_point(jbar, n, "positive")
+        points = [params(jbar, gc * (1 + r), n) for r in (1e-4, 1e-3, 5e-3)]
+        clean = solve_ground_states(points)
+        assert all(solution.phase is Phase.FSP for solution in clean)
+        real, checked = meanfield._eigvalsh, []
+
+        def failing(hess):
+            checked.append(len(hess))
+            hess = hess.copy()
+            hess[1] = np.nan
+            return real(hess)
+
+        monkeypatch.setattr(meanfield, "_eigvalsh", failing)
+        outcomes = solve_ground_states(points)
+        assert checked == [3]
+        assert type(outcomes[1]) is np.linalg.LinAlgError
+        assert str(outcomes[1]) == "Eigenvalues did not converge"
+        for k in (0, 2):
+            assert [outcomes[k].config.alphas.tobytes(), outcomes[k].grad_norm,
+                    outcomes[k].hessian_eigenvalues.tobytes()] == [
+                clean[k].config.alphas.tobytes(), clean[k].grad_norm,
+                clean[k].hessian_eigenvalues.tobytes()]
+
+    def test_failed_oracle_minimum_check_raises_linalg_error(self, monkeypatch):
+        # the exhaustive oracle's PSD check: one failing row among its
+        # stationary rows fails the call with LinAlgError
+        point = params(0.01, critical_point(0.01, 5, "positive") * 1.01, 5)
+        real, checked = meanfield._eigvalsh, []
+
+        def failing(hess):
+            checked.append(len(hess))
+            hess = hess.copy()
+            hess[-1] = np.nan
+            return real(hess)
+
+        monkeypatch.setattr(meanfield, "_eigvalsh", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            enumerate_degenerate_ground_states(point, SolverOptions(seed_mode="exhaustive"))
+        assert len(checked) == 1 and checked[0] > 1
+
     def test_indefinite_rows_step_with_absolute_curvature(self):
         # near the origin the landscape is indefinite, so the (-, -, +)
         # pattern at about half the oracle's seed magnitude (0.084) starts
@@ -751,9 +797,8 @@ class TestStackedSolve:
 
 
 class TestRawGufuncs:
-    """The Newton solver calls the gufuncs behind numpy.linalg.eigh and
-    numpy.linalg.solve directly; a numpy upgrade that changes them fails
-    here first."""
+    """The solver calls the gufuncs behind numpy.linalg.eigh, eigvalsh and
+    solve directly; a numpy upgrade that changes them fails here first."""
 
     def test_bitwise_equal_to_numpy_linalg(self):
         rng = np.random.default_rng(20)
@@ -762,16 +807,38 @@ class TestRawGufuncs:
             sym, b = a + np.swapaxes(a, -1, -2), rng.normal(size=(6, m, 1))
             (w, v), (w_np, v_np) = meanfield._eigh(sym), np.linalg.eigh(sym)
             assert np.array_equal(w, w_np) and np.array_equal(v, v_np)
+            assert meanfield._eigvalsh(sym).tobytes() == np.linalg.eigvalsh(sym).tobytes()
             assert np.array_equal(meanfield._solve(a, b), np.linalg.solve(a, b))
 
-    def test_failures_raise_linalg_error(self):
-        nan, singular = np.full((2, 3, 3), np.nan), np.zeros((1, 3, 3))
-        for eigh in (meanfield._eigh, np.linalg.eigh):
-            with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-                eigh(nan)
-        for solve in (meanfield._solve, np.linalg.solve):
-            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-                solve(singular, np.ones((1, 3, 1)))
+    def test_failing_rows_are_nan_where_numpy_linalg_raises(self):
+        # numpy.linalg raises for a whole stack that holds a failing row; the
+        # wrappers return that row as NaN throughout, exactly where the
+        # public function raises on the row alone, and every other row with
+        # the bits of the public call
+        rng = np.random.default_rng(24)
+        a = rng.normal(size=(5, 3, 3))
+        sym = a + np.swapaxes(a, -1, -2)
+        sym[1], sym[3, 2, 0] = np.nan, np.inf
+        square, b = a.copy(), rng.normal(size=(5, 3, 1))
+        square[2], square[4, :, 0] = 0.0, 0.0  # singular
+        for wrapper, public, args in ((meanfield._eigh, np.linalg.eigh, (sym,)),
+                                      (meanfield._eigvalsh, np.linalg.eigvalsh, (sym,)),
+                                      (meanfield._solve, np.linalg.solve, (square, b))):
+            with pytest.raises(np.linalg.LinAlgError):
+                public(*args)
+            out = wrapper(*args)
+            out = out if isinstance(out, tuple) else (out,)
+            raised = []
+            for row in range(len(a)):
+                try:
+                    expected = public(*(arg[row] for arg in args))
+                except np.linalg.LinAlgError:
+                    raised.append(row)
+                    assert all(np.isnan(part[row]).all() for part in out)
+                    continue
+                expected = expected if isinstance(expected, tuple) else (expected,)
+                assert [part[row].tobytes() for part in out] == [e.tobytes() for e in expected]
+            assert raised == ([2, 4] if public is np.linalg.solve else [1, 3])
 
 
 class TestHessianCriticalModes:

@@ -310,6 +310,28 @@ def test_stability_window_matches_three_site_bounds():
     assert hi5 < 1.0  # larger rings destabilize earlier on the positive side
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 21])
+def test_hopping_window_is_that_of_the_lattice_size(n):
+    # ModelParams and critical_point accept the open window of their own
+    # N, up to its last float on either side; at N = 3 its upper end is
+    # 0.9999999999999998, one ulp below 1
+    from frustra.model import stability_window
+
+    lo, hi = stability_window(n)
+    for jbar in (float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, 0.0))):
+        assert ModelParams(1.0, 1.0, jbar, 0.5, n).critical_coupling() > 0
+    for jbar in (lo, hi, 1.0, -0.6):
+        with pytest.raises(ValidationError, match="outside the stability window"):
+            ModelParams(1.0, 1.0, jbar, 0.5, n)
+        with pytest.raises(ValidationError, match="outside the stability window"):
+            critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+    if n == 3:
+        assert hi == 0.9999999999999998
+    else:
+        with pytest.raises(ValidationError):  # inside the three-site window
+            ModelParams(1.0, 1.0, 0.7, 0.5, n)
+
+
 @pytest.mark.parametrize("n", range(3, 16, 2))
 class TestRingTable:
     def test_hopping_eigenvalues_match_the_dense_circulant(self, n):

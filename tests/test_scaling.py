@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,11 +195,37 @@ class TestLineFit:
                 assert x.tobytes() == x_np.tobytes() and s.tobytes() == s_np.tobytes()
                 assert int(rank) == rank_np
 
-    def test_lstsq_failure_raises_linalg_error(self):
-        nan = np.full((6, 2), np.nan)
-        for lstsq in (scaling._lstsq, np.linalg.lstsq):
-            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-                lstsq(nan, np.ones((6, 1)), 1e-15)
+    def test_lstsq_failure_is_a_nan_row_where_numpy_linalg_raises(self):
+        # a stack of systems: a row whose SVD fails comes back with NaN
+        # coefficients and singular values, exactly where numpy.linalg.lstsq
+        # raises on it, and every other row with that function's bits
+        rng = np.random.default_rng(24)
+        a, b = rng.normal(size=(4, 6, 2)), rng.normal(size=(4, 6, 1))
+        a[1], b[3, 2] = np.nan, np.inf
+        rcond = 6 * np.finfo(float).eps
+        x, _, rank, s = scaling._lstsq(a, b, rcond)
+        raised = []
+        for row in range(len(a)):
+            try:
+                x_np, _, rank_np, s_np = np.linalg.lstsq(a[row], b[row], rcond)
+            except np.linalg.LinAlgError as exc:
+                assert str(exc) == "SVD did not converge in Linear Least Squares"
+                assert np.isnan(x[row]).all() and np.isnan(s[row]).all()
+                raised.append(row)
+                continue
+            assert x[row].tobytes() == x_np.tobytes() and s[row].tobytes() == s_np.tobytes()
+            assert int(rank[row]) == rank_np
+        assert raised == [1]
+
+    def test_failed_fit_raises_as_polyfit_does(self):
+        # x all zero scales its column by 0/0, and the SVD of NaN fails
+        x, y = np.zeros(8), np.linspace(1.0, 2.0, 8)
+        for fit in (scaling._line_fit, lambda x, y: np.polyfit(x, y, 1)):
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")  # raised before polyfit's RankWarning
+                with pytest.raises(np.linalg.LinAlgError,
+                                   match="^SVD did not converge in Linear Least Squares$"):
+                    fit(x, y)
 
     def test_constant_x_warns_as_polyfit_does(self):
         x, y = np.full(8, -3.0), np.linspace(1.0, 2.0, 8)

@@ -41,15 +41,21 @@ def test_no_unused_imports(module):
     assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
+def loaded_names(sources: list[str]) -> set[str]:
+    """The names that ``sources`` load, by name or as an attribute."""
+    read = set()
+    for source in sources:
+        read |= {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return read
+
+
 def unread_definitions(modules: dict[str, str], readers: list[str], text: str) -> list[str]:
     """Module-level functions and classes of ``modules`` (sources by name)
     that no reader source loads, by name or as an attribute, and that
     ``text`` never names; as ``module:name``."""
-    read = set()
-    for source in readers:
-        read |= {node.id if isinstance(node, ast.Name) else node.attr
-                 for node in ast.walk(ast.parse(source))
-                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    read = loaded_names(readers)
     return [f"{module}:{node.name}" for module, source in modules.items()
             for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
@@ -75,11 +81,36 @@ def test_every_package_definition_has_a_reader():
     assert unread_definitions(package, readers, readme) == []
 
 
+def unread_exports(init: str, modules: list[str], text: str) -> list[str]:
+    """The names that the package's ``init`` source imports to export them
+    and that neither a module source loads nor ``text`` names."""
+    read = loaded_names(modules)
+    return [alias.name for node in ast.parse(init).body if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name not in read and not re.search(rf"\b{alias.name}\b", text)]
+
+
+def test_guard_finds_unread_exports():
+    init = "from .a import used, attribute, documented, unused\nfrom .b import Other\n"
+    modules = ["from .a import used\nused(1)\n", "import a\nx = a.attribute\n",
+               "def unused():\n    pass\n\n\nclass Other:\n    pass\n"]
+    assert unread_exports(init, modules, "see `documented` and undocumented") == [
+        "unused", "Other"]
+
+
+def test_every_export_has_a_reader_or_the_readme():
+    init = (ROOT / "src" / "frustra" / "__init__.py").read_text(encoding="utf-8")
+    package = [path.read_text(encoding="utf-8") for name, path in MODULES.items()
+               if not name.startswith("tests/")]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unread_exports(init, package, readme) == []
+
+
 #: Per numpy.linalg._umath_linalg gufunc the package may call, the public
 #: numpy.linalg function a test must pin it to; a gufunc missing here is
 #: unpinned.
-PUBLIC_LINALG = {"cholesky_lo": "cholesky", "eigh_lo": "eigh", "solve": "solve",
-                 "lstsq": "lstsq"}
+PUBLIC_LINALG = {"cholesky_lo": "cholesky", "eigh_lo": "eigh", "eigvalsh_lo": "eigvalsh",
+                 "solve": "solve", "lstsq": "lstsq"}
 
 
 def private_gufuncs(modules: dict[str, str]) -> dict[str, set[str]]:
