@@ -121,17 +121,6 @@ def _one_point(g, reduced, rows):
     return np.array([float(g)]), np.array([float(reduced)]), columns
 
 
-def _table_rows(table) -> list[dict]:
-    """A table's rows as dicts, the JSON ``results``."""
-    g, reduced, columns = table
-    return [{"g": g_i, "reduced_coupling": reduced_i, "observable": observable,
-             "index": label, "value": value}
-            for i, (g_i, reduced_i) in enumerate(zip(g.tolist(), reduced.tolist()))
-            for observable, labels, values, mask in columns
-            for label, value, present in zip(labels.tolist(), values[i].tolist(),
-                                             mask[i].tolist()) if present]
-
-
 def _csv_chunks(table):
     """The CSV writer of every command: the header, then each point's lines
     as one string.  A table is (g, reduced_coupling, columns): arrays over
@@ -177,7 +166,8 @@ def _emit(config: RunConfig, table, warnings):
         "results": [],
         "warnings": list(warnings),
     }, sort_keys=True, indent=1)
-    rows = ",\n".join(f"  {{\n   {_ROW.encode(row)[1:-1]}\n  }}" for row in _table_rows(table))
+    rows = ",\n".join(f"  {{\n   {_ROW.encode(vars(row))[1:-1]}\n  }}"
+                      for row in scaling._present_rows(*table))
     if rows:  # JSON escapes the quotes inside strings, so only the frame holds this key
         frame = frame.replace('"results": []', f'"results": [\n{rows}\n ]')
     return [frame + "\n"]

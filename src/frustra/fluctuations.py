@@ -32,7 +32,6 @@ from .meanfield import (
     GroundStateSolution,
     Phase,
     _fix_sign,
-    _require_minimum,
     _uniform_rows,
 )
 from .model import ModelParams, atomic_cosines, ring
@@ -75,6 +74,8 @@ class QuadraticForm:
             raise ValidationError("quadratic form must be a square matrix")
         if matrix.shape[0] % 4 != 0:
             raise ValidationError("matrix size must be 4N")
+        if not np.isfinite(matrix).all():
+            raise ValidationError("quadratic form must be finite")
         if np.max(np.abs(matrix - matrix.T)) > 1e-12:
             raise ValidationError("quadratic form must be symmetric to 1e-12")
         matrix.setflags(write=False)
@@ -189,12 +190,11 @@ def _split_hamiltonian(solutions) -> np.ndarray:
 
 def build_quadratic_hamiltonian(solution: GroundStateSolution,
                                 params: ModelParams | None = None) -> QuadraticForm:
-    """Assemble the fluctuation Hamiltonian at a converged minimum and its
+    """Assemble the fluctuation Hamiltonian at a minimum and its
     ``solution.params``; a given ``params`` must equal those."""
     # params goes once the benchmark stops passing it (ROADMAP item 1)
     if params is not None and params != solution.params:
         raise ValidationError(f"params {params} differ from the solution's {solution.params}")
-    _require_minimum([solution])
     hx, hp = _split_hamiltonian([solution])[0]
     matrix = np.zeros((2 * len(hx), 2 * len(hx)))
     matrix[0::2, 0::2] = hx
@@ -408,8 +408,9 @@ def _branch_spectrum(momenta, lower, upper, phase: str, g: float) -> np.ndarray:
 def analytic_np_spectrum(g: float, jbar: float, omegabar: float,
                          omega0: float = 1.0, n_sites: int = 3) -> np.ndarray:
     """The 2N normal-phase excitation energies of the N-site ring, ascending:
-    both branches of every lattice momentum k = 2 pi m / N."""
-    freq_atom = omegabar * omega0
+    both branches of every lattice momentum k = 2 pi m / N.  A point that
+    :class:`ModelParams` rejects raises its :class:`ValidationError`."""
+    freq_atom = ModelParams(omega0, omegabar * omega0, jbar, g, n_sites).Omega
     momenta, _, lower, upper = _momentum_blocks(
         n_sites, jbar, freq_atom, g * g * freq_atom * omega0, omega0)
     return _branch_spectrum(momenta, lower, upper, "normal phase", g)
@@ -422,13 +423,15 @@ def analytic_nfsp_spectrum(g: float, jbar: float, omegabar: float,
 
     The uniform condensate renormalizes the atomic frequency to
     Omega (g/g_c)^2 and the effective coupling to g_c^2/g, preserving
-    translational symmetry.
+    translational symmetry.  A point in another phase raises
+    :class:`DomainError`, one :class:`ModelParams` rejects its error.
     """
     if jbar > 0:
         raise DomainError("the uniform superradiant phase requires jbar <= 0")
     gc_sq = 1.0 + 2.0 * jbar
     if g * g < gc_sq:
         raise DomainError(f"below the superradiant threshold g_c={np.sqrt(gc_sq)}")
+    ModelParams(omega0, omegabar * omega0, jbar, g, n_sites)
     eff = gc_sq / g
     momenta, _, lower, upper = _momentum_blocks(
         n_sites, jbar, omegabar * omega0 * g * g / gc_sq,
@@ -566,9 +569,9 @@ def _sector_moments(solutions):
 
 
 def site_moments(solutions) -> SiteMoments:
-    """Cavity moments of a non-empty stack of converged ground states of
-    one lattice size, in any phase, at each solution's own ``params``, as
-    one :class:`SiteMoments` stack over the points.
+    """Cavity moments of a non-empty stack of ground states of one lattice
+    size, in any phase, at each solution's own ``params``, as one
+    :class:`SiteMoments` stack over the points.
 
     Each point's route follows from its phase, and each route runs once,
     stacked over its points: normal and uniform points go through their
@@ -579,7 +582,6 @@ def site_moments(solutions) -> SiteMoments:
     """
     if not solutions:
         raise ValidationError("site moments need at least one point")
-    _require_minimum(solutions)
     n = solutions[0].config.n_sites
     stack = {name: np.full((len(solutions), width), np.nan) for name, width in (
         ("var_q", n), ("var_p", n), ("eps", 2 * n), ("eps_even", n + 1), ("eps_odd", n - 1))}

@@ -32,12 +32,14 @@ from .errors import (
 from .model import (
     MeanFieldConfiguration,
     ModelParams,
+    _circulant_eigenvalues,
     _hessian_diagonal,
     _landscape,
     critical_point,
     energy_hessian,
     group_images,
     orbit_patterns,
+    origin_hessian_eigenvalues,
     ring,
 )
 
@@ -80,29 +82,38 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class GroundStateSolution:
-    """A verified global minimizer with its phase, gradient residual and
-    lattice point ``params``, which must hold the size, g and jbar of
-    ``config`` (else :class:`ValidationError`) and gives later stages the
-    point's frequencies.  The manifold size ``degeneracy`` follows from the
-    phase and the lattice size, and ``converged`` from the residual: the
-    solver only returns converged solutions, and a hand-built one whose
-    residual exceeds SOLUTION_GRAD_TOL is unusable for the Hessian and the
-    quadratic expansion.  ``hessian_eigenvalues`` is the read-only
-    ascending Hessian spectrum the solver's minimum check computed, None
-    where it computed none (a normal-phase or hand-built solution);
-    :func:`hessian_spectra` reads it."""
+    """A checked minimum, which the Hessian and fluctuation routes read
+    without checking again: a global minimizer with its phase, gradient
+    residual, lattice point ``params`` (its size, g and jbar those of
+    ``config``, else :class:`ValidationError`) and read-only ascending
+    ``hessian_eigenvalues``.  A residual that ``converged`` does not accept,
+    NaN included, raises the solver's :class:`ConvergenceError`.  Without a
+    spectrum from the solver, :func:`_hessian_eigenvalues` computes one,
+    and a failed eigensolve raises ``LinAlgError``.  The manifold size
+    ``degeneracy`` follows from the phase and the lattice size."""
 
     config: MeanFieldConfiguration
     phase: Phase
     grad_norm: float
     params: ModelParams
-    hessian_eigenvalues: np.ndarray | None = None
+    hessian_eigenvalues: np.ndarray = None
 
     def __post_init__(self):
         point = (self.config.n_sites, self.config.g, self.config.jbar)
         if point != (self.params.n_sites, self.params.g, self.params.jbar):
             raise ValidationError(f"configuration (N, g, jbar) = {point} lies at another "
                                   "lattice point than params")
+        if not self.converged:
+            raise ConvergenceError(
+                f"stationarity residual {self.grad_norm:.2e} above {SOLUTION_GRAD_TOL}",
+                best_residual=self.grad_norm)
+        if self.hessian_eigenvalues is None:
+            (spectrum,) = _hessian_eigenvalues(self.config.alphas[None],
+                                               *np.array([[self.config.g], [self.config.jbar]]))
+            if np.isnan(spectrum[0]):
+                raise copy.copy(_UNCONVERGED)
+            spectrum.flags.writeable = False
+            object.__setattr__(self, "hessian_eigenvalues", spectrum)
 
     @property
     def degeneracy(self) -> int:
@@ -440,7 +451,8 @@ def solve_ground_states(params_seq) -> list:
 
     A point at g <= g_c is the normal phase without a solve: sqrt(1 + x)
     <= 1 + x/2 gives E(alpha) >= E(0) + alpha^T H_0 alpha / 2, and the
-    origin Hessian H_0 is positive semidefinite up to g_c.  Each
+    origin Hessian H_0 is positive semidefinite up to g_c; the stack's
+    normal points share one :func:`origin_hessian_eigenvalues` call.  Each
     superradiant point gets one seed per symmetry orbit that can hold the
     global minimum (:func:`_seed_alphas`).  Every seed is mirror-symmetric
     about site 1, and so is every ground state up to a rotation, so the
@@ -466,16 +478,15 @@ def solve_ground_states(params_seq) -> list:
     debug = log.isEnabledFor(logging.DEBUG)
     outcomes: list = [None] * len(points)
     hopping = gc = None  # g_c is computed again only where the hopping changes
-    # per seeded point its index and first seed row; per seed row its
-    # seeded point and (template, magnitude)
-    solving, starts, group, seeds = [], [], [], []
+    # the normal points; per seeded point its index and first seed row; per
+    # seed row its seeded point and (template, magnitude)
+    normal, solving, starts, group, seeds = [], [], [], [], []
     for index, params in enumerate(points):
         try:
             if params.jbar != hopping:
                 gc, hopping = params.critical_coupling(), params.jbar
             if params.g <= gc:
-                config = MeanFieldConfiguration(np.zeros(params.n_sites), params.g, params.jbar)
-                outcomes[index] = GroundStateSolution(config, Phase.NORMAL, 0.0, params)
+                normal.append(index)
                 if debug:
                     log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
                               params.g, params.jbar, params.n_sites)
@@ -488,6 +499,14 @@ def solve_ground_states(params_seq) -> list:
         solving.append(index)
         starts.append(len(seeds))
         seeds += point_seeds
+    if normal:  # the origin wins, with the closed-form spectra of one call
+        g, jbar = np.array([[points[index].g, points[index].jbar] for index in normal]).T
+        spectra = origin_hessian_eigenvalues(g, jbar, points[0].n_sites)
+        spectra.flags.writeable = False
+        for index, spectrum in zip(normal, spectra):
+            params = points[index]
+            config = MeanFieldConfiguration(np.zeros(len(spectrum)), params.g, params.jbar)
+            outcomes[index] = GroundStateSolution(config, Phase.NORMAL, 0.0, params, spectrum)
     if not seeds:
         return outcomes
 
@@ -545,13 +564,12 @@ def solve_ground_states(params_seq) -> list:
 
 def _canonical_solutions(alphas: np.ndarray, grad_norm: np.ndarray, spectra: np.ndarray,
                          points) -> list:
-    """Winning minimizers (rows, N) classified, put in their canonical
-    frame and checked against SOLUTION_GRAD_TOL, as one stack: per row its
-    :class:`GroundStateSolution`, carrying its row of the Hessian
-    ``spectra`` read-only, or the error of the first check it fails (the
-    classification, the frame, the residual).  The Hessian depends on the
-    coherences through their squares only, so the canonical sign flip
-    keeps the spectrum's bits.
+    """Winning minimizers (rows, N) classified and put in their canonical
+    frame, as one stack: per row its :class:`GroundStateSolution`, carrying
+    its row of the Hessian ``spectra`` read-only, or the error of the first
+    check it fails (the classification, the frame, the solution's own
+    residual check).  The Hessian depends on the coherences through their
+    squares only, so the canonical sign flip keeps the spectrum's bits.
 
     Every seed is mirror-symmetric about site 1, so the winner of the
     mirror-reduced stack is too, and a frustrated winner is canonical up to
@@ -579,16 +597,11 @@ def _canonical_solutions(alphas: np.ndarray, grad_norm: np.ndarray, spectra: np.
             phase = _classify(peak, params.jbar)
             if row in errors:
                 raise errors[row]
-            if residual > SOLUTION_GRAD_TOL:
-                raise ConvergenceError(
-                    f"stationarity residual {residual:.2e} above {SOLUTION_GRAD_TOL}",
-                    best_residual=residual)
+            outcomes.append(GroundStateSolution(
+                MeanFieldConfiguration(config, params.g, params.jbar), phase, residual, params,
+                spectrum))
         except FrustraError as exc:
             outcomes.append(exc)
-            continue
-        outcomes.append(GroundStateSolution(
-            MeanFieldConfiguration(config, params.g, params.jbar), phase, residual, params,
-            spectrum))
     return outcomes
 
 
@@ -744,16 +757,6 @@ class CriticalModes:
     y_f: np.ndarray
 
 
-def _require_minimum(solutions) -> None:
-    """Reject a stack holding an unconverged solution: the Hessian and the
-    quadratic expansion hold only about a minimum, and a leftover gradient
-    shifts the soft eigenvalues."""
-    for solution in solutions:
-        if not solution.converged:
-            raise ValidationError("the Hessian and the quadratic expansion require a "
-                                  f"converged minimum (gradient norm {solution.grad_norm:.2e})")
-
-
 def hessian_critical_modes(solution: GroundStateSolution) -> CriticalModes:
     """Identify the mean-field and frustrated soft modes of the Hessian.
 
@@ -761,11 +764,9 @@ def hessian_critical_modes(solution: GroundStateSolution) -> CriticalModes:
     weight on the unpaired site and is antisymmetric across every
     ferromagnetic pair; the mean-field mode is the softest mirror-even
     direction.  Identification by sector projection is exact and remains
-    robust when lambda_f sits below floating-point resolution.  An
-    unconverged solution raises :class:`ValidationError`, another phase
-    :class:`PhaseError`.
+    robust when lambda_f sits below floating-point resolution.  Another
+    phase raises :class:`PhaseError`.
     """
-    _require_minimum([solution])
     if solution.phase is not Phase.FSP:
         raise PhaseError(f"hessian critical modes require the frustrated phase, "
                          f"got {solution.phase.value}")
@@ -782,30 +783,16 @@ def hessian_spectra(solutions):
     size: ``(eigenvalues, soft)``, the ascending eigenvalues of each
     point's Hessian, shape (points, N), and the (lambda_mf, lambda_f) soft
     modes of :func:`hessian_critical_modes`, shape (points, 2), NaN for a
-    point that is not frustrated.  A solution's eigenvalues are the ones it
-    carries from the solver's minimum check; the points without them are
-    computed in one :func:`_hessian_eigenvalues` call, whose route follows
-    each point's configuration: the closed form for equal coherences, which
-    a frustrated solution never has, and dense eigensolves otherwise.  Only
-    the frustrated points' Hessians are built, for their mirror sectors.  An
-    unconverged solution raises :class:`ValidationError`, and a failed
-    eigensolve ``LinAlgError``, as ``numpy.linalg.eigvalsh`` does."""
-    _require_minimum(solutions)
+    point that is not frustrated.  The eigenvalues are the ones each
+    solution carries; only the frustrated points' Hessians are built, for
+    their mirror sectors, and a frustrated solution with equal coherences
+    has none (:class:`ValidationError`)."""
     alphas, g, jbar = (np.array([getattr(solution.config, name) for solution in solutions])
                        for name in ("alphas", "g", "jbar"))
     frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
     if (frustrated & _uniform_rows(alphas)).any():
         raise ValidationError("a frustrated solution with equal coherences on every site")
-    carried = [solution.hessian_eigenvalues for solution in solutions]
-    missing = np.array([spectrum is None for spectrum in carried])
-    eigenvalues = np.empty(alphas.shape)
-    if not missing.all():
-        eigenvalues[~missing] = [spectrum for spectrum in carried if spectrum is not None]
-    if missing.any():
-        computed = _hessian_eigenvalues(alphas[missing], g[missing], jbar[missing])
-        if np.isnan(computed[:, 0]).any():
-            raise copy.copy(_UNCONVERGED)
-        eigenvalues[missing] = computed
+    eigenvalues = np.array([solution.hessian_eigenvalues for solution in solutions])
     soft = np.full((len(solutions), 2), np.nan)
     if frustrated.any():
         (w_even, _), (w_odd, _) = _mirror_eigh(energy_hessian(
@@ -828,32 +815,25 @@ def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
 
     A row of equal coherences a has the circulant Hessian of diagonal d,
     computed as :func:`~frustra.model.energy_hessian` computes it, and
-    hopping 2 jbar, so its eigenvalues are d + 4 jbar cos k over the
-    ring's momenta, in ascending order; at a = 0 these are the bits of
-    :func:`~frustra.model.origin_hessian_eigenvalues`.  Every other row
-    takes ``numpy.linalg.eigvalsh`` of its Hessian, which ``hessian(mask)``
-    gives for the rows of a mask (by default, :func:`energy_hessian` of
-    those rows; the solver reads its Newton stack's kernel), through
-    :data:`_eigvalsh`: a row whose eigensolve fails is NaN throughout.
+    hopping 2 jbar, so its eigenvalues are the closed form d + 4 jbar cos k
+    of :func:`~frustra.model.origin_hessian_eigenvalues`, given that d.
+    Every other row takes ``numpy.linalg.eigvalsh`` of its Hessian, which
+    ``hessian(mask)`` gives for the rows of a mask (by default,
+    :func:`energy_hessian` of those rows; the solver reads its Newton
+    stack's kernel), through :data:`_eigvalsh`: a row whose eigensolve
+    fails is NaN throughout.
     """
     if hessian is None:
         def hessian(rows):
             return energy_hessian(alphas[rows], g[rows], jbar[rows])
-    n = alphas.shape[-1]
     uniform = _uniform_rows(alphas)
-    dense = ~uniform
     if not uniform.any():  # a frustrated stack, solved without masks
-        return _eigvalsh(hessian(dense))
-    tables = ring(n)
+        return _eigvalsh(hessian(~uniform))
     eigenvalues = np.empty(alphas.shape)
-    hopping = jbar[uniform, None]
-    # rounding is monotone, so d + 4 jbar cos k follows cos k: the
-    # ascending cosines, reversed for jbar < 0, give the sorted spectrum
-    cosines = tables.cosines[tables.ascending]
-    eigenvalues[uniform] = (_hessian_diagonal(alphas[uniform, :1], g[uniform, None])
-                            + 4.0 * hopping * np.where(hopping < 0, cosines[::-1], cosines))
-    if dense.any():
-        eigenvalues[dense] = _eigvalsh(hessian(dense))
+    eigenvalues[uniform] = _circulant_eigenvalues(
+        _hessian_diagonal(alphas[uniform, :1], g[uniform, None]), jbar[uniform], alphas.shape[-1])
+    if not uniform.all():
+        eigenvalues[~uniform] = _eigvalsh(hessian(~uniform))
     return eigenvalues
 
 

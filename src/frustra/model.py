@@ -329,13 +329,24 @@ def orbit_patterns(n_sites: int) -> tuple:
 
 
 def origin_hessian_eigenvalues(g: float, jbar: float, n_sites: int) -> np.ndarray:
-    """Eigenvalues of the Hessian at the origin, in ascending order.
+    """Ascending eigenvalues of the circulant Hessian at the origin,
+    2 - 2 g^2 + 4 jbar cos(2 pi t / N) for t = 0..N-1, along the last axis
+    (``g`` and ``jbar`` scalars or one value per row); -inf throughout once
+    2 g^2 overflows, at g of about 1.3e154."""
+    g = _per_row(g)
+    with np.errstate(over="ignore"):
+        return _circulant_eigenvalues(2.0 - 2.0 * g * g, jbar, n_sites)
 
-    The origin Hessian is circulant; its spectrum is
-    2*(1 - g^2 + 2 jbar cos(2 pi t / N)) for t = 0..N-1.
-    """
-    lam = 2.0 * (1.0 - g * g + 2.0 * jbar * ring(n_sites).cosines)
-    return np.sort(lam)
+
+def _circulant_eigenvalues(diagonal, jbar, n_sites: int) -> np.ndarray:
+    """Ascending eigenvalues d + 4 jbar cos k over the ring's momenta of
+    circulant Hessians of diagonal d, which broadcasts against the (...,
+    n_sites) result, and hopping 2 jbar, a scalar or one value per row.
+    Rounding is monotone, so the sum follows cos k: the ascending cosines,
+    reversed for jbar < 0, give the sorted spectrum."""
+    hopping, tables = _per_row(jbar), ring(n_sites)
+    cosines = tables.cosines[tables.ascending]
+    return diagonal + 4.0 * hopping * np.where(hopping < 0, cosines[::-1], cosines)
 
 
 @functools.cache

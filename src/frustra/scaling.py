@@ -14,6 +14,7 @@ and additive non-critical backgrounds are negligible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from warnings import warn
 
 import numpy as np
@@ -102,6 +103,8 @@ class SweepSpec:
                                 self.points_per_decade, self.sides)
         else:
             grid = np.asarray(self.grid, dtype=float)
+        if not np.isfinite(grid).all():
+            raise ValidationError("grid must be finite")
         # a default grid too: reduced couplings below resolution collapse onto g_c
         if np.any(np.diff(grid) <= 0):
             raise ValidationError("grid must be strictly increasing")
@@ -109,8 +112,9 @@ class SweepSpec:
             raise ValidationError("grid must exclude the critical point itself")
         object.__setattr__(self, "grid", tuple(float(g) for g in grid))
 
-    @property
+    @cached_property
     def g_critical(self) -> float:
+        """The critical coupling of the hopping's sign, worked out once."""
         return critical_point(self.jbar, self.n_sites, default_hopping_sign(self.jbar))
 
     def params_at(self, g: float) -> ModelParams:
@@ -180,25 +184,32 @@ class SweepResult:
         """The table's rows in row order, absent values left out (built
         once, a new list each time)."""
         if self._rows is None:
-            self._rows = tuple(
-                SweepRow(g, reduced, name, label, value)
-                for i, (g, reduced) in enumerate(zip(self.g.tolist(), self.reduced.tolist()))
-                for name, (labels, values, mask) in self.table.items()
-                for label, value, present in zip(labels.tolist(), values[i].tolist(),
-                                                 mask[i].tolist()) if present)
+            self._rows = tuple(_present_rows(
+                self.g, self.reduced, [(name, *column) for name, column in self.table.items()]))
         return list(self._rows)
 
     def series(self, observable: str, index: str, side: str = "above"):
         """(reduced_coupling, value) arrays for one observable/index, one side
         of the critical point, ordered by reduced coupling."""
-        labels, values, present = self.table.get(observable, ((), None, None))
-        if index not in labels:
+        labels, values, present = self.table.get(observable, (np.array([], dtype=str),) * 3)
+        column = np.flatnonzero(labels == index)[:1]  # the labels are distinct
+        if not len(column):
             return np.array([]), np.array([])
-        column = list(labels).index(index)
-        keep = present[:, column] & ((self.g > self.spec.g_critical) == (side == "above"))
-        reduced, values = self.reduced[keep], values[keep, column]
+        keep = present[:, column[0]] & ((self.g > self.spec.g_critical) == (side == "above"))
+        reduced, values = self.reduced[keep], values[keep, column[0]]
         order = np.lexsort((values, reduced))
         return reduced[order], values[order]
+
+
+def _present_rows(g, reduced, columns):
+    """A table's present values in row order, as :class:`SweepRow` records:
+    ``g`` and ``reduced`` are arrays over the points, and each column is
+    (observable, labels, values, mask), values and mask (points, labels)."""
+    return (SweepRow(g_i, reduced_i, observable, label, value)
+            for i, (g_i, reduced_i) in enumerate(zip(g.tolist(), reduced.tolist()))
+            for observable, labels, values, mask in columns
+            for label, value, present in zip(labels.tolist(), values[i].tolist(),
+                                             mask[i].tolist()) if present)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -592,7 +603,8 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     branch); for axis 'jbar' it is the decoupling point jbar = 0 at fixed g.
     Every distinct point the scan reads is solved in one stacked call; if
     any fails, the error of the first in scan order (grid, then Richardson
-    points) is raised.
+    points) is raised.  A ``step`` that is not finite and positive, or
+    that a finite ``half_width`` does not hold, raises :class:`ValidationError`.
     """
     if axis == "g":
         center = params.critical_coupling()
@@ -606,7 +618,10 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
             return ModelParams(params.omega0, params.Omega, x, params.g, params.n_sites)
     else:
         raise ValidationError("axis must be 'g' or 'jbar'")
-
+    # half_width / step > 0.5 is round(half_width / step) >= 1
+    if not (0 < half_width < np.inf and 0 < step < np.inf and 0.5 < half_width / step < np.inf):
+        raise ValidationError(f"need a finite positive step {step!r} that the finite "
+                              f"half_width {half_width!r} holds at least once")
     steps = int(round(half_width / step))
     offsets = np.concatenate([np.arange(-steps, 0), np.arange(1, steps + 1)])
     xs = center + offsets * step

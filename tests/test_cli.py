@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ class TestCriticalPoint:
         code, _, err = run_cli(capsys, "critical-point", "--config", str(config))
         assert code == 2
         assert "unknown config keys: ['sign']" in err
+
+
+    @pytest.mark.parametrize("g", ["1.3e154", "1e200", "1.7976931348623157e308"])
+    def test_huge_coupling_prints_infinite_rows_without_a_warning(self, capsys, g):
+        # once 2 g^2 overflows, every origin eigenvalue is -inf, and numpy's
+        # overflow warning stays inside the package
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "critical-point", "--jbar", "0.01", "--g", g)
+        assert (code, err) == (0, "")
+        eigen = rows_by(csv_to_rows(out), "origin_hessian_eigenvalue")
+        assert [row["value"] for row in eigen] == [-np.inf] * 3
 
 
 class TestGroundState:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from frustra import fluctuations
 
-from frustra.errors import DomainError, InstabilityError, ValidationError
+from frustra.errors import ConvergenceError, DomainError, InstabilityError, ValidationError
 from frustra.fluctuations import (
     QuadraticForm,
     analytic_nfsp_spectrum,
@@ -27,7 +27,13 @@ from frustra.fluctuations import (
     symplectic_spectrum_modulus,
     williamson_diagonalize,
 )
-from frustra.meanfield import GroundStateSolution, Phase, solve_ground_state, solve_ground_states
+from frustra.meanfield import (
+    SOLUTION_GRAD_TOL,
+    GroundStateSolution,
+    Phase,
+    solve_ground_state,
+    solve_ground_states,
+)
 from frustra.model import MeanFieldConfiguration, ModelParams, critical_point
 from williamson_reference import _williamson_generic
 
@@ -94,10 +100,14 @@ class TestBuild:
         williamson_diagonalize(solved_form(jbar, 1e10)[2])
 
     def test_rejects_unconverged_solution(self):
-        sol, p, _ = solved_form(0.01, 1.01)
-        bad = GroundStateSolution(sol.config, sol.phase, grad_norm=1e-3, params=p)
-        with pytest.raises(ValidationError):
-            build_quadratic_hamiltonian(bad)
+        # the form is assembled only at a checked minimum: a residual above
+        # SOLUTION_GRAD_TOL never makes a solution
+        sol, p, form = solved_form(0.01, 1.01)
+        at_tolerance = GroundStateSolution(sol.config, sol.phase, SOLUTION_GRAD_TOL, p)
+        assert np.array_equal(build_quadratic_hamiltonian(at_tolerance).matrix, form.matrix)
+        for grad_norm in (np.nextafter(SOLUTION_GRAD_TOL, 1.0), 1e-3):
+            with pytest.raises(ConvergenceError, match="stationarity residual"):
+                GroundStateSolution(sol.config, sol.phase, grad_norm=grad_norm, params=p)
 
     def test_accepts_only_the_solutions_own_params(self):
         sol, p, form = solved_form(0.01, 1.1)
@@ -118,6 +128,13 @@ class TestBuild:
     def test_symmetry_validation(self):
         with pytest.raises(ValidationError):
             QuadraticForm(np.arange(16.0).reshape(4, 4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_rejected(self, value):
+        # NaN compares False, so the symmetry check alone passes a NaN form
+        for matrix in (np.full((4, 4), value), np.diag([1.0, 1.0, 2.0, value])):
+            with pytest.raises(ValidationError, match="finite"):
+                QuadraticForm(matrix)
 
 
 class TestWilliamson:
@@ -237,6 +254,27 @@ class TestAnalyticSpectra:
             analytic_nfsp_spectrum(0.9, -0.01, 1.0)
         with pytest.raises(DomainError):
             analytic_nfsp_spectrum(1.2, +0.01, 1.0)
+
+    @pytest.mark.parametrize("spectrum, g", [(analytic_np_spectrum, 0.1),
+                                             (analytic_nfsp_spectrum, 1.2)])
+    @pytest.mark.parametrize("jbar, omegabar, n_sites, coupling", [
+        (-0.7, 1.0, 3, 1.0),  # below the window: the k = 0 cavity frequency is negative
+        (-0.3, 1.0, 5, -1.0),  # a negative coupling
+        (-0.3, -1.0, 3, 1.0),  # a negative atomic frequency
+        (-0.3, 1.0, 4, 1.0),  # an even ring
+        (-0.3, 1.0, 3, np.nan)])
+    def test_rejects_what_model_params_rejects(self, spectrum, g, jbar, omegabar, n_sites,
+                                               coupling):
+        # a bare cavity frequency omega0 (1 + 2 jbar cos k) below zero is
+        # outside the stability window, where the branches read positive
+        with pytest.raises(ValidationError):
+            spectrum(coupling * g, jbar, omegabar, n_sites=n_sites)
+
+    def test_normal_spectrum_rejects_a_hopping_past_its_rings_window(self):
+        # inside the three-site window but past the five-site one
+        assert (analytic_np_spectrum(0.1, 0.9, 1.0) > 0).all()
+        with pytest.raises(ValidationError):
+            analytic_np_spectrum(0.1, 0.9, 1.0, n_sites=5)
 
     def test_frustrated_energy_vanishes_at_threshold(self):
         jbar = 0.05
@@ -623,10 +661,14 @@ class TestUniformPhaseMoments:
         assert moments.photon_numbers[0, 2] == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_unconverged_solution(self):
+        # the moments are read only at a checked minimum: a residual above
+        # SOLUTION_GRAD_TOL never makes a solution
         sol, p, _ = solved_form(-0.01, 0.9)
-        bad = GroundStateSolution(sol.config, sol.phase, grad_norm=1e-3, params=p)
-        with pytest.raises(ValidationError):
-            site_moments([bad])
+        at_tolerance = GroundStateSolution(sol.config, sol.phase, SOLUTION_GRAD_TOL, p)
+        assert site_moments([at_tolerance]).var_q.tobytes() == site_moments([sol]).var_q.tobytes()
+        for grad_norm in (np.nextafter(SOLUTION_GRAD_TOL, 1.0), 1e-3):
+            with pytest.raises(ConvergenceError, match="stationarity residual"):
+                GroundStateSolution(sol.config, sol.phase, grad_norm=grad_norm, params=p)
         with pytest.raises(ValidationError):
             site_moments([])
 

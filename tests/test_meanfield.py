@@ -411,12 +411,16 @@ class TestDerivedSolutionFields:
                 for phase in (Phase.NORMAL, Phase.NFSP, Phase.FSP)] == [1, 2, 2 * n]
 
     def test_converged_is_the_residual_within_tolerance(self):
+        # a solution is built only with a residual that converged accepts;
+        # any other, NaN included, raises the solver's ConvergenceError
         config = MeanFieldConfiguration(np.zeros(3), 0.5, 0.01)
-        for grad_norm, converged in ((0.0, True), (SOLUTION_GRAD_TOL, True),
-                                     (np.nextafter(SOLUTION_GRAD_TOL, 1.0), False),
-                                     (1e-3, False), (np.nan, False)):
+        for grad_norm in (0.0, SOLUTION_GRAD_TOL):
             assert GroundStateSolution(config, Phase.NORMAL, grad_norm,
-                                       params(0.01, 0.5)).converged is converged
+                                       params(0.01, 0.5)).converged is True
+        for grad_norm in (np.nextafter(SOLUTION_GRAD_TOL, 1.0), 1e-3, np.nan):
+            with pytest.raises(ConvergenceError, match="stationarity residual") as caught:
+                GroundStateSolution(config, Phase.NORMAL, grad_norm, params(0.01, 0.5))
+            assert np.array_equal(caught.value.best_residual, grad_norm, equal_nan=True)
 
     def test_rejects_params_of_another_lattice_point(self):
         # a solution records the point it minimizes: its configuration's
@@ -923,13 +927,14 @@ class TestHessianCriticalModes:
                                        lambda sol: hessian_spectra([sol])])
     def test_rejects_unconverged_solution(self, route):
         # a leftover gradient shifts the soft eigenvalues, so a residual
-        # above SOLUTION_GRAD_TOL is refused, not read
+        # above SOLUTION_GRAD_TOL is refused when the solution is built, and
+        # the routes read every solution they are given
         sol = solve_ground_state(params(0.01, 1.1, 5))
         route(sol)
-        bad = GroundStateSolution(sol.config, sol.phase, np.nextafter(SOLUTION_GRAD_TOL, 1.0),
-                                  sol.params)
-        with pytest.raises(ValidationError, match="converged minimum"):
-            route(bad)
+        route(GroundStateSolution(sol.config, sol.phase, SOLUTION_GRAD_TOL, sol.params))
+        with pytest.raises(ConvergenceError, match="stationarity residual"):
+            GroundStateSolution(sol.config, sol.phase, np.nextafter(SOLUTION_GRAD_TOL, 1.0),
+                                sol.params)
 
     def test_requires_frustrated_phase(self):
         with pytest.raises(PhaseError):
@@ -939,8 +944,10 @@ class TestHessianCriticalModes:
 
 
 class TestCarriedSpectrum:
-    """A solved point carries the Hessian spectrum its minimum check
-    computed, and hessian_spectra reads it."""
+    """Every solution carries its Hessian spectrum: a solved point the one
+    its minimum check computed, a normal point its closed form, a
+    hand-built one the spectrum it computes when built; hessian_spectra
+    reads it."""
 
     @staticmethod
     def points(n):
@@ -961,19 +968,42 @@ class TestCarriedSpectrum:
         dense = ~meanfield._uniform_rows(alphas)
         assert recomputed[dense].tobytes() == np.linalg.eigvalsh(
             energy_hessian(alphas[dense], g[dense], jbar[dense])).tobytes()
-        for solution, spectrum in zip(solutions, recomputed):
-            if solution.phase is Phase.NORMAL:
-                assert solution.hessian_eigenvalues is None
-            else:
+        # a hand-built solution computes its own, with the same bits
+        hand_built = [GroundStateSolution(s.config, s.phase, s.grad_norm, s.params)
+                      for s in solutions]
+        for stack in (solutions, hand_built):
+            for solution, spectrum in zip(stack, recomputed):
                 assert solution.hessian_eigenvalues.tobytes() == spectrum.tobytes()
                 assert not solution.hessian_eigenvalues.flags.writeable
         eigenvalues, soft = hessian_spectra(solutions)
         assert eigenvalues.tobytes() == recomputed.tobytes()
-        # a hand-built solution carries none and gets the same bits
-        hand_built = [GroundStateSolution(s.config, s.phase, s.grad_norm, s.params)
-                      for s in solutions]
         assert [a.tobytes() for a in hessian_spectra(hand_built)] == [
             eigenvalues.tobytes(), soft.tobytes()]
+
+    def test_normal_points_take_one_closed_form_call(self, monkeypatch):
+        # a stack's normal points share one stacked call of the origin's
+        # closed form, with the bits of one call per point
+        real, calls = meanfield.origin_hessian_eigenvalues, []
+
+        def counted(g, *args):
+            calls.append(len(g))
+            return real(g, *args)
+
+        monkeypatch.setattr(meanfield, "origin_hessian_eigenvalues", counted)
+        gc = critical_point(-0.01, 21, "negative")
+        points = [params(-0.01, gc * (1 - r), 21) for r in (0.3, 1e-2, 1e-5)]
+        solutions = solve_ground_states(points)
+        assert calls == [3]
+        for p, solution in zip(points, solutions):
+            assert solution.phase is Phase.NORMAL
+            assert solution.hessian_eigenvalues.tobytes() == origin_hessian_eigenvalues(
+                p.g, p.jbar, 21).tobytes()
+
+    def test_failed_eigensolve_fails_the_hand_built_solution(self, monkeypatch):
+        sol = solve_ground_state(params(0.01, 1.1, 5))
+        monkeypatch.setattr(meanfield, "_eigvalsh", lambda hess: np.full(hess.shape[:-1], np.nan))
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            GroundStateSolution(sol.config, sol.phase, sol.grad_norm, sol.params)
 
     def test_minimum_check_reads_the_newton_kernel(self, monkeypatch):
         def unused(*args):

@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 
@@ -183,6 +184,26 @@ class TestHessian:
             g, jbar = 0.93, -0.07
             dense = np.linalg.eigvalsh(energy_hessian(np.zeros(n), g, jbar))
             assert_allclose(origin_hessian_eigenvalues(g, jbar, n), dense, atol=1e-12)
+
+    def test_origin_spectrum_keeps_the_bits_of_the_scaled_form(self):
+        # 2 - 2 g^2 + 4 jbar cos k is 2 (1 - g^2 + 2 jbar cos k), sorted, to
+        # the bit at every finite coupling: doubling is exact, and where
+        # 2 g^2 overflows (g of about 1.3e154 and up) both read -inf
+        largest = np.finfo(float).max
+        couplings = [0.0, 1.0, *np.logspace(-3, 308, 80), 1.3e154, 1.34e154,
+                     np.nextafter(np.sqrt(largest / 2.0), 0.0), np.sqrt(largest / 2.0),
+                     np.sqrt(largest), largest]
+        for n, jbar in itertools.product((3, 5, 7, 21), (-0.45, -0.01, -0.0, 0.0, 0.01, 0.3)):
+            for g in couplings:
+                for coupling in (float(g), np.float64(g)):
+                    with np.errstate(over="ignore"):
+                        scaled = np.sort(2.0 * (1.0 - coupling * coupling
+                                                + 2.0 * jbar * ring(n).cosines))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        spectrum = origin_hessian_eigenvalues(coupling, jbar, n)
+                    assert spectrum.tobytes() == scaled.tobytes(), (n, jbar, g)
+        assert (origin_hessian_eigenvalues(1e200, 0.01, 3) == -np.inf).all()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)

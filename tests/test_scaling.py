@@ -60,6 +60,13 @@ class TestSweepSpec:
         with pytest.raises(ValidationError):
             SweepSpec(jbar=0.01, n_sites=3, grid=(1.2, 1.1))
 
+    @pytest.mark.parametrize("grid", [(1.1, np.nan), (np.nan, 1.1), (np.nan,), (1.1, np.inf),
+                                      (-np.inf, 0.5)])
+    def test_non_finite_grid_is_rejected(self, grid):
+        # NaN compares False, so the increasing check alone passes it
+        with pytest.raises(ValidationError, match="grid must be finite"):
+            SweepSpec(jbar=0.01, n_sites=3, grid=grid)
+
 
 class TestRunSweep:
     def test_np_side_gap_matches_analytic(self):
@@ -97,6 +104,19 @@ class TestRunSweep:
         assert np.all(eps_f < eps_mf)  # distinct branches
         assert eps_f[0] < eps_f[-1] / 50  # vanishing towards the critical point
         assert eps_mf[0] < eps_mf[-1] / 5
+
+    def test_series_reads_the_critical_coupling_of_its_spec_once(self, monkeypatch):
+        # the spec works g_c out when it is built; a series call then needs
+        # no critical_point call, only one label comparison
+        spec = SweepSpec(jbar=0.01, n_sites=3, points_per_decade=4, observables=("gaps",))
+        result = run_sweep(spec)
+        calls = []
+        monkeypatch.setattr(scaling, "critical_point", lambda *args: calls.append(args))
+        for index in ("1", "mf", "f", "7", "x"):
+            for side in ("above", "below"):
+                result.series("gaps", index, side)
+        assert result.series("energy", "")[0].size == 0 and result.series("gaps", "7")[0].size == 0
+        assert calls == [] and spec.g_critical == critical_point(0.01, 3, "positive")
 
     def test_energy_column_monotone_continuous(self):
         spec = SweepSpec(jbar=0.01, n_sites=3, reduced_min=1e-3,
@@ -470,6 +490,16 @@ class TestDerivativeDiagnostics:
     def test_axis_validation(self):
         with pytest.raises(ValidationError):
             energy_derivative_diagnostics(params(0.01), axis="omega")
+
+    @pytest.mark.parametrize("half_width, step", [
+        (4e-3, 0.0), (4e-3, -1e-4), (0.0, 1e-4), (-4e-3, 1e-4), (4e-3, 1e-2),
+        (np.nan, 1e-4), (4e-3, np.nan), (np.inf, 1e-4), (4e-3, np.inf), (1e300, 1e-300)])
+    @pytest.mark.parametrize("axis", ["g", "jbar"])
+    def test_scan_validation(self, axis, half_width, step):
+        # a scan without a step inside its half width has no grid
+        with pytest.raises(ValidationError):
+            energy_derivative_diagnostics(params(0.01, g=1.2), axis=axis,
+                                          half_width=half_width, step=step)
 
     def test_first_failing_point_in_scan_order_is_raised(self, monkeypatch):
         # the scan solves all its points in one stack, but reports the
