@@ -186,8 +186,7 @@ def _write(config: RunConfig, pieces) -> None:
 
 
 def cmd_critical_point(config: RunConfig):
-    gc = model.critical_point(config.jbar, config.sites,
-                              model.default_hopping_sign(config.jbar))
+    gc = model.critical_point(config.jbar, config.sites)
     # ModelParams rejects a bad --g, --omega0 or --omega-atom
     g_eval = model.ModelParams(config.omega0, config.omega_atom, config.jbar,
                                gc if config.g is None else config.g, config.sites).g

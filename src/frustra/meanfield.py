@@ -87,9 +87,11 @@ class GroundStateSolution:
     residual, lattice point ``params`` (its size, g and jbar those of
     ``config``, else :class:`ValidationError`) and read-only ascending
     ``hessian_eigenvalues``.  A residual that ``converged`` does not accept,
-    NaN included, raises the solver's :class:`ConvergenceError`.  Without a
-    spectrum from the solver, :func:`_hessian_eigenvalues` computes one,
-    and a failed eigensolve raises ``LinAlgError``.  The manifold size
+    NaN included, raises the solver's :class:`ConvergenceError`.  A given
+    spectrum must hold one value per site (else :class:`ValidationError`)
+    and is stored read-only, copied if it was writeable.  Without one,
+    :func:`_hessian_eigenvalues` computes it, and a failed eigensolve
+    raises ``LinAlgError``.  The manifold size
     ``degeneracy`` follows from the phase and the lattice size."""
 
     config: MeanFieldConfiguration
@@ -112,8 +114,14 @@ class GroundStateSolution:
                                                *np.array([[self.config.g], [self.config.jbar]]))
             if np.isnan(spectrum[0]):
                 raise copy.copy(_UNCONVERGED)
-            spectrum.flags.writeable = False
-            object.__setattr__(self, "hessian_eigenvalues", spectrum)
+        else:
+            spectrum, n = np.asarray(self.hessian_eigenvalues, dtype=float), self.config.n_sites
+            if spectrum.shape != (n,):
+                raise ValidationError(f"Hessian spectrum of shape {spectrum.shape} at N={n}")
+            if spectrum.flags.writeable:  # a copy: the caller's array stays its own
+                spectrum = spectrum.copy()
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "hessian_eigenvalues", spectrum)
 
     @property
     def degeneracy(self) -> int:
@@ -138,7 +146,7 @@ def nfsp_closed_form(g: float, jbar: float) -> float:
     """
     if jbar > 0:
         raise DomainError("nfsp_closed_form requires jbar <= 0")
-    gc = critical_point(jbar, 3, "negative")  # the same at every N
+    gc = critical_point(jbar, 3)  # the same at every N
     if g < gc:
         raise DomainError(f"no superradiant solution below g_c={gc}")
     return _uniform_magnitude(g, jbar) or 0.0
@@ -174,7 +182,7 @@ def fsp_approximation(g: float, jbar: float) -> tuple[float, float]:
     """
     if jbar <= 0:
         raise DomainError("fsp_approximation requires jbar > 0")
-    gc = critical_point(jbar, 3, "positive")
+    gc = critical_point(jbar, 3)
     if g < gc:
         raise DomainError(f"fsp_approximation requires g >= g_c = {gc}")
     x = abs(g - gc)
@@ -193,7 +201,7 @@ def saddle_configuration(g: float, jbar: float) -> MeanFieldConfiguration:
     """
     if jbar <= 0:
         raise DomainError("saddle_configuration requires jbar > 0")
-    gc = critical_point(jbar, 3, "positive")
+    gc = critical_point(jbar, 3)
     if g <= gc:
         raise DomainError(f"saddle_configuration requires g > g_c = {gc}")
     a = float(np.sqrt((g / gc) ** 4 - 1.0) / (2.0 * g))

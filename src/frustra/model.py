@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import DomainError, InstabilityError, ValidationError
 
-HOPPING_SIGNS = ("positive", "negative")
-
 
 def validate_jbar(jbar: float, n_sites: int) -> None:
     """Reject hoppings outside the open :func:`stability_window` of a valid
@@ -40,11 +38,6 @@ def validate_n_sites(n_sites: int) -> None:
     """Reject lattice sizes that are not integers, even or below 3."""
     if not isinstance(n_sites, (int, np.integer)) or n_sites < 3 or n_sites % 2 == 0:
         raise ValidationError(f"n_sites must be odd and >= 3, got {n_sites}")
-
-
-def default_hopping_sign(jbar: float) -> str:
-    """The hopping sign implied by jbar: "negative" below 0, else "positive"."""
-    return "negative" if jbar < 0 else "positive"
 
 
 def _is_finite(value) -> bool:
@@ -82,13 +75,9 @@ class ModelParams:
     def omegabar(self) -> float:
         return self.Omega / self.omega0
 
-    @property
-    def hopping_sign(self) -> str:
-        return default_hopping_sign(self.jbar)
-
     def critical_coupling(self) -> float:
-        """Critical coupling for this parameter set's own hopping sign."""
-        return critical_point(self.jbar, self.n_sites, self.hopping_sign)
+        """Critical coupling of this parameter set's ring and hopping."""
+        return critical_point(self.jbar, self.n_sites)
 
     def replace_g(self, g: float) -> "ModelParams":
         return ModelParams(self.omega0, self.Omega, self.jbar, g, self.n_sites)
@@ -226,19 +215,19 @@ def _landscape(n_sites: int, g, jbar):
     def hessian(a, rows=...):
         quad, curve, hop = at(rows)
         hess = np.zeros(a.shape + (n_sites,))
-        hess[..., site, site] = _diagonal(quad, curve, a)
+        with np.errstate(over="ignore"):  # see _diagonal
+            hess[..., site, site] = _diagonal(quad, curve, a)
         hess[..., site, right] = hess[..., right, site] = hop
         return hess
 
     return energy, gradient, hessian
 
 
-# at huge couplings 4 g^2 or the power overflows to inf, and the term they
-# divide to its exact limit 0
-@np.errstate(over="ignore")
 def _diagonal(quad, curve, a):
     """The Hessian diagonal 2 - 2 g^2 / (1 + 4 g^2 a^2)^{3/2} from the
-    constants ``quad`` = 4 g^2 and ``curve`` = 2 g^2, elementwise."""
+    constants ``quad`` = 4 g^2 and ``curve`` = 2 g^2, elementwise.  At huge
+    couplings 4 g^2 or the power overflows to inf, and the term they divide
+    to its exact limit 0, so callers ignore overflow."""
     return 2.0 - curve / (1.0 + quad * a * a) ** 1.5
 
 
@@ -282,8 +271,10 @@ Ring = namedtuple("Ring", "momenta cosines ascending left right pattern incidenc
 def ring(n_sites: int) -> Ring:
     """The read-only :class:`Ring` tables of an odd lattice size, built once
     (sites 0-based): the ``momenta`` k = 2 pi t / N and their ``cosines``,
-    which give the hopping eigenvalues 1 + 2 jbar cos k, and the t in the
-    ``ascending`` order of their cosines (ties by t); each site's
+    which give the hopping eigenvalues 1 + 2 jbar cos k, each computed as
+    cos(2 pi min(t, N - t) / N) so that the cosines of k and -k are bitwise
+    equal, and the t in the ``ascending`` order of their cosines (ties by
+    t); each site's
     ``left`` and ``right`` neighbour; the canonical frustrated sign
     ``pattern`` (site 1 negative, neighbours anti-aligned except for the
     ferromagnetic pair opposite site 1); and the mirror about site 1, as
@@ -296,6 +287,7 @@ def ring(n_sites: int) -> Ring:
     sites = np.arange(n_sites)
     momenta = 2.0 * np.pi * sites / n_sites
     group = np.minimum(sites, n_sites - sites)  # each site's mirror group
+    cosines = np.cos(2.0 * np.pi * group / n_sites)
     incidence = np.zeros((n_sites, (n_sites + 1) // 2))
     incidence[sites, group] = 1.0
     # 1 on the unpaired site, 1/sqrt(2) on each site of a pair
@@ -304,7 +296,6 @@ def ring(n_sites: int) -> Ring:
     even[group, sites] = weight  # row-major, unlike the view incidence.T
     odd = np.zeros((len(pairs), n_sites))
     odd[pairs - 1, pairs], odd[pairs - 1, n_sites - pairs] = weight[pairs], -weight[pairs]
-    cosines = np.cos(momenta)
     ascending = np.array(sorted(range(n_sites), key=cosines.tolist().__getitem__))
     tables = Ring(momenta, cosines, ascending, (sites - 1) % n_sites, (sites + 1) % n_sites,
                   -((-1.0) ** group), incidence, even, odd)
@@ -359,33 +350,34 @@ def stability_window(n_sites: int) -> tuple[float, float]:
     stability earlier on the positive side.  :class:`ModelParams` and
     :func:`critical_point` reject a hopping outside the open window of
     their own size; at three sites its upper end rounds to
-    0.9999999999999998, one ulp below 1.
+    0.9999999999999998, one ulp below 1.  The spectral edge -1 / (2 min_k
+    cos k) differs by an ulp at some sizes and admits jbar = 1 at N = 3,
+    where the exact soft-mode frequency is 0.
     """
     return -0.5, 1.0 / (2.0 * np.cos(np.pi / n_sites))
 
 
-def critical_point(jbar: float, n_sites: int, hopping_sign: str) -> float:
-    """Critical coupling of the superradiant transition.
+def critical_point(jbar: float, n_sites: int, hopping_sign: str | None = None) -> float:
+    """Critical coupling of the superradiant transition: the origin turns
+    unstable where the softest bare cavity mode does,
 
-    For positive hopping the first origin-Hessian eigenvalues to cross zero
-    are the k = +-(N-1)pi/N pair, giving
-    g_c = sqrt(1 + 2 jbar cos((N-1) pi / N)); for negative hopping it is the
-    k = 0 eigenvalue, giving the lattice-size-independent
-    g_c = sqrt(1 + 2 jbar).
+        g_c = sqrt(min_k (1 + 2 jbar cos k))
+
+    over the ring's momenta: k = 0 for negative hopping, which gives the
+    lattice-size-independent sqrt(1 + 2 jbar), and the k = +-(N-1) pi / N
+    pair for positive hopping.  That pair holds no vector of constant
+    modulus, so the positive-hopping ring is frustrated.
+
+    A ``hopping_sign``, "positive" or "negative", changes nothing but must
+    agree with the sign of jbar (jbar = 0 takes either).
     """
-    if hopping_sign not in HOPPING_SIGNS:
-        raise ValidationError(f"hopping_sign must be one of {HOPPING_SIGNS}")
     validate_n_sites(n_sites)
     validate_jbar(jbar, n_sites)
-    if hopping_sign == "positive" and jbar < 0:
-        raise ValidationError("hopping_sign 'positive' requires jbar >= 0")
-    if hopping_sign == "negative" and jbar > 0:
-        raise ValidationError("hopping_sign 'negative' requires jbar <= 0")
-
-    if hopping_sign == "positive":  # t = (N-1)/2, the cosine of k = (N-1) pi / N
-        radicand = 1.0 + 2.0 * jbar * ring(n_sites).cosines[(n_sites - 1) // 2]
-    else:
-        radicand = 1.0 + 2.0 * jbar
+    # the benchmark harness still passes a sign; drop it with ROADMAP item 1
+    agrees = {"positive": jbar >= 0, "negative": jbar <= 0}
+    if hopping_sign is not None and not agrees.get(hopping_sign, False):
+        raise ValidationError(f"hopping sign {hopping_sign!r} does not match jbar={jbar}")
+    radicand = float(np.min(1.0 + 2.0 * jbar * ring(n_sites).cosines))
     if radicand <= 0:
         raise InstabilityError(
             f"no stable critical point: 1 + 2 jbar cos(k) = {radicand} <= 0"

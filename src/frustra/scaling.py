@@ -34,7 +34,7 @@ from .meanfield import (
     hessian_spectra,
     solve_ground_states,
 )
-from .model import ModelParams, critical_point, default_hopping_sign, rescaled_energy
+from .model import ModelParams, critical_point, rescaled_energy
 
 OBSERVABLES = ("gaps", "photon_numbers", "squeezing", "hessian_eigenvalues", "energy")
 
@@ -114,8 +114,8 @@ class SweepSpec:
 
     @cached_property
     def g_critical(self) -> float:
-        """The critical coupling of the hopping's sign, worked out once."""
-        return critical_point(self.jbar, self.n_sites, default_hopping_sign(self.jbar))
+        """The critical coupling of the spec's ring and hopping, worked out once."""
+        return critical_point(self.jbar, self.n_sites)
 
     def params_at(self, g: float) -> ModelParams:
         return ModelParams(self.omega0, self.Omega, self.jbar, g, self.n_sites)

@@ -81,7 +81,7 @@ def bisect_min_eigenvalue_crossing(jbar, n, tol=1e-12):
 def test_criterion_01_critical_points():
     details = []
     for n in SIZES:
-        computed = critical_point(JBAR, n, "positive")
+        computed = critical_point(JBAR, n)
         closed_form = np.sqrt(1.0 + 2.0 * JBAR * np.cos((n - 1) * np.pi / n))
         assert abs(computed - closed_form) < 1e-12
         bisected = bisect_min_eigenvalue_crossing(JBAR, n)
@@ -92,7 +92,7 @@ def test_criterion_01_critical_points():
 
 @pytest.mark.parametrize("n,expected", [(3, 6), (5, 10)])
 def test_criterion_02_exhaustive_degeneracy(n, expected):
-    gc = critical_point(JBAR, n, "positive")
+    gc = critical_point(JBAR, n)
     p = params(JBAR, 1.01 * gc, n)
     members = enumerate_degenerate_ground_states(
         p, SolverOptions(seed_mode="exhaustive"))
@@ -110,7 +110,7 @@ def test_criterion_02_exhaustive_degeneracy(n, expected):
 
 
 def test_criterion_03_meanfield_series_agreement():
-    gc = critical_point(JBAR, 3, "positive")
+    gc = critical_point(JBAR, 3)
     worst = 0.0
     for reduced in (1e-4, 3e-4, 1e-3):
         g = gc * (1.0 + reduced)
@@ -139,15 +139,14 @@ def test_criterion_04_spectrum_oracle():
 
     # normal phase, both hopping signs
     for jbar in (JBAR, -JBAR):
-        sign = "negative" if jbar < 0 else "positive"
-        gc = critical_point(jbar, 3, sign)
+        gc = critical_point(jbar, 3)
         for g in np.linspace(0.1, 0.97 * gc, 13):
             spectrum = analytic_np_spectrum(g, jbar, 1.0)
             # finite-momentum branches arrive as exactly degenerate pairs
             assert spectrum[0] == spectrum[1] or len(set(np.round(spectrum, 12))) <= 4
             compare(params(jbar, float(g)), spectrum)
     # uniform superradiant phase
-    gc = critical_point(-JBAR, 3, "negative")
+    gc = critical_point(-JBAR, 3)
     for g in np.linspace(1.002 * gc, 1.6 * gc, 24):
         compare(params(-JBAR, float(g)), analytic_nfsp_spectrum(g, -JBAR, 1.0))
     assert checked == 50
@@ -167,7 +166,7 @@ def test_criterion_05_fsp_gap_exponents(stated_window_reports):
             assert abs(gamma_mf - 0.5) <= GAMMA_MF_TOL
             details.append(f"gamma_mf={gamma_mf:.3f}")
     # closed-form cross-check of the frustrated gap at a plain coupling
-    gc = critical_point(JBAR, 3, "positive")
+    gc = critical_point(JBAR, 3)
     g = 1.01 * gc
     solution = solve_ground_state(params(JBAR, g))
     decomp = williamson_diagonalize(build_quadratic_hamiltonian(solution))
@@ -198,7 +197,7 @@ def test_criterion_06_site_dependent_photon_exponents(deep_window_reports):
 def test_criterion_07_frustrated_mode_structure():
     details = []
     for n in SIZES:
-        gc = critical_point(JBAR, n, "positive")
+        gc = critical_point(JBAR, n)
         p = params(JBAR, gc * (1 + 1e-3), n)
         solution = solve_ground_state(p)
         decomp = williamson_diagonalize(build_quadratic_hamiltonian(solution))
@@ -231,7 +230,7 @@ def test_criterion_08_hessian_scaling(stated_window_reports):
 
 
 def test_criterion_09_transition_order():
-    gc = critical_point(JBAR, 3, "positive")
+    gc = critical_point(JBAR, 3)
     diag_g = energy_derivative_diagnostics(params(JBAR, 1.0), axis="g")
     assert diag_g.discontinuity_order == 2
     assert diag_g.detected_location == pytest.approx(gc, abs=2e-4)
@@ -259,8 +258,7 @@ def test_criterion_10_structural_property_suite():
         n = int(rng.choice(SIZES))
         lo, hi = stability_window(n)
         jbar = float(rng.uniform(0.9 * lo, min(0.9, 0.9 * hi)))
-        sign = "negative" if jbar < 0 else "positive"
-        gc = critical_point(jbar, n, sign)
+        gc = critical_point(jbar, n)
         if rng.random() < 0.5:
             g = float(rng.uniform(0.05, 0.95)) * gc
         else:

@@ -153,7 +153,7 @@ class TestWilliamson:
 
     def test_nfsp_matches_closed_form(self):
         jbar = -0.01
-        gc = critical_point(jbar, 3, "negative")
+        gc = critical_point(jbar, 3)
         g = 1.1 * gc
         sol, p, form = solved_form(jbar, g)
         decomp = williamson_diagonalize(form)
@@ -162,7 +162,7 @@ class TestWilliamson:
 
     def test_fsp_lowest_matches_pair_difference_energy(self):
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         g = 1.01 * gc
         sol, p, form = solved_form(jbar, g)
         decomp = williamson_diagonalize(form)
@@ -175,7 +175,7 @@ class TestWilliamson:
         for _ in range(8):
             n = int(rng.choice([3, 5]))
             jbar = float(rng.uniform(-0.3, 0.6))
-            gc = critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+            gc = critical_point(jbar, n)
             g = float(rng.uniform(0.2, 0.97)) * gc
             sol, p, form = solved_form(jbar, g, n)
             decomp = williamson_diagonalize(form)
@@ -220,25 +220,25 @@ class TestAnalyticSpectra:
 
     def test_np_gap_closes_at_negative_critical_point(self):
         jbar = -0.01
-        gc = critical_point(jbar, 3, "negative")
+        gc = critical_point(jbar, 3)
         lo, _ = normal_phase_mode_energies(gc * (1 - 1e-10), jbar, 1.0, 0.0)
         assert lo < 2e-5
 
     def test_np_gap_closes_at_positive_critical_point_with_degeneracy(self):
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         spec = analytic_np_spectrum(gc * (1 - 1e-10), jbar, 1.0)
         assert spec[0] < 2e-5 and spec[1] < 2e-5  # two-fold degenerate pair
 
     def test_np_domain_error_past_threshold(self):
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         with pytest.raises(DomainError):
             analytic_np_spectrum(1.01 * gc, jbar, 1.0)
 
     def test_nfsp_gap_exponent_half(self):
         jbar = -0.01
-        gc = critical_point(jbar, 3, "negative")
+        gc = critical_point(jbar, 3)
         lo1 = analytic_nfsp_spectrum(gc * (1 + 1e-6), jbar, 1.0)[0]
         lo2 = analytic_nfsp_spectrum(gc * (1 + 4e-6), jbar, 1.0)[0]
         assert lo2 / lo1 == pytest.approx(2.0, rel=1e-3)
@@ -279,11 +279,11 @@ class TestAnalyticSpectra:
     def test_frustrated_energy_vanishes_at_threshold(self):
         jbar = 0.05
         assert fsp_frustrated_mode_energy(
-            critical_point(jbar, 3, "positive"), jbar, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+            critical_point(jbar, 3), jbar, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_frustrated_energy_slope(self):
         jbar, omegabar = 0.01, 1.0
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         slope = 2.0 * np.sqrt((1 - jbar) * (2 + jbar)
                               / (3 * jbar * ((1 - jbar) ** 2 + omegabar ** 2)))
         dg = 1e-7
@@ -318,7 +318,7 @@ class TestCovariance:
 
     def test_cavity_variance_diverges_towards_threshold(self):
         jbar = -0.02
-        gc = critical_point(jbar, 3, "negative")
+        gc = critical_point(jbar, 3)
         variances = []
         for g in (0.9 * gc, 0.999 * gc, 0.9999 * gc):
             sol, p, form = solved_form(jbar, g)
@@ -332,8 +332,7 @@ class TestCovariance:
         for _ in range(10):
             n = int(rng.choice([3, 5]))
             jbar = float(rng.uniform(-0.3, 0.6))
-            sign = "negative" if jbar < 0 else "positive"
-            gc = critical_point(jbar, n, sign)
+            gc = critical_point(jbar, n)
             stable_side = rng.uniform(0.2, 0.95) * gc if rng.random() < 0.5 \
                 else gc * (1 + rng.uniform(0.005, 0.2))
             try:
@@ -354,7 +353,7 @@ class TestCovariance:
 
     def test_fsp_site_one_smaller_than_pair(self):
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         sol, p, form = solved_form(jbar, gc * (1 + 1e-3))
         cov = covariance(williamson_diagonalize(form))
         n1 = photon_number(cov, 1)
@@ -367,7 +366,7 @@ class TestStackedSectors:
     def test_stack_reads_each_points_frequencies(self):
         # omega0 and Omega differ from point to point, on both routes
         n = 5
-        gc_f, gc_u = critical_point(0.01, n, "positive"), critical_point(-0.01, n, "negative")
+        gc_f, gc_u = critical_point(0.01, n), critical_point(-0.01, n)
         points = [params(0.01, 0.5, n, omega0=1.3, Omega=0.8),
                   params(-0.01, gc_u * 1.05, n, omega0=0.7, Omega=1.9),
                   params(0.01, gc_f * 1.01, n, omega0=2.1, Omega=0.6),
@@ -385,7 +384,7 @@ class TestStackedSectors:
         # a frustrated label on the origin past g_c: both mirror sectors of
         # its form are indefinite, so its Cholesky factor fails in the stack
         jbar, n = 0.01, 5
-        gc = critical_point(jbar, n, "positive")
+        gc = critical_point(jbar, n)
         points = [params(jbar, gc * (1 + r), n) for r in (1e-7, 1e-4, 1e-2, 1e-1)]
         solutions = [solve_ground_state(p) for p in points]
         stale = GroundStateSolution(MeanFieldConfiguration(
@@ -409,7 +408,7 @@ class TestStackedSectors:
         # unresolved frustrated point, and stale non-positive labels of both
         # routes on the origin past g_c
         n = 7
-        gc_f, gc_u = critical_point(0.01, n, "positive"), critical_point(-0.01, n, "negative")
+        gc_f, gc_u = critical_point(0.01, n), critical_point(-0.01, n)
         points = [params(0.01, 0.5, n), params(-0.01, gc_u * (1 + 1e-3), n),
                   params(0.01, gc_f * (1 + 3e-3), n), params(0.01, gc_f * (1 + 1e-5), n),
                   params(0.01, gc_f * 1.1, n), params(-0.01, gc_u * 1.1, n)]
@@ -434,7 +433,7 @@ class TestStackedSectors:
 def deep_frustrated_points(n):
     """The solved points of a frustrated sweep down to reduced coupling
     1e-9, whose deep mirror-odd sectors cannot be factored."""
-    gc = critical_point(0.01, n, "positive")
+    gc = critical_point(0.01, n)
     points = [params(0.01, gc * (1 + r), n) for r in np.logspace(-9, -2, 36)]
     return [s for s in solve_ground_states(points) if isinstance(s, GroundStateSolution)]
 
@@ -506,7 +505,7 @@ class TestSplitModesFactorisation:
 class TestModeWeights:
     def test_trimer_frustrated_mode(self):
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         sol, p, form = solved_form(jbar, gc * (1 + 1e-3))
         decomp = williamson_diagonalize(form)
         frustrated = mode_weights(decomp, 1)
@@ -518,7 +517,7 @@ class TestModeWeights:
 
     def test_trimer_mean_field_mode(self):
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         sol, p, form = solved_form(jbar, gc * (1 + 1e-3))
         decomp = williamson_diagonalize(form)
         mf = mode_weights(decomp, 2)
@@ -528,7 +527,7 @@ class TestModeWeights:
     @pytest.mark.parametrize("n", [5, 7])
     def test_unpaired_site_decouples_for_larger_rings(self, n):
         jbar = 0.01
-        gc = critical_point(jbar, n, "positive")
+        gc = critical_point(jbar, n)
         sol, p, form = solved_form(jbar, gc * (1 + 1e-3), n)
         decomp = williamson_diagonalize(form)
         frustrated = mode_weights(decomp, 1)
@@ -588,7 +587,7 @@ class TestSymmetryInvariance:
         from frustra.meanfield import enumerate_degenerate_ground_states
 
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         p = params(jbar, gc * 1.01)
         members = enumerate_degenerate_ground_states(p)
         spectra, photon_sets = [], []
@@ -608,7 +607,7 @@ class TestSectorMoments:
     def test_matches_full_covariance_at_moderate_coupling(self):
         jbar = 0.01
         for n in (3, 5):
-            gc = critical_point(jbar, n, "positive")
+            gc = critical_point(jbar, n)
             p = params(jbar, gc * (1 + 3e-3), n)
             sol = solve_ground_state(p)
             moments = fsp_site_moments(sol)
@@ -622,7 +621,7 @@ class TestSectorMoments:
     @pytest.mark.parametrize("n, reduced", [(3, 3e-3), (5, 3e-3), (7, 3e-3), (7, 1e-5)])
     def test_sector_spectra_carried_on_moments(self, n, reduced):
         jbar = 0.01
-        gc = critical_point(jbar, n, "positive")
+        gc = critical_point(jbar, n)
         p = params(jbar, gc * (1 + reduced), n)
         sol = solve_ground_state(p)
         moments = fsp_site_moments(sol)
@@ -642,7 +641,7 @@ class TestSectorMoments:
     def test_deep_point_keeps_unpaired_site(self):
         # far below resolution for the frustrated sector at N=7
         jbar = 0.01
-        gc = critical_point(jbar, 7, "positive")
+        gc = critical_point(jbar, 7)
         p = params(jbar, gc * (1 + 1e-6), 7)
         sol = solve_ground_state(p)
         moments = fsp_site_moments(sol)
@@ -736,7 +735,7 @@ class TestMeanFieldModeExpansion:
         # eps_mf = 2 omega0 sqrt((1-jbar)^(3/2) / ((1-jbar)^2 + omegabar^2))
         #          * (g - gc)^(1/2) to leading order
         jbar, omegabar = 0.01, 1.0
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         dg = 1e-7
         sol, p, form = solved_form(jbar, gc + dg)
         eps_mf = williamson_diagonalize(form).symplectic_eigenvalues[1]

@@ -66,7 +66,7 @@ def seed_alphas(point):
 
 class TestClosedForms:
     def test_nfsp_vanishes_at_threshold(self):
-        gc = critical_point(-0.01, 3, "negative")
+        gc = critical_point(-0.01, 3)
         assert nfsp_closed_form(gc, -0.01) == 0.0
 
     def test_nfsp_is_stationary(self):
@@ -86,12 +86,12 @@ class TestClosedForms:
             nfsp_closed_form(0.5, -0.01)
 
     def test_fsp_approximation_vanishes_at_threshold(self):
-        gc = critical_point(0.01, 3, "positive")
+        gc = critical_point(0.01, 3)
         assert fsp_approximation(gc, 0.01) == (0.0, 0.0)
 
     def test_fsp_leading_ratio(self):
         # leading coefficients -2/sqrt(3) vs 1/sqrt(3): ratio -> -2 at threshold
-        gc = critical_point(0.01, 3, "positive")
+        gc = critical_point(0.01, 3)
         a1, pair = fsp_approximation(gc + 1e-8, 0.01)
         assert a1 / pair == pytest.approx(-2.0, abs=1e-3)
 
@@ -104,7 +104,7 @@ class TestClosedForms:
 
 class TestSolveGroundState:
     def test_normal_phase_below_threshold(self):
-        gc = critical_point(0.01, 3, "positive")
+        gc = critical_point(0.01, 3)
         sol = solve_ground_state(params(0.01, 0.9 * gc))
         assert sol.phase is Phase.NORMAL
         assert sol.degeneracy == 1
@@ -113,7 +113,7 @@ class TestSolveGroundState:
         assert sol.config.energy == pytest.approx(-1.5)
 
     def test_nfsp_uniform_solution(self):
-        gc = critical_point(-0.01, 3, "negative")
+        gc = critical_point(-0.01, 3)
         g = 1.02 * gc
         sol = solve_ground_state(params(-0.01, g))
         assert sol.phase is Phase.NFSP
@@ -124,7 +124,7 @@ class TestSolveGroundState:
 
     def test_fsp_structure_and_series_agreement(self):
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         g = gc + 0.001
         sol = solve_ground_state(params(jbar, g))
         a = sol.config.alphas
@@ -166,7 +166,7 @@ class TestSolveGroundState:
         assert sol.phase is Phase.NORMAL
 
     def test_just_below_threshold_is_normal(self):
-        gc = critical_point(0.01, 3, "positive")
+        gc = critical_point(0.01, 3)
         sol = solve_ground_state(params(0.01, gc - 1e-9))
         assert sol.phase is Phase.NORMAL
 
@@ -176,7 +176,7 @@ class TestSolveGroundState:
     def test_superradiant_just_above_threshold(self, n, jbar, dg):
         # the landscape is nearly flat here, yet the same Newton path must
         # return a converged, exactly structured global minimum
-        gc = critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+        gc = critical_point(jbar, n)
         p = params(jbar, gc + dg, n)
         sol = solve_ground_state(p)
         assert sol.phase is (Phase.NFSP if jbar < 0 else Phase.FSP)
@@ -201,13 +201,13 @@ class TestSolveGroundState:
     def test_superradiant_within_1e_9_of_threshold(self, n, jbar, reduced, phase):
         # the origin is stationary here and passes the PSD tolerance, so
         # only an unseeded origin keeps these points superradiant
-        gc = critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+        gc = critical_point(jbar, n)
         assert solve_ground_state(params(jbar, gc * (1 + reduced), n)).phase is phase
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     @pytest.mark.parametrize("jbar", [-0.3, -0.01, 0.0, 0.01, 0.3])
     def test_seeds_only_the_orbits_that_can_hold_the_minimum(self, n, jbar):
-        gc = critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+        gc = critical_point(jbar, n)
         uniform_from = np.sqrt(1 + 2 * jbar)  # the uniform state exists above it
         for g in (gc * (1 + 1e-6), gc * 1.1, uniform_from * 1.1):
             seeds = seed_alphas(params(jbar, g, n))
@@ -230,7 +230,7 @@ class TestSolveGroundState:
         rng = np.random.default_rng(2)
         for _ in range(5):
             jbar = rng.uniform(-0.45, -0.005)
-            gc = critical_point(jbar, 3, "negative")
+            gc = critical_point(jbar, 3)
             g = gc * rng.uniform(1.01, 1.4)
             sol = solve_ground_state(params(jbar, g))
             assert np.ptp(sol.config.alphas) < 1e-10
@@ -239,7 +239,7 @@ class TestSolveGroundState:
         rng = np.random.default_rng(4)
         for _ in range(5):
             jbar = rng.uniform(0.005, 0.4)
-            gc = critical_point(jbar, 3, "positive")
+            gc = critical_point(jbar, 3)
             g = gc * rng.uniform(1.001, 1.2)
             sol = solve_ground_state(params(jbar, g))
             a = sol.config.alphas
@@ -248,7 +248,7 @@ class TestSolveGroundState:
 
     def test_energy_continuity_in_g(self):
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         gs = np.linspace(gc - 0.02, gc + 0.02, 81)
         energies = np.array([solve_ground_state(params(jbar, g)).config.energy
                              for g in gs])
@@ -268,7 +268,7 @@ class TestSaddle:
 
     def test_saddle_degenerates_to_origin_at_threshold(self):
         jbar = 0.05
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         saddle = saddle_configuration(gc + 1e-13, jbar)
         assert np.max(np.abs(saddle.alphas)) < 1e-5
 
@@ -309,7 +309,7 @@ class TestDegenerateManifold:
 
     def test_exhaustive_matches_orbit_counts(self):
         opts = SolverOptions(seed_mode="exhaustive")
-        gc3 = critical_point(0.01, 3, "positive")
+        gc3 = critical_point(0.01, 3)
         found = enumerate_degenerate_ground_states(params(0.01, 1.01 * gc3), opts)
         assert len(found) == 6
         found_nfsp = enumerate_degenerate_ground_states(params(-0.01, 1.05), opts)
@@ -324,7 +324,7 @@ class TestDegenerateManifold:
         # both entries are refused
         monkeypatch.setattr("frustra.meanfield.solve_ground_state", refuse)
         monkeypatch.setattr("frustra.meanfield.solve_ground_states", refuse)
-        gc = critical_point(0.01, n, "positive")
+        gc = critical_point(0.01, n)
         found = enumerate_degenerate_ground_states(
             params(0.01, 1.01 * gc, n), SolverOptions(seed_mode="exhaustive"))
         assert len(found) == 2 * n
@@ -333,7 +333,7 @@ class TestDegenerateManifold:
         # the mirror-odd direction is nearly flat here, so unpolished copies
         # of one minimum stop more than MATCH_TOL apart
         assert MATCH_TOL <= 1e-8 and ENERGY_TOL <= 1e-10
-        gc = critical_point(0.0096, 7, "positive")
+        gc = critical_point(0.0096, 7)
         found = enumerate_degenerate_ground_states(
             params(0.0096, gc * (1 + 7.8e-5), 7), SolverOptions(seed_mode="exhaustive"))
         assert len(found) == 14
@@ -344,7 +344,7 @@ class TestDegenerateManifold:
         # members must meet the solver's own acceptance, SOLUTION_GRAD_TOL;
         # an absolute 1e-8 let ten stalled runs into this two-fold tier
         jbar, n = -0.01, 5
-        g = critical_point(jbar, n, "negative") + 1e-7
+        g = critical_point(jbar, n) + 1e-7
         found = enumerate_degenerate_ground_states(
             params(jbar, g, n), SolverOptions(seed_mode="exhaustive"))
         assert len(found) == 2
@@ -368,7 +368,7 @@ class TestDegenerateManifold:
 
         monkeypatch.setattr(meanfield, "_newton_minimize", counted)
         for jbar, reduced in points:
-            gc = critical_point(jbar, 7, "positive")
+            gc = critical_point(jbar, 7)
             found = enumerate_degenerate_ground_states(
                 params(jbar, gc * (1 + reduced), 7), SolverOptions(seed_mode="exhaustive"))
             assert len(found) == 14
@@ -443,7 +443,7 @@ class TestDerivedSolutionFields:
             return frames[-1]
 
         monkeypatch.setattr(meanfield, "_canonical_frames", spy)
-        points = [ModelParams(1.0, 1.0, jbar, critical_point(jbar, n, "positive") * (1 + r), n)
+        points = [ModelParams(1.0, 1.0, jbar, critical_point(jbar, n) * (1 + r), n)
                   for jbar in (0.01, 0.3) for r in np.logspace(-7, np.log10(0.3), 14)]
         outcomes = solve_ground_states(points)
         assert all(solution.phase is Phase.FSP for solution in outcomes)
@@ -458,7 +458,7 @@ class TestDerivedSolutionFields:
     def test_canonical_solution_flips_a_positive_unpaired_site(self, n):
         # the raw winners never have alpha_1 > 0, so hand it the mirror-
         # symmetric frustrated minimizer with its sign flipped
-        p = params(0.01, 1.01 * critical_point(0.01, n, "positive"), n)
+        p = params(0.01, 1.01 * critical_point(0.01, n), n)
         solution = solve_ground_state(p)
         flipped = -solution.config.alphas
         assert flipped[0] > 0
@@ -474,8 +474,8 @@ class TestDerivedSolutionFields:
 class TestStackedSolve:
     def test_stack_matches_one_point_solves(self):
         n = 5
-        points = [params(jbar, critical_point(jbar, n, sign) * (1 + side * reduced), n)
-                  for jbar, sign in ((0.01, "positive"), (-0.01, "negative"), (0.3, "positive"))
+        points = [params(jbar, critical_point(jbar, n) * (1 + side * reduced), n)
+                  for jbar in (0.01, -0.01, 0.3)
                   for side in (-1, 1) for reduced in (1e-7, 1e-4, 1e-1)]
         for point, stacked in zip(points, solve_ground_states(points[::-1])[::-1]):
             alone = solve_ground_state(point)
@@ -486,7 +486,7 @@ class TestStackedSolve:
 
     def test_failing_point_leaves_the_others_bitwise(self, monkeypatch):
         n = 5
-        gc = critical_point(0.01, n, "positive")
+        gc = critical_point(0.01, n)
         grid = [gc * (1 + reduced) for reduced in (1e-6, 1e-4, 1e-3, 1e-2)]
         points = [params(0.01, g, n) for g in grid]
         alone = [solve_ground_state(point) for point in points]
@@ -511,7 +511,7 @@ class TestStackedSolve:
         # gradient of 1e300, 1e-320 times the identity again (a non-finite
         # first line-search trial, DomainError)
         n, jbar = 5, 0.01
-        gc = critical_point(jbar, n, "positive")
+        gc = critical_point(jbar, n)
         rows = [(gc * (1 + r), None) for r in (1e-6, 1e-3, 1e-1)]
         rows += [(gc * 1.01, 0.0), (gc * 1.02, 1e-320), (gc * 1.03, np.nan),
                  (gc * 1.04, 1e-320)]
@@ -564,7 +564,7 @@ class TestStackedSolve:
         # stack keep their bits; below sqrt(1 + 2 jbar) each point has one
         # seed, so the check's rows are the points
         n, jbar = 5, 0.01
-        gc = critical_point(jbar, n, "positive")
+        gc = critical_point(jbar, n)
         points = [params(jbar, gc * (1 + r), n) for r in (1e-4, 1e-3, 5e-3)]
         clean = solve_ground_states(points)
         assert all(solution.phase is Phase.FSP for solution in clean)
@@ -590,7 +590,7 @@ class TestStackedSolve:
     def test_failed_oracle_minimum_check_raises_linalg_error(self, monkeypatch):
         # the exhaustive oracle's PSD check: one failing row among its
         # stationary rows fails the call with LinAlgError
-        point = params(0.01, critical_point(0.01, 5, "positive") * 1.01, 5)
+        point = params(0.01, critical_point(0.01, 5) * 1.01, 5)
         real, checked = meanfield._eigvalsh, []
 
         def failing(hess):
@@ -609,7 +609,7 @@ class TestStackedSolve:
         # pattern at about half the oracle's seed magnitude (0.084) starts
         # with a negative Hessian eigenvalue; the solver's frustrated seed
         # starts positive definite
-        point = params(0.05, critical_point(0.05, 3, "positive") * 1.02)
+        point = params(0.05, critical_point(0.05, 3) * 1.02)
         g, jbar = point.g, point.jbar
         seeds = np.array([[-0.04, -0.04, 0.04], seed_alphas(point)[0]])
         trials = []
@@ -645,7 +645,7 @@ class TestStackedSolve:
     def test_mixed_line_search_gives_each_row_its_one_row_iteration(self):
         # the indefinite (-, -, +) seed backtracks once; the solver's
         # frustrated seed and a third pattern take every full step
-        point = params(0.05, critical_point(0.05, 3, "positive") * 1.02)
+        point = params(0.05, critical_point(0.05, 3) * 1.02)
         energy, gradient, hessian = _landscape(3, point.g, point.jbar)
         seeds = np.array([[-0.04, -0.04, 0.04], seed_alphas(point)[0], [0.3, -0.2, -0.25]])
 
@@ -668,7 +668,7 @@ class TestStackedSolve:
             assert np.array_equal(steps1[0], steps[i]) and trials1[0] == trials[i]
 
     def test_full_step_iteration_reads_the_energy_once(self):
-        point = params(0.05, critical_point(0.05, 3, "positive") * 1.02)
+        point = params(0.05, critical_point(0.05, 3) * 1.02)
         energy, gradient, hessian = _landscape(3, point.g, point.jbar)
         reads = []
 
@@ -684,7 +684,7 @@ class TestStackedSolve:
         assert reads[:1 + steps[:, 0].min()] == [[0, 1]] * (1 + steps[:, 0].min())
 
     def test_debug_record_per_oracle_call(self, caplog, monkeypatch):
-        point = params(0.01, critical_point(0.01, 5, "positive") * 1.05, 5)
+        point = params(0.01, critical_point(0.01, 5) * 1.05, 5)
         newton, runs = meanfield._newton_minimize, []
 
         def spy(*args):
@@ -711,7 +711,7 @@ class TestStackedSolve:
         assert len(members) == 10
 
     def test_debug_record_per_solved_point(self, caplog):
-        gc = critical_point(0.01, 5, "positive")
+        gc = critical_point(0.01, 5)
         points = [params(0.01, g, 5) for g in (0.5, gc * 1.01, gc * 1.1)]
         with caplog.at_level(logging.DEBUG, logger="frustra.meanfield"):
             solve_ground_states(points)
@@ -848,7 +848,7 @@ class TestRawGufuncs:
 class TestHessianCriticalModes:
     def test_trimer_frustrated_eigenvector(self):
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         modes = hessian_critical_modes(solve_ground_state(params(jbar, gc * 1.001)))
         expected = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
         assert_allclose(np.abs(modes.y_f), np.abs(expected), atol=1e-12)
@@ -860,7 +860,7 @@ class TestHessianCriticalModes:
         # lambda_f -> 8 (2 + jbar) / (3 jbar) (g - gc)^2,
         # lambda_mf -> 8 sqrt(1 - jbar) (g - gc)
         jbar = 0.01
-        gc = critical_point(jbar, 3, "positive")
+        gc = critical_point(jbar, 3)
         dg = 1e-6 * gc
         modes = hessian_critical_modes(solve_ground_state(params(jbar, gc + dg)))
         assert modes.lambda_f / dg ** 2 == pytest.approx(
@@ -873,7 +873,7 @@ class TestHessianCriticalModes:
         # lambda_f ~ |g - gc|^(N-1): ratio test over one octave close enough
         # to the critical point for the asymptotic law to hold
         jbar = 0.01
-        gc = critical_point(jbar, n, "positive")
+        gc = critical_point(jbar, n)
         red = 1e-4
         lam1 = hessian_critical_modes(solve_ground_state(params(jbar, gc * (1 + red), n))).lambda_f
         lam2 = hessian_critical_modes(
@@ -892,7 +892,7 @@ class TestHessianCriticalModes:
     def test_stacked_spectra_match_one_point_routes(self):
         # normal, uniform and frustrated points of one size in one stack
         n = 5
-        gc_f, gc_u = critical_point(0.01, n, "positive"), critical_point(-0.01, n, "negative")
+        gc_f, gc_u = critical_point(0.01, n), critical_point(-0.01, n)
         points = [params(0.01, 0.5, n), params(-0.01, gc_u * (1 + 1e-3), n),
                   params(0.01, gc_f * (1 + 1e-3), n), params(0.01, gc_f * (1 + 1e-6), n)]
         solutions = [solve_ground_state(p) for p in points]
@@ -953,7 +953,7 @@ class TestCarriedSpectrum:
     def points(n):
         points = []
         for jbar in (0.01, 0.3, -0.01, -0.3):
-            gc = critical_point(jbar, n, "positive" if jbar > 0 else "negative")
+            gc = critical_point(jbar, n)
             points += [params(jbar, gc * (1 + r), n) for r in (-0.5, -1e-3, 1e-7, 1e-4, 1e-2, 0.3)]
         return points
 
@@ -990,7 +990,7 @@ class TestCarriedSpectrum:
             return real(g, *args)
 
         monkeypatch.setattr(meanfield, "origin_hessian_eigenvalues", counted)
-        gc = critical_point(-0.01, 21, "negative")
+        gc = critical_point(-0.01, 21)
         points = [params(-0.01, gc * (1 - r), 21) for r in (0.3, 1e-2, 1e-5)]
         solutions = solve_ground_states(points)
         assert calls == [3]
@@ -1004,6 +1004,22 @@ class TestCarriedSpectrum:
         monkeypatch.setattr(meanfield, "_eigvalsh", lambda hess: np.full(hess.shape[:-1], np.nan))
         with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
             GroundStateSolution(sol.config, sol.phase, sol.grad_norm, sol.params)
+
+    def test_a_given_spectrum_holds_one_value_per_site_and_is_stored_read_only(self):
+        sol = solve_ground_state(params(0.01, 1.1, 5))
+        for bad in (np.array([1.0, 2.0]), np.ones(6), sol.hessian_eigenvalues[None], 1.0):
+            with pytest.raises(ValidationError, match="Hessian spectrum of shape"):
+                GroundStateSolution(sol.config, sol.phase, sol.grad_norm, sol.params, bad)
+        given = sol.hessian_eigenvalues.copy()
+        for spectrum in (given, given.tolist()):
+            built = GroundStateSolution(sol.config, sol.phase, sol.grad_norm, sol.params,
+                                        spectrum)
+            assert not built.hessian_eigenvalues.flags.writeable
+            assert built.hessian_eigenvalues.tobytes() == sol.hessian_eigenvalues.tobytes()
+        given[0] = 7.0  # the caller's array stays its own, and writeable
+        assert built.hessian_eigenvalues[0] == sol.hessian_eigenvalues[0]
+        assert [a.tobytes() for a in hessian_spectra([built, sol])] == [
+            a.tobytes() for a in hessian_spectra([sol, sol])]
 
     def test_minimum_check_reads_the_newton_kernel(self, monkeypatch):
         def unused(*args):
@@ -1022,6 +1038,35 @@ class TestCarriedSpectrum:
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         assert [a.tobytes() for a in hessian_spectra(solutions)] == [
             a.tobytes() for a in expected]
+
+
+class TestSpectralLowerBound:
+    """The hopping term jbar a^T A a is at least (g_c^2 - 1) |a|^2, with
+    g_c^2 = min_k (1 + 2 jbar cos k), so the energy is at least N one-site
+    double wells: E_lb = -N (g^2 / (4 g_c^2) + g_c^2 / (4 g^2)) above g_c
+    and -N/2 at or below it.  Equality needs a vector of constant modulus
+    in the softest hopping eigenspace: the origin below g_c, the uniform
+    state for jbar < 0, and none on the frustrated ring."""
+
+    #: rounding allowance of an energy, in units of eps |E|
+    SLACK = 4.0
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 21])
+    def test_bound_certifies_the_unfrustrated_minima(self, n):
+        points = [params(jbar, critical_point(jbar, n) * (1 + r), n)
+                  for jbar in (-0.3, -0.01, 0.01, 0.2)
+                  for r in (-0.5, 1e-6, 1e-4, 1e-2, 1.0, 10.0, 1e3)]
+        for point, outcome in zip(points, solve_ground_states(points)):
+            assert isinstance(outcome, GroundStateSolution), (point, outcome)
+            g, gc = point.g, point.critical_coupling()
+            bound = -n / 2 if g <= gc else -n * (g * g / (4 * gc * gc) + gc * gc / (4 * g * g))
+            energy = outcome.config.energy
+            slack = self.SLACK * EPS * abs(energy)
+            assert energy >= bound - slack, point
+            if outcome.phase is Phase.FSP:
+                assert energy - bound > slack, point
+            else:
+                assert abs(energy - bound) <= slack, point
 
 
 class TestMomentumSpectra:
@@ -1103,7 +1148,7 @@ class TestSignPattern:
 
 def test_fsp_series_within_one_percent_very_close():
     jbar = 0.01
-    gc = critical_point(jbar, 3, "positive")
+    gc = critical_point(jbar, 3)
     g = gc + 5e-4
     sol = solve_ground_state(params(jbar, g))
     approx1, approx_pair = fsp_approximation(g, jbar)
@@ -1117,7 +1162,7 @@ def test_fsp_angle_and_energy_expansions():
     # cos(theta_2) = -1 + 2 dg/(3 gc) + (8 - jbar) dg^2/(9 jbar gc^2) + O(dg^3),
     # E = -3/2 - 2 dg^2/gc^2 + O(dg^3)
     jbar = 0.01
-    gc = critical_point(jbar, 3, "positive")
+    gc = critical_point(jbar, 3)
     dg = 1e-4
     sol = solve_ground_state(params(jbar, gc + dg))
     cos1 = np.cos(sol.config.thetas[0])

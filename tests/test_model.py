@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import warnings
 
@@ -10,15 +11,16 @@ from frustra.errors import DomainError, ValidationError
 from frustra.model import (
     MeanFieldConfiguration,
     ModelParams,
+    _hessian_diagonal,
     atomic_angles,
     critical_point,
-    default_hopping_sign,
     energy_gradient,
     energy_hessian,
     group_images,
     origin_hessian_eigenvalues,
     rescaled_energy,
     ring,
+    stability_window,
     validate_n_sites,
 )
 
@@ -205,6 +207,17 @@ class TestHessian:
                     assert spectrum.tobytes() == scaled.tobytes(), (n, jbar, g)
         assert (origin_hessian_eigenvalues(1e200, 0.01, 3) == -np.inf).all()
 
+    def test_huge_couplings_reach_the_diagonals_limit_without_a_warning(self):
+        # 4 g^2 a^2 or its power overflows to inf, silently, and the diagonal
+        # reads its exact limit 2; 4 g^2 itself overflows above 6.7e153
+        alphas = np.array([[0.5, -1.0, 2.0, 1e-30, 3e7]])
+        for g in (1e110, 1e150, 7e153, 9.4e153):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                diagonal = _hessian_diagonal(alphas, np.array([[g]]))
+                hessian = energy_hessian(alphas[0], g, 0.01)
+            assert (diagonal == 2.0).all() and (np.diag(hessian) == 2.0).all()
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         for n in (3, 5):
@@ -270,60 +283,88 @@ def bisect_origin_instability(jbar, n_sites, lo=0.01, hi=2.0, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def per_sign_critical_point(jbar, n):
+    """The critical coupling as the per-sign closed forms gave it before
+    the spectral minimum: sqrt(1 + 2 jbar) below jbar = 0, else
+    sqrt(1 + 2 jbar cos((N-1) pi / N)) with the unfolded table's cosine."""
+    if jbar < 0:
+        return math.sqrt(1.0 + 2.0 * jbar)
+    cosine = np.cos(2.0 * np.pi * np.arange(n) / n)[(n - 1) // 2]
+    return math.sqrt(1.0 + 2.0 * jbar * cosine)
+
+
 class TestCriticalPoint:
     def test_trimer_positive(self):
-        assert critical_point(0.01, 3, "positive") == pytest.approx(np.sqrt(0.99), abs=1e-15)
+        assert critical_point(0.01, 3) == pytest.approx(np.sqrt(0.99), abs=1e-15)
 
     def test_zero_hopping_decouples(self):
         for n in (3, 5, 7):
-            assert critical_point(0.0, n, "positive") == 1.0
-            assert critical_point(0.0, n, "negative") == 1.0
+            assert critical_point(0.0, n) == critical_point(-0.0, n) == 1.0
 
     def test_five_sites_positive(self):
         expected = np.sqrt(1 + 0.02 * np.cos(4 * np.pi / 5))
-        assert critical_point(0.01, 5, "positive") == pytest.approx(expected, abs=1e-15)
+        assert critical_point(0.01, 5) == pytest.approx(expected, abs=1e-15)
 
     def test_negative_hopping_is_size_independent(self):
-        values = {critical_point(-0.03, n, "negative") for n in (3, 5, 7, 9)}
+        values = {critical_point(-0.03, n) for n in (3, 5, 7, 9)}
         assert len(values) == 1
         assert values.pop() == pytest.approx(np.sqrt(0.94), abs=1e-15)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_matches_bisected_hessian_crossing(self, n):
-        for jbar, sign in ((0.01, "positive"), (0.3, "positive"), (-0.05, "negative")):
-            gc = critical_point(jbar, n, sign)
+        for jbar in (0.01, 0.3, -0.05):
+            gc = critical_point(jbar, n)
             assert abs(gc - bisect_origin_instability(jbar, n)) < 1e-10
 
     def test_sign_consistency_enforced(self):
+        # the optional sign the benchmark harness passes must agree with jbar
         with pytest.raises(ValidationError):
             critical_point(0.6, 3, "negative")
         with pytest.raises(ValidationError):
             critical_point(-0.1, 3, "positive")
         with pytest.raises(ValidationError):
             critical_point(0.1, 3, "sideways")
+        for jbar, signs in ((-0.1, ["negative"]), (0.0, ["negative", "positive"]),
+                            (0.1, ["positive"])):
+            for sign in signs:
+                assert critical_point(jbar, 5, sign) == critical_point(jbar, 5)
+
+    def test_keeps_the_bits_of_the_per_sign_formulas(self):
+        rng = np.random.default_rng(12)
+        for n in range(3, 60, 2):
+            lo, hi = stability_window(n)
+            edges = [float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, 0.0))]
+            draws = np.concatenate([rng.uniform(lo, 0.0, 40), rng.uniform(0.0, hi, 40)])
+            for jbar in [0.0, -0.0, 1e-12, -1e-12, *edges, *draws.tolist()]:
+                gc = critical_point(jbar, n)
+                assert gc.hex() == per_sign_critical_point(jbar, n).hex(), (n, jbar)
+                assert ModelParams(1.0, 1.0, jbar, 0.5, n).critical_coupling() == gc
+
+    def test_softest_mode_is_stable_at_the_last_floats_of_the_window(self):
+        for n in range(3, 200, 2):
+            for jbar in (np.nextafter(end, 0.0) for end in stability_window(n)):
+                assert np.min(1.0 + 2.0 * jbar * ring(n).cosines) > 0, (n, jbar)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_lattice_size_checked_alike_everywhere(self, n):
         message = f"n_sites must be odd and >= 3, got {n}"
         for check in (lambda: validate_n_sites(n),
-                      lambda: critical_point(0.01, n, "positive"),
+                      lambda: critical_point(0.01, n),
                       lambda: ModelParams(1.0, 1.0, 0.01, 0.5, n)):
             with pytest.raises(ValidationError, match=message):
                 check()
 
 
-def test_default_hopping_sign_follows_jbar_everywhere():
+def test_critical_coupling_is_one_number_everywhere():
     from frustra.scaling import SweepSpec
 
-    for jbar, sign in ((-0.01, "negative"), (0.0, "positive"), (0.01, "positive")):
-        assert default_hopping_sign(jbar) == sign
-        assert ModelParams(1.0, 1.0, jbar, 0.5, 3).hopping_sign == sign
-        assert SweepSpec(jbar=jbar, n_sites=3).g_critical == critical_point(jbar, 3, sign)
+    for n, jbar in itertools.product((3, 5, 21), (-0.3, -0.01, -0.0, 0.0, 0.01, 0.2)):
+        gc = critical_point(jbar, n)
+        assert ModelParams(1.0, 1.0, jbar, 0.5, n).critical_coupling() == gc
+        assert SweepSpec(jbar=jbar, n_sites=n).g_critical == gc
 
 
 def test_stability_window_matches_three_site_bounds():
-    from frustra.model import stability_window
-
     lo, hi = stability_window(3)
     assert lo == -0.5
     assert hi == pytest.approx(1.0)
@@ -336,8 +377,6 @@ def test_hopping_window_is_that_of_the_lattice_size(n):
     # ModelParams and critical_point accept the open window of their own
     # N, up to its last float on either side; at N = 3 its upper end is
     # 0.9999999999999998, one ulp below 1
-    from frustra.model import stability_window
-
     lo, hi = stability_window(n)
     for jbar in (float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, 0.0))):
         assert ModelParams(1.0, 1.0, jbar, 0.5, n).critical_coupling() > 0
@@ -345,7 +384,7 @@ def test_hopping_window_is_that_of_the_lattice_size(n):
         with pytest.raises(ValidationError, match="outside the stability window"):
             ModelParams(1.0, 1.0, jbar, 0.5, n)
         with pytest.raises(ValidationError, match="outside the stability window"):
-            critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+            critical_point(jbar, n)
     if n == 3:
         assert hi == 0.9999999999999998
     else:
@@ -358,7 +397,9 @@ class TestRingTable:
     def test_hopping_eigenvalues_match_the_dense_circulant(self, n):
         tables = ring(n)
         assert_allclose(tables.momenta, 2 * np.pi * np.arange(n) / n, rtol=0, atol=1e-15)
-        assert_allclose(tables.cosines, np.cos(tables.momenta), rtol=0, atol=1e-15)
+        pi = np.arccos(np.longdouble(-1.0))
+        exact = np.cos(2 * pi * np.arange(n, dtype=np.longdouble) / n)
+        assert_allclose(tables.cosines, exact.astype(float), rtol=0, atol=1e-15)
         assert np.array_equal(tables.left, [(i - 1) % n for i in range(n)])
         assert np.array_equal(tables.right, [(i + 1) % n for i in range(n)])
         assert sorted(tables.ascending.tolist()) == list(range(n))
@@ -408,6 +449,12 @@ class TestRingTable:
                 table[(0,) * table.ndim] = 7
         with pytest.raises(AttributeError):
             tables.right = None
+
+
+@pytest.mark.parametrize("n", range(3, 60, 2))
+def test_cosines_of_each_momentum_pair_are_bitwise_equal(n):
+    cosines = ring(n).cosines
+    assert cosines.tobytes() == cosines[(-np.arange(n)) % n].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 4, 5.0, 7.0, "5"])

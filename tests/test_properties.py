@@ -110,7 +110,7 @@ def seeding_cases(draw, hopping):
     scale = 10.0 ** draw(st.floats(-6.0, 1.0))
     alphas = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     jbar = draw(hopping)
-    return alphas, jbar, critical_point(jbar, n, "negative" if jbar < 0 else "positive")
+    return alphas, jbar, critical_point(jbar, n)
 
 
 @PROPERTY
@@ -212,7 +212,7 @@ def transition_points(draw):
     jbar = sign * 10.0 ** draw(st.floats(-3.0, -0.7))
     side = draw(st.sampled_from([-1.0, 1.0, 1.0]))  # mostly superradiant
     reduced = 10.0 ** draw(st.floats(-5.0, -1.0))
-    gc = critical_point(jbar, n, "positive" if sign > 0 else "negative")
+    gc = critical_point(jbar, n)
     return ModelParams(1.0, 1.0, jbar, gc * (1.0 + side * reduced), n)
 
 
@@ -225,7 +225,7 @@ def strong_coupling_points(draw):
     sign = draw(st.sampled_from([-1.0, 1.0]))
     jbar = sign * 10.0 ** draw(st.floats(-3.0, -0.7))
     reduced = 10.0 ** draw(st.floats(-1.0, 2.0))
-    gc = critical_point(jbar, n, "positive" if sign > 0 else "negative")
+    gc = critical_point(jbar, n)
     return ModelParams(1.0, 1.0, jbar, gc * (1.0 + reduced), n)
 
 
@@ -297,7 +297,7 @@ def uniform_points(draw):
     jbar = sign * 10.0 ** draw(st.floats(-3.0, -0.7))
     side = draw(st.sampled_from([-1.0, 1.0])) if sign < 0 else -1.0
     reduced = 10.0 ** draw(st.floats(-5.0, -1.0))
-    gc = critical_point(jbar, n, "positive" if sign > 0 else "negative")
+    gc = critical_point(jbar, n)
     Omega = draw(st.floats(0.5, 2.0))
     return ModelParams(1.0, Omega, jbar, gc * (1.0 + side * reduced), n)
 
@@ -335,7 +335,7 @@ def solved_forms(draw):
     jbar = sign * 10.0 ** draw(st.floats(-2.0, -0.7))
     side = draw(st.sampled_from([-1.0, 1.0]))
     reduced = 10.0 ** draw(st.floats(-3.0, -0.5))
-    gc = critical_point(jbar, n, "positive" if sign > 0 else "negative")
+    gc = critical_point(jbar, n)
     params = ModelParams(1.0, 1.0, jbar, gc * (1.0 + side * reduced), n)
     return build_quadratic_hamiltonian(solve_ground_state(params))
 

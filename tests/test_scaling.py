@@ -116,7 +116,7 @@ class TestRunSweep:
             for side in ("above", "below"):
                 result.series("gaps", index, side)
         assert result.series("energy", "")[0].size == 0 and result.series("gaps", "7")[0].size == 0
-        assert calls == [] and spec.g_critical == critical_point(0.01, 3, "positive")
+        assert calls == [] and spec.g_critical == critical_point(0.01, 3)
 
     def test_energy_column_monotone_continuous(self):
         spec = SweepSpec(jbar=0.01, n_sites=3, reduced_min=1e-3,
@@ -442,7 +442,7 @@ class TestFitOnce:
 class TestDerivativeDiagnostics:
     def test_second_order_jump_positive_hopping(self):
         diag = energy_derivative_diagnostics(params(0.01), axis="g")
-        gc = critical_point(0.01, 3, "positive")
+        gc = critical_point(0.01, 3)
         assert diag.center == pytest.approx(gc)
         assert diag.detected_location == pytest.approx(gc, abs=2e-4)
         assert diag.discontinuity_order == 2
@@ -452,7 +452,7 @@ class TestDerivativeDiagnostics:
 
     def test_second_order_jump_negative_hopping(self):
         diag = energy_derivative_diagnostics(params(-0.01), axis="g")
-        gc = critical_point(-0.01, 3, "negative")
+        gc = critical_point(-0.01, 3)
         assert diag.discontinuity_order == 2
         assert abs(diag.d1_jump) < 1e-3
         assert diag.d2_right == pytest.approx(-6.0 / gc ** 2, rel=0.02)
@@ -573,7 +573,7 @@ class TestSweepErrors:
 
     def test_normal_side_point_at_reduced_1e_13_is_resolved(self):
         jbar, n = -0.01, 7
-        gc = critical_point(jbar, n, "negative")
+        gc = critical_point(jbar, n)
         spec = SweepSpec(jbar=jbar, n_sites=n, grid=(gc * (1 - 1e-13),))
         result = run_sweep(spec)
         assert not result.missing
