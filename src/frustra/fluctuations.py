@@ -161,18 +161,18 @@ class ModeWeights:
 
 
 def _per_point(solutions):
-    """omega0, Omega, g and jbar of the solutions' points, each as a column."""
-    return (np.array([getattr(solution.params, name) for solution in solutions])[:, None]
-            for name in ("omega0", "Omega", "g", "jbar"))
+    """The solutions' coherences (points, N), then the omega0, Omega, g and
+    jbar of their points, each a column (points, 1)."""
+    return (np.array([solution.config.alphas for solution in solutions]),
+            *(np.array([getattr(solution.params, name) for solution in solutions])[:, None]
+              for name in ("omega0", "Omega", "g", "jbar")))
 
 
-def _split_hamiltonian(solutions) -> np.ndarray:
+def _split_hamiltonian(alphas, omega0, Omega, g, jbar) -> np.ndarray:
     """Position and momentum blocks H_x, H_p of the fluctuation forms at
-    minima of one lattice size, over (q_1, Q_1, ..., q_N, Q_N) and
-    (p_1, P_1, ..., p_N, P_N), as one array of shape (points, 2, 2N, 2N):
-    ``[:, 0]`` holds H_x and ``[:, 1]`` H_p."""
-    omega0, Omega, g, jbar = _per_point(solutions)
-    alphas = np.array([solution.config.alphas for solution in solutions])
+    minima of one lattice size (as :func:`_per_point` gives them), over
+    (q_1, Q_1, ..., q_N, Q_N) and (p_1, P_1, ..., p_N, P_N), as one array
+    of shape (points, 2, 2N, 2N): ``[:, 0]`` holds H_x and ``[:, 1]`` H_p."""
     n = alphas.shape[-1]
     cos_theta, cos_phi = atomic_cosines(alphas, g)
     cavity = np.arange(0, 2 * n, 2)
@@ -195,7 +195,7 @@ def build_quadratic_hamiltonian(solution: GroundStateSolution,
     # params goes once the benchmark stops passing it (ROADMAP item 1)
     if params is not None and params != solution.params:
         raise ValidationError(f"params {params} differ from the solution's {solution.params}")
-    hx, hp = _split_hamiltonian([solution])[0]
+    hx, hp = _split_hamiltonian(*_per_point([solution]))[0]
     matrix = np.zeros((2 * len(hx), 2 * len(hx)))
     matrix[0::2, 0::2] = hx
     matrix[1::2, 1::2] = hp
@@ -490,7 +490,7 @@ class SiteMoments:
         return (self.var_q + self.var_p - 1.0) / 2.0
 
 
-def _momentum_moments(solutions):
+def _momentum_moments(alphas, omega0, Omega, g, jbar):
     """Spectra and cavity moments of normal or uniform superradiant states,
     stacked over the points, from their N lattice-momentum blocks, without
     the 4N x 4N form.
@@ -498,19 +498,17 @@ def _momentum_moments(solutions):
     Block k pairs the cavity mode omega0 (1 + 2 jbar cos k) with the atomic
     mode -Omega / cos theta through the position coupling
     g cos theta cos phi sqrt(omega0 Omega), read at site 1 of a state whose
-    coherences :func:`site_moments` has checked to be equal.  Every site's
+    coherences :func:`_site_moments` has checked to be equal.  Every site's
     variances are the k-average of the blocks' ground-state covariances
     (1/2) H_p^{1/2} G^{-1/2} H_p^{1/2} and (1/2) H_p^{-1/2} G^{1/2} H_p^{-1/2},
     G = H_p^{1/2} H_x H_p^{1/2}.  With s = e_- e_+ and t = e_- + e_+ the 2 x 2
     roots are G^{1/2} = (G + s) / t and G^{-1/2} = (tr G + s - G) / (t s).
     """
-    omega0, Omega, g, jbar = _per_point(solutions)
-    alpha = np.array([solution.config.alphas[0] for solution in solutions])[:, None]
-    cos_theta, cos_phi = atomic_cosines(alpha, g)
+    cos_theta, cos_phi = atomic_cosines(alphas[:, :1], g)
     freq_atom = -Omega / cos_theta
     coupling = g * cos_theta * cos_phi * np.sqrt(omega0 * Omega)
     momenta, freq_cav, lower, upper = _momentum_blocks(
-        solutions[0].config.n_sites, jbar, freq_atom, coupling * coupling, omega0)
+        alphas.shape[-1], jbar, freq_atom, coupling * coupling, omega0)
     # a negative cavity frequency flips the sign of both factors of the
     # two-mode determinant, so lower > 0 alone would pass it
     stable = (freq_cav > 0) & (lower > 0)  # False on NaN
@@ -528,26 +526,26 @@ def _momentum_moments(solutions):
     return {"var_q": var_q, "var_p": var_p, "eps": eps}, errors
 
 
-def _sector_blocks(solutions):
-    """The position and momentum blocks of the forms projected onto the
+def _sector_blocks(*points):
+    """The blocks of :func:`_split_hamiltonian` projected onto the
     mirror-even and mirror-odd sectors, whose site-space bases of the ring
     table are lifted to the (cavity, atom) interleaving."""
-    blocks = _split_hamiltonian(solutions)
+    blocks = _split_hamiltonian(*points)
     tables = ring(blocks.shape[-1] // 2)
     return [lift @ blocks @ lift.T
             for lift in (np.kron(basis, np.eye(2)) for basis in (tables.even, tables.odd))]
 
 
-def _sector_moments(solutions):
+def _sector_moments(*points):
     """Spectra and cavity moments of frustrated states, stacked over the
     points, through the exact mirror-sector split: the unpaired site lives
     entirely in the mirror-even sector, which stays well conditioned
     arbitrarily close to the critical point; the paired sites need the
     mirror-odd (frustrated) sector too."""
-    even, odd = (_SplitModes(sector) for sector in _sector_blocks(solutions))
+    even, odd = (_SplitModes(sector) for sector in _sector_blocks(*points))
     stable, resolved = even.resolvable, even.resolvable & odd.resolvable
-    n = solutions[0].config.n_sites
-    var_q, var_p = np.full((2, len(solutions), n), np.nan)
+    var_q, var_p = np.full((2, *points[0].shape), np.nan)
+    n = var_q.shape[-1]
     cov_x_even, cov_p_even = even.covariance_blocks(stable)
     var_q[stable, 0], var_p[stable, 0] = cov_x_even[:, 0, 0], cov_p_even[:, 0, 0]
     # q_{1+j} = (even_j + odd_j)/sqrt(2); even/odd cross-covariances vanish
@@ -571,32 +569,38 @@ def _sector_moments(solutions):
 def site_moments(solutions) -> SiteMoments:
     """Cavity moments of a non-empty stack of ground states of one lattice
     size, in any phase, at each solution's own ``params``, as one
-    :class:`SiteMoments` stack over the points.
+    :class:`SiteMoments` stack over the points: :func:`_site_moments` of
+    their stacked coherences and frequencies."""
+    if not solutions:
+        raise ValidationError("site moments need at least one point")
+    return _site_moments(np.array([solution.phase is Phase.FSP for solution in solutions]),
+                         *_per_point(solutions))
+
+
+def _site_moments(frustrated: np.ndarray, *points) -> SiteMoments:
+    """Cavity moments of ground states, ``points`` as :func:`_per_point`
+    gives them, frustrated where the mask ``frustrated`` is set.
 
     Each point's route follows from its phase, and each route runs once,
     stacked over its points: normal and uniform points go through their
     momentum blocks, frustrated points through the mirror-sector split,
     whose mirror-odd sector can fall below double-precision resolution.
-    A normal or uniform solution whose coherences are not all equal has no
+    A normal or uniform point whose coherences are not all equal has no
     momentum blocks and raises :class:`ValidationError`.
     """
-    if not solutions:
-        raise ValidationError("site moments need at least one point")
-    n = solutions[0].config.n_sites
-    stack = {name: np.full((len(solutions), width), np.nan) for name, width in (
+    rows, n = points[0].shape
+    stack = {name: np.full((rows, width), np.nan) for name, width in (
         ("var_q", n), ("var_p", n), ("eps", 2 * n), ("eps_even", n + 1), ("eps_odd", n - 1))}
-    errors = np.full(len(solutions), None)
-    frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
-    uniform = _uniform_rows(np.array([solution.config.alphas for solution in solutions]))
-    if (~frustrated & ~uniform).any():
+    errors = np.full(rows, None)
+    if (~frustrated & ~_uniform_rows(points[0])).any():
         raise ValidationError("a normal or uniform superradiant solution needs equal "
                               "coherences on every site")
-    for route, rows in ((_momentum_moments, ~frustrated), (_sector_moments, frustrated)):
-        points = np.flatnonzero(rows)
-        if len(points):
-            values, errors[points] = route([solutions[i] for i in points])
+    for route, mask in ((_momentum_moments, ~frustrated), (_sector_moments, frustrated)):
+        picked = np.flatnonzero(mask)
+        if len(picked):
+            values, errors[picked] = route(*(column[picked] for column in points))
             for name, block in values.items():
-                stack[name][points] = block
+                stack[name][picked] = block
     return SiteMoments(**stack, errors=tuple(errors))
 
 

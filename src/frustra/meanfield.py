@@ -386,11 +386,11 @@ def _seed_templates(n_sites: int) -> np.ndarray:
     return templates
 
 
-def _seed_alphas(params: ModelParams, gc: float) -> list[tuple[int, float]]:
+def _seed_alphas(g: float, jbar: float, gc: float) -> list[tuple[int, float]]:
     """One seed per symmetry orbit (rotations and the global sign flip)
-    that can hold the global minimum of a point above its critical coupling
-    ``gc``, as (template, magnitude) pairs: the seed is the magnitude times
-    that row of the :func:`_seed_templates`.
+    that can hold the global minimum of the point (g, jbar) above its
+    critical coupling ``gc``, as (template, magnitude) pairs: the seed is
+    the magnitude times that row of the :func:`_seed_templates`.
 
     - the origin is stationary there but never a minimum, so never seeded;
     - for jbar <= 0 the hopping term is at least 2 jbar sum alpha_n^2, equal
@@ -403,7 +403,6 @@ def _seed_alphas(params: ModelParams, gc: float) -> list[tuple[int, float]]:
 
     Every seed is mirror-symmetric about site 1.
     """
-    g, jbar = params.g, params.jbar
     uniform = _uniform_magnitude(g, jbar)
     if jbar <= 0:
         return [(UNIFORM, uniform)]
@@ -439,23 +438,51 @@ def _canonical_frames(alphas: np.ndarray):
     return shifts, -(signs * aligned[:, (sites - half) % n]).sum(axis=1), errors
 
 
+#: The phase of each code of :func:`_phase_codes`, None at jbar = 0
+_PHASES = np.array([Phase.NORMAL, Phase.NFSP, None, Phase.FSP], dtype=object)
+_UNCLASSIFIED = ValidationError(
+    "jbar = 0 with g > 1 sits on the first-order line of decoupled sites; "
+    "the 2^N-fold degenerate manifold has no single-phase classification")
+
+
+def _phase_codes(peaks, jbar):
+    """Elementwise, the phase code of a minimizer whose largest coherence
+    magnitude is ``peaks``: 0 below 1e-9, the normal phase, else 2 + sign(jbar)."""
+    return np.where(peaks < 1e-9, 0, 2 + np.sign(jbar)).astype(int)
+
+
 def _classify(peak: float, jbar: float) -> Phase:
     """The phase of a minimizer whose largest coherence magnitude is ``peak``."""
-    if peak < 1e-9:
-        return Phase.NORMAL
-    if jbar < 0:
-        return Phase.NFSP
-    if jbar > 0:
-        return Phase.FSP
-    raise ValidationError(
-        "jbar = 0 with g > 1 sits on the first-order line of decoupled sites; "
-        "the 2^N-fold degenerate manifold has no single-phase classification"
-    )
+    phase = _PHASES[_phase_codes(peak, jbar)]
+    if phase is None:
+        raise copy.copy(_UNCLASSIFIED)
+    return phase
 
 
-def solve_ground_states(params_seq) -> list:
-    """Canonical global mean-field minimizers of points of one lattice
-    size, solved as one stack.
+@dataclass(frozen=True)
+class GroundStates:
+    """The solver's read-only record of points of one lattice size, a row
+    per point: canonical coherences and ascending Hessian spectra (rows,
+    N), phases (object array), gradient residuals, and None or the error of
+    a failed row, whose other fields are NaN (its phase None).  A row
+    without an error passed the checks of :class:`GroundStateSolution`."""
+
+    alphas: np.ndarray
+    phases: np.ndarray
+    grad_norm: np.ndarray
+    hessian_eigenvalues: np.ndarray
+    errors: tuple
+
+    @property
+    def solved(self) -> np.ndarray:
+        """The mask of the rows without an error."""
+        return np.array([error is None for error in self.errors], dtype=bool)
+
+
+def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
+    """The canonical global mean-field minimizers of points of one lattice
+    size, at couplings ``g`` and hoppings ``jbar`` (float arrays, each point
+    one :class:`ModelParams` accepts), as one :class:`GroundStates` record.
 
     A point at g <= g_c is the normal phase without a solve: sqrt(1 + x)
     <= 1 + x/2 gives E(alpha) >= E(0) + alpha^T H_0 alpha / 2, and the
@@ -468,149 +495,145 @@ def solve_ground_states(params_seq) -> list:
     values a row).  The lowest eigenvalue of the full N x N Hessian
     (:func:`_hessian_eigenvalues`, on Hessians of the stack's own kernel)
     then confirms each stationary point is a minimum, and the lowest-energy
-    one wins (the first in seed order on a tie) and carries that spectrum;
-    a point whose seed failed takes its first failing seed's error.
-    Frustrated solutions are returned as the canonical representative
-    (unpaired site first, alpha_1 < 0 <= alpha_2, mirror pairs exactly
-    equal).  Returns, per point and in order, its
-    :class:`GroundStateSolution` or the exception its solve raised (a
-    :class:`FrustraError`, or ``numpy.linalg.LinAlgError``).  Rows never
-    mix, so a point's result is a pure function of its parameters,
-    whatever else the stack holds; seeds, winners and frames are array
-    operations over it.  At ``logging.DEBUG`` the ``frustra.meanfield``
+    one wins (the first in seed order on a tie) and carries that spectrum.
+    A point's error is its first failing seed's, else a
+    :class:`ConvergenceError` if no seed reached a minimum, else that of
+    the first check of :func:`_canonical` its winner fails.  Rows never
+    mix, so a point's row is a pure function of its parameters, whatever
+    else the stack holds.  At ``logging.DEBUG`` the ``frustra.meanfield``
     logger gets one record per solved point.
     """
-    points = list(params_seq)
-    if len({params.n_sites for params in points}) > 1:
-        raise ValidationError("a stacked solve needs points of one lattice size")
     debug = log.isEnabledFor(logging.DEBUG)
-    outcomes: list = [None] * len(points)
-    hopping = gc = None  # g_c is computed again only where the hopping changes
+    errors: list = [None] * len(g)
+    hopping = gc = None  # g_c is looked up again only where the hopping changes
     # the normal points; per seeded point its index and first seed row; per
     # seed row its seeded point and (template, magnitude)
     normal, solving, starts, group, seeds = [], [], [], [], []
-    for index, params in enumerate(points):
+    for index, (g_i, jbar_i) in enumerate(zip(g.tolist(), jbar.tolist())):
         try:
-            if params.jbar != hopping:
-                gc, hopping = params.critical_coupling(), params.jbar
-            if params.g <= gc:
+            if jbar_i != hopping:
+                gc, hopping = critical_point(jbar_i, n_sites), jbar_i
+            if g_i <= gc:
                 normal.append(index)
                 if debug:
                     log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
-                              params.g, params.jbar, params.n_sites)
+                              g_i, jbar_i, n_sites)
                 continue
-            point_seeds = _seed_alphas(params, gc)
+            point_seeds = _seed_alphas(g_i, jbar_i, gc)
         except FrustraError as exc:
-            outcomes[index] = exc
+            errors[index] = exc
             continue
         group += [len(solving)] * len(point_seeds)
         solving.append(index)
         starts.append(len(seeds))
         seeds += point_seeds
+    # every row starts as the normal phase's: the origin, at no residual
+    alphas, spectra = np.zeros((2, len(g), n_sites))
+    phases, grad_norm = np.full(len(g), Phase.NORMAL), np.zeros(len(g))
     if normal:  # the origin wins, with the closed-form spectra of one call
-        g, jbar = np.array([[points[index].g, points[index].jbar] for index in normal]).T
-        spectra = origin_hessian_eigenvalues(g, jbar, points[0].n_sites)
-        spectra.flags.writeable = False
-        for index, spectrum in zip(normal, spectra):
-            params = points[index]
-            config = MeanFieldConfiguration(np.zeros(len(spectrum)), params.g, params.jbar)
-            outcomes[index] = GroundStateSolution(config, Phase.NORMAL, 0.0, params, spectrum)
-    if not seeds:
-        return outcomes
-
-    n = points[0].n_sites
-    templates, magnitudes = zip(*seeds)
-    owners = [points[solving[k]] for k in group]
-    g, jbar = np.array([p.g for p in owners]), np.array([p.jbar for p in owners])
-    landscape = _landscape(n, g, jbar)  # read again by row ids once Newton is done
-    expand, fun, jac, hess_fn = _mirror_reduced(n, landscape)
-    y, _, steps, failures = _newton_minimize(
-        fun, jac, hess_fn, _seed_templates(n)[list(templates)] * np.array(magnitudes)[:, None])
-    alphas = expand(y)
-    settled = np.flatnonzero([row not in failures for row in range(len(y))])
-    grad_norm = np.full(len(y), np.nan)
-    grad_norm[settled] = np.abs(landscape[1](alphas[settled], settled)).max(axis=-1)
-    stationary = settled[~(grad_norm[settled] > 1e-6)]
-    candidates = alphas[stationary]
-    checked = _hessian_eigenvalues(candidates, g[stationary], jbar[stationary],
-                                   lambda dense: landscape[2](candidates[dense], stationary[dense]))
-    stationary, checked = _drop(np.isnan(checked[:, 0]), stationary, failures, _UNCONVERGED,
-                                checked)
-    spectra = np.full(alphas.shape, np.nan)  # per checked row its spectrum, for its solution
-    spectra[stationary] = checked
-    minima = stationary[~(checked[:, 0] < PSD_TOLERANCE)]
-    energy = np.full(len(y), np.inf)  # of the minima
-    energy[minima] = landscape[0](alphas[minima], minima)
-    # per seeded point, over its consecutive seed rows: the lowest energy of
-    # a minimum and the first row at it (without a minimum, the first row)
-    lowest = np.minimum.reduceat(energy, starts)
-    winners = np.minimum.reduceat(
-        np.where(energy == lowest[np.array(group)], np.arange(len(y)), len(y)), starts)
-    failing = {}  # per seeded point with a failed row, its first
-    for row in sorted(failures):
-        failing.setdefault(group[row], row)
-    solved = _canonical_solutions(alphas[winners], grad_norm[winners], spectra[winners],
-                                  [points[index] for index in solving])
-    for k, (index, low, start, stop, row, outcome) in enumerate(zip(
-            solving, lowest.tolist(), starts, [*starts[1:], len(y)], winners.tolist(), solved)):
-        params = points[index]
-        if k in failing:
-            outcome = failures[failing[k]]
-        elif low == math.inf:
-            outcome = ConvergenceError(
-                f"no seed converged to a stable stationary point at g={params.g}, "
-                f"jbar={params.jbar}", best_residual=min(math.inf, *grad_norm[start:stop].tolist()))
-        elif debug and not isinstance(outcome, Exception):
+        spectra[normal] = origin_hessian_eigenvalues(g[normal], jbar[normal], n_sites)
+    if seeds:
+        solving, templates, magnitudes = np.array(solving), *zip(*seeds)
+        seed_g, seed_jbar = g[solving[group]], jbar[solving[group]]
+        landscape = _landscape(n_sites, seed_g, seed_jbar)  # read again by row ids after Newton
+        expand, fun, jac, hess_fn = _mirror_reduced(n_sites, landscape)
+        y, _, steps, failures = _newton_minimize(fun, jac, hess_fn, _seed_templates(n_sites)[
+            list(templates)] * np.array(magnitudes)[:, None])
+        found = expand(y)
+        settled = np.flatnonzero([row not in failures for row in range(len(y))])
+        residual = np.full(len(y), np.nan)
+        residual[settled] = np.abs(landscape[1](found[settled], settled)).max(axis=-1)
+        stationary = settled[~(residual[settled] > 1e-6)]
+        candidates = found[stationary]
+        checked = _hessian_eigenvalues(
+            candidates, seed_g[stationary], seed_jbar[stationary],
+            lambda dense: landscape[2](candidates[dense], stationary[dense]))
+        stationary, checked = _drop(np.isnan(checked[:, 0]), stationary, failures, _UNCONVERGED,
+                                    checked)
+        seed_spectra = np.full(found.shape, np.nan)  # per checked row its spectrum
+        seed_spectra[stationary] = checked
+        minima = stationary[~(checked[:, 0] < PSD_TOLERANCE)]
+        energy = np.full(len(y), np.inf)  # of the minima
+        energy[minima] = landscape[0](found[minima], minima)
+        # per seeded point, over its consecutive seed rows: the lowest energy of
+        # a minimum and the first row at it (without a minimum, the first row)
+        lowest = np.minimum.reduceat(energy, starts)
+        winners = np.minimum.reduceat(
+            np.where(energy == lowest[np.array(group)], np.arange(len(y)), len(y)), starts)
+        alphas[solving], phases[solving], point_errors = _canonical(
+            found[winners], residual[winners], jbar[solving])
+        grad_norm[solving], spectra[solving] = residual[winners], seed_spectra[winners]
+        stops = [*starts[1:], len(y)]
+        for k in np.flatnonzero(lowest == math.inf).tolist():
+            point_errors[k] = ConvergenceError(
+                f"no seed converged to a stable stationary point at g={g[solving[k]]}, "
+                f"jbar={jbar[solving[k]]}",
+                best_residual=min(math.inf, *residual[starts[k]:stops[k]].tolist()))
+        # a failed seed's error (the point's first, set last), then no minimum, then the checks
+        point_errors.update({group[row]: failures[row] for row in sorted(failures, reverse=True)})
+        for k, error in point_errors.items():
+            errors[solving[k]] = error
+        for k in (k for k in range(len(solving)) if debug and k not in point_errors):
+            start, stop, row = starts[k], stops[k], winners[k]
             log.debug("solved g=%r jbar=%r N=%d: %d seeds tried, %d passed the gradient "
                       "and PSD filters, seed %d won after %d descent and %d endgame "
-                      "steps, grad_norm %.3e", params.g, params.jbar, params.n_sites,
-                      stop - start, np.count_nonzero(energy[start:stop] < math.inf),
-                      row - start + 1, *steps[row], grad_norm[row])
-        outcomes[index] = outcome
-    return outcomes
+                      "steps, grad_norm %.3e", g[solving[k]].item(), jbar[solving[k]].item(),
+                      n_sites, stop - start, np.count_nonzero(energy[start:stop] < math.inf),
+                      row - start + 1, *steps[row], residual[row])
+    failed = [index for index, error in enumerate(errors) if error is not None]
+    if failed:
+        alphas[failed] = spectra[failed] = grad_norm[failed] = np.nan
+        phases[failed] = None
+    for array in (alphas, phases, grad_norm, spectra):
+        array.flags.writeable = False
+    return GroundStates(alphas, phases, grad_norm, spectra, tuple(errors))
 
 
-def _canonical_solutions(alphas: np.ndarray, grad_norm: np.ndarray, spectra: np.ndarray,
-                         points) -> list:
-    """Winning minimizers (rows, N) classified and put in their canonical
-    frame, as one stack: per row its :class:`GroundStateSolution`, carrying
-    its row of the Hessian ``spectra`` read-only, or the error of the first
-    check it fails (the classification, the frame, the solution's own
-    residual check).  The Hessian depends on the coherences through their
-    squares only, so the canonical sign flip keeps the spectrum's bits.
+def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, jbar: np.ndarray):
+    """Winning minimizers (rows, N), with their gradient residuals and
+    hoppings, classified and put in their canonical frame as one stack:
+    ``(alphas, phases, errors)``, with by row the error of the first check
+    it fails: the classification, the frame, and the residual check of
+    :class:`GroundStateSolution`.  The Hessian depends on the coherences
+    through their squares only, so the sign flip keeps a winner's spectrum.
 
-    Every seed is mirror-symmetric about site 1, so the winner of the
-    mirror-reduced stack is too, and a frustrated winner is canonical up to
-    its global sign.  The mirror maps the aligned neighbour pair (i, i+1)
-    (0-based, cyclic) to (-i-1, -i); a unique aligned pair is its own image,
-    so i = -i-1 (mod N), i = (N-1)/2, and the unpaired site opposite it is
-    site 1.  :func:`_canonical_frames` still checks that there is exactly
-    one aligned pair, and its shift is 0.  Only frustrated rows are checked.
+    Every seed is mirror-symmetric about site 1, so a frustrated winner is
+    too and is canonical up to its global sign: the mirror maps the aligned
+    pair (i, i+1) (0-based, cyclic) to (-i-1, -i), so a unique one has
+    i = (N-1)/2, opposite site 1.  :func:`_canonical_frames` still checks
+    the frustrated rows for exactly one aligned pair, and its shift is 0.
     """
-    peaks = np.abs(alphas).max(axis=-1)
-    frustrated = ~(peaks < 1e-9) & (np.array([params.jbar for params in points]) > 0)
-    errors = {}
-    if frustrated.any():
-        rows = frustrated.nonzero()[0]
+    codes = _phase_codes(np.abs(alphas).max(axis=-1), jbar)
+    unconverged = np.flatnonzero(~(grad_norm <= SOLUTION_GRAD_TOL))
+    errors = {row: ConvergenceError(f"stationarity residual {residual:.2e} above "
+                                    f"{SOLUTION_GRAD_TOL}", best_residual=residual)
+              for row, residual in zip(unconverged.tolist(), grad_norm[unconverged].tolist())}
+    frustrated = np.flatnonzero(codes == 3)
+    if len(frustrated):
         signs = np.ones(len(alphas))
-        _, frame_signs, frame_errors = _canonical_frames(alphas[rows])
-        signs[rows] = frame_signs
+        _, signs[frustrated], frame_errors = _canonical_frames(alphas[frustrated])
         alphas = alphas * signs[:, None]
-        errors = {int(rows[row]): error for row, error in frame_errors.items()}
-    outcomes = []
-    spectra.flags.writeable = False
-    for row, (params, peak, residual, config, spectrum) in enumerate(zip(
-            points, peaks.tolist(), grad_norm.tolist(), alphas, spectra)):
-        try:
-            phase = _classify(peak, params.jbar)
-            if row in errors:
-                raise errors[row]
-            outcomes.append(GroundStateSolution(
-                MeanFieldConfiguration(config, params.g, params.jbar), phase, residual, params,
-                spectrum))
-        except FrustraError as exc:
-            outcomes.append(exc)
-    return outcomes
+        errors.update((int(frustrated[row]), error) for row, error in frame_errors.items())
+    errors.update((row, copy.copy(_UNCLASSIFIED)) for row in np.flatnonzero(codes == 2).tolist())
+    return alphas, _PHASES[codes], errors
+
+
+def solve_ground_states(params_seq) -> list:
+    """:func:`_solve_stack` of points of one lattice size: per point, in
+    order, its :class:`GroundStateSolution` built from the record's row, or
+    its error (a :class:`FrustraError`, or ``numpy.linalg.LinAlgError``)."""
+    points = list(params_seq)
+    if len({params.n_sites for params in points}) > 1:
+        raise ValidationError("a stacked solve needs points of one lattice size")
+    if not points:
+        return []
+    g, jbar = np.array([[params.g, params.jbar] for params in points], dtype=float).T
+    states = _solve_stack(points[0].n_sites, g, jbar)
+    return [error if error is not None else GroundStateSolution(
+        MeanFieldConfiguration(alphas, params.g, params.jbar), phase, residual, params, spectrum)
+        for params, alphas, phase, residual, spectrum, error in zip(
+            points, states.alphas, states.phases, states.grad_norm.tolist(),
+            states.hessian_eigenvalues, states.errors)]
 
 
 def solve_ground_state(params: ModelParams) -> GroundStateSolution:
@@ -788,25 +811,29 @@ def hessian_critical_modes(solution: GroundStateSolution) -> CriticalModes:
 
 def hessian_spectra(solutions):
     """Hessian spectra of a non-empty stack of ground states of one lattice
-    size: ``(eigenvalues, soft)``, the ascending eigenvalues of each
-    point's Hessian, shape (points, N), and the (lambda_mf, lambda_f) soft
-    modes of :func:`hessian_critical_modes`, shape (points, 2), NaN for a
-    point that is not frustrated.  The eigenvalues are the ones each
-    solution carries; only the frustrated points' Hessians are built, for
-    their mirror sectors, and a frustrated solution with equal coherences
-    has none (:class:`ValidationError`)."""
+    size: ``(eigenvalues, soft)``, the ascending spectra the solutions
+    carry, shape (points, N), and :func:`_soft_modes` of their coherences."""
     alphas, g, jbar = (np.array([getattr(solution.config, name) for solution in solutions])
                        for name in ("alphas", "g", "jbar"))
     frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
+    return (np.array([solution.hessian_eigenvalues for solution in solutions]),
+            _soft_modes(alphas, g, jbar, frustrated))
+
+
+def _soft_modes(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
+                frustrated: np.ndarray) -> np.ndarray:
+    """The soft modes (lambda_mf, lambda_f) of :func:`hessian_critical_modes`,
+    (points, 2), of ground states (points, N) at ``g`` and ``jbar``, NaN
+    outside the ``frustrated`` mask, whose Hessians alone are built; a
+    frustrated point with equal coherences has none (:class:`ValidationError`)."""
     if (frustrated & _uniform_rows(alphas)).any():
         raise ValidationError("a frustrated solution with equal coherences on every site")
-    eigenvalues = np.array([solution.hessian_eigenvalues for solution in solutions])
-    soft = np.full((len(solutions), 2), np.nan)
+    soft = np.full((len(alphas), 2), np.nan)
     if frustrated.any():
         (w_even, _), (w_odd, _) = _mirror_eigh(energy_hessian(
             alphas[frustrated], g[frustrated], jbar[frustrated]))
         soft[frustrated] = np.column_stack([w_even[:, 0], w_odd[:, 0]])
-    return eigenvalues, soft
+    return soft
 
 
 def _uniform_rows(alphas: np.ndarray) -> np.ndarray:

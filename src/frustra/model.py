@@ -79,9 +79,6 @@ class ModelParams:
         """Critical coupling of this parameter set's ring and hopping."""
         return critical_point(self.jbar, self.n_sites)
 
-    def replace_g(self, g: float) -> "ModelParams":
-        return ModelParams(self.omega0, self.Omega, self.jbar, g, self.n_sites)
-
 
 @dataclass(frozen=True)
 class MeanFieldConfiguration:
@@ -223,12 +220,17 @@ def _landscape(n_sites: int, g, jbar):
     return energy, gradient, hessian
 
 
+_LARGEST = float(np.finfo(float).max)
+
+
 def _diagonal(quad, curve, a):
     """The Hessian diagonal 2 - 2 g^2 / (1 + 4 g^2 a^2)^{3/2} from the
     constants ``quad`` = 4 g^2 and ``curve`` = 2 g^2, elementwise.  At huge
     couplings 4 g^2 or the power overflows to inf, and the term they divide
-    to its exact limit 0, so callers ignore overflow."""
-    return 2.0 - curve / (1.0 + quad * a * a) ** 1.5
+    to its exact limit 0, so callers ignore overflow.  Past g of about
+    9.5e153 2 g^2 overflows too, and inf / inf would be NaN where a != 0
+    has the limit 2, so it is capped at the largest finite double."""
+    return 2.0 - np.minimum(curve, _LARGEST) / (1.0 + quad * a * a) ** 1.5
 
 
 @np.errstate(over="ignore")
@@ -369,7 +371,8 @@ def critical_point(jbar: float, n_sites: int, hopping_sign: str | None = None) -
     modulus, so the positive-hopping ring is frustrated.
 
     A ``hopping_sign``, "positive" or "negative", changes nothing but must
-    agree with the sign of jbar (jbar = 0 takes either).
+    agree with the sign of jbar (jbar = 0 takes either).  Each call checks
+    its input; the minimum is worked out once per (jbar, N) (:func:`_softest_mode`).
     """
     validate_n_sites(n_sites)
     validate_jbar(jbar, n_sites)
@@ -377,9 +380,15 @@ def critical_point(jbar: float, n_sites: int, hopping_sign: str | None = None) -
     agrees = {"positive": jbar >= 0, "negative": jbar <= 0}
     if hopping_sign is not None and not agrees.get(hopping_sign, False):
         raise ValidationError(f"hopping sign {hopping_sign!r} does not match jbar={jbar}")
-    radicand = float(np.min(1.0 + 2.0 * jbar * ring(n_sites).cosines))
+    radicand = _softest_mode(float(jbar), n_sites)
     if radicand <= 0:
         raise InstabilityError(
             f"no stable critical point: 1 + 2 jbar cos(k) = {radicand} <= 0"
         )
     return math.sqrt(radicand)
+
+
+@functools.lru_cache(maxsize=1024)
+def _softest_mode(jbar: float, n_sites: int) -> float:
+    """min_k (1 + 2 jbar cos k) of a hopping and size :func:`critical_point` checked."""
+    return float(np.min(1.0 + 2.0 * jbar * ring(n_sites).cosines))

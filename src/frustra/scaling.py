@@ -23,18 +23,11 @@ from numpy.linalg import _umath_linalg
 from .errors import (
     DomainError,
     FitQualityError,
-    FrustraError,
     ValidationError,
 )
-from .fluctuations import CRITICAL_REGIME_FACTOR, site_moments
-from .meanfield import (
-    GroundStateSolution,
-    Phase,
-    _rowwise,
-    hessian_spectra,
-    solve_ground_states,
-)
-from .model import ModelParams, critical_point, rescaled_energy
+from .fluctuations import CRITICAL_REGIME_FACTOR, _site_moments
+from .meanfield import Phase, _rowwise, _soft_modes, _solve_stack
+from .model import ModelParams, critical_point, rescaled_energy, stability_window
 
 OBSERVABLES = ("gaps", "photon_numbers", "squeezing", "hessian_eigenvalues", "energy")
 
@@ -111,14 +104,13 @@ class SweepSpec:
         if np.any(np.abs(grid - gc) <= 1e-15):
             raise ValidationError("grid must exclude the critical point itself")
         object.__setattr__(self, "grid", tuple(float(g) for g in grid))
+        # every point one ModelParams accepts: the frequencies, and g >= 0 at the smallest
+        ModelParams(self.omega0, self.Omega, self.jbar, min(self.grid, default=0.0), self.n_sites)
 
     @cached_property
     def g_critical(self) -> float:
         """The critical coupling of the spec's ring and hopping, worked out once."""
         return critical_point(self.jbar, self.n_sites)
-
-    def params_at(self, g: float) -> ModelParams:
-        return ModelParams(self.omega0, self.Omega, self.jbar, g, self.n_sites)
 
 
 @dataclass(frozen=True)
@@ -215,45 +207,48 @@ def _present_rows(g, reduced, columns):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Tabulate the requested observables over the coupling grid.
 
-    The whole grid is solved as one stack (:func:`solve_ground_states`),
-    and observed as one stack too: :func:`hessian_spectra` and
-    :func:`site_moments` choose each point's route from its configuration
-    and return the Hessian spectra, gaps and cavity moments as arrays over
-    the points.
-    Every point is solved cold, from its own parameters alone, and stack
-    rows never mix, so a point's rows do not depend on the rest of the grid
-    or on the order it is visited in.  Each observable's array fills the
-    :class:`SweepResult` table at once; per-point failures are recorded as
-    missing rows with a reason.
+    The grid stays arrays from the solve to the table: it is solved as one
+    stack (:func:`~frustra.meanfield._solve_stack`), whose record goes to
+    the stacked soft modes and cavity moments
+    (:func:`~frustra.meanfield._soft_modes`,
+    :func:`~frustra.fluctuations._site_moments`).  Every point is solved
+    cold, from its own parameters alone, and stack rows never mix, so a
+    point's rows do not depend on the rest of the grid or its order.  Each
+    observable's array fills the :class:`SweepResult` table at once;
+    per-point failures are recorded as missing rows with a reason.
     """
-    return _observe_grid(spec, solve_ground_states([spec.params_at(g) for g in spec.grid]))
+    g = np.array(spec.grid)
+    return _observe_grid(spec, _solve_stack(spec.n_sites, g, np.full(len(g), float(spec.jbar))))
 
 
-def _observe_grid(spec: SweepSpec, outcomes) -> SweepResult:
-    """The table of the grid's values, from each point's solver outcome:
-    the solved points are observed as one stack, and each observable's
-    block over them fills the table in one assignment, a value present
-    where it is not NaN.  Each failed point's reason and the masks of the
-    unresolved values are kept for :attr:`SweepResult.missing` to build
-    its rows from; the critical-regime warnings are written at once.
+def _observe_grid(spec: SweepSpec, states) -> SweepResult:
+    """The table of the grid's values, from the solver's record ``states``
+    of the grid: the solved points are observed as one stack, and each
+    observable's block over them fills the table in one assignment, a value
+    present where it is not NaN.  Each failed point's reason and the masks
+    of the unresolved values are kept for :attr:`SweepResult.missing` to
+    build its rows from; the critical-regime warnings are written at once.
     Labels are ranks, then a frustrated point's soft modes, in row order."""
     g, gc, n = np.array(spec.grid), spec.g_critical, spec.n_sites
     want = set(spec.observables)
     gaussian = want & {"gaps", "photon_numbers", "squeezing"}
-    solved = np.array([isinstance(outcome, GroundStateSolution) for outcome in outcomes])
-    solutions = [outcome for outcome, ok in zip(outcomes, solved) if ok]
+    solved = states.solved
     # the solver's error of a failed point (programming errors propagate)
-    failures = {i: ("all", f"solver: {outcomes[i]}") for i in np.flatnonzero(~solved).tolist()}
+    failures = {i: ("all", f"solver: {states.errors[i]}") for i in np.flatnonzero(~solved).tolist()}
     lost, warnings = {}, []  # per missing-row label ("gaps" one column), its mask
     blocks = {}  # per observable, its values over the solved points, in rank order
-    if solutions:
+    if solved.any():
+        alphas, frustrated = states.alphas[solved], states.phases[solved] == Phase.FSP
+        g_solved, jbar = g[solved], np.full(np.count_nonzero(solved), float(spec.jbar))
         if "energy" in want:
-            alphas = np.array([solution.config.alphas for solution in solutions])
-            blocks["energy"] = rescaled_energy(alphas, g[solved], spec.jbar)[:, None]
+            blocks["energy"] = rescaled_energy(alphas, g_solved, spec.jbar)[:, None]
         if "hessian_eigenvalues" in want:
-            blocks["hessian_eigenvalues"] = np.hstack(hessian_spectra(solutions))
+            soft = _soft_modes(alphas, g_solved, jbar, frustrated)
+            blocks["hessian_eigenvalues"] = np.hstack([states.hessian_eigenvalues[solved], soft])
         if gaussian:
-            moments = site_moments(solutions)
+            moments = _site_moments(frustrated, alphas, *(
+                np.full((len(alphas), 1), float(value)) for value in (spec.omega0, spec.Omega)),
+                g_solved[:, None], jbar[:, None])
             # a frustrated point's mean-field and frustrated gaps follow its ranks
             blocks["gaps"] = np.hstack([moments.eps, moments.eps_even[:, :1],
                                         moments.eps_odd[:, :1]])
@@ -279,7 +274,7 @@ def _observe_grid(spec: SweepSpec, outcomes) -> SweepResult:
         labels = np.array([*map(str, ranks), *soft.get(name, [])])
         order = np.argsort(labels)  # row order: "10" before "2", "f" and "mf" after the digits
         values = np.full((len(g), len(labels)), np.nan)
-        if solutions:
+        if solved.any():
             values[solved] = blocks[name][:, order]
         result.table[name] = (labels[order], values, ~np.isnan(values))
         for array in result.table[name]:
@@ -601,21 +596,16 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     transition are Richardson-extrapolated.  For axis 'g' the transition is
     the critical coupling of ``params`` (the sign of its jbar picks the
     branch); for axis 'jbar' it is the decoupling point jbar = 0 at fixed g.
-    Every distinct point the scan reads is solved in one stacked call; if
-    any fails, the error of the first in scan order (grid, then Richardson
-    points) is raised.  A ``step`` that is not finite and positive, or
+    Every distinct point the scan reads is solved in one stacked call, as
+    arrays; if any fails, or is not a point :class:`ModelParams` accepts,
+    the error of the first in scan order (grid, then Richardson points) is
+    raised.  A ``step`` that is not finite and positive, or
     that a finite ``half_width`` does not hold, raises :class:`ValidationError`.
     """
     if axis == "g":
         center = params.critical_coupling()
-
-        def point_at(x):
-            return params.replace_g(x)
     elif axis == "jbar":
         center = 0.0
-
-        def point_at(x):
-            return ModelParams(params.omega0, params.Omega, x, params.g, params.n_sites)
     else:
         raise ValidationError("axis must be 'g' or 'jbar'")
     # half_width / step > 0.5 is round(half_width / step) >= 1
@@ -630,21 +620,21 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     # center + sign * k * h of the one-sided limits
     richardson = [center + sign * k * h for k in range(1, 5)
                   for sign in (-1.0, +1.0) for h in (step, step / 2.0)]
-    outcomes: dict[float, object] = {}
-    for x in dict.fromkeys(float(x) for x in [*xs, *richardson]):
-        try:
-            outcomes[x] = point_at(x)
-        except FrustraError as exc:
-            outcomes[x] = exc
-    solvable = [x for x, point in outcomes.items() if isinstance(point, ModelParams)]
-    outcomes.update(zip(solvable, solve_ground_states([outcomes[x] for x in solvable])))
-    failed = [outcome for outcome in outcomes.values() if isinstance(outcome, Exception)]
-    if failed:
-        raise failed[0]  # the first in scan order
-    scanned = np.array(list(outcomes))
-    alphas = np.array([solution.config.alphas for solution in outcomes.values()])
-    g, jbar = (scanned, params.jbar) if axis == "g" else (params.g, scanned)
-    energy = dict(zip(outcomes, rescaled_energy(alphas, g, jbar)))
+    scanned = np.array(list(dict.fromkeys(float(x) for x in [*xs, *richardson])))
+    fixed = np.full(len(scanned), float(params.jbar if axis == "g" else params.g))
+    g, jbar = (scanned, fixed) if axis == "g" else (fixed, scanned)
+    lo, hi = stability_window(params.n_sites)
+    valid = (0 <= g) & (g < np.inf) & (lo < jbar) & (jbar < hi)  # as ModelParams checks
+    states = _solve_stack(params.n_sites, g[valid], jbar[valid])
+    failed = ~valid
+    failed[valid] = ~states.solved
+    if failed.any():  # the first in scan order
+        first = int(np.argmax(failed))
+        if not valid[first]:  # ModelParams raises the point's ValidationError
+            ModelParams(params.omega0, params.Omega, jbar[first].item(), g[first].item(),
+                        params.n_sites)
+        raise states.errors[np.count_nonzero(valid[:first])]
+    energy = dict(zip(scanned.tolist(), rescaled_energy(states.alphas, g, jbar)))
 
     def cached(x):
         return energy[float(x)]

@@ -1,7 +1,8 @@
 """Digest of the ``frustra`` command line's outputs, for comparing two trees.
 
 Runs a fixed list of CLI runs (every subcommand in CSV and JSON, at
-N = 3, 5, 7, 9, 21 and jbar = +-0.01, -0.3, 0.2, 0.45) against the package
+N = 3, 5, 7, 9, 21 and jbar = +-0.01, -0.3, 0.2, 0.45, and the exhaustive
+``--manifold`` oracle at N = 3, 5, 7) against the package
 under a given ``src`` directory, in one child process, and prints one line
 per run: its exit code, the SHA-256 of its stdout and of its stderr, and
 its arguments.
@@ -32,6 +33,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 SIZES = (3, 5, 7, 9, 21)
 HOPPINGS = (0.01, -0.01, -0.3, 0.2, 0.45)
+EXHAUSTIVE_SIZES = (3, 5, 7)
 
 
 def cli_runs() -> list[list[str]]:
@@ -44,6 +46,9 @@ def cli_runs() -> list[list[str]]:
             runs += [["ground-state", *common, "--g", g], ["spectrum", *common, "--g", g]]
         runs += [["ground-state", *common, "--g", "1.2", "--manifold"],
                  ["sweep", *common], ["exponents", *common]]
+        if n in EXHAUSTIVE_SIZES:  # the 2^N oracle's route
+            runs += [["ground-state", *common, "--g", g, "--manifold", "--seed-mode", "exhaustive"]
+                     for g in ("1.001", "1.2")]
     return runs
 
 

@@ -456,7 +456,7 @@ class TestSplitModesFactorisation:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_stack_matches_each_form_alone(self, n):
         solutions = deep_frustrated_points(n)
-        even, odd = fluctuations._sector_blocks(solutions)
+        even, odd = fluctuations._sector_blocks(*fluctuations._per_point(solutions))
         for sector in (even, odd):
             modes = fluctuations._SplitModes(sector)
             for i, form in enumerate(sector):

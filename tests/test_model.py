@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from frustra import model
 from frustra.errors import DomainError, ValidationError
 from frustra.model import (
     MeanFieldConfiguration,
@@ -228,6 +229,31 @@ class TestHessian:
                 assert_allclose(energy_hessian(a, g, jbar), fd_hessian(a, g, jbar),
                                 atol=1e-5)
 
+    @pytest.mark.parametrize("g", [9.5e153, 1e154, 1e200, 1e300])
+    def test_diagonal_keeps_its_limit_once_two_g_squared_overflows(self, g):
+        # from g of about 9.5e153 2 g^2 overflows too; capped at the largest
+        # finite double it still divides the infinite power to 0, where
+        # inf / inf was NaN with a RuntimeWarning
+        a = np.array([0.5, -1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hess = energy_hessian(a, g, 0.01)
+            diagonal = _hessian_diagonal(a[None], np.array([[g]]))
+        assert np.array_equal(np.diag(hess), np.full(3, 2.0))
+        assert np.array_equal(diagonal, np.full((1, 3), 2.0))
+
+    def test_diagonal_keeps_the_bits_of_the_uncapped_formula(self):
+        # the cap touches only an infinite 2 g^2: every finite diagonal
+        # keeps its bits
+        g = np.logspace(-3, np.log10(9.4e153), 400)[:, None]
+        a = np.array([-2.0, -0.3, 1e-8, 0.7, 5.0])
+        with np.errstate(over="ignore"):
+            uncapped = 2.0 - (2.0 * g * g) / (1.0 + (4.0 * g * g) * a * a) ** 1.5
+            assert np.isfinite(uncapped).all()
+            assert _hessian_diagonal(a, g).tobytes() == uncapped.tobytes()
+            hessians = energy_hessian(np.broadcast_to(a, uncapped.shape), g[:, 0], 0.3)
+        assert np.diagonal(hessians, axis1=1, axis2=2).tobytes() == uncapped.tobytes()
+
     @pytest.mark.parametrize("g", [1e120, 1e150, 9e153])
     def test_diagonal_reaches_its_limit_silently_at_huge_couplings(self, g):
         # (1 + 4 g^2 a^2)^(3/2) overflows to inf (at 9e153 already 4 g^2
@@ -328,6 +354,21 @@ class TestCriticalPoint:
                             (0.1, ["positive"])):
             for sign in signs:
                 assert critical_point(jbar, 5, sign) == critical_point(jbar, 5)
+
+    def test_invalid_input_raises_on_every_call(self):
+        # the spectral minimum is remembered per hopping and size, the checks
+        # run on every call
+        before = model._softest_mode.cache_info().hits
+        assert critical_point(0.123, 7) == critical_point(0.123, 7, "positive")
+        assert model._softest_mode.cache_info().hits == before + 1
+        assert critical_point(np.array(0.123), 7) == critical_point(0.123, 7)  # unhashable
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="outside the stability window"):
+                critical_point(0.7, 5)
+            with pytest.raises(ValidationError, match="n_sites must be odd"):
+                critical_point(0.123, 7.0)
+            with pytest.raises(ValidationError, match="hopping sign"):
+                critical_point(0.123, 7, "negative")
 
     def test_keeps_the_bits_of_the_per_sign_formulas(self):
         rng = np.random.default_rng(12)

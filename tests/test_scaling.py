@@ -8,10 +8,11 @@ from frustra.errors import (
     ConvergenceError,
     DomainError,
     FitQualityError,
+    FrustraError,
     ValidationError,
 )
 from frustra.fluctuations import analytic_nfsp_spectrum, analytic_np_spectrum
-from frustra.meanfield import GroundStateSolution, Phase
+from frustra.meanfield import GroundStates, GroundStateSolution, Phase, _hessian_eigenvalues
 from frustra.model import MeanFieldConfiguration, ModelParams, critical_point
 from frustra.scaling import (
     SweepMissing,
@@ -66,6 +67,20 @@ class TestSweepSpec:
         # NaN compares False, so the increasing check alone passes it
         with pytest.raises(ValidationError, match="grid must be finite"):
             SweepSpec(jbar=0.01, n_sites=3, grid=grid)
+
+
+    def test_grid_below_zero_coupling_is_rejected(self):
+        # at construction, with the message and precedence of the grid's
+        # first point as ModelParams checks it, before anything is solved
+        with pytest.raises(ValidationError, match=r"^g must be non-negative, got -0.1$"):
+            SweepSpec(jbar=0.01, n_sites=3, grid=(-0.1, -0.05, 0.5))
+        with pytest.raises(ValidationError, match="omega0 must be positive"):
+            SweepSpec(jbar=0.01, n_sites=3, omega0=0.0, grid=(-0.1, 0.5))
+        with pytest.raises(ValidationError, match="Omega must be positive"):
+            SweepSpec(jbar=0.01, n_sites=3, Omega=-1.0)
+        with pytest.raises(ValidationError, match="omega0 must be positive"):
+            SweepSpec(jbar=0.01, n_sites=3, omega0=-1.0, grid=())
+        assert SweepSpec(jbar=0.01, n_sites=3, grid=(0.0, 0.5)).grid == (0.0, 0.5)
 
 
 class TestRunSweep:
@@ -508,20 +523,54 @@ class TestDerivativeDiagnostics:
         grid = center + np.array([-2, -1, 1, 2]) * 1e-4
         bad = {float(grid[3]), float(grid[2])}  # both superradiant
         real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: (
-            [(meanfield.UNIFORM, 0.0)] if p.g in bad else real_seeds(p, gc)))
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+            [(meanfield.UNIFORM, 0.0)] if g in bad else real_seeds(g, jbar, gc)))
         with pytest.raises(ConvergenceError, match=f"g={float(grid[2])}"):
             energy_derivative_diagnostics(params(0.01), axis="g", half_width=2e-4)
 
+    @pytest.mark.parametrize("failing", [None, -0.1])
+    def test_first_failing_point_of_a_point_by_point_scan(self, failing, monkeypatch):
+        # a jbar scan whose Richardson points reach past the stability window
+        # (the first at jbar -0.6, the fifth Richardson point): the error
+        # raised is the one a scan solving point by point meets first, a
+        # solve failure at an earlier point included
+        point = params(0.01, g=1.2)
+        real_seeds = meanfield._seed_alphas
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+            [(meanfield.UNIFORM, 0.0)] if jbar == failing else real_seeds(g, jbar, gc)))
+        xs = [-0.2, 0.2] + [sign * k * h for k in range(1, 5)
+                            for sign in (-1.0, +1.0) for h in (0.2, 0.1)]
+        expected = None
+        for x in xs:
+            try:
+                meanfield.solve_ground_state(
+                    ModelParams(point.omega0, point.Omega, x, point.g, point.n_sites))
+            except (ValidationError, ConvergenceError) as exc:
+                expected = exc
+                break
+        assert type(expected) is (ValidationError if failing is None else ConvergenceError)
+        with pytest.raises(type(expected)) as caught:
+            energy_derivative_diagnostics(point, axis="jbar", half_width=0.2, step=0.2)
+        assert str(caught.value) == str(expected)
+
+
+def stub_record(alphas, phase, spectra, error=None):
+    """A solver record of every row alike: the coherences and spectra
+    (rows, N), the phase and the error of each row."""
+    rows = len(alphas)
+    return GroundStates(alphas, np.full(rows, phase), np.zeros(rows) if error is None
+                        else np.full(rows, np.nan), spectra, (error,) * rows)
+
 
 class TestSweepErrors:
-    # run_sweep solves its grid through the stacked entry point, so the
-    # seam stubs replace solve_ground_states and answer for every point
+    # run_sweep solves its grid through the stacked array core, so the
+    # seam stubs replace _solve_stack and answer for every point
     def test_solver_failure_becomes_missing_row(self, monkeypatch):
-        def fail(params_seq):
-            return [ConvergenceError("no seed converged") for _ in params_seq]
+        def fail(n_sites, g, jbar):
+            nan = np.full((len(g), n_sites), np.nan)
+            return stub_record(nan, None, nan, ConvergenceError("no seed converged"))
 
-        monkeypatch.setattr(scaling, "solve_ground_states", fail)
+        monkeypatch.setattr(scaling, "_solve_stack", fail)
         spec = SweepSpec(jbar=0.01, n_sites=3, sides="above", points_per_decade=2)
         result = run_sweep(spec)
         assert not result.rows
@@ -532,7 +581,7 @@ class TestSweepErrors:
         def broken(*args, **kwargs):
             raise TypeError("unexpected argument")
 
-        monkeypatch.setattr(scaling, "solve_ground_states", broken)
+        monkeypatch.setattr(scaling, "_solve_stack", broken)
         spec = SweepSpec(jbar=0.01, n_sites=3, sides="above", points_per_decade=2)
         with pytest.raises(TypeError):
             run_sweep(spec)
@@ -540,12 +589,11 @@ class TestSweepErrors:
     def test_unstable_uniform_point_becomes_missing_row(self, monkeypatch):
         # a normal-phase state handed over past the threshold: its k = 0
         # momentum block is not positive definite
-        def stale(params_seq):
-            return [GroundStateSolution(MeanFieldConfiguration(
-                np.zeros(params.n_sites), params.g, params.jbar), Phase.NORMAL, 0.0, params)
-                for params in params_seq]
+        def stale(n_sites, g, jbar):
+            origin = np.zeros((len(g), n_sites))
+            return stub_record(origin, Phase.NORMAL, _hessian_eigenvalues(origin, g, jbar))
 
-        monkeypatch.setattr(scaling, "solve_ground_states", stale)
+        monkeypatch.setattr(scaling, "_solve_stack", stale)
         spec = SweepSpec(jbar=-0.01, n_sites=5, sides="above",
                          reduced_min=1e-3, reduced_max=1e-2, points_per_decade=2,
                          observables=("gaps", "energy"))
@@ -561,8 +609,8 @@ class TestSweepErrors:
         clean = run_sweep(spec)
         bad = spec.grid[len(spec.grid) // 2 + 3]
         real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: (
-            [(meanfield.UNIFORM, 0.0)] if p.g == bad else real_seeds(p, gc)))
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+            [(meanfield.UNIFORM, 0.0)] if g == bad else real_seeds(g, jbar, gc)))
         result = run_sweep(spec)
         assert result.rows == [r for r in clean.rows if r.g != bad]
         assert [m for m in result.missing if m.g != bad] == [
@@ -592,17 +640,30 @@ class TestSweepErrors:
         assert len(gaps) == len(spec.grid) and np.all(gaps > 0)
 
 
+def grid_points(spec):
+    """The ModelParams of each point of a sweep's grid."""
+    return [ModelParams(spec.omega0, spec.Omega, spec.jbar, g, spec.n_sites) for g in spec.grid]
+
+
+def solve_alone(params):
+    """The one-point solve's solution or error."""
+    try:
+        return meanfield.solve_ground_state(params)
+    except (FrustraError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
 def reference_sweep(spec):
     """A sweep's rows, missing rows and warnings built one row at a time,
-    each solved point observed on its own as a stack of one, then sorted by
-    coupling, observable and index string."""
+    each point solved on its own (:func:`solve_ground_state`) and observed
+    on its own as a stack of one, then sorted by coupling, observable and
+    index string."""
     gc, want = spec.g_critical, set(spec.observables)
     gaussian = ",".join(sorted(want & {"gaps", "photon_numbers", "squeezing"}))
-    points = [spec.params_at(g) for g in spec.grid]
     rows, missing, warnings = [], [], []
     unresolved = "frustrated sector below double-precision resolution"
-    for params, outcome in zip(points, meanfield.solve_ground_states(points)):
-        g = params.g
+    for params in grid_points(spec):
+        g, outcome = params.g, solve_alone(params)
 
         def put(observable, index, value):
             if observable in want and not np.isnan(value):
@@ -644,8 +705,20 @@ def reference_sweep(spec):
     return rows, missing, warnings
 
 
+#: the exponent run's grid at N = 7, and the uniform grid at N = 21
+ARRAY_SWEEPS = {
+    "exponents N=7": dict(jbar=0.01, n_sites=7, reduced_min=1e-7, sides="above",
+                          observables=("gaps", "photon_numbers", "squeezing",
+                                       "hessian_eigenvalues")),
+    "uniform N=21": dict(jbar=-0.01, n_sites=21),
+}
+
+
 SWEEP_CASES = {
     "uniform N=21": ("--jbar -0.01 --sites 21", dict(jbar=-0.01, n_sites=21)),
+    "exponents N=7": ("--jbar 0.01 --sites 7 --reduced-min 1e-7 --side above --observables "
+                      "gaps,photon_numbers,squeezing,hessian_eigenvalues",
+                      ARRAY_SWEEPS["exponents N=7"]),
     "deep N=5": ("--jbar 0.01 --sites 5 --reduced-min 1e-7",
                  dict(jbar=0.01, n_sites=5, reduced_min=1e-7)),
     "strong hopping N=7": ("--jbar 0.3 --sites 7", dict(jbar=0.3, n_sites=7)),
@@ -675,6 +748,19 @@ ORIGIN_SEEDED = {
 }
 
 
+@pytest.mark.parametrize("case", ARRAY_SWEEPS)
+def test_sweep_builds_no_per_point_records(case, monkeypatch):
+    # the grid stays arrays from the solve to the table
+    spec = SweepSpec(**ARRAY_SWEEPS[case])
+    built = []
+    for record in (ModelParams, MeanFieldConfiguration, GroundStateSolution):
+        def counted(self, *args, __init__=record.__init__, **kwargs):
+            built.append(type(self).__name__)
+            __init__(self, *args, **kwargs)
+        monkeypatch.setattr(record, "__init__", counted)
+    assert run_sweep(spec).rows and built == []
+
+
 class TestSweepTable:
     @pytest.mark.parametrize("case", SWEEP_CASES)
     def test_table_matches_row_by_row_reference(self, case, capsys, monkeypatch):
@@ -682,11 +768,11 @@ class TestSweepTable:
         spec = SweepSpec(**kwargs)
         if case in ORIGIN_SEEDED:
             origin_only, real_seeds = ORIGIN_SEEDED[case], meanfield._seed_alphas
-            monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: (
-                [(meanfield.UNIFORM, 0.0)] if origin_only(spec, p.g) else real_seeds(p, gc)))
+            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+                [(meanfield.UNIFORM, 0.0)] if origin_only(spec, g) else real_seeds(g, jbar, gc)))
         result = run_sweep(spec)
         rows, missing, warnings = reference_sweep(spec)
-        assert result.rows == rows
+        assert result.rows == rows and repr(result.rows) == repr(rows)
         assert (result.missing, result.warnings) == (missing, warnings)
         assert CASE_MISSING.get(case, set()) <= {m.observable for m in missing}
         if case == "critical regime":  # some points warn, and some do not
@@ -769,10 +855,10 @@ class TestFlaggedPoints:
         spec = SweepSpec(**FLAG_CASES[case])
         if case == "one failing point":
             bad, real_seeds = spec.grid[len(spec.grid) // 2 + 3], meanfield._seed_alphas
-            monkeypatch.setattr(meanfield, "_seed_alphas", lambda p, gc: (
-                [(meanfield.UNIFORM, 0.0)] if p.g == bad else real_seeds(p, gc)))
+            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+                [(meanfield.UNIFORM, 0.0)] if g == bad else real_seeds(g, jbar, gc)))
         result = run_sweep(spec)
-        points = [spec.params_at(g) for g in spec.grid]
+        points = grid_points(spec)
         missing, warnings = every_point_flags(spec, points, meanfield.solve_ground_states(points))
         assert (result.missing, result.warnings) == (missing, warnings)
         if case == "deep frustrated":  # the stderr lines of `frustra sweep`
