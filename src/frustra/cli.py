@@ -70,7 +70,7 @@ _JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (boo
                "None": (type(None),)}
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     flags = _CONFIG_KEYS & vars(args).keys()  # the subparser sets each of its flags
     file_values = {}
     if args.config:
@@ -101,7 +101,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if merged.format not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {merged.format}")
     meanfield.SolverOptions(seed_mode=merged.seed_mode)  # rejects unknown modes
-    return merged
+    return merged, flags
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +153,17 @@ def _csv_chunks(table):
 _ROW = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
 
 
-def _emit(config: RunConfig, table, warnings):
+def _emit(config: RunConfig, flags, table, warnings):
     """The output text in pieces: the CSV table point by point, so that only
-    one point's text is built at a time, or the JSON document.  The JSON is
+    one point's text is built at a time, or the JSON document, whose config
+    echoes the command and its ``flags``.  The JSON is
     ``json.dumps(..., sort_keys=True, indent=1)`` byte for byte, but only
     its frame goes through that call (an indent makes ``json`` encode in
     Python); each results row is C-encoded and set in the row's braces."""
     if config.format == "csv":
         return _csv_chunks(table)
     frame = json.dumps({
-        "config": {key: getattr(config, key) for key in sorted(_CONFIG_KEYS | {"command"})},
+        "config": {key: getattr(config, key) for key in {"command", *flags}},
         "results": [],
         "warnings": list(warnings),
     }, sort_keys=True, indent=1)
@@ -330,9 +331,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _merge_config(args)
+        config, flags = _merge_config(args)
         table, warnings = _COMMANDS[args.command](config)
-        _write(config, _emit(config, table, warnings))
+        _write(config, _emit(config, flags, table, warnings))
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
     except (ValidationError, DomainError) as exc:

@@ -406,8 +406,15 @@ def _seed_alphas(g: float, jbar: float, gc: float) -> list[tuple[int, float]]:
     uniform = _uniform_magnitude(g, jbar)
     if jbar <= 0:
         return [(UNIFORM, uniform)]
-    near_critical = [(NEAR_CRITICAL, math.sqrt(g - gc) / (math.sqrt(3.0) * gc ** 1.5))]
+    near_critical = [(NEAR_CRITICAL, _near_critical_magnitude(g, gc))]
     return near_critical if uniform is None else near_critical + [(FRUSTRATED, uniform)]
+
+
+def _near_critical_magnitude(g: float, gc: float) -> float:
+    """sqrt(g - g_c) / (sqrt(3) g_c^{3/2}), the near-critical coherence
+    magnitude of the three-site frustrated ring above ``gc``; the solver's
+    and the oracle's seeds take it at every N."""
+    return math.sqrt(g - gc) / (math.sqrt(3.0) * gc ** 1.5)
 
 
 def _canonical_frames(alphas: np.ndarray):
@@ -449,14 +456,6 @@ def _phase_codes(peaks, jbar):
     """Elementwise, the phase code of a minimizer whose largest coherence
     magnitude is ``peaks``: 0 below 1e-9, the normal phase, else 2 + sign(jbar)."""
     return np.where(peaks < 1e-9, 0, 2 + np.sign(jbar)).astype(int)
-
-
-def _classify(peak: float, jbar: float) -> Phase:
-    """The phase of a minimizer whose largest coherence magnitude is ``peak``."""
-    phase = _PHASES[_phase_codes(peak, jbar)]
-    if phase is None:
-        raise copy.copy(_UNCLASSIFIED)
-    return phase
 
 
 @dataclass(frozen=True)
@@ -684,7 +683,7 @@ def enumerate_degenerate_ground_states(
 def _enumerate_exhaustive(params: ModelParams):
     n, g, jbar = params.n_sites, params.g, params.jbar
     gc = params.critical_coupling()
-    scale = np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5) if g > gc else 0.1
+    scale = _near_critical_magnitude(g, gc) if g > gc else 0.1
     uniform = _uniform_magnitude(g, jbar)
     if uniform is not None:
         scale = max(scale, uniform)
@@ -705,7 +704,10 @@ def _enumerate_exhaustive(params: ModelParams):
 
     energies = energy(found)
     global_tier = found[energies <= energies.min() + ENERGY_TOL]
-    if _classify(np.abs(global_tier[0]).max(), jbar) is Phase.FSP:
+    phase = _PHASES[_phase_codes(np.abs(global_tier[0]).max(), jbar)]
+    if phase is None:
+        raise copy.copy(_UNCLASSIFIED)
+    if phase is Phase.FSP:
         # Near g_c the mirror-odd direction is flat, so each member stops
         # somewhere along it; lock its pairs, as solve_ground_state's mirror-
         # reduced Newton does, so that copies of one minimum coincide to
@@ -809,25 +811,11 @@ def hessian_critical_modes(solution: GroundStateSolution) -> CriticalModes:
                          _fix_sign(tables.odd.T @ v_odd[0, :, 0]))
 
 
-def hessian_spectra(solutions):
-    """Hessian spectra of a non-empty stack of ground states of one lattice
-    size: ``(eigenvalues, soft)``, the ascending spectra the solutions
-    carry, shape (points, N), and :func:`_soft_modes` of their coherences."""
-    alphas, g, jbar = (np.array([getattr(solution.config, name) for solution in solutions])
-                       for name in ("alphas", "g", "jbar"))
-    frustrated = np.array([solution.phase is Phase.FSP for solution in solutions])
-    return (np.array([solution.hessian_eigenvalues for solution in solutions]),
-            _soft_modes(alphas, g, jbar, frustrated))
-
-
 def _soft_modes(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
                 frustrated: np.ndarray) -> np.ndarray:
     """The soft modes (lambda_mf, lambda_f) of :func:`hessian_critical_modes`,
     (points, 2), of ground states (points, N) at ``g`` and ``jbar``, NaN
-    outside the ``frustrated`` mask, whose Hessians alone are built; a
-    frustrated point with equal coherences has none (:class:`ValidationError`)."""
-    if (frustrated & _uniform_rows(alphas)).any():
-        raise ValidationError("a frustrated solution with equal coherences on every site")
+    outside the ``frustrated`` mask, whose Hessians alone are built."""
     soft = np.full((len(alphas), 2), np.nan)
     if frustrated.any():
         (w_even, _), (w_odd, _) = _mirror_eigh(energy_hessian(

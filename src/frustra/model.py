@@ -27,8 +27,10 @@ from .errors import DomainError, InstabilityError, ValidationError
 
 
 def validate_jbar(jbar: float, n_sites: int) -> None:
-    """Reject hoppings outside the open :func:`stability_window` of a valid
-    lattice size."""
+    """Reject a hopping that is not one real number or lies outside the
+    open :func:`stability_window` of a valid lattice size."""
+    if type(jbar) is not float and (np.ndim(jbar) or np.asarray(jbar).dtype.kind not in "biuf"):
+        raise ValidationError(f"jbar must be one real number, got {jbar!r}")
     lo, hi = stability_window(n_sites)
     if not (lo < jbar < hi):
         raise ValidationError(f"jbar={jbar} outside the stability window ({lo}, {hi})")

@@ -147,38 +147,33 @@ class SweepResult:
     table: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     warnings: list[str] = field(default_factory=list)
     _flags: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), repr=False)
-    _rows: tuple[SweepRow, ...] | None = field(default=None, init=False, repr=False)
-    _missing: list[SweepMissing] | None = field(default=None, init=False, repr=False)
 
     @property
     def missing(self) -> list[SweepMissing]:
-        """The missing rows, built on the first read: a failed point's one
-        row, then an unresolved point's rows label by label, site by site."""
-        if self._missing is None:
-            failures, lost = self._flags
-            flagged = np.zeros(len(self.g), dtype=bool)
-            flagged[list(failures)] = True
-            for mask in lost.values():
-                flagged |= mask.any(axis=1)
-            unresolved = "frustrated sector below double-precision resolution"
-            g, self._missing = self.g.tolist(), []
-            for i in np.flatnonzero(flagged).tolist():
-                if i in failures:
-                    self._missing.append(SweepMissing(g[i], *failures[i]))
-                else:
-                    self._missing += [SweepMissing(g[i], label.format(site), unresolved)
-                                      for label, mask in lost.items()
-                                      for site in np.flatnonzero(mask[i]) + 1]
-        return self._missing
+        """The missing rows, built on each read: a failed point's one row,
+        then an unresolved point's rows label by label, site by site."""
+        failures, lost = self._flags
+        flagged = np.zeros(len(self.g), dtype=bool)
+        flagged[list(failures)] = True
+        for mask in lost.values():
+            flagged |= mask.any(axis=1)
+        unresolved = "frustrated sector below double-precision resolution"
+        g, missing = self.g.tolist(), []
+        for i in np.flatnonzero(flagged).tolist():
+            if i in failures:
+                missing.append(SweepMissing(g[i], *failures[i]))
+            else:
+                missing += [SweepMissing(g[i], label.format(site), unresolved)
+                            for label, mask in lost.items()
+                            for site in np.flatnonzero(mask[i]) + 1]
+        return missing
 
     @property
     def rows(self) -> list[SweepRow]:
-        """The table's rows in row order, absent values left out (built
-        once, a new list each time)."""
-        if self._rows is None:
-            self._rows = tuple(_present_rows(
-                self.g, self.reduced, [(name, *column) for name, column in self.table.items()]))
-        return list(self._rows)
+        """The table's rows in row order, absent values left out, built on
+        each read."""
+        return list(_present_rows(
+            self.g, self.reduced, [(name, *column) for name, column in self.table.items()]))
 
     def series(self, observable: str, index: str, side: str = "above"):
         """(reduced_coupling, value) arrays for one observable/index, one side
@@ -277,8 +272,6 @@ def _observe_grid(spec: SweepSpec, states) -> SweepResult:
         if solved.any():
             values[solved] = blocks[name][:, order]
         result.table[name] = (labels[order], values, ~np.isnan(values))
-        for array in result.table[name]:
-            array.flags.writeable = False  # the rows are built once
     return result
 
 

@@ -10,14 +10,12 @@ import itertools
 
 import numpy as np
 
-from frustra.errors import ConvergenceError
+from frustra.errors import ConvergenceError, ValidationError
 from frustra.meanfield import (
     ENERGY_TOL,
     MATCH_TOL,
     PSD_TOLERANCE,
     SOLUTION_GRAD_TOL,
-    Phase,
-    _classify,
     _newton_minimize,
     _polish_members,
     _uniform_magnitude,
@@ -61,8 +59,13 @@ def enumerate_all_sign_patterns(params):
 
     energies = rescaled_energy(found, g, jbar)
     global_tier = found[energies <= energies.min() + ENERGY_TOL]
-    if _classify(np.abs(global_tier[0]).max(), jbar) is Phase.FSP:
-        global_tier = _polish_members(global_tier, params)
+    # the phase of the tier: normal at the origin, else frustrated for a
+    # positive hopping; at jbar = 0 the decoupled sites have none
+    if np.abs(global_tier[0]).max() >= 1e-9:
+        if jbar == 0:
+            raise ValidationError("jbar = 0 above the origin has no single-phase classification")
+        if jbar > 0:
+            global_tier = _polish_members(global_tier, params)
     distinct = []
     for alphas in global_tier:
         if not any(np.max(np.abs(alphas - other)) < MATCH_TOL for other in distinct):

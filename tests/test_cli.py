@@ -466,21 +466,39 @@ class TestFlagScope:
         assert (code, out) == (2, "")
         assert err == f"error: config key {key} is not a flag of {command}\n"
 
-    @pytest.mark.parametrize("command, own", [
-        ("critical-point", {"g"}), ("ground-state", {"g", "seed_mode", "manifold"}),
-        ("spectrum", {"g"}), ("exponents", {"reduced_min", "reduced_max", "points_per_decade"}),
-        ("sweep", {"reduced_min", "reduced_max", "points_per_decade", "side", "observables"})])
+    #: per command, the flags that only some commands have
+    OWN = [("critical-point", {"g"}), ("ground-state", {"g", "seed_mode", "manifold"}),
+           ("spectrum", {"g"}), ("exponents", {"reduced_min", "reduced_max", "points_per_decade"}),
+           ("sweep", {"reduced_min", "reduced_max", "points_per_decade", "side", "observables"})]
+    COMMON = {"jbar", "sites", "omega0", "omega_atom", "output", "format"}
+
+    @pytest.mark.parametrize("command, own", OWN)
     def test_config_accepts_exactly_the_keys_of_the_commands_flags(self, tmp_path, command, own):
         config = tmp_path / "run.json"
         defaults = cli.RunConfig(command)
         for key in sorted(cli._CONFIG_KEYS):
             config.write_text(json.dumps({key: getattr(defaults, key)}))
             args = cli.build_parser().parse_args([command, "--config", str(config)])
-            if key in own | {"jbar", "sites", "omega0", "omega_atom", "output", "format"}:
-                assert getattr(cli._merge_config(args), key) == getattr(defaults, key)
+            if key in own | self.COMMON:
+                merged, flags = cli._merge_config(args)
+                assert getattr(merged, key) == getattr(defaults, key)
+                assert flags == own | self.COMMON
             else:
                 with pytest.raises(ValidationError, match=f"^config key {key} is not a flag"):
                     cli._merge_config(args)
+
+    @pytest.mark.parametrize("command, own", OWN)
+    def test_json_config_echoes_the_command_and_its_flags(self, capsys, command, own):
+        # a command echoes no field it has no flag for: exponents no side,
+        # observables, g, manifold or seed_mode
+        argv = [command, "--format", "json", *(["--g", "1.2"] if "g" in own else [])]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        echoed = json.loads(out)["config"]
+        assert set(echoed) == own | self.COMMON | {"command"}
+        assert echoed["command"] == command
+        if command == "exponents":
+            assert echoed["reduced_min"] == scaling.EXPONENT_WINDOW[0]
 
 
 @pytest.mark.parametrize("argv, head", [
@@ -496,7 +514,7 @@ class TestFlagScope:
 def test_single_point_commands_write_one_point_tables(capsys, argv, head):
     # the rows keep the order the command lists them in: a run of one
     # observable is one column
-    config = cli._merge_config(cli.build_parser().parse_args(argv))
+    config, _ = cli._merge_config(cli.build_parser().parse_args(argv))
     table, _ = cli._COMMANDS[config.command](config)
     (g,), (reduced,), columns = table
     code, out, _ = run_cli(capsys, *argv)
@@ -523,15 +541,17 @@ def test_json_writer_matches_indented_dumps(table, warnings):
     # the rows are C-encoded inside their braces; the document must still be
     # json.dumps(..., sort_keys=True, indent=1) byte for byte, with NaN,
     # +-inf, -0.0, non-ASCII and escaped text, and empty results or warnings
-    config = cli._merge_config(cli.build_parser().parse_args(
+    config, flags = cli._merge_config(cli.build_parser().parse_args(
         ["sweep", "--format", "json", "--output", "répertoire/out.json"]))
     results = [{"g": g, "reduced_coupling": reduced, "observable": name, "index": label,
                 "value": value}
                for g, reduced, columns in table_points(table)
                for name, labels, values in columns for label, value in zip(labels, values)]
-    expected = json.dumps({"config": dataclasses.asdict(config), "results": results,
-                           "warnings": warnings}, sort_keys=True, indent=1) + "\n"
-    assert "".join(cli._emit(config, table, warnings)) == expected
+    echo = {key: value for key, value in dataclasses.asdict(config).items()
+            if key in flags | {"command"}}
+    expected = json.dumps({"config": echo, "results": results, "warnings": warnings},
+                          sort_keys=True, indent=1) + "\n"
+    assert "".join(cli._emit(config, flags, table, warnings)) == expected
 
 
 class TestParser:

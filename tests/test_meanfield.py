@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from frustra.meanfield import (
     _canonical_frames,
     _hessian_eigenvalues,
     _mirror_reduced,
+    _near_critical_magnitude,
     _newton_minimize,
     _seed_alphas,
+    _soft_modes,
     _solve_stack,
     enumerate_degenerate_ground_states,
     fsp_approximation,
     hessian_critical_modes,
-    hessian_spectra,
     nfsp_closed_form,
     saddle_configuration,
     solve_ground_state,
@@ -48,6 +50,7 @@ from frustra.model import (
     origin_hessian_eigenvalues,
     rescaled_energy,
     ring,
+    stability_window,
 )
 from frustra.scaling import SweepSpec, run_sweep
 
@@ -67,6 +70,22 @@ def seed_alphas(point):
 
 
 class TestClosedForms:
+    @pytest.mark.parametrize("n", range(3, 22, 2))
+    def test_near_critical_magnitude_keeps_the_bits_of_both_former_copies(self, n):
+        # the solver's seed wrote it with math.sqrt, the oracle's scale with
+        # np.sqrt of |g - g_c|; both round correctly, so all three agree
+        _, hi = stability_window(n)
+        for jbar in np.linspace(0.0, hi, 13)[1:-1].tolist() + [1e-6, float(np.nextafter(hi, 0))]:
+            gc = critical_point(jbar, n)
+            for reduced in np.logspace(-9, 0, 37).tolist():
+                g = gc * (1.0 + reduced)
+                magnitude = _near_critical_magnitude(g, gc)
+                assert magnitude.hex() == (
+                    math.sqrt(g - gc) / (math.sqrt(3.0) * gc ** 1.5)).hex()
+                assert magnitude.hex() == float(
+                    np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5)).hex()
+                assert _seed_alphas(g, jbar, gc)[0] == (meanfield.NEAR_CRITICAL, magnitude)
+
     def test_nfsp_vanishes_at_threshold(self):
         gc = critical_point(-0.01, 3)
         assert nfsp_closed_form(gc, -0.01) == 0.0
@@ -901,11 +920,15 @@ class TestHessianCriticalModes:
         gc_f, gc_u = critical_point(0.01, n), critical_point(-0.01, n)
         points = [params(0.01, 0.5, n), params(-0.01, gc_u * (1 + 1e-3), n),
                   params(0.01, gc_f * (1 + 1e-3), n), params(0.01, gc_f * (1 + 1e-6), n)]
-        solutions = [solve_ground_state(p) for p in points]
+        solutions = solve_ground_states(points)
         assert [s.phase for s in solutions] == [Phase.NORMAL, Phase.NFSP, Phase.FSP, Phase.FSP]
-        eigenvalues, soft = hessian_spectra(solutions)
-        assert eigenvalues.shape == (len(points), n) and soft.shape == (len(points), 2)
-        for p, sol, point_eigenvalues, point_soft in zip(points, solutions, eigenvalues, soft):
+        alphas, g, jbar = (np.array([getattr(s.config, name) for s in solutions])
+                           for name in ("alphas", "g", "jbar"))
+        soft = _soft_modes(alphas, g, jbar, np.array([s.phase is Phase.FSP for s in solutions]))
+        assert soft.shape == (len(points), 2)
+        for p, sol, point_soft in zip(points, solutions, soft):
+            point_eigenvalues = sol.hessian_eigenvalues
+            assert point_eigenvalues.shape == (n,)
             hess = energy_hessian(sol.config.alphas, p.g, p.jbar)
             alone = np.linalg.eigvalsh(hess)
             if sol.phase is Phase.FSP:
@@ -920,17 +943,8 @@ class TestHessianCriticalModes:
                                 atol=2 * n * EPS * np.abs(hess).max())
                 assert np.isnan(point_soft).all()
 
-    def test_frustrated_solution_with_equal_coherences_is_rejected(self):
-        # a frustrated label on a translation-invariant state has no mirror
-        # sectors of its own; the uniformity rule refuses it
-        point = params(0.01, 1.1, 5)
-        stale = GroundStateSolution(MeanFieldConfiguration(
-            np.full(5, 0.2), point.g, point.jbar), Phase.FSP, 0.0, point)
-        with pytest.raises(ValidationError, match="equal coherences"):
-            hessian_spectra([solve_ground_state(point), stale])
-
     @pytest.mark.parametrize("route", [hessian_critical_modes,
-                                       lambda sol: hessian_spectra([sol])])
+                                       lambda sol: sol.hessian_eigenvalues])
     def test_rejects_unconverged_solution(self, route):
         # a leftover gradient shifts the soft eigenvalues, so a residual
         # above SOLUTION_GRAD_TOL is refused when the solution is built, and
@@ -952,8 +966,7 @@ class TestHessianCriticalModes:
 class TestCarriedSpectrum:
     """Every solution carries its Hessian spectrum: a solved point the one
     its minimum check computed, a normal point its closed form, a
-    hand-built one the spectrum it computes when built; hessian_spectra
-    reads it."""
+    hand-built one the spectrum it is given or computes when built."""
 
     @staticmethod
     def points(n):
@@ -969,7 +982,7 @@ class TestCarriedSpectrum:
         assert {s.phase for s in solutions} == {Phase.NORMAL, Phase.NFSP, Phase.FSP}
         alphas, g, jbar = (np.array([getattr(s.config, name) for s in solutions])
                            for name in ("alphas", "g", "jbar"))
-        # the route hessian_spectra took before solutions carried spectra
+        # the route of a solution built without a spectrum
         recomputed = _hessian_eigenvalues(alphas, g, jbar)
         dense = ~meanfield._uniform_rows(alphas)
         assert recomputed[dense].tobytes() == np.linalg.eigvalsh(
@@ -981,10 +994,6 @@ class TestCarriedSpectrum:
             for solution, spectrum in zip(stack, recomputed):
                 assert solution.hessian_eigenvalues.tobytes() == spectrum.tobytes()
                 assert not solution.hessian_eigenvalues.flags.writeable
-        eigenvalues, soft = hessian_spectra(solutions)
-        assert eigenvalues.tobytes() == recomputed.tobytes()
-        assert [a.tobytes() for a in hessian_spectra(hand_built)] == [
-            eigenvalues.tobytes(), soft.tobytes()]
 
     def test_normal_points_take_one_closed_form_call(self, monkeypatch):
         # a stack's normal points share one stacked call of the origin's
@@ -1024,8 +1033,6 @@ class TestCarriedSpectrum:
             assert built.hessian_eigenvalues.tobytes() == sol.hessian_eigenvalues.tobytes()
         given[0] = 7.0  # the caller's array stays its own, and writeable
         assert built.hessian_eigenvalues[0] == sol.hessian_eigenvalues[0]
-        assert [a.tobytes() for a in hessian_spectra([built, sol])] == [
-            a.tobytes() for a in hessian_spectra([sol, sol])]
 
     def test_minimum_check_reads_the_newton_kernel(self, monkeypatch):
         def unused(*args):
@@ -1038,12 +1045,15 @@ class TestCarriedSpectrum:
             assert solution.config.alphas.tobytes() == alone.config.alphas.tobytes()
 
     def test_solved_stack_runs_no_dense_eigensolver_for_its_spectra(self, monkeypatch):
-        # frustrated points carry theirs, and normal ones take the closed form
+        # frustrated points carry theirs, and normal ones take the closed form;
+        # a solution built with a carried spectrum keeps it without a solve
         solutions = solve_ground_states(self.points(5))
-        expected = hessian_spectra(solutions)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        assert [a.tobytes() for a in hessian_spectra(solutions)] == [
-            a.tobytes() for a in expected]
+        monkeypatch.setattr(meanfield, "_eigvalsh", None)
+        for s in solutions:
+            rebuilt = GroundStateSolution(s.config, s.phase, s.grad_norm, s.params,
+                                          s.hessian_eigenvalues)
+            assert rebuilt.hessian_eigenvalues.tobytes() == s.hessian_eigenvalues.tobytes()
 
 
 class TestSpectralLowerBound:

@@ -370,6 +370,22 @@ class TestCriticalPoint:
             with pytest.raises(ValidationError, match="hopping sign"):
                 critical_point(0.123, 7, "negative")
 
+    @pytest.mark.parametrize("jbar", [np.array([0.01, 0.02]), np.array([0.01]), [0.01],
+                                      "0.01", 0.01j, None])
+    def test_a_hopping_that_is_not_one_real_number_is_a_validation_error(self, jbar):
+        # numpy's untyped ValueError of an ambiguous truth value never escapes
+        with pytest.raises(ValidationError, match="^jbar must be one real number"):
+            critical_point(jbar, 5)
+        with pytest.raises(ValidationError, match="^jbar must be one real number"):
+            ModelParams(1.0, 1.0, jbar, 1.1, 5)
+
+    def test_numpy_scalar_hoppings_keep_their_bits(self):
+        for jbar in (0.01, -0.3, 0.0):
+            gc = critical_point(jbar, 5)
+            for scalar in (np.float64(jbar), np.array(jbar)):
+                assert critical_point(scalar, 5).hex() == gc.hex()
+                assert ModelParams(1.0, 1.0, scalar, 1.1, 5).critical_coupling().hex() == gc.hex()
+
     def test_keeps_the_bits_of_the_per_sign_formulas(self):
         rng = np.random.default_rng(12)
         for n in range(3, 60, 2):

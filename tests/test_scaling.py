@@ -356,8 +356,20 @@ class TestExponentReports:
                          observables=("gaps", "photon_numbers", "squeezing",
                                       "hessian_eigenvalues"))
         result = run_sweep(spec)
-        assert built == [] and result.missing is result.missing
-        assert len(built) == len(result.missing) > 0
+        assert built == []
+        assert len(result.missing) == len(built) > 0
+
+    def test_rows_and_missing_are_built_on_each_read(self):
+        # equal lists on every read, each a new list that the result never caches
+        spec = SweepSpec(jbar=0.01, n_sites=5, reduced_min=1e-7, sides="above",
+                         points_per_decade=4)
+        result = run_sweep(spec)
+        rows, missing = result.rows, result.missing
+        assert rows and missing
+        assert result.rows == rows and result.rows is not rows
+        assert result.missing == missing and result.missing is not missing
+        rows.clear(), missing.clear()
+        assert result.rows and result.missing
 
     def test_large_lattice_flagged_unvalidated(self):
         report = extract_exponents(params(0.01, n=9), window=(3e-4, 1e-2),
@@ -674,11 +686,12 @@ def reference_sweep(spec):
             missing.append(SweepMissing(g, "all", f"solver: {outcome}"))
             continue
         put("energy", "", outcome.config.energy)
-        (eigenvalues,), (soft_modes,) = meanfield.hessian_spectra([outcome])
-        for rank, value in enumerate(eigenvalues, start=1):
+        for rank, value in enumerate(outcome.hessian_eigenvalues, start=1):
             put("hessian_eigenvalues", rank, value)
-        put("hessian_eigenvalues", "mf", soft_modes[0])
-        put("hessian_eigenvalues", "f", soft_modes[1])
+        if outcome.phase is Phase.FSP:
+            modes = meanfield.hessian_critical_modes(outcome)
+            put("hessian_eigenvalues", "mf", modes.lambda_mf)
+            put("hessian_eigenvalues", "f", modes.lambda_f)
         if not gaussian:
             continue
         moments = fluctuations.site_moments([outcome])

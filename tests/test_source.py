@@ -13,9 +13,11 @@ MODULES = {path.name: path for path in sorted((ROOT / "src" / "frustra").glob("*
            if path.name != "__init__.py"}
 MODULES.update({path.relative_to(ROOT).as_posix(): path
                 for path in sorted((ROOT / "tests").glob("*.py"))})
-# where a package function or class may be read
-READERS = [path for folder in ("src", "tests", "perfbench")
-           for path in sorted((ROOT / folder).rglob("*.py"))]
+# where a package function or class may be read, and where the benchmark
+# may name one
+READERS = sorted((ROOT / "src").rglob("*.py"))
+BENCHMARK_FILES = [path for path in sorted((ROOT / "perfbench").rglob("*"))
+                   if path.suffix in (".py", ".md", ".json")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,11 +53,18 @@ def loaded_names(sources: list[str]) -> set[str]:
     return read
 
 
-def unread_definitions(modules: dict[str, str], readers: list[str], text: str) -> list[str]:
+def exported_names(init: str) -> set[str]:
+    """The names that a package's ``init`` source imports to export them."""
+    return {alias.asname or alias.name for node in ast.parse(init).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str], exported: set[str],
+                       text: str) -> list[str]:
     """Module-level functions and classes of ``modules`` (sources by name)
-    that no reader source loads, by name or as an attribute, and that
-    ``text`` never names; as ``module:name``."""
-    read = loaded_names(readers)
+    that no reader source loads, by name or as an attribute, that are not
+    ``exported`` and that ``text`` never names; as ``module:name``."""
+    read = loaded_names(readers) | exported
     return [f"{module}:{node.name}" for module, source in modules.items()
             for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
@@ -64,21 +73,35 @@ def unread_definitions(modules: dict[str, str], readers: list[str], text: str) -
 
 def test_guard_finds_unread_definitions():
     modules = {"a.py": "def used():\n    pass\n\n\nclass Unused:\n    pass\n\n\n"
-                       "def documented():\n    pass\n\n\ndef _helper():\n    pass\n"}
+                       "def benched():\n    pass\n\n\ndef _helper():\n    pass\n"}
     readers = ["from a import Unused, _helper\nused()\n", "def _helper():\n    pass\n",
                "x.used = 1\n"]
-    assert unread_definitions(modules, readers, "call documented(x)") == [
+    assert unread_definitions(modules, readers, set(), "time benched(x)") == [
         "a.py:Unused", "a.py:_helper"]
     assert unread_definitions(modules, readers + ["import a\na._helper(a.Unused)\n"],
-                              "") == ["a.py:documented"]
+                              set(), "") == ["a.py:benched"]
+    assert unread_definitions(modules, readers, {"Unused", "_helper"}, "") == ["a.py:benched"]
+
+
+def test_guard_flags_a_test_only_helper():
+    # a helper that only a test loads is flagged, since the readers are the
+    # package's own sources; counting the test as a reader would keep it
+    modules = {"a.py": "def core():\n    pass\n\n\ndef wrapper():\n    return core()\n"}
+    test = "from a import wrapper\n\n\ndef test_wrapper():\n    assert wrapper() is None\n"
+    assert unread_definitions(modules, [modules["a.py"]], set(), "") == ["a.py:wrapper"]
+    assert unread_definitions(modules, [modules["a.py"], test], set(), "") == []
+    assert exported_names("from .a import core, wrapper\n") == {"core", "wrapper"}
+    assert unread_definitions(modules, [modules["a.py"]], {"wrapper"}, "") == []
 
 
 def test_every_package_definition_has_a_reader():
+    # a load in src/, an export of the package, or a mention in the benchmark
     package = {name: path.read_text(encoding="utf-8") for name, path in MODULES.items()
                if not name.startswith("tests/")}
     readers = [path.read_text(encoding="utf-8") for path in READERS]
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    assert unread_definitions(package, readers, readme) == []
+    init = (ROOT / "src" / "frustra" / "__init__.py").read_text(encoding="utf-8")
+    benchmark = "\n".join(path.read_text(encoding="utf-8") for path in BENCHMARK_FILES)
+    assert unread_definitions(package, readers, exported_names(init), benchmark) == []
 
 
 def unread_exports(init: str, modules: list[str], text: str) -> list[str]:
