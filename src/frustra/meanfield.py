@@ -35,6 +35,7 @@ from .model import (
     _circulant_eigenvalues,
     _hessian_diagonal,
     _landscape,
+    _spectral_lower_bound,
     critical_point,
     energy_hessian,
     group_images,
@@ -55,6 +56,9 @@ MAX_ITERATIONS = 500
 MATCH_TOL = 1e-8
 #: Energy above the lowest within which an exhaustive minimum is global.
 ENERGY_TOL = 1e-10
+#: Distance, in units of eps |E|, within which a candidate's energy E meets
+#: the spectral lower bound: rounding of E and of the bound, never physics.
+_BOUND_SLACK = 8.0
 
 
 class Phase(Enum):
@@ -69,8 +73,10 @@ class SolverOptions:
 
     ``seed_mode`` selects how the degenerate manifold is enumerated:
     ``symmetry-orbit`` (default) constructs it from the canonical solution's
-    symmetry orbit, ``exhaustive`` re-minimizes from one sign pattern per
-    rotation/flip orbit and generates the members by that group.
+    symmetry orbit, ``exhaustive`` re-minimizes, from one candidate that the
+    spectral lower bound certifies where that bound is attainable, else
+    from one sign pattern per rotation/flip orbit, and generates the
+    members by that group.
     """
 
     seed_mode: str = "symmetry-orbit"
@@ -657,12 +663,17 @@ def enumerate_degenerate_ground_states(
 
     In the default symmetry-orbit mode the manifold is generated from the
     canonical solution by lattice rotations and the global sign flip; a
-    given solution is used as it is, without a solve.  In exhaustive mode
-    one sign pattern per orbit of that group is minimized independently
-    and the group generates the members from the global-energy tier; this
-    validates the orbit construction for small lattices.  At
-    ``logging.DEBUG`` the ``frustra.meanfield`` logger gets one record per
-    exhaustive call: the orbit rows, the Newton steps, the stationary rows,
+    given solution is used as it is, without a solve.  In exhaustive mode,
+    where :func:`~frustra.model._spectral_lower_bound` is attainable (g <=
+    g_c, or jbar < 0), one candidate row, the origin or the all -1 pattern,
+    is minimized, and if its energy meets the bound its group images are
+    the manifold (:func:`_certified_members`).  Elsewhere, and where the
+    candidate misses the bound, one sign pattern per orbit of that group is
+    minimized independently and the group generates the members from the
+    global-energy tier; this validates the orbit construction for small
+    lattices.  At ``logging.DEBUG`` the ``frustra.meanfield`` logger gets
+    one record per exhaustive call: the certified candidate and its margin
+    to the bound, or the orbit rows, the Newton steps, the stationary rows,
     the global tier and the members.
     """
     opts = opts or SolverOptions()
@@ -687,22 +698,20 @@ def _enumerate_exhaustive(params: ModelParams):
     uniform = _uniform_magnitude(g, jbar)
     if uniform is not None:
         scale = max(scale, uniform)
+    landscape = _landscape(n, g, jbar)
+    if g <= gc or jbar < 0:  # the spectral lower bound is attainable
+        # the origin, or orbit_patterns(n)[0], all -1, at the orbit rows' scale
+        members = _certified_members(landscape, params, np.full((1, n), -scale if g > gc else 0.0))
+        if members is not None:
+            return [MeanFieldConfiguration(a, g, jbar) for a in members]
 
     # one sign pattern per rotation/flip orbit, all rows of one full-space Newton stack
-    seeds = np.array(orbit_patterns(n)) * scale
-    energy, gradient, hessian = _landscape(n, g, jbar)
-    alphas, grad_norm, steps, failures = _newton_minimize(energy, gradient, hessian, seeds)
-    settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
-    stationary = settled[~(grad_norm[settled] > SOLUTION_GRAD_TOL)]
-    lowest = _eigvalsh(hessian(alphas[stationary])).min(axis=-1)
-    _drop(np.isnan(lowest), stationary, failures, _UNCONVERGED)
-    if failures:
-        raise failures[min(failures)]
-    found = alphas[stationary[~(lowest < PSD_TOLERANCE)]]
+    patterns = np.array(orbit_patterns(n))
+    found, steps, stationary = _stable_minima(landscape, patterns * scale)
     if not len(found):
         raise ConvergenceError("exhaustive enumeration found no stable minima")
 
-    energies = energy(found)
+    energies = landscape[0](found)
     global_tier = found[energies <= energies.min() + ENERGY_TOL]
     phase = _PHASES[_phase_codes(np.abs(global_tier[0]).max(), jbar)]
     if phase is None:
@@ -718,10 +727,58 @@ def _enumerate_exhaustive(params: ModelParams):
         (descent, endgame), (descent_total, endgame_total) = steps.max(axis=0), steps.sum(axis=0)
         log.debug("exhaustive g=%r jbar=%r N=%d: %d orbit rows, descent steps %d max and "
                   "%d total, endgame steps %d max and %d total, %d stationary rows, "
-                  "global tier of %d, %d members", g, jbar, n, len(seeds), descent,
-                  descent_total, endgame, endgame_total, len(stationary), len(global_tier),
+                  "global tier of %d, %d members", g, jbar, n, len(patterns), descent,
+                  descent_total, endgame, endgame_total, stationary, len(global_tier),
                   len(members))
     return [MeanFieldConfiguration(a, g, jbar) for a in members]
+
+
+def _stable_minima(landscape, seeds: np.ndarray):
+    """The oracle's full-space Newton from each row of ``seeds``, checked:
+    ``(minima, steps, stationary)``, the rows that are stationary to
+    SOLUTION_GRAD_TOL and whose Hessian passes PSD_TOLERANCE, every row's
+    (descent, endgame) step counts and the number of stationary rows.  The
+    first failed row's error (Newton's, or a failed eigensolve's
+    ``LinAlgError``) is raised."""
+    energy, gradient, hessian = landscape
+    alphas, grad_norm, steps, failures = _newton_minimize(energy, gradient, hessian, seeds)
+    settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
+    stationary = settled[~(grad_norm[settled] > SOLUTION_GRAD_TOL)]
+    lowest = _eigvalsh(hessian(alphas[stationary])).min(axis=-1)
+    _drop(np.isnan(lowest), stationary, failures, _UNCONVERGED)
+    if failures:
+        raise failures[min(failures)]
+    return alphas[stationary[~(lowest < PSD_TOLERANCE)]], steps, len(stationary)
+
+
+def _certified_members(landscape, params: ModelParams, candidate: np.ndarray):
+    """The manifold from one ``candidate`` row, the origin or the all -1
+    orbit pattern, at a point whose :func:`~frustra.model._spectral_lower_bound`
+    is attainable (g <= g_c, or jbar < 0); None if the candidate's minimum
+    misses the bound by more than _BOUND_SLACK eps |E|.
+
+    Only constant modulus in the softest hopping eigenspace attains the
+    bound: the origin below g_c and the two uniform states of jbar < 0.  So
+    a stable candidate that meets it is a global minimizer, and its group
+    images are the manifold.  Rows never mix in Newton, so the uniform
+    candidate is the orbit stack's first row bit for bit, and its error is
+    that stack's first; a miss falls back to the orbit search, so the slack decides the
+    route, never the answer.
+    """
+    found, _, _ = _stable_minima(landscape, candidate)
+    if not len(found):
+        return None
+    (energy,) = landscape[0](found).tolist()
+    bound = _spectral_lower_bound(params.g, params.jbar, params.n_sites)
+    margin = abs(energy - bound) / (np.finfo(float).eps * abs(energy))
+    if not margin <= _BOUND_SLACK:
+        return None
+    members = _distinct_images(found)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("exhaustive g=%r jbar=%r N=%d: the %s candidate meets the spectral lower "
+                  "bound within %.2f eps of |E|, %d members", params.g, params.jbar,
+                  params.n_sites, "uniform" if found.any() else "origin", margin, len(members))
+    return members
 
 
 def _distinct_images(global_tier) -> np.ndarray:

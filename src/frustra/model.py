@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -29,7 +30,9 @@ from .errors import DomainError, InstabilityError, ValidationError
 def validate_jbar(jbar: float, n_sites: int) -> None:
     """Reject a hopping that is not one real number or lies outside the
     open :func:`stability_window` of a valid lattice size."""
-    if type(jbar) is not float and (np.ndim(jbar) or np.asarray(jbar).dtype.kind not in "biuf"):
+    if type(jbar) is not float and (
+            not isinstance(jbar, (numbers.Real, np.generic, np.ndarray))  # a list may be ragged
+            or np.ndim(jbar) or np.asarray(jbar).dtype.kind not in "biuf"):
         raise ValidationError(f"jbar must be one real number, got {jbar!r}")
     lo, hi = stability_window(n_sites)
     if not (lo < jbar < hi):
@@ -394,3 +397,23 @@ def critical_point(jbar: float, n_sites: int, hopping_sign: str | None = None) -
 def _softest_mode(jbar: float, n_sites: int) -> float:
     """min_k (1 + 2 jbar cos k) of a hopping and size :func:`critical_point` checked."""
     return float(np.min(1.0 + 2.0 * jbar * ring(n_sites).cosines))
+
+
+def _spectral_lower_bound(g: float, jbar: float, n_sites: int) -> float:
+    """A lower bound E_lb on :func:`rescaled_energy` at (g, jbar, N).
+
+    The hopping term jbar a^T A a, with A the ring's adjacency, is at least
+    (g_c^2 - 1) |a|^2 for the spectral g_c of :func:`critical_point`, so
+    the energy is at least that of N one-site double wells:
+
+        E_lb = -N/2                                   for g <= g_c,
+        E_lb = -N (g^2 / (4 g_c^2) + g_c^2 / (4 g^2))   for g > g_c.
+
+    Equality needs a vector of constant modulus in the softest hopping
+    eigenspace: the origin attains it at g <= g_c, and the uniform state
+    for jbar < 0 above g_c; above g_c the odd ring with jbar > 0 never does.
+    """
+    gc = critical_point(jbar, n_sites)
+    if g <= gc:
+        return -n_sites / 2
+    return -n_sites * (g * g / (4 * gc * gc) + gc * gc / (4 * g * g))

@@ -2,7 +2,8 @@
 
 Runs a fixed list of CLI runs (every subcommand in CSV and JSON, at
 N = 3, 5, 7, 9, 21 and jbar = +-0.01, -0.3, 0.2, 0.45, and the exhaustive
-``--manifold`` oracle at N = 3, 5, 7) against the package
+``--manifold`` oracle at N = 3, 5, 7, with jbar = -0.01 also at 0.5 g_c and
+g_c (1 + 1e-9)) against the package
 under a given ``src`` directory, in one child process, and prints one line
 per run: its exit code, the SHA-256 of its stdout and of its stderr, and
 its arguments.
@@ -26,6 +27,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -46,9 +48,13 @@ def cli_runs() -> list[list[str]]:
             runs += [["ground-state", *common, "--g", g], ["spectrum", *common, "--g", g]]
         runs += [["ground-state", *common, "--g", "1.2", "--manifold"],
                  ["sweep", *common], ["exponents", *common]]
-        if n in EXHAUSTIVE_SIZES:  # the 2^N oracle's route
+        if n in EXHAUSTIVE_SIZES:  # the oracle's routes
+            couplings = ["1.001", "1.2"]
+            if jbar == -0.01:  # its certified origin, and its uniform candidate at g_c
+                gc = math.sqrt(1.0 + 2.0 * jbar)  # the package's g_c at jbar < 0, bit for bit
+                couplings += [repr(0.5 * gc), repr(gc * (1.0 + 1e-9))]
             runs += [["ground-state", *common, "--g", g, "--manifold", "--seed-mode", "exhaustive"]
-                     for g in ("1.001", "1.2")]
+                     for g in couplings]
     return runs
 
 

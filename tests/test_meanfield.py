@@ -42,6 +42,7 @@ from frustra.model import (
     MeanFieldConfiguration,
     ModelParams,
     _landscape,
+    _spectral_lower_bound,
     critical_point,
     energy_gradient,
     energy_hessian,
@@ -207,14 +208,36 @@ class TestSolveGroundState:
             assert a[0] < 0 <= a[1]
             for j in range(1, (n - 1) // 2 + 1):
                 assert a[j] == a[n - j]
-        # energies only: at dg = 3e-8 the oracle still returns 4 uniform
-        # members for N = 5, jbar = -0.01, the extra two 40 % smaller yet
-        # inside SOLUTION_GRAD_TOL (gradient 7.5e-11) and within 2e-15 of
-        # the minimum energy; comparing states needs correctly rounded
-        # minimizers
-        members = enumerate_degenerate_ground_states(
-            p, SolverOptions(seed_mode="exhaustive"))
-        assert sol.config.energy <= min(m.energy for m in members) + 1e-10
+        # the oracle finds the solver's manifold, member for member
+        members = enumerate_degenerate_ground_states(p, SolverOptions(seed_mode="exhaustive"))
+        orbit = enumerate_degenerate_ground_states(sol)
+        assert len(members) == len(orbit) == sol.degeneracy
+        for member in members:
+            assert min(np.abs(member.alphas - o.alphas).max() for o in orbit) < MATCH_TOL
+
+    @pytest.mark.parametrize("n, jbar, reduced", [
+        (5, -0.01, 3e-8), (7, -0.3, 1e-9), (5, -0.001, 3e-8), (9, -0.1, 1e-9)])
+    def test_uniform_oracle_near_threshold_returns_the_solver_pair(self, n, jbar, reduced):
+        # the orbit rows stall here at uniform states up to 40 % smaller,
+        # inside SOLUTION_GRAD_TOL and within eps of the minimum energy, and
+        # were counted as members (4, 4, 12 and 6 of them); the lower bound
+        # certifies the one candidate row instead
+        p = params(jbar, critical_point(jbar, n) * (1 + reduced), n)
+        a = solve_ground_state(p).config.alphas
+        members = enumerate_degenerate_ground_states(p, SolverOptions(seed_mode="exhaustive"))
+        assert len(members) == 2  # in orbit order: the all -1 candidate's, then its flip
+        assert np.abs(members[0].alphas + a).max() < MATCH_TOL
+        assert np.abs(members[1].alphas - a).max() < MATCH_TOL
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("jbar", [-0.01, 0.01])
+    @pytest.mark.parametrize("reduced", [-0.5, -1e-6])
+    def test_oracle_below_threshold_returns_the_origin(self, n, jbar, reduced):
+        # the orbit rows stopped up to 1.7e-11 off the origin
+        p = params(jbar, critical_point(jbar, n) * (1 + reduced), n)
+        (member,) = enumerate_degenerate_ground_states(p, SolverOptions(seed_mode="exhaustive"))
+        assert member.alphas.tobytes() == solve_ground_state(p).config.alphas.tobytes()
+        assert member.alphas.tobytes() == np.zeros(n).tobytes()
 
     @pytest.mark.parametrize("n, jbar, reduced, phase", [
         (3, -0.01, 1e-12, Phase.NFSP), (3, -0.01, 1e-11, Phase.NFSP),
@@ -337,18 +360,43 @@ class TestDegenerateManifold:
         assert len(found_nfsp) == 2
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_exhaustive_mode_runs_no_orbit_solve(self, monkeypatch, n):
+    @pytest.mark.parametrize("jbar, factor", [(0.01, 1.01), (-0.01, 1.01), (0.01, 0.5)])
+    def test_exhaustive_mode_runs_no_orbit_solve(self, monkeypatch, n, jbar, factor):
         def refuse(*args, **kwargs):
             raise AssertionError("exhaustive mode must not call solve_ground_state")
 
         # the one-point solve is the stacked entry on a stack of one, so
-        # both entries are refused
+        # both entries are refused; the orbit search, the certified uniform
+        # candidate and the certified origin
         monkeypatch.setattr("frustra.meanfield.solve_ground_state", refuse)
         monkeypatch.setattr("frustra.meanfield.solve_ground_states", refuse)
-        gc = critical_point(0.01, n)
+        gc = critical_point(jbar, n)
         found = enumerate_degenerate_ground_states(
-            params(0.01, 1.01 * gc, n), SolverOptions(seed_mode="exhaustive"))
-        assert len(found) == 2 * n
+            params(jbar, factor * gc, n), SolverOptions(seed_mode="exhaustive"))
+        assert len(found) == (1 if factor < 1 else 2 if jbar < 0 else 2 * n)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_a_missed_bound_falls_back_to_the_same_members(self, monkeypatch, n):
+        # the certificate's slack decides the route, never the answer: with
+        # the bound out of reach the orbit search runs after the candidate
+        # and returns the certified members bit for bit
+        opts = SolverOptions(seed_mode="exhaustive")
+        points = [params(jbar, critical_point(jbar, n) * (1 + reduced), n)
+                  for jbar in (-0.3, -0.01) for reduced in (1e-6, 1e-2, 1.0)]
+        certified = [enumerate_degenerate_ground_states(p, opts) for p in points]
+        newton, stacks = meanfield._newton_minimize, []
+
+        def spy(fun, jac, hess_fn, x0):
+            stacks.append(len(x0))
+            return newton(fun, jac, hess_fn, x0)
+
+        monkeypatch.setattr(meanfield, "_newton_minimize", spy)
+        monkeypatch.setattr(meanfield, "_spectral_lower_bound", lambda g, jbar, n: -math.inf)
+        for p, members in zip(points, certified):
+            stacks.clear()
+            fallback = enumerate_degenerate_ground_states(p, opts)
+            assert stacks == [1, len(orbit_patterns(n))]
+            assert [m.alphas.tobytes() for m in fallback] == [m.alphas.tobytes() for m in members]
 
     def test_exhaustive_counts_each_minimum_once_near_threshold(self):
         # the mirror-odd direction is nearly flat here, so unpolished copies
@@ -733,6 +781,21 @@ class TestStackedSolve:
         assert record.endswith(f", {stationary} stationary rows, global tier of 1, 10 members")
         assert len(members) == 10
 
+    @pytest.mark.parametrize("jbar, reduced, candidate", [
+        (-0.01, 0.05, "uniform"), (0.01, -0.05, "origin")])
+    def test_debug_record_of_a_certified_oracle_call(self, caplog, jbar, reduced, candidate):
+        point = params(jbar, critical_point(jbar, 5) * (1 + reduced), 5)
+        with caplog.at_level(logging.DEBUG, logger="frustra.meanfield"):
+            members = enumerate_degenerate_ground_states(
+                point, SolverOptions(seed_mode="exhaustive"))
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "frustra.meanfield"]
+        energy = members[0].energy
+        margin = abs(energy - _spectral_lower_bound(point.g, jbar, 5)) / (EPS * abs(energy))
+        assert margin <= meanfield._BOUND_SLACK
+        assert record == (f"exhaustive g={point.g!r} jbar={jbar!r} N=5: the {candidate} "
+                          f"candidate meets the spectral lower bound within {margin:.2f} eps "
+                          f"of |E|, {len(members)} members")
+
     def test_debug_record_per_solved_point(self, caplog):
         gc = critical_point(0.01, 5)
         points = [params(0.01, g, 5) for g in (0.5, gc * 1.01, gc * 1.1)]
@@ -1067,15 +1130,28 @@ class TestSpectralLowerBound:
     #: rounding allowance of an energy, in units of eps |E|
     SLACK = 4.0
 
+    @staticmethod
+    def points(n):
+        return [params(jbar, critical_point(jbar, n) * (1 + r), n)
+                for jbar in (-0.3, -0.01, 0.01, 0.2)
+                for r in (-0.5, 1e-6, 1e-4, 1e-2, 1.0, 10.0, 1e3)]
+
+    @staticmethod
+    def bound(point):
+        g, gc, n = point.g, point.critical_coupling(), point.n_sites
+        return -n / 2 if g <= gc else -n * (g * g / (4 * gc * gc) + gc * gc / (4 * g * g))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 21])
+    def test_model_states_the_bound_bit_for_bit(self, n):
+        for point in self.points(n):
+            assert _spectral_lower_bound(point.g, point.jbar, n).hex() == self.bound(point).hex()
+
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 21])
     def test_bound_certifies_the_unfrustrated_minima(self, n):
-        points = [params(jbar, critical_point(jbar, n) * (1 + r), n)
-                  for jbar in (-0.3, -0.01, 0.01, 0.2)
-                  for r in (-0.5, 1e-6, 1e-4, 1e-2, 1.0, 10.0, 1e3)]
+        points = self.points(n)
         for point, outcome in zip(points, solve_ground_states(points)):
             assert isinstance(outcome, GroundStateSolution), (point, outcome)
-            g, gc = point.g, point.critical_coupling()
-            bound = -n / 2 if g <= gc else -n * (g * g / (4 * gc * gc) + gc * gc / (4 * g * g))
+            bound = self.bound(point)
             energy = outcome.config.energy
             slack = self.SLACK * EPS * abs(energy)
             assert energy >= bound - slack, point
@@ -1096,7 +1172,7 @@ class TestSpectralLowerBound:
             solution = solve_ground_state(params(jbar, g, n))
             assert solution.phase is Phase.FSP
             energy, reduced = solution.config.energy, (g - gc) / gc
-            bound = -n * (g * g / (4 * gc * gc) + gc * gc / (4 * g * g))
+            bound = self.bound(solution.params)
             excess = (energy - bound) / abs(energy)
             assert excess == pytest.approx(2 / 3 * reduced ** 2, rel=0.01), (n, jbar)
 

@@ -371,9 +371,9 @@ class TestCriticalPoint:
                 critical_point(0.123, 7, "negative")
 
     @pytest.mark.parametrize("jbar", [np.array([0.01, 0.02]), np.array([0.01]), [0.01],
-                                      "0.01", 0.01j, None])
+                                      [[0.01], [0.01, 0.02]], "0.01", 0.01j, None])
     def test_a_hopping_that_is_not_one_real_number_is_a_validation_error(self, jbar):
-        # numpy's untyped ValueError of an ambiguous truth value never escapes
+        # numpy's untyped ValueError (an ambiguous truth value, a ragged list) never escapes
         with pytest.raises(ValidationError, match="^jbar must be one real number"):
             critical_point(jbar, 5)
         with pytest.raises(ValidationError, match="^jbar must be one real number"):
