@@ -54,10 +54,12 @@ SOLUTION_GRAD_TOL = 1e-10
 MAX_ITERATIONS = 500
 #: Coherence distance within which two exhaustive minima are one member.
 MATCH_TOL = 1e-8
-#: Energy above the lowest within which an exhaustive minimum is global.
+#: Energy above the lowest within which an exhaustive minimum is global, or
+#: _BOUND_SLACK times the energy's rounding scale where that is larger.
 ENERGY_TOL = 1e-10
-#: Distance, in units of eps |E|, within which a candidate's energy E meets
-#: the spectral lower bound: rounding of E and of the bound, never physics.
+#: Distance, in units of the energy's rounding scale (:func:`_energy_rounding`),
+#: within which a candidate's energy meets the spectral lower bound: rounding
+#: of the energy and of the bound, never physics.
 _BOUND_SLACK = 8.0
 
 
@@ -712,7 +714,8 @@ def _enumerate_exhaustive(params: ModelParams):
         raise ConvergenceError("exhaustive enumeration found no stable minima")
 
     energies = landscape[0](found)
-    global_tier = found[energies <= energies.min() + ENERGY_TOL]
+    tolerance = max(ENERGY_TOL, _BOUND_SLACK * _energy_rounding(found, g, jbar).max())
+    global_tier = found[energies <= energies.min() + tolerance]
     phase = _PHASES[_phase_codes(np.abs(global_tier[0]).max(), jbar)]
     if phase is None:
         raise copy.copy(_UNCLASSIFIED)
@@ -755,7 +758,8 @@ def _certified_members(landscape, params: ModelParams, candidate: np.ndarray):
     """The manifold from one ``candidate`` row, the origin or the all -1
     orbit pattern, at a point whose :func:`~frustra.model._spectral_lower_bound`
     is attainable (g <= g_c, or jbar < 0); None if the candidate's minimum
-    misses the bound by more than _BOUND_SLACK eps |E|.
+    misses the bound by more than _BOUND_SLACK times the energy's rounding
+    scale (:func:`_energy_rounding`).
 
     Only constant modulus in the softest hopping eigenspace attains the
     bound: the origin below g_c and the two uniform states of jbar < 0.  So
@@ -770,15 +774,26 @@ def _certified_members(landscape, params: ModelParams, candidate: np.ndarray):
         return None
     (energy,) = landscape[0](found).tolist()
     bound = _spectral_lower_bound(params.g, params.jbar, params.n_sites)
-    margin = abs(energy - bound) / (np.finfo(float).eps * abs(energy))
+    margin = abs(energy - bound) / _energy_rounding(found[0], params.g, params.jbar)
     if not margin <= _BOUND_SLACK:
         return None
     members = _distinct_images(found)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("exhaustive g=%r jbar=%r N=%d: the %s candidate meets the spectral lower "
-                  "bound within %.2f eps of |E|, %d members", params.g, params.jbar,
+                  "bound within %.2f eps of its terms, %d members", params.g, params.jbar,
                   params.n_sites, "uniform" if found.any() else "origin", margin, len(members))
     return members
+
+
+def _energy_rounding(alphas: np.ndarray, g: float, jbar: float):
+    """eps times the sum over sites of the magnitudes of the energy's terms,
+    a_n^2 + sqrt(1 + 4 g^2 a_n^2)/2 + |2 jbar a_n a_{n+1}|, along the last
+    axis: the scale of the rounding of :func:`~frustra.model.rescaled_energy`,
+    which |E| underestimates where the terms cancel (jbar near -1/2)."""
+    a, right = alphas, ring(alphas.shape[-1]).right
+    terms = (a * a + 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a)
+             + np.abs(2.0 * jbar * a * a[..., right]))
+    return np.finfo(float).eps * terms.sum(axis=-1)
 
 
 def _distinct_images(global_tier) -> np.ndarray:

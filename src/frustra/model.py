@@ -16,7 +16,6 @@ the atomic energy scale); sites are numbered 1..N in the public interface.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from collections import namedtuple
@@ -321,9 +320,21 @@ def group_images(alphas: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def orbit_patterns(n_sites: int) -> tuple:
-    """The lexicographically first sign pattern of each rotation/flip orbit, sorted."""
-    return tuple(sorted({min(map(tuple, group_images(np.array(signs))))
-                         for signs in itertools.product((-1.0, 1.0), repeat=n_sites)}))
+    """The lexicographically first sign pattern of each rotation/flip orbit,
+    sorted, as tuples of -1.0 and 1.0.
+
+    A pattern is the integer with bit n - 1 - i set where site i is +1, so
+    integer order is lexicographic order; a code is kept where it is the
+    least of its rotations and their complements, the 2N group images."""
+    codes = np.arange(2 ** n_sites, dtype=np.int64)
+    full = 2 ** n_sites - 1
+    least = codes.copy()
+    for shift in range(n_sites):
+        rotated = ((codes << shift) | (codes >> (n_sites - shift))) & full
+        least = np.minimum(least, np.minimum(rotated, rotated ^ full))
+    kept = codes[least == codes]
+    bits = (kept[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+    return tuple(map(tuple, np.where(bits == 1, 1.0, -1.0).tolist()))
 
 
 def origin_hessian_eigenvalues(g: float, jbar: float, n_sites: int) -> np.ndarray:

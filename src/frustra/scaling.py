@@ -13,6 +13,7 @@ and additive non-critical backgrounds are negligible.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from warnings import warn
@@ -26,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .fluctuations import CRITICAL_REGIME_FACTOR, _site_moments
-from .meanfield import Phase, _rowwise, _soft_modes, _solve_stack
+from .meanfield import _UNCLASSIFIED, Phase, _rowwise, _soft_modes, _solve_stack
 from .model import ModelParams, critical_point, rescaled_energy, stability_window
 
 OBSERVABLES = ("gaps", "photon_numbers", "squeezing", "hessian_eigenvalues", "energy")
@@ -415,8 +416,12 @@ def extract_exponents(params: ModelParams,
     (unpaired-site photon exponent matching the mean-field gap exponent,
     paired sites matching the frustrated one, Hessian exponents twice the
     gap exponents) are reported as boolean checks; each failed check also
-    adds a ``check <name> failed`` warning.
+    adds a ``check <name> failed`` warning.  At jbar = 0 every superradiant
+    point lies on the first-order line of decoupled sites, which has no
+    phase, so the sweep is refused with the solver's :class:`ValidationError`.
     """
+    if params.jbar == 0:
+        raise copy.copy(_UNCLASSIFIED)
     spec = SweepSpec(jbar=params.jbar, n_sites=params.n_sites,
                      omega0=params.omega0, Omega=params.Omega,
                      reduced_min=window[0], reduced_max=window[1],
@@ -541,41 +546,14 @@ class DerivativeDiagnostics:
         return self.d1_right - self.d1_left
 
 
-def _locate_jump(table, column):
-    """Midpoint of the first pair of consecutive valid table entries with
-    the largest derivative change; NaN when nothing changes."""
-    xs, values = np.array(table)[:, [0, column]].T
-    xs, values = xs[~np.isnan(values)], values[~np.isnan(values)]
-    steps = np.abs(np.diff(values))
-    if not np.any(steps > 0):
-        return np.nan
-    k = int(np.argmax(steps))
-    return 0.5 * (xs[k] + xs[k + 1])
-
-
-def _one_sided_d1(f, center, h, sign):
-    # first derivative limit from one side, never sampling the center itself
-    # (the energy may be undefined exactly at the transition); the two-point
-    # slope estimates f' at an offset, which one Richardson pass cancels
-    def d1(step):
-        return sign * (f(center + sign * 2 * step) - f(center + sign * step)) / step
-
-    coarse, fine = d1(h), d1(h / 2.0)
-    return 2.0 * fine - coarse
-
-
-def _one_sided_d2(f, center, h, sign):
-    # one-sided second derivative using points strictly off the center,
-    # Richardson-extrapolated once to cancel the O(h) term
-    def d2(step):
-        f1 = f(center + sign * step)
-        f2 = f(center + sign * 2 * step)
-        f3 = f(center + sign * 3 * step)
-        f4 = f(center + sign * 4 * step)
-        return (2.0 * f1 - 5.0 * f2 + 4.0 * f3 - f4) / step ** 2
-
-    coarse, fine = d2(h), d2(h / 2.0)
-    return 2.0 * fine - coarse
+def _one_sided(energies, spacing: float, sign: int):
+    """(dE, d2E) at the center from one side, from the energies of the four
+    points sign * k * spacing off it, k = 1..4, never the center itself (the
+    energy may be undefined exactly at the transition): the two-point slope
+    estimates dE at an offset and the four-point difference d2E to O(spacing),
+    errors that one Richardson pass cancels."""
+    f1, f2, f3, f4 = energies
+    return sign * (f2 - f1) / spacing, (2.0 * f1 - 5.0 * f2 + 4.0 * f3 - f4) / spacing ** 2
 
 
 def energy_derivative_diagnostics(params: ModelParams, axis: str,
@@ -584,16 +562,18 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
     """Scan the ground-state energy along ``axis`` ('g' or 'jbar') across its
     transition and report first/second derivative limits and the jump.
 
-    The scan uses central differences on a uniform grid of spacing ``step``
-    that excludes the transition point itself; the one-sided limits at the
-    transition are Richardson-extrapolated.  For axis 'g' the transition is
-    the critical coupling of ``params`` (the sign of its jbar picks the
-    branch); for axis 'jbar' it is the decoupling point jbar = 0 at fixed g.
-    Every distinct point the scan reads is solved in one stacked call, as
-    arrays; if any fails, or is not a point :class:`ModelParams` accepts,
+    Every point the scan reads is x = center + m h/2 for an integer node m,
+    with h = ``step``: the grid of the table is the even m != 0 with |m| <=
+    2 round(half_width / h), where central differences of spacing h are
+    taken; the one-sided limits at the transition, which exclude the center
+    itself, are Richardson-extrapolated from the nodes +-1..4 (spacing h/2)
+    and +-2..8 (spacing h).  For axis 'g' the transition is the critical
+    coupling of ``params``; for axis 'jbar' it is the decoupling point
+    jbar = 0 at fixed g.  Every distinct node is solved in one stacked call,
+    as arrays; if any fails, or is not a point :class:`ModelParams` accepts,
     the error of the first in scan order (grid, then Richardson points) is
-    raised.  A ``step`` that is not finite and positive, or
-    that a finite ``half_width`` does not hold, raises :class:`ValidationError`.
+    raised.  A ``step`` that is not finite and positive, or that a finite
+    ``half_width`` does not hold, raises :class:`ValidationError`.
     """
     if axis == "g":
         center = params.critical_coupling()
@@ -606,14 +586,12 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
         raise ValidationError(f"need a finite positive step {step!r} that the finite "
                               f"half_width {half_width!r} holds at least once")
     steps = int(round(half_width / step))
-    offsets = np.concatenate([np.arange(-steps, 0), np.arange(1, steps + 1)])
-    xs = center + offsets * step
-
-    # every x the scan reads: the grid, then the Richardson points
-    # center + sign * k * h of the one-sided limits
-    richardson = [center + sign * k * h for k in range(1, 5)
-                  for sign in (-1.0, +1.0) for h in (step, step / 2.0)]
-    scanned = np.array(list(dict.fromkeys(float(x) for x in [*xs, *richardson])))
+    grid = [m for m in range(-2 * steps, 2 * steps + 1, 2) if m]
+    # (2j) (h/2) is j h and (sign 2k) (h/2) is sign k h, bit for bit; the
+    # Richardson nodes follow in the order a point-by-point scan reads them
+    richardson = [sign * k * half for k in range(1, 5) for sign in (-1, 1) for half in (2, 1)]
+    nodes = list(dict.fromkeys([*grid, *richardson]))
+    scanned = center + np.array(nodes) * (step / 2.0)
     fixed = np.full(len(scanned), float(params.jbar if axis == "g" else params.g))
     g, jbar = (scanned, fixed) if axis == "g" else (fixed, scanned)
     lo, hi = stability_window(params.n_sites)
@@ -627,32 +605,29 @@ def energy_derivative_diagnostics(params: ModelParams, axis: str,
             ModelParams(params.omega0, params.Omega, jbar[first].item(), g[first].item(),
                         params.n_sites)
         raise states.errors[np.count_nonzero(valid[:first])]
-    energy = dict(zip(scanned.tolist(), rescaled_energy(states.alphas, g, jbar)))
+    energies = rescaled_energy(states.alphas, g, jbar)
+    energy = dict(zip(nodes, energies))
 
-    def cached(x):
-        return energy[float(x)]
+    # central differences where both neighbours are one step away
+    xs, e = scanned[:len(grid)], energies[:len(grid)]
+    even, (d1, d2) = np.diff(grid, 2) == 0, np.full((2, len(grid)), np.nan)
+    d1[1:-1] = np.where(even, (e[2:] - e[:-2]) / (2 * step), np.nan)
+    d2[1:-1] = np.where(even, (e[2:] - 2 * e[1:-1] + e[:-2]) / step ** 2, np.nan)
 
-    energies = np.array([cached(x) for x in xs])
-    table = []
-    for i, x in enumerate(xs):
-        if 0 < i < len(xs) - 1 and abs(xs[i + 1] - xs[i - 1] - 2 * step) < step * 1e-6:
-            d1 = (energies[i + 1] - energies[i - 1]) / (2 * step)
-            d2 = (energies[i + 1] - 2 * energies[i] + energies[i - 1]) / step ** 2
-        else:
-            d1 = d2 = np.nan
-        table.append((float(x), float(energies[i]), float(d1), float(d2)))
-
-    d1_left = _one_sided_d1(cached, center, step, -1.0)
-    d1_right = _one_sided_d1(cached, center, step, +1.0)
-    d2_left = _one_sided_d2(cached, center, step, -1.0)
-    d2_right = _one_sided_d2(cached, center, step, +1.0)
+    # per side, one Richardson pass from spacing h to h/2: 2 fine - coarse
+    (d1_left, d2_left), (d1_right, d2_right) = ((
+        2.0 * np.array(_one_sided([energy[sign * k] for k in range(1, 5)], step / 2.0, sign))
+        - np.array(_one_sided([energy[sign * 2 * k] for k in range(1, 5)], step, sign))
+    ).tolist() for sign in (-1, 1))
 
     scale = max(1.0, abs(d1_left), abs(d1_right))
-    table = tuple(table)
-    # the order of the first derivative that jumps; its table column is order + 1
+    # the order of the first derivative that jumps, located at the midpoint
+    # of the first pair of consecutive valid entries with its largest change
     order = 1 if abs(d1_right - d1_left) > 1e-3 * scale else 2
-    location = _locate_jump(table, order + 1)
-    return DerivativeDiagnostics(axis, float(center), table,
-                                 float(d1_left), float(d1_right),
-                                 float(d2_left), float(d2_right),
-                                 order, float(location))
+    column = (d1, d2)[order - 1]
+    kept, changes = xs[~np.isnan(column)], np.abs(np.diff(column[~np.isnan(column)]))
+    k = int(np.argmax(changes)) if np.any(changes > 0) else -1
+    location = 0.5 * (kept[k] + kept[k + 1]) if k >= 0 else np.nan
+    table = tuple(zip(xs.tolist(), e.tolist(), d1.tolist(), d2.tolist()))
+    return DerivativeDiagnostics(axis, float(center), table, d1_left, d1_right, d2_left,
+                                 d2_right, order, float(location))

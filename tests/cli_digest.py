@@ -1,12 +1,14 @@
 """Digest of the ``frustra`` command line's outputs, for comparing two trees.
 
 Runs a fixed list of CLI runs (every subcommand in CSV and JSON, at
-N = 3, 5, 7, 9, 21 and jbar = +-0.01, -0.3, 0.2, 0.45, and the exhaustive
+N = 3, 5, 7, 9, 21 and jbar = +-0.01, -0.3, 0.2, 0.45, the exhaustive
 ``--manifold`` oracle at N = 3, 5, 7, with jbar = -0.01 also at 0.5 g_c and
-g_c (1 + 1e-9)) against the package
-under a given ``src`` directory, in one child process, and prints one line
-per run: its exit code, the SHA-256 of its stdout and of its stderr, and
-its arguments.
+g_c (1 + 1e-9), and ``sweep`` and ``exponents`` at jbar = 0.0), then the
+transition-order scans ``energy_derivative_diagnostics`` over N = 3, 5, 7,
+jbar = +-0.01, 0.2, -0.3, both axes and four (half_width, step) pairs,
+against the package under a given ``src`` directory, in one child process,
+and prints one line per run: its exit code, the SHA-256 of its stdout (a
+scan's ``repr``) and of its stderr (a scan's error), and its arguments.
 
     python tests/cli_digest.py src                        # one digest per run
     python tests/cli_digest.py src --dump rows.json       # and the parsed rows
@@ -36,6 +38,11 @@ from contextlib import redirect_stderr, redirect_stdout
 SIZES = (3, 5, 7, 9, 21)
 HOPPINGS = (0.01, -0.01, -0.3, 0.2, 0.45)
 EXHAUSTIVE_SIZES = (3, 5, 7)
+#: The scans: sizes, hoppings, axes (each at its g) and (half_width, step) pairs.
+SCAN_SIZES = (3, 5, 7)
+SCAN_HOPPINGS = (0.01, -0.01, 0.2, -0.3)
+SCAN_AXES = {"g": 1.0, "jbar": 1.2}
+SCAN_STEPS = ((4e-3, 1e-4), (1e-3, 1e-4), (2e-4, 1e-4), (0.05, 3e-3))
 
 
 def cli_runs() -> list[list[str]]:
@@ -55,7 +62,39 @@ def cli_runs() -> list[list[str]]:
                 couplings += [repr(0.5 * gc), repr(gc * (1.0 + 1e-9))]
             runs += [["ground-state", *common, "--g", g, "--manifold", "--seed-mode", "exhaustive"]
                      for g in couplings]
+    for n, fmt in itertools.product(SIZES, ("csv", "json")):  # the first-order line
+        common = ["--sites", str(n), "--jbar", "0.0", "--format", fmt]
+        runs += [["sweep", *common], ["exponents", *common]]
     return runs
+
+
+def scan_runs() -> list[list[str]]:
+    """The argument lists of every transition-order scan, in a fixed order."""
+    return [["scan", "--axis", axis, "--sites", str(n), "--jbar", repr(jbar),
+             "--half-width", repr(half_width), "--step", repr(step)]
+            for n, jbar, axis, (half_width, step) in itertools.product(
+                SCAN_SIZES, SCAN_HOPPINGS, SCAN_AXES, SCAN_STEPS)]
+
+
+def _scan(argv: list[str]) -> dict:
+    """One scan's result: its ``repr`` as stdout, an error as stderr, and
+    its numbers as rows, a table row per grid point and one of the limits."""
+    from frustra.errors import FrustraError
+    from frustra.model import ModelParams
+    from frustra.scaling import energy_derivative_diagnostics
+
+    option = dict(zip(argv[1::2], argv[2::2]))
+    axis, n = option["--axis"], int(option["--sites"])
+    params = ModelParams(1.0, 1.0, float(option["--jbar"]), SCAN_AXES[axis], n)
+    try:
+        diag = energy_derivative_diagnostics(params, axis, float(option["--half-width"]),
+                                             float(option["--step"]))
+    except FrustraError as exc:
+        return {"argv": argv, "exit": 1, "stdout": "", "stderr": f"{exc!r}\n", "rows": []}
+    rows = [["table", str(i), *entry] for i, entry in enumerate(diag.table)]
+    rows.append(["limits", str(diag.discontinuity_order), diag.center, diag.d1_left,
+                 diag.d1_right, diag.d2_left, diag.d2_right, diag.detected_location])
+    return {"argv": argv, "exit": 0, "stdout": repr(diag), "stderr": "", "rows": rows}
 
 
 def _run_all(src: str) -> None:
@@ -74,6 +113,7 @@ def _run_all(src: str) -> None:
                 code = exc.code
         results.append({"argv": argv, "exit": code, "stdout": out.getvalue(),
                         "stderr": err.getvalue()})
+    results += [_scan(argv) for argv in scan_runs()]
     json.dump(results, sys.stdout)
 
 
@@ -85,8 +125,11 @@ def collect(src: str) -> list[dict]:
 
 def parse(result: dict):
     """(frame, rows) of one run: the JSON config and warnings (None for
-    CSV), and each output row as [observable, index, g, reduced, value]."""
+    CSV and scans), and each output row as [observable, index, g, reduced,
+    value], or a scan's rows as [kind, index, *numbers]."""
     stdout, argv = result["stdout"], result["argv"]
+    if "rows" in result:
+        return None, result["rows"]
     if not stdout:
         return None, []
     if argv[argv.index("--format") + 1] == "json":

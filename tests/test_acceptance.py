@@ -230,12 +230,14 @@ def test_criterion_08_hessian_scaling(stated_window_reports):
 
 
 def test_criterion_09_transition_order():
-    gc = critical_point(JBAR, 3)
-    diag_g = energy_derivative_diagnostics(params(JBAR, 1.0), axis="g")
+    n = 3
+    gc = critical_point(JBAR, n)
+    diag_g = energy_derivative_diagnostics(params(JBAR, 1.0, n), axis="g")
     assert diag_g.discontinuity_order == 2
     assert diag_g.detected_location == pytest.approx(gc, abs=2e-4)
     assert abs(diag_g.d1_jump) < 1e-3
-    expected = -4.0 / gc ** 2
+    # d2E/dg2(g_c+) = -(4N/3)/g_c^2 on the frustrated side, -4/g_c^2 at N = 3
+    expected = -(4.0 * n / 3.0) / gc ** 2
     assert diag_g.d2_right == pytest.approx(expected, rel=0.02)
     assert abs(diag_g.d2_left) < 0.02 * abs(expected)
 

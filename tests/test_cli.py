@@ -327,6 +327,14 @@ class TestExponentsCommand:
         assert [line for line in err.splitlines() if line.startswith("warning: check ")] == [
             f"warning: check {name} failed" for name in failed]
 
+    def test_zero_hopping_exits_with_the_unclassified_phase_error(self, capsys):
+        # every superradiant point of jbar = 0 is on the first-order line, as
+        # ground-state --g 1.2 --jbar 0 reports; no exponent is fitted
+        for argv in (("exponents",), ("ground-state", "--g", "1.2")):
+            code, out, err = run_cli(capsys, *argv, "--jbar", "0", "--sites", "3")
+            assert (code, out) == (2, "")
+            assert err == f"error: {meanfield._UNCLASSIFIED}\n"
+
     def test_readme_example_passes_every_check(self, capsys):
         # exponents fits over extract_exponents' window; sweep keeps its own
         code, out, _ = run_cli(capsys, "exponents", "--jbar", "0.01", "--sites", "5",

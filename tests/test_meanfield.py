@@ -398,6 +398,27 @@ class TestDegenerateManifold:
             assert stacks == [1, len(orbit_patterns(n))]
             assert [m.alphas.tobytes() for m in fallback] == [m.alphas.tobytes() for m in members]
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_cancelling_terms_keep_the_certified_route(self, monkeypatch, n):
+        # at jbar -0.49 the energy's terms nearly cancel, so |E| is far below
+        # the sum of their magnitudes, which sets its rounding: measured in
+        # that sum the uniform minima meet the bound and run no orbit search,
+        # and their members are the fallback's bit for bit
+        opts = SolverOptions(seed_mode="exhaustive")
+        points = [params(-0.49, critical_point(-0.49, n) * (1 + reduced), n)
+                  for reduced in (0.1, 10.0, 100.0)]
+
+        def refuse(n_sites):
+            raise AssertionError("the orbit search ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(meanfield, "orbit_patterns", refuse)
+            certified = [enumerate_degenerate_ground_states(p, opts) for p in points]
+        monkeypatch.setattr(meanfield, "_spectral_lower_bound", lambda g, jbar, n: -math.inf)
+        for p, members in zip(points, certified):
+            fallback = enumerate_degenerate_ground_states(p, opts)
+            assert [m.alphas.tobytes() for m in fallback] == [m.alphas.tobytes() for m in members]
+
     def test_exhaustive_counts_each_minimum_once_near_threshold(self):
         # the mirror-odd direction is nearly flat here, so unpolished copies
         # of one minimum stop more than MATCH_TOL apart
@@ -457,6 +478,25 @@ class TestOrbitPatterns:
             assert tuple(pattern) == min(orbit)  # the lexicographically first
         for signs in itertools.product((-1.0, 1.0), repeat=n):
             assert sum(signs in orbit for orbit in orbits) == 1
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+    def test_integer_codes_give_the_least_tuple_of_each_orbit(self, n):
+        # the set-of-tuples definition: each pattern's least group image
+        expected = tuple(sorted({min(map(tuple, group_images(np.array(signs))))
+                                 for signs in itertools.product((-1.0, 1.0), repeat=n)}))
+        assert orbit_patterns(n) == expected
+
+    @pytest.mark.parametrize("n", range(3, 20, 2))
+    def test_orbit_count_is_the_necklace_count(self, n):
+        # binary necklaces under rotation and complement, n odd:
+        # (2^n + sum over divisors d > 1 of phi(d) 2^(n/d)) / (2n)
+        def phi(d):
+            return sum(math.gcd(d, k) == 1 for k in range(1, d + 1))
+
+        count = (2 ** n + sum(phi(d) * 2 ** (n // d)
+                              for d in range(2, n + 1) if n % d == 0)) // (2 * n)
+        assert len(orbit_patterns(n)) == count
+        assert n != 19 or count == 13798
 
     def test_group_images_are_the_rotations_and_flips(self):
         alphas = np.array([-0.3, 0.1, 0.2, 0.1, 0.4])
@@ -789,12 +829,14 @@ class TestStackedSolve:
             members = enumerate_degenerate_ground_states(
                 point, SolverOptions(seed_mode="exhaustive"))
         (record,) = [r.getMessage() for r in caplog.records if r.name == "frustra.meanfield"]
-        energy = members[0].energy
-        margin = abs(energy - _spectral_lower_bound(point.g, jbar, 5)) / (EPS * abs(energy))
+        a, energy = members[0].alphas, members[0].energy
+        terms = np.sum(a * a + 0.5 * np.sqrt(1.0 + 4.0 * point.g * point.g * a * a)
+                       + np.abs(2.0 * jbar * a * np.roll(a, -1)))
+        margin = abs(energy - _spectral_lower_bound(point.g, jbar, 5)) / (EPS * terms)
         assert margin <= meanfield._BOUND_SLACK
         assert record == (f"exhaustive g={point.g!r} jbar={jbar!r} N=5: the {candidate} "
                           f"candidate meets the spectral lower bound within {margin:.2f} eps "
-                          f"of |E|, {len(members)} members")
+                          f"of its terms, {len(members)} members")
 
     def test_debug_record_per_solved_point(self, caplog):
         gc = critical_point(0.01, 5)

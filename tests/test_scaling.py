@@ -371,6 +371,17 @@ class TestExponentReports:
         rows.clear(), missing.clear()
         assert result.rows and result.missing
 
+    def test_zero_hopping_is_refused_before_sweeping(self, monkeypatch):
+        # the whole superradiant side of jbar = 0 is the unclassified
+        # first-order line, so no sweep runs and no fit is silently dropped
+        def refuse(spec):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(scaling, "run_sweep", refuse)
+        with pytest.raises(ValidationError) as caught:
+            extract_exponents(params(0.0))
+        assert str(caught.value) == str(meanfield._UNCLASSIFIED)
+
     def test_large_lattice_flagged_unvalidated(self):
         report = extract_exponents(params(0.01, n=9), window=(3e-4, 1e-2),
                                    points_per_decade=6)
@@ -467,22 +478,28 @@ class TestFitOnce:
 
 
 class TestDerivativeDiagnostics:
-    def test_second_order_jump_positive_hopping(self):
-        diag = energy_derivative_diagnostics(params(0.01), axis="g")
-        gc = critical_point(0.01, 3)
+    # d2E/dg2 just above g_c is -(4N/3)/g_c^2 on the frustrated side and
+    # -2N/g_c^2 on the uniform one, at every N
+    @pytest.mark.parametrize("jbar", [0.01, 0.2])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_second_order_jump_positive_hopping(self, n, jbar):
+        diag = energy_derivative_diagnostics(params(jbar, n=n), axis="g")
+        gc = critical_point(jbar, n)
         assert diag.center == pytest.approx(gc)
         assert diag.detected_location == pytest.approx(gc, abs=2e-4)
         assert diag.discontinuity_order == 2
         assert abs(diag.d1_jump) < 1e-3
         assert diag.d2_left == pytest.approx(0.0, abs=1e-3)
-        assert diag.d2_right == pytest.approx(-4.0 / gc ** 2, rel=0.02)
+        assert diag.d2_right == pytest.approx(-(4.0 * n / 3.0) / gc ** 2, rel=0.02)
 
-    def test_second_order_jump_negative_hopping(self):
-        diag = energy_derivative_diagnostics(params(-0.01), axis="g")
-        gc = critical_point(-0.01, 3)
+    @pytest.mark.parametrize("jbar", [-0.01, -0.3])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_second_order_jump_negative_hopping(self, n, jbar):
+        diag = energy_derivative_diagnostics(params(jbar, n=n), axis="g")
+        gc = critical_point(jbar, n)
         assert diag.discontinuity_order == 2
         assert abs(diag.d1_jump) < 1e-3
-        assert diag.d2_right == pytest.approx(-6.0 / gc ** 2, rel=0.02)
+        assert diag.d2_right == pytest.approx(-2.0 * n / gc ** 2, rel=0.02)
 
     def test_first_order_jump_across_zero_hopping(self):
         g = 1.2
