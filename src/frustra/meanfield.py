@@ -377,45 +377,45 @@ def _mirror_reduced(n_sites: int, landscape):
 # seeds, canonicalization, phase logic
 
 #: The rows of :func:`_seed_templates`.
-UNIFORM, NEAR_CRITICAL, FRUSTRATED = range(3)
+UNIFORM, NEAR_CRITICAL = range(2)
 
 
 @functools.cache
 def _seed_templates(n_sites: int) -> np.ndarray:
     """The read-only seed templates of one lattice size over the
-    mirror-group values: UNIFORM all ones, FRUSTRATED the canonical
-    frustrated pattern of the :func:`~frustra.model.ring` table,
-    NEAR_CRITICAL that pattern with the unpaired site doubled."""
-    pattern = ring(n_sites).pattern[: (n_sites + 1) // 2]
-    near_critical = pattern.copy()
+    mirror-group values: UNIFORM all ones, NEAR_CRITICAL the canonical
+    frustrated pattern of the :func:`~frustra.model.ring` table with the
+    unpaired site doubled."""
+    near_critical = ring(n_sites).pattern[: (n_sites + 1) // 2].copy()
     near_critical[0] *= 2.0
-    templates = np.array([np.ones_like(pattern), near_critical, pattern])
+    templates = np.array([np.ones_like(near_critical), near_critical])
     templates.flags.writeable = False
     return templates
 
 
-def _seed_alphas(g: float, jbar: float, gc: float) -> list[tuple[int, float]]:
-    """One seed per symmetry orbit (rotations and the global sign flip)
-    that can hold the global minimum of the point (g, jbar) above its
-    critical coupling ``gc``, as (template, magnitude) pairs: the seed is
-    the magnitude times that row of the :func:`_seed_templates`.
+def _seed_alphas(g: float, jbar: float, gc: float) -> tuple[int, float]:
+    """The one seed of the point (g, jbar) above its critical coupling
+    ``gc``, as a (template, magnitude) pair: the seed is the magnitude
+    times that row of the :func:`_seed_templates`.
 
     - the origin is stationary there but never a minimum, so never seeded;
     - for jbar <= 0 the hopping term is at least 2 jbar sum alpha_n^2, equal
       only for a uniform state, so the uniform closed form is global and
-      the one seed;
+      the seed;
     - for jbar > 0 a uniform state of magnitude a lies exactly
-      4 jbar a^2 (N - 1) above the frustrated pattern of magnitude a, so
-      only the canonical frustrated pattern is seeded: at its near-critical
-      magnitude and, above sqrt(1 + 2 jbar), at the uniform one.
+      4 jbar a^2 (N - 1) above the frustrated pattern of magnitude a, and
+      every member of the frustrated manifold is an image of the canonical
+      one under the ring's symmetries, so the seed is the canonical
+      frustrated pattern at its near-critical magnitude, at every g.
 
-    Every seed is mirror-symmetric about site 1.
+    The seed is mirror-symmetric about site 1.  A coupling whose uniform
+    magnitude is not representable raises :class:`DomainError` for either
+    sign of jbar (:func:`_uniform_magnitude`).
     """
     uniform = _uniform_magnitude(g, jbar)
     if jbar <= 0:
-        return [(UNIFORM, uniform)]
-    near_critical = [(NEAR_CRITICAL, _near_critical_magnitude(g, gc))]
-    return near_critical if uniform is None else near_critical + [(FRUSTRATED, uniform)]
+        return UNIFORM, uniform
+    return NEAR_CRITICAL, _near_critical_magnitude(g, gc)
 
 
 def _near_critical_magnitude(g: float, gc: float) -> float:
@@ -495,27 +495,24 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     <= 1 + x/2 gives E(alpha) >= E(0) + alpha^T H_0 alpha / 2, and the
     origin Hessian H_0 is positive semidefinite up to g_c; the stack's
     normal points share one :func:`origin_hessian_eigenvalues` call.  Each
-    superradiant point gets one seed per symmetry orbit that can hold the
-    global minimum (:func:`_seed_alphas`).  Every seed is mirror-symmetric
-    about site 1, and so is every ground state up to a rotation, so the
-    seeds of all points run as one mirror-reduced Newton stack ((N+1)/2
-    values a row).  The lowest eigenvalue of the full N x N Hessian
+    superradiant point gets one seed (:func:`_seed_alphas`), mirror-symmetric
+    about site 1, as is every ground state up to a rotation, so the points
+    run as one mirror-reduced Newton stack ((N+1)/2 values a row), a row per
+    point.  The lowest eigenvalue of the full N x N Hessian
     (:func:`_hessian_eigenvalues`, on Hessians of the stack's own kernel)
-    then confirms each stationary point is a minimum, and the lowest-energy
-    one wins (the first in seed order on a tie) and carries that spectrum.
-    A point's error is its first failing seed's, else a
-    :class:`ConvergenceError` if no seed reached a minimum, else that of
-    the first check of :func:`_canonical` its winner fails.  Rows never
-    mix, so a point's row is a pure function of its parameters, whatever
-    else the stack holds.  At ``logging.DEBUG`` the ``frustra.meanfield``
-    logger gets one record per solved point.
+    then confirms the stationary point is a minimum, and the row carries
+    that spectrum.  A point's error is its row's Newton failure, else a
+    :class:`ConvergenceError` if the row is not a stable stationary point,
+    else that of the first check of :func:`_canonical` the row fails.  Rows
+    never mix, so a point's row is a pure function of its parameters,
+    whatever else the stack holds.  At ``logging.DEBUG`` the
+    ``frustra.meanfield`` logger gets one record per solved point.
     """
     debug = log.isEnabledFor(logging.DEBUG)
     errors: list = [None] * len(g)
     hopping = gc = None  # g_c is looked up again only where the hopping changes
-    # the normal points; per seeded point its index and first seed row; per
-    # seed row its seeded point and (template, magnitude)
-    normal, solving, starts, group, seeds = [], [], [], [], []
+    # the normal points; the seeded points and their (template, magnitude)
+    normal, solving, seeds = [], [], []
     for index, (g_i, jbar_i) in enumerate(zip(g.tolist(), jbar.tolist())):
         try:
             if jbar_i != hopping:
@@ -526,23 +523,19 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
                     log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
                               g_i, jbar_i, n_sites)
                 continue
-            point_seeds = _seed_alphas(g_i, jbar_i, gc)
+            seeds.append(_seed_alphas(g_i, jbar_i, gc))
         except FrustraError as exc:
             errors[index] = exc
             continue
-        group += [len(solving)] * len(point_seeds)
         solving.append(index)
-        starts.append(len(seeds))
-        seeds += point_seeds
     # every row starts as the normal phase's: the origin, at no residual
     alphas, spectra = np.zeros((2, len(g), n_sites))
     phases, grad_norm = np.full(len(g), Phase.NORMAL), np.zeros(len(g))
     if normal:  # the origin wins, with the closed-form spectra of one call
         spectra[normal] = origin_hessian_eigenvalues(g[normal], jbar[normal], n_sites)
     if seeds:
-        solving, templates, magnitudes = np.array(solving), *zip(*seeds)
-        seed_g, seed_jbar = g[solving[group]], jbar[solving[group]]
-        landscape = _landscape(n_sites, seed_g, seed_jbar)  # read again by row ids after Newton
+        solving, (templates, magnitudes) = np.array(solving), zip(*seeds)
+        landscape = _landscape(n_sites, g[solving], jbar[solving])  # read again after Newton
         expand, fun, jac, hess_fn = _mirror_reduced(n_sites, landscape)
         y, _, steps, failures = _newton_minimize(fun, jac, hess_fn, _seed_templates(n_sites)[
             list(templates)] * np.array(magnitudes)[:, None])
@@ -553,40 +546,27 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
         stationary = settled[~(residual[settled] > 1e-6)]
         candidates = found[stationary]
         checked = _hessian_eigenvalues(
-            candidates, seed_g[stationary], seed_jbar[stationary],
+            candidates, g[solving[stationary]], jbar[solving[stationary]],
             lambda dense: landscape[2](candidates[dense], stationary[dense]))
         stationary, checked = _drop(np.isnan(checked[:, 0]), stationary, failures, _UNCONVERGED,
                                     checked)
-        seed_spectra = np.full(found.shape, np.nan)  # per checked row its spectrum
-        seed_spectra[stationary] = checked
+        spectra[solving[stationary]] = checked
         minima = stationary[~(checked[:, 0] < PSD_TOLERANCE)]
-        energy = np.full(len(y), np.inf)  # of the minima
-        energy[minima] = landscape[0](found[minima], minima)
-        # per seeded point, over its consecutive seed rows: the lowest energy of
-        # a minimum and the first row at it (without a minimum, the first row)
-        lowest = np.minimum.reduceat(energy, starts)
-        winners = np.minimum.reduceat(
-            np.where(energy == lowest[np.array(group)], np.arange(len(y)), len(y)), starts)
         alphas[solving], phases[solving], point_errors = _canonical(
-            found[winners], residual[winners], jbar[solving])
-        grad_norm[solving], spectra[solving] = residual[winners], seed_spectra[winners]
-        stops = [*starts[1:], len(y)]
-        for k in np.flatnonzero(lowest == math.inf).tolist():
-            point_errors[k] = ConvergenceError(
-                f"no seed converged to a stable stationary point at g={g[solving[k]]}, "
-                f"jbar={jbar[solving[k]]}",
-                best_residual=min(math.inf, *residual[starts[k]:stops[k]].tolist()))
-        # a failed seed's error (the point's first, set last), then no minimum, then the checks
-        point_errors.update({group[row]: failures[row] for row in sorted(failures, reverse=True)})
-        for k, error in point_errors.items():
-            errors[solving[k]] = error
-        for k in (k for k in range(len(solving)) if debug and k not in point_errors):
-            start, stop, row = starts[k], stops[k], winners[k]
-            log.debug("solved g=%r jbar=%r N=%d: %d seeds tried, %d passed the gradient "
-                      "and PSD filters, seed %d won after %d descent and %d endgame "
-                      "steps, grad_norm %.3e", g[solving[k]].item(), jbar[solving[k]].item(),
-                      n_sites, stop - start, np.count_nonzero(energy[start:stop] < math.inf),
-                      row - start + 1, *steps[row], residual[row])
+            found, residual, jbar[solving])
+        grad_norm[solving] = residual
+        # a failed row's error, then no minimum, then the checks
+        for row in np.setdiff1d(settled, minima).tolist():
+            point_errors[row] = ConvergenceError(
+                f"no seed converged to a stable stationary point at g={g[solving[row]]}, "
+                f"jbar={jbar[solving[row]]}", best_residual=residual[row].item())
+        point_errors.update(failures)
+        for row, error in point_errors.items():
+            errors[solving[row]] = error
+        for row in (row for row in range(len(y)) if debug and row not in point_errors):
+            log.debug("solved g=%r jbar=%r N=%d: %d descent and %d endgame steps, "
+                      "grad_norm %.3e", g[solving[row]].item(), jbar[solving[row]].item(),
+                      n_sites, *steps[row], residual[row])
     failed = [index for index, error in enumerate(errors) if error is not None]
     if failed:
         alphas[failed] = spectra[failed] = grad_norm[failed] = np.nan
@@ -597,15 +577,15 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
 
 
 def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, jbar: np.ndarray):
-    """Winning minimizers (rows, N), with their gradient residuals and
+    """Minimizers (rows, N), with their gradient residuals and
     hoppings, classified and put in their canonical frame as one stack:
     ``(alphas, phases, errors)``, with by row the error of the first check
     it fails: the classification, the frame, and the residual check of
     :class:`GroundStateSolution`.  The Hessian depends on the coherences
-    through their squares only, so the sign flip keeps a winner's spectrum.
+    through their squares only, so the sign flip keeps a row's spectrum.
 
-    Every seed is mirror-symmetric about site 1, so a frustrated winner is
-    too and is canonical up to its global sign: the mirror maps the aligned
+    Every seed is mirror-symmetric about site 1, so a frustrated minimizer
+    is too and is canonical up to its global sign: the mirror maps the aligned
     pair (i, i+1) (0-based, cyclic) to (-i-1, -i), so a unique one has
     i = (N-1)/2, opposite site 1.  :func:`_canonical_frames` still checks
     the frustrated rows for exactly one aligned pair, and its shift is 0.

@@ -1,7 +1,8 @@
 """Digest of the ``frustra`` command line's outputs, for comparing two trees.
 
 Runs a fixed list of CLI runs (every subcommand in CSV and JSON, at
-N = 3, 5, 7, 9, 21 and jbar = +-0.01, -0.3, 0.2, 0.45, the exhaustive
+N = 3, 5, 7, 9, 21 and jbar = +-0.01, -0.3, 0.2, 0.45, ``ground-state`` also
+at the strong couplings g = 10 and 1000, the exhaustive
 ``--manifold`` oracle at N = 3, 5, 7, with jbar = -0.01 also at 0.5 g_c and
 g_c (1 + 1e-9), and ``sweep`` and ``exponents`` at jbar = 0.0), then the
 transition-order scans ``energy_derivative_diagnostics`` over N = 3, 5, 7,
@@ -55,6 +56,7 @@ def cli_runs() -> list[list[str]]:
             runs += [["ground-state", *common, "--g", g], ["spectrum", *common, "--g", g]]
         runs += [["ground-state", *common, "--g", "1.2", "--manifold"],
                  ["sweep", *common], ["exponents", *common]]
+        runs += [["ground-state", *common, "--g", g] for g in ("10", "1000")]  # strong coupling
         if n in EXHAUSTIVE_SIZES:  # the oracle's routes
             couplings = ["1.001", "1.2"]
             if jbar == -0.01:  # its certified origin, and its uniform candidate at g_c

@@ -1,6 +1,8 @@
 import itertools
 import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -63,11 +65,10 @@ def params(jbar, g, n=3):
 
 
 def seed_alphas(point):
-    """The solver's seeds of a superradiant point as full configurations."""
-    templates, incidence = meanfield._seed_templates(point.n_sites), ring(point.n_sites).incidence
-    return [magnitude * templates[template] @ incidence.T
-            for template, magnitude in _seed_alphas(point.g, point.jbar,
-                                                    point.critical_coupling())]
+    """The solver's seed of a superradiant point as a full configuration."""
+    template, magnitude = _seed_alphas(point.g, point.jbar, point.critical_coupling())
+    return magnitude * meanfield._seed_templates(point.n_sites)[template] @ ring(
+        point.n_sites).incidence.T
 
 
 class TestClosedForms:
@@ -85,7 +86,7 @@ class TestClosedForms:
                     math.sqrt(g - gc) / (math.sqrt(3.0) * gc ** 1.5)).hex()
                 assert magnitude.hex() == float(
                     np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5)).hex()
-                assert _seed_alphas(g, jbar, gc)[0] == (meanfield.NEAR_CRITICAL, magnitude)
+                assert _seed_alphas(g, jbar, gc) == (meanfield.NEAR_CRITICAL, magnitude)
 
     def test_nfsp_vanishes_at_threshold(self):
         gc = critical_point(-0.01, 3)
@@ -247,27 +248,6 @@ class TestSolveGroundState:
         # only an unseeded origin keeps these points superradiant
         gc = critical_point(jbar, n)
         assert solve_ground_state(params(jbar, gc * (1 + reduced), n)).phase is phase
-
-    @pytest.mark.parametrize("n", [3, 5, 7])
-    @pytest.mark.parametrize("jbar", [-0.3, -0.01, 0.0, 0.01, 0.3])
-    def test_seeds_only_the_orbits_that_can_hold_the_minimum(self, n, jbar):
-        gc = critical_point(jbar, n)
-        uniform_from = np.sqrt(1 + 2 * jbar)  # the uniform state exists above it
-        for g in (gc * (1 + 1e-6), gc * 1.1, uniform_from * 1.1):
-            seeds = seed_alphas(params(jbar, g, n))
-            assert all(np.all(seed != 0) for seed in seeds)
-            if jbar <= 0:
-                assert len(seeds) == 1 and np.array_equal(
-                    seeds[0], np.full(n, nfsp_closed_form(g, jbar)))
-                continue
-            assert len(seeds) == (2 if g > uniform_from else 1)
-            for seed in seeds:  # the canonical frustrated pattern
-                assert np.array_equal(np.sign(seed), ring(n).pattern)
-            near_critical = np.abs(seeds[0])
-            assert np.all(near_critical[1:] == near_critical[1])
-            assert near_critical[0] == 2 * near_critical[1]
-            if len(seeds) == 2:  # then at the uniform magnitude
-                assert np.ptp(np.abs(seeds[1])) == 0
 
     def test_uniformity_property_negative_hopping(self):
         # energy lower bound argument: the minimizer is uniform for jbar < 0
@@ -508,7 +488,7 @@ def _origin_only_at(g_bad):
     """_seed_alphas with the one point at g_bad seeded from the origin
     alone: a saddle there, so no seed passes the PSD filter."""
     def seeds(g, jbar, gc):
-        return [(meanfield.UNIFORM, 0.0)] if g == g_bad else _seed_alphas(g, jbar, gc)
+        return (meanfield.UNIFORM, 0.0) if g == g_bad else _seed_alphas(g, jbar, gc)
     return seeds
 
 
@@ -628,10 +608,10 @@ class TestStackedSolve:
                  (gc * 1.04, 1e-320)]
         huge_gradient = 6
         m = (n + 1) // 2
-        seeds = [seed_alphas(params(jbar, g, n))[-1][:m] for g, _ in rows[:3]]
+        seeds = [seed_alphas(params(jbar, g, n))[:m] for g, _ in rows[:3]]
         seeds += [solve_ground_state(params(jbar, g, n)).config.alphas[:m] + 1e-9
                   for g, _ in rows[3:5]]
-        seeds += [seed_alphas(params(jbar, g, n))[-1][:m] for g, _ in rows[5:]]
+        seeds += [seed_alphas(params(jbar, g, n))[:m] for g, _ in rows[5:]]
 
         def run(picked):
             _, energy, grad, hess = _mirror_reduced(
@@ -722,7 +702,7 @@ class TestStackedSolve:
         # starts positive definite
         point = params(0.05, critical_point(0.05, 3) * 1.02)
         g, jbar = point.g, point.jbar
-        seeds = np.array([[-0.04, -0.04, 0.04], seed_alphas(point)[0]])
+        seeds = np.array([[-0.04, -0.04, 0.04], seed_alphas(point)])
         trials = []
 
         def run(x0):
@@ -758,7 +738,7 @@ class TestStackedSolve:
         # frustrated seed and a third pattern take every full step
         point = params(0.05, critical_point(0.05, 3) * 1.02)
         energy, gradient, hessian = _landscape(3, point.g, point.jbar)
-        seeds = np.array([[-0.04, -0.04, 0.04], seed_alphas(point)[0], [0.3, -0.2, -0.25]])
+        seeds = np.array([[-0.04, -0.04, 0.04], seed_alphas(point), [0.3, -0.2, -0.25]])
 
         def run(x0):
             trials = [[] for _ in x0]  # per row, every point its energy was read at
@@ -788,7 +768,7 @@ class TestStackedSolve:
             return energy(a, rows)
 
         _, _, steps, failures = _newton_minimize(
-            fun, gradient, hessian, np.array([seed_alphas(point)[0], [0.3, -0.2, -0.25]]))
+            fun, gradient, hessian, np.array([seed_alphas(point), [0.3, -0.2, -0.25]]))
         assert not failures and steps[:, 0].min() >= 3
         # the seeds' energies, then one read per descent iteration
         assert len(reads) == 1 + steps[:, 0].max()
@@ -848,17 +828,22 @@ class TestStackedSolve:
         assert "normal phase" in records[0]
         for point, message in zip(points[1:], records[1:]):
             assert f"g={point.g!r}" in message
-            seeds = _seed_alphas(point.g, point.jbar, point.critical_coupling())
-            assert f"{len(seeds)} seeds tried" in message
-            for field in ("passed", "won after", "descent", "endgame", "grad_norm"):
-                assert field in message
+            assert re.fullmatch(
+                r"solved g=\S+ jbar=0\.01 N=5: \d+ descent and \d+ endgame steps, "
+                r"grad_norm \d\.\d{3}e[+-]\d+", message)
 
     def test_overflowing_coupling_is_a_domain_error(self):
-        point = params(0.01, 1e200, 3)
-        (outcome,) = solve_ground_states([point])
-        assert isinstance(outcome, DomainError)
-        with pytest.raises(DomainError):
-            solve_ground_state(point)
+        # (g/g_c)^4 overflows from g of about 1e77, on either side of the
+        # hopping; the check comes before any arithmetic, so no numpy
+        # overflow warning escapes either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, g, jbar in itertools.product((3, 7), (1e78, 1e100, 1e200), (0.01, -0.01)):
+                (outcome,) = solve_ground_states([params(jbar, g, n)])
+                assert isinstance(outcome, DomainError)
+                assert str(outcome).endswith("(g/g_c)^4 overflows double precision")
+                with pytest.raises(DomainError):
+                    solve_ground_state(params(jbar, g, n))
         assert solve_ground_state(params(0.01, 1e7, 3)).phase is Phase.FSP
 
     def test_mixed_stack_gives_each_point_its_one_point_outcome(self, monkeypatch):
@@ -870,7 +855,7 @@ class TestStackedSolve:
         n, uniform_seeded = 5, params(0.3, 1.7, 5)
         real_seeds = meanfield._seed_alphas
         monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-            [(meanfield.UNIFORM, meanfield._uniform_magnitude(g, jbar))]
+            (meanfield.UNIFORM, meanfield._uniform_magnitude(g, jbar))
             if (g, jbar) == (uniform_seeded.g, uniform_seeded.jbar) else real_seeds(g, jbar, gc)))
         points = [params(0.01, 0.5, n), params(-0.01, 1.2, n), params(0.01, 1.2, n),
                   params(0.0, 1.2, n), params(0.01, 1e200, n), params(0.01, 1e10, n),
@@ -899,35 +884,50 @@ class TestStackedSolve:
                     assert stacked.grad_norm == one.grad_norm
 
 
-    def test_first_failing_seed_fails_the_point(self, monkeypatch):
-        # a uniform point (one seed) and a frustrated point with two seeds,
-        # both of whose rows fail; the failures are stored last row first
-        points = [params(-0.01, 1.2, 5), params(0.01, 1.2, 5)]
-        real_newton = meanfield._newton_minimize
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("jbar", [0.01, 0.3])
+    def test_each_superradiant_point_is_one_newton_row(self, n, jbar, monkeypatch):
+        # a normal point, uniform ones at jbar < 0 and = 0, and frustrated
+        # ones below and above sqrt(1 + 2 jbar): each superradiant point is
+        # one Newton row, seeded by the uniform closed form or the canonical
+        # frustrated pattern at its near-critical magnitude with the unpaired
+        # site doubled, and a failing row fails its point alone, with the
+        # row's own error
+        gc = critical_point(jbar, n)
+        points = [params(jbar, 0.5, n), params(-jbar, 1.2, n), params(0.0, 1.2, n),
+                  params(jbar, gc * (1 + 1e-6), n), params(jbar, gc * 1.1, n),
+                  params(jbar, 3.0, n)]
+        alone = solve_ground_states(points)
+        real_newton, stacks, failing = meanfield._newton_minimize, [], []
 
-        def newton(*args):
-            x, norm, steps, failures = real_newton(*args)
-            assert len(x) == 3
-            failures.update({2: ConvergenceError("second seed"), 1: DomainError("first seed")})
+        def newton(fun, jac, hess_fn, x0):
+            stacks.append(x0 @ ring(n).incidence.T)
+            x, norm, steps, failures = real_newton(fun, jac, hess_fn, x0)
+            failures.update((row, DomainError(f"row {row}")) for row in failing)
             return x, norm, steps, failures
 
         monkeypatch.setattr(meanfield, "_newton_minimize", newton)
-        uniform, frustrated = solve_ground_states(points)
-        assert uniform.phase is Phase.NFSP
-        assert isinstance(frustrated, DomainError) and str(frustrated) == "first seed"
-
-
-    def test_energy_tie_goes_to_the_first_seed(self, monkeypatch, caplog):
-        # two copies of one seed reach bitwise the same minimum
-        point = params(0.01, 1.2, 5)
-        real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas",
-                            lambda g, jbar, gc: real_seeds(g, jbar, gc)[:1] * 2)
-        with caplog.at_level(logging.DEBUG, logger="frustra.meanfield"):
-            solution = solve_ground_state(point)
-        (record,) = [r.getMessage() for r in caplog.records if r.name == "frustra.meanfield"]
-        assert "2 seeds tried, 2 passed" in record and "seed 1 won" in record
-        assert solution.phase is Phase.FSP
+        assert [type(outcome) for outcome in solve_ground_states(points)] == [
+            type(outcome) for outcome in alone]
+        (seeds,) = stacks
+        assert np.array_equal(seeds[:2], [np.full(n, nfsp_closed_form(1.2, hopping))
+                                          for hopping in (-jbar, 0.0)])
+        for point, seed in zip(points[3:], seeds[2:]):
+            near_critical = _near_critical_magnitude(point.g, gc) * ring(n).pattern
+            near_critical[0] *= 2.0
+            assert np.array_equal(seed, near_critical)
+        for row in range(len(seeds)):
+            failing[:] = [row]
+            outcomes = solve_ground_states(points)
+            assert len(stacks[-1]) == len(seeds)
+            for index, (outcome, one) in enumerate(zip(outcomes, alone)):
+                if index == row + 1:
+                    assert isinstance(outcome, DomainError) and str(outcome) == f"row {row}"
+                elif isinstance(one, Exception):
+                    assert type(outcome) is type(one) and str(outcome) == str(one)
+                else:
+                    assert outcome.phase is one.phase
+                    assert np.array_equal(outcome.config.alphas, one.config.alphas)
 
 
 class TestRawGufuncs:
