@@ -249,6 +249,26 @@ class TestSolveGroundState:
         gc = critical_point(jbar, n)
         assert solve_ground_state(params(jbar, gc * (1 + reduced), n)).phase is phase
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("jbar", [-0.3, -0.01, 0.0, 0.01, 0.3])
+    def test_seeds_only_the_orbits_that_can_hold_the_minimum(self, n, jbar):
+        # one seed per point, on either side of sqrt(1 + 2 jbar), where the
+        # uniform state begins to exist: the uniform closed form for
+        # jbar <= 0, else the canonical frustrated pattern at its
+        # near-critical magnitude with the unpaired site doubled
+        gc = critical_point(jbar, n)
+        uniform_from = np.sqrt(1 + 2 * jbar)
+        for g in (gc * (1 + 1e-6), gc * 1.1, uniform_from * 1.1):
+            seed = seed_alphas(params(jbar, g, n))
+            assert seed.shape == (n,) and np.all(seed != 0)
+            if jbar <= 0:
+                assert np.array_equal(seed, np.full(n, nfsp_closed_form(g, jbar)))
+                continue
+            assert np.array_equal(np.sign(seed), ring(n).pattern)
+            magnitude = np.abs(seed)
+            assert np.all(magnitude[1:] == _near_critical_magnitude(g, gc))
+            assert magnitude[0] == 2 * magnitude[1]
+
     def test_uniformity_property_negative_hopping(self):
         # energy lower bound argument: the minimizer is uniform for jbar < 0
         rng = np.random.default_rng(2)
