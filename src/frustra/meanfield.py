@@ -48,7 +48,7 @@ log = logging.getLogger(__name__)
 
 #: Hessian eigenvalues above this (negative) floor count as non-negative.
 PSD_TOLERANCE = -1e-9
-#: Gradient infinity-norm required of any returned solution.
+#: Gradient infinity-norm of any returned solution, or its :func:`_gradient_tolerance`.
 SOLUTION_GRAD_TOL = 1e-10
 #: Cap on the damped descent of each Newton run.
 MAX_ITERATIONS = 500
@@ -94,7 +94,8 @@ class GroundStateSolution:
     without checking again: a global minimizer with its phase, gradient
     residual, lattice point ``params`` (its size, g and jbar those of
     ``config``, else :class:`ValidationError`) and read-only ascending
-    ``hessian_eigenvalues``.  A residual that ``converged`` does not accept,
+    ``hessian_eigenvalues``.  A residual above SOLUTION_GRAD_TOL and above
+    the gradient's rounding floor at ``config`` (:func:`_gradient_tolerance`),
     NaN included, raises the solver's :class:`ConvergenceError`.  A given
     spectrum must hold one value per site (else :class:`ValidationError`)
     and is stored read-only, copied if it was writeable.  Without one,
@@ -113,10 +114,9 @@ class GroundStateSolution:
         if point != (self.params.n_sites, self.params.g, self.params.jbar):
             raise ValidationError(f"configuration (N, g, jbar) = {point} lies at another "
                                   "lattice point than params")
-        if not self.converged:
-            raise ConvergenceError(
-                f"stationarity residual {self.grad_norm:.2e} above {SOLUTION_GRAD_TOL}",
-                best_residual=self.grad_norm)
+        if not self.converged:  # SOLUTION_GRAD_TOL reads 1e-10, a raised floor 3 digits
+            raise ConvergenceError(f"stationarity residual {self.grad_norm:.2e} above "
+                                   f"{self._tolerance:.3g}", best_residual=self.grad_norm)
         if self.hessian_eigenvalues is None:
             (spectrum,) = _hessian_eigenvalues(self.config.alphas[None],
                                                *np.array([[self.config.g], [self.config.jbar]]))
@@ -137,7 +137,12 @@ class GroundStateSolution:
 
     @property
     def converged(self) -> bool:
-        return bool(self.grad_norm <= SOLUTION_GRAD_TOL)
+        return bool(self.grad_norm <= SOLUTION_GRAD_TOL or self.grad_norm <= self._tolerance)
+
+    @property
+    def _tolerance(self) -> float:
+        return _gradient_tolerance(self.config.alphas, self.config.g, self.config.jbar,
+                                   SOLUTION_GRAD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +352,10 @@ def _newton_minimize(fun, jac, hess_fn, x0):
 def _mirror_reduced(n_sites: int, landscape):
     """(expand, energy, gradient, Hessian) of y -> E(P y) over the
     mirror-group values y, with P the pair incidence: the gradient is g P
-    and the Hessian P^T H P.
-
-    They act on the last axis of a stack of y, and the derivative
-    functions take the ids of the rows they are given (all rows by
-    default).  They are built on ``landscape``, the full-space functions
-    of one :func:`~frustra.model._landscape`, and take their points as
-    given.
+    and the Hessian P^T H P.  They act on the last axis of a stack of y,
+    take the ids of the rows they are given (all rows by default) and take
+    their points as given, as the full-space functions ``landscape`` (of a
+    :func:`~frustra.model._landscape`) they are built on do.
     """
     incidence = ring(n_sites).incidence
     energy, gradient, hessian = landscape
@@ -376,46 +378,18 @@ def _mirror_reduced(n_sites: int, landscape):
 # ---------------------------------------------------------------------------
 # seeds, canonicalization, phase logic
 
-#: The rows of :func:`_seed_templates`.
-UNIFORM, NEAR_CRITICAL = range(2)
-
-
-@functools.cache
-def _seed_templates(n_sites: int) -> np.ndarray:
-    """The read-only seed templates of one lattice size over the
-    mirror-group values: UNIFORM all ones, NEAR_CRITICAL the canonical
-    frustrated pattern of the :func:`~frustra.model.ring` table with the
-    unpaired site doubled."""
-    near_critical = ring(n_sites).pattern[: (n_sites + 1) // 2].copy()
-    near_critical[0] *= 2.0
-    templates = np.array([np.ones_like(near_critical), near_critical])
-    templates.flags.writeable = False
-    return templates
-
-
-def _seed_alphas(g: float, jbar: float, gc: float) -> tuple[int, float]:
-    """The one seed of the point (g, jbar) above its critical coupling
-    ``gc``, as a (template, magnitude) pair: the seed is the magnitude
-    times that row of the :func:`_seed_templates`.
-
-    - the origin is stationary there but never a minimum, so never seeded;
-    - for jbar <= 0 the hopping term is at least 2 jbar sum alpha_n^2, equal
-      only for a uniform state, so the uniform closed form is global and
-      the seed;
-    - for jbar > 0 a uniform state of magnitude a lies exactly
-      4 jbar a^2 (N - 1) above the frustrated pattern of magnitude a, and
-      every member of the frustrated manifold is an image of the canonical
-      one under the ring's symmetries, so the seed is the canonical
-      frustrated pattern at its near-critical magnitude, at every g.
-
-    The seed is mirror-symmetric about site 1.  A coupling whose uniform
-    magnitude is not representable raises :class:`DomainError` for either
-    sign of jbar (:func:`_uniform_magnitude`).
-    """
+def _seed_alphas(g: float, jbar: float, gc: float) -> float:
+    """The seed magnitude of the point (g, jbar) above ``gc``, where the
+    origin is never a minimum.  For jbar <= 0 the hopping term is at least
+    2 jbar sum alpha_n^2, equal only for a uniform state, so the uniform
+    closed form on every site is the solution.  For jbar > 0 a uniform
+    state of magnitude a lies 4 jbar a^2 (N - 1) above the frustrated
+    pattern of magnitude a, and every frustrated ground state is an image
+    of the canonical one, so Newton starts there, the unpaired site
+    doubled, at the near-critical magnitude.  An unrepresentable uniform
+    magnitude raises :class:`DomainError` for either sign of jbar."""
     uniform = _uniform_magnitude(g, jbar)
-    if jbar <= 0:
-        return UNIFORM, uniform
-    return NEAR_CRITICAL, _near_critical_magnitude(g, gc)
+    return uniform if jbar <= 0 else _near_critical_magnitude(g, gc)
 
 
 def _near_critical_magnitude(g: float, gc: float) -> float:
@@ -494,25 +468,24 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     A point at g <= g_c is the normal phase without a solve: sqrt(1 + x)
     <= 1 + x/2 gives E(alpha) >= E(0) + alpha^T H_0 alpha / 2, and the
     origin Hessian H_0 is positive semidefinite up to g_c; the stack's
-    normal points share one :func:`origin_hessian_eigenvalues` call.  Each
-    superradiant point gets one seed (:func:`_seed_alphas`), mirror-symmetric
-    about site 1, as is every ground state up to a rotation, so the points
-    run as one mirror-reduced Newton stack ((N+1)/2 values a row), a row per
-    point.  The lowest eigenvalue of the full N x N Hessian
-    (:func:`_hessian_eigenvalues`, on Hessians of the stack's own kernel)
-    then confirms the stationary point is a minimum, and the row carries
-    that spectrum.  A point's error is its row's Newton failure, else a
-    :class:`ConvergenceError` if the row is not a stable stationary point,
-    else that of the first check of :func:`_canonical` the row fails.  Rows
-    never mix, so a point's row is a pure function of its parameters,
-    whatever else the stack holds.  At ``logging.DEBUG`` the
-    ``frustra.meanfield`` logger gets one record per solved point.
+    normal points share one :func:`origin_hessian_eigenvalues` call.  A
+    superradiant point's seed magnitude (:func:`_seed_alphas`) is at jbar
+    <= 0 its closed form on every site, and at jbar > 0 it starts the
+    point's row of one mirror-reduced Newton stack ((N+1)/2 values a row).
+    A row within 1e-6 or its :func:`_gradient_tolerance` whose full Hessian
+    spectrum (:func:`_hessian_eigenvalues`) passes PSD_TOLERANCE is a
+    minimum and carries that spectrum.  A point's error is its row's Newton
+    failure, else a :class:`ConvergenceError` if the row is not a stable
+    stationary point, else that of the first check of :func:`_canonical`
+    the row fails.  Rows never mix, so a point's row is a pure function of
+    its parameters, whatever else the stack holds.  At ``logging.DEBUG``
+    the ``frustra.meanfield`` logger gets one record per solved point.
     """
     debug = log.isEnabledFor(logging.DEBUG)
     errors: list = [None] * len(g)
     hopping = gc = None  # g_c is looked up again only where the hopping changes
-    # the normal points; the seeded points and their (template, magnitude)
-    normal, solving, seeds = [], [], []
+    # the normal points; the superradiant points and their seed magnitudes
+    normal, solving, magnitudes = [], [], []
     for index, (g_i, jbar_i) in enumerate(zip(g.tolist(), jbar.tolist())):
         try:
             if jbar_i != hopping:
@@ -523,7 +496,7 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
                     log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
                               g_i, jbar_i, n_sites)
                 continue
-            seeds.append(_seed_alphas(g_i, jbar_i, gc))
+            magnitudes.append(_seed_alphas(g_i, jbar_i, gc))
         except FrustraError as exc:
             errors[index] = exc
             continue
@@ -533,17 +506,30 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     phases, grad_norm = np.full(len(g), Phase.NORMAL), np.zeros(len(g))
     if normal:  # the origin wins, with the closed-form spectra of one call
         spectra[normal] = origin_hessian_eigenvalues(g[normal], jbar[normal], n_sites)
-    if seeds:
-        solving, (templates, magnitudes) = np.array(solving), zip(*seeds)
-        landscape = _landscape(n_sites, g[solving], jbar[solving])  # read again after Newton
-        expand, fun, jac, hess_fn = _mirror_reduced(n_sites, landscape)
-        y, _, steps, failures = _newton_minimize(fun, jac, hess_fn, _seed_templates(n_sites)[
-            list(templates)] * np.array(magnitudes)[:, None])
-        found = expand(y)
-        settled = np.flatnonzero([row not in failures for row in range(len(y))])
-        residual = np.full(len(y), np.nan)
-        residual[settled] = np.abs(landscape[1](found[settled], settled)).max(axis=-1)
-        stationary = settled[~(residual[settled] > 1e-6)]
+    if solving:
+        solving, magnitudes = np.array(solving), np.array(magnitudes)
+        landscape = _landscape(n_sites, g[solving], jbar[solving])
+        # a uniform row is its closed form; Newton moves the frustrated ones
+        found = np.repeat(magnitudes[:, None], n_sites, axis=1)
+        steps, failures = np.zeros((len(solving), 2), dtype=int), {}
+        frustrated = np.flatnonzero(jbar[solving] > 0)
+        if len(frustrated):  # Newton reads the stack's kernels, its row ids mapped to the stack's
+            expand, fun, jac, hess_fn = _mirror_reduced(n_sites, [
+                lambda a, rows=..., kernel=kernel: kernel(a, frustrated[rows])
+                for kernel in landscape])
+            seed = ring(n_sites).pattern[: (n_sites + 1) // 2] * np.r_[2.0, np.ones(n_sites // 2)]
+            y, _, steps[frustrated], newton_failures = _newton_minimize(
+                fun, jac, hess_fn, magnitudes[frustrated, None] * seed)
+            found[frustrated] = expand(y)
+            failures = {int(frustrated[row]): error for row, error in newton_failures.items()}
+        residual = np.abs(landscape[1](found)).max(axis=-1)
+        residual[list(failures)] = np.nan
+        # SOLUTION_GRAD_TOL, or the floor of a row above it; the filter takes at least 1e-6
+        tolerance, loose = np.full(len(solving), SOLUTION_GRAD_TOL), residual > SOLUTION_GRAD_TOL
+        if loose.any():
+            tolerance[loose] = _gradient_tolerance(found[loose], g[solving[loose]],
+                                                   jbar[solving[loose]], SOLUTION_GRAD_TOL)
+        stationary = np.flatnonzero(residual <= np.fmax(tolerance, 1e-6))
         candidates = found[stationary]
         checked = _hessian_eigenvalues(
             candidates, g[solving[stationary]], jbar[solving[stationary]],
@@ -551,19 +537,19 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
         stationary, checked = _drop(np.isnan(checked[:, 0]), stationary, failures, _UNCONVERGED,
                                     checked)
         spectra[solving[stationary]] = checked
-        minima = stationary[~(checked[:, 0] < PSD_TOLERANCE)]
+        minima = set(stationary[~(checked[:, 0] < PSD_TOLERANCE)].tolist())
         alphas[solving], phases[solving], point_errors = _canonical(
-            found, residual, jbar[solving])
+            found, residual, tolerance, jbar[solving])
         grad_norm[solving] = residual
         # a failed row's error, then no minimum, then the checks
-        for row in np.setdiff1d(settled, minima).tolist():
+        for row in (row for row in range(len(solving)) if row not in minima):
             point_errors[row] = ConvergenceError(
                 f"no seed converged to a stable stationary point at g={g[solving[row]]}, "
                 f"jbar={jbar[solving[row]]}", best_residual=residual[row].item())
         point_errors.update(failures)
         for row, error in point_errors.items():
             errors[solving[row]] = error
-        for row in (row for row in range(len(y)) if debug and row not in point_errors):
+        for row in (row for row in range(len(solving)) if debug and row not in point_errors):
             log.debug("solved g=%r jbar=%r N=%d: %d descent and %d endgame steps, "
                       "grad_norm %.3e", g[solving[row]].item(), jbar[solving[row]].item(),
                       n_sites, *steps[row], residual[row])
@@ -576,13 +562,15 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     return GroundStates(alphas, phases, grad_norm, spectra, tuple(errors))
 
 
-def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, jbar: np.ndarray):
-    """Minimizers (rows, N), with their gradient residuals and
-    hoppings, classified and put in their canonical frame as one stack:
-    ``(alphas, phases, errors)``, with by row the error of the first check
-    it fails: the classification, the frame, and the residual check of
-    :class:`GroundStateSolution`.  The Hessian depends on the coherences
-    through their squares only, so the sign flip keeps a row's spectrum.
+def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, tolerance: np.ndarray,
+               jbar: np.ndarray):
+    """Minimizers (rows, N), with their gradient residuals, the tolerances
+    of :class:`GroundStateSolution` on them and their hoppings, classified
+    and put in their canonical frame as one stack: ``(alphas, phases,
+    errors)``, with by row the error of the first check it fails: the
+    classification, the frame, and the residual check.  The Hessian depends
+    on the coherences through their squares only, so the sign flip keeps a
+    row's spectrum.
 
     Every seed is mirror-symmetric about site 1, so a frustrated minimizer
     is too and is canonical up to its global sign: the mirror maps the aligned
@@ -591,10 +579,9 @@ def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, jbar: np.ndarray):
     the frustrated rows for exactly one aligned pair, and its shift is 0.
     """
     codes = _phase_codes(np.abs(alphas).max(axis=-1), jbar)
-    unconverged = np.flatnonzero(~(grad_norm <= SOLUTION_GRAD_TOL))
-    errors = {row: ConvergenceError(f"stationarity residual {residual:.2e} above "
-                                    f"{SOLUTION_GRAD_TOL}", best_residual=residual)
-              for row, residual in zip(unconverged.tolist(), grad_norm[unconverged].tolist())}
+    errors = {row: ConvergenceError(f"stationarity residual {grad_norm[row]:.2e} above "
+                                    f"{tolerance[row]:.3g}", best_residual=grad_norm[row].item())
+              for row in np.flatnonzero(~(grad_norm <= tolerance)).tolist()}
     frustrated = np.flatnonzero(codes == 3)
     if len(frustrated):
         signs = np.ones(len(alphas))
@@ -774,6 +761,18 @@ def _energy_rounding(alphas: np.ndarray, g: float, jbar: float):
     terms = (a * a + 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a)
              + np.abs(2.0 * jbar * a * a[..., right]))
     return np.finfo(float).eps * terms.sum(axis=-1)
+
+
+def _gradient_tolerance(alphas: np.ndarray, g, jbar, bound: float):
+    """max(bound, 4 eps max_n(|2 a_n| + |2 jbar (a_{n-1} + a_{n+1})|
+    + |2 g^2 a_n / sqrt(1 + 4 g^2 a_n^2)|)) along the last axis, ``g`` and
+    ``jbar`` scalars or one per row: the rounding floor of the gradient's
+    terms, which grows as |alpha| ~ g/2 and near g_c lies far below 1e-10."""
+    a, tables = alphas, ring(alphas.shape[-1])
+    g, jbar = np.asarray(g)[..., None], np.asarray(jbar)[..., None]
+    terms = (np.abs(2.0 * a) + np.abs(2.0 * jbar * (a[..., tables.left] + a[..., tables.right]))
+             + np.abs(2.0 * g * g * a / np.sqrt(1.0 + 4.0 * g * g * a * a)))
+    return np.maximum(bound, 4.0 * np.finfo(float).eps * terms.max(axis=-1))
 
 
 def _distinct_images(global_tier) -> np.ndarray:

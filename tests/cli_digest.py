@@ -2,7 +2,8 @@
 
 Runs a fixed list of CLI runs (every subcommand in CSV and JSON, at
 N = 3, 5, 7, 9, 21 and jbar = +-0.01, -0.3, 0.2, 0.45, ``ground-state`` also
-at the strong couplings g = 10 and 1000, the exhaustive
+at the strong couplings g = 10 and 1000, and at jbar = +-0.01 at g = 1e10
+and 1e12, the exhaustive
 ``--manifold`` oracle at N = 3, 5, 7, with jbar = -0.01 also at 0.5 g_c and
 g_c (1 + 1e-9), and ``sweep`` and ``exponents`` at jbar = 0.0), then the
 transition-order scans ``energy_derivative_diagnostics`` over N = 3, 5, 7,
@@ -57,6 +58,8 @@ def cli_runs() -> list[list[str]]:
         runs += [["ground-state", *common, "--g", "1.2", "--manifold"],
                  ["sweep", *common], ["exponents", *common]]
         runs += [["ground-state", *common, "--g", g] for g in ("10", "1000")]  # strong coupling
+        if abs(jbar) == 0.01:  # where |alpha| ~ g/2 lifts the gradient's rounding floor
+            runs += [["ground-state", *common, "--g", g] for g in ("1e10", "1e12")]
         if n in EXHAUSTIVE_SIZES:  # the oracle's routes
             couplings = ["1.001", "1.2"]
             if jbar == -0.01:  # its certified origin, and its uniform candidate at g_c

@@ -65,10 +65,15 @@ def params(jbar, g, n=3):
 
 
 def seed_alphas(point):
-    """The solver's seed of a superradiant point as a full configuration."""
-    template, magnitude = _seed_alphas(point.g, point.jbar, point.critical_coupling())
-    return magnitude * meanfield._seed_templates(point.n_sites)[template] @ ring(
-        point.n_sites).incidence.T
+    """The solver's start of a superradiant point as a full configuration:
+    the uniform closed form, else the canonical frustrated pattern with its
+    unpaired site doubled, at the seed magnitude."""
+    magnitude = _seed_alphas(point.g, point.jbar, point.critical_coupling())
+    if point.jbar <= 0:
+        return np.full(point.n_sites, magnitude)
+    seed = magnitude * ring(point.n_sites).pattern
+    seed[0] *= 2.0
+    return seed
 
 
 class TestClosedForms:
@@ -86,7 +91,7 @@ class TestClosedForms:
                     math.sqrt(g - gc) / (math.sqrt(3.0) * gc ** 1.5)).hex()
                 assert magnitude.hex() == float(
                     np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5)).hex()
-                assert _seed_alphas(g, jbar, gc) == (meanfield.NEAR_CRITICAL, magnitude)
+                assert _seed_alphas(g, jbar, gc).hex() == magnitude.hex()
 
     def test_nfsp_vanishes_at_threshold(self):
         gc = critical_point(-0.01, 3)
@@ -508,7 +513,7 @@ def _origin_only_at(g_bad):
     """_seed_alphas with the one point at g_bad seeded from the origin
     alone: a saddle there, so no seed passes the PSD filter."""
     def seeds(g, jbar, gc):
-        return (meanfield.UNIFORM, 0.0) if g == g_bad else _seed_alphas(g, jbar, gc)
+        return 0.0 if g == g_bad else _seed_alphas(g, jbar, gc)
     return seeds
 
 
@@ -572,7 +577,7 @@ class TestDerivedSolutionFields:
         flipped = -solution.config.alphas
         assert flipped[0] > 0
         (a,), (phase,), errors = _canonical(flipped[None], np.array([solution.grad_norm]),
-                                            np.array([p.jbar]))
+                                            np.array([SOLUTION_GRAD_TOL]), np.array([p.jbar]))
         assert phase is Phase.FSP and not errors
         assert a[0] < 0 <= a[1]
         assert np.array_equal(a, solution.config.alphas)
@@ -580,6 +585,90 @@ class TestDerivedSolutionFields:
         # configuration has the canonical one's, bit for bit
         (spectrum,) = _hessian_eigenvalues(flipped[None], np.array([p.g]), np.array([p.jbar]))
         assert spectrum.tobytes() == solution.hessian_eigenvalues.tobytes()
+
+
+class TestGradientTolerance:
+    """Stationarity is judged against SOLUTION_GRAD_TOL, or against the
+    rounding floor of the gradient's terms where that is larger."""
+
+    @staticmethod
+    def term_sum(a, g, jbar):
+        """Per site |2 a_n| + |2 jbar (a_{n-1} + a_{n+1})|
+        + |2 g^2 a_n / sqrt(1 + 4 g^2 a_n^2)|."""
+        return (np.abs(2.0 * a)
+                + np.abs(2.0 * jbar * (np.roll(a, 1, axis=-1) + np.roll(a, -1, axis=-1)))
+                + np.abs(2.0 * g * g * a / np.sqrt(1.0 + 4.0 * g * g * a * a)))
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_the_bound_wherever_the_floor_lies_below_it(self, n):
+        rng = np.random.default_rng(n)
+        for bound in (SOLUTION_GRAD_TOL, 1e-6):
+            for g, jbar in itertools.product((0.5, 1.01, 30.0, 1e5, 1e9, 1e40),
+                                             (-0.49, -0.01, 0.0, 0.01, 0.3)):
+                a = rng.normal(size=(6, n)) * g / 2.0 * np.logspace(-12, 0, 6)[:, None]
+                floor = 4.0 * EPS * self.term_sum(a, g, jbar).max(axis=-1)
+                tolerance = meanfield._gradient_tolerance(a, g, jbar, bound)
+                assert np.array_equal(tolerance, np.where(floor < bound, bound, floor))
+                # one value per row, or scalars: the same bits
+                per_row = meanfield._gradient_tolerance(a, np.full(6, g), np.full(6, jbar), bound)
+                assert per_row.tobytes() == tolerance.tobytes()
+                for row, expected in zip(a, tolerance.tolist()):
+                    assert meanfield._gradient_tolerance(row, g, jbar, bound) == expected
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_near_critical_floor_is_far_below_the_absolute_bound(self, n):
+        # so every decision near g_c is the absolute bound's
+        for jbar in (-0.3, -0.01, 0.01, 0.3):
+            gc = critical_point(jbar, n)
+            for reduced in (1e-9, 1e-4, 1e-2, 1.0):
+                sol = solve_ground_state(params(jbar, gc * (1 + reduced), n))
+                a = sol.config.alphas
+                assert 4.0 * EPS * self.term_sum(a, sol.config.g, jbar).max() < 1e-3 * (
+                    SOLUTION_GRAD_TOL)
+
+    @pytest.mark.parametrize("jbar, g", [(-0.01, 1e10), (0.01, 1e10), (-0.3, 1e7)])
+    def test_a_solution_above_the_absolute_bound_meets_its_raised_floor(self, jbar, g):
+        # the residual of a strong-coupling solution exceeds SOLUTION_GRAD_TOL
+        # and stays within the floor; a residual just past the floor is
+        # refused with an error that names the floor
+        sol = solve_ground_state(params(jbar, g, 5))
+        tolerance = meanfield._gradient_tolerance(sol.config.alphas, g, jbar, SOLUTION_GRAD_TOL)
+        assert SOLUTION_GRAD_TOL < sol.grad_norm <= tolerance and sol.converged
+        assert GroundStateSolution(sol.config, sol.phase, tolerance, sol.params).converged
+        past = np.nextafter(tolerance, np.inf)
+        with pytest.raises(ConvergenceError) as caught:
+            GroundStateSolution(sol.config, sol.phase, past, sol.params)
+        assert str(caught.value) == f"stationarity residual {past:.2e} above {tolerance:.3g}"
+        assert caught.value.best_residual == past
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_uniform_points_are_their_closed_form_up_to_1e76(self, n):
+        # two couplings a decade from 10^0.5 to 10^76: each uniform point
+        # solves with its closed form on every site, bit for bit, or raises
+        # DomainError where (g/g_c)^4 overflows
+        g = 10.0 ** (np.arange(1, 153) / 2.0)
+        for jbar in (-0.49, -0.01):
+            states = _solve_stack(n, g, np.full(len(g), jbar))
+            for g_i, alphas, phase, error in zip(g.tolist(), states.alphas, states.phases,
+                                                 states.errors):
+                if error is not None:
+                    assert isinstance(error, DomainError)
+                    continue
+                magnitude = meanfield._uniform_magnitude(g_i, jbar)
+                assert phase is Phase.NFSP
+                assert alphas.tobytes() == np.full(n, magnitude).tobytes()
+            assert states.solved.all()
+
+    def test_the_strong_coupling_grid_solves(self):
+        # 57 log-spaced couplings from 1.5 to 1e8 at N = 3, 5, 7, 9 and five
+        # hoppings: the absolute bound alone failed 164 of these 1140 points,
+        # the first at g = 8.4e4, where |alpha| reaches 4e4
+        g = np.logspace(np.log10(1.5), 8, 57)
+        for n, jbar in itertools.product((3, 5, 7, 9), (-0.3, -0.01, 0.01, 0.2, 0.5)):
+            states = _solve_stack(n, g, np.full(len(g), jbar))
+            assert states.solved.all(), [str(e) for e in states.errors if e is not None][:3]
+            assert set(states.phases.tolist()) == {Phase.NFSP if jbar < 0 else Phase.FSP}
+            assert (states.hessian_eigenvalues[:, 0] >= PSD_TOLERANCE).all()
 
 
 class TestStackedSolve:
@@ -868,20 +957,39 @@ class TestStackedSolve:
 
     def test_mixed_stack_gives_each_point_its_one_point_outcome(self, monkeypatch):
         # every outcome the stacked bookkeeping can hand out, in one stack:
-        # the three phases, jbar = 0 (classification), an overflowing
-        # coupling (seeding), no stable seed at g = 1e10, a residual above
-        # SOLUTION_GRAD_TOL at g = 1e9, and a frustrated point seeded with
-        # its uniform state, a stable minimum that fails the frame check
-        n, uniform_seeded = 5, params(0.3, 1.7, 5)
-        real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-            (meanfield.UNIFORM, meanfield._uniform_magnitude(g, jbar))
-            if (g, jbar) == (uniform_seeded.g, uniform_seeded.jbar) else real_seeds(g, jbar, gc)))
+        # the three phases, also at couplings where the gradient's rounding
+        # floor is far above SOLUTION_GRAD_TOL, jbar = 0 (classification),
+        # an overflowing coupling (seeding), a frustrated point seeded at the
+        # origin (no stable stationary point), a uniform point handed its
+        # closed form 1e-9 off (a residual above SOLUTION_GRAD_TOL), and a
+        # frustrated row that Newton starts at its uniform state, a stable
+        # minimum that fails the frame check
+        n = 5
+        origin_seeded, off_closed_form, uniform_seeded = (
+            params(0.01, 1.3, n), params(-0.01, 1.3, n), params(0.3, 1.7, n))
+        real_seeds, real_newton = meanfield._seed_alphas, meanfield._newton_minimize
+        frustrated_seed = seed_alphas(uniform_seeded)[:(n + 1) // 2]
+
+        def seeds(g, jbar, gc):
+            if (g, jbar) == (origin_seeded.g, origin_seeded.jbar):
+                return 0.0
+            magnitude = real_seeds(g, jbar, gc)
+            return magnitude * (1 + 1e-9) if (g, jbar) == (
+                off_closed_form.g, off_closed_form.jbar) else magnitude
+
+        def newton(fun, jac, hess_fn, x0):
+            x0 = x0.copy()
+            x0[(x0 == frustrated_seed).all(axis=-1)] = meanfield._uniform_magnitude(
+                uniform_seeded.g, uniform_seeded.jbar)
+            return real_newton(fun, jac, hess_fn, x0)
+
+        monkeypatch.setattr(meanfield, "_seed_alphas", seeds)
+        monkeypatch.setattr(meanfield, "_newton_minimize", newton)
         points = [params(0.01, 0.5, n), params(-0.01, 1.2, n), params(0.01, 1.2, n),
-                  params(0.0, 1.2, n), params(0.01, 1e200, n), params(0.01, 1e10, n),
-                  params(0.01, 1e9, n), uniform_seeded]
-        expected = [Phase.NORMAL, Phase.NFSP, Phase.FSP, ValidationError, DomainError,
-                    "no seed converged", "stationarity residual",
+                  params(0.01, 1e10, n), params(-0.01, 1e12, n), params(0.0, 1.2, n),
+                  params(0.01, 1e200, n), origin_seeded, off_closed_form, uniform_seeded]
+        expected = [Phase.NORMAL, Phase.NFSP, Phase.FSP, Phase.FSP, Phase.NFSP, ValidationError,
+                    DomainError, "no seed converged", "stationarity residual",
                     "expected exactly one aligned neighbour pair, found 5"]
         alone = [solve_ground_states([point])[0] for point in points]
         for point, outcome, want in zip(points, alone, expected):
@@ -892,6 +1000,7 @@ class TestStackedSolve:
                 assert str(outcome).startswith(want)
             else:
                 assert isinstance(outcome, want)
+        assert str(alone[8]).endswith(" above 1e-10")
         for order in (slice(None), slice(None, None, -1)):
             for stacked, one in zip(solve_ground_states(points[order]), alone[order]):
                 assert type(stacked) is type(one)
@@ -903,16 +1012,16 @@ class TestStackedSolve:
                     assert np.array_equal(stacked.config.alphas, one.config.alphas)
                     assert stacked.grad_norm == one.grad_norm
 
-
     @pytest.mark.parametrize("n", [3, 5, 7])
     @pytest.mark.parametrize("jbar", [0.01, 0.3])
-    def test_each_superradiant_point_is_one_newton_row(self, n, jbar, monkeypatch):
+    def test_one_newton_row_per_frustrated_point_none_per_uniform_point(
+            self, n, jbar, monkeypatch):
         # a normal point, uniform ones at jbar < 0 and = 0, and frustrated
-        # ones below and above sqrt(1 + 2 jbar): each superradiant point is
-        # one Newton row, seeded by the uniform closed form or the canonical
-        # frustrated pattern at its near-critical magnitude with the unpaired
-        # site doubled, and a failing row fails its point alone, with the
-        # row's own error
+        # ones below and above sqrt(1 + 2 jbar): each frustrated point is one
+        # Newton row, seeded by the canonical frustrated pattern at its
+        # near-critical magnitude with the unpaired site doubled, and a
+        # failing row fails its point alone, with the row's own error; a
+        # uniform point is its closed form, bit for bit, and no Newton row
         gc = critical_point(jbar, n)
         points = [params(jbar, 0.5, n), params(-jbar, 1.2, n), params(0.0, 1.2, n),
                   params(jbar, gc * (1 + 1e-6), n), params(jbar, gc * 1.1, n),
@@ -930,18 +1039,24 @@ class TestStackedSolve:
         assert [type(outcome) for outcome in solve_ground_states(points)] == [
             type(outcome) for outcome in alone]
         (seeds,) = stacks
-        assert np.array_equal(seeds[:2], [np.full(n, nfsp_closed_form(1.2, hopping))
-                                          for hopping in (-jbar, 0.0)])
-        for point, seed in zip(points[3:], seeds[2:]):
+        assert len(seeds) == 3
+        for point, seed in zip(points[3:], seeds):
             near_critical = _near_critical_magnitude(point.g, gc) * ring(n).pattern
             near_critical[0] *= 2.0
             assert np.array_equal(seed, near_critical)
+        assert alone[1].config.alphas.tobytes() == np.full(
+            n, nfsp_closed_form(1.2, -jbar)).tobytes()
+        assert isinstance(alone[2], ValidationError)  # the uniform state at jbar = 0
+        stacks.clear()
+        assert solve_ground_states(points[:3])[1].config.alphas.tobytes() == (
+            alone[1].config.alphas.tobytes())
+        assert stacks == []
         for row in range(len(seeds)):
             failing[:] = [row]
             outcomes = solve_ground_states(points)
             assert len(stacks[-1]) == len(seeds)
             for index, (outcome, one) in enumerate(zip(outcomes, alone)):
-                if index == row + 1:
+                if index == row + 3:
                     assert isinstance(outcome, DomainError) and str(outcome) == f"row {row}"
                 elif isinstance(one, Exception):
                     assert type(outcome) is type(one) and str(outcome) == str(one)

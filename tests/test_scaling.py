@@ -553,7 +553,7 @@ class TestDerivativeDiagnostics:
         bad = {float(grid[3]), float(grid[2])}  # both superradiant
         real_seeds = meanfield._seed_alphas
         monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-            (meanfield.UNIFORM, 0.0) if g in bad else real_seeds(g, jbar, gc)))
+            0.0 if g in bad else real_seeds(g, jbar, gc)))
         with pytest.raises(ConvergenceError, match=f"g={float(grid[2])}"):
             energy_derivative_diagnostics(params(0.01), axis="g", half_width=2e-4)
 
@@ -566,7 +566,7 @@ class TestDerivativeDiagnostics:
         point = params(0.01, g=1.2)
         real_seeds = meanfield._seed_alphas
         monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-            (meanfield.UNIFORM, 0.0) if jbar == failing else real_seeds(g, jbar, gc)))
+            0.0 if jbar == failing else real_seeds(g, jbar, gc)))
         xs = [-0.2, 0.2] + [sign * k * h for k in range(1, 5)
                             for sign in (-1.0, +1.0) for h in (0.2, 0.1)]
         expected = None
@@ -639,7 +639,7 @@ class TestSweepErrors:
         bad = spec.grid[len(spec.grid) // 2 + 3]
         real_seeds = meanfield._seed_alphas
         monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-            (meanfield.UNIFORM, 0.0) if g == bad else real_seeds(g, jbar, gc)))
+            0.0 if g == bad else real_seeds(g, jbar, gc)))
         result = run_sweep(spec)
         assert result.rows == [r for r in clean.rows if r.g != bad]
         assert [m for m in result.missing if m.g != bad] == [
@@ -799,7 +799,7 @@ class TestSweepTable:
         if case in ORIGIN_SEEDED:
             origin_only, real_seeds = ORIGIN_SEEDED[case], meanfield._seed_alphas
             monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-                (meanfield.UNIFORM, 0.0) if origin_only(spec, g) else real_seeds(g, jbar, gc)))
+                0.0 if origin_only(spec, g) else real_seeds(g, jbar, gc)))
         result = run_sweep(spec)
         rows, missing, warnings = reference_sweep(spec)
         assert result.rows == rows and repr(result.rows) == repr(rows)
@@ -886,7 +886,7 @@ class TestFlaggedPoints:
         if case == "one failing point":
             bad, real_seeds = spec.grid[len(spec.grid) // 2 + 3], meanfield._seed_alphas
             monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-                (meanfield.UNIFORM, 0.0) if g == bad else real_seeds(g, jbar, gc)))
+                0.0 if g == bad else real_seeds(g, jbar, gc)))
         result = run_sweep(spec)
         points = grid_points(spec)
         missing, warnings = every_point_flags(spec, points, meanfield.solve_ground_states(points))
