@@ -117,14 +117,9 @@ class WilliamsonDecomposition:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Second moments C = S^T S / 2 of the Gaussian ground state.
-
-    ``error_estimate`` is a rough bound on entry errors propagated from the
-    diagonalization residual; it is only meaningful in the critical regime.
-    """
+    """Second moments C = S^T S / 2 of the Gaussian ground state."""
 
     matrix: np.ndarray
-    error_estimate: float = 0.0
 
     @property
     def n_sites(self) -> int:
@@ -313,10 +308,7 @@ def covariance(decomp: WilliamsonDecomposition) -> CovarianceMatrix:
     """Ground-state covariance matrix C = S^T S / 2."""
     s_matrix = decomp.symplectic_matrix
     matrix = 0.5 * s_matrix.T @ s_matrix
-    matrix = 0.5 * (matrix + matrix.T)
-    eps_min = float(decomp.symplectic_eigenvalues.min())
-    error = decomp.diagonalization_residual / eps_min if eps_min > 0 else np.inf
-    return CovarianceMatrix(matrix, error_estimate=float(error))
+    return CovarianceMatrix(0.5 * (matrix + matrix.T))
 
 
 def _site_indices(n_sites: int, site: int):

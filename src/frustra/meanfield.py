@@ -52,7 +52,8 @@ PSD_TOLERANCE = -1e-9
 SOLUTION_GRAD_TOL = 1e-10
 #: Cap on the damped descent of each Newton run.
 MAX_ITERATIONS = 500
-#: Coherence distance within which two exhaustive minima are one member.
+#: Coherence distance within which two exhaustive minima are one member, in
+#: units of max(1, the largest |alpha| of their tier).
 MATCH_TOL = 1e-8
 #: Energy above the lowest within which an exhaustive minimum is global, or
 #: _BOUND_SLACK times the energy's rounding scale where that is larger.
@@ -92,22 +93,17 @@ class SolverOptions:
 class GroundStateSolution:
     """A checked minimum, which the Hessian and fluctuation routes read
     without checking again: a global minimizer with its phase, gradient
-    residual, lattice point ``params`` (its size, g and jbar those of
-    ``config``, else :class:`ValidationError`) and read-only ascending
-    ``hessian_eigenvalues``.  A residual above SOLUTION_GRAD_TOL and above
-    the gradient's rounding floor at ``config`` (:func:`_gradient_tolerance`),
-    NaN included, raises the solver's :class:`ConvergenceError`.  A given
-    spectrum must hold one value per site (else :class:`ValidationError`)
-    and is stored read-only, copied if it was writeable.  Without one,
-    :func:`_hessian_eigenvalues` computes it, and a failed eigensolve
-    raises ``LinAlgError``.  The manifold size
-    ``degeneracy`` follows from the phase and the lattice size."""
+    residual and lattice point ``params`` (its size, g and jbar those of
+    ``config``, else :class:`ValidationError`).  A residual above
+    SOLUTION_GRAD_TOL and above the gradient's rounding floor at ``config``
+    (:func:`_gradient_tolerance`), NaN included, raises the solver's
+    :class:`ConvergenceError`.  The manifold size ``degeneracy`` follows
+    from the phase and the lattice size."""
 
     config: MeanFieldConfiguration
     phase: Phase
     grad_norm: float
     params: ModelParams
-    hessian_eigenvalues: np.ndarray = None
 
     def __post_init__(self):
         point = (self.config.n_sites, self.config.g, self.config.jbar)
@@ -117,19 +113,6 @@ class GroundStateSolution:
         if not self.converged:  # SOLUTION_GRAD_TOL reads 1e-10, a raised floor 3 digits
             raise ConvergenceError(f"stationarity residual {self.grad_norm:.2e} above "
                                    f"{self._tolerance:.3g}", best_residual=self.grad_norm)
-        if self.hessian_eigenvalues is None:
-            (spectrum,) = _hessian_eigenvalues(self.config.alphas[None],
-                                               *np.array([[self.config.g], [self.config.jbar]]))
-            if np.isnan(spectrum[0]):
-                raise copy.copy(_UNCONVERGED)
-        else:
-            spectrum, n = np.asarray(self.hessian_eigenvalues, dtype=float), self.config.n_sites
-            if spectrum.shape != (n,):
-                raise ValidationError(f"Hessian spectrum of shape {spectrum.shape} at N={n}")
-            if spectrum.flags.writeable:  # a copy: the caller's array stays its own
-                spectrum = spectrum.copy()
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "hessian_eigenvalues", spectrum)
 
     @property
     def degeneracy(self) -> int:
@@ -604,10 +587,9 @@ def solve_ground_states(params_seq) -> list:
     g, jbar = np.array([[params.g, params.jbar] for params in points], dtype=float).T
     states = _solve_stack(points[0].n_sites, g, jbar)
     return [error if error is not None else GroundStateSolution(
-        MeanFieldConfiguration(alphas, params.g, params.jbar), phase, residual, params, spectrum)
-        for params, alphas, phase, residual, spectrum, error in zip(
-            points, states.alphas, states.phases, states.grad_norm.tolist(),
-            states.hessian_eigenvalues, states.errors)]
+        MeanFieldConfiguration(alphas, params.g, params.jbar), phase, residual, params)
+        for params, alphas, phase, residual, error in zip(
+            points, states.alphas, states.phases, states.grad_norm.tolist(), states.errors)]
 
 
 def solve_ground_state(params: ModelParams) -> GroundStateSolution:
@@ -676,7 +658,7 @@ def _enumerate_exhaustive(params: ModelParams):
 
     # one sign pattern per rotation/flip orbit, all rows of one full-space Newton stack
     patterns = np.array(orbit_patterns(n))
-    found, steps, stationary = _stable_minima(landscape, patterns * scale)
+    found, steps, stationary = _stable_minima(landscape, params, patterns * scale)
     if not len(found):
         raise ConvergenceError("exhaustive enumeration found no stable minima")
 
@@ -703,17 +685,19 @@ def _enumerate_exhaustive(params: ModelParams):
     return [MeanFieldConfiguration(a, g, jbar) for a in members]
 
 
-def _stable_minima(landscape, seeds: np.ndarray):
-    """The oracle's full-space Newton from each row of ``seeds``, checked:
-    ``(minima, steps, stationary)``, the rows that are stationary to
-    SOLUTION_GRAD_TOL and whose Hessian passes PSD_TOLERANCE, every row's
-    (descent, endgame) step counts and the number of stationary rows.  The
-    first failed row's error (Newton's, or a failed eigensolve's
-    ``LinAlgError``) is raised."""
+def _stable_minima(landscape, params: ModelParams, seeds: np.ndarray):
+    """The oracle's full-space Newton from each row of ``seeds`` at the
+    point ``params`` of ``landscape``, checked: ``(minima, steps,
+    stationary)``, the rows that are stationary to the solver's rule
+    (SOLUTION_GRAD_TOL, or the row's :func:`_gradient_tolerance`) and whose
+    Hessian passes PSD_TOLERANCE, every row's (descent, endgame) step counts
+    and the number of stationary rows.  The first failed row's error
+    (Newton's, or a failed eigensolve's ``LinAlgError``) is raised."""
     energy, gradient, hessian = landscape
     alphas, grad_norm, steps, failures = _newton_minimize(energy, gradient, hessian, seeds)
     settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
-    stationary = settled[~(grad_norm[settled] > SOLUTION_GRAD_TOL)]
+    tolerance = _gradient_tolerance(alphas[settled], params.g, params.jbar, SOLUTION_GRAD_TOL)
+    stationary = settled[~(grad_norm[settled] > tolerance)]
     lowest = _eigvalsh(hessian(alphas[stationary])).min(axis=-1)
     _drop(np.isnan(lowest), stationary, failures, _UNCONVERGED)
     if failures:
@@ -736,7 +720,7 @@ def _certified_members(landscape, params: ModelParams, candidate: np.ndarray):
     that stack's first; a miss falls back to the orbit search, so the slack decides the
     route, never the answer.
     """
-    found, _, _ = _stable_minima(landscape, candidate)
+    found, _, _ = _stable_minima(landscape, params, candidate)
     if not len(found):
         return None
     (energy,) = landscape[0](found).tolist()
@@ -777,18 +761,21 @@ def _gradient_tolerance(alphas: np.ndarray, g, jbar, bound: float):
 
 def _distinct_images(global_tier) -> np.ndarray:
     """The manifold generated from a global tier (members, N): a member
-    within MATCH_TOL of a kept one lies in a kept orbit; else each of its
-    2N images joins unless it matches a kept member or an earlier joining
-    image, found with one 2N x 2N distance matrix and a pass in image
-    order."""
+    within MATCH_TOL times max(1, max |alpha| of the tier) of a kept one
+    lies in a kept orbit; else each of its 2N images joins unless it
+    matches a kept member or an earlier joining image, found with one
+    2N x 2N distance matrix and a pass in image order.  The scale keeps
+    copies of one minimum together at strong coupling, where |alpha| ~ g/2
+    rounds them further apart than MATCH_TOL."""
     members = np.empty((0, np.shape(global_tier)[-1]))
+    match = MATCH_TOL * max(1.0, np.abs(global_tier).max())
     for alphas in global_tier:
-        if (np.abs(members - alphas).max(axis=-1) < MATCH_TOL).any():
+        if (np.abs(members - alphas).max(axis=-1) < match).any():
             continue
         images = group_images(alphas)
-        near = np.abs(images[:, None] - images[None]).max(axis=-1) < MATCH_TOL
+        near = np.abs(images[:, None] - images[None]).max(axis=-1) < match
         new = ~(np.abs(images[:, None] - members[None]).max(axis=-1)
-                < MATCH_TOL).any(axis=1)
+                < match).any(axis=1)
         joining = np.zeros(len(images), dtype=bool)
         for i in new.nonzero()[0].tolist():
             joining[i] = not (near[i] & joining).any()
@@ -883,7 +870,7 @@ def _uniform_rows(alphas: np.ndarray) -> np.ndarray:
 
 
 def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
-                         hessian=None) -> np.ndarray:
+                         hessian) -> np.ndarray:
     """Ascending Hessian eigenvalues of a stack of configurations (rows,
     N), with ``g`` and ``jbar`` one value per row.
 
@@ -892,14 +879,10 @@ def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
     hopping 2 jbar, so its eigenvalues are the closed form d + 4 jbar cos k
     of :func:`~frustra.model.origin_hessian_eigenvalues`, given that d.
     Every other row takes ``numpy.linalg.eigvalsh`` of its Hessian, which
-    ``hessian(mask)`` gives for the rows of a mask (by default,
-    :func:`energy_hessian` of those rows; the solver reads its Newton
-    stack's kernel), through :data:`_eigvalsh`: a row whose eigensolve
-    fails is NaN throughout.
+    ``hessian(mask)`` gives for the rows of a mask (the solver reads its
+    Newton stack's kernel), through :data:`_eigvalsh`: a row whose
+    eigensolve fails is NaN throughout.
     """
-    if hessian is None:
-        def hessian(rows):
-            return energy_hessian(alphas[rows], g[rows], jbar[rows])
     uniform = _uniform_rows(alphas)
     if not uniform.any():  # a frustrated stack, solved without masks
         return _eigvalsh(hessian(~uniform))

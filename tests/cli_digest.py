@@ -5,7 +5,8 @@ N = 3, 5, 7, 9, 21 and jbar = +-0.01, -0.3, 0.2, 0.45, ``ground-state`` also
 at the strong couplings g = 10 and 1000, and at jbar = +-0.01 at g = 1e10
 and 1e12, the exhaustive
 ``--manifold`` oracle at N = 3, 5, 7, with jbar = -0.01 also at 0.5 g_c and
-g_c (1 + 1e-9), and ``sweep`` and ``exponents`` at jbar = 0.0), then the
+g_c (1 + 1e-9) and jbar = 0.2 also at the strong coupling g = 1e6, and
+``sweep`` and ``exponents`` at jbar = 0.0), then the
 transition-order scans ``energy_derivative_diagnostics`` over N = 3, 5, 7,
 jbar = +-0.01, 0.2, -0.3, both axes and four (half_width, step) pairs,
 against the package under a given ``src`` directory, in one child process,
@@ -65,6 +66,8 @@ def cli_runs() -> list[list[str]]:
             if jbar == -0.01:  # its certified origin, and its uniform candidate at g_c
                 gc = math.sqrt(1.0 + 2.0 * jbar)  # the package's g_c at jbar < 0, bit for bit
                 couplings += [repr(0.5 * gc), repr(gc * (1.0 + 1e-9))]
+            if jbar == 0.2:  # where |alpha| ~ g/2 lifts the oracle's rounding
+                couplings.append("1e6")
             runs += [["ground-state", *common, "--g", g, "--manifold", "--seed-mode", "exhaustive"]
                      for g in couplings]
     for n, fmt in itertools.product(SIZES, ("csv", "json")):  # the first-order line

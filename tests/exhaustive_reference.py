@@ -16,6 +16,7 @@ from frustra.meanfield import (
     MATCH_TOL,
     PSD_TOLERANCE,
     SOLUTION_GRAD_TOL,
+    _gradient_tolerance,
     _newton_minimize,
     _polish_members,
     _uniform_magnitude,
@@ -29,8 +30,10 @@ from frustra.model import (
 
 
 def enumerate_all_sign_patterns(params):
-    """The global minimizers found from all 2^N sign patterns, each distinct
-    member (at MATCH_TOL) once, in sign-pattern order."""
+    """The global minimizers found from all 2^N sign patterns, stationary
+    by the solver's rule (SOLUTION_GRAD_TOL, or the gradient's rounding
+    floor), each distinct member (at MATCH_TOL times max(1, max |alpha|))
+    once, in sign-pattern order."""
     n, g, jbar = params.n_sites, params.g, params.jbar
     gc = params.critical_coupling()
     scale = np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5) if g > gc else 0.1
@@ -44,7 +47,8 @@ def enumerate_all_sign_patterns(params):
         lambda a, rows: energy_gradient(a, g, jbar),
         lambda a, rows: energy_hessian(a, g, jbar), seeds)
     settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
-    stationary = settled[~(grad_norm[settled] > SOLUTION_GRAD_TOL)]
+    tolerance = _gradient_tolerance(alphas[settled], g, jbar, SOLUTION_GRAD_TOL)
+    stationary = settled[~(grad_norm[settled] > tolerance)]
     lowest = np.full(len(stationary), np.nan)
     for k, row in enumerate(stationary.tolist()):
         try:
@@ -66,9 +70,9 @@ def enumerate_all_sign_patterns(params):
             raise ValidationError("jbar = 0 above the origin has no single-phase classification")
         if jbar > 0:
             global_tier = _polish_members(global_tier, params)
-    distinct = []
+    distinct, match = [], MATCH_TOL * max(1.0, np.abs(global_tier).max())
     for alphas in global_tier:
-        if not any(np.max(np.abs(alphas - other)) < MATCH_TOL for other in distinct):
+        if not any(np.max(np.abs(alphas - other)) < match for other in distinct):
             distinct.append(alphas)
     return [MeanFieldConfiguration(a, g, jbar) for a in distinct]
 
@@ -76,14 +80,16 @@ def enumerate_all_sign_patterns(params):
 def images_one_at_a_time(global_tier):
     """The manifold generated from a global tier by comparing every image
     with the members kept so far, one image at a time; the package compares
-    each tier member's 2N images in one distance matrix."""
+    each tier member's 2N images in one distance matrix.  Both match at
+    MATCH_TOL times max(1, the tier's largest |alpha|)."""
     members = np.empty((0, np.shape(global_tier)[-1]))
+    match = MATCH_TOL * max(1.0, np.abs(global_tier).max())
     for alphas in global_tier:
-        if not np.any(np.max(np.abs(members - alphas), axis=-1) < MATCH_TOL):
+        if not np.any(np.max(np.abs(members - alphas), axis=-1) < match):
             n = len(alphas)
             for flip in (1.0, -1.0):
                 for shift in range(n):
                     image = flip * np.roll(alphas, shift)
-                    if not np.any(np.max(np.abs(members - image), axis=-1) < MATCH_TOL):
+                    if not np.any(np.max(np.abs(members - image), axis=-1) < match):
                         members = np.vstack((members, image))
     return members

@@ -64,6 +64,19 @@ def params(jbar, g, n=3):
     return ModelParams(1.0, 1.0, jbar, g, n)
 
 
+def dense_spectra(alphas, g, jbar):
+    """:func:`_hessian_eigenvalues` of a stack (rows, N), each row's
+    Hessian the dense :func:`energy_hessian` at its own g and jbar."""
+    return _hessian_eigenvalues(alphas, g, jbar,
+                                lambda rows: energy_hessian(alphas[rows], g[rows], jbar[rows]))
+
+
+def point_spectrum(point):
+    """The Hessian spectrum of a point's row in its one-point solver record."""
+    states = _solve_stack(point.n_sites, np.array([point.g]), np.array([point.jbar]))
+    return states.hessian_eigenvalues[0]
+
+
 def seed_alphas(point):
     """The solver's start of a superradiant point as a full configuration:
     the uniform closed form, else the canonical frustrated pattern with its
@@ -436,8 +449,9 @@ class TestDegenerateManifold:
         assert np.ptp(energies) <= ENERGY_TOL
 
     def test_exhaustive_keeps_only_solver_stationary_members(self):
-        # members must meet the solver's own acceptance, SOLUTION_GRAD_TOL;
-        # an absolute 1e-8 let ten stalled runs into this two-fold tier
+        # members must meet the solver's own acceptance, SOLUTION_GRAD_TOL
+        # (its rounding floor lies below it here); an absolute 1e-8 let ten
+        # stalled runs into this two-fold tier
         jbar, n = -0.01, 5
         g = critical_point(jbar, n) + 1e-7
         found = enumerate_degenerate_ground_states(
@@ -445,6 +459,24 @@ class TestDegenerateManifold:
         assert len(found) == 2
         for member in found:
             assert np.max(np.abs(energy_gradient(member.alphas, g, jbar))) <= SOLUTION_GRAD_TOL
+
+    @pytest.mark.parametrize("n, jbar, g", [
+        (3, 0.2, 1e6), (5, 0.2, 1e6), (7, 0.2, 1e6),
+        (7, 0.45, critical_point(0.45, 7) * (1 + 1e8))])
+    def test_exhaustive_oracle_at_strong_coupling(self, n, jbar, g):
+        # |alpha| ~ g/2 lifts the gradient's rounding floor above
+        # SOLUTION_GRAD_TOL and spreads copies of one minimum beyond an
+        # absolute MATCH_TOL: the oracle judges stationarity by the solver's
+        # rule and matches at MATCH_TOL times the tier's scale, and returns
+        # the symmetry orbit, each member within 4 eps of it relative
+        point = params(jbar, g, n)
+        orbit = np.array([m.alphas for m in enumerate_degenerate_ground_states(point)])
+        found = np.array([m.alphas for m in enumerate_degenerate_ground_states(
+            point, SolverOptions(seed_mode="exhaustive"))])
+        assert len(found) == len(orbit) == 2 * n
+        distance = np.abs(found[:, None] - orbit[None]).max(axis=-1)
+        scale = 4 * EPS * np.abs(orbit).max()
+        assert distance.min(axis=0).max() <= scale and distance.min(axis=1).max() <= scale
 
     def test_saddle_free_steps_bound_the_oracle_line_search(self, monkeypatch):
         # N = 7 cold points: the oracle's rows pass through the indefinite
@@ -581,10 +613,10 @@ class TestDerivedSolutionFields:
         assert phase is Phase.FSP and not errors
         assert a[0] < 0 <= a[1]
         assert np.array_equal(a, solution.config.alphas)
-        # the winner's spectrum is carried over the flip: the flipped
+        # the record's spectrum is kept over the flip: the flipped
         # configuration has the canonical one's, bit for bit
-        (spectrum,) = _hessian_eigenvalues(flipped[None], np.array([p.g]), np.array([p.jbar]))
-        assert spectrum.tobytes() == solution.hessian_eigenvalues.tobytes()
+        (spectrum,) = dense_spectra(flipped[None], np.array([p.g]), np.array([p.jbar]))
+        assert spectrum.tobytes() == point_spectrum(p).tobytes()
 
 
 class TestGradientTolerance:
@@ -766,8 +798,9 @@ class TestStackedSolve:
         n, jbar = 5, 0.01
         gc = critical_point(jbar, n)
         points = [params(jbar, gc * (1 + r), n) for r in (1e-4, 1e-3, 5e-3)]
-        clean = solve_ground_states(points)
-        assert all(solution.phase is Phase.FSP for solution in clean)
+        g, jbar = np.array([[p.g, p.jbar] for p in points]).T
+        clean = _solve_stack(n, g, jbar)
+        assert all(phase is Phase.FSP for phase in clean.phases)
         real, checked = meanfield._eigvalsh, []
 
         def failing(hess):
@@ -777,15 +810,16 @@ class TestStackedSolve:
             return real(hess)
 
         monkeypatch.setattr(meanfield, "_eigvalsh", failing)
-        outcomes = solve_ground_states(points)
+        states = _solve_stack(n, g, jbar)
         assert checked == [3]
-        assert type(outcomes[1]) is np.linalg.LinAlgError
-        assert str(outcomes[1]) == "Eigenvalues did not converge"
+        assert type(states.errors[1]) is np.linalg.LinAlgError
+        assert str(states.errors[1]) == "Eigenvalues did not converge"
+        assert type(solve_ground_states(points)[1]) is np.linalg.LinAlgError
         for k in (0, 2):
-            assert [outcomes[k].config.alphas.tobytes(), outcomes[k].grad_norm,
-                    outcomes[k].hessian_eigenvalues.tobytes()] == [
-                clean[k].config.alphas.tobytes(), clean[k].grad_norm,
-                clean[k].hessian_eigenvalues.tobytes()]
+            assert [states.alphas[k].tobytes(), states.grad_norm[k],
+                    states.hessian_eigenvalues[k].tobytes()] == [
+                clean.alphas[k].tobytes(), clean.grad_norm[k],
+                clean.hessian_eigenvalues[k].tobytes()]
 
     def test_failed_oracle_minimum_check_raises_linalg_error(self, monkeypatch):
         # the exhaustive oracle's PSD check: one failing row among its
@@ -1166,8 +1200,8 @@ class TestHessianCriticalModes:
                            for name in ("alphas", "g", "jbar"))
         soft = _soft_modes(alphas, g, jbar, np.array([s.phase is Phase.FSP for s in solutions]))
         assert soft.shape == (len(points), 2)
-        for p, sol, point_soft in zip(points, solutions, soft):
-            point_eigenvalues = sol.hessian_eigenvalues
+        stacked = _solve_stack(n, g, jbar).hessian_eigenvalues
+        for p, sol, point_soft, point_eigenvalues in zip(points, solutions, soft, stacked):
             assert point_eigenvalues.shape == (n,)
             hess = energy_hessian(sol.config.alphas, p.g, p.jbar)
             alone = np.linalg.eigvalsh(hess)
@@ -1184,7 +1218,7 @@ class TestHessianCriticalModes:
                 assert np.isnan(point_soft).all()
 
     @pytest.mark.parametrize("route", [hessian_critical_modes,
-                                       lambda sol: sol.hessian_eigenvalues])
+                                       enumerate_degenerate_ground_states])
     def test_rejects_unconverged_solution(self, route):
         # a leftover gradient shifts the soft eigenvalues, so a residual
         # above SOLUTION_GRAD_TOL is refused when the solution is built, and
@@ -1204,9 +1238,9 @@ class TestHessianCriticalModes:
 
 
 class TestCarriedSpectrum:
-    """Every solution carries its Hessian spectrum: a solved point the one
-    its minimum check computed, a normal point its closed form, a
-    hand-built one the spectrum it is given or computes when built."""
+    """The solver's record carries each point's Hessian spectrum: a solved
+    point the one its minimum check computed, a normal point its closed
+    form, with the same bits in any stack."""
 
     @staticmethod
     def points(n):
@@ -1218,22 +1252,19 @@ class TestCarriedSpectrum:
 
     @pytest.mark.parametrize("n", range(3, 22, 2))
     def test_carried_spectrum_is_the_recomputed_one_bit_for_bit(self, n):
-        solutions = solve_ground_states(self.points(n))
-        assert {s.phase for s in solutions} == {Phase.NORMAL, Phase.NFSP, Phase.FSP}
-        alphas, g, jbar = (np.array([getattr(s.config, name) for s in solutions])
-                           for name in ("alphas", "g", "jbar"))
-        # the route of a solution built without a spectrum
-        recomputed = _hessian_eigenvalues(alphas, g, jbar)
-        dense = ~meanfield._uniform_rows(alphas)
+        points = self.points(n)
+        g, jbar = np.array([[p.g, p.jbar] for p in points]).T
+        states = _solve_stack(n, g, jbar)
+        assert set(states.phases) == {Phase.NORMAL, Phase.NFSP, Phase.FSP}
+        assert not states.hessian_eigenvalues.flags.writeable
+        recomputed = dense_spectra(states.alphas, g, jbar)
+        dense = ~meanfield._uniform_rows(states.alphas)
         assert recomputed[dense].tobytes() == np.linalg.eigvalsh(
-            energy_hessian(alphas[dense], g[dense], jbar[dense])).tobytes()
-        # a hand-built solution computes its own, with the same bits
-        hand_built = [GroundStateSolution(s.config, s.phase, s.grad_norm, s.params)
-                      for s in solutions]
-        for stack in (solutions, hand_built):
-            for solution, spectrum in zip(stack, recomputed):
-                assert solution.hessian_eigenvalues.tobytes() == spectrum.tobytes()
-                assert not solution.hessian_eigenvalues.flags.writeable
+            energy_hessian(states.alphas[dense], g[dense], jbar[dense])).tobytes()
+        assert states.hessian_eigenvalues.tobytes() == recomputed.tobytes()
+        # a point's spectrum has the same bits in a stack of one
+        for point, spectrum in zip(points, states.hessian_eigenvalues):
+            assert point_spectrum(point).tobytes() == spectrum.tobytes()
 
     def test_normal_points_take_one_closed_form_call(self, monkeypatch):
         # a stack's normal points share one stacked call of the origin's
@@ -1247,32 +1278,12 @@ class TestCarriedSpectrum:
         monkeypatch.setattr(meanfield, "origin_hessian_eigenvalues", counted)
         gc = critical_point(-0.01, 21)
         points = [params(-0.01, gc * (1 - r), 21) for r in (0.3, 1e-2, 1e-5)]
-        solutions = solve_ground_states(points)
+        g, jbar = np.array([[p.g, p.jbar] for p in points]).T
+        states = _solve_stack(21, g, jbar)
         assert calls == [3]
-        for p, solution in zip(points, solutions):
-            assert solution.phase is Phase.NORMAL
-            assert solution.hessian_eigenvalues.tobytes() == origin_hessian_eigenvalues(
-                p.g, p.jbar, 21).tobytes()
-
-    def test_failed_eigensolve_fails_the_hand_built_solution(self, monkeypatch):
-        sol = solve_ground_state(params(0.01, 1.1, 5))
-        monkeypatch.setattr(meanfield, "_eigvalsh", lambda hess: np.full(hess.shape[:-1], np.nan))
-        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
-            GroundStateSolution(sol.config, sol.phase, sol.grad_norm, sol.params)
-
-    def test_a_given_spectrum_holds_one_value_per_site_and_is_stored_read_only(self):
-        sol = solve_ground_state(params(0.01, 1.1, 5))
-        for bad in (np.array([1.0, 2.0]), np.ones(6), sol.hessian_eigenvalues[None], 1.0):
-            with pytest.raises(ValidationError, match="Hessian spectrum of shape"):
-                GroundStateSolution(sol.config, sol.phase, sol.grad_norm, sol.params, bad)
-        given = sol.hessian_eigenvalues.copy()
-        for spectrum in (given, given.tolist()):
-            built = GroundStateSolution(sol.config, sol.phase, sol.grad_norm, sol.params,
-                                        spectrum)
-            assert not built.hessian_eigenvalues.flags.writeable
-            assert built.hessian_eigenvalues.tobytes() == sol.hessian_eigenvalues.tobytes()
-        given[0] = 7.0  # the caller's array stays its own, and writeable
-        assert built.hessian_eigenvalues[0] == sol.hessian_eigenvalues[0]
+        for p, phase, spectrum in zip(points, states.phases, states.hessian_eigenvalues):
+            assert phase is Phase.NORMAL
+            assert spectrum.tobytes() == origin_hessian_eigenvalues(p.g, p.jbar, 21).tobytes()
 
     def test_minimum_check_reads_the_newton_kernel(self, monkeypatch):
         def unused(*args):
@@ -1284,16 +1295,14 @@ class TestCarriedSpectrum:
         for solution, alone in zip(solve_ground_states(points), expected):
             assert solution.config.alphas.tobytes() == alone.config.alphas.tobytes()
 
-    def test_solved_stack_runs_no_dense_eigensolver_for_its_spectra(self, monkeypatch):
-        # frustrated points carry theirs, and normal ones take the closed form;
-        # a solution built with a carried spectrum keeps it without a solve
+    def test_building_a_solution_runs_no_eigensolver(self, monkeypatch):
+        # a solution holds no spectrum, so a hand-built one needs no solve
         solutions = solve_ground_states(self.points(5))
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         monkeypatch.setattr(meanfield, "_eigvalsh", None)
         for s in solutions:
-            rebuilt = GroundStateSolution(s.config, s.phase, s.grad_norm, s.params,
-                                          s.hessian_eigenvalues)
-            assert rebuilt.hessian_eigenvalues.tobytes() == s.hessian_eigenvalues.tobytes()
+            rebuilt = GroundStateSolution(s.config, s.phase, s.grad_norm, s.params)
+            assert rebuilt == s
 
 
 class TestSpectralLowerBound:
@@ -1375,7 +1384,7 @@ class TestSolverRecord:
                 assert states.alphas[i].tobytes() == outcome.config.alphas.tobytes()
                 assert states.grad_norm[i] == outcome.grad_norm
                 assert (states.hessian_eigenvalues[i].tobytes()
-                        == outcome.hessian_eigenvalues.tobytes())
+                        == point_spectrum(points[i]).tobytes())
             else:
                 assert type(states.errors[i]) is type(outcome)
                 assert str(states.errors[i]) == str(outcome)
@@ -1402,7 +1411,7 @@ class TestMomentumSpectra:
     @staticmethod
     def spectra(alphas, g, jbar):
         """The helper's eigenvalues, with jbar broadcast to one per row."""
-        return _hessian_eigenvalues(alphas, g, np.full(len(alphas), jbar))
+        return dense_spectra(alphas, g, np.full(len(alphas), jbar))
 
     def test_origin_spectrum_is_the_origin_formula_bit_for_bit(self):
         for n, jbar in itertools.product(self.SIZES, self.HOPPINGS):

@@ -12,8 +12,14 @@ from frustra.errors import (
     ValidationError,
 )
 from frustra.fluctuations import analytic_nfsp_spectrum, analytic_np_spectrum
-from frustra.meanfield import GroundStates, GroundStateSolution, Phase, _hessian_eigenvalues
-from frustra.model import MeanFieldConfiguration, ModelParams, critical_point
+from frustra.meanfield import (
+    GroundStates,
+    GroundStateSolution,
+    Phase,
+    _hessian_eigenvalues,
+    _solve_stack,
+)
+from frustra.model import MeanFieldConfiguration, ModelParams, critical_point, energy_hessian
 from frustra.scaling import (
     SweepMissing,
     SweepRow,
@@ -620,7 +626,8 @@ class TestSweepErrors:
         # momentum block is not positive definite
         def stale(n_sites, g, jbar):
             origin = np.zeros((len(g), n_sites))
-            return stub_record(origin, Phase.NORMAL, _hessian_eigenvalues(origin, g, jbar))
+            return stub_record(origin, Phase.NORMAL, _hessian_eigenvalues(
+                origin, g, jbar, lambda rows: energy_hessian(origin[rows], g[rows], jbar[rows])))
 
         monkeypatch.setattr(scaling, "_solve_stack", stale)
         spec = SweepSpec(jbar=-0.01, n_sites=5, sides="above",
@@ -684,9 +691,9 @@ def solve_alone(params):
 
 def reference_sweep(spec):
     """A sweep's rows, missing rows and warnings built one row at a time,
-    each point solved on its own (:func:`solve_ground_state`) and observed
-    on its own as a stack of one, then sorted by coupling, observable and
-    index string."""
+    each point solved on its own (:func:`solve_ground_state`, its Hessian
+    spectrum read from its one-point record) and observed on its own as a
+    stack of one, then sorted by coupling, observable and index string."""
     gc, want = spec.g_critical, set(spec.observables)
     gaussian = ",".join(sorted(want & {"gaps", "photon_numbers", "squeezing"}))
     rows, missing, warnings = [], [], []
@@ -703,7 +710,9 @@ def reference_sweep(spec):
             missing.append(SweepMissing(g, "all", f"solver: {outcome}"))
             continue
         put("energy", "", outcome.config.energy)
-        for rank, value in enumerate(outcome.hessian_eigenvalues, start=1):
+        (spectrum,) = _solve_stack(params.n_sites, np.array([g]),
+                                   np.array([params.jbar])).hessian_eigenvalues
+        for rank, value in enumerate(spectrum, start=1):
             put("hessian_eigenvalues", rank, value)
         if outcome.phase is Phase.FSP:
             modes = meanfield.hessian_critical_modes(outcome)
