@@ -28,12 +28,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, InstabilityError, PhaseError, ValidationError
-from .meanfield import (
-    GroundStateSolution,
-    Phase,
-    _fix_sign,
-    _uniform_rows,
-)
+from .meanfield import GroundStateSolution, Phase, _fix_sign
 from .model import ModelParams, atomic_cosines, ring
 
 _EPS = float(np.finfo(float).eps)
@@ -569,6 +564,13 @@ def site_moments(solutions) -> SiteMoments:
                          *_per_point(solutions))
 
 
+def _uniform_rows(alphas: np.ndarray) -> np.ndarray:
+    """The rows of a stack of configurations (rows, N) whose coherences are
+    all equal, 0.0 and -0.0 alike: a translation-invariant state, whose
+    Hessian and fluctuation form are diagonal in lattice momentum."""
+    return (alphas == alphas[:, :1]).all(axis=-1)
+
+
 def _site_moments(frustrated: np.ndarray, *points) -> SiteMoments:
     """Cavity moments of ground states, ``points`` as :func:`_per_point`
     gives them, frustrated where the mask ``frustrated`` is set.
@@ -611,7 +613,10 @@ def fsp_site_moments(solution: GroundStateSolution) -> SiteMoments:
 def fsp_sector_spectra(solution: GroundStateSolution):
     """(mirror-even, mirror-odd) symplectic spectra of a frustrated state,
     read from :func:`site_moments` on a stack of one point; either part is
-    None when numerically unresolvable."""
+    None when numerically unresolvable.  Another phase has no mirror
+    sectors and raises :class:`PhaseError`, as :func:`fsp_site_moments` does."""
+    if solution.phase is not Phase.FSP:
+        raise PhaseError("mirror-sector spectra require the frustrated phase")
     moments = site_moments([solution])
     return tuple(None if np.isnan(eps[0, 0]) else eps[0]
                  for eps in (moments.eps_even, moments.eps_odd))

@@ -1,9 +1,12 @@
 """Global mean-field ground states of the Dicke ring.
 
 Finds the minimizers of the rescaled energy landscape for any coupling and
-hopping, classifies the phase (normal, non-frustrated superradiant,
-frustrated superradiant), enumerates the degenerate ground-state manifold
-and exposes the closed-form and perturbative reference solutions.
+hopping, enumerates the degenerate ground-state manifold and exposes the
+closed-form and perturbative reference solutions.  A point's phase follows
+from (g, jbar) alone: normal at g <= g_c, above it non-frustrated
+superradiant for jbar < 0 and frustrated superradiant for jbar > 0; at
+jbar = 0 above g_c = 1 there is none.  The solver and the exhaustive oracle
+pick each point's route from it.
 
 Conventions: sites are numbered 1..N; the canonical frustrated
 representative has its unpaired site at site 1 with alpha_1 < 0 <= alpha_2,
@@ -410,17 +413,10 @@ def _canonical_frames(alphas: np.ndarray):
     return shifts, -(signs * aligned[:, (sites - half) % n]).sum(axis=1), errors
 
 
-#: The phase of each code of :func:`_phase_codes`, None at jbar = 0
-_PHASES = np.array([Phase.NORMAL, Phase.NFSP, None, Phase.FSP], dtype=object)
+#: The error of a point at jbar = 0 above g_c = 1, which has no phase
 _UNCLASSIFIED = ValidationError(
     "jbar = 0 with g > 1 sits on the first-order line of decoupled sites; "
     "the 2^N-fold degenerate manifold has no single-phase classification")
-
-
-def _phase_codes(peaks, jbar):
-    """Elementwise, the phase code of a minimizer whose largest coherence
-    magnitude is ``peaks``: 0 below 1e-9, the normal phase, else 2 + sign(jbar)."""
-    return np.where(peaks < 1e-9, 0, 2 + np.sign(jbar)).astype(int)
 
 
 @dataclass(frozen=True)
@@ -448,21 +444,23 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     size, at couplings ``g`` and hoppings ``jbar`` (float arrays, each point
     one :class:`ModelParams` accepts), as one :class:`GroundStates` record.
 
-    A point at g <= g_c is the normal phase without a solve: sqrt(1 + x)
-    <= 1 + x/2 gives E(alpha) >= E(0) + alpha^T H_0 alpha / 2, and the
-    origin Hessian H_0 is positive semidefinite up to g_c; the stack's
-    normal points share one :func:`origin_hessian_eigenvalues` call.  A
-    superradiant point's seed magnitude (:func:`_seed_alphas`) is at jbar
-    <= 0 its closed form on every site, and at jbar > 0 it starts the
-    point's row of one mirror-reduced Newton stack ((N+1)/2 values a row).
-    A row within 1e-6 or its :func:`_gradient_tolerance` whose full Hessian
-    spectrum (:func:`_hessian_eigenvalues`) passes PSD_TOLERANCE is a
-    minimum and carries that spectrum.  A point's error is its row's Newton
-    failure, else a :class:`ConvergenceError` if the row is not a stable
-    stationary point, else that of the first check of :func:`_canonical`
-    the row fails.  Rows never mix, so a point's row is a pure function of
-    its parameters, whatever else the stack holds.  At ``logging.DEBUG``
-    the ``frustra.meanfield`` logger gets one record per solved point.
+    A point's phase, and so its route, follows from (g, jbar).  At g <= g_c
+    it is the normal phase without a solve: sqrt(1 + x) <= 1 + x/2 gives
+    E(alpha) >= E(0) + alpha^T H_0 alpha / 2, and the origin Hessian H_0 is
+    positive semidefinite up to g_c; the stack's normal points share one
+    :func:`origin_hessian_eigenvalues` call.  Above g_c (:func:`_seed_alphas`)
+    a point at jbar < 0 is the uniform closed form on every site, with the
+    circulant closed-form spectrum; one at jbar > 0 starts its row of one
+    mirror-reduced Newton stack ((N+1)/2 values a row) and takes a dense
+    eigensolve; one at jbar = 0 has no phase (:data:`_UNCLASSIFIED`).  A
+    row within 1e-6 or its :func:`_gradient_tolerance` whose spectrum passes
+    PSD_TOLERANCE is a minimum and carries that spectrum.  A point's error
+    is its row's Newton failure, else a :class:`ConvergenceError` if the
+    row is not a stable stationary point, else that of the first check of
+    :func:`_canonical` the row fails.  Rows never mix, so a point's row is
+    a pure function of its parameters, whatever else the stack holds.  At
+    ``logging.DEBUG`` the ``frustra.meanfield`` logger gets one record per
+    solved point.
     """
     debug = log.isEnabledFor(logging.DEBUG)
     errors: list = [None] * len(g)
@@ -479,11 +477,14 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
                     log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
                               g_i, jbar_i, n_sites)
                 continue
-            magnitudes.append(_seed_alphas(g_i, jbar_i, gc))
+            magnitude = _seed_alphas(g_i, jbar_i, gc)
+            if jbar_i == 0:
+                raise copy.copy(_UNCLASSIFIED)
         except FrustraError as exc:
             errors[index] = exc
             continue
         solving.append(index)
+        magnitudes.append(magnitude)
     # every row starts as the normal phase's: the origin, at no residual
     alphas, spectra = np.zeros((2, len(g), n_sites))
     phases, grad_norm = np.full(len(g), Phase.NORMAL), np.zeros(len(g))
@@ -492,6 +493,7 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     if solving:
         solving, magnitudes = np.array(solving), np.array(magnitudes)
         landscape = _landscape(n_sites, g[solving], jbar[solving])
+        phases[solving] = np.where(jbar[solving] > 0, Phase.FSP, Phase.NFSP)
         # a uniform row is its closed form; Newton moves the frustrated ones
         found = np.repeat(magnitudes[:, None], n_sites, axis=1)
         steps, failures = np.zeros((len(solving), 2), dtype=int), {}
@@ -512,20 +514,18 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
         if loose.any():
             tolerance[loose] = _gradient_tolerance(found[loose], g[solving[loose]],
                                                    jbar[solving[loose]], SOLUTION_GRAD_TOL)
-        stationary = np.flatnonzero(residual <= np.fmax(tolerance, 1e-6))
-        candidates = found[stationary]
-        checked = _hessian_eigenvalues(
-            candidates, g[solving[stationary]], jbar[solving[stationary]],
-            lambda dense: landscape[2](candidates[dense], stationary[dense]))
-        stationary, checked = _drop(np.isnan(checked[:, 0]), stationary, failures, _UNCONVERGED,
-                                    checked)
-        spectra[solving[stationary]] = checked
-        minima = set(stationary[~(checked[:, 0] < PSD_TOLERANCE)].tolist())
-        alphas[solving], phases[solving], point_errors = _canonical(
-            found, residual, tolerance, jbar[solving])
+        stationary = residual <= np.fmax(tolerance, 1e-6)
+        # a uniform row's spectrum is circulant, a stationary frustrated row's a dense eigensolve
+        uniform, dense = np.flatnonzero(jbar[solving] < 0), frustrated[stationary[frustrated]]
+        spectra[solving[uniform]] = _circulant_eigenvalues(_hessian_diagonal(
+            magnitudes[uniform, None], g[solving[uniform], None]), jbar[solving[uniform]], n_sites)
+        spectra[solving[dense]] = _eigvalsh(landscape[2](found[dense], dense))
+        lowest = spectra[solving, 0]
+        _drop(stationary & np.isnan(lowest), np.arange(len(solving)), failures, _UNCONVERGED)
+        alphas[solving], point_errors = _canonical(found, residual, tolerance, frustrated)
         grad_norm[solving] = residual
         # a failed row's error, then no minimum, then the checks
-        for row in (row for row in range(len(solving)) if row not in minima):
+        for row in np.flatnonzero(~stationary | (lowest < PSD_TOLERANCE)).tolist():
             point_errors[row] = ConvergenceError(
                 f"no seed converged to a stable stationary point at g={g[solving[row]]}, "
                 f"jbar={jbar[solving[row]]}", best_residual=residual[row].item())
@@ -546,14 +546,13 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
 
 
 def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, tolerance: np.ndarray,
-               jbar: np.ndarray):
+               frustrated: np.ndarray):
     """Minimizers (rows, N), with their gradient residuals, the tolerances
-    of :class:`GroundStateSolution` on them and their hoppings, classified
-    and put in their canonical frame as one stack: ``(alphas, phases,
-    errors)``, with by row the error of the first check it fails: the
-    classification, the frame, and the residual check.  The Hessian depends
-    on the coherences through their squares only, so the sign flip keeps a
-    row's spectrum.
+    of :class:`GroundStateSolution` on them and the ids of the frustrated
+    rows, put in their canonical frame as one stack: ``(alphas, errors)``,
+    with by row the error of the first check it fails: the frame, and the
+    residual check.  The Hessian depends on the coherences through their
+    squares only, so the sign flip keeps a row's spectrum.
 
     Every seed is mirror-symmetric about site 1, so a frustrated minimizer
     is too and is canonical up to its global sign: the mirror maps the aligned
@@ -561,18 +560,15 @@ def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, tolerance: np.ndarray,
     i = (N-1)/2, opposite site 1.  :func:`_canonical_frames` still checks
     the frustrated rows for exactly one aligned pair, and its shift is 0.
     """
-    codes = _phase_codes(np.abs(alphas).max(axis=-1), jbar)
     errors = {row: ConvergenceError(f"stationarity residual {grad_norm[row]:.2e} above "
                                     f"{tolerance[row]:.3g}", best_residual=grad_norm[row].item())
               for row in np.flatnonzero(~(grad_norm <= tolerance)).tolist()}
-    frustrated = np.flatnonzero(codes == 3)
     if len(frustrated):
         signs = np.ones(len(alphas))
         _, signs[frustrated], frame_errors = _canonical_frames(alphas[frustrated])
         alphas = alphas * signs[:, None]
         errors.update((int(frustrated[row]), error) for row, error in frame_errors.items())
-    errors.update((row, copy.copy(_UNCLASSIFIED)) for row in np.flatnonzero(codes == 2).tolist())
-    return alphas, _PHASES[codes], errors
+    return alphas, errors
 
 
 def solve_ground_states(params_seq) -> list:
@@ -622,10 +618,14 @@ def enumerate_degenerate_ground_states(
     candidate misses the bound, one sign pattern per orbit of that group is
     minimized independently and the group generates the members from the
     global-energy tier; this validates the orbit construction for small
-    lattices.  At ``logging.DEBUG`` the ``frustra.meanfield`` logger gets
-    one record per exhaustive call: the certified candidate and its margin
-    to the bound, or the orbit rows, the Newton steps, the stationary rows,
-    the global tier and the members.
+    lattices.  The oracle reads the phase from (g, jbar) as the solver
+    does: it polishes its members in the frustrated phase only, g > g_c and
+    jbar > 0, and refuses a point at jbar = 0 above g_c = 1 before any
+    Newton run, with the solver's :class:`ValidationError`.  At
+    ``logging.DEBUG`` the ``frustra.meanfield`` logger gets one record per
+    exhaustive call: the certified candidate and its margin to the bound,
+    or the orbit rows, the Newton steps, the stationary rows, the global
+    tier and the members.
     """
     opts = opts or SolverOptions()
     solved = isinstance(point, GroundStateSolution)
@@ -649,6 +649,8 @@ def _enumerate_exhaustive(params: ModelParams):
     uniform = _uniform_magnitude(g, jbar)
     if uniform is not None:
         scale = max(scale, uniform)
+    if g > gc and jbar == 0:
+        raise copy.copy(_UNCLASSIFIED)
     landscape = _landscape(n, g, jbar)
     if g <= gc or jbar < 0:  # the spectral lower bound is attainable
         # the origin, or orbit_patterns(n)[0], all -1, at the orbit rows' scale
@@ -665,10 +667,7 @@ def _enumerate_exhaustive(params: ModelParams):
     energies = landscape[0](found)
     tolerance = max(ENERGY_TOL, _BOUND_SLACK * _energy_rounding(found, g, jbar).max())
     global_tier = found[energies <= energies.min() + tolerance]
-    phase = _PHASES[_phase_codes(np.abs(global_tier[0]).max(), jbar)]
-    if phase is None:
-        raise copy.copy(_UNCLASSIFIED)
-    if phase is Phase.FSP:
+    if g > gc and jbar > 0:
         # Near g_c the mirror-odd direction is flat, so each member stops
         # somewhere along it; lock its pairs, as solve_ground_state's mirror-
         # reduced Newton does, so that copies of one minimum coincide to
@@ -860,38 +859,6 @@ def _soft_modes(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
             alphas[frustrated], g[frustrated], jbar[frustrated]))
         soft[frustrated] = np.column_stack([w_even[:, 0], w_odd[:, 0]])
     return soft
-
-
-def _uniform_rows(alphas: np.ndarray) -> np.ndarray:
-    """The rows of a stack of configurations (rows, N) whose coherences are
-    all equal, 0.0 and -0.0 alike: a translation-invariant state, whose
-    Hessian and fluctuation form are diagonal in lattice momentum."""
-    return (alphas == alphas[:, :1]).all(axis=-1)
-
-
-def _hessian_eigenvalues(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
-                         hessian) -> np.ndarray:
-    """Ascending Hessian eigenvalues of a stack of configurations (rows,
-    N), with ``g`` and ``jbar`` one value per row.
-
-    A row of equal coherences a has the circulant Hessian of diagonal d,
-    computed as :func:`~frustra.model.energy_hessian` computes it, and
-    hopping 2 jbar, so its eigenvalues are the closed form d + 4 jbar cos k
-    of :func:`~frustra.model.origin_hessian_eigenvalues`, given that d.
-    Every other row takes ``numpy.linalg.eigvalsh`` of its Hessian, which
-    ``hessian(mask)`` gives for the rows of a mask (the solver reads its
-    Newton stack's kernel), through :data:`_eigvalsh`: a row whose
-    eigensolve fails is NaN throughout.
-    """
-    uniform = _uniform_rows(alphas)
-    if not uniform.any():  # a frustrated stack, solved without masks
-        return _eigvalsh(hessian(~uniform))
-    eigenvalues = np.empty(alphas.shape)
-    eigenvalues[uniform] = _circulant_eigenvalues(
-        _hessian_diagonal(alphas[uniform, :1], g[uniform, None]), jbar[uniform], alphas.shape[-1])
-    if not uniform.all():
-        eigenvalues[~uniform] = _eigvalsh(hessian(~uniform))
-    return eigenvalues
 
 
 def _mirror_eigh(hess: np.ndarray):

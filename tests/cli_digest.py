@@ -9,9 +9,15 @@ g_c (1 + 1e-9) and jbar = 0.2 also at the strong coupling g = 1e6, and
 ``sweep`` and ``exponents`` at jbar = 0.0), then the
 transition-order scans ``energy_derivative_diagnostics`` over N = 3, 5, 7,
 jbar = +-0.01, 0.2, -0.3, both axes and four (half_width, step) pairs,
-against the package under a given ``src`` directory, in one child process,
-and prints one line per run: its exit code, the SHA-256 of its stdout (a
-scan's ``repr``) and of its stderr (a scan's error), and its arguments.
+and the solver's records: ``meanfield._solve_stack`` over N = 3, 5, 7, 9,
+21 and jbar = -0.49, -0.01, -1e-5, 0, 1e-5, 0.01, 0.45, each on one grid of
+g_c (the tree's own ``critical_point``), g_c moved by 1 to 6 ulps either
+way, 0.5 g_c and g_c (1 + r) for reduced couplings r from 1e-16 to 1e8.
+It runs them against the package under a given ``src`` directory, in one
+child process, and prints one line per run: its exit code, the SHA-256 of
+its stdout (a scan's ``repr``; a record's phases, alphas, residuals and
+spectra by point) and of its stderr (a scan's error; a record's error
+types and texts by point), and its arguments.
 
     python tests/cli_digest.py src                        # one digest per run
     python tests/cli_digest.py src --dump rows.json       # and the parsed rows
@@ -46,6 +52,10 @@ SCAN_SIZES = (3, 5, 7)
 SCAN_HOPPINGS = (0.01, -0.01, 0.2, -0.3)
 SCAN_AXES = {"g": 1.0, "jbar": 1.2}
 SCAN_STEPS = ((4e-3, 1e-4), (1e-3, 1e-4), (2e-4, 1e-4), (0.05, 3e-3))
+#: The solver records: hoppings about 0 and near the stability edges, and
+#: the reduced couplings of each grid above its ulp steps about g_c.
+RECORD_HOPPINGS = (-0.49, -0.01, -1e-5, 0.0, 1e-5, 0.01, 0.45)
+RECORD_REDUCED = (1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e8)
 
 
 def cli_runs() -> list[list[str]]:
@@ -82,6 +92,42 @@ def scan_runs() -> list[list[str]]:
              "--half-width", repr(half_width), "--step", repr(step)]
             for n, jbar, axis, (half_width, step) in itertools.product(
                 SCAN_SIZES, SCAN_HOPPINGS, SCAN_AXES, SCAN_STEPS)]
+
+
+def record_runs() -> list[list[str]]:
+    """The argument lists of every solver record, in a fixed order."""
+    return [["solve-stack", "--sites", str(n), "--jbar", repr(jbar)]
+            for n, jbar in itertools.product(SIZES, RECORD_HOPPINGS)]
+
+
+def _record(argv: list[str]) -> dict:
+    """One solver record: a row per point, labelled by its phase or its
+    error type, holding g, the alphas, the residual and the spectrum, as
+    stdout, and each failed point's error as stderr."""
+    import numpy as np
+
+    from frustra.meanfield import _solve_stack
+    from frustra.model import critical_point
+
+    option = dict(zip(argv[1::2], argv[2::2]))
+    n, jbar = int(option["--sites"]), float(option["--jbar"])
+    gc = critical_point(jbar, n)
+    couplings, below, above = [gc, 0.5 * gc], gc, gc
+    for _ in range(6):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        couplings += [below, above]
+    couplings += [gc * (1.0 + r) for r in RECORD_REDUCED]
+    states = _solve_stack(n, np.array(couplings), np.full(len(couplings), jbar))
+    rows, errors = [], []
+    for i, (g, alphas, phase, residual, spectrum, error) in enumerate(zip(
+            couplings, states.alphas.tolist(), states.phases, states.grad_norm.tolist(),
+            states.hessian_eigenvalues.tolist(), states.errors)):
+        rows.append([type(error).__name__ if phase is None else phase.name, str(i), g,
+                     *alphas, residual, *spectrum])
+        if error is not None:
+            errors.append(f"{i} {type(error).__name__}: {error}\n")
+    return {"argv": argv, "exit": 0, "stdout": json.dumps(rows), "stderr": "".join(errors),
+            "rows": rows}
 
 
 def _scan(argv: list[str]) -> dict:
@@ -122,6 +168,7 @@ def _run_all(src: str) -> None:
         results.append({"argv": argv, "exit": code, "stdout": out.getvalue(),
                         "stderr": err.getvalue()})
     results += [_scan(argv) for argv in scan_runs()]
+    results += [_record(argv) for argv in record_runs()]
     json.dump(results, sys.stdout)
 
 
@@ -134,7 +181,7 @@ def collect(src: str) -> list[dict]:
 def parse(result: dict):
     """(frame, rows) of one run: the JSON config and warnings (None for
     CSV and scans), and each output row as [observable, index, g, reduced,
-    value], or a scan's rows as [kind, index, *numbers]."""
+    value], or a scan's or a record's rows as [kind, index, *numbers]."""
     stdout, argv = result["stdout"], result["argv"]
     if "rows" in result:
         return None, result["rows"]

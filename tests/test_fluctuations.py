@@ -8,7 +8,13 @@ from numpy.testing import assert_allclose
 
 from frustra import fluctuations
 
-from frustra.errors import ConvergenceError, DomainError, InstabilityError, ValidationError
+from frustra.errors import (
+    ConvergenceError,
+    DomainError,
+    InstabilityError,
+    PhaseError,
+    ValidationError,
+)
 from frustra.fluctuations import (
     QuadraticForm,
     analytic_nfsp_spectrum,
@@ -637,6 +643,16 @@ class TestSectorMoments:
         assert np.array_equal(moments.eps[0], merged)
         full = williamson_diagonalize(build_quadratic_hamiltonian(sol))
         assert_allclose(merged, full.symplectic_eigenvalues, rtol=1e-9)
+
+    @pytest.mark.parametrize("jbar, g, phase", [(-0.01, 1.05, Phase.NFSP),
+                                                (0.01, 0.5, Phase.NORMAL)])
+    def test_sector_routes_refuse_other_phases(self, jbar, g, phase):
+        # a uniform or normal state has no mirror sectors: both routes refuse it alike
+        sol = solve_ground_state(params(jbar, g))
+        assert sol.phase is phase
+        for route in (fsp_site_moments, fsp_sector_spectra):
+            with pytest.raises(PhaseError, match="require the frustrated phase"):
+                route(sol)
 
     def test_deep_point_keeps_unpaired_site(self):
         # far below resolution for the frustrated sector at N=7

@@ -25,7 +25,6 @@ from frustra.meanfield import (
     SolverOptions,
     _canonical,
     _canonical_frames,
-    _hessian_eigenvalues,
     _mirror_reduced,
     _near_critical_magnitude,
     _newton_minimize,
@@ -43,6 +42,8 @@ from frustra.meanfield import (
 from frustra.model import (
     MeanFieldConfiguration,
     ModelParams,
+    _circulant_eigenvalues,
+    _hessian_diagonal,
     _landscape,
     _spectral_lower_bound,
     critical_point,
@@ -64,11 +65,12 @@ def params(jbar, g, n=3):
     return ModelParams(1.0, 1.0, jbar, g, n)
 
 
-def dense_spectra(alphas, g, jbar):
-    """:func:`_hessian_eigenvalues` of a stack (rows, N), each row's
-    Hessian the dense :func:`energy_hessian` at its own g and jbar."""
-    return _hessian_eigenvalues(alphas, g, jbar,
-                                lambda rows: energy_hessian(alphas[rows], g[rows], jbar[rows]))
+def circulant_spectra(alphas, g, jbar):
+    """The solver's closed-form Hessian spectra of a stack (rows, N) of
+    rows of equal coherences, with g and jbar one value per row: the
+    circulant d + 4 jbar cos k of each row's diagonal entry d."""
+    return _circulant_eigenvalues(_hessian_diagonal(alphas[:, :1], g[:, None]), jbar,
+                                  alphas.shape[-1])
 
 
 def point_spectrum(point):
@@ -205,6 +207,55 @@ class TestSolveGroundState:
     def test_jbar_zero_normal_is_fine(self):
         sol = solve_ground_state(params(0.0, 0.8))
         assert sol.phase is Phase.NORMAL
+
+    def test_phase_is_a_function_of_g_and_jbar(self):
+        # at g_c, 1 to 6 doubles either side of it and reduced couplings up
+        # to 1e8, a solved row is normal exactly at g <= g_c and above it
+        # uniform or frustrated by the sign of jbar; at jbar = 0 above 1 no
+        # row has a phase.  The one other failure, N = 21 at jbar 1e-5 and
+        # reduced 1e-6, is the near-critical stall of small positive hopping
+        reduced = np.array([-0.5, 1e-12, 1e-6, 1e-2, 1.0, 1e4, 1e8])
+        for n, jbar in itertools.product((3, 5, 7, 9, 21),
+                                         (-0.49, -0.01, -1e-5, 0.0, 1e-5, 0.01, 0.45)):
+            gc = critical_point(jbar, n)
+            below, above = [gc], [gc]
+            for _ in range(6):
+                below.append(np.nextafter(below[-1], 0.0))
+                above.append(np.nextafter(above[-1], np.inf))
+            g = np.concatenate([below, above[1:], gc * (1.0 + reduced)])
+            states = _solve_stack(n, g, np.full(len(g), jbar))
+            superradiant = Phase.FSP if jbar > 0 else Phase.NFSP if jbar < 0 else None
+            for g_i, phase, error in zip(g.tolist(), states.phases, states.errors):
+                if error is None:
+                    assert phase is (Phase.NORMAL if g_i <= gc else superradiant)
+                elif jbar == 0:
+                    assert g_i > 1.0 and type(error) is ValidationError
+                    assert str(error) == str(meanfield._UNCLASSIFIED)
+                else:
+                    assert (n, jbar, g_i) == (21, 1e-5, gc * (1.0 + 1e-6))
+                    assert str(error).startswith("stationarity residual")
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_oracle_at_jbar_zero_decides_before_any_newton(self, n, monkeypatch):
+        # above g = 1 the oracle refuses the point as the solver does, with
+        # no Newton run; at g <= 1 it still certifies the origin, one row each
+        real, rows = meanfield._newton_minimize, []
+
+        def counted(fun, jac, hess_fn, x0):
+            rows.append(len(x0))
+            return real(fun, jac, hess_fn, x0)
+
+        monkeypatch.setattr(meanfield, "_newton_minimize", counted)
+        exhaustive = SolverOptions(seed_mode="exhaustive")
+        for g in (np.nextafter(1.0, 2.0), 1.2, 1e3):
+            with pytest.raises(ValidationError) as caught:
+                enumerate_degenerate_ground_states(params(0.0, g, n), exhaustive)
+            assert str(caught.value) == str(meanfield._UNCLASSIFIED)
+        assert rows == []
+        for g in (0.5, 1.0):
+            (member,) = enumerate_degenerate_ground_states(params(0.0, g, n), exhaustive)
+            assert member.alphas.tobytes() == np.zeros(n).tobytes()
+        assert rows == [1, 1]
 
     def test_just_below_threshold_is_normal(self):
         gc = critical_point(0.01, 3)
@@ -606,16 +657,17 @@ class TestDerivedSolutionFields:
         # symmetric frustrated minimizer with its sign flipped
         p = params(0.01, 1.01 * critical_point(0.01, n), n)
         solution = solve_ground_state(p)
+        assert solution.phase is Phase.FSP
         flipped = -solution.config.alphas
         assert flipped[0] > 0
-        (a,), (phase,), errors = _canonical(flipped[None], np.array([solution.grad_norm]),
-                                            np.array([SOLUTION_GRAD_TOL]), np.array([p.jbar]))
-        assert phase is Phase.FSP and not errors
+        (a,), errors = _canonical(flipped[None], np.array([solution.grad_norm]),
+                                  np.array([SOLUTION_GRAD_TOL]), np.array([0]))
+        assert not errors
         assert a[0] < 0 <= a[1]
         assert np.array_equal(a, solution.config.alphas)
         # the record's spectrum is kept over the flip: the flipped
         # configuration has the canonical one's, bit for bit
-        (spectrum,) = dense_spectra(flipped[None], np.array([p.g]), np.array([p.jbar]))
+        spectrum = np.linalg.eigvalsh(energy_hessian(flipped, p.g, p.jbar))
         assert spectrum.tobytes() == point_spectrum(p).tobytes()
 
 
@@ -992,7 +1044,7 @@ class TestStackedSolve:
     def test_mixed_stack_gives_each_point_its_one_point_outcome(self, monkeypatch):
         # every outcome the stacked bookkeeping can hand out, in one stack:
         # the three phases, also at couplings where the gradient's rounding
-        # floor is far above SOLUTION_GRAD_TOL, jbar = 0 (classification),
+        # floor is far above SOLUTION_GRAD_TOL, jbar = 0 (no phase),
         # an overflowing coupling (seeding), a frustrated point seeded at the
         # origin (no stable stationary point), a uniform point handed its
         # closed form 1e-9 off (a residual above SOLUTION_GRAD_TOL), and a
@@ -1257,10 +1309,11 @@ class TestCarriedSpectrum:
         states = _solve_stack(n, g, jbar)
         assert set(states.phases) == {Phase.NORMAL, Phase.NFSP, Phase.FSP}
         assert not states.hessian_eigenvalues.flags.writeable
-        recomputed = dense_spectra(states.alphas, g, jbar)
-        dense = ~meanfield._uniform_rows(states.alphas)
-        assert recomputed[dense].tobytes() == np.linalg.eigvalsh(
-            energy_hessian(states.alphas[dense], g[dense], jbar[dense])).tobytes()
+        # a normal or uniform row the circulant closed form, a frustrated one the dense solve
+        recomputed = circulant_spectra(states.alphas, g, jbar)
+        dense = states.phases == Phase.FSP
+        recomputed[dense] = np.linalg.eigvalsh(
+            energy_hessian(states.alphas[dense], g[dense], jbar[dense]))
         assert states.hessian_eigenvalues.tobytes() == recomputed.tobytes()
         # a point's spectrum has the same bits in a stack of one
         for point, spectrum in zip(points, states.hessian_eigenvalues):
@@ -1410,8 +1463,8 @@ class TestMomentumSpectra:
 
     @staticmethod
     def spectra(alphas, g, jbar):
-        """The helper's eigenvalues, with jbar broadcast to one per row."""
-        return dense_spectra(alphas, g, np.full(len(alphas), jbar))
+        """The solver's closed form, with jbar broadcast to one per row."""
+        return circulant_spectra(alphas, g, np.full(len(alphas), jbar))
 
     def test_origin_spectrum_is_the_origin_formula_bit_for_bit(self):
         for n, jbar in itertools.product(self.SIZES, self.HOPPINGS):

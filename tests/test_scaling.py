@@ -16,10 +16,14 @@ from frustra.meanfield import (
     GroundStates,
     GroundStateSolution,
     Phase,
-    _hessian_eigenvalues,
     _solve_stack,
 )
-from frustra.model import MeanFieldConfiguration, ModelParams, critical_point, energy_hessian
+from frustra.model import (
+    MeanFieldConfiguration,
+    ModelParams,
+    critical_point,
+    origin_hessian_eigenvalues,
+)
 from frustra.scaling import (
     SweepMissing,
     SweepRow,
@@ -626,8 +630,7 @@ class TestSweepErrors:
         # momentum block is not positive definite
         def stale(n_sites, g, jbar):
             origin = np.zeros((len(g), n_sites))
-            return stub_record(origin, Phase.NORMAL, _hessian_eigenvalues(
-                origin, g, jbar, lambda rows: energy_hessian(origin[rows], g[rows], jbar[rows])))
+            return stub_record(origin, Phase.NORMAL, origin_hessian_eigenvalues(g, jbar, n_sites))
 
         monkeypatch.setattr(scaling, "_solve_stack", stale)
         spec = SweepSpec(jbar=-0.01, n_sites=5, sides="above",
