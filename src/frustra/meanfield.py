@@ -423,14 +423,17 @@ _UNCLASSIFIED = ValidationError(
 class GroundStates:
     """The solver's read-only record of points of one lattice size, a row
     per point: canonical coherences and ascending Hessian spectra (rows,
-    N), phases (object array), gradient residuals, and None or the error of
-    a failed row, whose other fields are NaN (its phase None).  A row
-    without an error passed the checks of :class:`GroundStateSolution`."""
+    N), phases (object array), gradient residuals, the soft modes (rows, 2)
+    of :func:`hessian_critical_modes`, (lambda_mf, lambda_f) for a
+    frustrated row and NaN for any other, and None or the error of a failed
+    row, whose other fields are NaN (its phase None).  A row without an
+    error passed the checks of :class:`GroundStateSolution`."""
 
     alphas: np.ndarray
     phases: np.ndarray
     grad_norm: np.ndarray
     hessian_eigenvalues: np.ndarray
+    soft_modes: np.ndarray
     errors: tuple
 
     @property
@@ -451,16 +454,18 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     :func:`origin_hessian_eigenvalues` call.  Above g_c (:func:`_seed_alphas`)
     a point at jbar < 0 is the uniform closed form on every site, with the
     circulant closed-form spectrum; one at jbar > 0 starts its row of one
-    mirror-reduced Newton stack ((N+1)/2 values a row) and takes a dense
-    eigensolve; one at jbar = 0 has no phase (:data:`_UNCLASSIFIED`).  A
+    mirror-reduced Newton stack ((N+1)/2 values a row), and its Hessian is
+    diagonalised once, in its mirror sectors (:func:`_mirror_eigh`): the
+    spectrum is the sorted union of the two, and the lowest of each are its
+    soft modes.  One at jbar = 0 has no phase (:data:`_UNCLASSIFIED`).  A
     row within 1e-6 or its :func:`_gradient_tolerance` whose spectrum passes
     PSD_TOLERANCE is a minimum and carries that spectrum.  A point's error
-    is its row's Newton failure, else a :class:`ConvergenceError` if the
-    row is not a stable stationary point, else that of the first check of
-    :func:`_canonical` the row fails.  Rows never mix, so a point's row is
-    a pure function of its parameters, whatever else the stack holds.  At
-    ``logging.DEBUG`` the ``frustra.meanfield`` logger gets one record per
-    solved point.
+    is its row's Newton failure or failed eigensolve, else a
+    :class:`ConvergenceError` if the row is not a stable stationary point,
+    else that of the first check of :func:`_canonical` the row fails.
+    Rows never mix, so a point's row is a pure function of its parameters,
+    whatever else the stack holds.  At ``logging.DEBUG`` the
+    ``frustra.meanfield`` logger gets one record per solved point.
     """
     debug = log.isEnabledFor(logging.DEBUG)
     errors: list = [None] * len(g)
@@ -488,6 +493,7 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     # every row starts as the normal phase's: the origin, at no residual
     alphas, spectra = np.zeros((2, len(g), n_sites))
     phases, grad_norm = np.full(len(g), Phase.NORMAL), np.zeros(len(g))
+    soft = np.full((len(g), 2), np.nan)
     if normal:  # the origin wins, with the closed-form spectra of one call
         spectra[normal] = origin_hessian_eigenvalues(g[normal], jbar[normal], n_sites)
     if solving:
@@ -515,20 +521,24 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
             tolerance[loose] = _gradient_tolerance(found[loose], g[solving[loose]],
                                                    jbar[solving[loose]], SOLUTION_GRAD_TOL)
         stationary = residual <= np.fmax(tolerance, 1e-6)
-        # a uniform row's spectrum is circulant, a stationary frustrated row's a dense eigensolve
-        uniform, dense = np.flatnonzero(jbar[solving] < 0), frustrated[stationary[frustrated]]
+        # a uniform row's spectrum is circulant, a stationary frustrated row's its mirror sectors'
+        uniform, sectored = np.flatnonzero(jbar[solving] < 0), frustrated[stationary[frustrated]]
         spectra[solving[uniform]] = _circulant_eigenvalues(_hessian_diagonal(
             magnitudes[uniform, None], g[solving[uniform], None]), jbar[solving[uniform]], n_sites)
-        spectra[solving[dense]] = _eigvalsh(landscape[2](found[dense], dense))
-        lowest = spectra[solving, 0]
-        _drop(stationary & np.isnan(lowest), np.arange(len(solving)), failures, _UNCONVERGED)
+        if len(sectored):
+            (even, _), (odd, _) = _mirror_eigh(landscape[2](found[sectored], sectored))
+            spectra[solving[sectored]] = np.sort(np.hstack([even, odd]), axis=-1)
+            soft[solving[sectored]] = np.column_stack([even[:, 0], odd[:, 0]])
+        # the sort moves a failed sector's NaN out of rank 1, so every rank is read
+        _drop(stationary & np.isnan(spectra[solving]).any(axis=-1), np.arange(len(solving)),
+              failures, _UNCONVERGED)
         alphas[solving], point_errors = _canonical(found, residual, tolerance, frustrated)
         grad_norm[solving] = residual
         # a failed row's error, then no minimum, then the checks
-        for row in np.flatnonzero(~stationary | (lowest < PSD_TOLERANCE)).tolist():
+        for row in np.flatnonzero(~stationary | (spectra[solving, 0] < PSD_TOLERANCE)).tolist():
             point_errors[row] = ConvergenceError(
-                f"no seed converged to a stable stationary point at g={g[solving[row]]}, "
-                f"jbar={jbar[solving[row]]}", best_residual=residual[row].item())
+                f"no stable stationary point at g={g[solving[row]]}, jbar={jbar[solving[row]]}",
+                best_residual=residual[row].item())
         point_errors.update(failures)
         for row, error in point_errors.items():
             errors[solving[row]] = error
@@ -538,11 +548,11 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
                       n_sites, *steps[row], residual[row])
     failed = [index for index, error in enumerate(errors) if error is not None]
     if failed:
-        alphas[failed] = spectra[failed] = grad_norm[failed] = np.nan
+        alphas[failed] = spectra[failed] = soft[failed] = grad_norm[failed] = np.nan
         phases[failed] = None
-    for array in (alphas, phases, grad_norm, spectra):
+    for array in (alphas, phases, grad_norm, spectra, soft):
         array.flags.writeable = False
-    return GroundStates(alphas, phases, grad_norm, spectra, tuple(errors))
+    return GroundStates(alphas, phases, grad_norm, spectra, soft, tuple(errors))
 
 
 def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, tolerance: np.ndarray,
@@ -835,7 +845,7 @@ def hessian_critical_modes(solution: GroundStateSolution) -> CriticalModes:
     ferromagnetic pair; the mean-field mode is the softest mirror-even
     direction.  Identification by sector projection is exact and remains
     robust when lambda_f sits below floating-point resolution.  Another
-    phase raises :class:`PhaseError`.
+    phase raises :class:`PhaseError`, a failed eigensolve ``LinAlgError``.
     """
     if solution.phase is not Phase.FSP:
         raise PhaseError(f"hessian critical modes require the frustrated phase, "
@@ -843,35 +853,25 @@ def hessian_critical_modes(solution: GroundStateSolution) -> CriticalModes:
     hess = energy_hessian(solution.config.alphas, solution.config.g, solution.config.jbar)
     tables = ring(solution.config.n_sites)
     (w_even, v_even), (w_odd, v_odd) = _mirror_eigh(hess[None])
+    if np.isnan(w_even[0, 0]) or np.isnan(w_odd[0, 0]):
+        raise copy.copy(_UNCONVERGED)
     return CriticalModes(float(w_even[0, 0]), float(w_odd[0, 0]),
                          _fix_sign(tables.even.T @ v_even[0, :, 0]),
                          _fix_sign(tables.odd.T @ v_odd[0, :, 0]))
 
 
-def _soft_modes(alphas: np.ndarray, g: np.ndarray, jbar: np.ndarray,
-                frustrated: np.ndarray) -> np.ndarray:
-    """The soft modes (lambda_mf, lambda_f) of :func:`hessian_critical_modes`,
-    (points, 2), of ground states (points, N) at ``g`` and ``jbar``, NaN
-    outside the ``frustrated`` mask, whose Hessians alone are built."""
-    soft = np.full((len(alphas), 2), np.nan)
-    if frustrated.any():
-        (w_even, _), (w_odd, _) = _mirror_eigh(energy_hessian(
-            alphas[frustrated], g[frustrated], jbar[frustrated]))
-        soft[frustrated] = np.column_stack([w_even[:, 0], w_odd[:, 0]])
-    return soft
-
-
 def _mirror_eigh(hess: np.ndarray):
-    """``numpy.linalg.eigh`` of the mirror-even and mirror-odd blocks of a
-    stack of N x N Hessians (points, N, N): ((w_even, v_even), (w_odd,
-    v_odd)), stacked over the points, in the bases of the ring table."""
+    """:data:`_eigh` of the mirror-even and mirror-odd blocks of a stack of
+    N x N Hessians (points, N, N): ((w_even, v_even), (w_odd, v_odd)),
+    stacked over the points, in the bases of the ring table; a row whose
+    eigensolve fails is NaN in its block."""
     tables = ring(hess.shape[-1])
-    return tuple(np.linalg.eigh(basis @ hess @ basis.T) for basis in (tables.even, tables.odd))
+    return tuple(_eigh(basis @ hess @ basis.T) for basis in (tables.even, tables.odd))
 
 
-def _fix_sign(vec: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+def _fix_sign(vec: np.ndarray) -> np.ndarray:
     vec = vec / np.linalg.norm(vec)
     for component in vec:
-        if abs(component) > tol:
+        if abs(component) > 1e-7:
             return vec if component > 0 else -vec
     return vec

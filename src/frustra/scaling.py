@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .fluctuations import CRITICAL_REGIME_FACTOR, _site_moments
-from .meanfield import _UNCLASSIFIED, Phase, _rowwise, _soft_modes, _solve_stack
+from .meanfield import _UNCLASSIFIED, Phase, _rowwise, _solve_stack
 from .model import ModelParams, critical_point, rescaled_energy, stability_window
 
 OBSERVABLES = ("gaps", "photon_numbers", "squeezing", "hessian_eigenvalues", "energy")
@@ -204,13 +204,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Tabulate the requested observables over the coupling grid.
 
     The grid stays arrays from the solve to the table: it is solved as one
-    stack (:func:`~frustra.meanfield._solve_stack`), whose record goes to
-    the stacked soft modes and cavity moments
-    (:func:`~frustra.meanfield._soft_modes`,
-    :func:`~frustra.fluctuations._site_moments`).  Every point is solved
-    cold, from its own parameters alone, and stack rows never mix, so a
-    point's rows do not depend on the rest of the grid or its order.  Each
-    observable's array fills the :class:`SweepResult` table at once;
+    stack (:func:`~frustra.meanfield._solve_stack`), whose record carries
+    the Hessian spectra and soft modes and goes to the stacked cavity
+    moments (:func:`~frustra.fluctuations._site_moments`).  Every point is
+    solved cold, from its own parameters alone, and stack rows never mix,
+    so a point's rows do not depend on the rest of the grid or its order.
+    Each observable's array fills the :class:`SweepResult` table at once;
     per-point failures are recorded as missing rows with a reason.
     """
     g = np.array(spec.grid)
@@ -239,8 +238,8 @@ def _observe_grid(spec: SweepSpec, states) -> SweepResult:
         if "energy" in want:
             blocks["energy"] = rescaled_energy(alphas, g_solved, spec.jbar)[:, None]
         if "hessian_eigenvalues" in want:
-            soft = _soft_modes(alphas, g_solved, jbar, frustrated)
-            blocks["hessian_eigenvalues"] = np.hstack([states.hessian_eigenvalues[solved], soft])
+            blocks["hessian_eigenvalues"] = np.hstack([states.hessian_eigenvalues[solved],
+                                                       states.soft_modes[solved]])
         if gaussian:
             moments = _site_moments(frustrated, alphas, *(
                 np.full((len(alphas), 1), float(value)) for value in (spec.omega0, spec.Omega)),

@@ -24,11 +24,15 @@ types and texts by point), and its arguments.
     python tests/cli_digest.py src --against other/src    # what moved, run by run
 
 ``--against`` runs both trees and prints each run whose bytes differ: as
-``values`` when only numbers moved (their count and worst move), as
-``structure`` when its exit code, stderr, row labels or JSON config and
-warnings differ.  A relative move is taken against the other tree's value
-where that is non-zero; moves from or to zero are counted apart.  Standard
-library only; the package needs numpy as always.  Not a test module.
+``values`` when only numbers moved (their count, where they sit and the
+worst move), as ``structure`` when its exit code, stderr, row labels or
+JSON config and warnings differ.  Where they sit is, for a CLI run or a
+scan, each observable or row kind with the index ranges of its moved rows,
+and for a record, each moved part (g, alphas, residual or spectra) with
+the phases and index ranges of its moved points.  A relative move is
+taken against the other tree's value where that is non-zero; moves from
+or to zero are counted apart.  Standard library only; the package needs
+numpy as always.  Not a test module.
 """
 
 from __future__ import annotations
@@ -207,6 +211,31 @@ def _same(a, b) -> bool:
     return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
 
 
+def _ranges(indices) -> str:
+    """Row indices as text: runs of consecutive integers as first..last,
+    then the other labels (a soft mode's ``mf``, ``f``) in order."""
+    spans: list[list[int]] = []
+    for number in sorted({int(index) for index in indices if index.isdigit()}):
+        if spans and number == spans[-1][1] + 1:
+            spans[-1][1] = number
+        else:
+            spans.append([number, number])
+    words = [f"{first}..{last}" if last > first else str(first) for first, last in spans]
+    return ",".join(words + sorted({index for index in indices if not index.isdigit()}))
+
+
+def _part(record: bool, row: list, column: int) -> str:
+    """The name of a row's moved number at ``column`` (from 2, after the
+    row's labels): a record row is g, N alphas, the residual and N
+    eigenvalues; a CLI or scan row is named by its observable or kind."""
+    if not record:
+        return row[0]
+    n = (len(row) - 4) // 2
+    if column == 2:
+        return "g"
+    return "alphas" if column < 3 + n else "residual" if column == 3 + n else "spectra"
+
+
 def compare(new: list[dict], old: list[dict]) -> int:
     """Print each run that differs; return the number of structural changes."""
     moved_runs = structural = moved = zero_flips = 0
@@ -221,12 +250,15 @@ def compare(new: list[dict], old: list[dict]) -> int:
             structural += 1
             print(f"structure  {label}")
             continue
-        count, rel, absolute = 0, 0.0, 0.0
+        count, rel, absolute, where = 0, 0.0, 0.0, {}
+        record = run["argv"][0] == "solve-stack"
         for row, base_row in zip(rows, base_rows):
-            for a, b in zip(row[2:], base_row[2:]):
+            for column, (a, b) in enumerate(zip(row[2:], base_row[2:]), start=2):
                 if _same(a, b):
                     continue
                 count += 1
+                part = _part(record, row, column)
+                where.setdefault(f"{part} of {row[0]}" if record else part, set()).add(row[1])
                 absolute = max(absolute, abs(a - b))
                 if a == 0 or b == 0:
                     zero_flips += 1
@@ -234,7 +266,9 @@ def compare(new: list[dict], old: list[dict]) -> int:
                     rel = max(rel, abs(a - b) / abs(b))
         moved_runs, moved = moved_runs + 1, moved + count
         worst_rel, worst_abs = max(worst_rel, rel), max(worst_abs, absolute)
-        print(f"values     {label}: {count} moved, worst rel {rel:.3g}, worst abs {absolute:.3g}")
+        moved_at = "; ".join(f"{part}[{_ranges(indices)}]" for part, indices in where.items())
+        print(f"values     {label}: {count} moved ({moved_at}), worst rel {rel:.3g}, "
+              f"worst abs {absolute:.3g}")
     values = sum(len(row) - 2 for run in old for row in parse(run)[1])
     print(f"{len(new)} runs: {len(new) - moved_runs - structural} identical, "
           f"{moved_runs} with moved values, {structural} structural; "

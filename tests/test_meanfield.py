@@ -29,7 +29,6 @@ from frustra.meanfield import (
     _near_critical_magnitude,
     _newton_minimize,
     _seed_alphas,
-    _soft_modes,
     _solve_stack,
     enumerate_degenerate_ground_states,
     fsp_approximation,
@@ -77,6 +76,15 @@ def point_spectrum(point):
     """The Hessian spectrum of a point's row in its one-point solver record."""
     states = _solve_stack(point.n_sites, np.array([point.g]), np.array([point.jbar]))
     return states.hessian_eigenvalues[0]
+
+
+def sector_spectra(hess):
+    """The solver's Hessian spectra of frustrated points from their Hessians
+    (rows, N, N): the sorted union of ``numpy.linalg.eigh`` of each row's
+    mirror-even and mirror-odd blocks, in the bases of the ring table."""
+    tables = ring(hess.shape[-1])
+    return np.sort(np.hstack([np.linalg.eigh(basis @ hess @ basis.T)[0]
+                              for basis in (tables.even, tables.odd)]), axis=-1)
 
 
 def seed_alphas(point):
@@ -667,7 +675,7 @@ class TestDerivedSolutionFields:
         assert np.array_equal(a, solution.config.alphas)
         # the record's spectrum is kept over the flip: the flipped
         # configuration has the canonical one's, bit for bit
-        spectrum = np.linalg.eigvalsh(energy_hessian(flipped, p.g, p.jbar))
+        spectrum = sector_spectra(energy_hessian(flipped, p.g, p.jbar)[None])[0]
         assert spectrum.tobytes() == point_spectrum(p).tobytes()
 
 
@@ -842,36 +850,46 @@ class TestStackedSolve:
                 assert np.array_equal(x1[0], x[i])
                 assert norm1[0] == norm[i] and np.array_equal(steps1[0], steps[i])
 
-    def test_failed_minimum_check_fails_only_its_point(self, monkeypatch):
-        # the solve's PSD check: a row whose eigensolve fails, as NaN input
-        # makes it, gives its point LinAlgError, and the other points of the
-        # stack keep their bits; below sqrt(1 + 2 jbar) each point has one
-        # seed, so the check's rows are the points
+    @pytest.mark.parametrize("sector", [None, 0, 1])
+    def test_failed_minimum_check_fails_only_its_point(self, monkeypatch, sector):
+        # the solve's one eigensolve of the frustrated rows, in their mirror
+        # sectors: a row whose eigensolve fails, as NaN input makes it, or
+        # fails in one sector only (None: its Hessian NaN, else that sector
+        # NaN, the rowwise gufunc's failure mark), gives its point
+        # LinAlgError, and the other points of the stack keep their bits,
+        # soft modes included
         n, jbar = 5, 0.01
         gc = critical_point(jbar, n)
         points = [params(jbar, gc * (1 + r), n) for r in (1e-4, 1e-3, 5e-3)]
         g, jbar = np.array([[p.g, p.jbar] for p in points]).T
         clean = _solve_stack(n, g, jbar)
         assert all(phase is Phase.FSP for phase in clean.phases)
-        real, checked = meanfield._eigvalsh, []
+        real, checked = meanfield._mirror_eigh, []
 
         def failing(hess):
             checked.append(len(hess))
-            hess = hess.copy()
-            hess[1] = np.nan
-            return real(hess)
+            if sector is None:
+                hess = hess.copy()
+                hess[1] = np.nan
+                return real(hess)
+            sectors = [[array.copy() for array in pair] for pair in real(hess)]
+            for array in sectors[sector]:
+                array[1] = np.nan
+            return sectors
 
-        monkeypatch.setattr(meanfield, "_eigvalsh", failing)
+        monkeypatch.setattr(meanfield, "_mirror_eigh", failing)
         states = _solve_stack(n, g, jbar)
         assert checked == [3]
         assert type(states.errors[1]) is np.linalg.LinAlgError
         assert str(states.errors[1]) == "Eigenvalues did not converge"
+        assert np.isnan(states.soft_modes[1]).all()
+        assert np.isnan(states.hessian_eigenvalues[1]).all()
         assert type(solve_ground_states(points)[1]) is np.linalg.LinAlgError
         for k in (0, 2):
             assert [states.alphas[k].tobytes(), states.grad_norm[k],
-                    states.hessian_eigenvalues[k].tobytes()] == [
+                    states.hessian_eigenvalues[k].tobytes(), states.soft_modes[k].tobytes()] == [
                 clean.alphas[k].tobytes(), clean.grad_norm[k],
-                clean.hessian_eigenvalues[k].tobytes()]
+                clean.hessian_eigenvalues[k].tobytes(), clean.soft_modes[k].tobytes()]
 
     def test_failed_oracle_minimum_check_raises_linalg_error(self, monkeypatch):
         # the exhaustive oracle's PSD check: one failing row among its
@@ -1075,7 +1093,7 @@ class TestStackedSolve:
                   params(0.01, 1e10, n), params(-0.01, 1e12, n), params(0.0, 1.2, n),
                   params(0.01, 1e200, n), origin_seeded, off_closed_form, uniform_seeded]
         expected = [Phase.NORMAL, Phase.NFSP, Phase.FSP, Phase.FSP, Phase.NFSP, ValidationError,
-                    DomainError, "no seed converged", "stationarity residual",
+                    DomainError, "no stable stationary point", "stationarity residual",
                     "expected exactly one aligned neighbour pair, found 5"]
         alone = [solve_ground_states([point])[0] for point in points]
         for point, outcome, want in zip(points, alone, expected):
@@ -1197,6 +1215,23 @@ class TestRawGufuncs:
 
 
 class TestHessianCriticalModes:
+    @pytest.mark.parametrize("sector", [0, 1])
+    def test_failed_sector_eigensolve_raises_linalg_error(self, monkeypatch, sector):
+        # one solution's modes raise numpy's error where either sector's
+        # eigensolve fails, as the rowwise gufunc marks it with NaN
+        solution = solve_ground_state(params(0.01, 1.1, 5))
+        real = meanfield._mirror_eigh
+
+        def failing(hess):
+            sectors = [[array.copy() for array in pair] for pair in real(hess)]
+            for array in sectors[sector]:
+                array[:] = np.nan
+            return sectors
+
+        monkeypatch.setattr(meanfield, "_mirror_eigh", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            hessian_critical_modes(solution)
+
     def test_trimer_frustrated_eigenvector(self):
         jbar = 0.01
         gc = critical_point(jbar, 3)
@@ -1248,19 +1283,23 @@ class TestHessianCriticalModes:
                   params(0.01, gc_f * (1 + 1e-3), n), params(0.01, gc_f * (1 + 1e-6), n)]
         solutions = solve_ground_states(points)
         assert [s.phase for s in solutions] == [Phase.NORMAL, Phase.NFSP, Phase.FSP, Phase.FSP]
-        alphas, g, jbar = (np.array([getattr(s.config, name) for s in solutions])
-                           for name in ("alphas", "g", "jbar"))
-        soft = _soft_modes(alphas, g, jbar, np.array([s.phase is Phase.FSP for s in solutions]))
-        assert soft.shape == (len(points), 2)
-        stacked = _solve_stack(n, g, jbar).hessian_eigenvalues
-        for p, sol, point_soft, point_eigenvalues in zip(points, solutions, soft, stacked):
+        g, jbar = np.array([[p.g, p.jbar] for p in points]).T
+        states = _solve_stack(n, g, jbar)
+        assert states.soft_modes.shape == (len(points), 2)
+        assert not states.soft_modes.flags.writeable
+        for p, sol, point_soft, point_eigenvalues in zip(
+                points, solutions, states.soft_modes, states.hessian_eigenvalues):
             assert point_eigenvalues.shape == (n,)
             hess = energy_hessian(sol.config.alphas, p.g, p.jbar)
             alone = np.linalg.eigvalsh(hess)
             if sol.phase is Phase.FSP:
-                assert np.array_equal(point_eigenvalues, alone)
+                # the mirror sectors' union, within rounding of the dense solve
+                assert np.array_equal(point_eigenvalues, sector_spectra(hess[None])[0])
+                assert_allclose(point_eigenvalues, alone, rtol=0,
+                                atol=16 * EPS * np.abs(point_eigenvalues).max())
                 modes = hessian_critical_modes(sol)
                 assert tuple(point_soft) == (modes.lambda_mf, modes.lambda_f)
+                assert point_eigenvalues[0] == min(point_soft)
             else:
                 # the circulant closed form, within rounding of the dense solve
                 closed = np.sort(hess[0, 0] + 4.0 * p.jbar * ring(n).cosines)
@@ -1309,11 +1348,10 @@ class TestCarriedSpectrum:
         states = _solve_stack(n, g, jbar)
         assert set(states.phases) == {Phase.NORMAL, Phase.NFSP, Phase.FSP}
         assert not states.hessian_eigenvalues.flags.writeable
-        # a normal or uniform row the circulant closed form, a frustrated one the dense solve
+        # a normal or uniform row the circulant closed form, a frustrated one its mirror sectors
         recomputed = circulant_spectra(states.alphas, g, jbar)
-        dense = states.phases == Phase.FSP
-        recomputed[dense] = np.linalg.eigvalsh(
-            energy_hessian(states.alphas[dense], g[dense], jbar[dense]))
+        fsp = states.phases == Phase.FSP
+        recomputed[fsp] = sector_spectra(energy_hessian(states.alphas[fsp], g[fsp], jbar[fsp]))
         assert states.hessian_eigenvalues.tobytes() == recomputed.tobytes()
         # a point's spectrum has the same bits in a stack of one
         for point, spectrum in zip(points, states.hessian_eigenvalues):
@@ -1347,6 +1385,25 @@ class TestCarriedSpectrum:
         monkeypatch.setattr(meanfield, "energy_hessian", unused)
         for solution, alone in zip(solve_ground_states(points), expected):
             assert solution.config.alphas.tobytes() == alone.config.alphas.tobytes()
+
+    def test_frustrated_rows_take_one_mirror_eigensolve(self, monkeypatch):
+        # a stack's stationary frustrated rows go through one mirror-sector
+        # eigensolve together, and the solver runs no dense eigensolve
+        points = self.points(7)
+        g, jbar = np.array([[p.g, p.jbar] for p in points]).T
+        expected = _solve_stack(7, g, jbar)
+        real, calls = meanfield._mirror_eigh, []
+
+        def counted(hess):
+            calls.append(len(hess))
+            return real(hess)
+
+        monkeypatch.setattr(meanfield, "_mirror_eigh", counted)
+        monkeypatch.setattr(meanfield, "_eigvalsh", None)
+        states = _solve_stack(7, g, jbar)
+        assert calls == [np.count_nonzero(states.phases == Phase.FSP)]
+        for field in ("hessian_eigenvalues", "soft_modes"):
+            assert getattr(states, field).tobytes() == getattr(expected, field).tobytes()
 
     def test_building_a_solution_runs_no_eigensolver(self, monkeypatch):
         # a solution holds no spectrum, so a hand-built one needs no solve

@@ -171,6 +171,24 @@ class TestRunSweep:
             assert [r for r in full.rows if r.g == g] == alone.rows
             assert [m for m in full.missing if m.g == g] == alone.missing
 
+    @pytest.mark.parametrize("jbar", [0.01, 0.2])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_frustrated_rank_one_is_the_softer_soft_mode(self, monkeypatch, n, jbar):
+        # one eigensolve per frustrated point, the solver's, and no Hessian
+        # built after it: over the exponents window its lowest ranked
+        # Hessian eigenvalue is the lesser of its mean-field and frustrated
+        # soft modes, bit for bit
+        def unused(*args):
+            raise AssertionError("energy_hessian called")
+
+        monkeypatch.setattr(meanfield, "energy_hessian", unused)
+        spec = SweepSpec(jbar=jbar, n_sites=n, reduced_min=1e-7, sides="above",
+                         observables=("hessian_eigenvalues",))
+        labels, values, present = run_sweep(spec).table["hessian_eigenvalues"]
+        column = {label: values[:, i] for i, label in enumerate(labels.tolist())}
+        assert present.all()
+        assert column["1"].tobytes() == np.minimum(column["mf"], column["f"]).tobytes()
+
     def test_deep_points_recorded_missing_for_paired_sites(self):
         spec = SweepSpec(jbar=0.01, n_sites=7, sides="above",
                          reduced_min=1e-6, reduced_max=1e-5, points_per_decade=4,
@@ -595,10 +613,12 @@ class TestDerivativeDiagnostics:
 
 def stub_record(alphas, phase, spectra, error=None):
     """A solver record of every row alike: the coherences and spectra
-    (rows, N), the phase and the error of each row."""
+    (rows, N), the phase and the error of each row, and no soft modes (a
+    row that is not frustrated)."""
     rows = len(alphas)
     return GroundStates(alphas, np.full(rows, phase), np.zeros(rows) if error is None
-                        else np.full(rows, np.nan), spectra, (error,) * rows)
+                        else np.full(rows, np.nan), spectra, np.full((rows, 2), np.nan),
+                        (error,) * rows)
 
 
 class TestSweepErrors:
@@ -607,7 +627,7 @@ class TestSweepErrors:
     def test_solver_failure_becomes_missing_row(self, monkeypatch):
         def fail(n_sites, g, jbar):
             nan = np.full((len(g), n_sites), np.nan)
-            return stub_record(nan, None, nan, ConvergenceError("no seed converged"))
+            return stub_record(nan, None, nan, ConvergenceError("no stable stationary point"))
 
         monkeypatch.setattr(scaling, "_solve_stack", fail)
         spec = SweepSpec(jbar=0.01, n_sites=3, sides="above", points_per_decade=2)
@@ -656,7 +676,7 @@ class TestSweepErrors:
             m for m in clean.missing if m.g != bad]
         lost = [m for m in result.missing if m.g == bad]
         assert [m.observable for m in lost] == ["all"]
-        assert lost[0].reason.startswith("solver: no seed converged")
+        assert lost[0].reason.startswith("solver: no stable stationary point")
 
     def test_normal_side_point_at_reduced_1e_13_is_resolved(self):
         jbar, n = -0.01, 7
