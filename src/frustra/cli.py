@@ -121,32 +121,39 @@ def _one_point(g, reduced, rows):
     return np.array([float(g)]), np.array([float(reduced)]), columns
 
 
+#: Present values per block of CSV lines that :func:`_csv_chunks` joins in one call.
+_CSV_BLOCK = 2048
+
+
 def _csv_chunks(table):
-    """The CSV writer of every command: the header, then each point's lines
-    as one string.  A table is (g, reduced_coupling, columns): arrays over
-    its points, and per column (observable, labels, values, mask), with
-    values and mask of shape (points, labels).  A point's lines are its
-    columns' present values in label order.  Each distinct value is
-    formatted once per table, keyed by its bit pattern so that 0.0 and -0.0
-    stay apart; a line is its column's ``observable,label,`` prefix plus its
-    value's text, both picked by index, and a point's lines are joined
-    behind its ``g,reduced_coupling,`` head in one call."""
+    """The CSV writer of every command: the header, then the lines in
+    blocks of at most ``_CSV_BLOCK``, each block as one string.  A table is
+    (g, reduced_coupling, columns): arrays over its points, and per column
+    (observable, labels, values, mask), with values and mask of shape
+    (points, labels).  A point's lines are its columns' present values in
+    label order.  Each distinct value is formatted once per table, keyed by
+    its bit pattern so that 0.0 and -0.0 stay apart, and each point's
+    ``g,reduced_coupling,`` head once; a line is its point's head, its
+    column's ``observable,label,`` prefix and its value's text, all three
+    picked by index, and a block's lines are joined in one call."""
     g, reduced, columns = table
     none = np.empty((len(g), 0))  # a table may have no columns
     bits = np.hstack([none, *(values for _, _, values, _ in columns)]).view(np.int64)
     mask = np.hstack([none.astype(bool), *(mask for _, _, _, mask in columns)])
     point_of, column_of = np.nonzero(mask)  # the present values, in row order
     keys, value_of = np.unique(bits[point_of, column_of], return_inverse=True)
-    text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+    text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object) + "\n"
+    heads = np.array(list(map("{!r},{!r},".format, g.tolist(), reduced.tolist())), dtype=object)
     prefixes = np.array([f"{observable},{label}," for observable, labels, _, _ in columns
                          for label in labels.tolist()], dtype=object)
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
     yield "g,reduced_coupling,observable,index,value\n"
-    for g_i, reduced_i, start, end in zip(g.tolist(), reduced.tolist(), [0, *ends], ends):
-        if end > start:
-            head = f"{g_i!r},{reduced_i!r},"
-            lines = prefixes[column_of[start:end]] + text[value_of[start:end]]
-            yield head + f"\n{head}".join(lines.tolist()) + "\n"
+    for start in range(0, len(point_of), _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        lines = np.empty((len(point_of[block]), 3), dtype=object)
+        lines[:, 0] = heads[point_of[block]]
+        lines[:, 1] = prefixes[column_of[block]]
+        lines[:, 2] = text[value_of[block]]
+        yield "".join(lines.ravel().tolist())
 
 
 #: One results row as its fields' C-encoded lines, without the braces.
@@ -154,8 +161,8 @@ _ROW = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
 
 
 def _emit(config: RunConfig, flags, table, warnings):
-    """The output text in pieces: the CSV table point by point, so that only
-    one point's text is built at a time, or the JSON document, whose config
+    """The output text in pieces: the CSV table block by block, so that only
+    one block's text is built at a time, or the JSON document, whose config
     echoes the command and its ``flags``.  The JSON is
     ``json.dumps(..., sort_keys=True, indent=1)`` byte for byte, but only
     its frame goes through that call (an indent makes ``json`` encode in
@@ -176,8 +183,11 @@ def _emit(config: RunConfig, flags, table, warnings):
 
 def _write(config: RunConfig, pieces) -> None:
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+        try:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {config.output}: {exc}") from None
     else:
         sys.stdout.writelines(pieces)
 

@@ -499,16 +499,18 @@ def _momentum_moments(alphas, omega0, Omega, g, jbar):
     # a negative cavity frequency flips the sign of both factors of the
     # two-mode determinant, so lower > 0 alone would pass it
     stable = (freq_cav > 0) & (lower > 0)  # False on NaN
-    errors = [None if row.all() else InstabilityError(
-        f"momentum block k={momenta[k]:.4f} is not positive definite "
-        f"(lower energy {energies[k]:.3e})")
-        for row, energies, k in zip(stable, lower, np.argmin(stable, axis=-1))]
+    unstable = ~stable.all(axis=-1)
+    errors = [None] * len(stable)
+    for row in np.flatnonzero(unstable).tolist():
+        k = np.argmin(stable[row])
+        errors[row] = InstabilityError(
+            f"momentum block k={momenta[k]:.4f} is not positive definite "
+            f"(lower energy {lower[row, k]:.3e})")
     s, t = lower * upper, lower + upper
     with np.errstate(divide="ignore", invalid="ignore"):  # unstable rows, dropped below
         var_q = np.mean(freq_cav * (freq_atom * freq_atom + s) / (t * s), -1, keepdims=True) / 2.0
         var_p = np.mean((freq_cav * freq_cav + s) / (freq_cav * t), -1, keepdims=True) / 2.0
     eps = np.sort(np.concatenate([lower, upper], axis=-1), axis=-1)
-    unstable = ~stable.all(axis=-1)
     var_q[unstable] = var_p[unstable] = eps[unstable] = np.nan
     return {"var_q": var_q, "var_p": var_p, "eps": eps}, errors
 

@@ -615,6 +615,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and "overflows" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target", ["missing/out.csv", ".", "/dev/full"])
+    def test_unwritable_output_is_a_validation_error(self, tmp_path, target):
+        # a file in a missing directory or a directory cannot be opened, and
+        # /dev/full takes the open but fails the write
+        if target == "/dev/full" and not os.path.exists(target):
+            pytest.skip("no /dev/full on this platform")
+        path = os.path.join(tmp_path, target)
+        source_root = os.path.dirname(os.path.dirname(frustra.__file__))
+        env = dict(os.environ, PYTHONPATH=source_root)
+        program = "import sys; from frustra.cli import main; sys.exit(main(sys.argv[1:]))"
+        result = subprocess.run([sys.executable, "-c", program, "critical-point", "--output", path],
+                                env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"error: cannot write output file {path}: ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
     def test_huge_coupling_prints_no_warning(self):
         # the Hessian's (1 + 4 g^2 a^2)^(3/2) overflows at this coupling;
         # the term it divides goes to its exact limit 0, silently

@@ -719,6 +719,26 @@ class TestUniformPhaseMoments:
         assert isinstance(moments.errors[0], InstabilityError)
         assert np.isnan(moments.var_q).all() and np.isnan(moments.eps).all()
 
+    def test_only_unstable_points_carry_errors(self):
+        # stable normal points between stale ones: past g_c, where the k = 0
+        # block's lower energy is NaN, and past the hopping window, where the
+        # first failing block is k = 4pi/5 and its lower energy is finite
+        def normal(jbar, g):
+            p = SimpleNamespace(omega0=1.0, Omega=1.0, jbar=jbar, g=g, n_sites=5)
+            config = MeanFieldConfiguration(np.zeros(5), g, jbar)
+            return GroundStateSolution(config, Phase.NORMAL, 0.0, p)
+
+        moments = site_moments([normal(0.01, 0.5), normal(0.01, 1.2),
+                                normal(-0.01, 0.9), normal(0.7, 0.1)])
+        assert [None if e is None else (type(e), str(e)) for e in moments.errors] == [
+            None,
+            (InstabilityError, "momentum block k=0.0000 is not positive definite "
+                               "(lower energy nan)"),
+            None,
+            (InstabilityError, "momentum block k=2.5133 is not positive definite "
+                               "(lower energy 1.376e-01)")]
+        assert np.isfinite(moments.eps[[0, 2]]).all() and np.isnan(moments.eps[[1, 3]]).all()
+
 
 class TestGenericRoute:
     def test_position_momentum_coupled_form(self):

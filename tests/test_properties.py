@@ -32,6 +32,7 @@ from frustra.fluctuations import (
     symplectic_spectrum_modulus,
     williamson_diagonalize,
 )
+from frustra.cli import _CSV_BLOCK, _csv_chunks
 from frustra.errors import FitQualityError, FrustraError
 from frustra.meanfield import (
     MATCH_TOL,
@@ -414,6 +415,25 @@ def test_csv_writer_matches_one_repr_per_value(table):
     assert "nan" not in text
 
 
+def block_table(counts):
+    """A table in the writer's form whose point i holds counts[i] present
+    values, at seeded places among the 16 labels of its two columns, drawn
+    from a small pool so that they repeat; the present values on either side
+    of each multiple of the writer's block are 0.0 and -0.0."""
+    rng = np.random.default_rng(len(counts))
+    mask = np.array([rng.permutation(16) < count for count in counts]).reshape(-1, 16)
+    values = np.where(mask, rng.integers(-4, 5, mask.shape) / 8.0, np.nan)
+    point_of, column_of = np.nonzero(mask)
+    for k, boundary in enumerate(range(_CSV_BLOCK, len(point_of), _CSV_BLOCK)):
+        zeros = [(0.0, -0.0), (-0.0, 0.0)][k % 2]
+        values[point_of[boundary - 1:boundary + 1], column_of[boundary - 1:boundary + 1]] = zeros
+    g = 1.0 + np.arange(len(counts)) / 64.0
+    return g, g - 1.0, [(name, np.array([str(label) for label in range(1, width + 1)]),
+                         values[:, part], mask[:, part])
+                        for name, width, part in (("a", 6, slice(0, 6)),
+                                                  ("b", 10, slice(6, 16)))]
+
+
 def test_csv_writer_matches_one_repr_per_value_on_fixed_tables():
     # both zeros in one column and within one point, a repeated value, a
     # column absent at a point and a point with no value present; then
@@ -458,6 +478,29 @@ def test_csv_writer_matches_one_repr_per_value_on_fixed_tables():
     text = package_csv(table)
     assert text == table_csv(table_points(table))
     assert "nan" not in text
+    # one block of lines less one, one block, one more, and two blocks and
+    # one: the first block ends with a point's last value and is followed by
+    # a point with no value, and the third block starts inside a point;
+    # no piece holds more than one block of lines
+    full, rest = divmod(_CSV_BLOCK, 16)
+    assert rest == 0
+    for counts in ([16] * (full - 1) + [0, 15], [16] * full + [0], [16] * full + [0, 1],
+                   [16] * full + [0] + [13] * (_CSV_BLOCK // 13)
+                   + [_CSV_BLOCK + 1 - 13 * (_CSV_BLOCK // 13)]):
+        table, total = block_table(counts), sum(counts)
+        chunks = list(_csv_chunks(table))
+        assert "".join(chunks) == table_csv(table_points(table))
+        lines = [chunk.count("\n") for chunk in chunks[1:]]
+        assert sum(lines) == total and max(lines) <= _CSV_BLOCK
+        assert len(lines) == -(-total // _CSV_BLOCK)
+        rows = "".join(chunks[1:]).splitlines()
+        for k, boundary in enumerate(range(_CSV_BLOCK, total, _CSV_BLOCK)):
+            assert [row.rsplit(",", 1)[1] for row in rows[boundary - 1:boundary + 1]] == [
+                ["0.0", "-0.0"], ["-0.0", "0.0"]][k % 2]
+        if total > _CSV_BLOCK:  # the point at the boundary writes no line
+            g = table[0].tolist()
+            assert [rows[_CSV_BLOCK - 1].split(",")[0], rows[_CSV_BLOCK].split(",")[0]] == [
+                repr(g[full - 1]), repr(g[full + 1])]
 
 
 @st.composite
