@@ -37,7 +37,8 @@ from .model import (
     ModelParams,
     _circulant_eigenvalues,
     _hessian_diagonal,
-    _landscape,
+    _kernels,
+    _pack,
     _spectral_lower_bound,
     critical_point,
     energy_hessian,
@@ -236,97 +237,98 @@ def _drop(bad, rows, failures, error, *companions):
     """``(rows, *companions)``, the ids of a stack's rows and arrays aligned
     with them, without the rows of the mask ``bad``; each such row gets its
     own copy of the exception ``error`` in ``failures``."""
-    if not bad.any():
-        return (rows, *companions)
     for row in rows[bad].tolist():
         failures[row] = copy.copy(error)
     keep = ~bad
     return tuple(array[keep] for array in (rows, *companions))
 
 
-def _newton_minimize(fun, jac, hess_fn, x0):
-    """Damped saddle-free Newton descent followed by a pure-Newton endgame,
-    on every row of the stack ``x0`` (rows, m) at once.
+def _newton_minimize(fun, jac, hess_fn, x0, consts):
+    """Damped saddle-free Newton descent, then a pure-Newton endgame, on
+    every row of the stack ``x0`` (rows, m) at once.
 
     A descent step divides the gradient's part along each Hessian
-    eigenvector by the eigenvalue's absolute value plus 1e-9.  Where the
-    Hessian is positive semidefinite, as it is for nearly every solver
-    seed, that is the plain damped-Newton step, bit for bit.  Where it is
-    indefinite the step keeps the curvature's length scale; the smallest
-    shift that makes the Hessian positive would leave one eigenvalue at
-    1e-9, and a step up to 1e9 times the gradient for the line search to
-    shrink.
-
-    ``fun``, ``jac`` and ``hess_fn`` take a stack and the ids of its rows,
-    so rows may carry their own couplings; they take their points as given
-    (the functions of :func:`~frustra.model._landscape`).  The seeds must be
-    finite, and a line-search or endgame trial point that is not fails its
-    row with :class:`DomainError`; every point the derivatives see is a
-    seed or an accepted trial.  Each row runs exactly the iteration, and
-    the arithmetic, it would run alone: row masks replace the per-row
-    control flow, and a row that fails (a non-finite trial point, a failed
-    eigensolve) leaves the stack without touching the others.  A line
-    search that every row passes at the full step, the common case, needs
-    no masks.  The descent phase insists on energy decrease; once the
-    energy changes fall below floating-point resolution the endgame
-    accepts steps on gradient decrease instead.  Returns ``(x, grad_norm,
-    steps, failures)``: the minimizers, their gradient infinity-norms,
-    each row's accepted (descent, endgame) step counts, and each failed
-    row's exception by row id.
+    eigenvector by |eigenvalue| + 1e-9: the plain damped-Newton step, bit
+    for bit, where the Hessian is positive semidefinite (at nearly every
+    solver seed), else a step at the curvature's length scale, where the
+    least shift to positive would step up to 1e9 times the gradient.
+    ``fun``, ``jac`` and ``hess_fn`` (:func:`~frustra.model._kernels`, or
+    :func:`_mirror_reduced`'s) take a stack as given and its rows'
+    constants, a row of ``consts`` per row of ``x0``: an iteration gathers
+    its live rows' once, and its line search and the endgame take subsets.
+    Seeds must be finite; a trial point that is not fails its row with
+    :class:`DomainError`.  Each row runs exactly the iteration, and the
+    arithmetic, it would run alone, and a failed row (a non-finite trial, a
+    failed eigensolve) leaves the stack without touching the others.  The
+    descent insists on energy decrease; the endgame, once energy changes
+    fall below floating-point resolution, on gradient decrease.  Returns
+    ``(x, grad_norm, steps, failures)``: the minimizers, their gradient
+    infinity-norms (kept per row as it goes), each row's accepted (descent,
+    endgame) step counts, and each failed row's exception by row id.
     """
     x = np.array(x0, dtype=float)
     if not np.isfinite(x).all():
         raise DomainError("alphas must be finite")
     failures: dict[int, Exception] = {}
     steps = np.zeros((len(x), 2), dtype=int)
-    live = np.arange(len(x))
-    f, grad = fun(x, live), jac(x, live)
+    f, grad = fun(x, consts), jac(x, consts)
+    norm = np.abs(grad).max(axis=-1)
+    live = np.flatnonzero(~(norm < 1e-6))
     for _ in range(MAX_ITERATIONS):
-        live = live[~(np.abs(grad[live]).max(axis=-1) < 1e-6)]
         if not len(live):
             break
-        w, vecs = _eigh(hess_fn(x[live], live))
-        live, w, vecs = _drop(np.isnan(w[:, 0]), live, failures, _UNCONVERGED, w, vecs)
+        pack, here = consts[live], x[live]
+        w, vecs = _eigh(hess_fn(here, pack))
+        if np.isnan(w[:, 0]).any():
+            live, w, vecs, pack, here = _drop(np.isnan(w[:, 0]), live, failures, _UNCONVERGED,
+                                              w, vecs, pack, here)
         coeffs = (np.swapaxes(vecs, -1, -2) @ grad[live][..., None])[..., 0]
         step = (vecs @ (coeffs / (np.abs(w) + 1e-9))[..., None])[..., 0]
-        # the line search: the rows still searching share the step length
-        # t, which shrinks by quarters from 1 down to 1e-12
-        t, search, trial = 1.0, live, x[live] - step
+        # the line search: the rows still searching, with their constants,
+        # share the step length t, which shrinks by quarters from 1 to 1e-12
+        t, search, held, trial = 1.0, live, pack, here - step
         moved = np.zeros(len(x), dtype=bool)
         while True:
-            search, trial, step = _drop(~np.isfinite(trial).all(axis=-1), search, failures,
-                                        _NOT_FINITE, trial, step)
-            f_new, f_old = fun(trial, search), f[search]
+            if not np.isfinite(trial).all():
+                search, trial, step, held = _drop(~np.isfinite(trial).all(axis=-1), search,
+                                                  failures, _NOT_FINITE, trial, step, held)
+            f_new, f_old = fun(trial, held), f[search]
             accept = f_new <= f_old + 1e-14 * np.abs(f_old)
             if accept.all():
                 x[search], f[search], moved[search] = trial, f_new, True
                 break
-            done = search[accept]
+            done, rest = search[accept], ~accept
             x[done], f[done], moved[done] = trial[accept], f_new[accept], True
-            search, step, t = search[~accept], step[~accept], t / 4.0
+            search, step, held, t = search[rest], step[rest], held[rest], t / 4.0
             if not t > 1e-12:
                 break
             trial = x[search] - t * step
-        live = np.flatnonzero(moved)
-        steps[live, 0] += 1
-        grad[live] = jac(x[live], live)
-    # The endgame squeezes the residual to the floating-point floor (well
-    # below SOLUTION_GRAD_TOL): soft-direction curvatures amplify any
-    # leftover gradient into parameter error, so stopping exactly at
-    # SOLUTION_GRAD_TOL would contaminate near-critical Hessian eigenvalues.
-    live = np.flatnonzero([row not in failures for row in range(len(x))])
-    norm = np.abs(grad).max(axis=-1)
+        steps[:, 0] += moved
+        moved = moved[live]
+        live, pack = live[moved], pack[moved]
+        grad[live] = grad_new = jac(x[live], pack)
+        norm[live] = new_norm = np.abs(grad_new).max(axis=-1)
+        live = live[~(new_norm < 1e-6)]
+    # The endgame squeezes the residual to the floating-point floor, far below
+    # SOLUTION_GRAD_TOL: soft-direction curvatures amplify any leftover gradient
+    # into parameter error, which would contaminate near-critical Hessian eigenvalues.
+    live = (np.flatnonzero([row not in failures for row in range(len(x))]) if failures
+            else np.arange(len(x)))
     for _ in range(60):
         live = live[~(norm[live] < 1e-15)]
         if not len(live):
             break
-        step = _solve(hess_fn(x[live], live), grad[live][..., None])[..., 0]
+        pack = consts[live]
+        step = _solve(hess_fn(x[live], pack), grad[live][..., None])[..., 0]
         # a singular Hessian, whose step numpy fills with NaN, ends that
         # row's endgame as a failed step does
-        live, step = _drop(np.isnan(step).all(axis=-1), live, {}, None, step)
+        if np.isnan(step).all(axis=-1).any():
+            live, step, pack = _drop(np.isnan(step).all(axis=-1), live, {}, None, step, pack)
         trial = x[live] - step
-        live, trial = _drop(~np.isfinite(trial).all(axis=-1), live, failures, _NOT_FINITE, trial)
-        grad_new = jac(trial, live)
+        if not np.isfinite(trial).all():
+            live, trial, pack = _drop(~np.isfinite(trial).all(axis=-1), live, failures,
+                                      _NOT_FINITE, trial, pack)
+        grad_new = jac(trial, pack)
         new_norm = np.abs(grad_new).max(axis=-1)
         better = ~(new_norm >= norm[live])
         live = live[better]
@@ -335,28 +337,27 @@ def _newton_minimize(fun, jac, hess_fn, x0):
     return x, norm, steps, failures
 
 
-def _mirror_reduced(n_sites: int, landscape):
+@functools.cache
+def _mirror_reduced(n_sites: int):
     """(expand, energy, gradient, Hessian) of y -> E(P y) over the
-    mirror-group values y, with P the pair incidence: the gradient is g P
-    and the Hessian P^T H P.  They act on the last axis of a stack of y,
-    take the ids of the rows they are given (all rows by default) and take
-    their points as given, as the full-space functions ``landscape`` (of a
-    :func:`~frustra.model._landscape`) they are built on do.
-    """
+    mirror-group values y, with P the pair incidence, built once per
+    lattice size: the gradient is g P and the Hessian P^T H P.  They act on
+    a stack of y and its constants as the :func:`~frustra.model._kernels`
+    they are built on do."""
     incidence = ring(n_sites).incidence
-    energy, gradient, hessian = landscape
+    energy, gradient, hessian = _kernels(n_sites)
 
     def expand(y):
         return y @ incidence.T
 
-    def fun(y, rows=...):
-        return energy(expand(y), rows)
+    def fun(y, pack):
+        return energy(expand(y), pack)
 
-    def jac(y, rows=...):
-        return gradient(expand(y), rows) @ incidence
+    def jac(y, pack):
+        return gradient(expand(y), pack) @ incidence
 
-    def hess_fn(y, rows=...):
-        return incidence.T @ hessian(expand(y), rows) @ incidence
+    def hess_fn(y, pack):
+        return incidence.T @ hessian(expand(y), pack) @ incidence
 
     return expand, fun, jac, hess_fn
 
@@ -498,53 +499,53 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
         spectra[normal] = origin_hessian_eigenvalues(g[normal], jbar[normal], n_sites)
     if solving:
         solving, magnitudes = np.array(solving), np.array(magnitudes)
-        landscape = _landscape(n_sites, g[solving], jbar[solving])
-        phases[solving] = np.where(jbar[solving] > 0, Phase.FSP, Phase.NFSP)
+        g_s, jbar_s, (_, gradient, hessian) = g[solving], jbar[solving], _kernels(n_sites)
+        consts, frustrated = _pack(g_s, jbar_s), np.flatnonzero(jbar_s > 0)
+        phases[solving] = Phase.NFSP
+        phases[solving[frustrated]] = Phase.FSP
         # a uniform row is its closed form; Newton moves the frustrated ones
         found = np.repeat(magnitudes[:, None], n_sites, axis=1)
         steps, failures = np.zeros((len(solving), 2), dtype=int), {}
-        frustrated = np.flatnonzero(jbar[solving] > 0)
-        if len(frustrated):  # Newton reads the stack's kernels, its row ids mapped to the stack's
-            expand, fun, jac, hess_fn = _mirror_reduced(n_sites, [
-                lambda a, rows=..., kernel=kernel: kernel(a, frustrated[rows])
-                for kernel in landscape])
-            seed = ring(n_sites).pattern[: (n_sites + 1) // 2] * np.r_[2.0, np.ones(n_sites // 2)]
+        if len(frustrated):
+            expand, fun, jac, hess_fn = _mirror_reduced(n_sites)
             y, _, steps[frustrated], newton_failures = _newton_minimize(
-                fun, jac, hess_fn, magnitudes[frustrated, None] * seed)
+                fun, jac, hess_fn, magnitudes[frustrated, None] * ring(n_sites).seed,
+                consts[frustrated])
             found[frustrated] = expand(y)
             failures = {int(frustrated[row]): error for row, error in newton_failures.items()}
-        residual = np.abs(landscape[1](found)).max(axis=-1)
+        residual = np.abs(gradient(found, consts)).max(axis=-1)
         residual[list(failures)] = np.nan
         # SOLUTION_GRAD_TOL, or the floor of a row above it; the filter takes at least 1e-6
         tolerance, loose = np.full(len(solving), SOLUTION_GRAD_TOL), residual > SOLUTION_GRAD_TOL
         if loose.any():
-            tolerance[loose] = _gradient_tolerance(found[loose], g[solving[loose]],
-                                                   jbar[solving[loose]], SOLUTION_GRAD_TOL)
+            tolerance[loose] = _gradient_tolerance(found[loose], g_s[loose], jbar_s[loose],
+                                                   SOLUTION_GRAD_TOL)
         stationary = residual <= np.fmax(tolerance, 1e-6)
         # a uniform row's spectrum is circulant, a stationary frustrated row's its mirror sectors'
-        uniform, sectored = np.flatnonzero(jbar[solving] < 0), frustrated[stationary[frustrated]]
-        spectra[solving[uniform]] = _circulant_eigenvalues(_hessian_diagonal(
-            magnitudes[uniform, None], g[solving[uniform], None]), jbar[solving[uniform]], n_sites)
+        uniform, sectored = np.flatnonzero(jbar_s < 0), frustrated[stationary[frustrated]]
+        if len(uniform):
+            spectra[solving[uniform]] = _circulant_eigenvalues(_hessian_diagonal(
+                magnitudes[uniform, None], g_s[uniform, None]), jbar_s[uniform], n_sites)
         if len(sectored):
-            (even, _), (odd, _) = _mirror_eigh(landscape[2](found[sectored], sectored))
+            (even, _), (odd, _) = _mirror_eigh(hessian(found[sectored], consts[sectored]))
             spectra[solving[sectored]] = np.sort(np.hstack([even, odd]), axis=-1)
             soft[solving[sectored]] = np.column_stack([even[:, 0], odd[:, 0]])
         # the sort moves a failed sector's NaN out of rank 1, so every rank is read
-        _drop(stationary & np.isnan(spectra[solving]).any(axis=-1), np.arange(len(solving)),
-              failures, _UNCONVERGED)
+        for row in np.flatnonzero(stationary & np.isnan(spectra[solving]).any(axis=-1)).tolist():
+            failures[row] = copy.copy(_UNCONVERGED)
         alphas[solving], point_errors = _canonical(found, residual, tolerance, frustrated)
         grad_norm[solving] = residual
         # a failed row's error, then no minimum, then the checks
         for row in np.flatnonzero(~stationary | (spectra[solving, 0] < PSD_TOLERANCE)).tolist():
             point_errors[row] = ConvergenceError(
-                f"no stable stationary point at g={g[solving[row]]}, jbar={jbar[solving[row]]}",
+                f"no stable stationary point at g={g_s[row]}, jbar={jbar_s[row]}",
                 best_residual=residual[row].item())
         point_errors.update(failures)
         for row, error in point_errors.items():
             errors[solving[row]] = error
         for row in (row for row in range(len(solving)) if debug and row not in point_errors):
             log.debug("solved g=%r jbar=%r N=%d: %d descent and %d endgame steps, "
-                      "grad_norm %.3e", g[solving[row]].item(), jbar[solving[row]].item(),
+                      "grad_norm %.3e", g_s[row].item(), jbar_s[row].item(),
                       n_sites, *steps[row], residual[row])
     failed = [index for index, error in enumerate(errors) if error is not None]
     if failed:
@@ -661,20 +662,20 @@ def _enumerate_exhaustive(params: ModelParams):
         scale = max(scale, uniform)
     if g > gc and jbar == 0:
         raise copy.copy(_UNCLASSIFIED)
-    landscape = _landscape(n, g, jbar)
+    consts = _pack(g, jbar)
     if g <= gc or jbar < 0:  # the spectral lower bound is attainable
         # the origin, or orbit_patterns(n)[0], all -1, at the orbit rows' scale
-        members = _certified_members(landscape, params, np.full((1, n), -scale if g > gc else 0.0))
+        members = _certified_members(consts, params, np.full((1, n), -scale if g > gc else 0.0))
         if members is not None:
             return [MeanFieldConfiguration(a, g, jbar) for a in members]
 
     # one sign pattern per rotation/flip orbit, all rows of one full-space Newton stack
     patterns = np.array(orbit_patterns(n))
-    found, steps, stationary = _stable_minima(landscape, params, patterns * scale)
+    found, steps, stationary = _stable_minima(consts, params, patterns * scale)
     if not len(found):
         raise ConvergenceError("exhaustive enumeration found no stable minima")
 
-    energies = landscape[0](found)
+    energies = _kernels(n)[0](found, consts)
     tolerance = max(ENERGY_TOL, _BOUND_SLACK * _energy_rounding(found, g, jbar).max())
     global_tier = found[energies <= energies.min() + tolerance]
     if g > gc and jbar > 0:
@@ -694,27 +695,29 @@ def _enumerate_exhaustive(params: ModelParams):
     return [MeanFieldConfiguration(a, g, jbar) for a in members]
 
 
-def _stable_minima(landscape, params: ModelParams, seeds: np.ndarray):
+def _stable_minima(consts, params: ModelParams, seeds: np.ndarray):
     """The oracle's full-space Newton from each row of ``seeds`` at the
-    point ``params`` of ``landscape``, checked: ``(minima, steps,
+    point ``params`` of constants ``consts``, checked: ``(minima, steps,
     stationary)``, the rows that are stationary to the solver's rule
     (SOLUTION_GRAD_TOL, or the row's :func:`_gradient_tolerance`) and whose
     Hessian passes PSD_TOLERANCE, every row's (descent, endgame) step counts
     and the number of stationary rows.  The first failed row's error
     (Newton's, or a failed eigensolve's ``LinAlgError``) is raised."""
-    energy, gradient, hessian = landscape
-    alphas, grad_norm, steps, failures = _newton_minimize(energy, gradient, hessian, seeds)
+    energy, gradient, hessian = _kernels(params.n_sites)
+    alphas, grad_norm, steps, failures = _newton_minimize(
+        energy, gradient, hessian, seeds, np.repeat(consts[None], len(seeds), axis=0))
     settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
     tolerance = _gradient_tolerance(alphas[settled], params.g, params.jbar, SOLUTION_GRAD_TOL)
     stationary = settled[~(grad_norm[settled] > tolerance)]
-    lowest = _eigvalsh(hessian(alphas[stationary])).min(axis=-1)
-    _drop(np.isnan(lowest), stationary, failures, _UNCONVERGED)
+    lowest = _eigvalsh(hessian(alphas[stationary], consts)).min(axis=-1)
+    for row in stationary[np.isnan(lowest)].tolist():
+        failures[row] = copy.copy(_UNCONVERGED)
     if failures:
         raise failures[min(failures)]
     return alphas[stationary[~(lowest < PSD_TOLERANCE)]], steps, len(stationary)
 
 
-def _certified_members(landscape, params: ModelParams, candidate: np.ndarray):
+def _certified_members(consts, params: ModelParams, candidate: np.ndarray):
     """The manifold from one ``candidate`` row, the origin or the all -1
     orbit pattern, at a point whose :func:`~frustra.model._spectral_lower_bound`
     is attainable (g <= g_c, or jbar < 0); None if the candidate's minimum
@@ -729,10 +732,10 @@ def _certified_members(landscape, params: ModelParams, candidate: np.ndarray):
     that stack's first; a miss falls back to the orbit search, so the slack decides the
     route, never the answer.
     """
-    found, _, _ = _stable_minima(landscape, params, candidate)
+    found, _, _ = _stable_minima(consts, params, candidate)
     if not len(found):
         return None
-    (energy,) = landscape[0](found).tolist()
+    (energy,) = _kernels(params.n_sites)[0](found, consts).tolist()
     bound = _spectral_lower_bound(params.g, params.jbar, params.n_sites)
     margin = abs(energy - bound) / _energy_rounding(found[0], params.g, params.jbar)
     if not margin <= _BOUND_SLACK:
@@ -807,16 +810,15 @@ def _polish_members(members: np.ndarray, params: ModelParams) -> np.ndarray:
     # every member into its canonical frame, and back, by one gather each
     rows, sites, shifts = np.arange(len(members))[:, None], np.arange(n), np.array(shifts)[:, None]
     canonical = signs[:, None] * members[rows, (sites + shifts) % n]
-    incidence = ring(n).incidence
-    landscape = _landscape(n, g, jbar)
-    expand, fun, jac, hess_fn = _mirror_reduced(n, landscape)
+    incidence, consts = ring(n).incidence, np.repeat(_pack(g, jbar)[None], len(members), axis=0)
+    expand, fun, jac, hess_fn = _mirror_reduced(n)
     # seeded from the mean of each mirror pair
     y, _, _, failures = _newton_minimize(fun, jac, hess_fn,
-                                         canonical @ incidence / incidence.sum(axis=0))
+                                         canonical @ incidence / incidence.sum(axis=0), consts)
     if failures:
         raise failures[min(failures)]
     snapped = expand(y)
-    free, locked = landscape[0](canonical), landscape[0](snapped)
+    free, locked = _kernels(n)[0](canonical, consts), _kernels(n)[0](snapped, consts)
     raised = locked > free + 1e-12 * np.fmax(1.0, np.abs(free))
     for before, after in zip(free[raised].tolist(), locked[raised].tolist()):
         log.warning(

@@ -148,7 +148,7 @@ def rescaled_energy(alphas, g, jbar):
     row; a single configuration returns a float.
     """
     a = _check_alphas(alphas)
-    energy = _landscape(a.shape[-1], g, jbar)[0](a)
+    energy = _kernels(a.shape[-1])[0](a, _pack(g, jbar))
     return float(energy) if a.ndim == 1 else energy
 
 
@@ -160,7 +160,7 @@ def energy_gradient(alphas, g, jbar) -> np.ndarray:
     - 2 g^2 a_n / sqrt(1 + 4 g^2 a_n^2), cyclic in n.
     """
     a = _check_alphas(alphas)
-    return _landscape(a.shape[-1], g, jbar)[1](a)
+    return _kernels(a.shape[-1])[1](a, _pack(g, jbar))
 
 
 def energy_hessian(alphas, g, jbar) -> np.ndarray:
@@ -172,53 +172,49 @@ def energy_hessian(alphas, g, jbar) -> np.ndarray:
     first off-diagonals carry 2 jbar.
     """
     a = _check_alphas(alphas)
-    return _landscape(a.shape[-1], g, jbar)[2](a)
+    return _kernels(a.shape[-1])[2](a, _pack(g, jbar))
 
 
-def _landscape(n_sites: int, g, jbar):
-    """``(energy, gradient, hessian)`` of :func:`rescaled_energy` as
-    functions of a stack of configurations (rows, n_sites) and the ids of
-    its rows, with the per-row constants 4 g^2, 2 g^2 and 2 jbar computed
-    and the ring's neighbours looked up once.
+#: The column of a :func:`_pack` that holds 2 jbar, and the factors of g * g in the others
+_HOP, _FACTORS = np.array([False, False, True]), np.array([4.0, 2.0, 2.0])
 
-    ``g`` and ``jbar`` are scalars or hold one value per row; the ids
-    (all rows by default) pick a stack's values, and scalars need none.
-    The functions take the coherences as given, without a conversion or a
-    finiteness check: the public functions validate, and the Newton solver
-    checks the points it makes.  The arithmetic is the public functions'
-    own, operation for operation: 4.0 * g * g * a * a is evaluated left to
-    right, so it is (4.0 * g * g) * a * a, bit for bit.
-    """
-    g, jbar = _per_row(g), _per_row(jbar)
-    shared = g.ndim == jbar.ndim == 1  # two scalars: every row alike
-    if g.shape != jbar.shape and not shared:
-        g, jbar = np.broadcast_arrays(g, jbar)
-    with np.errstate(over="ignore"):  # see _diagonal
-        quad, curve, hop = 4.0 * g * g, 2.0 * g * g, 2.0 * jbar
+
+@np.errstate(over="ignore")  # see _diagonal
+def _pack(g, jbar) -> np.ndarray:
+    """The :func:`_kernels`' constants (4 g^2, 2 g^2, 2 jbar), left to right
+    as in their formulas, on the last axis: (3,) for scalar ``g`` and
+    ``jbar``, shared by every row and keeping a configuration's shape, else
+    a row per value, broadcast."""
+    g = np.asarray(g, dtype=float)[..., None]
+    return np.where(_HOP, 2.0 * np.asarray(jbar, dtype=float)[..., None], _FACTORS * g * g)
+
+
+@functools.cache
+def _kernels(n_sites: int):
+    """``(energy, gradient, hessian)`` of :func:`rescaled_energy` at one
+    lattice size, built once: functions of a stack of configurations (...,
+    n_sites) and a :func:`_pack` of its constants, a row per row of the
+    stack or one for all.  They take the coherences as given, without a
+    conversion or a finiteness check: the public functions validate, and
+    the Newton solver checks the points it makes."""
     tables = ring(n_sites)
-    left, right, site = tables.left, tables.right, np.arange(n_sites)
+    left, right, sites = tables.left, tables.right, np.arange(n_sites)
 
-    def at(rows):
-        if shared or rows is ...:
-            return quad, curve, hop
-        return quad[rows], curve[rows], hop[rows]
-
-    def energy(a, rows=...):
-        quad, _, hop = at(rows)
+    def energy(a, pack):
+        quad, hop = pack[..., 0, None], pack[..., 2, None]
         return np.add.reduce(a * a - 0.5 * np.sqrt(1.0 + quad * a * a)
                              + hop * a * a[..., right], axis=-1)
 
-    def gradient(a, rows=...):
-        quad, curve, hop = at(rows)
+    def gradient(a, pack):
+        quad, curve, hop = pack[..., 0, None], pack[..., 1, None], pack[..., 2, None]
         root = np.sqrt(1.0 + quad * a * a)
         return 2.0 * a + hop * (a[..., left] + a[..., right]) - curve * a / root
 
-    def hessian(a, rows=...):
-        quad, curve, hop = at(rows)
+    def hessian(a, pack):
+        quad, curve, hop = pack[..., 0, None], pack[..., 1, None], pack[..., 2, None]
         hess = np.zeros(a.shape + (n_sites,))
-        with np.errstate(over="ignore"):  # see _diagonal
-            hess[..., site, site] = _diagonal(quad, curve, a)
-        hess[..., site, right] = hess[..., right, site] = hop
+        hess[..., sites, sites] = _diagonal(quad, curve, a)
+        hess[..., sites, right] = hess[..., right, sites] = hop
         return hess
 
     return energy, gradient, hessian
@@ -227,11 +223,12 @@ def _landscape(n_sites: int, g, jbar):
 _LARGEST = float(np.finfo(float).max)
 
 
+@np.errstate(over="ignore")
 def _diagonal(quad, curve, a):
     """The Hessian diagonal 2 - 2 g^2 / (1 + 4 g^2 a^2)^{3/2} from the
     constants ``quad`` = 4 g^2 and ``curve`` = 2 g^2, elementwise.  At huge
-    couplings 4 g^2 or the power overflows to inf, and the term they divide
-    to its exact limit 0, so callers ignore overflow.  Past g of about
+    couplings 4 g^2 or the power overflows to inf, which takes the term it
+    divides to its exact limit 0, so overflow is ignored.  Past g of about
     9.5e153 2 g^2 overflows too, and inf / inf would be NaN where a != 0
     has the limit 2, so it is capped at the largest finite double."""
     return 2.0 - np.minimum(curve, _LARGEST) / (1.0 + quad * a * a) ** 1.5
@@ -260,17 +257,17 @@ def atomic_angles(alphas, g: float):
 
     theta = arccos(-1/sqrt(1 + 4 g^2 alpha^2)) lies in [pi/2, pi]; phi is
     pi for alpha > 0, otherwise 0 (the value at alpha = 0 is a convention
-    and does not affect the energy).  A negative coupling raises
-    :class:`DomainError`.
+    and does not affect the energy).  A negative or non-finite coupling
+    raises :class:`DomainError`, as :class:`ModelParams` refuses it.
     """
-    if g < 0:
+    if not (_is_finite(g) and g >= 0):
         raise DomainError(f"g must be non-negative, got {g}")
     a = np.asarray(alphas, dtype=float)
     return np.arccos(atomic_cosines(a, g)[0]), np.where(a > 0, np.pi, 0.0)
 
 
 #: The read-only tables of one ring size; see :func:`ring`.
-Ring = namedtuple("Ring", "momenta cosines ascending left right pattern incidence even odd")
+Ring = namedtuple("Ring", "momenta cosines ascending left right pattern seed incidence even odd")
 
 
 @functools.cache
@@ -280,15 +277,15 @@ def ring(n_sites: int) -> Ring:
     which give the hopping eigenvalues 1 + 2 jbar cos k, each computed as
     cos(2 pi min(t, N - t) / N) so that the cosines of k and -k are bitwise
     equal, and the t in the ``ascending`` order of their cosines (ties by
-    t); each site's
-    ``left`` and ``right`` neighbour; the canonical frustrated sign
-    ``pattern`` (site 1 negative, neighbours anti-aligned except for the
-    ferromagnetic pair opposite site 1); and the mirror about site 1, as
-    the 0/1 ``incidence`` of sites (rows) on mirror groups (column 0 the
-    unpaired site, column j the pair (1+j, N+1-j)) and the orthonormal row
-    bases ``even`` of the mirror-even sector (the incidence columns,
-    normalised) and ``odd`` of the mirror-odd one,
-    (e_{1+j} - e_{N+1-j})/sqrt(2), j = 1..(N-1)/2."""
+    t); each site's ``left`` and ``right`` neighbour; the canonical
+    frustrated sign ``pattern`` (site 1 negative, neighbours anti-aligned
+    except for the ferromagnetic pair opposite site 1) and the solver's
+    unit ``seed``, that pattern over the mirror groups with site 1 doubled;
+    and the mirror about site 1, as the 0/1 ``incidence`` of sites (rows)
+    on mirror groups (column 0 the unpaired site, column j the pair (1+j,
+    N+1-j)) and the orthonormal row bases ``even`` of the mirror-even
+    sector (the incidence columns, normalised) and ``odd`` of the
+    mirror-odd one, (e_{1+j} - e_{N+1-j})/sqrt(2), j = 1..(N-1)/2."""
     validate_n_sites(n_sites)
     sites = np.arange(n_sites)
     momenta = 2.0 * np.pi * sites / n_sites
@@ -304,7 +301,7 @@ def ring(n_sites: int) -> Ring:
     odd[pairs - 1, pairs], odd[pairs - 1, n_sites - pairs] = weight[pairs], -weight[pairs]
     ascending = np.array(sorted(range(n_sites), key=cosines.tolist().__getitem__))
     tables = Ring(momenta, cosines, ascending, (sites - 1) % n_sites, (sites + 1) % n_sites,
-                  -((-1.0) ** group), incidence, even, odd)
+                  -((-1.0) ** group), np.r_[-2.0, -((-1.0) ** pairs)], incidence, even, odd)
     for table in tables:
         table.flags.writeable = False
     return tables

@@ -9,15 +9,19 @@ g_c (1 + 1e-9) and jbar = 0.2 also at the strong coupling g = 1e6, and
 ``sweep`` and ``exponents`` at jbar = 0.0), then the
 transition-order scans ``energy_derivative_diagnostics`` over N = 3, 5, 7,
 jbar = +-0.01, 0.2, -0.3, both axes and four (half_width, step) pairs,
-and the solver's records: ``meanfield._solve_stack`` over N = 3, 5, 7, 9,
+the solver's records: ``meanfield._solve_stack`` over N = 3, 5, 7, 9,
 21 and jbar = -0.49, -0.01, -1e-5, 0, 1e-5, 0.01, 0.45, each on one grid of
 g_c (the tree's own ``critical_point``), g_c moved by 1 to 6 ulps either
-way, 0.5 g_c and g_c (1 + r) for reduced couplings r from 1e-16 to 1e8.
+way, 0.5 g_c and g_c (1 + r) for reduced couplings r from 1e-16 to 1e8,
+and the exhaustive oracle's members (``enumerate_degenerate_ground_states``
+in exhaustive mode) over N = 3, 5, 7 and jbar = +-1e-3, +-1e-2, +-0.2, each
+at g_c (1 + r) for r = 1e-5, 1e-3 and 1e-1.
 It runs them against the package under a given ``src`` directory, in one
 child process, and prints one line per run: its exit code, the SHA-256 of
 its stdout (a scan's ``repr``; a record's phases, alphas, residuals and
-spectra by point) and of its stderr (a scan's error; a record's error
-types and texts by point), and its arguments.
+spectra by point; the oracle's members by point) and of its stderr (a
+scan's error; a record's or the oracle's error types and texts by point),
+and its arguments.
 
     python tests/cli_digest.py src                        # one digest per run
     python tests/cli_digest.py src --dump rows.json       # and the parsed rows
@@ -28,8 +32,10 @@ types and texts by point), and its arguments.
 worst move), as ``structure`` when its exit code, stderr, row labels or
 JSON config and warnings differ.  Where they sit is, for a CLI run or a
 scan, each observable or row kind with the index ranges of its moved rows,
-and for a record, each moved part (g, alphas, residual or spectra) with
-the phases and index ranges of its moved points.  A relative move is
+for a record, each moved part (g, alphas, residual or spectra) with
+the phases and index ranges of its moved points, and for the oracle, each
+point (g0, g1, g2 by reduced coupling) with the index ranges of its moved
+members.  A relative move is
 taken against the other tree's value where that is non-zero; moves from
 or to zero are counted apart.  Standard library only; the package needs
 numpy as always.  Not a test module.
@@ -60,6 +66,10 @@ SCAN_STEPS = ((4e-3, 1e-4), (1e-3, 1e-4), (2e-4, 1e-4), (0.05, 3e-3))
 #: the reduced couplings of each grid above its ulp steps about g_c.
 RECORD_HOPPINGS = (-0.49, -0.01, -1e-5, 0.0, 1e-5, 0.01, 0.45)
 RECORD_REDUCED = (1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e8)
+#: The oracle's members: sizes, hoppings, and reduced couplings of each grid.
+ORACLE_SIZES = (3, 5, 7)
+ORACLE_HOPPINGS = (-0.2, -1e-2, -1e-3, 1e-3, 1e-2, 0.2)
+ORACLE_REDUCED = (1e-5, 1e-3, 1e-1)
 
 
 def cli_runs() -> list[list[str]]:
@@ -102,6 +112,39 @@ def record_runs() -> list[list[str]]:
     """The argument lists of every solver record, in a fixed order."""
     return [["solve-stack", "--sites", str(n), "--jbar", repr(jbar)]
             for n, jbar in itertools.product(SIZES, RECORD_HOPPINGS)]
+
+
+def oracle_runs() -> list[list[str]]:
+    """The argument lists of every oracle record, in a fixed order."""
+    return [["oracle", "--sites", str(n), "--jbar", repr(jbar)]
+            for n, jbar in itertools.product(ORACLE_SIZES, ORACLE_HOPPINGS)]
+
+
+def _members(argv: list[str]) -> dict:
+    """One oracle record: a row per member, labelled by its point (g0, g1,
+    g2 by reduced coupling) and its index, holding g and the alphas, as
+    stdout, and each failed point's error as stderr."""
+    import numpy as np
+
+    from frustra.errors import FrustraError
+    from frustra.meanfield import SolverOptions, enumerate_degenerate_ground_states
+    from frustra.model import ModelParams, critical_point
+
+    option = dict(zip(argv[1::2], argv[2::2]))
+    n, jbar = int(option["--sites"]), float(option["--jbar"])
+    gc, exhaustive = critical_point(jbar, n), SolverOptions(seed_mode="exhaustive")
+    rows, errors = [], []
+    for i, reduced in enumerate(ORACLE_REDUCED):
+        g = gc * (1.0 + reduced)
+        try:
+            members = enumerate_degenerate_ground_states(ModelParams(1.0, 1.0, jbar, g, n),
+                                                         exhaustive)
+        except (FrustraError, np.linalg.LinAlgError) as exc:
+            errors.append(f"g{i} {type(exc).__name__}: {exc}\n")
+            continue
+        rows += [[f"g{i}", str(m), g, *member.alphas.tolist()] for m, member in enumerate(members)]
+    return {"argv": argv, "exit": 0, "stdout": json.dumps(rows), "stderr": "".join(errors),
+            "rows": rows}
 
 
 def _record(argv: list[str]) -> dict:
@@ -173,6 +216,7 @@ def _run_all(src: str) -> None:
                         "stderr": err.getvalue()})
     results += [_scan(argv) for argv in scan_runs()]
     results += [_record(argv) for argv in record_runs()]
+    results += [_members(argv) for argv in oracle_runs()]
     json.dump(results, sys.stdout)
 
 

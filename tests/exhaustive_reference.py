@@ -23,6 +23,7 @@ from frustra.meanfield import (
 )
 from frustra.model import (
     MeanFieldConfiguration,
+    _pack,
     energy_gradient,
     energy_hessian,
     rescaled_energy,
@@ -42,10 +43,12 @@ def enumerate_all_sign_patterns(params):
         scale = max(scale, uniform)
 
     seeds = np.array(list(itertools.product((-1.0, 1.0), repeat=n))) * scale
+    # the public functions on every row; the stack's constants go unread
     alphas, grad_norm, _, failures = _newton_minimize(
-        lambda a, rows: rescaled_energy(a, g, jbar),
-        lambda a, rows: energy_gradient(a, g, jbar),
-        lambda a, rows: energy_hessian(a, g, jbar), seeds)
+        lambda a, pack: rescaled_energy(a, g, jbar),
+        lambda a, pack: energy_gradient(a, g, jbar),
+        lambda a, pack: energy_hessian(a, g, jbar), seeds,
+        np.broadcast_to(_pack(g, jbar), (len(seeds), 3)))
     settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
     tolerance = _gradient_tolerance(alphas[settled], g, jbar, SOLUTION_GRAD_TOL)
     stationary = settled[~(grad_norm[settled] > tolerance)]

@@ -1,9 +1,10 @@
 """Independent landscape reference for the tests: the energy, gradient and
 Hessian as each public function computed them on its own, validating its
 input and building its per-row constants on every call.  The package
-computes them once per stack in one kernel, ``model._landscape``; the tests
-check that the kernel and the public functions on top of it return these
-functions' bits."""
+computes them in kernels built once per lattice size, ``model._kernels``,
+over a pack of per-row constants, ``model._pack``; the tests check that the
+kernels and the public functions on top of them return these functions'
+bits."""
 
 import numpy as np
 
@@ -63,7 +64,10 @@ def _hessian_diagonal(alphas, g):
     :func:`energy_hessian`, elementwise, with ``g`` broadcast against the
     coherences."""
     # at huge couplings the power overflows to inf and the term to its
-    # exact limit 0
+    # exact limit 0; past g of about 9.5e153 2 g^2 overflows as well, and is
+    # held at the largest finite double so that inf / inf does not turn
+    # that limit into NaN
     with np.errstate(over="ignore"):
-        return 2.0 - 2.0 * g * g / (1.0 + 4.0 * g * g * alphas * alphas) ** 1.5
+        curvature = np.minimum(2.0 * g * g, np.finfo(float).max)
+        return 2.0 - curvature / (1.0 + 4.0 * g * g * alphas * alphas) ** 1.5
 

@@ -43,7 +43,8 @@ from frustra.model import (
     ModelParams,
     _circulant_eigenvalues,
     _hessian_diagonal,
-    _landscape,
+    _kernels,
+    _pack,
     _spectral_lower_bound,
     critical_point,
     energy_gradient,
@@ -85,6 +86,19 @@ def sector_spectra(hess):
     tables = ring(hess.shape[-1])
     return np.sort(np.hstack([np.linalg.eigh(basis @ hess @ basis.T)[0]
                               for basis in (tables.even, tables.odd)]), axis=-1)
+
+
+def tagged(pack, rows):
+    """A stack's constants for Newton, one row per row of a ``rows``-row
+    stack, with the row's id as a last column: the kernels read only the
+    first three columns, and a test's wrapper reads the ids of the rows
+    Newton passes it from the rows of its pack."""
+    return np.column_stack([np.broadcast_to(pack, (rows, 3)), np.arange(rows)])
+
+
+def row_ids(pack):
+    """The row ids of a :func:`tagged` pack's rows."""
+    return pack[:, -1].astype(int)
 
 
 def seed_alphas(point):
@@ -249,9 +263,9 @@ class TestSolveGroundState:
         # no Newton run; at g <= 1 it still certifies the origin, one row each
         real, rows = meanfield._newton_minimize, []
 
-        def counted(fun, jac, hess_fn, x0):
+        def counted(fun, jac, hess_fn, x0, consts):
             rows.append(len(x0))
-            return real(fun, jac, hess_fn, x0)
+            return real(fun, jac, hess_fn, x0, consts)
 
         monkeypatch.setattr(meanfield, "_newton_minimize", counted)
         exhaustive = SolverOptions(seed_mode="exhaustive")
@@ -463,9 +477,9 @@ class TestDegenerateManifold:
         certified = [enumerate_degenerate_ground_states(p, opts) for p in points]
         newton, stacks = meanfield._newton_minimize, []
 
-        def spy(fun, jac, hess_fn, x0):
+        def spy(fun, jac, hess_fn, x0, consts):
             stacks.append(len(x0))
-            return newton(fun, jac, hess_fn, x0)
+            return newton(fun, jac, hess_fn, x0, consts)
 
         monkeypatch.setattr(meanfield, "_newton_minimize", spy)
         monkeypatch.setattr(meanfield, "_spectral_lower_bound", lambda g, jbar, n: -math.inf)
@@ -546,11 +560,11 @@ class TestDegenerateManifold:
         evaluations = []
         newton = meanfield._newton_minimize
 
-        def counted(fun, jac, hess_fn, x0):
-            def fun_counted(a, rows):
-                evaluations.append(len(rows))
-                return fun(a, rows)
-            return newton(fun_counted, jac, hess_fn, x0)
+        def counted(fun, jac, hess_fn, x0, consts):
+            def fun_counted(a, pack):
+                evaluations.append(len(pack))
+                return fun(a, pack)
+            return newton(fun_counted, jac, hess_fn, x0, consts)
 
         monkeypatch.setattr(meanfield, "_newton_minimize", counted)
         for jbar, reduced in points:
@@ -815,27 +829,28 @@ class TestStackedSolve:
         seeds += [seed_alphas(params(jbar, g, n))[:m] for g, _ in rows[5:]]
 
         def run(picked):
-            _, energy, grad, hess = _mirror_reduced(
-                n, _landscape(n, [rows[i][0] for i in picked], [jbar] * len(picked)))
+            _, energy, grad, hess = _mirror_reduced(n)
+            consts = tagged(_pack([rows[i][0] for i in picked], jbar), len(picked))
 
-            def fun(y, ids):
+            def fun(y, pack):
                 assert np.isfinite(y).all()  # a non-finite trial fails before it is read
-                return energy(y, ids)
+                return energy(y, pack)
 
-            def jac(y, ids):
-                out = grad(y, ids)
-                out[[picked[row] == huge_gradient for row in ids]] = 1e300
+            def jac(y, pack):
+                out = grad(y, pack)
+                out[[picked[row] == huge_gradient for row in row_ids(pack)]] = 1e300
                 return out
 
-            def hess_fn(y, ids):
-                out = hess(y, ids)
-                for k, row in enumerate(ids):
+            def hess_fn(y, pack):
+                out = hess(y, pack)
+                for k, row in enumerate(row_ids(pack)):
                     scale = rows[picked[row]][1]
                     if scale is not None:
                         out[k] = scale * np.eye(m)
                 return out
             with np.errstate(over="ignore", invalid="ignore"):  # the 1e309 step
-                return _newton_minimize(fun, jac, hess_fn, np.array([seeds[i] for i in picked]))
+                return _newton_minimize(fun, jac, hess_fn, np.array([seeds[i] for i in picked]),
+                                        consts)
 
         x, norm, steps, failures = run(list(range(len(rows))))
         assert {row: type(exc) for row, exc in failures.items()} == {
@@ -919,11 +934,12 @@ class TestStackedSolve:
         trials = []
 
         def run(x0):
-            def fun(a, rows):
-                trials.append((rows.copy(), a.copy()))
+            def fun(a, pack):
+                trials.append((row_ids(pack), a.copy()))
                 return rescaled_energy(a, g, jbar)
-            return _newton_minimize(fun, lambda a, rows: energy_gradient(a, g, jbar),
-                                    lambda a, rows: energy_hessian(a, g, jbar), x0)
+            return _newton_minimize(fun, lambda a, pack: energy_gradient(a, g, jbar),
+                                    lambda a, pack: energy_hessian(a, g, jbar), x0,
+                                    tagged(_pack(g, jbar), len(x0)))
 
         x, norm, steps, failures = run(seeds)
         assert not failures
@@ -950,17 +966,18 @@ class TestStackedSolve:
         # the indefinite (-, -, +) seed backtracks once; the solver's
         # frustrated seed and a third pattern take every full step
         point = params(0.05, critical_point(0.05, 3) * 1.02)
-        energy, gradient, hessian = _landscape(3, point.g, point.jbar)
+        energy, gradient, hessian = _kernels(3)
         seeds = np.array([[-0.04, -0.04, 0.04], seed_alphas(point), [0.3, -0.2, -0.25]])
 
         def run(x0):
             trials = [[] for _ in x0]  # per row, every point its energy was read at
 
-            def fun(a, rows):
-                for row, point in zip(rows.tolist(), a):
+            def fun(a, pack):
+                for row, point in zip(row_ids(pack).tolist(), a):
                     trials[row].append(point.tobytes())
-                return energy(a, rows)
-            return (*_newton_minimize(fun, gradient, hessian, x0), trials)
+                return energy(a, pack)
+            consts = tagged(_pack(point.g, point.jbar), len(x0))
+            return (*_newton_minimize(fun, gradient, hessian, x0, consts), trials)
 
         x, norm, steps, failures, trials = run(seeds)
         assert not failures
@@ -973,19 +990,70 @@ class TestStackedSolve:
 
     def test_full_step_iteration_reads_the_energy_once(self):
         point = params(0.05, critical_point(0.05, 3) * 1.02)
-        energy, gradient, hessian = _landscape(3, point.g, point.jbar)
+        energy, gradient, hessian = _kernels(3)
         reads = []
 
-        def fun(a, rows):
-            reads.append(rows.tolist())
-            return energy(a, rows)
+        def fun(a, pack):
+            reads.append(row_ids(pack).tolist())
+            return energy(a, pack)
 
         _, _, steps, failures = _newton_minimize(
-            fun, gradient, hessian, np.array([seed_alphas(point), [0.3, -0.2, -0.25]]))
+            fun, gradient, hessian, np.array([seed_alphas(point), [0.3, -0.2, -0.25]]),
+            tagged(_pack(point.g, point.jbar), 2))
         assert not failures and steps[:, 0].min() >= 3
         # the seeds' energies, then one read per descent iteration
         assert len(reads) == 1 + steps[:, 0].max()
         assert reads[:1 + steps[:, 0].min()] == [[0, 1]] * (1 + steps[:, 0].min())
+
+    def test_every_kernel_call_gets_the_constants_of_its_rows(self, monkeypatch):
+        # Newton gathers its live rows' constants once per iteration and
+        # hands each kernel call the rows it evaluates: a pack with a row per
+        # row of the stack, each the constants of that row's point; and each
+        # row of a stacked solve sees exactly the points it sees alone
+        n, jbar = 5, 0.01
+        gc = critical_point(jbar, n)
+        points = [params(jbar, gc * (1 + r), n) for r in (1e-5, 1e-3, 1e-1)]
+        exhaustive = SolverOptions(seed_mode="exhaustive")
+        clean = [solve_ground_states(points), enumerate_degenerate_ground_states(
+            points[1], exhaustive)]
+        real, runs = meanfield._newton_minimize, []
+
+        def spy(fun, jac, hess_fn, x0, consts):
+            seen: dict = {}  # per row id, each kernel's points in order
+
+            def checked(kernel, name):
+                def call(a, pack):
+                    ids = row_ids(pack)
+                    assert len(pack) == len(a) and np.array_equal(pack[:, :3], consts[ids])
+                    for row, point in zip(ids.tolist(), a):
+                        seen.setdefault(row, []).append((name, point.tobytes()))
+                    return kernel(a, pack)
+                return call
+            runs.append(seen)
+            return real(checked(fun, "energy"), checked(jac, "gradient"),
+                        checked(hess_fn, "hessian"), x0, tagged(consts, len(x0)))
+
+        monkeypatch.setattr(meanfield, "_newton_minimize", spy)
+        stacked = solve_ground_states(points)
+        for row, point in enumerate(points):
+            solve_ground_states([point])
+            assert runs[-1] == {0: runs[0][row]}
+        assert [s.config.alphas.tobytes() for s in stacked] == [
+            s.config.alphas.tobytes() for s in clean[0]]
+        runs.clear()
+        members = enumerate_degenerate_ground_states(points[1], exhaustive)
+        assert len(runs) == 2  # the orbit stack, then the polish of its global tier
+        assert [m.alphas.tobytes() for m in members] == [m.alphas.tobytes() for m in clean[1]]
+
+    def test_each_size_builds_its_kernels_once(self):
+        point = params(0.01, critical_point(0.01, 5) * 1.01, 5)
+        _kernels.cache_clear()
+        meanfield._mirror_reduced.cache_clear()
+        for _ in range(2):
+            solution = solve_ground_state(point)
+            enumerate_degenerate_ground_states(point, SolverOptions(seed_mode="exhaustive"))
+            rescaled_energy(solution.config.alphas, point.g, point.jbar)
+        assert _kernels.cache_info().misses == meanfield._mirror_reduced.cache_info().misses == 1
 
     def test_debug_record_per_oracle_call(self, caplog, monkeypatch):
         point = params(0.01, critical_point(0.01, 5) * 1.05, 5)
@@ -1081,11 +1149,11 @@ class TestStackedSolve:
             return magnitude * (1 + 1e-9) if (g, jbar) == (
                 off_closed_form.g, off_closed_form.jbar) else magnitude
 
-        def newton(fun, jac, hess_fn, x0):
+        def newton(fun, jac, hess_fn, x0, consts):
             x0 = x0.copy()
             x0[(x0 == frustrated_seed).all(axis=-1)] = meanfield._uniform_magnitude(
                 uniform_seeded.g, uniform_seeded.jbar)
-            return real_newton(fun, jac, hess_fn, x0)
+            return real_newton(fun, jac, hess_fn, x0, consts)
 
         monkeypatch.setattr(meanfield, "_seed_alphas", seeds)
         monkeypatch.setattr(meanfield, "_newton_minimize", newton)
@@ -1133,9 +1201,9 @@ class TestStackedSolve:
         alone = solve_ground_states(points)
         real_newton, stacks, failing = meanfield._newton_minimize, [], []
 
-        def newton(fun, jac, hess_fn, x0):
+        def newton(fun, jac, hess_fn, x0, consts):
             stacks.append(x0 @ ring(n).incidence.T)
-            x, norm, steps, failures = real_newton(fun, jac, hess_fn, x0)
+            x, norm, steps, failures = real_newton(fun, jac, hess_fn, x0, consts)
             failures.update((row, DomainError(f"row {row}")) for row in failing)
             return x, norm, steps, failures
 

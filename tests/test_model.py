@@ -293,6 +293,14 @@ class TestAtomicAngles:
         with pytest.raises(DomainError):
             atomic_angles(0.1, -1.0)
 
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+    def test_rejects_non_finite_coupling(self, g):
+        # NaN gave NaN angles and +inf theta = pi/2, both without an error
+        with pytest.raises(DomainError, match="^g must be non-negative, got "):
+            atomic_angles(0.1, g)
+        with pytest.raises(ValidationError, match="^g must be non-negative, got "):
+            ModelParams(1.0, 1.0, 0.01, g, 3)
+
 
 def bisect_origin_instability(jbar, n_sites, lo=0.01, hi=2.0, tol=1e-12):
     """Independent oracle: bisect the zero crossing of the smallest

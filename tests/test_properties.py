@@ -47,7 +47,8 @@ from frustra.meanfield import (
 from frustra.model import (
     ModelParams,
     _hessian_diagonal,
-    _landscape,
+    _kernels,
+    _pack,
     critical_point,
     energy_gradient,
     energy_hessian,
@@ -189,19 +190,20 @@ def test_reduced_derivatives_are_projections_of_the_full_ones(case):
     n = len(alphas)
     groups = [[0]] + [[j, n - j] for j in range(1, (n - 1) // 2 + 1)]
     incidence = ring(n).incidence
-    expand, fun, jac, hess_fn = _mirror_reduced(n, _landscape(n, g, jbar))
+    expand, fun, jac, hess_fn = _mirror_reduced(n)
+    pack = _pack(g, jbar)
     y = alphas[: len(groups)]
     full = expand(y)
     for column, group in enumerate(groups):
         assert np.all(full[group] == y[column])
-    assert fun(y) == rescaled_energy(full, g, jbar)
+    assert fun(y, pack) == rescaled_energy(full, g, jbar)
     grad = energy_gradient(full, g, jbar)
     hess = energy_hessian(full, g, jbar)
-    assert np.allclose(jac(y), grad @ incidence, rtol=0, atol=1e-14)
-    assert np.allclose(jac(y), [grad[group].sum() for group in groups], rtol=0, atol=1e-14)
+    assert np.allclose(jac(y, pack), grad @ incidence, rtol=0, atol=1e-14)
+    assert np.allclose(jac(y, pack), [grad[group].sum() for group in groups], rtol=0, atol=1e-14)
     block_sums = [[hess[np.ix_(ga, gb)].sum() for gb in groups] for ga in groups]
-    assert np.allclose(hess_fn(y), incidence.T @ hess @ incidence, rtol=0, atol=1e-14)
-    assert np.allclose(hess_fn(y), block_sums, rtol=0, atol=1e-14)
+    assert np.allclose(hess_fn(y, pack), incidence.T @ hess @ incidence, rtol=0, atol=1e-14)
+    assert np.allclose(hess_fn(y, pack), block_sums, rtol=0, atol=1e-14)
 
 
 @st.composite
@@ -590,16 +592,22 @@ def test_landscape_kernel_returns_the_reference_bits(case):
     reference = (landscape_reference.rescaled_energy, landscape_reference.energy_gradient,
                  landscape_reference.energy_hessian)
     with np.errstate(all="ignore"):  # the overflows and inf/inf of huge couplings
-        kernel = _landscape(alphas.shape[-1], g, jbar)
-        for public_fn, reference_fn, kernel_fn in zip(public, reference, kernel):
+        kernels, pack = _kernels(alphas.shape[-1]), _pack(g, jbar)
+        assert kernels is _kernels(alphas.shape[-1])  # built once per size
+        # two scalars give one row of constants for every row, else a row per value
+        assert pack.shape == np.broadcast_shapes(np.shape(g), np.shape(jbar)) + (3,)
+        for public_fn, reference_fn, kernel_fn in zip(public, reference, kernels):
             expected = reference_fn(alphas, g, jbar)
             got = public_fn(alphas, g, jbar)
             assert type(got) is type(expected) and _bits(got) == _bits(expected)
-            assert _bits(kernel_fn(alphas)) == _bits(expected)
-            if alphas.ndim == 2:  # a subset of the rows, picked by their ids
+            # a scalar pack keeps a single configuration's shape
+            assert _bits(kernel_fn(alphas, pack)) == _bits(expected)
+            if alphas.ndim == 2:  # a pack per row, and a subset of the rows with theirs
+                rows = np.broadcast_to(pack, (len(alphas), 3))
+                assert _bits(kernel_fn(alphas, rows)) == _bits(expected)
                 ids = np.arange(len(alphas))[::2]
                 picked = [value[ids] if np.ndim(value) else value for value in (g, jbar)]
-                assert _bits(kernel_fn(alphas[ids], ids)) == _bits(
+                assert _bits(kernel_fn(alphas[ids], rows[ids])) == _bits(
                     reference_fn(alphas[ids], *picked))
         per_site = g[:, None] if np.ndim(g) else g
         assert _bits(_hessian_diagonal(alphas, per_site)) == _bits(
