@@ -18,8 +18,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, fields
-from itertools import groupby
-from operator import itemgetter
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -111,14 +110,15 @@ def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
 def _one_point(g, reduced, rows):
     """A one-point table of (observable, index, value) rows, one column per
     run of consecutive rows of one observable, so that the rows keep their
-    order."""
-    columns = []
-    for observable, run in groupby(rows, key=itemgetter(0)):
-        _, labels, values = zip(*run)
-        values = np.array([values], dtype=float)
-        columns.append((observable, np.array([str(label) for label in labels]), values,
-                        np.ones(values.shape, dtype=bool)))
-    return np.array([float(g)]), np.array([float(reduced)]), columns
+    order: the table's values, labels and mask are one array each, and a
+    column holds slices of them."""
+    observables, labels, values = zip(*rows) if rows else ((), (), ())
+    values = np.array([values], dtype=float)
+    labels, mask = np.array(list(map(str, labels))), np.ones(values.shape, dtype=bool)
+    bounds = [0, *accumulate(len(list(run)) for _, run in groupby(observables))]
+    return np.array([float(g)]), np.array([float(reduced)]), [
+        (observables[a], labels[a:b], values[:, a:b], mask[:, a:b])
+        for a, b in zip(bounds, bounds[1:])]
 
 
 #: Present values per block of CSV lines that :func:`_csv_chunks` joins in one call.
@@ -137,15 +137,13 @@ def _csv_chunks(table):
     column's ``observable,label,`` prefix and its value's text, all three
     picked by index, and a block's lines are joined in one call."""
     g, reduced, columns = table
-    none = np.empty((len(g), 0))  # a table may have no columns
-    bits = np.hstack([none, *(values for _, _, values, _ in columns)]).view(np.int64)
-    mask = np.hstack([none.astype(bool), *(mask for _, _, _, mask in columns)])
+    names, values, mask = scaling._flat_table(len(g), columns)
+    bits = values.view(np.int64)
     point_of, column_of = np.nonzero(mask)  # the present values, in row order
     keys, value_of = np.unique(bits[point_of, column_of], return_inverse=True)
     text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object) + "\n"
     heads = np.array(list(map("{!r},{!r},".format, g.tolist(), reduced.tolist())), dtype=object)
-    prefixes = np.array([f"{observable},{label}," for observable, labels, _, _ in columns
-                         for label in labels.tolist()], dtype=object)
+    prefixes = np.array([f"{observable},{label}," for observable, label in names], dtype=object)
     yield "g,reduced_coupling,observable,index,value\n"
     for start in range(0, len(point_of), _CSV_BLOCK):
         block = slice(start, start + _CSV_BLOCK)
@@ -156,29 +154,31 @@ def _csv_chunks(table):
         yield "".join(lines.ravel().tolist())
 
 
-#: One results row as its fields' C-encoded lines, without the braces.
-_ROW = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
+#: JSON values C-encoded with one item a line, indented as the document's
+#: config and warnings (``_FIELDS``) and its results rows (``_ROWS``).
+_FIELDS = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
+_ROWS = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
 
 
 def _emit(config: RunConfig, flags, table, warnings):
     """The output text in pieces: the CSV table block by block, so that only
     one block's text is built at a time, or the JSON document, whose config
     echoes the command and its ``flags``.  The JSON is
-    ``json.dumps(..., sort_keys=True, indent=1)`` byte for byte, but only
-    its frame goes through that call (an indent makes ``json`` encode in
-    Python); each results row is C-encoded and set in the row's braces."""
+    ``json.dumps(..., sort_keys=True, indent=1)`` byte for byte, but its
+    parts are C-encoded (an indent makes ``json`` encode in Python), the
+    results rows' dicts as one list, and set in the indented frame."""
     if config.format == "csv":
         return _csv_chunks(table)
-    frame = json.dumps({
-        "config": {key: getattr(config, key) for key in {"command", *flags}},
-        "results": [],
-        "warnings": list(warnings),
-    }, sort_keys=True, indent=1)
-    rows = ",\n".join(f"  {{\n   {_ROW.encode(vars(row))[1:-1]}\n  }}"
-                      for row in scaling._present_rows(*table))
-    if rows:  # JSON escapes the quotes inside strings, so only the frame holds this key
-        frame = frame.replace('"results": []', f'"results": [\n{rows}\n ]')
-    return [frame + "\n"]
+    echo = _FIELDS.encode({key: getattr(config, key) for key in {"command", *flags}})
+    texts = _FIELDS.encode(list(warnings))
+    rows = _ROWS.encode(list(scaling._present_rows(*table)))
+    # JSON escapes the quotes and line breaks inside strings, so "},\n   {" only
+    # joins two flat rows
+    results = "[]" if rows == "[]" else "[\n  {\n   %s\n  }\n ]" % rows[2:-2].replace(
+        "},\n   {", "\n  },\n  {\n   ")
+    notes = "[]" if texts == "[]" else f"[\n  {texts[1:-1]}\n ]"
+    return [f'{{\n "config": {{\n  {echo[1:-1]}\n }},\n "results": {results},\n'
+            f' "warnings": {notes}\n}}\n']
 
 
 def _write(config: RunConfig, pieces) -> None:

@@ -22,16 +22,19 @@ positions to momenta are rejected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, InstabilityError, PhaseError, ValidationError
-from .meanfield import GroundStateSolution, Phase, _fix_sign
+from .meanfield import GroundStateSolution, Phase, _fix_sign, _rowwise
 from .model import ModelParams, atomic_cosines, ring
 
 _EPS = float(np.finfo(float).eps)
+#: numpy.linalg.svd (full matrices), a row at a time
+_svd = _rowwise(_umath_linalg.svd_f, "d->ddd")
 
 #: A split form is resolvable when e_min^2 > RESOLUTION_FACTOR * eps * e_max^2;
 #: below that the squared eigenvalue drowns in rounding.
@@ -214,47 +217,38 @@ class _SplitModes:
     """Normal modes of a stack of position/momentum-split forms from the
     Cholesky factors H_x = L_x L_x^T, H_p = L_p L_p^T and one SVD
     L_x^T L_p = U diag(eps) V^T per form, read in ascending order.
-
     ``blocks`` has shape (forms, 2, s, s), H_x then H_p; every attribute is
     stacked over the forms.  ``eps`` are the symplectic eigenvalues; the
     columns of ``x_modes`` = L_p V and ``p_modes`` = L_x U, scaled by
-    eps^(-1/2), are the position and momentum rows of S.  A form whose
-    Cholesky factor fails has ``positive`` False and NaN everywhere else;
-    the other forms are untouched by it.
-
-    All the factors come from one call of the gufunc that
-    ``np.linalg.cholesky`` wraps: it returns a factor that fails as NaN,
-    where ``np.linalg.cholesky`` raises for the whole stack, and gives
-    every other factor the same bits.
-    """
+    eps^(-1/2), are the position and momentum rows of S.  The stack goes
+    through one call of each gufunc that ``np.linalg.cholesky`` and ``svd``
+    wrap, which mark a failed row NaN where ``numpy.linalg`` raises for the
+    whole stack (a failed factor is the identity in the SVD): such a form
+    has ``positive`` and ``resolvable`` False, NaN elsewhere, and leaves
+    the others untouched."""
 
     def __init__(self, blocks: np.ndarray):
         with np.errstate(invalid="ignore"):  # the flag of a factor that fails
             factors = _umath_linalg.cholesky_lo(blocks, signature="d->d")
-        factored = ~np.isnan(factors).any(axis=(1, 2, 3))
-        lx, lp = factors[factored, 0], factors[factored, 1]
-        shape = blocks[:, 0].shape
-        self.eps = np.full(shape[:-1], np.nan)
-        self.x_modes, self.p_modes = np.full(shape, np.nan), np.full(shape, np.nan)
-        u, eps, vt = np.linalg.svd(np.swapaxes(lx, -1, -2) @ lp)
-        self.eps[factored] = eps[:, ::-1]
-        self.x_modes[factored] = lp @ np.swapaxes(vt[:, ::-1], -1, -2)
-        self.p_modes[factored] = lx @ u[..., ::-1]
-        self.positive = factored & (self.eps[:, 0] > 0)
-
-    @property
-    def resolvable(self) -> np.ndarray:
-        return self.positive & (
+        failed = np.isnan(factors).any(axis=(1, 2, 3))
+        if failed.any():
+            factors[failed] = np.eye(blocks.shape[-1])
+        lx, lp = factors[:, 0], factors[:, 1]
+        u, eps, vt = _svd(np.swapaxes(lx, -1, -2) @ lp)
+        self.eps = eps[:, ::-1]
+        self.x_modes = lp @ np.swapaxes(vt[:, ::-1], -1, -2)
+        self.p_modes = lx @ u[..., ::-1]
+        if failed.any():
+            self.eps[failed] = self.x_modes[failed] = self.p_modes[failed] = np.nan
+        self.positive = self.eps[:, 0] > 0  # False on NaN
+        self.resolvable = self.positive & (
             self.eps[:, 0] ** 2 > RESOLUTION_FACTOR * _EPS * self.eps[:, -1] ** 2)
 
-    def covariance_blocks(self, rows):
-        """Position and momentum covariance blocks of the ground states of
-        the forms ``rows``."""
-        eps = self.eps[rows][:, None, :]
-        x_modes, p_modes = self.x_modes[rows], self.p_modes[rows]
-        cov_x = 0.5 * (x_modes / eps) @ np.swapaxes(x_modes, -1, -2)
-        cov_p = 0.5 * (p_modes / eps) @ np.swapaxes(p_modes, -1, -2)
-        return cov_x, cov_p
+    def covariance_blocks(self):
+        """Position and momentum covariance blocks of the forms' ground
+        states, garbage where a form is not positive."""
+        return tuple(0.5 * (modes / self.eps[:, None, :]) @ np.swapaxes(modes, -1, -2)
+                     for modes in (self.x_modes, self.p_modes))
 
 
 def _offending_direction(matrix: np.ndarray) -> str:
@@ -517,12 +511,19 @@ def _momentum_moments(alphas, omega0, Omega, g, jbar):
 
 def _sector_blocks(*points):
     """The blocks of :func:`_split_hamiltonian` projected onto the
-    mirror-even and mirror-odd sectors, whose site-space bases of the ring
-    table are lifted to the (cavity, atom) interleaving."""
+    mirror-even and mirror-odd sectors (:func:`_sector_lifts`)."""
     blocks = _split_hamiltonian(*points)
-    tables = ring(blocks.shape[-1] // 2)
-    return [lift @ blocks @ lift.T
-            for lift in (np.kron(basis, np.eye(2)) for basis in (tables.even, tables.odd))]
+    return [lift @ blocks @ lift.T for lift in _sector_lifts(blocks.shape[-1] // 2)]
+
+
+@functools.cache
+def _sector_lifts(n_sites: int):
+    """The ring table's mirror-even and mirror-odd bases lifted to the
+    (cavity, atom) interleaving, read-only, built once per lattice size."""
+    lifts = tuple(np.kron(basis, np.eye(2)) for basis in (ring(n_sites).even, ring(n_sites).odd))
+    for lift in lifts:
+        lift.flags.writeable = False
+    return lifts
 
 
 def _sector_moments(*points):
@@ -530,26 +531,29 @@ def _sector_moments(*points):
     points, through the exact mirror-sector split: the unpaired site lives
     entirely in the mirror-even sector, which stays well conditioned
     arbitrarily close to the critical point; the paired sites need the
-    mirror-odd (frustrated) sector too."""
+    mirror-odd (frustrated) sector too.  Every point's moments are worked
+    out, and kept where its sectors are resolvable."""
     even, odd = (_SplitModes(sector) for sector in _sector_blocks(*points))
     stable, resolved = even.resolvable, even.resolvable & odd.resolvable
-    var_q, var_p = np.full((2, *points[0].shape), np.nan)
-    n = var_q.shape[-1]
-    cov_x_even, cov_p_even = even.covariance_blocks(stable)
-    var_q[stable, 0], var_p[stable, 0] = cov_x_even[:, 0, 0], cov_p_even[:, 0, 0]
-    # q_{1+j} = (even_j + odd_j)/sqrt(2); even/odd cross-covariances vanish
-    cov_x_odd, cov_p_odd = odd.covariance_blocks(resolved)
+    n = points[0].shape[-1]
     pairs = (n - 1) // 2
+    var_q, var_p = np.empty((2, *points[0].shape))
+    with np.errstate(all="ignore"):  # the forms that are not positive, dropped below
+        (cov_x_even, cov_p_even), (cov_x_odd, cov_p_odd) = (
+            even.covariance_blocks(), odd.covariance_blocks())
+    # q_{1+j} = (even_j + odd_j)/sqrt(2); even/odd cross-covariances vanish
     for var, cov_even, cov_odd in ((var_q, cov_x_even, cov_x_odd),
                                    (var_p, cov_p_even, cov_p_odd)):
-        value = 0.5 * (np.diagonal(cov_even[resolved[stable]], axis1=1, axis2=2)[:, 2::2]
+        var[:, 0] = cov_even[:, 0, 0]
+        value = 0.5 * (np.diagonal(cov_even, axis1=1, axis2=2)[:, 2::2]
                        + np.diagonal(cov_odd, axis1=1, axis2=2)[:, 0::2])
-        var[resolved, 1:pairs + 1] = value
-        var[resolved, n - 1:pairs:-1] = value
+        var[:, 1:pairs + 1] = value
+        var[:, n - 1:pairs:-1] = value
+        var[~resolved, 1:] = var[~stable, 0] = np.nan
     eps = np.sort(np.concatenate([even.eps, odd.eps], axis=-1), axis=-1)
     eps[~resolved] = np.nan
     errors = [None if ok else InstabilityError("mirror-even sector is not resolvably positive")
-              for ok in stable]
+              for ok in stable.tolist()]
     return {"var_q": var_q, "var_p": var_p, "eps": eps,
             "eps_even": np.where(stable[:, None], even.eps, np.nan),
             "eps_odd": np.where(resolved[:, None], odd.eps, np.nan)}, errors

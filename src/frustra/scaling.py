@@ -14,6 +14,7 @@ and additive non-critical backgrounds are negligible.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from warnings import warn
@@ -97,6 +98,8 @@ class SweepSpec:
                                 self.points_per_decade, self.sides)
         else:
             grid = np.asarray(self.grid, dtype=float)
+        if grid.ndim != 1:  # a column passed the increasing check along its rows
+            raise ValidationError(f"grid must be one-dimensional, got shape {grid.shape}")
         if not np.isfinite(grid).all():
             raise ValidationError("grid must be finite")
         # a default grid too: reduced couplings below resolution collapse onto g_c
@@ -104,7 +107,7 @@ class SweepSpec:
             raise ValidationError("grid must be strictly increasing")
         if np.any(np.abs(grid - gc) <= 1e-15):
             raise ValidationError("grid must exclude the critical point itself")
-        object.__setattr__(self, "grid", tuple(float(g) for g in grid))
+        object.__setattr__(self, "grid", tuple(grid.tolist()))
         # every point one ModelParams accepts: the frequencies, and g >= 0 at the smallest
         ModelParams(self.omega0, self.Omega, self.jbar, min(self.grid, default=0.0), self.n_sites)
 
@@ -173,31 +176,52 @@ class SweepResult:
     def rows(self) -> list[SweepRow]:
         """The table's rows in row order, absent values left out, built on
         each read."""
-        return list(_present_rows(
-            self.g, self.reduced, [(name, *column) for name, column in self.table.items()]))
+        return [SweepRow(**row) for row in _present_rows(
+            self.g, self.reduced, [(name, *column) for name, column in self.table.items()])]
 
     def series(self, observable: str, index: str, side: str = "above"):
         """(reduced_coupling, value) arrays for one observable/index, one side
         of the critical point, ordered by reduced coupling."""
-        labels, values, present = self.table.get(observable, (np.array([], dtype=str),) * 3)
-        column = np.flatnonzero(labels == index)[:1]  # the labels are distinct
-        if not len(column):
+        columns, sides = self._lookup
+        column = columns.get(observable, {}).get(index)
+        if column is None:
             return np.array([]), np.array([])
-        keep = present[:, column[0]] & ((self.g > self.spec.g_critical) == (side == "above"))
-        reduced, values = self.reduced[keep], values[keep, column[0]]
+        _, values, present = self.table[observable]
+        keep = present[:, column] & sides[side == "above"]
+        reduced, values = self.reduced[keep], values[:, column][keep]
         order = np.lexsort((values, reduced))
         return reduced[order], values[order]
 
+    @cached_property
+    def _lookup(self):
+        """Per observable the column of each of its (distinct) labels, and
+        the masks of the points at or below and above g_c."""
+        above = self.g > self.spec.g_critical
+        return {name: {label: column for column, label in enumerate(labels.tolist())}
+                for name, (labels, _, _) in self.table.items()}, (~above, above)
+
 
 def _present_rows(g, reduced, columns):
-    """A table's present values in row order, as :class:`SweepRow` records:
-    ``g`` and ``reduced`` are arrays over the points, and each column is
-    (observable, labels, values, mask), values and mask (points, labels)."""
-    return (SweepRow(g_i, reduced_i, observable, label, value)
-            for i, (g_i, reduced_i) in enumerate(zip(g.tolist(), reduced.tolist()))
-            for observable, labels, values, mask in columns
-            for label, value, present in zip(labels.tolist(), values[i].tolist(),
-                                             mask[i].tolist()) if present)
+    """A table's present values in row order, as dicts of the
+    :class:`SweepRow` fields: ``g`` and ``reduced`` are arrays over the
+    points, and each column is (observable, labels, values, mask), values
+    and mask (points, labels)."""
+    names, values, mask = _flat_table(len(g), columns)
+    return ({"g": g_i, "reduced_coupling": reduced_i, "observable": observable,
+             "index": label, "value": value}
+            for g_i, reduced_i, row, present in zip(g.tolist(), reduced.tolist(),
+                                                    values.tolist(), mask.tolist())
+            for (observable, label), value, kept in zip(names, row, present) if kept)
+
+
+def _flat_table(points: int, columns):
+    """A table's columns side by side, each label a column: the
+    (observable, label) of each, and the (points, labels) values and mask."""
+    none = np.empty((points, 0))  # a table may have no columns
+    return ([(observable, label) for observable, labels, _, _ in columns
+             for label in labels.tolist()],
+            np.concatenate([none, *(values for _, _, values, _ in columns)], axis=1),
+            np.concatenate([none.astype(bool), *(mask for _, _, _, mask in columns)], axis=1))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -300,8 +324,15 @@ def fit_power_law(points) -> PowerLawFit:
     pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[0] < FIT_MIN_POINTS:
         raise DomainError(f"need at least {FIT_MIN_POINTS} points, got {len(pts)}")
-    x, y = pts[:, 0], pts[:, 1]
-    if (x <= 0).any() or (y <= 0).any() or not np.isfinite(pts).all():
+    return _power_law(pts[:, 0], pts[:, 1])
+
+
+def _power_law(x: np.ndarray, y: np.ndarray) -> PowerLawFit:
+    """:func:`fit_power_law` of the points (x, y), float vectors of at
+    least FIT_MIN_POINTS values.  A NaN is the least and the largest value
+    of its vector, so the bounds of x and y check every value."""
+    lo, hi = x.min(), x.max()
+    if not (0 < lo and hi < np.inf and 0 < y.min() and y.max() < np.inf):
         raise DomainError("power-law fitting needs positive finite data")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = _line_fit(lx, ly)
@@ -313,11 +344,12 @@ def fit_power_law(points) -> PowerLawFit:
             f"power-law fit quality r^2={r_squared:.6f} below {FIT_R2_THRESHOLD}",
             r_squared=r_squared)
     return PowerLawFit(float(slope), float(np.exp(intercept)), r_squared,
-                       (float(x.min()), float(x.max())), len(pts))
+                       (float(lo), float(hi)), len(x))
 
 
 #: numpy.linalg.lstsq, a row at a time
 _lstsq = _rowwise(_umath_linalg.lstsq, "ddd->ddid")
+_EPS = float(np.finfo(float).eps)
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -331,8 +363,8 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     lhs[:, 0], lhs[:, 1] = x, 1.0
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
-    coefficients, _, rank, _ = _lstsq(lhs, y[:, None], len(x) * np.finfo(float).eps)
-    if np.isnan(coefficients[0, 0]):
+    coefficients, _, rank, _ = _lstsq(lhs, y[:, None], len(x) * _EPS)
+    if math.isnan(coefficients[0, 0]):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
     if rank != 2:
         warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
@@ -357,9 +389,9 @@ def asymptotic_mask(reduced: np.ndarray, values: np.ndarray,
     walk, usable = values[order], (np.isfinite(values) & (values > floor))[order]
     if not usable.any():
         return keep
-    start = int(np.argmax(usable))
+    start = int(usable.argmax())
     inner, outer = walk[start + 1:], walk[start:-1]
-    stops = np.flatnonzero(~(usable[start + 1:] & (inner > outer if diverging else inner < outer)))
+    stops = (~(usable[start + 1:] & (inner > outer if diverging else inner < outer))).nonzero()[0]
     # a stop at step j keeps start .. start + j - 1: the innermost point goes
     keep[order[start:start + stops[0] if len(stops) else len(walk)]] = True
     return keep
@@ -372,15 +404,16 @@ def lowest_decade_fit(reduced, values, floor: float = 0.0,
     reduced = np.asarray(reduced, dtype=float)
     values = np.asarray(values, dtype=float)
     mask = asymptotic_mask(reduced, values, floor, diverging)
-    if mask.sum() < FIT_MIN_POINTS:
-        raise DomainError(
-            f"only {int(mask.sum())} usable points after noise trimming")
+    usable = np.count_nonzero(mask)
+    if usable < FIT_MIN_POINTS:
+        raise DomainError(f"only {usable} usable points after noise trimming")
     x, y = reduced[mask], values[mask]
     top = x.min() * FIT_DECADE
-    while (x <= top * (1 + 1e-9)).sum() < FIT_MIN_POINTS:
-        top *= FIT_DECADE ** 0.25
     window = x <= top * (1 + 1e-9)
-    return fit_power_law(np.column_stack([x[window], np.abs(y[window])]))
+    while np.count_nonzero(window) < FIT_MIN_POINTS:
+        top *= FIT_DECADE ** 0.25
+        window = x <= top * (1 + 1e-9)
+    return _power_law(x[window], np.abs(y[window]))
 
 
 # ---------------------------------------------------------------------------

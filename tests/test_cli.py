@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import frustra
-from frustra import cli, meanfield, model, scaling
+from frustra import cli, fluctuations, meanfield, model, scaling
 from frustra.cli import main
 from frustra.errors import ValidationError
 from csv_reference import csv_to_rows, package_csv, rows_to_csv, table_csv, table_points
@@ -532,6 +533,46 @@ def test_single_point_commands_write_one_point_tables(capsys, argv, head):
     assert [row["observable"] for row in csv_to_rows(out)][:len(head)] == head
 
 
+def reference_one_point(g, reduced, rows):
+    """The one-point table with arrays of its own for each run of one
+    observable."""
+    columns = []
+    for observable, run in itertools.groupby(rows, key=lambda row: row[0]):
+        _, labels, values = zip(*run)
+        values = np.array([values], dtype=float)
+        columns.append((observable, np.array([str(label) for label in labels]), values,
+                        np.ones(values.shape, dtype=bool)))
+    return np.array([float(g)]), np.array([float(reduced)]), columns
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [("g_c", "", 0.9949874371066199)],
+    [("a", 1, 0.5), ("b", "x", -0.0), ("a", 2, np.nan), ("c", "", 5e-324)],
+    [("a", 1, 1.5), ("a", 2, 2.5), ("a", 10, -np.inf), ("b", "mf", 1e-300), ("b", "f", np.inf),
+     ("c", "", 7), ("d", "1/2", 0.25), ("d", "1/3", np.float64(0.75))],
+], ids=["no rows", "one row", "single-row runs", "multi-row runs"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_point_table_writes_the_bytes_of_a_table_per_run(rows, fmt):
+    # a one-point table's columns are slices of one values, labels and mask
+    # array; both writers give the bytes of a table with arrays per run
+    config, flags = cli._merge_config(cli.build_parser().parse_args(
+        ["critical-point", "--format", fmt]))
+    table, reference = cli._one_point(1.25, 0.0, rows), reference_one_point(1.25, 0.0, rows)
+    assert [(name, labels.tolist(), values.tobytes(), mask.tolist())
+            for name, labels, values, mask in table[2]] == [
+        (name, labels.tolist(), values.tobytes(), mask.tolist())
+        for name, labels, values, mask in reference[2]]
+    assert len({id(values.base) for _, _, values, _ in table[2]}) <= 1
+    warnings = ["a warning"]
+    assert ("".join(cli._emit(config, flags, table, warnings))
+            == "".join(cli._emit(config, flags, reference, warnings)))
+    if fmt == "json":
+        document = json.loads("".join(cli._emit(config, flags, table, warnings)))
+        assert [(row["observable"], row["index"]) for row in document["results"]] == [
+            (name, str(label)) for name, label, _ in rows]
+
+
 _SPECIAL = np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, 5e-324]])
 
 
@@ -641,6 +682,30 @@ class TestExitCodes:
                                 env=env, capture_output=True, text=True)
         assert result.returncode == 0
         assert result.stderr == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "exponents"])
+    def test_sector_svd_that_does_not_converge_fails_its_point_only(
+            self, capsys, monkeypatch, command):
+        # numpy.linalg.svd raised LinAlgError for the whole stack, and the
+        # command ended in a traceback; the row-wise SVD marks the first
+        # frustrated point's sectors NaN, and that point alone is missing
+        real = fluctuations._svd
+
+        def svd(a):
+            u, eps, vt = real(a)
+            u[0] = eps[0] = vt[0] = np.nan
+            return u, eps, vt
+
+        monkeypatch.setattr(fluctuations, "_svd", svd)
+        code, out, err = run_cli(capsys, command, "--jbar", "0.01", "--sites", "5")
+        assert code == 0 and out
+        if command == "sweep":
+            (line,) = [line for line in err.splitlines() if "mirror-even" in line]
+            g = float(line.split()[2][len("g="):])
+            rows = csv_to_rows(out)
+            assert g == min(row["g"] for row in rows if row["g"] > model.critical_point(0.01, 5))
+            assert {row["observable"] for row in rows if row["g"] == g} == {
+                "energy", "hessian_eigenvalues"}
 
     def test_large_coupling_still_solves(self, capsys):
         code, out, _ = run_cli(capsys, "ground-state", "--g", "1e7")

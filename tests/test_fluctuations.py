@@ -386,6 +386,45 @@ class TestStackedSectors:
             assert_allclose(moments.photon_numbers[i],
                             [photon_number(cov, site) for site in range(1, n + 1)], rtol=1e-9)
 
+    @pytest.mark.parametrize("sector", ["even", "odd"])
+    def test_failed_svd_fails_only_its_own_point(self, monkeypatch, sector):
+        # an SVD that does not converge comes back NaN from the row-wise
+        # gufunc (numpy.linalg.svd raised for the whole stack): its point
+        # fails, an InstabilityError in the mirror-even sector and an
+        # unresolved mirror-odd sector in the other, as a failed Cholesky
+        # factor does, and every other point keeps its bits
+        jbar, n, bad = 0.01, 5, 2
+        gc = critical_point(jbar, n)
+        points = [params(jbar, gc * (1 + r), n) for r in (1e-4, 1e-3, 1e-2, 3e-2, 1e-1)]
+        solutions = [solve_ground_state(p) for p in points]
+        clean, real, calls = site_moments(solutions), fluctuations._svd, []
+
+        def svd(a):
+            u, eps, vt = real(a)
+            if ["even", "odd"][len(calls)] == sector:
+                u[bad] = eps[bad] = vt[bad] = np.nan
+            calls.append(len(a))
+            return u, eps, vt
+
+        monkeypatch.setattr(fluctuations, "_svd", svd)
+        stacked = site_moments(solutions)
+        assert calls == [len(points)] * 2
+        for i in range(len(points)):
+            kept = MOMENT_FIELDS if i != bad else {
+                "even": (), "odd": ("eps_even",)}[sector]
+            for field in MOMENT_FIELDS:
+                if field in kept:
+                    got, want = getattr(stacked, field)[i], getattr(clean, field)[i]
+                    assert got.tobytes() == want.tobytes()
+                elif field in ("var_q", "var_p") and sector == "odd":  # the unpaired site stays
+                    assert getattr(stacked, field)[i, 0] == getattr(clean, field)[i, 0]
+                    assert np.isnan(getattr(stacked, field)[i, 1:]).all()
+                else:
+                    assert np.isnan(getattr(stacked, field)[i]).all()
+        assert [type(error) for error in stacked.errors] == [
+            InstabilityError if i == bad and sector == "even" else type(None)
+            for i in range(len(points))]
+
     def test_non_positive_point_leaves_the_others_bitwise(self):
         # a frustrated label on the origin past g_c: both mirror sectors of
         # its form are indefinite, so its Cholesky factor fails in the stack

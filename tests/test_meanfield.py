@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from frustra import meanfield
+from frustra import fluctuations, meanfield
 from frustra.errors import (
     ConvergenceError,
     DomainError,
@@ -101,11 +101,19 @@ def row_ids(pack):
     return pack[:, -1].astype(int)
 
 
+def stacked_seeds(n, g, jbar):
+    """The solver's seed magnitudes of superradiant points (g, jbar) of one
+    lattice size, from the g_c and near-critical scale of their hoppings."""
+    gc, scale, _ = meanfield._critical_couplings(n, jbar)
+    return _seed_alphas(g, jbar, gc, scale)
+
+
 def seed_alphas(point):
     """The solver's start of a superradiant point as a full configuration:
     the uniform closed form, else the canonical frustrated pattern with its
     unpaired site doubled, at the seed magnitude."""
-    magnitude = _seed_alphas(point.g, point.jbar, point.critical_coupling())
+    (magnitude,) = stacked_seeds(point.n_sites, np.array([point.g]),
+                                 np.array([point.jbar])).tolist()
     if point.jbar <= 0:
         return np.full(point.n_sites, magnitude)
     seed = magnitude * ring(point.n_sites).pattern
@@ -121,14 +129,15 @@ class TestClosedForms:
         _, hi = stability_window(n)
         for jbar in np.linspace(0.0, hi, 13)[1:-1].tolist() + [1e-6, float(np.nextafter(hi, 0))]:
             gc = critical_point(jbar, n)
-            for reduced in np.logspace(-9, 0, 37).tolist():
-                g = gc * (1.0 + reduced)
+            grid = [gc * (1.0 + reduced) for reduced in np.logspace(-9, 0, 37).tolist()]
+            stacked = stacked_seeds(n, np.array(grid), np.full(len(grid), jbar))
+            for g, seed in zip(grid, stacked.tolist()):
                 magnitude = _near_critical_magnitude(g, gc)
                 assert magnitude.hex() == (
                     math.sqrt(g - gc) / (math.sqrt(3.0) * gc ** 1.5)).hex()
                 assert magnitude.hex() == float(
                     np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5)).hex()
-                assert _seed_alphas(g, jbar, gc).hex() == magnitude.hex()
+                assert seed.hex() == magnitude.hex()
 
     def test_nfsp_vanishes_at_threshold(self):
         gc = critical_point(-0.01, 3)
@@ -617,8 +626,8 @@ class TestOrbitPatterns:
 def _origin_only_at(g_bad):
     """_seed_alphas with the one point at g_bad seeded from the origin
     alone: a saddle there, so no seed passes the PSD filter."""
-    def seeds(g, jbar, gc):
-        return 0.0 if g == g_bad else _seed_alphas(g, jbar, gc)
+    def seeds(g, jbar, *critical):
+        return np.where(g == g_bad, 0.0, _seed_alphas(g, jbar, *critical))
     return seeds
 
 
@@ -775,6 +784,95 @@ class TestGradientTolerance:
             assert states.solved.all(), [str(e) for e in states.errors if e is not None][:3]
             assert set(states.phases.tolist()) == {Phase.NFSP if jbar < 0 else Phase.FSP}
             assert (states.hessian_eigenvalues[:, 0] >= PSD_TOLERANCE).all()
+
+
+class TestStackedSeeds:
+    """The solver's routes and seed magnitudes are decided over the stack's
+    arrays; each point keeps the one-point formulas' bits and errors."""
+
+    @staticmethod
+    def one_point_seed(g, jbar, gc):
+        """The seed magnitude of one point above gc by the one-point
+        formulas, or the DomainError of its overflowing (g/g_c)^4."""
+        try:
+            uniform = meanfield._uniform_magnitude(g, jbar)
+        except DomainError as exc:
+            return exc
+        return uniform if jbar <= 0 else _near_critical_magnitude(g, gc)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 21])
+    def test_seed_magnitudes_are_the_one_point_bits(self, n):
+        # couplings 1 to 6 ulps above g_c, g_c (1 + r) for r from 1e-16 to
+        # 1e8, and about the coupling where the uniform (g/g_c)^4 overflows,
+        # (largest double)^(1/4) times the uniform g_c, with its ulps: a value
+        # keeps its bits, and an overflowing point reads inf at either sign
+        _, hi = stability_window(n)
+        for jbar in (-0.49, -0.01, -1e-5, 0.0, 1e-5, 0.01, 0.45, float(np.nextafter(hi, 0))):
+            gc = critical_point(jbar, n)
+            edge = float(np.finfo(float).max) ** 0.25 * math.sqrt(1.0 + 2.0 * jbar)
+            grid = [gc]
+            for _ in range(6):
+                grid.append(float(np.nextafter(grid[-1], np.inf)))
+            grid = grid[1:] + [gc * (1.0 + r) for r in np.logspace(-16, 8, 25).tolist()]
+            grid += [edge * f for f in (0.5, 0.99, 1.0, 1.01, 2.0)] + [1e77, 1e300]
+            for f in (-2.0, -1.0, 1.0, 2.0):
+                grid.append(float(edge + f * np.spacing(edge)))
+            grid = [g for g in grid if g > gc]
+            stacked = stacked_seeds(n, np.array(grid), np.full(len(grid), jbar))
+            overflowed = 0
+            for g, seed in zip(grid, stacked.tolist()):
+                expected = self.one_point_seed(g, jbar, gc)
+                if isinstance(expected, DomainError):
+                    overflowed += 1
+                    assert seed == math.inf, (g, jbar)
+                else:
+                    assert seed.hex() == expected.hex(), (g, jbar)
+            assert 0 < overflowed < len(grid)
+
+    def test_overflow_and_unclassified_points_keep_their_errors(self):
+        # the stack's errors by point, in the order a point meets them: an
+        # overflowing coupling is a DomainError at either sign of jbar, also
+        # at jbar = 0, where a representable one has no phase
+        n, g = 5, np.array([1e200, 1.5, 1e200, 1e200, 1.5, 1.2])
+        jbar = np.array([0.01, 0.0, 0.0, -0.01, 0.01, -0.01])
+        states = _solve_stack(n, g, jbar)
+        assert [type(error).__name__ for error in states.errors] == [
+            "DomainError", "ValidationError", "DomainError", "DomainError", "NoneType",
+            "NoneType"]
+        assert str(states.errors[0]) == (
+            "coupling g=1e+200 too large: (g/g_c)^4 overflows double precision")
+        assert states.errors[1] is not meanfield._UNCLASSIFIED
+
+    def test_critical_coupling_is_worked_out_once_per_distinct_hopping(self, monkeypatch):
+        # runs of equal hoppings, a hopping that comes back, two NaN hoppings
+        # and one outside the window: one critical_point call per distinct
+        # value (each NaN its own), and each failing point its own error
+        calls, real = [], meanfield.critical_point
+
+        def counted(jbar, n_sites):
+            calls.append(jbar)
+            return real(jbar, n_sites)
+
+        monkeypatch.setattr(meanfield, "critical_point", counted)
+        jbar = np.array([0.01, 0.01, -0.2, 0.01, np.nan, np.nan, 0.7, 0.7, 0.01])
+        gc, scale, errors = meanfield._critical_couplings(5, jbar)
+        assert [value for value in calls if value == value] == [0.01, -0.2, 0.7]
+        assert len(calls) == 5
+        assert gc.tolist()[:4] == [real(0.01, 5)] * 2 + [real(-0.2, 5), real(0.01, 5)]
+        assert np.isnan(gc[4:8]).all() and gc[8] == real(0.01, 5)
+        assert scale.tolist()[:4] == [math.sqrt(3.0) * value ** 1.5 for value in gc.tolist()[:4]]
+        assert np.isnan(scale[4:8]).all()
+        assert [type(error).__name__ for error in errors] == ["NoneType"] * 4 + [
+            "ValidationError"] * 4 + ["NoneType"]
+        assert errors[6] is not errors[7] and str(errors[6]) == str(errors[7])
+        states = _solve_stack(5, np.full(len(jbar), 1.2), jbar)
+        for i, j in enumerate(jbar.tolist()):
+            if errors[i] is None:  # the one-point solve's bits
+                alone = solve_ground_state(ModelParams(1.0, 1.0, j, 1.2, 5))
+                assert states.alphas[i].tobytes() == alone.config.alphas.tobytes()
+            else:
+                assert type(states.errors[i]) is type(errors[i])
+                assert str(states.errors[i]) == str(errors[i])
 
 
 class TestStackedSolve:
@@ -1142,12 +1240,11 @@ class TestStackedSolve:
         real_seeds, real_newton = meanfield._seed_alphas, meanfield._newton_minimize
         frustrated_seed = seed_alphas(uniform_seeded)[:(n + 1) // 2]
 
-        def seeds(g, jbar, gc):
-            if (g, jbar) == (origin_seeded.g, origin_seeded.jbar):
-                return 0.0
-            magnitude = real_seeds(g, jbar, gc)
-            return magnitude * (1 + 1e-9) if (g, jbar) == (
-                off_closed_form.g, off_closed_form.jbar) else magnitude
+        def seeds(g, jbar, *critical):
+            magnitude = real_seeds(g, jbar, *critical)
+            magnitude = np.where((g == off_closed_form.g) & (jbar == off_closed_form.jbar),
+                                 magnitude * (1 + 1e-9), magnitude)
+            return np.where((g == origin_seeded.g) & (jbar == origin_seeded.jbar), 0.0, magnitude)
 
         def newton(fun, jac, hess_fn, x0, consts):
             x0 = x0.copy()
@@ -1280,6 +1377,31 @@ class TestRawGufuncs:
                 expected = expected if isinstance(expected, tuple) else (expected,)
                 assert [part[row].tobytes() for part in out] == [e.tobytes() for e in expected]
             assert raised == ([2, 4] if public is np.linalg.solve else [1, 3])
+
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_svd_keeps_the_bits_and_failures_of_numpy_linalg(self, m):
+        # the sector route's SVD: every row has the bits of numpy.linalg.svd,
+        # and a row that does not converge (NaN input) is NaN throughout,
+        # exactly where numpy.linalg.svd raises on that row alone, while the
+        # public call raises for the whole stack
+        rng = np.random.default_rng(38 + m)
+        a = rng.normal(size=(6, m, m))
+        assert ([part.tobytes() for part in fluctuations._svd(a)]
+                == [part.tobytes() for part in np.linalg.svd(a)])
+        a[1], a[4, m - 1, 0] = np.nan, np.nan  # (LAPACK's SVD does not return on an inf)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(a)
+        out, raised = fluctuations._svd(a), []
+        for row in range(len(a)):
+            try:
+                expected = np.linalg.svd(a[row])
+            except np.linalg.LinAlgError:
+                raised.append(row)
+                assert all(np.isnan(part[row]).all() for part in out)
+                continue
+            assert [part[row].tobytes() for part in out] == [e.tobytes() for e in expected]
+        assert raised == [1, 4]
 
 
 class TestHessianCriticalModes:

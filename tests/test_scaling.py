@@ -42,6 +42,32 @@ def params(jbar, g=1.0, n=3):
     return ModelParams(1.0, 1.0, jbar, g, n)
 
 
+def reference_series(result, observable, index, side="above"):
+    """:meth:`SweepResult.series` by one label comparison and one side
+    mask per call."""
+    labels, values, present = result.table.get(observable, (np.array([], dtype=str),) * 3)
+    column = np.flatnonzero(labels == index)[:1]
+    if not len(column):
+        return np.array([]), np.array([])
+    keep = present[:, column[0]] & ((result.g > result.spec.g_critical) == (side == "above"))
+    reduced, values = result.reduced[keep], values[keep, column[0]]
+    order = np.lexsort((values, reduced))
+    return reduced[order], values[order]
+
+
+def reference_power_law(points) -> scaling.PowerLawFit:
+    """:func:`fit_power_law` on its stacked points, its line by np.polyfit."""
+    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    lx, ly = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    residual = ly - (slope * lx + intercept)
+    total = ((ly - ly.sum() / len(ly)) ** 2).sum()
+    r_squared = 1.0 - float((residual ** 2).sum() / total) if total > 0 else 1.0
+    return scaling.PowerLawFit(float(slope), float(np.exp(intercept)), r_squared,
+                               (float(x.min()), float(x.max())), len(pts))
+
+
 class TestSweepSpec:
     def test_default_grid_excludes_critical_point(self):
         spec = SweepSpec(jbar=0.01, n_sites=3)
@@ -78,6 +104,13 @@ class TestSweepSpec:
         with pytest.raises(ValidationError, match="grid must be finite"):
             SweepSpec(jbar=0.01, n_sites=3, grid=grid)
 
+
+    @pytest.mark.parametrize("grid", [((1.1,), (1.2,)), ((1.1, 1.2),), 1.1])
+    def test_grid_that_is_not_one_dimensional_is_rejected(self, grid):
+        # a column of couplings passed the increasing check, which reads
+        # along rows, and was flattened to a grid that was never checked
+        with pytest.raises(ValidationError, match="grid must be one-dimensional"):
+            SweepSpec(jbar=0.01, n_sites=3, grid=grid)
 
     def test_grid_below_zero_coupling_is_rejected(self):
         # at construction, with the message and precedence of the grid's
@@ -142,6 +175,28 @@ class TestRunSweep:
                 result.series("gaps", index, side)
         assert result.series("energy", "")[0].size == 0 and result.series("gaps", "7")[0].size == 0
         assert calls == [] and spec.g_critical == critical_point(0.01, 3)
+
+    def test_series_are_the_label_compared_series_bit_for_bit(self):
+        # both sides of g_c on a user grid whose consecutive doubles near
+        # 0.999 * 2^10 tie in reduced coupling, so the lexsort orders the
+        # ties by value; every label of every observable, and absent ones
+        gc = critical_point(0.01, 3)
+        above = [0.999 * 2.0 ** 10]
+        for _ in range(11):
+            above.append(float(np.nextafter(above[-1], np.inf)))
+        grid = [gc * (1 - r) for r in (0.3, 1e-2, 1e-4)] + [gc * (1 + r) for r in (
+            1e-4, 1e-2)] + above
+        result = run_sweep(SweepSpec(jbar=0.01, n_sites=3, grid=tuple(grid)))
+        assert (np.diff(result.reduced[5:]) == 0).any()
+        tied = 0
+        for observable, (labels, _, _) in [*result.table.items(), ("nothing", ([], 0, 0))]:
+            for index in [*labels, "absent"]:
+                for side in ("above", "below", "either"):
+                    got = result.series(observable, index, side)
+                    want = reference_series(result, observable, index, side)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                    tied += bool((np.diff(got[0]) == 0).any())
+        assert tied
 
     def test_energy_column_monotone_continuous(self):
         spec = SweepSpec(jbar=0.01, n_sites=3, reduced_min=1e-3,
@@ -224,14 +279,17 @@ class TestFitPowerLaw:
         assert info.value.r_squared is not None
 
     def test_array_list_and_generator_fit_alike(self):
+        # an array, a list, pairs and a generator, sorted or not, fit as the
+        # stacked points in the order given, through np.polyfit's line
         rng = np.random.default_rng(3)
         x = np.logspace(-6, -2, 17)
         y = 2.5 * x ** 1.5 * np.exp(rng.normal(scale=1e-3, size=x.size))
-        points = np.column_stack([x, y])
-        fit = fit_power_law(points)
-        assert fit_power_law(points.tolist()) == fit
-        assert fit_power_law(zip(x.tolist(), y.tolist())) == fit
-        assert fit_power_law((row for row in points)) == fit
+        for points in (np.column_stack([x, y]), np.column_stack([x, y])[rng.permutation(17)]):
+            fit = fit_power_law(points)
+            assert fit == reference_power_law(points)
+            assert fit_power_law(points.tolist()) == fit
+            assert fit_power_law(zip(points[:, 0].tolist(), points[:, 1].tolist())) == fit
+            assert fit_power_law((row for row in points)) == fit
 
     def test_lowest_decade_trims_noise_plateau(self):
         x = np.logspace(-6, -2, 40)
@@ -580,8 +638,8 @@ class TestDerivativeDiagnostics:
         grid = center + np.array([-2, -1, 1, 2]) * 1e-4
         bad = {float(grid[3]), float(grid[2])}  # both superradiant
         real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-            0.0 if g in bad else real_seeds(g, jbar, gc)))
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
+            np.isin(g, list(bad)), 0.0, real_seeds(g, jbar, *critical)))
         with pytest.raises(ConvergenceError, match=f"g={float(grid[2])}"):
             energy_derivative_diagnostics(params(0.01), axis="g", half_width=2e-4)
 
@@ -592,9 +650,9 @@ class TestDerivativeDiagnostics:
         # raised is the one a scan solving point by point meets first, a
         # solve failure at an earlier point included
         point = params(0.01, g=1.2)
-        real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-            0.0 if jbar == failing else real_seeds(g, jbar, gc)))
+        real_seeds, failing_hoppings = meanfield._seed_alphas, [] if failing is None else [failing]
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
+            np.isin(jbar, failing_hoppings), 0.0, real_seeds(g, jbar, *critical)))
         xs = [-0.2, 0.2] + [sign * k * h for k in range(1, 5)
                             for sign in (-1.0, +1.0) for h in (0.2, 0.1)]
         expected = None
@@ -668,8 +726,8 @@ class TestSweepErrors:
         clean = run_sweep(spec)
         bad = spec.grid[len(spec.grid) // 2 + 3]
         real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-            0.0 if g == bad else real_seeds(g, jbar, gc)))
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
+            g == bad, 0.0, real_seeds(g, jbar, *critical)))
         result = run_sweep(spec)
         assert result.rows == [r for r in clean.rows if r.g != bad]
         assert [m for m in result.missing if m.g != bad] == [
@@ -830,8 +888,8 @@ class TestSweepTable:
         spec = SweepSpec(**kwargs)
         if case in ORIGIN_SEEDED:
             origin_only, real_seeds = ORIGIN_SEEDED[case], meanfield._seed_alphas
-            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-                0.0 if origin_only(spec, g) else real_seeds(g, jbar, gc)))
+            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
+                origin_only(spec, g), 0.0, real_seeds(g, jbar, *critical)))
         result = run_sweep(spec)
         rows, missing, warnings = reference_sweep(spec)
         assert result.rows == rows and repr(result.rows) == repr(rows)
@@ -917,8 +975,8 @@ class TestFlaggedPoints:
         spec = SweepSpec(**FLAG_CASES[case])
         if case == "one failing point":
             bad, real_seeds = spec.grid[len(spec.grid) // 2 + 3], meanfield._seed_alphas
-            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
-                0.0 if g == bad else real_seeds(g, jbar, gc)))
+            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
+                g == bad, 0.0, real_seeds(g, jbar, *critical)))
         result = run_sweep(spec)
         points = grid_points(spec)
         missing, warnings = every_point_flags(spec, points, meanfield.solve_ground_states(points))
