@@ -12,7 +12,6 @@ from .errors import (
     ValidationError,
 )
 from .fluctuations import (
-    CovarianceMatrix,
     ModeWeights,
     QuadraticForm,
     WilliamsonDecomposition,
@@ -22,8 +21,7 @@ from .fluctuations import (
     covariance,
     fsp_frustrated_mode_energy,
     mode_weights,
-    photon_number,
-    squeezing_variance,
+    site_moments,
     symplectic_form,
     symplectic_spectrum_modulus,
     williamson_diagonalize,

@@ -114,24 +114,6 @@ class WilliamsonDecomposition:
 
 
 @dataclass(frozen=True)
-class CovarianceMatrix:
-    """Second moments C = S^T S / 2 of the Gaussian ground state."""
-
-    matrix: np.ndarray
-
-    @property
-    def n_sites(self) -> int:
-        return self.matrix.shape[0] // 4
-
-    def physicality_defect(self) -> float:
-        """Most negative eigenvalue of C + (i/2) Omega (>= 0 up to rounding
-        for a physical Gaussian state)."""
-        omega = symplectic_form(self.matrix.shape[0] // 2)
-        herm = self.matrix + 0.5j * omega
-        return float(np.linalg.eigvalsh(herm).min())
-
-
-@dataclass(frozen=True)
 class ModeWeights:
     """Position-quadrature composition (v_1, w_1, ..., v_N, w_N) of a normal
     mode: v_n weighs the cavity field q_n, w_n the atomic field Q_n.  Unit
@@ -225,16 +207,26 @@ class _SplitModes:
     wrap, which mark a failed row NaN where ``numpy.linalg`` raises for the
     whole stack (a failed factor is the identity in the SVD): such a form
     has ``positive`` and ``resolvable`` False, NaN elsewhere, and leaves
-    the others untouched."""
+    the others untouched.  LAPACK's SVD does not return on a matrix holding
+    an inf, so a form whose L_x^T L_p, or whose largest symplectic
+    eigenvalue, overflows double precision fails as well, and is marked
+    ``overflowed``."""
 
     def __init__(self, blocks: np.ndarray):
-        with np.errstate(invalid="ignore"):  # the flag of a factor that fails
+        # the flag of a factor that fails, and a product that overflows
+        with np.errstate(invalid="ignore", over="ignore"):
             factors = _umath_linalg.cholesky_lo(blocks, signature="d->d")
-        failed = np.isnan(factors).any(axis=(1, 2, 3))
-        if failed.any():
-            factors[failed] = np.eye(blocks.shape[-1])
-        lx, lp = factors[:, 0], factors[:, 1]
-        u, eps, vt = _svd(np.swapaxes(lx, -1, -2) @ lp)
+            failed = np.isnan(factors).any(axis=(1, 2, 3))
+            if failed.any():
+                factors[failed] = np.eye(blocks.shape[-1])
+            lx, lp = factors[:, 0], factors[:, 1]
+            product = np.swapaxes(lx, -1, -2) @ lp
+        self.overflowed = ~np.isfinite(product).all(axis=(1, 2))
+        if self.overflowed.any():
+            product[self.overflowed] = np.eye(blocks.shape[-1])
+        u, eps, vt = _svd(product)
+        self.overflowed |= np.isinf(eps[:, 0])
+        failed |= self.overflowed
         self.eps = eps[:, ::-1]
         self.x_modes = lp @ np.swapaxes(vt[:, ::-1], -1, -2)
         self.p_modes = lx @ u[..., ::-1]
@@ -270,6 +262,9 @@ def williamson_diagonalize(form: QuadraticForm) -> WilliamsonDecomposition:
     """
     matrix, omega = form.matrix, form.symplectic_form
     modes = _SplitModes(np.array([_split_blocks(matrix)]))
+    if modes.overflowed[0]:
+        raise InstabilityError("quadratic form overflows double precision in its normal "
+                               "modes: L_x^T L_p or a symplectic eigenvalue is not finite")
     if not modes.positive[0]:
         raise InstabilityError(
             f"quadratic form is not positive definite: {_offending_direction(matrix)}")
@@ -293,31 +288,11 @@ def symplectic_spectrum_modulus(form: QuadraticForm) -> np.ndarray:
     return moduli[0::2]
 
 
-def covariance(decomp: WilliamsonDecomposition) -> CovarianceMatrix:
-    """Ground-state covariance matrix C = S^T S / 2."""
+def covariance(decomp: WilliamsonDecomposition) -> np.ndarray:
+    """Ground-state covariance matrix C = S^T S / 2, symmetrised."""
     s_matrix = decomp.symplectic_matrix
     matrix = 0.5 * s_matrix.T @ s_matrix
-    return CovarianceMatrix(0.5 * (matrix + matrix.T))
-
-
-def _site_indices(n_sites: int, site: int):
-    if not 1 <= site <= n_sites:
-        raise DomainError(f"site must be in 1..{n_sites}, got {site}")
-    base = 4 * (site - 1)
-    return base, base + 1  # q_site, p_site
-
-
-def photon_number(cov: CovarianceMatrix, site: int) -> float:
-    """Fluctuation occupation of the cavity at ``site`` (1-based) above the
-    coherent displacement: (<q^2> + <p^2> - 1)/2 in the displaced frame."""
-    qi, pi = _site_indices(cov.n_sites, site)
-    return float((cov.matrix[qi, qi] + cov.matrix[pi, pi] - 1.0) / 2.0)
-
-
-def squeezing_variance(cov: CovarianceMatrix, site: int) -> float:
-    """Position-quadrature variance (Delta q)^2 of the cavity at ``site``."""
-    qi, _ = _site_indices(cov.n_sites, site)
-    return float(cov.matrix[qi, qi])
+    return 0.5 * (matrix + matrix.T)
 
 
 def mode_weights(decomp: WilliamsonDecomposition, mode_index: int) -> ModeWeights:

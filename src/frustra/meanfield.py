@@ -21,7 +21,6 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -162,7 +161,7 @@ def _uniform_magnitude(g: float, jbar: float) -> float | None:
     if g <= gc:
         return None
     try:
-        quartic = (g / gc) ** 4
+        quartic = (float(g) / gc) ** 4  # a Python float power raises on overflow
     except OverflowError:
         raise DomainError(
             f"coupling g={g} too large: (g/g_c)^4 overflows double precision") from None
@@ -366,32 +365,18 @@ def _mirror_reduced(n_sites: int):
 # ---------------------------------------------------------------------------
 # seeds, canonicalization, phase logic
 
-def _seed_alphas(g: np.ndarray, jbar: np.ndarray, gc: np.ndarray,
-                 scale: np.ndarray) -> np.ndarray:
-    """The seed magnitudes of points (g, jbar) above their ``gc``, where the
-    origin is never a minimum, arrays a value per point like the ``scale``
-    of :func:`_critical_couplings`.  For jbar <= 0 the hopping term is at
-    least 2 jbar sum alpha_n^2, equal only for a uniform state, so the
-    uniform closed form on every site is the solution.  For jbar > 0 a
-    uniform state of magnitude a lies 4 jbar a^2 (N - 1) above the
-    frustrated pattern of magnitude a, and every frustrated ground state is
-    an image of the canonical one, so Newton starts there, the unpaired site
-    doubled, at the near-critical magnitude (the bits of
-    :func:`_near_critical_magnitude`, over the arrays).  A uniform point's
-    magnitude, or its overflow as inf at either sign of jbar, is that of
-    :func:`_uniform_magnitude`."""
-    magnitudes = np.sqrt(g - gc) / scale
-    # the closed form at jbar <= 0, above its g_c, the uniform one; at jbar > 0 the
-    # uniform (g/g_c)^4 overflows only past g/g_c = 1.3e77, so past g = 1e77 (g_c >= 1)
-    rows = ((jbar <= 0) | (g >= 1e77)).nonzero()[0]
-    for row, g_i, jbar_i in zip(rows.tolist(), g[rows].tolist(), jbar[rows].tolist()):
-        try:
-            uniform = _uniform_magnitude(g_i, jbar_i)
-        except DomainError:
-            uniform = math.inf
-        if jbar_i <= 0 or uniform == math.inf:
-            magnitudes[row] = uniform
-    return magnitudes
+def _seed_alphas(g: float, jbar: float, gc: float) -> float:
+    """The seed magnitude of the point (g, jbar) above ``gc``, where the
+    origin is never a minimum.  For jbar <= 0 the hopping term is at least
+    2 jbar sum alpha_n^2, equal only for a uniform state, so the uniform
+    closed form on every site is the solution.  For jbar > 0 a uniform
+    state of magnitude a lies 4 jbar a^2 (N - 1) above the frustrated
+    pattern of magnitude a, and every frustrated ground state is an image
+    of the canonical one, so Newton starts there, the unpaired site
+    doubled, at the near-critical magnitude.  An unrepresentable uniform
+    magnitude raises :class:`DomainError` for either sign of jbar."""
+    uniform = _uniform_magnitude(g, jbar)
+    return uniform if jbar <= 0 else _near_critical_magnitude(g, gc)
 
 
 def _near_critical_magnitude(g: float, gc: float) -> float:
@@ -463,9 +448,8 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     size, at couplings ``g`` and hoppings ``jbar`` (float arrays, each point
     one :class:`ModelParams` accepts), as one :class:`GroundStates` record.
 
-    A point's phase, and so its route, follows from (g, jbar), over arrays
-    (:func:`_critical_couplings`).  At g <= g_c it is the normal phase
-    without a solve: sqrt(1 + x) <= 1 + x/2 gives
+    A point's phase, and so its route, follows from (g, jbar).  At g <= g_c
+    it is the normal phase without a solve: sqrt(1 + x) <= 1 + x/2 gives
     E(alpha) >= E(0) + alpha^T H_0 alpha / 2, and the origin Hessian H_0 is
     positive semidefinite up to g_c; the stack's normal points share one
     :func:`origin_hessian_eigenvalues` call.  Above g_c (:func:`_seed_alphas`)
@@ -485,32 +469,36 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     ``frustra.meanfield`` logger gets one record per solved point.
     """
     debug = log.isEnabledFor(logging.DEBUG)
-    gc, scale, errors = _critical_couplings(n_sites, jbar)
-    # the normal points, and the superradiant points with their seed magnitudes; a
-    # point's error is its hopping's, else its seed's overflow, else that of jbar = 0
-    below = g <= gc
-    normal, solving = below.nonzero()[0], (~below & ~np.isnan(gc)).nonzero()[0]
-    if len(solving):
-        magnitudes = _seed_alphas(g[solving], jbar[solving], gc[solving], scale[solving])
-        unseeded = (magnitudes == np.inf) | (jbar[solving] == 0)
-        for index in solving[unseeded].tolist():
-            try:  # the overflow of the uniform magnitude comes first
-                _uniform_magnitude(g[index].item(), jbar[index].item())
-                errors[index] = copy.copy(_UNCLASSIFIED)
-            except DomainError as exc:
-                errors[index] = exc
-        solving, magnitudes = solving[~unseeded], magnitudes[~unseeded]
-    if debug:
-        for index in normal.tolist():
-            log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
-                      g[index].item(), jbar[index].item(), n_sites)
+    errors: list = [None] * len(g)
+    hopping = gc = None  # g_c is looked up again only where the hopping changes
+    # the normal points; the superradiant points and their seed magnitudes
+    normal, solving, magnitudes = [], [], []
+    for index, (g_i, jbar_i) in enumerate(zip(g.tolist(), jbar.tolist())):
+        try:
+            if jbar_i != hopping:
+                gc, hopping = critical_point(jbar_i, n_sites), jbar_i
+            if g_i <= gc:
+                normal.append(index)
+                if debug:
+                    log.debug("solved g=%r jbar=%r N=%d: normal phase, no seeds",
+                              g_i, jbar_i, n_sites)
+                continue
+            magnitude = _seed_alphas(g_i, jbar_i, gc)
+            if jbar_i == 0:
+                raise copy.copy(_UNCLASSIFIED)
+        except FrustraError as exc:
+            errors[index] = exc
+            continue
+        solving.append(index)
+        magnitudes.append(magnitude)
     # every row starts as the normal phase's: the origin, at no residual
     alphas, spectra = np.zeros((2, len(g), n_sites))
     phases, grad_norm = np.full(len(g), Phase.NORMAL), np.zeros(len(g))
     soft = np.full((len(g), 2), np.nan)
-    if len(normal):  # the origin wins, with the closed-form spectra of one call
+    if normal:  # the origin wins, with the closed-form spectra of one call
         spectra[normal] = origin_hessian_eigenvalues(g[normal], jbar[normal], n_sites)
-    if len(solving):
+    if solving:
+        solving, magnitudes = np.array(solving), np.array(magnitudes)
         g_s, jbar_s, (_, gradient, hessian) = g[solving], jbar[solving], _kernels(n_sites)
         consts, frustrated = _pack(g_s, jbar_s), (jbar_s > 0).nonzero()[0]
         phases[solving] = Phase.NFSP
@@ -567,24 +555,6 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     for array in (alphas, phases, grad_norm, spectra, soft):
         array.flags.writeable = False
     return GroundStates(alphas, phases, grad_norm, spectra, soft, tuple(errors))
-
-
-def _critical_couplings(n_sites: int, jbar: np.ndarray):
-    """``(gc, scale, errors)`` per point: the critical coupling of its
-    hopping and sqrt(3) g_c^{3/2}, worked out once per distinct hopping (a
-    NaN is a run of its own), or NaN and its own copy of the error that
-    :func:`~frustra.model.critical_point` raises."""
-    runs, table = [(value, len(list(run))) for value, run in groupby(jbar.tolist())], {}
-    for value in dict.fromkeys(value for value, _ in runs):
-        try:
-            gc = critical_point(value, n_sites)
-            table[value] = gc, math.sqrt(3.0) * gc ** 1.5, None
-        except FrustraError as exc:
-            table[value] = math.nan, math.nan, exc
-    gc, scale = np.array([table[value][:2] for value, _ in runs]).reshape(-1, 2).repeat(
-        [length for _, length in runs], axis=0).T
-    return gc, scale, [error and copy.copy(error) for value, length in runs
-                       for error in [table[value][2]] * length]
 
 
 def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, tolerance: np.ndarray,

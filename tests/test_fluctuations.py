@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from types import SimpleNamespace
 
@@ -26,10 +30,8 @@ from frustra.fluctuations import (
     fsp_site_moments,
     mode_weights,
     normal_phase_mode_energies,
-    photon_number,
     quadrature_labels,
     site_moments,
-    squeezing_variance,
     symplectic_spectrum_modulus,
     williamson_diagonalize,
 )
@@ -41,7 +43,12 @@ from frustra.meanfield import (
     solve_ground_states,
 )
 from frustra.model import MeanFieldConfiguration, ModelParams, critical_point
-from williamson_reference import _williamson_generic
+from williamson_reference import (
+    _williamson_generic,
+    photon_number,
+    physicality_defect,
+    squeezing_variance,
+)
 
 
 MOMENT_FIELDS = ("var_q", "var_p", "eps", "eps_even", "eps_odd")
@@ -310,7 +317,7 @@ class TestCovariance:
     def test_vacuum_for_decoupled_bare_oscillators(self):
         sol, p, form = solved_form(0.0, 0.0)
         cov = covariance(williamson_diagonalize(form))
-        assert_allclose(cov.matrix, 0.5 * np.eye(12), atol=1e-12)
+        assert_allclose(cov, 0.5 * np.eye(12), atol=1e-12)
         for site in (1, 2, 3):
             assert photon_number(cov, site) == pytest.approx(0.0, abs=1e-12)
             assert squeezing_variance(cov, site) == pytest.approx(0.5, abs=1e-12)
@@ -346,8 +353,8 @@ class TestCovariance:
             except ValidationError:
                 continue
             cov = covariance(williamson_diagonalize(form))
-            scale = max(1.0, np.max(np.abs(cov.matrix)))
-            assert cov.physicality_defect() > -1e-10 * scale
+            scale = max(1.0, np.max(np.abs(cov)))
+            assert physicality_defect(cov) > -1e-10 * scale
 
     def test_site_range_checked(self):
         sol, p, form = solved_form(0.01, 0.9)
@@ -424,6 +431,45 @@ class TestStackedSectors:
         assert [type(error) for error in stacked.errors] == [
             InstabilityError if i == bad and sector == "even" else type(None)
             for i in range(len(points))]
+
+    def test_overflowed_forms_fail_instead_of_hanging(self):
+        # LAPACK's SVD never returns on a matrix holding an inf: a finite
+        # positive form with 4 x 4 blocks near 1e308, whose L_x^T L_p
+        # overflows, hung williamson_diagonalize, so the check runs in a
+        # child process with a timeout.  That form, and one whose product
+        # is finite but whose largest symplectic eigenvalue overflows, fail
+        # their own rows of a stack, as an unfactored form does, and the
+        # other form keeps its bits
+        program = textwrap.dedent("""
+            import numpy as np
+            from frustra.errors import InstabilityError
+            from frustra.fluctuations import QuadraticForm, _SplitModes, williamson_diagonalize
+            big = np.full((4, 4), 5e307) + 1e307 * np.eye(4)
+            form = np.zeros((8, 8))
+            form[0::2, 0::2] = form[1::2, 1::2] = big
+            try:
+                williamson_diagonalize(QuadraticForm(form))
+            except InstabilityError as exc:
+                print(exc)
+            tri = np.tril(np.ones((4, 4)))
+            wide = np.array([1.69e308 * np.eye(4), 6.5e153 ** 2 * tri @ tri.T])
+            print(np.isfinite(np.linalg.cholesky(wide[0]).T @ np.linalg.cholesky(wide[1])).all())
+            plain = np.array([np.eye(4) * 2.0, np.eye(4) + 0.1])
+            modes, alone = _SplitModes(np.array([plain, [big, big], wide])), _SplitModes(plain[None])
+            print(modes.overflowed.tolist(), modes.positive.tolist(),
+                  np.isnan(modes.eps[1:]).all(), np.isnan(modes.x_modes[1:]).all())
+            print(all(getattr(modes, name)[0].tobytes() == getattr(alone, name)[0].tobytes()
+                      for name in ("eps", "x_modes", "p_modes")))
+        """)
+        source_root = os.path.dirname(os.path.dirname(fluctuations.__file__))
+        env = dict(os.environ, PYTHONPATH=source_root)
+        result = subprocess.run([sys.executable, "-c", program], env=env,
+                                capture_output=True, text=True, timeout=30)
+        assert (result.returncode, result.stderr) == (0, "")  # no overflow warning either
+        assert result.stdout.splitlines() == [
+            "quadratic form overflows double precision in its normal modes: "
+            "L_x^T L_p or a symplectic eigenvalue is not finite",
+            "True", "[False, True, True] [True, False, False] True True", "True"]
 
     def test_non_positive_point_leaves_the_others_bitwise(self):
         # a frustrated label on the origin past g_c: both mirror sectors of

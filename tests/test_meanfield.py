@@ -101,19 +101,11 @@ def row_ids(pack):
     return pack[:, -1].astype(int)
 
 
-def stacked_seeds(n, g, jbar):
-    """The solver's seed magnitudes of superradiant points (g, jbar) of one
-    lattice size, from the g_c and near-critical scale of their hoppings."""
-    gc, scale, _ = meanfield._critical_couplings(n, jbar)
-    return _seed_alphas(g, jbar, gc, scale)
-
-
 def seed_alphas(point):
     """The solver's start of a superradiant point as a full configuration:
     the uniform closed form, else the canonical frustrated pattern with its
     unpaired site doubled, at the seed magnitude."""
-    (magnitude,) = stacked_seeds(point.n_sites, np.array([point.g]),
-                                 np.array([point.jbar])).tolist()
+    magnitude = _seed_alphas(point.g, point.jbar, point.critical_coupling())
     if point.jbar <= 0:
         return np.full(point.n_sites, magnitude)
     seed = magnitude * ring(point.n_sites).pattern
@@ -129,15 +121,34 @@ class TestClosedForms:
         _, hi = stability_window(n)
         for jbar in np.linspace(0.0, hi, 13)[1:-1].tolist() + [1e-6, float(np.nextafter(hi, 0))]:
             gc = critical_point(jbar, n)
-            grid = [gc * (1.0 + reduced) for reduced in np.logspace(-9, 0, 37).tolist()]
-            stacked = stacked_seeds(n, np.array(grid), np.full(len(grid), jbar))
-            for g, seed in zip(grid, stacked.tolist()):
+            for reduced in np.logspace(-9, 0, 37).tolist():
+                g = gc * (1.0 + reduced)
                 magnitude = _near_critical_magnitude(g, gc)
                 assert magnitude.hex() == (
                     math.sqrt(g - gc) / (math.sqrt(3.0) * gc ** 1.5)).hex()
                 assert magnitude.hex() == float(
                     np.sqrt(abs(g - gc)) / (np.sqrt(3.0) * gc ** 1.5)).hex()
-                assert seed.hex() == magnitude.hex()
+                assert _seed_alphas(g, jbar, gc).hex() == magnitude.hex()
+
+    def test_numpy_float_coupling_keeps_the_python_float_result(self):
+        # (g/g_c)^4 is a Python float power, which raises on overflow; a
+        # numpy scalar power warned and gave inf, so nfsp_closed_form
+        # returned inf for np.float64(1e200) where 1e200 raises DomainError
+        for jbar in (-0.49, -0.01, 0.0):
+            gc = math.sqrt(1.0 + 2.0 * jbar)
+            for g in (1e78, 1e200, 1e300):
+                messages = []
+                for coupling in (g, np.float64(g)):
+                    with warnings.catch_warnings(), pytest.raises(DomainError) as raised:
+                        warnings.simplefilter("error")
+                        nfsp_closed_form(coupling, jbar)
+                    messages.append(str(raised.value))
+                assert messages[0] == messages[1] == (
+                    f"coupling g={g} too large: (g/g_c)^4 overflows double precision")
+            for g in (gc * (1 + 1e-12), 1.5, 1e10, 1e76):
+                value = nfsp_closed_form(g, jbar)
+                assert value.hex() == (math.sqrt((g / gc) ** 4 - 1.0) / (2.0 * g)).hex()
+                assert float(nfsp_closed_form(np.float64(g), jbar)).hex() == value.hex()
 
     def test_nfsp_vanishes_at_threshold(self):
         gc = critical_point(-0.01, 3)
@@ -626,8 +637,8 @@ class TestOrbitPatterns:
 def _origin_only_at(g_bad):
     """_seed_alphas with the one point at g_bad seeded from the origin
     alone: a saddle there, so no seed passes the PSD filter."""
-    def seeds(g, jbar, *critical):
-        return np.where(g == g_bad, 0.0, _seed_alphas(g, jbar, *critical))
+    def seeds(g, jbar, gc):
+        return 0.0 if g == g_bad else _seed_alphas(g, jbar, gc)
     return seeds
 
 
@@ -787,8 +798,8 @@ class TestGradientTolerance:
 
 
 class TestStackedSeeds:
-    """The solver's routes and seed magnitudes are decided over the stack's
-    arrays; each point keeps the one-point formulas' bits and errors."""
+    """One pass over a stack's points decides each point's route and seed
+    magnitude; each point keeps the one-point formulas' bits and errors."""
 
     @staticmethod
     def one_point_seed(g, jbar, gc):
@@ -800,12 +811,36 @@ class TestStackedSeeds:
             return exc
         return uniform if jbar <= 0 else _near_critical_magnitude(g, gc)
 
+    @staticmethod
+    def solver_seeds(monkeypatch, n, grid, jbar):
+        """The seed magnitudes that _solve_stack hands on for the couplings
+        ``grid`` at the one hopping ``jbar``, in stack order, and the
+        stack's errors: a frustrated row's from its Newton seed (Newton
+        returns the seeds unmoved), a uniform row's from its closed-form
+        spectrum."""
+        seeds, real_diagonal = [], meanfield._hessian_diagonal
+
+        def newton(fun, jac, hess_fn, x0, consts):
+            seeds.extend((x0[:, 1] / ring(n).seed[1]).tolist())
+            return x0.copy(), np.zeros(len(x0)), np.zeros((len(x0), 2), dtype=int), {}
+
+        def diagonal(magnitudes, g):
+            seeds.extend(magnitudes[:, 0].tolist())
+            return real_diagonal(magnitudes, g)
+
+        monkeypatch.setattr(meanfield, "_newton_minimize", newton)
+        monkeypatch.setattr(meanfield, "_hessian_diagonal", diagonal)
+        with np.errstate(all="ignore"):  # the unmoved seeds at couplings up to 1e300
+            errors = _solve_stack(n, np.array(grid), np.full(len(grid), jbar)).errors
+        return seeds, errors
+
     @pytest.mark.parametrize("n", [3, 5, 7, 21])
-    def test_seed_magnitudes_are_the_one_point_bits(self, n):
+    def test_seed_magnitudes_are_the_one_point_bits(self, monkeypatch, n):
         # couplings 1 to 6 ulps above g_c, g_c (1 + r) for r from 1e-16 to
         # 1e8, and about the coupling where the uniform (g/g_c)^4 overflows,
         # (largest double)^(1/4) times the uniform g_c, with its ulps: a value
-        # keeps its bits, and an overflowing point reads inf at either sign
+        # keeps its bits, and an overflowing point keeps its DomainError at
+        # either sign of jbar
         _, hi = stability_window(n)
         for jbar in (-0.49, -0.01, -1e-5, 0.0, 1e-5, 0.01, 0.45, float(np.nextafter(hi, 0))):
             gc = critical_point(jbar, n)
@@ -818,15 +853,18 @@ class TestStackedSeeds:
             for f in (-2.0, -1.0, 1.0, 2.0):
                 grid.append(float(edge + f * np.spacing(edge)))
             grid = [g for g in grid if g > gc]
-            stacked = stacked_seeds(n, np.array(grid), np.full(len(grid), jbar))
-            overflowed = 0
-            for g, seed in zip(grid, stacked.tolist()):
+            seeds, errors = self.solver_seeds(monkeypatch, n, grid, jbar)
+            overflowed, seeded = 0, iter(seeds)
+            for g, error in zip(grid, errors):
                 expected = self.one_point_seed(g, jbar, gc)
                 if isinstance(expected, DomainError):
                     overflowed += 1
-                    assert seed == math.inf, (g, jbar)
+                    assert type(error) is DomainError and str(error) == str(expected), (g, jbar)
+                elif jbar == 0:
+                    assert type(error) is ValidationError, (g, jbar)
                 else:
-                    assert seed.hex() == expected.hex(), (g, jbar)
+                    assert next(seeded).hex() == expected.hex(), (g, jbar)
+            assert next(seeded, None) is None
             assert 0 < overflowed < len(grid)
 
     def test_overflow_and_unclassified_points_keep_their_errors(self):
@@ -843,10 +881,12 @@ class TestStackedSeeds:
             "coupling g=1e+200 too large: (g/g_c)^4 overflows double precision")
         assert states.errors[1] is not meanfield._UNCLASSIFIED
 
-    def test_critical_coupling_is_worked_out_once_per_distinct_hopping(self, monkeypatch):
+    def test_critical_coupling_is_worked_out_once_per_run_of_equal_hoppings(self, monkeypatch):
         # runs of equal hoppings, a hopping that comes back, two NaN hoppings
-        # and one outside the window: one critical_point call per distinct
-        # value (each NaN its own), and each failing point its own error
+        # and one outside the window: g_c is looked up again only where the
+        # hopping changes from the last one it was found for, so a rejected
+        # hopping (NaN, or outside the window) is looked up at each of its
+        # points, and each failing point gets its own error
         calls, real = [], meanfield.critical_point
 
         def counted(jbar, n_sites):
@@ -855,24 +895,21 @@ class TestStackedSeeds:
 
         monkeypatch.setattr(meanfield, "critical_point", counted)
         jbar = np.array([0.01, 0.01, -0.2, 0.01, np.nan, np.nan, 0.7, 0.7, 0.01])
-        gc, scale, errors = meanfield._critical_couplings(5, jbar)
-        assert [value for value in calls if value == value] == [0.01, -0.2, 0.7]
-        assert len(calls) == 5
-        assert gc.tolist()[:4] == [real(0.01, 5)] * 2 + [real(-0.2, 5), real(0.01, 5)]
-        assert np.isnan(gc[4:8]).all() and gc[8] == real(0.01, 5)
-        assert scale.tolist()[:4] == [math.sqrt(3.0) * value ** 1.5 for value in gc.tolist()[:4]]
-        assert np.isnan(scale[4:8]).all()
-        assert [type(error).__name__ for error in errors] == ["NoneType"] * 4 + [
-            "ValidationError"] * 4 + ["NoneType"]
-        assert errors[6] is not errors[7] and str(errors[6]) == str(errors[7])
         states = _solve_stack(5, np.full(len(jbar), 1.2), jbar)
+        assert [value if value == value else "nan" for value in calls] == [
+            0.01, -0.2, 0.01, "nan", "nan", 0.7, 0.7]
+        assert [type(error).__name__ for error in states.errors] == ["NoneType"] * 4 + [
+            "ValidationError"] * 4 + ["NoneType"]
+        errors = states.errors
+        assert errors[6] is not errors[7] and str(errors[6]) == str(errors[7])
         for i, j in enumerate(jbar.tolist()):
             if errors[i] is None:  # the one-point solve's bits
                 alone = solve_ground_state(ModelParams(1.0, 1.0, j, 1.2, 5))
                 assert states.alphas[i].tobytes() == alone.config.alphas.tobytes()
-            else:
-                assert type(states.errors[i]) is type(errors[i])
-                assert str(states.errors[i]) == str(errors[i])
+            else:  # the error that critical_point raises for its hopping
+                with pytest.raises(type(errors[i])) as raised:
+                    real(j, 5)
+                assert str(raised.value) == str(errors[i])
 
 
 class TestStackedSolve:
@@ -1240,11 +1277,12 @@ class TestStackedSolve:
         real_seeds, real_newton = meanfield._seed_alphas, meanfield._newton_minimize
         frustrated_seed = seed_alphas(uniform_seeded)[:(n + 1) // 2]
 
-        def seeds(g, jbar, *critical):
-            magnitude = real_seeds(g, jbar, *critical)
-            magnitude = np.where((g == off_closed_form.g) & (jbar == off_closed_form.jbar),
-                                 magnitude * (1 + 1e-9), magnitude)
-            return np.where((g == origin_seeded.g) & (jbar == origin_seeded.jbar), 0.0, magnitude)
+        def seeds(g, jbar, gc):
+            if (g, jbar) == (origin_seeded.g, origin_seeded.jbar):
+                return 0.0
+            magnitude = real_seeds(g, jbar, gc)
+            return magnitude * (1 + 1e-9) if (g, jbar) == (
+                off_closed_form.g, off_closed_form.jbar) else magnitude
 
         def newton(fun, jac, hess_fn, x0, consts):
             x0 = x0.copy()

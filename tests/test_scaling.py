@@ -638,8 +638,8 @@ class TestDerivativeDiagnostics:
         grid = center + np.array([-2, -1, 1, 2]) * 1e-4
         bad = {float(grid[3]), float(grid[2])}  # both superradiant
         real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
-            np.isin(g, list(bad)), 0.0, real_seeds(g, jbar, *critical)))
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+            0.0 if g in bad else real_seeds(g, jbar, gc)))
         with pytest.raises(ConvergenceError, match=f"g={float(grid[2])}"):
             energy_derivative_diagnostics(params(0.01), axis="g", half_width=2e-4)
 
@@ -650,9 +650,9 @@ class TestDerivativeDiagnostics:
         # raised is the one a scan solving point by point meets first, a
         # solve failure at an earlier point included
         point = params(0.01, g=1.2)
-        real_seeds, failing_hoppings = meanfield._seed_alphas, [] if failing is None else [failing]
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
-            np.isin(jbar, failing_hoppings), 0.0, real_seeds(g, jbar, *critical)))
+        real_seeds = meanfield._seed_alphas
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+            0.0 if jbar == failing else real_seeds(g, jbar, gc)))
         xs = [-0.2, 0.2] + [sign * k * h for k in range(1, 5)
                             for sign in (-1.0, +1.0) for h in (0.2, 0.1)]
         expected = None
@@ -726,8 +726,8 @@ class TestSweepErrors:
         clean = run_sweep(spec)
         bad = spec.grid[len(spec.grid) // 2 + 3]
         real_seeds = meanfield._seed_alphas
-        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
-            g == bad, 0.0, real_seeds(g, jbar, *critical)))
+        monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+            0.0 if g == bad else real_seeds(g, jbar, gc)))
         result = run_sweep(spec)
         assert result.rows == [r for r in clean.rows if r.g != bad]
         assert [m for m in result.missing if m.g != bad] == [
@@ -888,8 +888,8 @@ class TestSweepTable:
         spec = SweepSpec(**kwargs)
         if case in ORIGIN_SEEDED:
             origin_only, real_seeds = ORIGIN_SEEDED[case], meanfield._seed_alphas
-            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
-                origin_only(spec, g), 0.0, real_seeds(g, jbar, *critical)))
+            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+                0.0 if origin_only(spec, g) else real_seeds(g, jbar, gc)))
         result = run_sweep(spec)
         rows, missing, warnings = reference_sweep(spec)
         assert result.rows == rows and repr(result.rows) == repr(rows)
@@ -975,8 +975,8 @@ class TestFlaggedPoints:
         spec = SweepSpec(**FLAG_CASES[case])
         if case == "one failing point":
             bad, real_seeds = spec.grid[len(spec.grid) // 2 + 3], meanfield._seed_alphas
-            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, *critical: np.where(
-                g == bad, 0.0, real_seeds(g, jbar, *critical)))
+            monkeypatch.setattr(meanfield, "_seed_alphas", lambda g, jbar, gc: (
+                0.0 if g == bad else real_seeds(g, jbar, gc)))
         result = run_sweep(spec)
         points = grid_points(spec)
         missing, warnings = every_point_flags(spec, points, meanfield.solve_ground_states(points))

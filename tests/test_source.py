@@ -195,3 +195,18 @@ def test_every_private_gufunc_is_pinned_to_its_numpy_function():
              if name.startswith("tests/")]
     assert set(private_gufuncs(package)) == set(PUBLIC_LINALG)
     assert unpinned_gufuncs(package, tests) == []
+
+
+def readme_python_block(readme: str, heading: str) -> str:
+    """The fenced python block of the README section ``## heading``."""
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_runs():
+    # the quick start runs against the API it documents
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    namespace = {}
+    exec(compile(readme_python_block(readme, "Library quick start"), "README.md", "exec"),
+         namespace)
+    assert namespace["sol"].phase.name == "FSP" and namespace["report"].n_sites == 3

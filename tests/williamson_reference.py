@@ -2,17 +2,20 @@
 real-Schur construction, which needs no position/momentum split and so
 also diagonalizes forms that couple positions to momenta.  The package
 itself only builds split forms and decomposes them with one Cholesky pair
-and one SVD; the tests compare that route against this one."""
+and one SVD; the tests compare that route against this one.  The one-point
+cavity moments read off a dense covariance matrix (``covariance`` of a
+decomposition) are here too, as the reference for ``site_moments``."""
 
 import numpy as np
 from scipy.linalg import schur, solve_triangular
 
-from frustra.errors import InstabilityError
+from frustra.errors import DomainError, InstabilityError
 from frustra.fluctuations import (
     CRITICAL_REGIME_FACTOR,
     QuadraticForm,
     WilliamsonDecomposition,
     _offending_direction,
+    symplectic_form,
 )
 
 
@@ -56,3 +59,31 @@ def _finalize(form, eps, s_matrix) -> WilliamsonDecomposition:
     diag_res = float(np.max(np.abs(diag - diag_target)))
     critical = bool(eps.min() < CRITICAL_REGIME_FACTOR * form.omega0)
     return WilliamsonDecomposition(np.asarray(eps), s_matrix, sym_res, diag_res, critical)
+
+
+def _site_indices(cov: np.ndarray, site: int):
+    n_sites = cov.shape[0] // 4
+    if not 1 <= site <= n_sites:
+        raise DomainError(f"site must be in 1..{n_sites}, got {site}")
+    base = 4 * (site - 1)
+    return base, base + 1  # q_site, p_site
+
+
+def photon_number(cov: np.ndarray, site: int) -> float:
+    """Fluctuation occupation of the cavity at ``site`` (1-based) above the
+    coherent displacement: (<q^2> + <p^2> - 1)/2 in the displaced frame."""
+    qi, pi = _site_indices(cov, site)
+    return float((cov[qi, qi] + cov[pi, pi] - 1.0) / 2.0)
+
+
+def squeezing_variance(cov: np.ndarray, site: int) -> float:
+    """Position-quadrature variance (Delta q)^2 of the cavity at ``site``."""
+    qi, _ = _site_indices(cov, site)
+    return float(cov[qi, qi])
+
+
+def physicality_defect(cov: np.ndarray) -> float:
+    """Most negative eigenvalue of C + (i/2) Omega (>= 0 up to rounding for
+    a physical Gaussian state)."""
+    herm = cov + 0.5j * symplectic_form(cov.shape[0] // 2)
+    return float(np.linalg.eigvalsh(herm).min())
