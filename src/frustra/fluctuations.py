@@ -384,10 +384,12 @@ def analytic_nfsp_spectrum(g: float, jbar: float, omegabar: float,
     """
     if jbar > 0:
         raise DomainError("the uniform superradiant phase requires jbar <= 0")
+    # g_c as the solver and nfsp_closed_form take it: g_c itself is superradiant,
+    # where g * g can round below 1 + 2 jbar
+    gc = ModelParams(omega0, omegabar * omega0, jbar, g, n_sites).critical_coupling()
+    if g < gc:
+        raise DomainError(f"below the superradiant threshold g_c={gc}")
     gc_sq = 1.0 + 2.0 * jbar
-    if g * g < gc_sq:
-        raise DomainError(f"below the superradiant threshold g_c={np.sqrt(gc_sq)}")
-    ModelParams(omega0, omegabar * omega0, jbar, g, n_sites)
     eff = gc_sq / g
     momenta, _, lower, upper = _momentum_blocks(
         n_sites, jbar, omegabar * omega0 * g * g / gc_sq,

@@ -44,7 +44,6 @@ from .model import (
     energy_hessian,
     group_images,
     orbit_patterns,
-    origin_hessian_eigenvalues,
     ring,
 )
 
@@ -221,12 +220,12 @@ def _rowwise(gufunc, signature):
     return np.errstate(all="ignore")(functools.partial(gufunc, signature=signature))
 
 
-#: numpy.linalg.eigh, eigvalsh (lower triangle) and solve, a row at a time
-_eigh = _rowwise(_umath_linalg.eigh_lo, "d->dd")
+#: numpy.linalg.eigvalsh (lower triangle), a row at a time
 _eigvalsh = _rowwise(_umath_linalg.eigvalsh_lo, "d->d")
-_solve = _rowwise(_umath_linalg.solve, "dd->d")
 
 
+#: Machine epsilon of a double, the unit of the rounding scales
+_EPS = float(np.finfo(float).eps)
 #: The error of a row whose eigensolve failed, as numpy.linalg raises it
 _UNCONVERGED = np.linalg.LinAlgError("Eigenvalues did not converge")
 #: The error of a row whose Newton trial point is not finite
@@ -243,6 +242,7 @@ def _drop(bad, rows, failures, error, *companions):
     return tuple(array[keep] for array in (rows, *companions))
 
 
+@np.errstate(all="ignore")
 def _newton_minimize(fun, jac, hess_fn, x0, consts):
     """Damped saddle-free Newton descent, then a pure-Newton endgame, on
     every row of the stack ``x0`` (rows, m) at once.
@@ -265,36 +265,41 @@ def _newton_minimize(fun, jac, hess_fn, x0, consts):
     ``(x, grad_norm, steps, failures)``: the minimizers, their gradient
     infinity-norms (kept per row as it goes), each row's accepted (descent,
     endgame) step counts, and each failed row's exception by row id.
+
+    One ``np.errstate`` covers the call, so the LAPACK gufuncs of numpy's
+    ``eigh`` and ``solve`` run bare, a failed row NaN (see :func:`_rowwise`),
+    and reductions call the ufunc's ``reduce`` that the ndarray methods wrap.
     """
     x = np.array(x0, dtype=float)
-    if not np.isfinite(x).all():
+    all_, any_, top = np.logical_and.reduce, np.logical_or.reduce, np.maximum.reduce
+    if not all_(np.isfinite(x), axis=None):
         raise DomainError("alphas must be finite")
     failures: dict[int, Exception] = {}
     steps = np.zeros((len(x), 2), dtype=int)
     f, grad = fun(x, consts), jac(x, consts)
-    norm = np.abs(grad).max(axis=-1)
-    live = np.flatnonzero(~(norm < 1e-6))
+    norm = top(np.abs(grad), axis=-1)
+    live = (~(norm < 1e-6)).nonzero()[0]
     for _ in range(MAX_ITERATIONS):
         if not len(live):
             break
         pack, here = consts[live], x[live]
-        w, vecs = _eigh(hess_fn(here, pack))
-        if np.isnan(w[:, 0]).any():
+        w, vecs = _umath_linalg.eigh_lo(hess_fn(here, pack), signature="d->dd")
+        if any_(np.isnan(w[:, 0])):
             live, w, vecs, pack, here = _drop(np.isnan(w[:, 0]), live, failures, _UNCONVERGED,
                                               w, vecs, pack, here)
-        coeffs = (np.swapaxes(vecs, -1, -2) @ grad[live][..., None])[..., 0]
+        coeffs = (vecs.mT @ grad[live][..., None])[..., 0]
         step = (vecs @ (coeffs / (np.abs(w) + 1e-9))[..., None])[..., 0]
         # the line search: the rows still searching, with their constants,
         # share the step length t, which shrinks by quarters from 1 to 1e-12
         t, search, held, trial = 1.0, live, pack, here - step
         moved = np.zeros(len(x), dtype=bool)
         while True:
-            if not np.isfinite(trial).all():
-                search, trial, step, held = _drop(~np.isfinite(trial).all(axis=-1), search,
+            if not all_(np.isfinite(trial), axis=None):
+                search, trial, step, held = _drop(~all_(np.isfinite(trial), axis=-1), search,
                                                   failures, _NOT_FINITE, trial, step, held)
             f_new, f_old = fun(trial, held), f[search]
             accept = f_new <= f_old + 1e-14 * np.abs(f_old)
-            if accept.all():
+            if all_(accept):
                 x[search], f[search], moved[search] = trial, f_new, True
                 break
             done, rest = search[accept], ~accept
@@ -307,29 +312,29 @@ def _newton_minimize(fun, jac, hess_fn, x0, consts):
         moved = moved[live]
         live, pack = live[moved], pack[moved]
         grad[live] = grad_new = jac(x[live], pack)
-        norm[live] = new_norm = np.abs(grad_new).max(axis=-1)
+        norm[live] = new_norm = top(np.abs(grad_new), axis=-1)
         live = live[~(new_norm < 1e-6)]
     # The endgame squeezes the residual to the floating-point floor, far below
     # SOLUTION_GRAD_TOL: soft-direction curvatures amplify any leftover gradient
     # into parameter error, which would contaminate near-critical Hessian eigenvalues.
-    live = (np.flatnonzero([row not in failures for row in range(len(x))]) if failures
-            else np.arange(len(x)))
+    live = np.delete(np.arange(len(x)), list(failures)) if failures else np.arange(len(x))
     for _ in range(60):
         live = live[~(norm[live] < 1e-15)]
         if not len(live):
             break
         pack = consts[live]
-        step = _solve(hess_fn(x[live], pack), grad[live][..., None])[..., 0]
+        step = _umath_linalg.solve(hess_fn(x[live], pack), grad[live][..., None],
+                                   signature="dd->d")[..., 0]
         # a singular Hessian, whose step numpy fills with NaN, ends that
         # row's endgame as a failed step does
-        if np.isnan(step).all(axis=-1).any():
-            live, step, pack = _drop(np.isnan(step).all(axis=-1), live, {}, None, step, pack)
+        if any_(all_(np.isnan(step), axis=-1)):
+            live, step, pack = _drop(all_(np.isnan(step), axis=-1), live, {}, None, step, pack)
         trial = x[live] - step
-        if not np.isfinite(trial).all():
-            live, trial, pack = _drop(~np.isfinite(trial).all(axis=-1), live, failures,
+        if not all_(np.isfinite(trial), axis=None):
+            live, trial, pack = _drop(~all_(np.isfinite(trial), axis=-1), live, failures,
                                       _NOT_FINITE, trial, pack)
         grad_new = jac(trial, pack)
-        new_norm = np.abs(grad_new).max(axis=-1)
+        new_norm = top(np.abs(grad_new), axis=-1)
         better = ~(new_norm >= norm[live])
         live = live[better]
         x[live], grad[live], norm[live] = trial[better], grad_new[better], new_norm[better]
@@ -343,12 +348,15 @@ def _mirror_reduced(n_sites: int):
     mirror-group values y, with P the pair incidence, built once per
     lattice size: the gradient is g P and the Hessian P^T H P.  They act on
     a stack of y and its constants as the :func:`~frustra.model._kernels`
-    they are built on do."""
+    they are built on do.  P y is a gather, each site reading its group's
+    value: the bits of the product y @ P^T, whose other terms are y_j * 0,
+    for the finite values Newton makes, none of them -0.0."""
     incidence = ring(n_sites).incidence
     energy, gradient, hessian = _kernels(n_sites)
+    group, transposed = incidence.argmax(axis=1), incidence.T  # each site's mirror group
 
     def expand(y):
-        return y @ incidence.T
+        return y.take(group, axis=-1, mode="clip")
 
     def fun(y, pack):
         return energy(expand(y), pack)
@@ -357,7 +365,7 @@ def _mirror_reduced(n_sites: int):
         return gradient(expand(y), pack) @ incidence
 
     def hess_fn(y, pack):
-        return incidence.T @ hessian(expand(y), pack) @ incidence
+        return transposed @ hessian(expand(y), pack) @ incidence
 
     return expand, fun, jac, hess_fn
 
@@ -402,16 +410,18 @@ def _canonical_frames(alphas: np.ndarray):
     """
     n = alphas.shape[-1]
     right, half, sites = ring(n).right, (n + 1) // 2, np.arange(n)
-    signs = np.sign(alphas)
-    aligned = np.fmax(signs * signs[:, right], 0.0)
-    shifts = [int(shift) for shift in (((aligned * sites).sum(axis=1) + half) % n).tolist()]
+    signs, total = np.sign(alphas), np.add.reduce
+    aligned = np.fmax(signs * signs.take(right, axis=-1, mode="clip"), 0.0)
+    shifts = [int(shift) for shift in ((total(aligned * sites, axis=1) + half) % n).tolist()]
     errors = {}
-    for row in ((aligned.sum(axis=1) != 1) | (signs == 0).any(axis=1)).nonzero()[0].tolist():
+    unframed = (total(aligned, axis=1) != 1) | np.logical_or.reduce(signs == 0, axis=1)
+    for row in unframed.nonzero()[0].tolist():
         pairs = int((signs[row] == signs[row, right]).sum())
         errors[row] = PhaseError(
             "configuration has a vanishing coherence; not frustrated" if (signs[row] == 0).any()
             else f"expected exactly one aligned neighbour pair, found {pairs}")
-    return shifts, -(signs * aligned[:, (sites - half) % n]).sum(axis=1), errors
+    opposite = aligned.take((sites - half) % n, axis=-1, mode="clip")
+    return shifts, -total(signs * opposite, axis=1), errors
 
 
 #: The error of a point at jbar = 0 above g_c = 1, which has no phase
@@ -452,7 +462,8 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
     it is the normal phase without a solve: sqrt(1 + x) <= 1 + x/2 gives
     E(alpha) >= E(0) + alpha^T H_0 alpha / 2, and the origin Hessian H_0 is
     positive semidefinite up to g_c; the stack's normal points share one
-    :func:`origin_hessian_eigenvalues` call.  Above g_c (:func:`_seed_alphas`)
+    closed-form circulant, the spectrum of
+    :func:`~frustra.model.origin_hessian_eigenvalues`.  Above g_c (:func:`_seed_alphas`)
     a point at jbar < 0 is the uniform closed form on every site, with the
     circulant closed-form spectrum; one at jbar > 0 starts its row of one
     mirror-reduced Newton stack ((N+1)/2 values a row), and its Hessian is
@@ -493,10 +504,13 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
         magnitudes.append(magnitude)
     # every row starts as the normal phase's: the origin, at no residual
     alphas, spectra = np.zeros((2, len(g), n_sites))
-    phases, grad_norm = np.full(len(g), Phase.NORMAL), np.zeros(len(g))
-    soft = np.full((len(g), 2), np.nan)
+    phases, grad_norm = np.empty(len(g), dtype=object), np.zeros(len(g))
+    soft = np.empty((len(g), 2))
+    phases.fill(Phase.NORMAL)
+    soft.fill(np.nan)
     if normal:  # the origin wins, with the closed-form spectra of one call
-        spectra[normal] = origin_hessian_eigenvalues(g[normal], jbar[normal], n_sites)
+        g_n = g[normal, None]  # at most g_c, so 2 g^2 cannot overflow
+        spectra[normal] = _circulant_eigenvalues(2.0 - 2.0 * g_n * g_n, jbar[normal], n_sites)
     if solving:
         solving, magnitudes = np.array(solving), np.array(magnitudes)
         g_s, jbar_s, (_, gradient, hessian) = g[solving], jbar[solving], _kernels(n_sites)
@@ -504,7 +518,7 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
         phases[solving] = Phase.NFSP
         phases[solving[frustrated]] = Phase.FSP
         # a uniform row is its closed form; Newton moves the frustrated ones
-        found = np.repeat(magnitudes[:, None], n_sites, axis=1)
+        found = magnitudes[:, None].repeat(n_sites, axis=1)
         steps, failures = np.zeros((len(solving), 2), dtype=int), {}
         if len(frustrated):
             expand, fun, jac, hess_fn = _mirror_reduced(n_sites)
@@ -513,11 +527,13 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
                 consts[frustrated])
             found[frustrated] = expand(y)
             failures = {int(frustrated[row]): error for row, error in newton_failures.items()}
-        residual = np.abs(gradient(found, consts)).max(axis=-1)
-        residual[list(failures)] = np.nan
+        residual = np.maximum.reduce(np.abs(gradient(found, consts)), axis=-1)
+        if failures:
+            residual[list(failures)] = np.nan
         # SOLUTION_GRAD_TOL, or the floor of a row above it; the filter takes at least 1e-6
-        tolerance, loose = np.full(len(solving), SOLUTION_GRAD_TOL), residual > SOLUTION_GRAD_TOL
-        if loose.any():
+        tolerance, loose = np.empty(len(solving)), residual > SOLUTION_GRAD_TOL
+        tolerance.fill(SOLUTION_GRAD_TOL)
+        if np.logical_or.reduce(loose):
             tolerance[loose] = _gradient_tolerance(found[loose], g_s[loose], jbar_s[loose],
                                                    SOLUTION_GRAD_TOL)
         stationary = residual <= np.fmax(tolerance, 1e-6)
@@ -527,11 +543,16 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
             spectra[solving[uniform]] = _circulant_eigenvalues(_hessian_diagonal(
                 magnitudes[uniform, None], g_s[uniform, None]), jbar_s[uniform], n_sites)
         if len(sectored):
-            (even, _), (odd, _) = _mirror_eigh(hessian(found[sectored], consts[sectored]))
-            spectra[solving[sectored]] = np.sort(np.hstack([even, odd]), axis=-1)
-            soft[solving[sectored]] = np.column_stack([even[:, 0], odd[:, 0]])
+            with np.errstate(over="ignore"):  # the Hessian's, at huge couplings
+                hess = hessian(found[sectored], consts[sectored])
+            (even, _), (odd, _) = _mirror_eigh(hess)
+            merged = np.concatenate((even, odd), axis=-1)
+            merged.sort(axis=-1)
+            spectra[solving[sectored]] = merged
+            soft[solving[sectored]] = np.concatenate((even[:, :1], odd[:, :1]), axis=-1)
         # the sort moves a failed sector's NaN out of rank 1, so every rank is read
-        for row in (stationary & np.isnan(spectra[solving]).any(axis=-1)).nonzero()[0].tolist():
+        nan_rows = np.logical_or.reduce(np.isnan(spectra[solving]), axis=-1)
+        for row in (stationary & nan_rows).nonzero()[0].tolist():
             failures[row] = copy.copy(_UNCONVERGED)
         alphas[solving], point_errors = _canonical(found, residual, tolerance, frustrated)
         grad_norm[solving] = residual
@@ -553,7 +574,7 @@ def _solve_stack(n_sites: int, g: np.ndarray, jbar: np.ndarray) -> GroundStates:
         alphas[failed] = spectra[failed] = soft[failed] = grad_norm[failed] = np.nan
         phases[failed] = None
     for array in (alphas, phases, grad_norm, spectra, soft):
-        array.flags.writeable = False
+        array.setflags(write=False)
     return GroundStates(alphas, phases, grad_norm, spectra, soft, tuple(errors))
 
 
@@ -569,18 +590,39 @@ def _canonical(alphas: np.ndarray, grad_norm: np.ndarray, tolerance: np.ndarray,
     Every seed is mirror-symmetric about site 1, so a frustrated minimizer
     is too and is canonical up to its global sign: the mirror maps the aligned
     pair (i, i+1) (0-based, cyclic) to (-i-1, -i), so a unique one has
-    i = (N-1)/2, opposite site 1.  :func:`_canonical_frames` still checks
-    the frustrated rows for exactly one aligned pair, and its shift is 0.
+    i = (N-1)/2, opposite site 1.  :func:`_mirror_frames` checks the
+    frustrated rows for exactly one aligned pair and gives their signs.
     """
     errors = {row: ConvergenceError(f"stationarity residual {grad_norm[row]:.2e} above "
                                     f"{tolerance[row]:.3g}", best_residual=grad_norm[row].item())
               for row in (~(grad_norm <= tolerance)).nonzero()[0].tolist()}
     if len(frustrated):
         signs = np.ones(len(alphas))
-        _, signs[frustrated], frame_errors = _canonical_frames(alphas[frustrated])
+        signs[frustrated], frame_errors = _mirror_frames(alphas[frustrated])
         alphas = alphas * signs[:, None]
         errors.update((int(frustrated[row]), error) for row, error in frame_errors.items())
     return alphas, errors
+
+
+def _mirror_frames(alphas: np.ndarray):
+    """``(signs, errors)`` of :func:`_canonical_frames` on a stack of
+    mirror-symmetric configurations (rows, N), whose shifts are all 0.
+
+    Sites 1 to (N+1)/2 hold the mirror groups in order, and the pair of the
+    last group, opposite site 1, is aligned.  Each other aligned pair of
+    groups makes two aligned pairs of sites, so a row has exactly one aligned
+    pair where its groups alternate in sign (a zero alternates with
+    nothing), and its sign is then that of the flip -sign(alpha_1).  Only a
+    row that fails this check, which :func:`_canonical_frames` refuses, goes
+    to that function, which words its error."""
+    groups = np.sign(alphas[:, :(alphas.shape[-1] + 1) // 2])
+    framed = np.logical_and.reduce(groups[:, :-1] * groups[:, 1:] < 0, axis=-1)
+    signs, errors = -groups[:, 0], {}
+    if not np.logical_and.reduce(framed):
+        unframed = (~framed).nonzero()[0]
+        _, signs[unframed], frame_errors = _canonical_frames(alphas[unframed])
+        errors = {int(unframed[row]): error for row, error in frame_errors.items()}
+    return signs, errors
 
 
 def solve_ground_states(params_seq) -> list:
@@ -666,19 +708,21 @@ def _enumerate_exhaustive(params: ModelParams):
     consts = _pack(g, jbar)
     if g <= gc or jbar < 0:  # the spectral lower bound is attainable
         # the origin, or orbit_patterns(n)[0], all -1, at the orbit rows' scale
-        members = _certified_members(consts, params, np.full((1, n), -scale if g > gc else 0.0))
+        candidate = np.empty((1, n))
+        candidate.fill(-scale if g > gc else 0.0)
+        members = _certified_members(consts, params, candidate)
         if members is not None:
             return [MeanFieldConfiguration(a, g, jbar) for a in members]
 
     # one sign pattern per rotation/flip orbit, all rows of one full-space Newton stack
-    patterns = np.array(orbit_patterns(n))
+    patterns = orbit_patterns(n)
     found, steps, stationary = _stable_minima(consts, params, patterns * scale)
     if not len(found):
         raise ConvergenceError("exhaustive enumeration found no stable minima")
 
     energies = _kernels(n)[0](found, consts)
-    tolerance = max(ENERGY_TOL, _BOUND_SLACK * _energy_rounding(found, g, jbar).max())
-    global_tier = found[energies <= energies.min() + tolerance]
+    tolerance = max(ENERGY_TOL, _BOUND_SLACK * np.maximum.reduce(_energy_rounding(found, g, jbar)))
+    global_tier = found[energies <= np.minimum.reduce(energies) + tolerance]
     if g > gc and jbar > 0:
         # Near g_c the mirror-odd direction is flat, so each member stops
         # somewhere along it; lock its pairs, as solve_ground_state's mirror-
@@ -706,16 +750,20 @@ def _stable_minima(consts, params: ModelParams, seeds: np.ndarray):
     (Newton's, or a failed eigensolve's ``LinAlgError``) is raised."""
     energy, gradient, hessian = _kernels(params.n_sites)
     alphas, grad_norm, steps, failures = _newton_minimize(
-        energy, gradient, hessian, seeds, np.repeat(consts[None], len(seeds), axis=0))
-    settled = np.flatnonzero([row not in failures for row in range(len(seeds))])
+        energy, gradient, hessian, seeds, consts[None].repeat(len(seeds), axis=0))
+    rows = np.arange(len(seeds))
+    settled = np.delete(rows, list(failures)) if failures else rows
     # SOLUTION_GRAD_TOL, or the floor of a settled row above it, as in _solve_stack
-    tolerance = np.full(len(settled), SOLUTION_GRAD_TOL)
-    loose = grad_norm[settled] > SOLUTION_GRAD_TOL
-    if loose.any():
-        tolerance[loose] = _gradient_tolerance(alphas[settled[loose]], params.g, params.jbar,
-                                               SOLUTION_GRAD_TOL)
-    stationary = settled[~(grad_norm[settled] > tolerance)]
-    lowest = _eigvalsh(hessian(alphas[stationary], consts)).min(axis=-1)
+    norms = grad_norm[settled]
+    loose = norms > SOLUTION_GRAD_TOL
+    kept = ~loose
+    if np.logical_or.reduce(loose):
+        kept[loose] = ~(norms[loose] > _gradient_tolerance(
+            alphas[settled[loose]], params.g, params.jbar, SOLUTION_GRAD_TOL))
+    stationary = settled[kept]
+    with np.errstate(over="ignore"):  # the Hessian's, at huge couplings
+        hess = hessian(alphas[stationary], consts)
+    lowest = np.minimum.reduce(_eigvalsh(hess), axis=-1)
     for row in stationary[np.isnan(lowest)].tolist():
         failures[row] = copy.copy(_UNCONVERGED)
     if failures:
@@ -761,8 +809,8 @@ def _energy_rounding(alphas: np.ndarray, g: float, jbar: float):
     which |E| underestimates where the terms cancel (jbar near -1/2)."""
     a, right = alphas, ring(alphas.shape[-1]).right
     terms = (a * a + 0.5 * np.sqrt(1.0 + 4.0 * g * g * a * a)
-             + np.abs(2.0 * jbar * a * a[..., right]))
-    return np.finfo(float).eps * terms.sum(axis=-1)
+             + np.abs(2.0 * jbar * a * a.take(right, axis=-1, mode="clip")))
+    return _EPS * np.add.reduce(terms, axis=-1)
 
 
 def _gradient_tolerance(alphas: np.ndarray, g, jbar, bound: float):
@@ -774,7 +822,7 @@ def _gradient_tolerance(alphas: np.ndarray, g, jbar, bound: float):
     g, jbar = np.asarray(g)[..., None], np.asarray(jbar)[..., None]
     terms = (np.abs(2.0 * a) + np.abs(2.0 * jbar * (a[..., tables.left] + a[..., tables.right]))
              + np.abs(2.0 * g * g * a / np.sqrt(1.0 + 4.0 * g * g * a * a)))
-    return np.maximum(bound, 4.0 * np.finfo(float).eps * terms.max(axis=-1))
+    return np.maximum(bound, 4.0 * _EPS * np.maximum.reduce(terms, axis=-1))
 
 
 def _distinct_images(global_tier) -> np.ndarray:
@@ -785,18 +833,18 @@ def _distinct_images(global_tier) -> np.ndarray:
     2N x 2N distance matrix and a pass in image order.  The scale keeps
     copies of one minimum together at strong coupling, where |alpha| ~ g/2
     rounds them further apart than MATCH_TOL."""
+    top, any_ = np.maximum.reduce, np.logical_or.reduce
     members = np.empty((0, np.shape(global_tier)[-1]))
-    match = MATCH_TOL * max(1.0, np.abs(global_tier).max())
+    match = MATCH_TOL * max(1.0, top(np.abs(global_tier), axis=None))
     for alphas in global_tier:
-        if (np.abs(members - alphas).max(axis=-1) < match).any():
+        if any_(top(np.abs(members - alphas), axis=-1) < match):
             continue
         images = group_images(alphas)
-        near = (np.abs(images[:, None] - images[None]).max(axis=-1) < match).tolist()
-        new = ~(np.abs(images[:, None] - members[None]).max(axis=-1)
-                < match).any(axis=1)
+        near = (top(np.abs(images[:, None] - images[None]), axis=-1) < match).tolist()
+        new = ~any_(top(np.abs(images[:, None] - members[None]), axis=-1) < match, axis=1)
         joining = []  # in image order
         for i in new.nonzero()[0].tolist():
-            if not any(near[i][j] for j in joining):
+            if not any(map(near[i].__getitem__, joining)):
                 joining.append(i)
         members = np.concatenate((members, images[joining]))
     return members
@@ -817,15 +865,15 @@ def _polish_members(members: np.ndarray, params: ModelParams) -> np.ndarray:
     # every member into its canonical frame, and back, by one gather each
     rows, sites, shifts = np.arange(len(members))[:, None], np.arange(n), np.array(shifts)[:, None]
     canonical = signs[:, None] * members[rows, (sites + shifts) % n]
-    incidence, consts = ring(n).incidence, np.repeat(_pack(g, jbar)[None], len(members), axis=0)
+    incidence, consts = ring(n).incidence, _pack(g, jbar)[None].repeat(len(members), axis=0)
     expand, fun, jac, hess_fn = _mirror_reduced(n)
     # seeded from the mean of each mirror pair
-    y, _, _, failures = _newton_minimize(fun, jac, hess_fn,
-                                         canonical @ incidence / incidence.sum(axis=0), consts)
+    y, _, _, failures = _newton_minimize(
+        fun, jac, hess_fn, canonical @ incidence / np.add.reduce(incidence, axis=0), consts)
     if failures:
         raise failures[min(failures)]
-    snapped = expand(y)
-    free, locked = _kernels(n)[0](canonical, consts), _kernels(n)[0](snapped, consts)
+    snapped, energy = expand(y), _kernels(n)[0]
+    free, locked = energy(canonical, consts), energy(snapped, consts)
     raised = locked > free + 1e-12 * np.fmax(1.0, np.abs(free))
     for before, after in zip(free[raised].tolist(), locked[raised].tolist()):
         log.warning(
@@ -869,13 +917,15 @@ def hessian_critical_modes(solution: GroundStateSolution) -> CriticalModes:
                          _fix_sign(tables.odd.T @ v_odd[0, :, 0]))
 
 
+@np.errstate(all="ignore")  # one for both eigensolves, as in _rowwise
 def _mirror_eigh(hess: np.ndarray):
-    """:data:`_eigh` of the mirror-even and mirror-odd blocks of a stack of
-    N x N Hessians (points, N, N): ((w_even, v_even), (w_odd, v_odd)),
-    stacked over the points, in the bases of the ring table; a row whose
-    eigensolve fails is NaN in its block."""
+    """``numpy.linalg.eigh`` of the mirror-even and mirror-odd blocks of a
+    stack of N x N Hessians (points, N, N), a row at a time: ((w_even,
+    v_even), (w_odd, v_odd)), stacked over the points, in the bases of the
+    ring table; a row whose eigensolve fails is NaN in its block."""
     tables = ring(hess.shape[-1])
-    return tuple(_eigh(basis @ hess @ basis.T) for basis in (tables.even, tables.odd))
+    return tuple(_umath_linalg.eigh_lo(basis @ hess @ basis.T, signature="d->dd")
+                 for basis in (tables.even, tables.odd))
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:

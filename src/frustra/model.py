@@ -172,7 +172,8 @@ def energy_hessian(alphas, g, jbar) -> np.ndarray:
     first off-diagonals carry 2 jbar.
     """
     a = _check_alphas(alphas)
-    return _kernels(a.shape[-1])[2](a, _pack(g, jbar))
+    with np.errstate(over="ignore"):  # see _diagonal
+        return _kernels(a.shape[-1])[2](a, _pack(g, jbar))
 
 
 #: The column of a :func:`_pack` that holds 2 jbar, and the factors of g * g in the others
@@ -196,26 +197,34 @@ def _kernels(n_sites: int):
     n_sites) and a :func:`_pack` of its constants, a row per row of the
     stack or one for all.  They take the coherences as given, without a
     conversion or a finiteness check: the public functions validate, and
-    the Newton solver checks the points it makes."""
+    the Newton solver checks the points it makes.  The Hessian's overflow at
+    huge couplings (:func:`_diagonal`) is its caller's to ignore."""
     tables = ring(n_sites)
     left, right, sites = tables.left, tables.right, np.arange(n_sites)
+    # the flat positions (n, n+1) and (n+1, n) of the hopping in a row-major N x N block
+    hopping = np.concatenate((sites * n_sites + right, right * n_sites + sites))
 
+    # ``take`` with mode "clip" reads the neighbours: the indices are in
+    # range, and it is faster than fancy indexing from one row to the
+    # sweeps' 126, which the default mode, checking its indices, is not
     def energy(a, pack):
         quad, hop = pack[..., 0, None], pack[..., 2, None]
         return np.add.reduce(a * a - 0.5 * np.sqrt(1.0 + quad * a * a)
-                             + hop * a * a[..., right], axis=-1)
+                             + hop * a * a.take(right, axis=-1, mode="clip"), axis=-1)
 
     def gradient(a, pack):
         quad, curve, hop = pack[..., 0, None], pack[..., 1, None], pack[..., 2, None]
         root = np.sqrt(1.0 + quad * a * a)
-        return 2.0 * a + hop * (a[..., left] + a[..., right]) - curve * a / root
+        neighbours = a.take(left, axis=-1, mode="clip") + a.take(right, axis=-1, mode="clip")
+        return 2.0 * a + hop * neighbours - curve * a / root
 
     def hessian(a, pack):
         quad, curve, hop = pack[..., 0, None], pack[..., 1, None], pack[..., 2, None]
-        hess = np.zeros(a.shape + (n_sites,))
-        hess[..., sites, sites] = _diagonal(quad, curve, a)
-        hess[..., sites, right] = hess[..., right, sites] = hop
-        return hess
+        # written flat: the diagonal through a stride of N + 1, the hopping at its positions
+        hess = np.zeros(a.shape[:-1] + (n_sites * n_sites,))
+        hess[..., ::n_sites + 1] = _diagonal(quad, curve, a)
+        hess[..., hopping] = hop
+        return hess.reshape(a.shape + (n_sites,))
 
     return energy, gradient, hessian
 
@@ -223,14 +232,15 @@ def _kernels(n_sites: int):
 _LARGEST = float(np.finfo(float).max)
 
 
-@np.errstate(over="ignore")
 def _diagonal(quad, curve, a):
     """The Hessian diagonal 2 - 2 g^2 / (1 + 4 g^2 a^2)^{3/2} from the
     constants ``quad`` = 4 g^2 and ``curve`` = 2 g^2, elementwise.  At huge
     couplings 4 g^2 or the power overflows to inf, which takes the term it
-    divides to its exact limit 0, so overflow is ignored.  Past g of about
-    9.5e153 2 g^2 overflows too, and inf / inf would be NaN where a != 0
-    has the limit 2, so it is capped at the largest finite double."""
+    divides to its exact limit 0, so callers ignore overflow; the solver's
+    Newton runs under one ``np.errstate`` a call, so this enters none of its
+    own.  Past g of about 9.5e153 2 g^2 overflows too, and inf / inf would
+    be NaN where a != 0 has the limit 2, so it is capped at the largest
+    finite double."""
     return 2.0 - np.minimum(curve, _LARGEST) / (1.0 + quad * a * a) ** 1.5
 
 
@@ -310,15 +320,22 @@ def ring(n_sites: int) -> Ring:
 def group_images(alphas: np.ndarray) -> np.ndarray:
     """The 2N images ``flip * np.roll(alphas, shift)`` under the ring's
     rotations and global sign flip, flip +1 then -1."""
-    n = len(alphas)
-    rolled = alphas[(np.arange(n) - np.arange(n)[:, None]) % n]
+    rolled = alphas.take(_rotations(len(alphas)), mode="clip")
     return np.concatenate((rolled, -rolled))
 
 
 @functools.cache
-def orbit_patterns(n_sites: int) -> tuple:
+def _rotations(n: int) -> np.ndarray:
+    """Row ``shift``: the sites that ``np.roll(alphas, shift)`` reads, in order."""
+    table = (np.arange(n) - np.arange(n)[:, None]) % n
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def orbit_patterns(n_sites: int) -> np.ndarray:
     """The lexicographically first sign pattern of each rotation/flip orbit,
-    sorted, as tuples of -1.0 and 1.0.
+    sorted, as the read-only rows (orbits, N) of -1.0 and 1.0.
 
     A pattern is the integer with bit n - 1 - i set where site i is +1, so
     integer order is lexicographic order; a code is kept where it is the
@@ -331,7 +348,9 @@ def orbit_patterns(n_sites: int) -> tuple:
         least = np.minimum(least, np.minimum(rotated, rotated ^ full))
     kept = codes[least == codes]
     bits = (kept[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
-    return tuple(map(tuple, np.where(bits == 1, 1.0, -1.0).tolist()))
+    patterns = np.where(bits == 1, 1.0, -1.0)
+    patterns.flags.writeable = False
+    return patterns
 
 
 def origin_hessian_eigenvalues(g: float, jbar: float, n_sites: int) -> np.ndarray:
@@ -350,9 +369,17 @@ def _circulant_eigenvalues(diagonal, jbar, n_sites: int) -> np.ndarray:
     n_sites) result, and hopping 2 jbar, a scalar or one value per row.
     Rounding is monotone, so the sum follows cos k: the ascending cosines,
     reversed for jbar < 0, give the sorted spectrum."""
-    hopping, tables = _per_row(jbar), ring(n_sites)
-    cosines = tables.cosines[tables.ascending]
-    return diagonal + 4.0 * hopping * np.where(hopping < 0, cosines[::-1], cosines)
+    hopping, (ascending, descending) = _per_row(jbar), _sorted_cosines(n_sites)
+    return diagonal + 4.0 * hopping * np.where(hopping < 0, descending, ascending)
+
+
+@functools.cache
+def _sorted_cosines(n_sites: int) -> tuple:
+    """The ring's cosines in ascending and in descending order, read-only."""
+    tables = ring(n_sites)
+    ascending = tables.cosines[tables.ascending]
+    ascending.flags.writeable = False
+    return ascending, ascending[::-1]
 
 
 @functools.cache

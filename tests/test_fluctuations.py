@@ -262,6 +262,19 @@ class TestAnalyticSpectra:
         hi2 = analytic_nfsp_spectrum(4.0, jbar, 1.0)[-1]
         assert hi2 / hi1 == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_nfsp_spectrum_returns_at_the_critical_coupling(self, n):
+        # g_c itself is superradiant, as the solver and nfsp_closed_form
+        # take it, though g * g may round below 1 + 2 jbar there (it raised
+        # "below the superradiant threshold g_c=X", with X that same g):
+        # the soft mode is 0 to rounding, the others the normal phase's
+        for jbar in -np.geomspace(1e-4, 0.49, 200):
+            gc = critical_point(float(jbar), n)
+            spectrum = analytic_nfsp_spectrum(gc, float(jbar), 1.0, n_sites=n)
+            normal = analytic_np_spectrum(gc, float(jbar), 1.0, n_sites=n)
+            assert_allclose(spectrum[1:], normal[1:], rtol=1e-10, atol=0)
+            assert 0 <= spectrum[0] < 1e-7
+
     def test_nfsp_domain(self):
         with pytest.raises(DomainError):
             analytic_nfsp_spectrum(0.9, -0.01, 1.0)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from numpy.testing import assert_allclose
 
 from frustra import fluctuations, meanfield
@@ -25,6 +26,7 @@ from frustra.meanfield import (
     SolverOptions,
     _canonical,
     _canonical_frames,
+    _mirror_frames,
     _mirror_reduced,
     _near_critical_magnitude,
     _newton_minimize,
@@ -614,7 +616,7 @@ class TestOrbitPatterns:
         # the set-of-tuples definition: each pattern's least group image
         expected = tuple(sorted({min(map(tuple, group_images(np.array(signs))))
                                  for signs in itertools.product((-1.0, 1.0), repeat=n)}))
-        assert orbit_patterns(n) == expected
+        assert tuple(map(tuple, orbit_patterns(n).tolist())) == expected
 
     @pytest.mark.parametrize("n", range(3, 20, 2))
     def test_orbit_count_is_the_necklace_count(self, n):
@@ -673,22 +675,27 @@ class TestDerivedSolutionFields:
     def test_frustrated_winners_need_only_a_sign_flip(self, n, monkeypatch):
         # every winner of the mirror-reduced stack has its unpaired site at
         # site 1 already, so the canonical frame of the raw winner has shift
-        # 0, and the returned solution is canonical; the frames of the whole
-        # stack are checked in one call
-        frames = []
+        # 0, and the returned solution is canonical; the mirror-group check
+        # frames the whole stack, and _canonical_frames, which words the
+        # error of a row that check refuses, is never called
+        winners, fallback, real = [], [], meanfield._canonical
 
-        def spy(alphas):
-            frames.append(_canonical_frames(alphas))
-            return frames[-1]
+        def spy(alphas, grad_norm, tolerance, frustrated):
+            winners.append(alphas[frustrated])
+            return real(alphas, grad_norm, tolerance, frustrated)
 
-        monkeypatch.setattr(meanfield, "_canonical_frames", spy)
+        monkeypatch.setattr(meanfield, "_canonical", spy)
+        monkeypatch.setattr(meanfield, "_canonical_frames", fallback.append)
         points = [ModelParams(1.0, 1.0, jbar, critical_point(jbar, n) * (1 + r), n)
                   for jbar in (0.01, 0.3) for r in np.logspace(-7, np.log10(0.3), 14)]
         outcomes = solve_ground_states(points)
         assert all(solution.phase is Phase.FSP for solution in outcomes)
-        ((shifts, _, errors),) = frames
+        assert fallback == []
+        (raw,) = winners
+        shifts, signs, errors = _canonical_frames(raw)
         assert len(shifts) == len(points) and not errors
         assert set(shifts) == {0}
+        assert _mirror_frames(raw)[0].tobytes() == signs.tobytes()
         shifts, signs, errors = _canonical_frames(
             np.array([solution.config.alphas for solution in outcomes]))
         assert set(shifts) == {0} and set(signs.tolist()) == {1.0} and not errors
@@ -1372,6 +1379,13 @@ class TestStackedSolve:
                     assert np.array_equal(outcome.config.alphas, one.config.alphas)
 
 
+#: Newton's and the mirror sectors' eigh and the endgame's solve as the
+#: solver calls them: the bare gufunc inside one np.errstate of the caller,
+#: which _rowwise gives it here
+_EIGH = meanfield._rowwise(_umath_linalg.eigh_lo, "d->dd")
+_SOLVE = meanfield._rowwise(_umath_linalg.solve, "dd->d")
+
+
 class TestRawGufuncs:
     """The solver calls the gufuncs behind numpy.linalg.eigh, eigvalsh and
     solve directly; a numpy upgrade that changes them fails here first."""
@@ -1381,10 +1395,12 @@ class TestRawGufuncs:
         for m in (2, 3, 4, 8):
             a = rng.normal(size=(6, m, m))
             sym, b = a + np.swapaxes(a, -1, -2), rng.normal(size=(6, m, 1))
-            (w, v), (w_np, v_np) = meanfield._eigh(sym), np.linalg.eigh(sym)
+            (w, v) = _umath_linalg.eigh_lo(sym, signature="d->dd")
+            w_np, v_np = np.linalg.eigh(sym)
             assert np.array_equal(w, w_np) and np.array_equal(v, v_np)
             assert meanfield._eigvalsh(sym).tobytes() == np.linalg.eigvalsh(sym).tobytes()
-            assert np.array_equal(meanfield._solve(a, b), np.linalg.solve(a, b))
+            assert np.array_equal(_umath_linalg.solve(a, b, signature="dd->d"),
+                                  np.linalg.solve(a, b))
 
     def test_failing_rows_are_nan_where_numpy_linalg_raises(self):
         # numpy.linalg raises for a whole stack that holds a failing row; the
@@ -1397,9 +1413,9 @@ class TestRawGufuncs:
         sym[1], sym[3, 2, 0] = np.nan, np.inf
         square, b = a.copy(), rng.normal(size=(5, 3, 1))
         square[2], square[4, :, 0] = 0.0, 0.0  # singular
-        for wrapper, public, args in ((meanfield._eigh, np.linalg.eigh, (sym,)),
+        for wrapper, public, args in ((_EIGH, np.linalg.eigh, (sym,)),
                                       (meanfield._eigvalsh, np.linalg.eigvalsh, (sym,)),
-                                      (meanfield._solve, np.linalg.solve, (square, b))):
+                                      (_SOLVE, np.linalg.solve, (square, b))):
             with pytest.raises(np.linalg.LinAlgError):
                 public(*args)
             out = wrapper(*args)
@@ -1587,14 +1603,15 @@ class TestCarriedSpectrum:
 
     def test_normal_points_take_one_closed_form_call(self, monkeypatch):
         # a stack's normal points share one stacked call of the origin's
-        # closed form, with the bits of one call per point
-        real, calls = meanfield.origin_hessian_eigenvalues, []
+        # closed-form circulant, with the bits of origin_hessian_eigenvalues
+        # called per point
+        real, calls = meanfield._circulant_eigenvalues, []
 
-        def counted(g, *args):
-            calls.append(len(g))
-            return real(g, *args)
+        def counted(diagonal, *args):
+            calls.append(len(diagonal))
+            return real(diagonal, *args)
 
-        monkeypatch.setattr(meanfield, "origin_hessian_eigenvalues", counted)
+        monkeypatch.setattr(meanfield, "_circulant_eigenvalues", counted)
         gc = critical_point(-0.01, 21)
         points = [params(-0.01, gc * (1 - r), 21) for r in (0.3, 1e-2, 1e-5)]
         g, jbar = np.array([[p.g, p.jbar] for p in points]).T

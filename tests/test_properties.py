@@ -36,7 +36,9 @@ from frustra.meanfield import (
     MATCH_TOL,
     Phase,
     SolverOptions,
+    _canonical_frames,
     _distinct_images,
+    _mirror_frames,
     _mirror_reduced,
     enumerate_degenerate_ground_states,
     nfsp_closed_form,
@@ -615,6 +617,57 @@ def test_landscape_kernel_returns_the_reference_bits(case):
         per_site = g[:, None] if np.ndim(g) else g
         assert _bits(_hessian_diagonal(alphas, per_site)) == _bits(
             landscape_reference._hessian_diagonal(alphas, per_site))
+
+
+def test_landscape_kernels_return_the_reference_bits_on_sweep_sized_stacks():
+    # the sweep solves 126 rows a size at once: the kernels' neighbour reads
+    # and flat Hessian writes keep the reference bits there, on a stack
+    # whose constants differ by row, on one that shares them, and on
+    # strided views (every other row, the sites of a wider array)
+    rng = np.random.default_rng(126)
+    reference = (landscape_reference.rescaled_energy, landscape_reference.energy_gradient,
+                 landscape_reference.energy_hessian)
+    for n in (3, 5, 7, 21):
+        alphas = rng.normal(scale=0.3, size=(126, n))
+        g, jbar = rng.uniform(0.5, 2.0, 126), rng.uniform(-0.49, 0.49, 126)
+        wide = np.zeros((126, n + 3))
+        wide[:, 1:n + 1] = alphas
+        views = ((alphas, g, jbar), (alphas[::2], g[::2], jbar[::2]),
+                 (wide[:, 1:n + 1], g, jbar), (alphas, 1.3, 0.2), (wide[::3, 1:n + 1], 1.3, 0.2))
+        for a, g_rows, jbar_rows in views:
+            assert not a.flags.c_contiguous or a is alphas
+            for kernel_fn, reference_fn in zip(_kernels(n), reference):
+                got = kernel_fn(a, _pack(g_rows, jbar_rows))
+                assert _bits(got) == _bits(reference_fn(a, g_rows, jbar_rows))
+
+
+def mirror_symmetric_rows(draw, n):
+    """A stack of mirror-symmetric rows (rows, N): each row's mirror
+    groups alternate in sign, or take random signs, with zeros among them."""
+    half = (n + 1) // 2
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        magnitudes = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
+                                   min_size=half, max_size=half))
+        if draw(st.booleans()):  # alternating, from either sign
+            first = draw(st.sampled_from([-1.0, 1.0]))
+            signs = [first * (-1.0) ** group for group in range(half)]
+        else:
+            signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=half, max_size=half))
+        rows.append(np.multiply(signs, magnitudes))
+    return np.array(rows) @ ring(n).incidence.T
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(range(3, 22, 2)))
+def test_mirror_group_check_frames_rows_as_canonical_frames_does(data, n):
+    alphas = mirror_symmetric_rows(data.draw, n)
+    signs, errors = _mirror_frames(alphas)
+    shifts, expected_signs, expected_errors = _canonical_frames(alphas)
+    assert signs.tobytes() == expected_signs.tobytes()
+    assert ({row: (type(error), str(error)) for row, error in errors.items()}
+            == {row: (type(error), str(error)) for row, error in expected_errors.items()})
+    assert all(shift == 0 for row, shift in enumerate(shifts) if row not in errors)
 
 
 @st.composite
